@@ -106,6 +106,16 @@ def _decay_entries(cfg: dict) -> list[tuple[str, float]]:
     return entries
 
 
+def _parse_alpha_bar_mode(cfg: dict) -> float | str:
+    """``"auto"`` for the auto_0.9999 scaling, else the explicit amplitude."""
+    mode = cfg.get("alpha_bar_mode", "auto_0.9999")
+    if isinstance(mode, str):
+        if mode not in ("auto", "auto_0.9999"):
+            raise ConfigError(f"alpha_bar_mode must be auto_0.9999 or a number, got {mode!r}")
+        return "auto"
+    return float(mode)
+
+
 _RUN_KEYS = {
     "problem", "decay", "sigma_tilde", "alpha_bar_mode", "mesh_level", "M", "k",
     "N", "preconditioners", "tol", "max_iter", "residual_norm", "seed", "output",
@@ -122,13 +132,7 @@ def _parse_run_config(cfg: dict):
     preconds = [_parse_precond(p) for p in _require(cfg, "preconditioners")]
     if not preconds:
         raise ConfigError("preconditioner list must not be empty")
-    alpha_mode = cfg.get("alpha_bar_mode", "auto_0.9999")
-    if isinstance(alpha_mode, str):
-        if alpha_mode not in ("auto", "auto_0.9999"):
-            raise ConfigError(f"alpha_bar_mode must be auto_0.9999 or a number, got {alpha_mode!r}")
-        alpha_mode = "auto"
-    else:
-        alpha_mode = float(alpha_mode)
+    alpha_mode = _parse_alpha_bar_mode(cfg)
     N = int(cfg.get("N", 20))
     Ms = [int(v) for v in _as_list(_require(cfg, "M"))]
     levels = [int(v) for v in _as_list(_require(cfg, "mesh_level"))]
@@ -350,8 +354,7 @@ def cmd_spectrum(config_path, out_path, full) -> int:
         if problem not in ("affine", "lognormal"):
             raise ConfigError(f"problem must be 'affine' or 'lognormal', got {problem!r}")
         (decay_label, sigma) = _decay_entries(cfg)[0]
-        alpha_mode = cfg.get("alpha_bar_mode", "auto_0.9999")
-        alpha_mode = "auto" if isinstance(alpha_mode, str) else float(alpha_mode)
+        alpha_mode = _parse_alpha_bar_mode(cfg)
         cell = Cell(
             problem, decay_label, sigma, alpha_mode,
             int(_require(cfg, "mesh_level")), int(_require(cfg, "M")),

@@ -154,26 +154,62 @@ def quadrature_points(mesh: UniformMesh) -> tuple[np.ndarray, np.ndarray]:
     return xq1, xq2
 
 
-def assemble_from_quad_values(mesh: UniformMesh, values: np.ndarray) -> sp.csr_matrix:
-    """Stiffness matrix from coefficient values at the quadrature points.
+# Scratch bytes of one slice of a batched assembly.
+_ASSEMBLY_CHUNK_BYTES = 1 << 21
 
-    ``values`` has shape (n_elements, 9) matching ``quadrature_points``.
+
+@lru_cache(maxsize=None)
+def _assembly_map(mesh: UniformMesh) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    """The linear map from quadrature values to stiffness values.
+
+    Returns ``(B, indices, indptr)``: the canonical CSR pattern of the
+    interior stiffness matrix, and the sparse matrix B whose row p holds
+    the weight S_ref[q, a, b] of each element quadrature value (column
+    9 e + q) in non-zero p.  The index arrays are shared by every matrix
+    assembled on the mesh; all returned arrays are read-only.
     """
     _, _, S_ref = _reference_tables()
     _, _, dof = _element_geometry(mesh)
-    nel = dof.shape[0]
-    if values.shape != (nel, 9):
-        raise ValueError(f"expected quadrature values of shape {(nel, 9)}")
-    Ke = np.einsum("eq,qab->eab", values, S_ref)  # (nel, 4, 4)
-    rows = np.repeat(dof[:, :, None], 4, axis=2)
-    cols = np.repeat(dof[:, None, :], 4, axis=1)
-    keep = (rows >= 0) & (cols >= 0)
-    K = sp.coo_matrix(
-        (Ke[keep], (rows[keep], cols[keep])),
-        shape=(mesh.n_interior, mesh.n_interior),
-    ).tocsr()
-    K.sort_indices()
-    return K
+    n = mesh.n_interior
+    e, a, b = np.nonzero((dof[:, :, None] >= 0) & (dof[:, None, :] >= 0))
+    keys, pos = np.unique(dof[e, a] * n + dof[e, b], return_inverse=True)
+    indices = (keys % n).astype(np.int32)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    cols = e[:, None] * 9 + np.arange(9)
+    B = sp.csr_matrix(
+        (S_ref[:, a, b].T.ravel(), (np.repeat(pos, 9), cols.ravel())),
+        shape=(len(keys), dof.shape[0] * 9),
+    )
+    for arr in (B.data, B.indices, B.indptr, indices, indptr):
+        arr.flags.writeable = False
+    return B, indices, indptr
+
+
+def assemble_from_quad_values(
+    mesh: UniformMesh, values: np.ndarray
+) -> sp.csr_matrix | list[sp.csr_matrix]:
+    """Stiffness matrices from coefficient values at the quadrature points.
+
+    ``values`` has shape (n_elements, 9) matching ``quadrature_points`` and
+    gives one CSR matrix.  A leading axis, shape (T, n_elements, 9), gives
+    a list of T matrices on one shared pattern, assembled in one pass of
+    sparse products over slices of T; their values are the rows of one
+    (T, nnz) array.
+    """
+    B, indices, indptr = _assembly_map(mesh)
+    nel = B.shape[1] // 9
+    values = np.asarray(values, dtype=float)
+    if values.ndim not in (2, 3) or values.shape[-2:] != (nel, 9):
+        raise ValueError(f"expected quadrature values of shape {(nel, 9)} or (T, {nel}, 9)")
+    flat = values.reshape(-1, nel * 9)
+    data = np.empty((len(flat), B.shape[0]))  # (T, nnz)
+    step = max(1, _ASSEMBLY_CHUNK_BYTES // (8 * flat.shape[1]))
+    for t in range(0, len(flat), step):
+        data[t : t + step] = (B @ flat[t : t + step].T).T
+    n = mesh.n_interior
+    mats = [sp.csr_matrix((row, indices, indptr), shape=(n, n)) for row in data]
+    return mats if values.ndim == 3 else mats[0]
 
 
 def assemble_stiffness(mesh: UniformMesh, field: CoefficientField) -> sp.csr_matrix:

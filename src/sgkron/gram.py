@@ -15,6 +15,8 @@ that identical inputs produce bit-identical structures across runs.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -68,20 +70,33 @@ def gram_general(alpha, S: MultiIndexSet) -> sp.csr_matrix:
 
     idx = np.asarray(S.indices, dtype=np.int64)  # (n, M)
     n = len(S)
-    G = np.ones((n, n))
+    # A zero slot contributes <P_0 P_i, P_j> = delta_ij, exactly 1 or 0, so
+    # only pairs agreeing there can be non-zero; the other slots multiply
+    # in slot order, which gives the same products as a dense slot loop.
+    agree = np.ones((n, n), dtype=bool)
     for slot, a in enumerate(alpha):
-        # Per-slot table of triple products over degrees 0..k.
-        table = np.empty((S.k + 1, S.k + 1))
-        for dj in range(S.k + 1):
-            for dt in range(S.k + 1):
-                table[dj, dt] = hermite_triple(a, dj, dt)
-        col = idx[:, slot]
-        G *= table[col[:, None], col[None, :]]
-        if not G.any():
-            break
-    out = sp.csr_matrix(G)
-    out.sort_indices()
-    return out
+        if a == 0:
+            agree &= idx[:, slot, None] == idx[None, :, slot]
+    rows, cols = np.nonzero(agree)
+    vals = np.ones(len(rows))
+    for slot, a in enumerate(alpha):
+        if a:
+            vals *= _hermite_table(int(a), S.k)[idx[rows, slot], idx[cols, slot]]
+    keep = vals != 0.0
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows[keep], minlength=n), out=indptr[1:])
+    return sp.csr_matrix((vals[keep], cols[keep].astype(np.int32), indptr), shape=(n, n))
+
+
+@lru_cache(maxsize=None)
+def _hermite_table(a: int, k: int) -> np.ndarray:
+    """Triple products <P_a P_i, P_j> over degrees i, j = 0..k (read-only)."""
+    table = np.empty((k + 1, k + 1))
+    for i in range(k + 1):
+        for j in range(k + 1):
+            table[i, j] = hermite_triple(a, i, j)
+    table.flags.writeable = False
+    return table
 
 
 def split_lower(G: sp.spmatrix) -> sp.csr_matrix:

@@ -2,10 +2,17 @@
 
 The Galerkin matrix of both test problems is a sum of Kronecker products
 A = sum_i G_i (x) K_i with small sparse parametric factors G and FE
-stiffness factors K.  The operator is kept matrix-free: a matvec costs
-one sparse K-product per term plus one sparse G-product, never forming
-the ny*nx matrix.  Dense materialization exists only as a small-scale
-test and spectral-study oracle behind a size guard.
+stiffness factors K.  The operator is kept matrix-free and never forms
+the ny*nx matrix.  A matvec costs one sparse K-product and one sparse
+G-product per term, unless the K_i share one symmetric pattern and
+their values have numerical rank R below the term count T.  Then the
+operator applies the recompressed sum sum_{s<=R} Ghat_s (x) Khat_s,
+obtained from a thin SVD of the stacked K values: one stacked sparse
+product over the Khat_s and one dense product over the Ghat_s.  The
+lognormal expansion has R << T; the affine one has R = T and keeps the
+per-term loop.  ``terms`` stays the exact per-term list either way.
+Dense materialization exists only as a small-scale test and
+spectral-study oracle behind a size guard.
 
 Vectors use the block layout v = [v_1; ...; v_ny] with block j holding
 the nx spatial coefficients of parametric basis function j.
@@ -14,9 +21,10 @@ the nx spatial coefficients of parametric basis function j.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from . import fem2d, gram, multiindex
@@ -25,6 +33,11 @@ from .multiindex import MultiIndexSet
 from .orthopoly import LEGENDRE
 
 DENSE_GUARD = 20000
+# Singular values of the stacked K values below RANK_TOL * sigma_max are
+# dropped from the recompressed operator.
+RANK_TOL = 1e-14
+# Scratch bytes of one chunk of the recompressed matvec.
+_CHUNK_BYTES = 1 << 21
 
 
 def as_blocks(v: np.ndarray, nx: int, ny: int) -> np.ndarray:
@@ -44,18 +57,103 @@ class KroneckerSumOperator:
     terms: tuple[tuple[sp.csr_matrix, sp.csr_matrix], ...]
     ny: int
     nx: int
+    # (vstack Khat_s, hstack Ghat_s) per chunk of s, or None for the term loop.
+    _chunks: tuple | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_chunks", _recompress(self.terms, self.ny, self.nx))
 
     @property
     def dim(self) -> int:
         return self.ny * self.nx
 
+    @property
+    def rank(self) -> int:
+        """Number of Kronecker terms one matvec applies."""
+        if self._chunks is None:
+            return len(self.terms)
+        return sum(K_stack.shape[0] for K_stack, _ in self._chunks) // self.nx
+
     def matvec(self, v: np.ndarray) -> np.ndarray:
         V = as_blocks(v, self.nx, self.ny)
         out = np.zeros((self.ny, self.nx))
-        for G, K in self.terms:
-            W = K @ V  # (nx, ny)
-            out += G @ W.T  # G symmetric
+        if self._chunks is None:
+            for G, K in self.terms:
+                W = K @ V  # (nx, ny)
+                out += G @ W.T  # G symmetric
+            return out.ravel()
+        V = np.ascontiguousarray(V)
+        for K_stack, G_row in self._chunks:
+            c = K_stack.shape[0] // self.nx
+            W = (K_stack @ V).reshape(c, self.nx, self.ny)  # W_s = Khat_s V
+            out += G_row @ W.transpose(0, 2, 1).reshape(c * self.ny, self.nx)
         return out.ravel()
+
+
+def _recompress(terms, ny: int, nx: int) -> tuple | None:
+    """Chunks of the recompressed sum, or None when it would not be shorter.
+
+    Needs every K_i in canonical CSR form on one symmetric pattern with
+    symmetric, finite values.  The thin SVD of the (T, nnz) value matrix,
+    restricted to the upper triangle, gives K_i = sum_s U_is sigma_s Khat_s
+    up to RANK_TOL, hence A = sum_s Ghat_s (x) Khat_s with
+    Ghat_s = sum_i U_is sigma_s G_i.
+    """
+    Ks = [K for _, K in terms]
+    if len(Ks) < 2 or not all(sp.issparse(K) and K.format == "csr" for K in Ks):
+        return None
+    K0 = Ks[0]
+    if K0.shape != (nx, nx) or not K0.has_canonical_format:
+        return None
+    for K in Ks[1:]:
+        if not (np.array_equal(K.indptr, K0.indptr) and np.array_equal(K.indices, K0.indices)):
+            return None
+    nnz = K0.nnz
+    mirror = sp.csr_matrix((np.arange(nnz), K0.indices, K0.indptr), shape=(nx, nx)).T.tocsr()
+    if not (np.array_equal(mirror.indptr, K0.indptr) and np.array_equal(mirror.indices, K0.indices)):
+        return None
+    upper = K0.indices >= np.repeat(np.arange(nx), np.diff(K0.indptr))
+    lower = ~upper
+    twin_of_lower = mirror.data[lower]
+    if not all(np.array_equal(K.data[lower], K.data[twin_of_lower]) for K in Ks):
+        return None
+    # Column-major (T, nnz_upper) so that LAPACK works in place.
+    values = np.stack([K.data[upper] for K in Ks], axis=1).T
+    if values.size == 0 or not np.all(np.isfinite(values)):
+        return None
+    U, sigma, Vt = scipy.linalg.svd(
+        values, full_matrices=False, overwrite_a=True, check_finite=False
+    )
+    del values  # overwritten by the SVD
+    R = int(np.count_nonzero(sigma > RANK_TOL * sigma[0]))
+    if R >= len(Ks):
+        return None
+
+    # Khat_s on the full pattern: each entry takes its upper-triangle twin.
+    twin = np.where(upper, np.arange(nnz), mirror.data)
+    K_hat = Vt[:R, (np.cumsum(upper) - 1)[twin]]
+    Gs = [sp.csr_matrix(G) for G, _ in terms]
+    G_stack = sp.csr_matrix(  # row i holds G_i flattened
+        (
+            np.concatenate([G.data for G in Gs]),
+            np.concatenate([np.repeat(np.arange(ny) * ny, np.diff(G.indptr)) + G.indices for G in Gs]),
+            np.cumsum([0] + [G.nnz for G in Gs]),
+        ),
+        shape=(len(Gs), ny * ny),
+    )
+    G_hat = np.asarray(G_stack.T @ (U[:, :R] * sigma[:R])).T.reshape(R, ny, ny)
+
+    chunk = max(1, _CHUNK_BYTES // (8 * nx * ny))
+    chunks = []
+    for a in range(0, R, chunk):
+        b = min(a + chunk, R)
+        K_stack = sp.vstack(
+            [sp.csr_matrix((K_hat[s], K0.indices, K0.indptr), shape=(nx, nx)) for s in range(a, b)],
+            format="csr",
+        )
+        G_row = np.ascontiguousarray(G_hat[a:b].transpose(1, 0, 2).reshape(ny, (b - a) * ny))
+        chunks.append((K_stack, G_row))
+    return tuple(chunks)
 
 
 def matvec(op: KroneckerSumOperator, v: np.ndarray) -> np.ndarray:
@@ -187,6 +285,29 @@ class LognormalContext:
         return [t for t in self.ordered_terms[: r + 1]]
 
 
+def _expansion_quad_values(mesh, alphas, b_fields, b0) -> np.ndarray:
+    """a_alpha at the quadrature points, shape (len(alphas), n_elements, 9).
+
+    Every b_m is evaluated once; each a_alpha is then formed by the
+    pointwise products of :func:`fem2d.lognormal_expansion_coeff`, slot by
+    slot, batched over the alphas sharing a slot degree.
+    """
+    xq1, xq2 = fem2d.quadrature_points(mesh)
+    Bq = [b(xq1, xq2) for b in b_fields]
+    Eq = np.exp(b0(xq1, xq2) + 0.5 * sum(b * b for b in Bq))
+    powers = np.array(alphas, dtype=np.int64).reshape(len(alphas), -1)
+    vals = np.broadcast_to(Eq, (len(alphas),) + Eq.shape).copy()
+    for m in range(powers.shape[1]):
+        for a in map(int, np.unique(powers[:, m])):
+            if a:
+                rows = powers[:, m] == a
+                sub = vals[rows]
+                sub *= Bq[m] ** a
+                sub /= math.sqrt(math.factorial(a))
+                vals[rows] = sub
+    return vals
+
+
 def build_lognormal_system(
     mesh: UniformMesh,
     M: int,
@@ -215,31 +336,19 @@ def build_lognormal_system(
 
     ordered = fem2d.order_by_magnitude(full, b_fields, b0)
 
-    # Shared quadrature-point data: evaluate every b_m once, then form each
-    # a_alpha by pointwise products.
-    xq1, xq2 = fem2d.quadrature_points(mesh)
-    Bq = [b(xq1, xq2) for b in b_fields]
-    Eq = np.exp(b0(xq1, xq2) + 0.5 * sum(b * b for b in Bq))
+    grams = [gram.gram_general(alpha, S) for alpha, _ in ordered]
+    live = [i for i, G in enumerate(grams) if G.nnz]
+    quad_values = _expansion_quad_values(mesh, [ordered[i][0] for i in live], b_fields, b0)
+    K_of = dict(zip(live, fem2d.assemble_from_quad_values(mesh, quad_values)))
+    del quad_values  # released before the operator takes its SVD
 
     terms: list[LognormalTerm] = []
-    op_terms: list[tuple[sp.csr_matrix, sp.csr_matrix]] = []
-    for alpha, magnitude in ordered:
-        G_a = gram.gram_general(alpha, S)
+    for i, (alpha, magnitude) in enumerate(ordered):
+        K_a = K_of.get(i)
+        G_a = None if K_a is None else grams[i]
         even = all(a % 2 == 0 for a in alpha)
-        if G_a.nnz == 0:
-            terms.append(
-                LognormalTerm(alpha=alpha, magnitude=magnitude, G=None, K=None, even=even)
-            )
-            continue
-        vals = Eq
-        for m, a in enumerate(alpha):
-            if a:
-                vals = vals * Bq[m] ** a / math.sqrt(math.factorial(a))
-        K_a = fem2d.assemble_from_quad_values(mesh, vals)
-        terms.append(
-            LognormalTerm(alpha=alpha, magnitude=magnitude, G=G_a, K=K_a, even=even)
-        )
-        op_terms.append((G_a, K_a))
+        terms.append(LognormalTerm(alpha=alpha, magnitude=magnitude, G=G_a, K=K_a, even=even))
+    op_terms = [(t.G, t.K) for t in terms if t.K is not None]
 
     op = KroneckerSumOperator(terms=tuple(op_terms), ny=len(S), nx=mesh.n_interior)
     f = np.zeros(op.dim)

@@ -21,8 +21,9 @@ PRECONDITIONED_RESIDUAL = "preconditioned"
 
 
 class BreakdownError(Exception):
-    """CG met a nonpositive curvature or inner product; operator or
-    preconditioner is not positive definite (or round-off dominated)."""
+    """CG met a nonpositive or non-finite curvature or inner product;
+    operator or preconditioner is not positive definite (or round-off
+    dominated), or produced NaN or inf."""
 
 
 class UnavailableError(Exception):
@@ -64,7 +65,7 @@ def pcg_solve(A, P, f: np.ndarray, cfg: SolverConfig | None = None):
 
     Returns (u, SolveReport).  Raises BreakdownError on nonpositive
     p^T A p or r^T z, which signals an indefinite operator or
-    preconditioner once beyond round-off scale.
+    preconditioner once beyond round-off scale, and on non-finite ones.
     """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
@@ -137,6 +138,8 @@ def pcg_solve(A, P, f: np.ndarray, cfg: SolverConfig | None = None):
 
 
 def _check_positive(value: float, x: np.ndarray, y: np.ndarray, what: str) -> None:
+    if not np.isfinite(value):
+        raise BreakdownError(f"{what} = {value} is not finite")
     if value > 0.0:
         return
     scale = np.linalg.norm(x) * np.linalg.norm(y)

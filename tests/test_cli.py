@@ -139,6 +139,7 @@ class TestRunCommand:
             {"bogus_field": 1},
             {"decay": "medium"},
             {"problem": "helmholtz"},
+            {"alpha_bar_mode": "bogus"},
         ],
     )
     def test_invalid_configs_exit_1(self, tmp_path, mutate, capsys):
@@ -240,6 +241,9 @@ class TestSpectrumCommand:
         cfg = spectrum_config(tmp_path, r=[-1])
         assert cli.main(["spectrum", cfg]) == 1
         capsys.readouterr()
+        cfg = spectrum_config(tmp_path, alpha_bar_mode="bogus")
+        assert cli.main(["spectrum", cfg]) == 1
+        assert "alpha_bar_mode" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

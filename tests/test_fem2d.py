@@ -40,6 +40,20 @@ class TestMesh:
             build_mesh(11)
 
 
+def coo_assembly(mesh, values):
+    # Reference: element matrices summed into COO form, one matrix at a time.
+    _, _, S_ref = fem2d._reference_tables()
+    _, _, dof = fem2d._element_geometry(mesh)
+    Ke = np.einsum("eq,qab->eab", values, S_ref)
+    rows = np.repeat(dof[:, :, None], 4, axis=2)
+    cols = np.repeat(dof[:, None, :], 4, axis=1)
+    keep = (rows >= 0) & (cols >= 0)
+    n = mesh.n_interior
+    K = sp.coo_matrix((Ke[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
+    K.sort_indices()
+    return K
+
+
 class TestStiffness:
     def test_unit_coefficient_stencil(self):
         # Q1 Laplacian on a uniform square grid: diagonal 8/3, all eight
@@ -80,6 +94,28 @@ class TestStiffness:
         mesh = build_mesh(2)
         with pytest.raises(ValueError):
             assemble_from_quad_values(mesh, np.ones((3, 9)))
+        with pytest.raises(ValueError):
+            assemble_from_quad_values(mesh, np.ones((2, 3, 16, 9)))
+
+    @pytest.mark.parametrize("level", [2, 3, 4])
+    def test_batched_equals_per_matrix(self, level):
+        mesh = build_mesh(level)
+        rng = np.random.default_rng(level)
+        values = rng.random((7, mesh.n_side**2, 9)) + 0.5
+        batch = assemble_from_quad_values(mesh, values)
+        assert len(batch) == 7
+        for vals, K in zip(values, batch):
+            single = assemble_from_quad_values(mesh, vals)
+            np.testing.assert_array_equal(single.indptr, K.indptr)
+            np.testing.assert_array_equal(single.indices, K.indices)
+            np.testing.assert_array_equal(single.data, K.data)
+            ref = coo_assembly(mesh, vals)
+            np.testing.assert_array_equal(ref.indptr, K.indptr)
+            np.testing.assert_array_equal(ref.indices, K.indices)
+            err = np.linalg.norm(K.data - ref.data) / np.linalg.norm(ref.data)
+            assert err <= 1e-15
+            assert K.has_canonical_format
+            assert abs(K - K.T).max() == 0.0
 
     def test_load_vector(self):
         mesh = build_mesh(4)

@@ -3,10 +3,11 @@ from itertools import product
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sgkron.gram import gram_general, gram_identity, gram_linear, split_lower
 from sgkron.multiindex import build_index_set
-from sgkron.orthopoly import HERMITE, LEGENDRE, evaluate
+from sgkron.orthopoly import HERMITE, LEGENDRE, evaluate, hermite_triple
 
 
 def tensor_gram_oracle(m, S, family, n_quad=24):
@@ -31,6 +32,25 @@ def tensor_gram_oracle(m, S, family, n_quad=24):
                 total += wv * yv[m - 1] * pj * pt
             G[j, t] = total
     return G
+
+
+def dense_gram_general(alpha, S):
+    # Reference: dense product of per-slot triple-product tables, one
+    # table per slot and per alpha.
+    idx = np.asarray(S.indices, dtype=np.int64)
+    G = np.ones((len(S), len(S)))
+    for slot, a in enumerate(alpha):
+        table = np.empty((S.k + 1, S.k + 1))
+        for dj in range(S.k + 1):
+            for dt in range(S.k + 1):
+                table[dj, dt] = hermite_triple(a, dj, dt)
+        col = idx[:, slot]
+        G *= table[col[:, None], col[None, :]]
+        if not G.any():
+            break
+    out = sp.csr_matrix(G)
+    out.sort_indices()
+    return out
 
 
 class TestGramIdentity:
@@ -148,6 +168,18 @@ class TestGramGeneral:
                         acc += w[q1] * pa1 * pj1 * pt1 * inner
                     ref[j, t] = acc
             np.testing.assert_allclose(G, ref, atol=1e-10)
+
+    @pytest.mark.parametrize("M,k", [(4, 3), (6, 2), (2, 5), (1, 4)])
+    def test_bit_identical_to_dense_loop(self, M, k):
+        S = build_index_set(M, k)
+        for alpha in build_index_set(M, 2 * k):
+            G = gram_general(alpha, S)
+            ref = dense_gram_general(alpha, S)
+            assert G.has_canonical_format
+            for attr in ("data", "indices", "indptr"):
+                got, want = getattr(G, attr), getattr(ref, attr)
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
 
     def test_rejects_bad_alpha(self):
         S = build_index_set(2, 2)

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from sgkron import fem2d, kronsys
 from sgkron.fem2d import build_mesh
 from sgkron.kronsys import (
     KroneckerSumOperator,
@@ -13,6 +16,8 @@ from sgkron.kronsys import (
     from_blocks,
     matvec,
 )
+from sgkron.multiindex import build_index_set
+from sgkron.precond import build_kron
 
 SLOW_NORMS = [0.6079, 0.1520, 0.0675, 0.0380, 0.0243, 0.0169]
 
@@ -212,3 +217,99 @@ class TestLognormalSystem:
         op, _, _ = tiny_lognormal()
         w = np.linalg.eigvalsh(assemble_dense(op))
         assert w.min() > 0
+
+
+def term_sum_matvec(op, v):
+    # Oracle: the per-term Kronecker sum over op.terms.
+    V = as_blocks(v, op.nx, op.ny)
+    out = np.zeros((op.ny, op.nx))
+    for G, K in op.terms:
+        out += G @ (K @ V).T
+    return out.ravel()
+
+
+def table6_lognormal(level, k):
+    return build_lognormal_system(
+        build_mesh(level), M=6, k=k, N=20, sigma_tilde=2.0, alpha_bar=0.547
+    )
+
+
+class TestRecompressedOperator:
+    @pytest.mark.parametrize("level", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_matches_term_sum(self, level, k):
+        op, _, _ = table6_lognormal(level, k)
+        assert op.rank < len(op.terms)
+        rng = np.random.default_rng(42)
+        for _ in range(5):
+            v = rng.standard_normal(op.dim)
+            ref = term_sum_matvec(op, v)
+            err = np.linalg.norm(op.matvec(v) - ref) / np.linalg.norm(ref)
+            assert err <= 1e-13
+
+    def test_table6_ranks(self):
+        # Numerical rank of the stacked K values at RANK_TOL, mesh level 4.
+        op, _, _ = table6_lognormal(4, 1)
+        assert (op.rank, len(op.terms)) == (19, 28)
+
+    @pytest.mark.parametrize("M", [4, 8])
+    def test_affine_keeps_term_loop(self, M):
+        op, _, _ = build_affine_system(build_mesh(3), M=M, k=2, sigma_tilde=2.0)
+        assert op.rank == len(op.terms) == M + 1
+        v = np.random.default_rng(42).standard_normal(op.dim)
+        np.testing.assert_array_equal(op.matvec(v), term_sum_matvec(op, v))
+
+    def test_unsymmetric_terms_keep_term_loop(self):
+        # Two terms with proportional (rank-one) but unsymmetric K values.
+        K = sp.csr_matrix(np.array([[2.0, 1.0], [0.5, 3.0]]))
+        G = sp.csr_matrix(np.eye(2))
+        op = KroneckerSumOperator(terms=((G, K), (G, 2.0 * K)), ny=2, nx=2)
+        assert op.rank == 2
+
+    def test_proportional_terms_collapse(self):
+        # Symmetric K values of rank one: one recompressed term, exact sum.
+        K = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+        G1 = sp.csr_matrix(np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 2.0]]))
+        G2 = sp.csr_matrix(np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+        op = KroneckerSumOperator(terms=((G1, K), (G2, -3.0 * K)), ny=3, nx=2)
+        assert op.rank == 1
+        A = np.kron(G1.toarray(), K.toarray()) - 3.0 * np.kron(G2.toarray(), K.toarray())
+        v = np.random.default_rng(42).standard_normal(6)
+        np.testing.assert_allclose(op.matvec(v), A @ v, rtol=1e-14, atol=1e-14)
+
+    def test_quad_values_match_per_alpha_loop(self):
+        # Reference: each a_alpha formed on its own by the slot loop.
+        mesh = build_mesh(3)
+        b0 = fem2d.fourier_coefficient(0, 2.0, 0.547)
+        b_fields = [fem2d.fourier_coefficient(m, 2.0, 0.547) for m in range(1, 7)]
+        alphas = list(build_index_set(4, 4))
+        vals = kronsys._expansion_quad_values(mesh, alphas, b_fields, b0)
+        xq1, xq2 = fem2d.quadrature_points(mesh)
+        Bq = [b(xq1, xq2) for b in b_fields]
+        Eq = np.exp(b0(xq1, xq2) + 0.5 * sum(b * b for b in Bq))
+        for alpha, got in zip(alphas, vals):
+            ref = Eq
+            for m, a in enumerate(alpha):
+                if a:
+                    ref = ref * Bq[m] ** a / math.sqrt(math.factorial(a))
+            np.testing.assert_array_equal(got, ref)
+
+    def test_build_kron_parametric_factor(self):
+        # build_kron reads op.terms, so its Frobenius fit is unchanged by the
+        # recompression; reference: K_alpha assembled one at a time from
+        # the lognormal expansion coefficients.
+        op, _, ctx = table6_lognormal(3, 2)
+        live = [t for t in ctx.ordered_terms if t.G is not None]
+        K_ref = [
+            fem2d.assemble_stiffness(
+                ctx.mesh, fem2d.lognormal_expansion_coeff(t.alpha, ctx.b_fields, ctx.b0)
+            )
+            for t in live
+        ]
+        K0 = K_ref[0]
+        G_ref = sum(
+            (K.multiply(K0).sum() / K0.multiply(K0).sum()) * t.G.toarray()
+            for t, K in zip(live, K_ref)
+        )
+        P = build_kron(op.terms)
+        np.testing.assert_allclose(P.G, G_ref, rtol=1e-13, atol=1e-15)

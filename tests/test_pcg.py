@@ -133,6 +133,17 @@ class TestBreakdown:
         with pytest.raises(BreakdownError):
             pcg_solve(DenseOperator(A), DensePreconditioner(P), f, SolverConfig(tol=1e-12))
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_operator(self, bad):
+        class NonFiniteOperator:
+            def matvec(self, v):
+                return np.full_like(v, bad)
+
+        _, f = spd_problem(10)
+        with pytest.raises(BreakdownError, match="not finite"):
+            pcg_solve(NonFiniteOperator(), DensePreconditioner(np.eye(10)), f)
+
 
 class TestConditionEstimate:
     def test_against_dense_eigensolve(self):
