@@ -214,6 +214,15 @@ def _format_row(cell: Cell, label, r_cell, it, conv, relres, setup_s, solve_s, n
     )
 
 
+# Failures of a preconditioner's set-up or solve, reported as a labelled
+# row (suffix after "!") so that the rest of the grid still runs.
+_FAILURE_LABELS = {
+    precond.NotPositiveDefiniteError: "not_positive_definite",
+    precond.InnerStallError: "inner_stall",
+    pcg.BreakdownError: "breakdown",
+}
+
+
 def cmd_run(config_path, preset, out_path, max_k) -> int:
     if (config_path is None) == (preset is None):
         print("run: pass exactly one of <config.json> or --preset", file=sys.stderr)
@@ -243,24 +252,20 @@ def cmd_run(config_path, preset, out_path, max_k) -> int:
         K0_factor = precond.factor_spd(op.terms[0][1])
         for kind, r in preconds:
             t0 = time.perf_counter()
+            P = None
             try:
                 P = _build_preconditioner(kind, r, op, ctx, K0_factor)
-            except precond.NotPositiveDefiniteError:
-                rows.append(
-                    _format_row(
-                        cell, f"{kind}!not_positive_definite", r, 0, False,
-                        float("nan"), time.perf_counter() - t0, 0.0, op.dim,
-                    )
-                )
-                all_converged = False
-                continue
-            setup_s = time.perf_counter() - t0
-            try:
+                setup_s = time.perf_counter() - t0
                 _, rep = pcg.pcg_solve(op, P, f, solver_cfg)
-            except pcg.BreakdownError:
+            except tuple(_FAILURE_LABELS) as exc:
+                label = next(v for t, v in _FAILURE_LABELS.items() if isinstance(exc, t))
+                if P is None:
+                    r_cell, setup_s = r, time.perf_counter() - t0
+                else:
+                    r_cell = P.r
                 rows.append(
                     _format_row(
-                        cell, f"{kind}!breakdown", P.r, 0, False,
+                        cell, f"{kind}!{label}", r_cell, 0, False,
                         float("nan"), setup_s, 0.0, op.dim,
                     )
                 )

@@ -252,17 +252,32 @@ def field_extrema(field: CoefficientField) -> tuple[float, float]:
     return float(vals.min()), float(vals.max())
 
 
-def tau_r(fields: Sequence[CoefficientField], a0_min: float) -> float:
-    """Grid-sampled sup of sum_m |a_m| divided by a0_min; 0 for an empty list."""
+def sup_norm_tables(
+    fields: Sequence[CoefficientField], a0_min: float
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(||a_m||_inf per field, tau_0 .. tau_M over the prefixes), grid-sampled.
+
+    tau_r is the sup of sum_{m<=r} |a_m| divided by a0_min (tau_0 = 0).
+    Each field is evaluated once and the prefix sums accumulate in list
+    order, so every entry equals :func:`sup_norm` and :func:`tau_r` of
+    the corresponding field or prefix bit for bit.
+    """
     if a0_min <= 0:
         raise ValueError("a0_min must be positive")
-    if len(fields) == 0:
-        return 0.0
     X1, X2 = sample_grid()
     acc = np.zeros_like(X1)
+    norms, taus = [], [0.0]
     for f in fields:
-        acc += np.abs(f(X1, X2))
-    return float(acc.max()) / a0_min
+        vals = np.abs(f(X1, X2))
+        norms.append(float(vals.max()))
+        acc += vals
+        taus.append(float(acc.max()) / a0_min)
+    return tuple(norms), tuple(taus)
+
+
+def tau_r(fields: Sequence[CoefficientField], a0_min: float) -> float:
+    """Grid-sampled sup of sum_m |a_m| divided by a0_min; 0 for an empty list."""
+    return sup_norm_tables(fields, a0_min)[1][-1]
 
 
 def lognormal_expansion_coeff(

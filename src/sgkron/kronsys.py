@@ -237,8 +237,7 @@ def build_affine_system(
     f[: mesh.n_interior] = fem2d.assemble_load(mesh)
 
     a0_min, a0_max = fem2d.field_extrema(fields[0])
-    norm_table = tuple(fem2d.sup_norm(fields[m]) for m in range(1, M + 1))
-    tau_table = tuple(fem2d.tau_r(fields[1 : r + 1], a0_min) for r in range(M + 1))
+    norm_table, tau_table = fem2d.sup_norm_tables(fields[1:], a0_min)
     ctx = AffineContext(
         index_set=S,
         mesh=mesh,

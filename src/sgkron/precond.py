@@ -13,6 +13,12 @@ block vectors, plus ``label`` and ``r`` attributes for reporting):
 
 Every apply_inverse realizes a symmetric positive definite map, which
 the test suite checks both algebraically and spectrally.
+
+All spatial solves, with K_0 or with a diagonal block of a splitting, and
+the direct truncation factor go through :class:`CholeskyFactor`.  It
+solves with a dense inverse up to order ``DENSE_SOLVE_MAX`` (mesh levels
+<= 4) and with SuperLU above it (level-5 meshes and every assembled
+truncation), at the measured crossover of the two.
 """
 
 from __future__ import annotations
@@ -30,21 +36,50 @@ from .pcg import pcg_solve as _inner_solve
 
 TRUNC_DIRECT_GUARD = 20000
 INNER_TOL = 1e-13
+# Largest order CholeskyFactor solves with a dense inverse.  Measured on one
+# BLAS thread (OpenBLAS, Xeon): the K^{-1} product beats the SuperLU
+# triangular solves at every block width up to n = 441 (Q1 Laplacian,
+# n = 225: 1 column 17 -> 9 us, 495 columns 4.0 -> 0.8 ms); from n = 529
+# SuperLU wins below ~45 columns, and at n = 961 below ~165.
+DENSE_SOLVE_MAX = 500
 
 
 class NotPositiveDefiniteError(Exception):
     """A factorization met a non-positive pivot where SPD input was required."""
 
 
-class CholeskyFactor:
-    """Sparse symmetric factorization with positive-definiteness detection.
+class InnerStallError(RuntimeError):
+    """The nested truncation solve stopped short of factorization accuracy."""
 
-    Backed by a SuperLU factorization run in symmetric mode with diagonal
-    pivoting, which for an SPD matrix is a Cholesky factorization up to
-    diagonal scaling: L * sqrt(diag U) reproduces the permuted input.
-    Positivity of all pivots together with equality of the row and column
-    permutations certifies positive definiteness; either check failing
-    raises :class:`NotPositiveDefiniteError`.
+
+def _dense_cholesky(K: sp.csc_matrix) -> np.ndarray:
+    """Dense lower Cholesky factor (Fortran order), or NotPositiveDefiniteError."""
+    L, info = scipy.linalg.lapack.dpotrf(
+        K.toarray(order="F"), lower=1, clean=1, overwrite_a=1
+    )
+    if info != 0:
+        raise NotPositiveDefiniteError(
+            "matrix is not positive definite (non-positive pivot)"
+        )
+    return L
+
+
+class CholeskyFactor:
+    """Symmetric factorization with positive-definiteness detection.
+
+    One interface, two paths chosen by the order n:
+
+    * n <= ``DENSE_SOLVE_MAX``: LAPACK Cholesky of the dense matrix, then
+      K^{-1} formed once from the factor (dpotri), so that a solve is one
+      matrix product over all right-hand sides.  The Cholesky fails on a
+      non-positive pivot, which certifies that K is not positive definite.
+    * larger n: SuperLU in symmetric mode with diagonal pivoting, which for
+      an SPD matrix is a Cholesky factorization up to diagonal scaling:
+      L * sqrt(diag U) reproduces the permuted input.  Positivity of all
+      pivots together with equality of the row and column permutations
+      certifies positive definiteness.
+
+    Either certificate failing raises :class:`NotPositiveDefiniteError`.
     """
 
     def __init__(self, K: sp.spmatrix | np.ndarray):
@@ -56,6 +91,14 @@ class CholeskyFactor:
         if asym > 1e-10 * scale:
             raise ValueError(f"matrix not symmetric (deviation {asym:.3e})")
         self.n = K.shape[0]
+        if self.n <= DENSE_SOLVE_MAX:
+            self._K = K
+            self._lu = None
+            inv, _ = scipy.linalg.lapack.dpotri(_dense_cholesky(K), lower=1, overwrite_c=1)
+            inv += np.tril(inv, -1).T  # dpotri fills the lower triangle only
+            self._inv = inv
+            return
+        self._inv = None
         self._lu = spla.splu(
             K,
             permc_spec="MMD_AT_PLUS_A",
@@ -72,15 +115,21 @@ class CholeskyFactor:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """K^{-1} b for a vector or a matrix of stacked right-hand sides."""
+        if self._inv is not None:
+            return self._inv @ b
         return self._lu.solve(np.ascontiguousarray(b))
 
     @property
     def permutation(self) -> np.ndarray:
         """Ordering p such that lower_factor() reconstructs K[p][:, p]."""
+        if self._lu is None:
+            return np.arange(self.n)
         return np.argsort(self._lu.perm_c)
 
     def lower_factor(self) -> sp.csr_matrix:
         """Lower-triangular L with L L^T = K[p][:, p] (small-scale checks)."""
+        if self._lu is None:
+            return sp.csr_matrix(_dense_cholesky(self._K))
         d = np.sqrt(self._lu.U.diagonal())
         return (self._lu.L @ sp.diags(d)).tocsr()
 
@@ -206,7 +255,7 @@ class TruncExactPreconditioner:
                 "truncation is not positive definite (inner solve breakdown)"
             ) from exc
         if rep.final_relres > 1e-10:
-            raise RuntimeError(
+            raise InnerStallError(
                 f"inner truncation solve stalled at relres {rep.final_relres:.2e}"
             )
         return z

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from sgkron import cli
+from sgkron import cli, precond
 
 
 def write_config(path, cfg):
@@ -127,6 +127,58 @@ class TestRunCommand:
         assert bad[COL["converged"]] == "false"
         assert bad[COL["final_relres"]] == "nan"
         assert good[COL["precond"]] == "sbgs"
+        assert good[COL["converged"]] == "true"
+
+    def test_nested_solve_failures_are_rows(self, tmp_path, monkeypatch):
+        # Guard 0 sends every truncation to the nested-CG path, where the
+        # indefinite P_1 surfaces only during the outer solve.
+        monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", 0)
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {
+                "problem": "lognormal",
+                "decay": "slow",
+                "sigma_tilde": 2.0,
+                "alpha_bar_mode": 0.547,
+                "mesh_level": 2,
+                "M": 5,
+                "k": 3,
+                "N": 20,
+                "preconditioners": ["sbgs 2", "trunc_exact 1", "trunc_exact 2", "trunc_exact 3"],
+            },
+        )
+        out = tmp_path / "out.csv"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 2
+        _, rows = read_rows(out)
+        assert [r[COL["precond"]] for r in rows] == [
+            "sbgs", "trunc_exact!not_positive_definite", "trunc_exact", "trunc_exact"
+        ]
+        bad = rows[1]
+        assert bad[COL["r"]] == "1"
+        assert bad[COL["iterations"]] == "0"
+        assert bad[COL["converged"]] == "false"
+        assert bad[COL["final_relres"]] == "nan"
+        assert bad[COL["n_unknowns"]] == "504"
+        assert all(rows[i][COL["converged"]] == "true" for i in (0, 2, 3))
+
+    def test_inner_stall_row(self, tmp_path, monkeypatch):
+        # An inner tolerance far above the stall threshold forces the stall.
+        monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", 0)
+        monkeypatch.setattr(precond, "INNER_TOL", 1e-3)
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            tiny_affine_config(preconditioners=["trunc_exact 1", "mean"]),
+        )
+        out = tmp_path / "out.csv"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 2
+        _, rows = read_rows(out)
+        stall, good = rows
+        assert stall[COL["precond"]] == "trunc_exact!inner_stall"
+        assert stall[COL["r"]] == "1"
+        assert stall[COL["iterations"]] == "0"
+        assert stall[COL["converged"]] == "false"
+        assert stall[COL["final_relres"]] == "nan"
+        assert good[COL["precond"]] == "mean"
         assert good[COL["converged"]] == "true"
 
     @pytest.mark.parametrize(

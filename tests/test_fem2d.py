@@ -18,6 +18,7 @@ from sgkron.fem2d import (
     lognormal_expansion_coeff,
     order_by_magnitude,
     sup_norm,
+    sup_norm_tables,
     tau_r,
 )
 
@@ -207,6 +208,22 @@ class TestTauR:
         # One cosine mode: sup of |a_1| equals its amplitude.
         fields = [fourier_coefficient(1, 4.0, 0.9239)]
         np.testing.assert_allclose(tau_r(fields, 1.0), 0.9239, rtol=1e-13)
+
+    @pytest.mark.parametrize("M", [4, 8])
+    def test_tables_equal_per_prefix_sampling(self, M):
+        # Reference: every prefix resampled on its own, without the
+        # running sum; the tables must agree bit for bit.
+        def prefix_tau(prefix, a0_min):
+            X1, X2 = fem2d.sample_grid()
+            acc = np.zeros_like(X1)
+            for f in prefix:
+                acc += np.abs(f(X1, X2))
+            return float(acc.max()) / a0_min
+
+        fields = [fourier_coefficient(m, 2.0, 0.6079) for m in range(1, M + 1)]
+        norms, taus = sup_norm_tables(fields, 0.9)
+        assert norms == tuple(sup_norm(f) for f in fields)
+        assert taus == (0.0,) + tuple(prefix_tau(fields[:r], 0.9) for r in range(1, M + 1))
 
 
 class TestLognormalCoeff:

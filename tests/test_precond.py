@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from sgkron import precond
-from sgkron.fem2d import build_mesh
+from sgkron.fem2d import assemble_stiffness, build_mesh, fourier_coefficient
 from sgkron.kronsys import (
     assemble_dense,
     build_affine_system,
@@ -39,6 +39,13 @@ def dense_apply_inverse(P, n):
 
 
 class TestCholeskyFactor:
+    """Runs on the dense path; TestCholeskyFactorSuperLU reruns every case
+    on the sparse one."""
+
+    @pytest.fixture(autouse=True)
+    def factor_path(self, monkeypatch):
+        monkeypatch.setattr(precond, "DENSE_SOLVE_MAX", 10**9)
+
     def test_hand_example_solve(self):
         A = np.array([[4.0, 2.0], [2.0, 3.0]])
         factor = CholeskyFactor(sp.csc_matrix(A))
@@ -84,6 +91,32 @@ class TestCholeskyFactor:
         factor = CholeskyFactor(sp.csc_matrix(A))
         B = rng.standard_normal((3, 4))
         np.testing.assert_allclose(factor.solve(B), np.linalg.solve(A, B), rtol=1e-14)
+
+
+class TestCholeskyFactorSuperLU(TestCholeskyFactor):
+    @pytest.fixture(autouse=True)
+    def factor_path(self, monkeypatch):
+        monkeypatch.setattr(precond, "DENSE_SOLVE_MAX", 0)
+
+
+@pytest.mark.parametrize("level, dense", [(3, True), (4, True), (5, False)])
+def test_factor_solves_real_k0(level, dense):
+    # Both sides of the cutoff at its shipped value, against LAPACK's
+    # general solver.  cond(K_0) < 1e3 up to level 5, so 1e-11 leaves a
+    # wide margin over cond * eps for either path.
+    mesh = build_mesh(level)
+    K0 = assemble_stiffness(mesh, fourier_coefficient(0, 2.0, 0.6))
+    factor = CholeskyFactor(K0)
+    assert (factor.n <= precond.DENSE_SOLVE_MAX) == dense
+    assert (factor._lu is None) == dense
+    rng = np.random.default_rng(level)
+    A = K0.toarray()
+    b = rng.standard_normal(factor.n)
+    B = rng.standard_normal((45, factor.n)).T  # the transposed block layout
+    for rhs in (b, B):
+        x_ref = np.linalg.solve(A, rhs)
+        err = np.linalg.norm(factor.solve(rhs) - x_ref) / np.linalg.norm(x_ref)
+        assert err < 1e-11
 
 
 class TestMeanBased:
