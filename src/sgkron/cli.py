@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 config/usage error, 2 non-convergence,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -118,7 +119,7 @@ def _parse_alpha_bar_mode(cfg: dict) -> float | str:
 
 _RUN_KEYS = {
     "problem", "decay", "sigma_tilde", "alpha_bar_mode", "mesh_level", "M", "k",
-    "N", "preconditioners", "tol", "max_iter", "residual_norm", "seed", "output",
+    "N", "preconditioners", "tol", "max_iter", "residual_norm", "output",
 }
 
 
@@ -245,47 +246,39 @@ def cmd_run(config_path, preset, out_path, max_k) -> int:
         return 1
 
     out_path = out_path or cfg_out
-    rows = [CSV_HEADER]
-    all_converged = True
-    for cell in cells:
-        op, f, ctx = _build_system(cell)
-        K0_factor = precond.factor_spd(op.terms[0][1])
-        for kind, r in preconds:
-            t0 = time.perf_counter()
-            P = None
-            try:
-                P = _build_preconditioner(kind, r, op, ctx, K0_factor)
-                setup_s = time.perf_counter() - t0
-                _, rep = pcg.pcg_solve(op, P, f, solver_cfg)
-            except tuple(_FAILURE_LABELS) as exc:
-                label = next(v for t, v in _FAILURE_LABELS.items() if isinstance(exc, t))
-                if P is None:
-                    r_cell, setup_s = r, time.perf_counter() - t0
-                else:
-                    r_cell = P.r
-                rows.append(
-                    _format_row(
-                        cell, f"{kind}!{label}", r_cell, 0, False,
-                        float("nan"), setup_s, 0.0, op.dim,
-                    )
-                )
-                all_converged = False
-                continue
-            rows.append(
-                _format_row(
-                    cell, kind, P.r, rep.iterations, rep.converged,
-                    rep.final_relres, setup_s, rep.solve_seconds, op.dim,
-                )
-            )
-            all_converged = all_converged and rep.converged
+    try:
+        sink = open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        print(f"run: cannot write output: {exc}", file=sys.stderr)
+        return 1
+    with sink as out:  # rows go out as they finish, so a crash keeps them
+        print(CSV_HEADER, file=out, flush=True)
+        all_converged = True
+        for cell in cells:
+            op, f, ctx = _build_system(cell)
+            K0_factor = precond.factor_spd(op.terms[0][1])
+            for kind, r in preconds:
+                t0 = time.perf_counter()
+                P = None
+                try:
+                    P = _build_preconditioner(kind, r, op, ctx, K0_factor)
+                    setup_s = time.perf_counter() - t0
+                    _, rep = pcg.pcg_solve(op, P, f, solver_cfg)
+                    row = (kind, P.r, rep.iterations, rep.converged, rep.final_relres,
+                           setup_s, rep.solve_seconds)
+                    all_converged = all_converged and rep.converged
+                except tuple(_FAILURE_LABELS) as exc:
+                    label = next(v for t, v in _FAILURE_LABELS.items() if isinstance(exc, t))
+                    if P is None:
+                        r_cell, setup_s = r, time.perf_counter() - t0
+                    else:
+                        r_cell = P.r
+                    row = (f"{kind}!{label}", r_cell, 0, False, float("nan"), setup_s, 0.0)
+                    all_converged = False
+                print(_format_row(cell, *row, op.dim), file=out, flush=True)
 
-    text = "\n".join(rows) + "\n"
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-        print(f"wrote {len(rows) - 1} rows to {out_path}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
+        print(f"wrote {len(cells) * len(preconds)} rows to {out_path}", file=sys.stderr)
     return 0 if all_converged else 2
 
 

@@ -9,7 +9,9 @@ block vectors, plus ``label`` and ``r`` attributes for reporting):
 * exact truncation: direct factorization of the leading r+1 terms;
 * symmetric block Gauss-Seidel (SBGS): (D + L) D^{-1} (D + L^T) built
   from the truncation's block splitting, applied by one forward and one
-  backward block-triangular sweep.
+  backward block-triangular sweep.  One engine serves the affine and the
+  lognormal splitting: each sweep step solves a whole level of
+  independent blocks, batched by their diagonal block.
 
 Every apply_inverse realizes a symmetric positive definite map, which
 the test suite checks both algebraically and spectrally.
@@ -242,7 +244,7 @@ class TruncExactPreconditioner:
         else:
             self._factor = None
             self._op = KroneckerSumOperator(terms=used, ny=ny, nx=nx)
-            self._inner_precond = _sbgs_for_pairs(used, ny, nx)
+            self._inner_precond = PairBlockSbgs(used, ny, nx)
             self._inner_cfg = _InnerConfig(tol=INNER_TOL, max_iter=400)
 
     def apply_inverse(self, v: np.ndarray) -> np.ndarray:
@@ -261,134 +263,41 @@ class TruncExactPreconditioner:
         return z
 
 
-def _sbgs_for_pairs(pairs, ny: int, nx: int):
-    """SBGS approximation of sum_i G_i (x) K_i for use as an inner
-    preconditioner: the level-batched affine sweep when the leading
-    parametric factor is the identity and the rest are hollow, the
-    generic per-block form otherwise."""
-    G0, K0 = pairs[0]
-    identity_lead = abs(G0 - sp.identity(ny)).max() == 0.0
-    hollow_rest = all(not np.any(G.diagonal()) for G, _ in pairs[1:])
-    if identity_lead and hollow_rest:
-        return SbgsAffinePreconditioner(factor_spd(K0), list(pairs[1:]), ny, nx)
-    return PairBlockSbgs(pairs, ny, nx)
-
-
 def build_trunc_exact(terms, r: int, ny: int, nx: int) -> TruncExactPreconditioner:
     return TruncExactPreconditioner(terms, r, ny, nx)
 
 
 # ---------------------------------------------------------------------------
-# SBGS, affine splitting (shared diagonal factor)
+# SBGS
 
 
-class SbgsAffinePreconditioner:
-    """(D_0 + S_r) D_0^{-1} (D_0 + S_r^T) with D_0 = I (x) K_0.
-
-    S_r = sum_m L_m (x) K_m over the first r linear terms, L_m the strict
-    lower split of G_m.  Under the degree-lex ordering every L_m has at
-    most one entry per row and column and couples blocks whose restricted
-    degree differs by one, so blocks of equal restricted degree are
-    independent; the sweeps batch all solves of one level into a single
-    multi-right-hand-side K_0 solve.
-    """
-
-    label = "sbgs"
-
-    def __init__(self, K0_factor: CholeskyFactor, terms, ny: int, nx: int):
-        self.K0 = K0_factor
-        self.ny = ny
-        self.nx = nx
-        self.r = len(terms)
-
-        split = []
-        for G_m, K_m in terms:
-            L_m = gram.split_lower(G_m).tocoo()
-            split.append((L_m, K_m))
-
-        # Longest-path depth over the strict-lower coupling graph; sources of
-        # every edge sit at a strictly smaller depth than the target row.
-        level = np.zeros(ny, dtype=np.int64)
-        edges_by_row: list[list[tuple[int, float, int]]] = [[] for _ in range(ny)]
-        for m_idx, (L_m, _) in enumerate(split):
-            for t, j, val in zip(L_m.row, L_m.col, L_m.data):
-                edges_by_row[t].append((j, val, m_idx))
-        for t in range(ny):
-            if edges_by_row[t]:
-                level[t] = max(level[j] + 1 for j, _, _ in edges_by_row[t])
-
-        self._levels = np.unique(level)
-        self._level_idx = [np.flatnonzero(level == d) for d in self._levels]
-        posmap = np.empty(ny, dtype=np.int64)
-        for idx in self._level_idx:
-            posmap[idx] = np.arange(len(idx))
-
-        # Per level and term: local target slots, source blocks, couplings.
-        self._K = [K_m for _, K_m in split]
-        self._fwd: list[list[tuple[np.ndarray, np.ndarray, np.ndarray, int]]] = []
-        self._bwd: list[list[tuple[np.ndarray, np.ndarray, np.ndarray, int]]] = []
-        for d in self._levels:
-            fwd_d, bwd_d = [], []
-            for m_idx, (L_m, _) in enumerate(split):
-                sel = level[L_m.row] == d
-                if np.any(sel):
-                    fwd_d.append(
-                        (posmap[L_m.row[sel]], L_m.col[sel], L_m.data[sel], m_idx)
-                    )
-                sel = level[L_m.col] == d
-                if np.any(sel):
-                    bwd_d.append(
-                        (posmap[L_m.col[sel]], L_m.row[sel], L_m.data[sel], m_idx)
-                    )
-            self._fwd.append(fwd_d)
-            self._bwd.append(bwd_d)
-
-    def apply_inverse(self, v: np.ndarray) -> np.ndarray:
-        RHS = as_blocks(v, self.nx, self.ny)
-        W = np.empty((self.nx, self.ny))
-        for d_pos in range(len(self._levels)):
-            idx = self._level_idx[d_pos]
-            rhs = RHS[:, idx].copy()
-            for loc, src, val, m_idx in self._fwd[d_pos]:
-                rhs[:, loc] -= (self._K[m_idx] @ W[:, src]) * val
-            W[:, idx] = self.K0.solve(rhs)
-
-        Z = np.empty_like(W)
-        for d_pos in range(len(self._levels) - 1, -1, -1):
-            idx = self._level_idx[d_pos]
-            groups = self._bwd[d_pos]
-            if not groups:
-                Z[:, idx] = W[:, idx]
-                continue
-            acc = np.zeros((self.nx, len(idx)))
-            for loc, src, val, m_idx in groups:
-                acc[:, loc] += (self._K[m_idx] @ Z[:, src]) * val
-            Z[:, idx] = W[:, idx] - self.K0.solve(acc)
-        return from_blocks(Z)
-
-
-def build_sbgs_affine(K0, terms, ny: int, nx: int) -> SbgsAffinePreconditioner:
-    """terms: the linear pairs (G_m, K_m) for m = 1..r (possibly empty)."""
-    return SbgsAffinePreconditioner(_as_factor(K0), list(terms), ny, nx)
-
-
-# ---------------------------------------------------------------------------
-# SBGS, lognormal splitting (per-block diagonal factors)
+def _occurrence(tgt: np.ndarray) -> np.ndarray:
+    """For each entry of tgt, the number of equal entries before it."""
+    order = np.argsort(tgt, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(tgt)) - np.searchsorted(tgt[order], tgt[order])
+    return rank
 
 
 class PairBlockSbgs:
-    """(D + L) D^{-1} (D + L^T) for a general sum of Kronecker terms.
+    """(D + L) D^{-1} (D + L^T) for a sum of Kronecker terms sum_l G_l (x) K_l.
 
-    D collects every diagonal Gram contribution (hollow parametric
-    factors contribute nothing), giving one block D_jj per parametric
-    basis function, each of which must be SPD; L collects all strictly
-    lower block couplings.  Blocks sharing the same diagonal coefficient
-    signature share one factorization.
+    One engine for both splittings.  D_jj = sum_l G_l[j, j] K_l must be
+    SPD, and L = sum_l tril(G_l, -1) (x) K_l.  Affine: G_0 = I and hollow
+    G_m, so every D_jj is K_0; lognormal: Hermite diagonals vary D_jj.
+
+    Blocks are scheduled by longest-path level in the union of the lower
+    couplings, so blocks of one level are independent.  A sweep step solves
+    the blocks of a level that share a diagonal signature (the pairs
+    (l, G_l[j, j]) defining D_jj) in one multi-right-hand-side solve, and
+    applies the couplings into the level per term, in rounds of distinct
+    target blocks.  ``factors`` maps signatures to ready factors of their
+    D_jj; a pair's K is read only for its couplings and unsupplied D_jj.
     """
 
     label = "sbgs"
 
-    def __init__(self, pairs, ny: int, nx: int):
+    def __init__(self, pairs, ny: int, nx: int, factors: dict | None = None):
         pairs = list(pairs)
         if not pairs:
             raise ValueError("truncation needs at least one term")
@@ -396,84 +305,120 @@ class PairBlockSbgs:
         self.ny = ny
         self.nx = nx
 
-        diag_contrib: list[tuple[int, np.ndarray]] = []
-        self._fwd: list[list[tuple[int, float, sp.csr_matrix]]] = [[] for _ in range(ny)]
-        self._bwd: list[list[tuple[int, float, sp.csr_matrix]]] = [[] for _ in range(ny)]
-        for ell, (G, K) in enumerate(pairs):
-            d = G.diagonal()
-            if np.any(d != 0.0):
-                diag_contrib.append((ell, d))
-            L = sp.tril(G, k=-1).tocoo()
-            for t, j, val in zip(L.row, L.col, L.data):
-                self._fwd[t].append((j, val, K))
-                self._bwd[j].append((t, val, K))
-
-        cache: dict[tuple, CholeskyFactor] = {}
-        self._factors: list[CholeskyFactor] = []
-        for j in range(ny):
-            sig = tuple(
-                (ell, float(d[j])) for ell, d in diag_contrib if d[j] != 0.0
-            )
-            factor = cache.get(sig)
-            if factor is None:
+        # One factor per distinct diagonal signature.
+        ells = [ell for ell, (G, _) in enumerate(pairs) if np.any(G.diagonal())]
+        Dg = np.array([pairs[ell][0].diagonal() for ell in ells]).reshape(-1, ny)
+        sig_cols, first, sig_id = np.unique(
+            Dg.T, axis=0, return_index=True, return_inverse=True
+        )
+        cache: dict[tuple, CholeskyFactor] = dict(factors or {})
+        factor = []
+        for col, j in zip(sig_cols, first):
+            sig = tuple((ell, float(c)) for ell, c in zip(ells, col) if c != 0.0)
+            if sig not in cache:
                 D_jj = sp.csr_matrix((nx, nx))
                 for ell, coef in sig:
                     D_jj = D_jj + coef * pairs[ell][1]
                 try:
-                    factor = CholeskyFactor(D_jj)
+                    cache[sig] = CholeskyFactor(D_jj)
                 except NotPositiveDefiniteError as exc:
                     raise NotPositiveDefiniteError(
                         f"diagonal block {j} of the SBGS splitting is not SPD"
                     ) from exc
-                cache[sig] = factor
-            self._factors.append(factor)
-        self.distinct_factor_count = len(cache)
+            factor.append(cache[sig])
+        self.distinct_factor_count = len(factor)
+
+        # Strictly lower couplings (targets, sources, values) of every term.
+        lower = []
+        for G, _ in pairs:
+            C = G.tocoo()
+            low = C.row > C.col
+            lower.append((C.row[low], C.col[low], C.data[low]))
+
+        # Longest-path level over the union of the couplings, by relaxation:
+        # every source ends at a smaller level than its target.
+        rows = np.concatenate([t for t, _, _ in lower])
+        srcs = np.concatenate([s for _, s, _ in lower])
+        level = np.zeros(ny, dtype=np.int64)
+        while True:
+            deeper = np.zeros(ny, dtype=np.int64)
+            np.maximum.at(deeper, rows, level[srcs] + 1)
+            if np.array_equal(deeper, level):
+                break
+            level = deeper
+        by_level = [np.flatnonzero(level == d) for d in range(level.max() + 1)]
+        posmap = _occurrence(level)  # slot of each block within its level
+
+        # Couplings per level and term: (target slots, source blocks, values,
+        # K), split into rounds of distinct targets (a Hermite term can
+        # couple one block to two sources of a level).
+        fwd = [[] for _ in by_level]
+        bwd = [[] for _ in by_level]
+        for (_, K), (row, col, val) in zip(pairs, lower):
+            for out, tgt, src in ((fwd, row, col), (bwd, col, row)):
+                key = level[tgt] * ny + _occurrence(tgt)
+                for k in np.unique(key):
+                    e = key == k
+                    out[k // ny].append((posmap[tgt[e]], src[e], val[e], K))
+
+        # Per level: blocks, (slots, factor) per signature, couplings.
+        self._levels = []
+        for idx, fwd_d, bwd_d in zip(by_level, fwd, bwd):
+            solves = []
+            for s in np.unique(sig_id[idx]):
+                sel = np.flatnonzero(sig_id[idx] == s)
+                solves.append((slice(None) if len(sel) == len(idx) else sel, factor[s]))
+            self._levels.append((idx, solves, fwd_d, bwd_d))
 
     def apply_inverse(self, v: np.ndarray) -> np.ndarray:
         RHS = as_blocks(v, self.nx, self.ny)
         W = np.empty((self.nx, self.ny))
-        for t in range(self.ny):
-            rhs = RHS[:, t]
-            nb = self._fwd[t]
-            if nb:
-                rhs = rhs.copy()
-                for j, val, K in nb:
-                    rhs -= val * (K @ W[:, j])
-            W[:, t] = self._factors[t].solve(rhs)
+        for idx, solves, fwd, _ in self._levels:
+            rhs = RHS[:, idx].copy()
+            for loc, src, val, K in fwd:
+                rhs[:, loc] -= (K @ W[:, src]) * val
+            for sel, factor in solves:
+                W[:, idx[sel]] = factor.solve(rhs[:, sel])
 
         Z = np.empty_like(W)
-        for t in range(self.ny - 1, -1, -1):
-            nb = self._bwd[t]
-            if not nb:
-                Z[:, t] = W[:, t]
+        for idx, solves, _, bwd in reversed(self._levels):
+            if not bwd:
+                Z[:, idx] = W[:, idx]
                 continue
-            acc = np.zeros(self.nx)
-            for j, val, K in nb:
-                acc += val * (K @ Z[:, j])
-            Z[:, t] = W[:, t] - self._factors[t].solve(acc)
+            acc = np.zeros((self.nx, len(idx)))
+            for loc, src, val, K in bwd:
+                acc[:, loc] += (K @ Z[:, src]) * val
+            for sel, factor in solves:
+                Z[:, idx[sel]] = W[:, idx[sel]] - factor.solve(acc[:, sel])
         return from_blocks(Z)
 
 
-class SbgsLognormalPreconditioner(PairBlockSbgs):
-    """SBGS splitting of a magnitude-ordered lognormal truncation.
+def build_sbgs_affine(K0, terms, ny: int, nx: int) -> PairBlockSbgs:
+    """terms: the linear pairs (G_m, K_m) for m = 1..r (possibly empty).
+
+    The lead I (x) K_0 and the hollow G_m make every diagonal block K_0,
+    so the caller's K_0 factor serves all of them.
+    """
+    terms = list(terms)
+    if any(np.any(G.diagonal()) for G, _ in terms):
+        raise ValueError("affine SBGS terms need hollow parametric factors")
+    lead = (gram.gram_identity(ny), None)
+    return PairBlockSbgs([lead, *terms], ny, nx, factors={((0, 1.0),): _as_factor(K0)})
+
+
+def build_sbgs_lognormal(terms, ny: int, nx: int) -> PairBlockSbgs:
+    """terms: magnitude-ordered term objects (alpha, G, K) for ell = 0..r.
 
     The zero multi-index term must lead the truncation so that the mean
     stiffness anchors every diagonal block (the condition under which the
     splitting is provably SPD).  The truncation index r counts expansion
     terms including any whose parametric factor vanishes identically.
     """
-
-    def __init__(self, terms, ny: int, nx: int):
-        terms = list(terms)
-        if not terms:
-            raise ValueError("truncation needs at least one term")
-        if any(a != 0 for a in terms[0].alpha):
-            raise ValueError("the zero multi-index term must lead the truncation")
-        pairs = [(t.G, t.K) for t in terms if t.G is not None]
-        super().__init__(pairs, ny, nx)
-        self.r = len(terms) - 1
-
-
-def build_sbgs_lognormal(terms, ny: int, nx: int) -> SbgsLognormalPreconditioner:
-    """terms: magnitude-ordered term objects (alpha, G, K) for ell = 0..r."""
-    return SbgsLognormalPreconditioner(terms, ny, nx)
+    terms = list(terms)
+    if not terms:
+        raise ValueError("truncation needs at least one term")
+    if any(a != 0 for a in terms[0].alpha):
+        raise ValueError("the zero multi-index term must lead the truncation")
+    P = PairBlockSbgs([(t.G, t.K) for t in terms if t.G is not None], ny, nx)
+    P.r = len(terms) - 1
+    return P

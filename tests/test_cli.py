@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from sgkron import cli, precond
+from sgkron import cli, pcg, precond
 
 
 def write_config(path, cfg):
@@ -181,6 +181,32 @@ class TestRunCommand:
         assert good[COL["precond"]] == "mean"
         assert good[COL["converged"]] == "true"
 
+    def test_finished_rows_survive_a_crash(self, tmp_path, monkeypatch):
+        # An error no failure label maps ends the run, but the rows written
+        # before it stay in the file.
+        class Unmapped(Exception):
+            pass
+
+        solve = pcg.pcg_solve
+        calls = []
+
+        def crash_on_second(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise Unmapped("injected")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(pcg, "pcg_solve", crash_on_second)
+        cfg = write_config(tmp_path / "cfg.json", tiny_affine_config())
+        out = tmp_path / "out.csv"
+        with pytest.raises(Unmapped):
+            cli.main(["run", cfg, "--out", str(out)])
+        header, rows = read_rows(out)
+        assert header == cli.CSV_HEADER
+        assert len(rows) == 1
+        assert rows[0][COL["precond"]] == "mean"
+        assert rows[0][COL["converged"]] == "true"
+
     @pytest.mark.parametrize(
         "mutate",
         [
@@ -192,6 +218,7 @@ class TestRunCommand:
             {"decay": "medium"},
             {"problem": "helmholtz"},
             {"alpha_bar_mode": "bogus"},
+            {"seed": 1},
         ],
     )
     def test_invalid_configs_exit_1(self, tmp_path, mutate, capsys):
@@ -210,6 +237,7 @@ class TestRunCommand:
         bad.write_text("{not json")
         assert cli.main(["run", str(bad)]) == 1
         assert cli.main(["run", "--preset", "table2", "--max-k", "0"]) == 1
+        assert cli.main(["run", cfg, "--out", str(tmp_path / "no" / "out.csv")]) == 1
         capsys.readouterr()
 
     def test_argparse_usage_exit(self):

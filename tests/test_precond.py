@@ -33,6 +33,13 @@ def tiny_lognormal(level=2, M=3, k=3, N=6):
     )
 
 
+def sbgs_dense(pairs):
+    """(D + L) D^{-1} (D + L^T) assembled from the pair list."""
+    D = sum(np.kron(np.diag(G.diagonal()), K.toarray()) for G, K in pairs)
+    L = sum(np.kron(sp.tril(G, k=-1).toarray(), K.toarray()) for G, K in pairs)
+    return (D + L) @ np.linalg.solve(D, (D + L).T)
+
+
 def dense_apply_inverse(P, n):
     cols = [P.apply_inverse(e) for e in np.eye(n)]
     return np.stack(cols, axis=1)
@@ -233,6 +240,20 @@ class TestTruncExact:
             nested.apply_inverse(v), direct.apply_inverse(v), rtol=1e-9
         )
 
+    def test_iterative_fallback_matches_direct_lognormal(self, monkeypatch):
+        # The inner SBGS of a general pair list: Hermite diagonals and a
+        # term coupling one block to two sources of a level (r = 4).
+        op, _, ctx = tiny_lognormal()
+        pairs = [(t.G, t.K) for t in ctx.leading_terms(4) if t.G is not None]
+        direct = build_trunc_exact(pairs, 4, op.ny, op.nx)
+        monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", 1)
+        nested = build_trunc_exact(pairs, 4, op.ny, op.nx)
+        rng = np.random.default_rng(42)
+        v = rng.standard_normal(op.dim)
+        np.testing.assert_allclose(
+            nested.apply_inverse(v), direct.apply_inverse(v), rtol=1e-9
+        )
+
     def test_indefinite_truncation_rejected_direct(self):
         op, _, ctx = tiny_lognormal()
         terms = ctx.leading_terms(1)
@@ -283,6 +304,21 @@ class TestSbgsAffine:
         P_applied = np.linalg.inv(dense_apply_inverse(P, op.dim))
         np.testing.assert_allclose(P_applied, formula, atol=1e-9)
 
+    def test_reuses_callers_k0_factor(self, monkeypatch):
+        op, _, _ = tiny_affine()
+        K0_factor = factor_spd(op.terms[0][1])
+        built = []
+        init = CholeskyFactor.__init__
+
+        def counting_init(self, K):
+            built.append(K)
+            init(self, K)
+
+        monkeypatch.setattr(CholeskyFactor, "__init__", counting_init)
+        P = build_sbgs_affine(K0_factor, op.terms[1:], op.ny, op.nx)
+        assert P.distinct_factor_count == 1
+        assert built == []
+
     def test_empty_terms_reduce_to_mean(self):
         op, _, _ = tiny_affine()
         K0 = op.terms[0][1]
@@ -314,17 +350,21 @@ class TestSbgsAffine:
 class TestSbgsLognormal:
     def test_dense_identity(self):
         op, _, ctx = tiny_lognormal()
-        terms = ctx.leading_terms(3)
-        P = build_sbgs_lognormal(terms, op.ny, op.nx)
-        pairs = [(t.G, t.K) for t in terms if t.G is not None]
-        D = sum(np.kron(np.diag(G.diagonal()), K.toarray()) for G, K in pairs)
-        L = sum(np.kron(sp.tril(G, k=-1).toarray(), K.toarray()) for G, K in pairs)
-        P_dense = (D + L) @ np.linalg.solve(D, (D + L).T)
         rng = np.random.default_rng(42)
-        x = rng.standard_normal(op.dim)
-        np.testing.assert_allclose(
-            P.apply_inverse(P_dense @ x), x, atol=1e-10 * np.linalg.norm(x)
-        )
+        for r in (3, 4):
+            terms = ctx.leading_terms(r)
+            P = build_sbgs_lognormal(terms, op.ny, op.nx)
+            pairs = [(t.G, t.K) for t in terms if t.G is not None]
+            # At r = 4 the term alpha = (1, 1, 0) couples one block to two
+            # lower sources, so a sweep step meets one target twice per term.
+            max_row_couplings = max(
+                np.diff(sp.tril(G, k=-1).tocsr().indptr).max() for G, _ in pairs
+            )
+            assert max_row_couplings == (2 if r == 4 else 1)
+            x = rng.standard_normal(op.dim)
+            np.testing.assert_allclose(
+                P.apply_inverse(sbgs_dense(pairs) @ x), x, atol=1e-10 * np.linalg.norm(x)
+            )
 
     def test_spd_even_when_truncation_is_not(self):
         # At k=3 the two-term truncation is indefinite, its splitting is not.
@@ -358,3 +398,42 @@ class TestSbgsLognormal:
         x, report = pcg_solve(op, P, f)
         assert report.converged
         np.testing.assert_allclose(matvec(op, x), f, atol=1e-5 * np.linalg.norm(f))
+
+
+def _random_sbgs_configs(n, seed=20240):
+    rng = np.random.default_rng(seed)
+    return [
+        (
+            ("affine", "lognormal")[rng.integers(2)],
+            int(rng.integers(1, 3)),  # mesh level
+            int(rng.integers(1, 5)),  # M
+            int(rng.integers(1, 4)),  # k
+            int(rng.integers(0, 5)),  # r
+        )
+        for _ in range(n)
+    ]
+
+
+@pytest.mark.parametrize("problem, level, M, k, r", _random_sbgs_configs(8))
+def test_sbgs_random_dense_oracle(problem, level, M, k, r):
+    # One engine, both splittings: apply_inverse inverts the assembled
+    # (D + L) D^{-1} (D + L^T) of the leading pair list.
+    mesh = build_mesh(level)
+    try:
+        if problem == "affine":
+            op, _, _ = build_affine_system(mesh, M=M, k=k, sigma_tilde=2.0)
+            pairs = op.terms[: r + 1]
+            P = build_sbgs_affine(pairs[0][1], pairs[1:], op.ny, op.nx)
+        else:
+            op, _, ctx = build_lognormal_system(
+                mesh, M=M, k=k, N=6, sigma_tilde=2.0, alpha_bar=0.547
+            )
+            terms = ctx.leading_terms(r)
+            pairs = [(t.G, t.K) for t in terms if t.G is not None]
+            P = build_sbgs_lognormal(terms, op.ny, op.nx)
+    except NotPositiveDefiniteError:
+        pytest.skip("splitting reported not SPD")
+    x = np.random.default_rng(42).standard_normal(op.dim)
+    np.testing.assert_allclose(
+        P.apply_inverse(sbgs_dense(pairs) @ x), x, atol=1e-10 * np.linalg.norm(x)
+    )
