@@ -7,15 +7,18 @@ Subcommands:
   verify    run the package's property suite.
 
 Exit codes: 0 success, 1 config/usage error, 2 non-convergence,
-3 property failure.
+3 property failure.  A `run` whose output is closed early stops its grid
+and exits as the rows already written imply (0 or 2).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -34,6 +37,20 @@ SPECTRUM_HEADER = "claim,r,bound_lo,bound_hi,observed_lo,observed_hi,margin,pass
 THEOREM_CLAIMS = ("trunc_vs_system", "sbgs_vs_trunc", "sbgs_vs_system")
 
 DECAY_SIGMA = {"fast": 4.0, "slow": 2.0}
+
+# glibc allocator policy of the command-line process.  By default glibc
+# hands each ~1 MB solve-loop temporary back to the kernel when it is
+# freed, so every PCG iteration faults its temporaries in again (~5,700
+# minor faults, 22 MB of zeroed pages, per level-4 k = 4 affine matvec;
+# 163k faults in one pass of the table3 k <= 4 grid, 5.9k with the policy).
+# A fixed 4 MB mmap threshold keeps them on the heap and a 32 MB trim
+# threshold keeps the freed heap for reuse.  A 32 MB / 256 MB pair
+# fragmented the heap around the SuperLU factors and grew the peak RSS of
+# the table2 k <= 3 grid from ~155 to ~258 MB.
+MMAP_THRESHOLD_BYTES = 4 << 20
+TRIM_THRESHOLD_BYTES = 32 << 20
+_M_TRIM_THRESHOLD = -1  # mallopt parameter numbers of glibc's malloc.h
+_M_MMAP_THRESHOLD = -3
 
 
 class ConfigError(Exception):
@@ -224,6 +241,20 @@ _FAILURE_LABELS = {
 }
 
 
+def _set_allocator_policy() -> None:
+    """Apply the allocator policy above; does nothing outside glibc."""
+    try:
+        libc = ctypes.CDLL(None)
+        libc.gnu_get_libc_version  # glibc only
+        mallopt = libc.mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
+
+
 def cmd_run(config_path, preset, out_path, max_k) -> int:
     if (config_path is None) == (preset is None):
         print("run: pass exactly one of <config.json> or --preset", file=sys.stderr)
@@ -251,35 +282,46 @@ def cmd_run(config_path, preset, out_path, max_k) -> int:
     except OSError as exc:
         print(f"run: cannot write output: {exc}", file=sys.stderr)
         return 1
-    with sink as out:  # rows go out as they finish, so a crash keeps them
-        print(CSV_HEADER, file=out, flush=True)
-        all_converged = True
-        for cell in cells:
-            op, f, ctx = _build_system(cell)
-            K0_factor = precond.factor_spd(op.terms[0][1])
-            for kind, r in preconds:
-                t0 = time.perf_counter()
-                P = None
-                try:
-                    P = _build_preconditioner(kind, r, op, ctx, K0_factor)
-                    setup_s = time.perf_counter() - t0
-                    _, rep = pcg.pcg_solve(op, P, f, solver_cfg)
-                    row = (kind, P.r, rep.iterations, rep.converged, rep.final_relres,
-                           setup_s, rep.solve_seconds)
-                    all_converged = all_converged and rep.converged
-                except tuple(_FAILURE_LABELS) as exc:
-                    label = next(v for t, v in _FAILURE_LABELS.items() if isinstance(exc, t))
-                    if P is None:
-                        r_cell, setup_s = r, time.perf_counter() - t0
-                    else:
-                        r_cell = P.r
-                    row = (f"{kind}!{label}", r_cell, 0, False, float("nan"), setup_s, 0.0)
-                    all_converged = False
-                print(_format_row(cell, *row, op.dim), file=out, flush=True)
+    status = 0  # 2 once a written row did not converge
+    try:
+        with sink as out:  # rows go out as they finish, so a crash keeps them
+            print(CSV_HEADER, file=out, flush=True)
+            for cell in cells:
+                op, f, ctx = _build_system(cell)
+                K0_factor = precond.factor_spd(op.terms[0][1])
+                for kind, r in preconds:
+                    t0 = time.perf_counter()
+                    P = None
+                    try:
+                        P = _build_preconditioner(kind, r, op, ctx, K0_factor)
+                        setup_s = time.perf_counter() - t0
+                        _, rep = pcg.pcg_solve(op, P, f, solver_cfg)
+                        row = (kind, P.r, rep.iterations, rep.converged, rep.final_relres,
+                               setup_s, rep.solve_seconds)
+                    except tuple(_FAILURE_LABELS) as exc:
+                        label = next(v for t, v in _FAILURE_LABELS.items() if isinstance(exc, t))
+                        if P is None:
+                            r_cell, setup_s = r, time.perf_counter() - t0
+                        else:
+                            r_cell = P.r
+                        row = (f"{kind}!{label}", r_cell, 0, False, float("nan"), setup_s, 0.0)
+                    print(_format_row(cell, *row, op.dim), file=out, flush=True)
+                    if not row[3]:
+                        status = 2
+    except BrokenPipeError:
+        # The reader closed the output (`sgkron run ... | head`): the grid
+        # stops, and the rows already written decide the exit status.  A
+        # closed stdout is pointed at the null device, so that the
+        # interpreter's final flush of the unwritten row cannot fail again.
+        if not out_path:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return status
 
     if out_path:
         print(f"wrote {len(cells) * len(preconds)} rows to {out_path}", file=sys.stderr)
-    return 0 if all_converged else 2
+    return status
 
 
 def _preset_config(preset: str, max_k: int | None) -> dict:
@@ -471,6 +513,7 @@ def main(argv=None) -> int:
     sub.add_parser("verify", help="run the property suite")
 
     args = parser.parse_args(argv)
+    _set_allocator_policy()
     if args.command == "run":
         return cmd_run(args.config, args.preset, args.out, args.max_k)
     if args.command == "spectrum":

@@ -3,9 +3,10 @@
 The Galerkin matrix of both test problems is a sum of Kronecker products
 A = sum_i G_i (x) K_i with small sparse parametric factors G and FE
 stiffness factors K.  The operator is kept matrix-free and never forms
-the ny*nx matrix.  A matvec costs one sparse K-product and one sparse
-G-product per term, unless the K_i share one symmetric pattern and
-their values have numerical rank R below the term count T.  Then the
+the ny*nx matrix.  A matvec costs, per term, one sparse K-product and
+one sparse G-product over the blocks G_i couples (its non-empty rows
+and columns), unless the K_i share one symmetric pattern and their
+values have numerical rank R below the term count T.  Then the
 operator applies the recompressed sum sum_{s<=R} Ghat_s (x) Khat_s,
 obtained from a thin SVD of the stacked K values: one stacked sparse
 product over the Khat_s and one dense product over the Ghat_s.  The
@@ -59,9 +60,24 @@ class KroneckerSumOperator:
     nx: int
     # (vstack Khat_s, hstack Ghat_s) per chunk of s, or None for the term loop.
     _chunks: tuple | None = field(init=False, repr=False, compare=False)
+    # Term loop: (rows, cols, G[rows][:, cols], K) per term, rows and cols
+    # the non-empty rows and columns of G, or None where G has full support.
+    _loop: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_chunks", _recompress(self.terms, self.ny, self.nx))
+        chunks = _recompress(self.terms, self.ny, self.nx)
+        object.__setattr__(self, "_chunks", chunks)
+        loop = []
+        if chunks is None:
+            for G, K in self.terms:
+                G = sp.csr_matrix(G)
+                rows = np.flatnonzero(np.diff(G.indptr))
+                cols = np.unique(G.indices)
+                if len(rows) == len(cols) == self.ny:
+                    loop.append((None, None, G, K))
+                else:
+                    loop.append((rows, cols, G[rows][:, cols], K))
+        object.__setattr__(self, "_loop", tuple(loop))
 
     @property
     def dim(self) -> int:
@@ -75,14 +91,15 @@ class KroneckerSumOperator:
         return sum(K_stack.shape[0] for K_stack, _ in self._chunks) // self.nx
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        V = as_blocks(v, self.nx, self.ny)
+        V = np.ascontiguousarray(as_blocks(v, self.nx, self.ny))
         out = np.zeros((self.ny, self.nx))
         if self._chunks is None:
-            for G, K in self.terms:
-                W = K @ V  # (nx, ny)
-                out += G @ W.T  # G symmetric
+            for rows, cols, G, K in self._loop:
+                if rows is None:
+                    out += G @ (K @ V).T
+                else:
+                    out[rows] += G @ (K @ V[:, cols]).T
             return out.ravel()
-        V = np.ascontiguousarray(V)
         for K_stack, G_row in self._chunks:
             c = K_stack.shape[0] // self.nx
             W = (K_stack @ V).reshape(c, self.nx, self.ny)  # W_s = Khat_s V

@@ -291,8 +291,10 @@ class PairBlockSbgs:
     the blocks of a level that share a diagonal signature (the pairs
     (l, G_l[j, j]) defining D_jj) in one multi-right-hand-side solve, and
     applies the couplings into the level per term, in rounds of distinct
-    target blocks.  ``factors`` maps signatures to ready factors of their
-    D_jj; a pair's K is read only for its couplings and unsupplied D_jj.
+    target blocks; the backward sweep solves only the blocks a coupling
+    lands on, the others keep their forward value.  ``factors`` maps
+    signatures to ready factors of their D_jj; a pair's K is read only for
+    its couplings and unsupplied D_jj.
     """
 
     label = "sbgs"
@@ -348,6 +350,11 @@ class PairBlockSbgs:
             level = deeper
         by_level = [np.flatnonzero(level == d) for d in range(level.max() + 1)]
         posmap = _occurrence(level)  # slot of each block within its level
+        # Blocks a backward coupling lands on, and their slot among the
+        # receiving blocks of their level; the other blocks keep Z = W.
+        recv = np.unique(srcs)
+        recv_pos = np.zeros(ny, dtype=np.int64)
+        recv_pos[recv] = _occurrence(level[recv])
 
         # Couplings per level and term: (target slots, source blocks, values,
         # K), split into rounds of distinct targets (a Hermite term can
@@ -355,41 +362,45 @@ class PairBlockSbgs:
         fwd = [[] for _ in by_level]
         bwd = [[] for _ in by_level]
         for (_, K), (row, col, val) in zip(pairs, lower):
-            for out, tgt, src in ((fwd, row, col), (bwd, col, row)):
+            for out, tgt, src, pos in ((fwd, row, col, posmap), (bwd, col, row, recv_pos)):
                 key = level[tgt] * ny + _occurrence(tgt)
                 for k in np.unique(key):
                     e = key == k
-                    out[k // ny].append((posmap[tgt[e]], src[e], val[e], K))
+                    out[k // ny].append((pos[tgt[e]], src[e], val[e], K))
 
-        # Per level: blocks, (slots, factor) per signature, couplings.
+        def by_signature(blocks):
+            groups = []
+            for s in np.unique(sig_id[blocks]):
+                sel = np.flatnonzero(sig_id[blocks] == s)
+                groups.append((slice(None) if len(sel) == len(blocks) else sel, factor[s]))
+            return groups
+
+        # Per level: blocks and their (slots, factor) per signature, forward
+        # couplings, receiving blocks and theirs, backward couplings.
         self._levels = []
-        for idx, fwd_d, bwd_d in zip(by_level, fwd, bwd):
-            solves = []
-            for s in np.unique(sig_id[idx]):
-                sel = np.flatnonzero(sig_id[idx] == s)
-                solves.append((slice(None) if len(sel) == len(idx) else sel, factor[s]))
-            self._levels.append((idx, solves, fwd_d, bwd_d))
+        for d, (idx, fwd_d, bwd_d) in enumerate(zip(by_level, fwd, bwd)):
+            back = recv[level[recv] == d]
+            self._levels.append(
+                (idx, by_signature(idx), fwd_d, back, by_signature(back), bwd_d)
+            )
 
     def apply_inverse(self, v: np.ndarray) -> np.ndarray:
         RHS = as_blocks(v, self.nx, self.ny)
         W = np.empty((self.nx, self.ny))
-        for idx, solves, fwd, _ in self._levels:
+        for idx, solves, fwd, *_ in self._levels:
             rhs = RHS[:, idx].copy()
             for loc, src, val, K in fwd:
                 rhs[:, loc] -= (K @ W[:, src]) * val
             for sel, factor in solves:
                 W[:, idx[sel]] = factor.solve(rhs[:, sel])
 
-        Z = np.empty_like(W)
-        for idx, solves, _, bwd in reversed(self._levels):
-            if not bwd:
-                Z[:, idx] = W[:, idx]
-                continue
-            acc = np.zeros((self.nx, len(idx)))
+        Z = W.copy()
+        for *_, back, solves, bwd in reversed(self._levels):
+            acc = np.zeros((self.nx, len(back)))
             for loc, src, val, K in bwd:
                 acc[:, loc] += (K @ Z[:, src]) * val
             for sel, factor in solves:
-                Z[:, idx[sel]] = W[:, idx[sel]] - factor.solve(acc[:, sel])
+                Z[:, back[sel]] -= factor.solve(acc[:, sel])
         return from_blocks(Z)
 
 

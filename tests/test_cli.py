@@ -1,10 +1,23 @@
-"""End-to-end tests of the command-line interface (in-process)."""
+"""End-to-end tests of the command-line interface (in-process, and in a
+subprocess where the process state is under test)."""
 
+import io
 import json
+import os
+import platform
+import subprocess
+import sys
 
 import pytest
 
 from sgkron import cli, pcg, precond
+
+
+def subprocess_env():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def write_config(path, cfg):
@@ -206,6 +219,89 @@ class TestRunCommand:
         assert len(rows) == 1
         assert rows[0][COL["precond"]] == "mean"
         assert rows[0][COL["converged"]] == "true"
+
+    def test_closed_stdout_ends_quietly(self, tmp_path):
+        # As in `sgkron run ... | head`, with the reader gone before the
+        # header: the grid stops, no traceback, and no row was written.
+        cfg = write_config(tmp_path / "cfg.json", tiny_affine_config())
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "sgkron.cli", "run", cfg],
+                stdout=write_end, stderr=subprocess.PIPE, env=subprocess_env(), timeout=300,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0
+        assert proc.stderr == b""
+
+    @pytest.mark.parametrize("max_iter, status", [(1000, 0), (1, 2)])
+    def test_closed_stdout_exit_follows_written_rows(
+        self, tmp_path, monkeypatch, max_iter, status
+    ):
+        # The reader leaves after the header and one row: the second solve's
+        # row cannot be written, the grid stops, and the exit status is the
+        # one the written row implies.
+        class ClosingPipe(io.StringIO):
+            def __init__(self, fd, lines):
+                super().__init__()
+                self._fd, self._lines = fd, lines
+
+            def write(self, text):
+                if self.getvalue().count("\n") >= self._lines:
+                    raise BrokenPipeError(32, "Broken pipe")
+                return super().write(text)
+
+            def fileno(self):
+                return self._fd
+
+        solve = pcg.pcg_solve
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(pcg, "pcg_solve", counted)
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        try:
+            pipe = ClosingPipe(fd, lines=2)
+            monkeypatch.setattr(sys, "stdout", pipe)
+            cfg = write_config(tmp_path / "cfg.json", tiny_affine_config(max_iter=max_iter))
+            assert cli.main(["run", cfg]) == status
+        finally:
+            os.close(fd)
+        assert len(calls) == 2
+        lines = pipe.getvalue().splitlines()
+        assert lines[0] == cli.CSV_HEADER and len(lines) == 2
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator policy")
+    def test_allocator_policy_keeps_matvec_temporaries(self):
+        # Under the CLI's allocator policy a warmed affine matvec reuses its
+        # temporaries instead of faulting fresh pages in (335 faults a call
+        # under glibc's default policy).
+        script = (
+            "import resource\n"
+            "import numpy as np\n"
+            "from sgkron import cli\n"
+            "from sgkron.fem2d import build_mesh\n"
+            "from sgkron.kronsys import build_affine_system\n"
+            "cli._set_allocator_policy()\n"
+            "op, _, _ = build_affine_system(build_mesh(4), M=8, k=3, sigma_tilde=2.0)\n"
+            "v = np.random.default_rng(0).standard_normal(op.dim)\n"
+            "for _ in range(3):\n"
+            "    op.matvec(v)\n"
+            "f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for _ in range(20):\n"
+            "    op.matvec(v)\n"
+            "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0) / 20)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=subprocess_env(), timeout=300, check=True,
+        )
+        assert float(proc.stdout) < 10
 
     @pytest.mark.parametrize(
         "mutate",

@@ -254,10 +254,29 @@ class TestRecompressedOperator:
 
     @pytest.mark.parametrize("M", [4, 8])
     def test_affine_keeps_term_loop(self, M):
-        op, _, _ = build_affine_system(build_mesh(3), M=M, k=2, sigma_tilde=2.0)
-        assert op.rank == len(op.terms) == M + 1
-        v = np.random.default_rng(42).standard_normal(op.dim)
-        np.testing.assert_array_equal(op.matvec(v), term_sum_matvec(op, v))
+        for k in (2, 3):
+            op, _, _ = build_affine_system(build_mesh(3), M=M, k=k, sigma_tilde=2.0)
+            assert op.rank == len(op.terms) == M + 1
+            if k == 3:  # every G_m, m >= 1, leaves some blocks uncoupled
+                assert all(np.diff(G.indptr).min() == 0 for G, _ in op.terms[1:])
+            v = np.random.default_rng(42).standard_normal(op.dim)
+            np.testing.assert_array_equal(op.matvec(v), term_sum_matvec(op, v))
+
+    def test_partial_support_unsymmetric_g(self):
+        # G has empty rows {0, 3} but empty columns {1, 2}: the term loop
+        # must write the rows G couples and read the columns it couples.
+        G = sp.csr_matrix(
+            np.array([[0, 0, 0, 0], [2.0, 0, 0, -1.0], [0.5, 0, 0, 0], [0, 0, 0, 0]])
+        )
+        K0 = sp.csr_matrix(np.array([[2.0, -1.0, 0], [-1.0, 2.0, -1.0], [0, -1.0, 2.0]]))
+        K1 = sp.csr_matrix(np.array([[1.0, 3.0, 0], [0, 1.0, 0], [4.0, 0, 1.0]]))
+        op = KroneckerSumOperator(
+            terms=((sp.identity(4, format="csr"), K0), (G, K1)), ny=4, nx=3
+        )
+        assert op.rank == 2
+        A = np.kron(np.eye(4), K0.toarray()) + np.kron(G.toarray(), K1.toarray())
+        v = np.random.default_rng(42).standard_normal(12)
+        np.testing.assert_allclose(op.matvec(v), A @ v, rtol=1e-14, atol=1e-14)
 
     def test_unsymmetric_terms_keep_term_loop(self):
         # Two terms with proportional (rank-one) but unsymmetric K values.

@@ -366,6 +366,29 @@ class TestSbgsLognormal:
                 P.apply_inverse(sbgs_dense(pairs) @ x), x, atol=1e-10 * np.linalg.norm(x)
             )
 
+    def test_backward_sweep_solves_receiving_blocks_only(self, monkeypatch):
+        # The forward sweep solves every block once, the backward sweep only
+        # the blocks a backward coupling lands on: the sources of L.
+        op, _, ctx = tiny_lognormal()
+        x = np.random.default_rng(42).standard_normal(op.dim)
+        cols = []
+        solve = CholeskyFactor.solve
+
+        def counting(self, b):
+            cols.append(1 if b.ndim == 1 else b.shape[1])
+            return solve(self, b)
+
+        monkeypatch.setattr(CholeskyFactor, "solve", counting)
+        for r in (1, 4):
+            terms = ctx.leading_terms(r)
+            P = build_sbgs_lognormal(terms, op.ny, op.nx)
+            lower = [sp.tril(G, k=-1).tocoo() for G in (t.G for t in terms) if G is not None]
+            receiving = np.unique(np.concatenate([L.col for L in lower]))
+            assert 0 < len(receiving) < op.ny
+            cols.clear()
+            P.apply_inverse(x)
+            assert sum(cols) == op.ny + len(receiving)
+
     def test_spd_even_when_truncation_is_not(self):
         # At k=3 the two-term truncation is indefinite, its splitting is not.
         op, _, ctx = tiny_lognormal()
