@@ -61,7 +61,8 @@ class KroneckerSumOperator:
     # (vstack Khat_s, hstack Ghat_s) per chunk of s, or None for the term loop.
     _chunks: tuple | None = field(init=False, repr=False, compare=False)
     # Term loop: (rows, cols, G[rows][:, cols], K) per term, rows and cols
-    # the non-empty rows and columns of G, or None where G has full support.
+    # the non-empty rows and columns of G, or slice(None) where G has full
+    # support (a view, so that term copies nothing).
     _loop: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -74,9 +75,8 @@ class KroneckerSumOperator:
                 rows = np.flatnonzero(np.diff(G.indptr))
                 cols = np.unique(G.indices)
                 if len(rows) == len(cols) == self.ny:
-                    loop.append((None, None, G, K))
-                else:
-                    loop.append((rows, cols, G[rows][:, cols], K))
+                    rows = cols = slice(None)
+                loop.append((rows, cols, G[rows][:, cols], K))
         object.__setattr__(self, "_loop", tuple(loop))
 
     @property
@@ -95,10 +95,7 @@ class KroneckerSumOperator:
         out = np.zeros((self.ny, self.nx))
         if self._chunks is None:
             for rows, cols, G, K in self._loop:
-                if rows is None:
-                    out += G @ (K @ V).T
-                else:
-                    out[rows] += G @ (K @ V[:, cols]).T
+                out[rows] += G @ (K @ V[:, cols]).T
             return out.ravel()
         for K_stack, G_row in self._chunks:
             c = K_stack.shape[0] // self.nx

@@ -279,8 +279,9 @@ class TestRunCommand:
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator policy")
     def test_allocator_policy_keeps_matvec_temporaries(self):
         # Under the CLI's allocator policy a warmed affine matvec reuses its
-        # temporaries instead of faulting fresh pages in (335 faults a call
-        # under glibc's default policy).
+        # temporaries instead of faulting fresh pages in: 0 faults a call
+        # against 335 under glibc's default policy.  The bound leaves a wide
+        # margin for allocator and kernel page-size differences.
         script = (
             "import resource\n"
             "import numpy as np\n"
@@ -301,7 +302,7 @@ class TestRunCommand:
             [sys.executable, "-c", script], capture_output=True, text=True,
             env=subprocess_env(), timeout=300, check=True,
         )
-        assert float(proc.stdout) < 10
+        assert float(proc.stdout) < 100
 
     @pytest.mark.parametrize(
         "mutate",
