@@ -140,16 +140,14 @@ _RUN_KEYS = {
 }
 
 
-def _parse_run_config(cfg: dict):
-    unknown = set(cfg) - _RUN_KEYS
+def _parse_cells(cfg: dict, keys: set[str]) -> list[Cell]:
+    """The grid of cells a config spans, after checking its fields."""
+    unknown = set(cfg) - keys
     if unknown:
         raise ConfigError(f"unknown config field(s): {', '.join(sorted(unknown))}")
     problem = _require(cfg, "problem")
     if problem not in ("affine", "lognormal"):
         raise ConfigError(f"problem must be 'affine' or 'lognormal', got {problem!r}")
-    preconds = [_parse_precond(p) for p in _require(cfg, "preconditioners")]
-    if not preconds:
-        raise ConfigError("preconditioner list must not be empty")
     alpha_mode = _parse_alpha_bar_mode(cfg)
     N = int(cfg.get("N", 20))
     Ms = [int(v) for v in _as_list(_require(cfg, "M"))]
@@ -165,6 +163,14 @@ def _parse_run_config(cfg: dict):
                     cells.append(
                         Cell(problem, decay_label, sigma, alpha_mode, level, M, k, N)
                     )
+    return cells
+
+
+def _parse_run_config(cfg: dict):
+    cells = _parse_cells(cfg, _RUN_KEYS)
+    preconds = [_parse_precond(p) for p in _require(cfg, "preconditioners")]
+    if not preconds:
+        raise ConfigError("preconditioner list must not be empty")
     solver_cfg = pcg.SolverConfig(
         tol=float(cfg.get("tol", 1e-6)),
         max_iter=int(cfg.get("max_iter", 1000)),
@@ -387,19 +393,12 @@ def cmd_spectrum(config_path, out_path, full) -> int:
     try:
         with open(config_path) as fh:
             cfg = json.load(fh)
-        unknown = set(cfg) - _SPECTRUM_KEYS
-        if unknown:
-            raise ConfigError(f"unknown config field(s): {', '.join(sorted(unknown))}")
-        problem = _require(cfg, "problem")
-        if problem not in ("affine", "lognormal"):
-            raise ConfigError(f"problem must be 'affine' or 'lognormal', got {problem!r}")
-        (decay_label, sigma) = _decay_entries(cfg)[0]
-        alpha_mode = _parse_alpha_bar_mode(cfg)
-        cell = Cell(
-            problem, decay_label, sigma, alpha_mode,
-            int(_require(cfg, "mesh_level")), int(_require(cfg, "M")),
-            int(_require(cfg, "k")), int(cfg.get("N", 20)),
-        )
+        cells = _parse_cells(cfg, _SPECTRUM_KEYS)
+        if len(cells) != 1:
+            raise ConfigError(
+                f"spectrum checks one configuration, the config spans {len(cells)}"
+            )
+        (cell,) = cells
         r_values = [int(r) for r in _as_list(cfg.get("r", [0, 1, 2, 3]))]
         if not r_values:
             raise ConfigError("truncation index list must not be empty")

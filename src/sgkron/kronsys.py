@@ -5,15 +5,15 @@ A = sum_i G_i (x) K_i with small sparse parametric factors G and FE
 stiffness factors K.  The operator is kept matrix-free and never forms
 the ny*nx matrix.  A matvec costs, per term, one sparse K-product and
 one sparse G-product over the blocks G_i couples (its non-empty rows
-and columns), unless the K_i share one symmetric pattern and their
-values have numerical rank R below the term count T.  Then the
-operator applies the recompressed sum sum_{s<=R} Ghat_s (x) Khat_s,
-obtained from a thin SVD of the stacked K values: one stacked sparse
-product over the Khat_s and one dense product over the Ghat_s.  The
-lognormal expansion has R << T; the affine one has R = T and keeps the
-per-term loop.  ``terms`` stays the exact per-term list either way.
-Dense materialization exists only as a small-scale test and
-spectral-study oracle behind a size guard.
+and columns; an identity G_i adds the K-product directly), unless the
+K_i share one symmetric pattern and their values have numerical rank R
+below the term count T.  Then the operator applies the recompressed sum
+sum_{s<=R} Ghat_s (x) Khat_s, obtained from a thin SVD of the stacked K
+values: one stacked sparse product over the Khat_s and one dense product
+over the Ghat_s.  The lognormal expansion has R << T; the affine one has
+R = T and keeps the per-term loop.  ``terms`` stays the exact per-term
+list either way.  Dense materialization exists only as a small-scale test
+and spectral-study oracle behind a size guard.
 
 Vectors use the block layout v = [v_1; ...; v_ny] with block j holding
 the nx spatial coefficients of parametric basis function j.
@@ -62,7 +62,8 @@ class KroneckerSumOperator:
     _chunks: tuple | None = field(init=False, repr=False, compare=False)
     # Term loop: (rows, cols, G[rows][:, cols], K) per term, rows and cols
     # the non-empty rows and columns of G, or slice(None) where G has full
-    # support (a view, so that term copies nothing).
+    # support (a view, so that term copies nothing).  G is None for an
+    # identity G, whose term adds the K-product directly.
     _loop: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -76,7 +77,7 @@ class KroneckerSumOperator:
                 cols = np.unique(G.indices)
                 if len(rows) == len(cols) == self.ny:
                     rows = cols = slice(None)
-                loop.append((rows, cols, G[rows][:, cols], K))
+                loop.append((rows, cols, None if _is_identity(G) else G[rows][:, cols], K))
         object.__setattr__(self, "_loop", tuple(loop))
 
     @property
@@ -95,13 +96,26 @@ class KroneckerSumOperator:
         out = np.zeros((self.ny, self.nx))
         if self._chunks is None:
             for rows, cols, G, K in self._loop:
-                out[rows] += G @ (K @ V[:, cols]).T
+                if G is None:
+                    out += (K @ V).T
+                else:
+                    out[rows] += G @ (K @ V[:, cols]).T
             return out.ravel()
         for K_stack, G_row in self._chunks:
             c = K_stack.shape[0] // self.nx
             W = (K_stack @ V).reshape(c, self.nx, self.ny)  # W_s = Khat_s V
             out += G_row @ W.transpose(0, 2, 1).reshape(c * self.ny, self.nx)
         return out.ravel()
+
+
+def _is_identity(G: sp.csr_matrix) -> bool:
+    n = G.shape[0]
+    return (
+        G.nnz == n
+        and np.array_equal(G.indptr, np.arange(n + 1))
+        and np.array_equal(G.indices, np.arange(n))
+        and np.all(G.data == 1.0)
+    )
 
 
 def _recompress(terms, ny: int, nx: int) -> tuple | None:

@@ -6,7 +6,9 @@ block vectors, plus ``label`` and ``r`` attributes for reporting):
 * mean-based: block-diagonal solves with the mean stiffness factor;
 * Kronecker product: a single G (x) K_0 with G the Frobenius-optimal
   parametric factor;
-* exact truncation: direct factorization of the leading r+1 terms;
+* exact truncation: the leading r+1 terms, block diagonal over the
+  parametric tails they leave uncoupled; one factor per distinct tail
+  block up to a per-block size, one nested CG for the larger blocks;
 * symmetric block Gauss-Seidel (SBGS): (D + L) D^{-1} (D + L^T) built
   from the truncation's block splitting, applied by one forward and one
   backward block-triangular sweep.  One engine serves the affine and the
@@ -17,10 +19,11 @@ Every apply_inverse realizes a symmetric positive definite map, which
 the test suite checks both algebraically and spectrally.
 
 All spatial solves, with K_0 or with a diagonal block of a splitting, and
-the direct truncation factor go through :class:`CholeskyFactor`.  It
-solves with a dense inverse up to order ``DENSE_SOLVE_MAX`` (mesh levels
-<= 4) and with SuperLU above it (level-5 meshes and every assembled
-truncation), at the measured crossover of the two.
+the truncation's block factors go through :class:`CholeskyFactor`.  It
+solves with a dense inverse up to order ``DENSE_SOLVE_MAX`` (spatial
+blocks of mesh levels <= 4 and the smallest tail blocks) and with SuperLU
+above it (level-5 meshes and the larger tail blocks), at the measured
+crossover of the two.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from . import gram
 from .kronsys import KroneckerSumOperator, as_blocks, assemble_sparse, from_blocks
@@ -36,7 +40,16 @@ from .pcg import BreakdownError as _InnerBreakdown
 from .pcg import SolverConfig as _InnerConfig
 from .pcg import pcg_solve as _inner_solve
 
-TRUNC_DIRECT_GUARD = 20000
+# Largest tail block, in unknowns, that TruncExactPreconditioner factorizes;
+# larger blocks go to its nested CG.  Measured on one BLAS thread (OpenBLAS,
+# Xeon) over the table2 grid (level 4, M = 8, k <= 4, r = 0..6), set-up and
+# solve of all 56 cells summed: 1000 10.7 s, 1200 10.8 s, 1600 10.6 s,
+# 2500 10.7 s, 3500 11.6 s (14.4 s with one factor of the whole truncation
+# up to 20,000 unknowns); the k <= 3 cells alone 3.5, 3.7, 3.6, 3.9, 4.3 s
+# (5.6 s).  At level 4 a block of 1600 unknowns holds up to seven
+# multi-indices (1,575 unknowns, SuperLU factor ~0.02 s); ten take ~0.1 s
+# and 35 over 1 s.
+TRUNC_DIRECT_GUARD = 1600
 INNER_TOL = 1e-13
 # Largest order CholeskyFactor solves with a dense inverse.  Measured on one
 # BLAS thread (OpenBLAS, Xeon): the K^{-1} product beats the SuperLU
@@ -218,14 +231,53 @@ def build_kron(terms, K0_factor: CholeskyFactor | None = None) -> KroneckerProdu
 # exact truncation
 
 
+def _tail_blocks(Gs: list, ny: int) -> list[np.ndarray]:
+    """Parametric indices of the diagonal blocks of sum_l G_l (x) K_l, grouped.
+
+    The blocks are the connected components of the union of the G_l
+    patterns.  Components whose restricted G_l are equal entry by entry
+    form one class; each class comes back as an (n, c) array of its n
+    components' indices, ascending within a row, so that every row
+    restricts the G_l to the same c x c matrices.
+    """
+    rows = np.concatenate([G.row for G in Gs])
+    cols = np.concatenate([G.col for G in Gs])
+    union = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(ny, ny))
+    n_comp, comp = connected_components(union, directed=False)
+    size = np.bincount(comp, minlength=n_comp)
+    slot = _occurrence(comp)
+    members = np.argsort(comp, kind="stable")  # component by component
+    first = np.cumsum(size) - size
+
+    # Key rows (term, row slot, column slot, value) sorted within each
+    # component; equal components have equal sizes and key bytes.
+    term = np.concatenate([np.full(G.nnz, ell) for ell, G in enumerate(Gs)])
+    vals = np.concatenate([G.data for G in Gs])
+    owner = comp[rows]
+    order = np.lexsort((slot[cols], slot[rows], term, owner))
+    entries = np.stack([term, slot[rows], slot[cols], vals], axis=1)[order]
+    count = np.bincount(owner, minlength=n_comp)
+    same: dict[tuple, list[int]] = {}
+    for q, key in enumerate(np.split(entries, np.cumsum(count)[:-1])):
+        same.setdefault((size[q], key.tobytes()), []).append(q)
+    return [members[first[qs, None] + np.arange(size[qs[0]])] for qs in same.values()]
+
+
 class TruncExactPreconditioner:
     """Exact application of the truncation P_r (first r+1 ordered terms).
 
-    At or below ``TRUNC_DIRECT_GUARD`` unknowns the truncation is
-    assembled and factorized directly.  Above that size, where the direct
-    factor no longer fits in memory, apply_inverse solves P_r z = v with
-    an inner conjugate-gradient iteration preconditioned by the SBGS
-    approximation of the same truncation, run to relative tolerance
+    The leading terms couple parametric indices only within the connected
+    components of their G patterns: for the affine expansion the
+    multi-indices sharing a tail (alpha_{r+1}, ..., alpha_M), for the
+    lognormal one those sharing the coordinates outside the leading
+    multi-indices' support.  P_r is block diagonal over these tail blocks,
+    and blocks with equal restricted G_l are equal (affine: one per
+    remaining degree d = k - |tail|).  Each such class with at most
+    ``TRUNC_DIRECT_GUARD`` unknowns per block is assembled and factorized
+    once, and applied as one multi-right-hand-side solve whose columns are
+    the class's blocks.  The larger blocks together are solved with one
+    inner conjugate-gradient iteration on the restricted truncation,
+    preconditioned by its SBGS approximation and run to relative tolerance
     ``INNER_TOL`` = 1e-13, i.e. to factorization-level accuracy.
     """
 
@@ -238,18 +290,39 @@ class TruncExactPreconditioner:
         self.r = r
         self.ny = ny
         self.nx = nx
-        if ny * nx <= TRUNC_DIRECT_GUARD:
-            P = assemble_sparse(KroneckerSumOperator(terms=used, ny=ny, nx=nx))
-            self._factor = CholeskyFactor(P)
-        else:
-            self._factor = None
-            self._op = KroneckerSumOperator(terms=used, ny=ny, nx=nx)
-            self._inner_precond = PairBlockSbgs(used, ny, nx)
+        Gs = [sp.csr_matrix(G) for G, _ in used]
+        self._direct = []  # (class indices, factor of its block)
+        nested = []
+        for idx in _tail_blocks([G.tocoo() for G in Gs], ny):
+            c = idx.shape[1]
+            if c * nx > TRUNC_DIRECT_GUARD:
+                nested.append(idx.ravel())
+                continue
+            block = [(G[idx[0]][:, idx[0]], K) for G, (_, K) in zip(Gs, used)]
+            P = assemble_sparse(KroneckerSumOperator(terms=tuple(block), ny=c, nx=nx))
+            self._direct.append((idx, CholeskyFactor(P)))
+        self.distinct_factor_count = len(self._direct)
+        self._rest = None
+        if nested:
+            rest = np.sort(np.concatenate(nested))
+            block = tuple((G[rest][:, rest], K) for G, (_, K) in zip(Gs, used))
+            self._rest = rest
+            self._op = KroneckerSumOperator(terms=block, ny=len(rest), nx=nx)
+            self._inner_precond = PairBlockSbgs(block, len(rest), nx)
             self._inner_cfg = _InnerConfig(tol=INNER_TOL, max_iter=400)
 
     def apply_inverse(self, v: np.ndarray) -> np.ndarray:
-        if self._factor is not None:
-            return self._factor.solve(v)
+        V = as_blocks(v, self.nx, self.ny).T  # (ny, nx), block j = row j
+        Z = np.empty((self.ny, self.nx))
+        for idx, factor in self._direct:
+            n, c = idx.shape
+            X = factor.solve(V[idx].reshape(n, c * self.nx).T)
+            Z[idx] = X.T.reshape(n, c, self.nx)
+        if self._rest is not None:
+            Z[self._rest] = self._solve_nested(V[self._rest].ravel()).reshape(-1, self.nx)
+        return Z.ravel()
+
+    def _solve_nested(self, v: np.ndarray) -> np.ndarray:
         try:
             z, rep = _inner_solve(self._op, self._inner_precond, v, self._inner_cfg)
         except _InnerBreakdown as exc:

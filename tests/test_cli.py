@@ -421,6 +421,15 @@ class TestSpectrumCommand:
         cfg = spectrum_config(tmp_path, alpha_bar_mode="bogus")
         assert cli.main(["spectrum", cfg]) == 1
         assert "alpha_bar_mode" in capsys.readouterr().err
+        # The cell checks of `run` apply, and a grid of cells is refused.
+        for bad in (
+            {"problem": "lognormal", "mesh_level": 1, "M": 4, "N": 3},
+            {"decay": ["fast", "slow"]},
+            {"k": [1, 2]},
+        ):
+            cfg = spectrum_config(tmp_path, **bad)
+            assert cli.main(["spectrum", cfg]) == 1
+            assert capsys.readouterr().err.startswith("spectrum: invalid config:")
 
 
 class TestVerifyCommand:

@@ -254,6 +254,42 @@ class TestTruncExact:
             nested.apply_inverse(v), direct.apply_inverse(v), rtol=1e-9
         )
 
+    def test_one_factor_per_remaining_degree(self):
+        # Affine r < M: the blocks of P_r are the tails (alpha_{r+1}, ..,
+        # alpha_M), and blocks of equal remaining degree d = k - |tail| are
+        # the same system, so P_r has one factor per distinct d.
+        op, _, ctx = tiny_affine(M=4, k=3)
+        for r in (1, 2, 3):
+            P = build_trunc_exact(op.terms, r, op.ny, op.nx)
+            degrees = {3 - sum(alpha[r:]) for alpha in ctx.index_set}
+            assert P.distinct_factor_count == len(degrees) == 4
+
+    def test_equal_size_blocks_with_different_values(self):
+        # Blocks {0, 1} and {2, 3} share size and pattern but not their
+        # coupling values, so they need two factors.
+        K0 = assemble_stiffness(build_mesh(2), fourier_coefficient(0, 2.0, 0.547))
+        G1 = sp.csr_matrix(np.array(
+            [[0, 0.2, 0, 0], [0.2, 0, 0, 0], [0, 0, 0, 0.4], [0, 0, 0.4, 0]]
+        ))
+        pairs = ((sp.identity(4, format="csr"), K0), (G1, K0))
+        P = build_trunc_exact(pairs, 1, 4, K0.shape[0])
+        assert P.distinct_factor_count == 2
+        P_dense = sum(np.kron(G.toarray(), K.toarray()) for G, K in pairs)
+        v = np.random.default_rng(42).standard_normal(P_dense.shape[0])
+        np.testing.assert_allclose(P.apply_inverse(v), np.linalg.solve(P_dense, v), rtol=1e-12)
+
+    def test_cutoff_counts_unknowns_per_block(self, monkeypatch):
+        # A cutoff of one parametric index per block factors the d = 0
+        # blocks (a K_0 each) and solves the rest with the nested CG.
+        op, _, _ = tiny_affine(M=4, k=3)
+        monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", op.nx)
+        P = build_trunc_exact(op.terms, 2, op.ny, op.nx)
+        assert P.distinct_factor_count == 1
+        rng = np.random.default_rng(42)
+        v = rng.standard_normal(op.dim)
+        P_dense = sum(np.kron(G.toarray(), K.toarray()) for G, K in op.terms[:3])
+        np.testing.assert_allclose(P.apply_inverse(v), np.linalg.solve(P_dense, v), rtol=1e-9)
+
     def test_indefinite_truncation_rejected_direct(self):
         op, _, ctx = tiny_lognormal()
         terms = ctx.leading_terms(1)
