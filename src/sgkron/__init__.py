@@ -31,7 +31,6 @@ from .kronsys import (
     build_affine_system,
     build_lognormal_system,
     from_blocks,
-    matvec,
 )
 from .multiindex import MultiIndexSet, build_even_subset, build_index_set, dimension
 from .orthopoly import HERMITE, LEGENDRE, evaluate, hermite_triple, recurrence_c
@@ -47,11 +46,8 @@ from .precond import (
     CholeskyFactor,
     NotPositiveDefiniteError,
     build_kron,
-    build_mean_based,
     build_sbgs_affine,
     build_sbgs_lognormal,
-    build_trunc_exact,
-    factor_spd,
 )
 from .spectral import (
     BoundSet,
@@ -91,18 +87,15 @@ __all__ = [
     "build_index_set",
     "build_kron",
     "build_lognormal_system",
-    "build_mean_based",
     "build_mesh",
     "build_sbgs_affine",
     "build_sbgs_lognormal",
-    "build_trunc_exact",
     "compute_bounds",
     "constant_field",
     "dimension",
     "eig_range",
     "estimate_condition",
     "evaluate",
-    "factor_spd",
     "fourier_coefficient",
     "from_blocks",
     "gram_general",
@@ -111,7 +104,6 @@ __all__ = [
     "hermite_triple",
     "lognormal_expansion_coeff",
     "lognormal_spd_report",
-    "matvec",
     "order_by_magnitude",
     "pcg_solve",
     "recurrence_c",

@@ -23,7 +23,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from . import fem2d, kronsys, pcg, precond, spectral, verify
+from . import fem2d, kronsys, multiindex, pcg, precond, spectral, verify
 
 CSV_HEADER = (
     "problem,decay,h,M,k,precond,r,iterations,converged,"
@@ -99,7 +99,7 @@ class Cell:
     problem: str
     decay_label: str
     sigma_tilde: float
-    alpha_bar_mode: float | str
+    alpha_bar: float
     level: int
     M: int
     k: int
@@ -124,13 +124,13 @@ def _decay_entries(cfg: dict) -> list[tuple[str, float]]:
     return entries
 
 
-def _parse_alpha_bar_mode(cfg: dict) -> float | str:
-    """``"auto"`` for the auto_0.9999 scaling, else the explicit amplitude."""
+def _parse_alpha_bar(cfg: dict, sigma_tilde: float) -> float:
+    """The explicit amplitude, or the auto_0.9999 scaling of sigma_tilde."""
     mode = cfg.get("alpha_bar_mode", "auto_0.9999")
     if isinstance(mode, str):
         if mode not in ("auto", "auto_0.9999"):
             raise ConfigError(f"alpha_bar_mode must be auto_0.9999 or a number, got {mode!r}")
-        return "auto"
+        return fem2d.auto_alpha_bar(sigma_tilde)
     return float(mode)
 
 
@@ -141,27 +141,29 @@ _RUN_KEYS = {
 
 
 def _parse_cells(cfg: dict, keys: set[str]) -> list[Cell]:
-    """The grid of cells a config spans, after checking its fields."""
+    """The grid of cells a config spans, after checking its fields and ranges."""
     unknown = set(cfg) - keys
     if unknown:
         raise ConfigError(f"unknown config field(s): {', '.join(sorted(unknown))}")
     problem = _require(cfg, "problem")
     if problem not in ("affine", "lognormal"):
         raise ConfigError(f"problem must be 'affine' or 'lognormal', got {problem!r}")
-    alpha_mode = _parse_alpha_bar_mode(cfg)
     N = int(cfg.get("N", 20))
     Ms = [int(v) for v in _as_list(_require(cfg, "M"))]
     levels = [int(v) for v in _as_list(_require(cfg, "mesh_level"))]
     ks = [int(v) for v in _as_list(_require(cfg, "k"))]
     cells = []
     for decay_label, sigma in _decay_entries(cfg):
+        alpha_bar = _parse_alpha_bar(cfg, sigma)
         for M in Ms:
             for level in levels:
                 for k in ks:
                     if problem == "lognormal" and M >= N:
                         raise ConfigError(f"lognormal requires M < N, got M={M}, N={N}")
+                    fem2d.build_mesh(level)  # the library's range checks
+                    multiindex.dimension(M, k)
                     cells.append(
-                        Cell(problem, decay_label, sigma, alpha_mode, level, M, k, N)
+                        Cell(problem, decay_label, sigma, alpha_bar, level, M, k, N)
                     )
     return cells
 
@@ -186,17 +188,12 @@ def _parse_run_config(cfg: dict):
 def _build_system(cell: Cell):
     mesh = fem2d.build_mesh(cell.level)
     if cell.problem == "affine":
-        mode = "auto" if cell.alpha_bar_mode == "auto" else cell.alpha_bar_mode
         return kronsys.build_affine_system(
-            mesh, M=cell.M, k=cell.k, sigma_tilde=cell.sigma_tilde, alpha_bar_mode=mode
+            mesh, M=cell.M, k=cell.k, sigma_tilde=cell.sigma_tilde, alpha_bar_mode=cell.alpha_bar
         )
-    if cell.alpha_bar_mode == "auto":
-        alpha_bar = fem2d.auto_alpha_bar(cell.sigma_tilde)
-    else:
-        alpha_bar = cell.alpha_bar_mode
     return kronsys.build_lognormal_system(
         mesh, M=cell.M, k=cell.k, N=cell.N,
-        sigma_tilde=cell.sigma_tilde, alpha_bar=alpha_bar,
+        sigma_tilde=cell.sigma_tilde, alpha_bar=cell.alpha_bar,
     )
 
 
@@ -294,7 +291,7 @@ def cmd_run(config_path, preset, out_path, max_k) -> int:
             print(CSV_HEADER, file=out, flush=True)
             for cell in cells:
                 op, f, ctx = _build_system(cell)
-                K0_factor = precond.factor_spd(op.terms[0][1])
+                K0_factor = precond.CholeskyFactor(op.terms[0][1])
                 for kind, r in preconds:
                     t0 = time.perf_counter()
                     P = None

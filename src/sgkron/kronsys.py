@@ -184,24 +184,21 @@ def _recompress(terms, ny: int, nx: int) -> tuple | None:
     return tuple(chunks)
 
 
-def matvec(op: KroneckerSumOperator, v: np.ndarray) -> np.ndarray:
-    return op.matvec(v)
+def assemble_dense(terms) -> np.ndarray:
+    """Explicit sum of the Kronecker products of a term list; guarded
+    against memory blowup."""
+    n = terms[0][0].shape[0] * terms[0][1].shape[0]
+    if n > DENSE_GUARD:
+        raise ValueError(f"dense assembly refused for dimension {n} > {DENSE_GUARD}")
+    return assemble_sparse(terms).toarray()
 
 
-def assemble_dense(op: KroneckerSumOperator) -> np.ndarray:
-    """Explicit sum of Kronecker products; guarded against memory blowup."""
-    if op.dim > DENSE_GUARD:
-        raise ValueError(f"dense assembly refused for dimension {op.dim} > {DENSE_GUARD}")
-    A = np.zeros((op.dim, op.dim))
-    for G, K in op.terms:
-        A += np.kron(G.toarray(), K.toarray())
-    return A
-
-
-def assemble_sparse(op: KroneckerSumOperator) -> sp.csc_matrix:
-    """Explicit sparse sum of Kronecker products (direct-factorization support)."""
-    A = sp.csc_matrix((op.dim, op.dim))
-    for G, K in op.terms:
+def assemble_sparse(terms) -> sp.csc_matrix:
+    """Explicit sparse sum of the Kronecker products of a term list
+    (direct-factorization support)."""
+    n = terms[0][0].shape[0] * terms[0][1].shape[0]
+    A = sp.csc_matrix((n, n))
+    for G, K in terms:
         A = A + sp.kron(G, K, format="csc")
     A.sort_indices()
     return A

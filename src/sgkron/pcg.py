@@ -50,7 +50,6 @@ class SolveReport:
     iterations: int
     residual_history: list[float]
     converged: bool
-    setup_seconds: float = 0.0
     solve_seconds: float = 0.0
     cg_alphas: list[float] = field(default_factory=list, repr=False)
     cg_betas: list[float] = field(default_factory=list, repr=False)

@@ -67,18 +67,6 @@ class InnerStallError(RuntimeError):
     """The nested truncation solve stopped short of factorization accuracy."""
 
 
-def _dense_cholesky(K: sp.csc_matrix) -> np.ndarray:
-    """Dense lower Cholesky factor (Fortran order), or NotPositiveDefiniteError."""
-    L, info = scipy.linalg.lapack.dpotrf(
-        K.toarray(order="F"), lower=1, clean=1, overwrite_a=1
-    )
-    if info != 0:
-        raise NotPositiveDefiniteError(
-            "matrix is not positive definite (non-positive pivot)"
-        )
-    return L
-
-
 class CholeskyFactor:
     """Symmetric factorization with positive-definiteness detection.
 
@@ -107,9 +95,15 @@ class CholeskyFactor:
             raise ValueError(f"matrix not symmetric (deviation {asym:.3e})")
         self.n = K.shape[0]
         if self.n <= DENSE_SOLVE_MAX:
-            self._K = K
             self._lu = None
-            inv, _ = scipy.linalg.lapack.dpotri(_dense_cholesky(K), lower=1, overwrite_c=1)
+            L, info = scipy.linalg.lapack.dpotrf(
+                K.toarray(order="F"), lower=1, clean=1, overwrite_a=1
+            )
+            if info != 0:
+                raise NotPositiveDefiniteError(
+                    "matrix is not positive definite (non-positive pivot)"
+                )
+            inv, _ = scipy.linalg.lapack.dpotri(L, lower=1, overwrite_c=1)
             inv += np.tril(inv, -1).T  # dpotri fills the lower triangle only
             self._inv = inv
             return
@@ -134,27 +128,9 @@ class CholeskyFactor:
             return self._inv @ b
         return self._lu.solve(np.ascontiguousarray(b))
 
-    @property
-    def permutation(self) -> np.ndarray:
-        """Ordering p such that lower_factor() reconstructs K[p][:, p]."""
-        if self._lu is None:
-            return np.arange(self.n)
-        return np.argsort(self._lu.perm_c)
-
-    def lower_factor(self) -> sp.csr_matrix:
-        """Lower-triangular L with L L^T = K[p][:, p] (small-scale checks)."""
-        if self._lu is None:
-            return sp.csr_matrix(_dense_cholesky(self._K))
-        d = np.sqrt(self._lu.U.diagonal())
-        return (self._lu.L @ sp.diags(d)).tocsr()
-
-
-def factor_spd(K: sp.spmatrix | np.ndarray) -> CholeskyFactor:
-    return CholeskyFactor(K)
-
 
 def _as_factor(K0) -> CholeskyFactor:
-    return K0 if isinstance(K0, CholeskyFactor) else factor_spd(K0)
+    return K0 if isinstance(K0, CholeskyFactor) else CholeskyFactor(K0)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +200,7 @@ def build_kron(terms, K0_factor: CholeskyFactor | None = None) -> KroneckerProdu
     for G_i, K_i in terms:
         weight = K_i.multiply(K0).sum() / denom
         G += weight * G_i.toarray()
-    return KroneckerProductPreconditioner(G, K0_factor or factor_spd(K0))
+    return KroneckerProductPreconditioner(G, K0_factor or CholeskyFactor(K0))
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +275,7 @@ class TruncExactPreconditioner:
                 nested.append(idx.ravel())
                 continue
             block = [(G[idx[0]][:, idx[0]], K) for G, (_, K) in zip(Gs, used)]
-            P = assemble_sparse(KroneckerSumOperator(terms=tuple(block), ny=c, nx=nx))
-            self._direct.append((idx, CholeskyFactor(P)))
+            self._direct.append((idx, CholeskyFactor(assemble_sparse(block))))
         self.distinct_factor_count = len(self._direct)
         self._rest = None
         if nested:

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .gram import split_lower
+import scipy.sparse as sp
+
 from .kronsys import KroneckerSumOperator, LognormalContext, assemble_dense
 from .precond import NotPositiveDefiniteError
 
@@ -142,12 +143,14 @@ def _containment(
     )
 
 
-def _dense_term_sum(terms, nx: int) -> np.ndarray:
-    n = terms[0][0].shape[0] * nx
-    out = np.zeros((n, n))
-    for G, K in terms:
-        out += np.kron(G.toarray(), K.toarray())
-    return out
+def sbgs_dense(terms) -> tuple[np.ndarray, np.ndarray]:
+    """Dense (D + L) D^{-1} (D + L)^T, and L, of the splitting every SBGS
+    preconditioner applies: D = sum_l diag(G_l) (x) K_l and L = sum_l
+    tril(G_l, -1) (x) K_l.  Affine: D = I (x) K_0, so it is P_r + L D^{-1} L^T.
+    """
+    D = assemble_dense([(sp.diags(G.diagonal()), K) for G, K in terms])
+    L = assemble_dense([(sp.tril(G, -1), K) for G, K in terms])
+    return (D + L) @ np.linalg.solve(D, (D + L).T), L
 
 
 def verify_inclusions(
@@ -172,9 +175,9 @@ def verify_inclusions(
     if r_values is None:
         r_values = range(0, M + 1)
 
-    A = assemble_dense(op)
+    A = assemble_dense(op.terms)
     K0 = op.terms[0][1].toarray()
-    ny, nx = op.ny, op.nx
+    ny = op.ny
     P0 = np.kron(np.eye(ny), K0)
 
     # Symmetric scaling by D_0^{-1/2} = I (x) K_0^{-1/2}.
@@ -194,13 +197,9 @@ def verify_inclusions(
             tau_r=ctx.tau_table[r_eff],
             sum_norms_r=ctx.sum_norms(r_eff),
         )
-        P_r = _dense_term_sum(op.terms[: r + 1], nx)
-        S_r = np.zeros_like(P_r)
-        for G_m, K_m in op.terms[1 : r + 1]:
-            L_m = split_lower(G_m)
-            S_r += np.kron(L_m.toarray(), K_m.toarray())
+        P_r = assemble_dense(op.terms[: r + 1])
+        P_sbgs, S_r = sbgs_dense(op.terms[: r + 1])
         S_tilde = np.kron(np.eye(ny), K0_isqrt) @ S_r @ np.kron(np.eye(ny), K0_isqrt)
-        P_sbgs = P_r + S_r @ np.linalg.solve(P0, S_r.T)
 
         checks.append(
             _containment(
@@ -278,7 +277,7 @@ def lognormal_spd_report(
     for r in r_values:
         terms = ctx.leading_terms(r)
         pairs = [(t.G, t.K) for t in terms if t.G is not None]
-        P_r = _dense_term_sum(pairs, nx)
+        P_r = assemble_dense(pairs)
         eigs = np.linalg.eigvalsh(P_r)
         spd = bool(eigs[0] > 0)
         checks.append(
@@ -295,16 +294,7 @@ def lognormal_spd_report(
             )
         )
 
-        D = np.zeros((ny * nx, ny * nx))
-        L = np.zeros_like(D)
-        for t in terms:
-            if t.G is None:
-                continue
-            Gd = t.G.toarray()
-            Kd = t.K.toarray()
-            L += np.kron(np.tril(Gd, -1), Kd)
-            D += np.kron(np.diag(np.diag(Gd)), Kd)
-        P_sbgs = (D + L) @ np.linalg.solve(D, (D + L).T)
+        P_sbgs, _ = sbgs_dense(pairs)
         sbgs_eigs = np.linalg.eigvalsh(P_sbgs)
         checks.append(
             InclusionCheck(

@@ -1,21 +1,27 @@
-"""Self-contained property suite run by ``sgkron verify``.
+"""The property catalogue, run by ``sgkron verify`` and by the test suite.
 
 Each property re-checks one module invariant at small scale against an
-independent oracle (quadrature, dense algebra, brute-force enumeration).
-The suite is deliberately cheap: the full run takes well under a minute.
+independent oracle (quadrature, dense algebra, brute-force enumeration),
+the only copy of that oracle.  A property that builds a tiny system takes
+a :class:`SmallConfig` whose default is the one ``sgkron verify`` checks.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import fem2d, gram, kronsys, multiindex, orthopoly, pcg, precond, spectral
 
 RNG_SEED = 42
+# Amplitude of the lognormal tiny systems (the table6 preset's).
+LOGNORMAL_ALPHA_BAR = 0.547
 
 
 @dataclass
@@ -26,9 +32,39 @@ class PropertyResult:
     message: str = ""
 
 
-def _tiny_affine(level=2, M=3, k=2, sigma_tilde=2.0):
-    mesh = fem2d.build_mesh(level)
-    return kronsys.build_affine_system(mesh, M=M, k=k, sigma_tilde=sigma_tilde)
+@dataclass(frozen=True)
+class SmallConfig:
+    """A tiny system and what a property does with it.
+
+    ``r`` is the truncation index a property checks (properties over a
+    range of truncations check 0..r); ``seed`` seeds its random vectors.
+    Lognormal systems have N sources and amplitude LOGNORMAL_ALPHA_BAR,
+    affine ones the auto amplitude.
+    """
+
+    problem: str = "affine"
+    level: int = 2
+    M: int = 3
+    k: int = 2
+    r: int = 3
+    seed: int = RNG_SEED
+    sigma_tilde: float = 2.0
+    N: int = 6
+
+    def build(self):
+        mesh = fem2d.build_mesh(self.level)
+        if self.problem == "affine":
+            return kronsys.build_affine_system(
+                mesh, M=self.M, k=self.k, sigma_tilde=self.sigma_tilde
+            )
+        return kronsys.build_lognormal_system(
+            mesh, M=self.M, k=self.k, N=self.N,
+            sigma_tilde=self.sigma_tilde, alpha_bar=LOGNORMAL_ALPHA_BAR,
+        )
+
+
+AFFINE = SmallConfig()
+LOGNORMAL = SmallConfig(problem="lognormal")
 
 
 # ---------------------------------------------------------------------------
@@ -110,38 +146,42 @@ def prop_hermite_triple_quadrature():
 
 
 def prop_gram_structure():
-    for M in (2, 8):
-        for k in (2, 6):
-            S = multiindex.build_index_set(M, k)
-            for m in range(1, M + 1):
-                G = gram.gram_linear(m, S, orthopoly.LEGENDRE)
-                nnz_row = np.diff(G.indptr)
-                assert nnz_row.max() <= 2, "more than two entries in a row"
-                assert np.all(G.diagonal() == 0.0)
-                skew = G - G.T
-                assert skew.nnz == 0 or np.max(np.abs(skew.data)) == 0.0
-                L = gram.split_lower(G)
-                assert np.max(np.abs((L + L.T - G).toarray())) == 0.0
-                assert np.diff(L.indptr).max(initial=0) <= 1
-                assert np.diff(L.tocsc().indptr).max(initial=0) <= 1
+    for M, k, family in itertools.product(
+        (2, 8), (2, 6), (orthopoly.LEGENDRE, orthopoly.HERMITE)
+    ):
+        S = multiindex.build_index_set(M, k)
+        for m in range(1, M + 1):
+            G = gram.gram_linear(m, S, family)
+            nnz_row = np.diff(G.indptr)
+            assert nnz_row.max() <= 2, "more than two entries in a row"
+            assert np.all(G.diagonal() == 0.0)
+            skew = G - G.T
+            assert skew.nnz == 0 or np.max(np.abs(skew.data)) == 0.0
+            L = gram.split_lower(G)
+            assert np.max(np.abs((L + L.T - G).toarray())) == 0.0
+            assert np.diff(L.indptr).max(initial=0) <= 1
+            assert np.diff(L.tocsc().indptr).max(initial=0) <= 1
 
 
 def prop_gram_vs_quadrature():
     M, k = 2, 2
     S = multiindex.build_index_set(M, k)
-    x, w = _legendre_rule(20)
-    vals = np.array([orthopoly.evaluate(orthopoly.LEGENDRE, j, x) for j in range(k + 2)])
-    for m in (1, 2):
-        G = gram.gram_linear(m, S, orthopoly.LEGENDRE).toarray()
-        for t, at in enumerate(S):
-            for j, aj in enumerate(S):
-                facs = []
-                for mm in range(M):
-                    f = vals[at[mm]] * vals[aj[mm]]
-                    if mm == m - 1:
-                        f = f * x
-                    facs.append(float(np.sum(w * f)))
-                assert abs(G[t, j] - math.prod(facs)) < 1e-12
+    for family, (x, w) in (
+        (orthopoly.LEGENDRE, _legendre_rule(20)),
+        (orthopoly.HERMITE, _hermite_rule(20)),
+    ):
+        vals = np.array([orthopoly.evaluate(family, j, x) for j in range(k + 2)])
+        for m in (1, 2):
+            G = gram.gram_linear(m, S, family).toarray()
+            for t, at in enumerate(S):
+                for j, aj in enumerate(S):
+                    facs = []
+                    for mm in range(M):
+                        f = vals[at[mm]] * vals[aj[mm]]
+                        if mm == m - 1:
+                            f = f * x
+                        facs.append(float(np.sum(w * f)))
+                    assert abs(G[t, j] - math.prod(facs)) < 1e-12, (family, m)
 
 
 def prop_gram_general_diagonal_parity():
@@ -182,7 +222,7 @@ def prop_stiffness_spd_and_linear():
     )
     Ks = fem2d.assemble_stiffness(mesh, shifted)
     assert np.max(np.abs((K0 + K1 - Ks).toarray())) < 1e-12
-    precond.factor_spd(K0)
+    precond.CholeskyFactor(K0)
 
 
 def prop_frequency_pairs():
@@ -205,51 +245,52 @@ def prop_tau_monotone():
 
 
 def prop_lognormal_coeff_quadrature():
+    # E[exp(b) psi_alpha] by Gauss-Hermite quadrature per parameter, on a
+    # 5 x 5 grid of the unit square.
     x, w = _hermite_rule(80)
-    fields = [fem2d.fourier_coefficient(m, 2.0, 0.547) for m in range(1, 5)]
-    pt = (0.3, 0.7)
-    bvals = [f(*pt) for f in fields]
-    for alpha in ((0, 0, 0, 0), (1, 0, 0, 0), (2, 1, 0, 0), (3, 0, 0, 0)):
-        exact = fem2d.lognormal_expansion_coeff(alpha, fields, fem2d.constant_field(1.0))
-        target = float(exact(*pt))
-        quad = math.exp(1.0)
-        for bm, am in zip(bvals, alpha):
-            quad *= float(
-                np.sum(w * np.exp(bm * x) * orthopoly.evaluate(orthopoly.HERMITE, am, x))
-            )
-        assert abs(quad - target) < 1e-10 * max(1.0, abs(target))
+    b0 = fem2d.fourier_coefficient(0, 2.0, LOGNORMAL_ALPHA_BAR)
+    fields = [fem2d.fourier_coefficient(m, 2.0, LOGNORMAL_ALPHA_BAR) for m in range(1, 5)]
+    x1, x2 = np.meshgrid(np.linspace(0, 1, 5), np.linspace(0, 1, 5), indexing="ij")
+    for alpha in ((0, 0, 0, 0), (1, 0, 0, 0), (2, 1, 0, 0), (3, 0, 0, 0), (1, 1, 2, 0)):
+        target = fem2d.lognormal_expansion_coeff(alpha, fields, b0)(x1, x2)
+        quad = np.exp(b0(x1, x2))
+        for b, am in zip(fields, alpha):
+            poly = orthopoly.evaluate(orthopoly.HERMITE, am, x)
+            quad = quad * np.sum(w * poly * np.exp(b(x1, x2)[..., None] * x), axis=-1)
+        assert np.all(np.abs(quad - target) < 1e-10 * np.maximum(1.0, np.abs(target))), alpha
 
 
 # ---------------------------------------------------------------------------
 # kronsys
 
 
-def prop_matvec_vs_dense():
-    op, _, _ = _tiny_affine()
-    A = kronsys.assemble_dense(op)
-    rng = np.random.default_rng(RNG_SEED)
+def prop_matvec_vs_dense(cfg: SmallConfig = AFFINE):
+    op, _, _ = cfg.build()
+    A = kronsys.assemble_dense(op.terms)
+    rng = np.random.default_rng(cfg.seed)
     for _ in range(20):
         v = rng.standard_normal(op.dim)
-        err = np.linalg.norm(op.matvec(v) - A @ v) / np.linalg.norm(A @ v)
-        assert err < 1e-12
+        Av = A @ v
+        err = op.matvec(v) - Av
+        assert np.linalg.norm(err) <= 1e-13 * np.linalg.norm(Av)
+        assert np.all(np.abs(err) <= 1e-12 * (1.0 + np.abs(Av)))
     assert np.max(np.abs(A - A.T)) < 1e-12
 
 
-def prop_block_row_count():
-    op, _, _ = _tiny_affine(M=4)
-    ny = op.ny
-    pattern = np.zeros((ny, ny), dtype=bool)
-    for G, _ in op.terms:
-        pattern |= G.toarray() != 0.0
-    assert pattern.sum(axis=1).max() <= 2 * 4 + 1
+def prop_block_row_count(cfg: SmallConfig = SmallConfig(M=4)):
+    # Affine: each block row of the assembled matrix holds at most 2M + 1
+    # nonzero blocks.
+    op, _, _ = cfg.build()
+    blocks = kronsys.assemble_dense(op.terms).reshape(op.ny, op.nx, op.ny, op.nx)
+    counts = np.count_nonzero(np.abs(blocks).max(axis=(1, 3)) > 0, axis=1)
+    assert counts.max() <= 2 * cfg.M + 1, counts.max()
 
 
-def prop_load_structure():
-    op, f, _ = _tiny_affine()
-    nx = op.nx
-    h = 0.25
-    assert np.allclose(f[:nx], h * h)
-    assert np.all(f[nx:] == 0.0)
+def prop_load_structure(cfg: SmallConfig = AFFINE):
+    op, f, _ = cfg.build()
+    h = 2.0 ** -cfg.level
+    assert np.all(f[: op.nx] == h * h)
+    assert np.all(f[op.nx :] == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -257,70 +298,63 @@ def prop_load_structure():
 
 
 def prop_cholesky_factor_roundtrip():
-    import scipy.sparse as sp
-
     A = sp.csc_matrix(np.array([[4.0, 2.0], [2.0, 3.0]]))
-    fac = precond.factor_spd(A)
+    fac = precond.CholeskyFactor(A)
     x = fac.solve(np.array([1.0, 1.0]))
     assert np.allclose(A @ x, [1.0, 1.0], atol=1e-13)
     try:
-        precond.factor_spd(sp.csc_matrix(np.array([[1.0, 2.0], [2.0, 1.0]])))
+        precond.CholeskyFactor(sp.csc_matrix(np.array([[1.0, 2.0], [2.0, 1.0]])))
     except precond.NotPositiveDefiniteError:
         pass
     else:
         raise AssertionError("indefinite matrix accepted")
 
 
-def prop_trunc_full_equals_system():
-    op, _, _ = _tiny_affine()
-    M = len(op.terms) - 1
-    P = precond.build_trunc_exact(op.terms, M, op.ny, op.nx)
-    A = kronsys.assemble_dense(op)
-    rng = np.random.default_rng(RNG_SEED)
-    v = rng.standard_normal(op.dim)
+def prop_trunc_full_equals_system(cfg: SmallConfig = AFFINE):
+    op, _, _ = cfg.build()
+    P = precond.build_trunc_exact(op.terms, len(op.terms) - 1, op.ny, op.nx)
+    A = kronsys.assemble_dense(op.terms)
+    v = np.random.default_rng(cfg.seed).standard_normal(op.dim)
     assert np.linalg.norm(P.apply_inverse(A @ v) - v) < 1e-10 * np.linalg.norm(v)
 
 
-def prop_sbgs_identity():
-    op, _, _ = _tiny_affine()
-    K0f = precond.factor_spd(op.terms[0][1])
-    P = precond.build_sbgs_affine(K0f, op.terms[1:4], op.ny, op.nx)
-    K0 = op.terms[0][1].toarray()
-    P0 = np.kron(np.eye(op.ny), K0)
-    Pr = spectral._dense_term_sum(op.terms[:4], op.nx)
-    S = np.zeros_like(Pr)
-    for G, K in op.terms[1:4]:
-        S += np.kron(gram.split_lower(G).toarray(), K.toarray())
-    dense = Pr + S @ np.linalg.solve(P0, S.T)
-    rng = np.random.default_rng(RNG_SEED)
-    v = rng.standard_normal(op.dim)
-    assert np.linalg.norm(P.apply_inverse(dense @ v) - v) < 1e-10 * np.linalg.norm(v)
+def prop_sbgs_identity(cfg: SmallConfig = AFFINE):
+    # apply_inverse of SBGS r inverts (D + L) D^{-1} (D + L)^T of the
+    # truncation's pairs: on every column, and on random vectors.
+    op, _, ctx = cfg.build()
+    if cfg.problem == "affine":
+        lead = pairs = op.terms[: cfg.r + 1]
+        P = precond.build_sbgs_affine(op.terms[0][1], lead[1:], op.ny, op.nx)
+    else:
+        lead = ctx.leading_terms(cfg.r)
+        pairs = [(t.G, t.K) for t in lead if t.G is not None]
+        P = precond.build_sbgs_lognormal(lead, op.ny, op.nx)
+    assert P.label == "sbgs" and P.r == len(lead) - 1, (P.label, P.r)
+    dense, _ = spectral.sbgs_dense(pairs)
+    applied = np.column_stack([P.apply_inverse(col) for col in dense.T])
+    assert np.max(np.abs(applied - np.eye(op.dim))) < 1e-10
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(3):
+        v = rng.standard_normal(op.dim)
+        assert np.linalg.norm(P.apply_inverse(dense @ v) - v) < 1e-10 * np.linalg.norm(v)
 
 
-def prop_sbgs_lognormal_spd():
-    mesh = fem2d.build_mesh(2)
-    op, _, ctx = kronsys.build_lognormal_system(mesh, M=3, k=2, N=6, sigma_tilde=2.0, alpha_bar=0.547)
-    report = spectral.lognormal_spd_report(ctx, op.nx, range(0, 4))
+def prop_sbgs_lognormal_spd(cfg: SmallConfig = LOGNORMAL):
+    op, _, ctx = cfg.build()
+    report = spectral.lognormal_spd_report(ctx, op.nx, range(0, cfg.r + 1))
     for row in report:
         if row.claim == "sbgs_spd":
-            assert row.passed, f"SBGS indefinite at r={row.r}"
+            assert row.passed and row.observed_lo > 0, f"SBGS indefinite at r={row.r}"
 
 
-def prop_kron_frobenius_lsq():
-    op, _, _ = _tiny_affine()
-    K0f = precond.factor_spd(op.terms[0][1])
-    P = precond.build_kron(op.terms, K0f)
+def prop_kron_frobenius_lsq(cfg: SmallConfig = AFFINE):
     # Brute-force oracle: entrywise Frobenius least squares over all of G,
     # g_jt = <A_jt, K0>_F / <K0, K0>_F on the dense block partition.
-    A = kronsys.assemble_dense(op)
+    op, _, _ = cfg.build()
+    P = precond.build_kron(op.terms, precond.CholeskyFactor(op.terms[0][1]))
+    blocks = kronsys.assemble_dense(op.terms).reshape(op.ny, op.nx, op.ny, op.nx)
     K0 = op.terms[0][1].toarray()
-    den = float(np.sum(K0 * K0))
-    nx, ny = op.nx, op.ny
-    G_best = np.empty((ny, ny))
-    for j in range(ny):
-        for t in range(ny):
-            blk = A[j * nx : (j + 1) * nx, t * nx : (t + 1) * nx]
-            G_best[j, t] = float(np.sum(blk * K0)) / den
+    G_best = np.einsum("jatb,ab->jt", blocks, K0) / np.sum(K0 * K0)
     assert np.max(np.abs(P.G - G_best)) < 1e-10
 
 
@@ -328,31 +362,19 @@ def prop_kron_frobenius_lsq():
 # pcg
 
 
-def prop_pcg_exact_preconditioner():
-    op, f, _ = _tiny_affine()
-    A = kronsys.assemble_dense(op)
-
-    class DenseOp:
-        dim = op.dim
-
-        def matvec(self, v):
-            return A @ v
-
-    class ExactP:
-        label = "exact"
-        r = None
-
-        def apply_inverse(self, v):
-            return np.linalg.solve(A, v)
-
-    u, report = pcg.pcg_solve(DenseOp(), ExactP(), f)
+def prop_pcg_exact_preconditioner(cfg: SmallConfig = AFFINE):
+    op, f, _ = cfg.build()
+    A = kronsys.assemble_dense(op.terms)
+    dense = SimpleNamespace(dim=op.dim, matvec=lambda v: A @ v)
+    exact = SimpleNamespace(label="exact", r=None, apply_inverse=lambda v: np.linalg.solve(A, v))
+    u, report = pcg.pcg_solve(dense, exact, f)
     assert report.iterations == 1 and report.converged
-    zero_u, zero_rep = pcg.pcg_solve(DenseOp(), ExactP(), np.zeros_like(f))
+    zero_u, zero_rep = pcg.pcg_solve(dense, exact, np.zeros_like(f))
     assert zero_rep.iterations == 0 and np.all(zero_u == 0.0)
 
 
-def prop_pcg_deterministic():
-    op, f, _ = _tiny_affine()
+def prop_pcg_deterministic(cfg: SmallConfig = AFFINE):
+    op, f, _ = cfg.build()
     P = precond.build_mean_based(op.terms[0][1], op.ny)
     u1, r1 = pcg.pcg_solve(op, P, f)
     u2, r2 = pcg.pcg_solve(op, P, f)
@@ -360,16 +382,16 @@ def prop_pcg_deterministic():
     assert r1.residual_history == r2.residual_history
 
 
-def prop_condition_estimate():
-    op, f, _ = _tiny_affine()
+def prop_condition_estimate(cfg: SmallConfig = AFFINE):
+    op, f, _ = cfg.build()
     P = precond.build_mean_based(op.terms[0][1], op.ny)
     _, report = pcg.pcg_solve(op, P, f, pcg.SolverConfig(tol=1e-12))
     est = pcg.estimate_condition(report)
-    A = kronsys.assemble_dense(op)
+    A = kronsys.assemble_dense(op.terms)
     P0 = np.kron(np.eye(op.ny), op.terms[0][1].toarray())
     w = spectral.eig_spectrum(P0, A)
     true_cond = w[-1] / w[0]
-    assert 0.5 * true_cond < est < 1.5 * true_cond
+    assert 0.5 * true_cond < est < 1.5 * true_cond, (est, true_cond)
 
 
 # ---------------------------------------------------------------------------
@@ -385,11 +407,35 @@ def prop_bound_formulas():
     assert abs(fast.delta_r - 0.9239**2 / (1 - 0.9239)) < 1e-12
 
 
-def prop_inclusions_tiny():
-    op, _, ctx = _tiny_affine()
-    checks = spectral.verify_inclusions(op, ctx, r_values=range(0, 4))
+def prop_inclusions_tiny(cfg: SmallConfig = AFFINE):
+    op, _, ctx = cfg.build()
+    checks = spectral.verify_inclusions(op, ctx, r_values=range(0, cfg.r + 1))
+    assert len(checks) == 6 * (cfg.r + 1), len(checks)
     bad = [c for c in checks if not c.passed]
     assert not bad, f"failed inclusions: {[(c.claim, c.r) for c in bad]}"
+
+
+def prop_kappa_within_bound(cfg: SmallConfig = AFFINE):
+    # Affine: the Lanczos estimate of PCG with trunc_exact r and sbgs r stays
+    # below the theorem's bound, Theta_r / theta_r and Theta_r (1 + delta_r)
+    # / theta_r.  Ritz values lie inside the spectrum, so no slack.
+    op, f, ctx = cfg.build()
+    K0 = precond.CholeskyFactor(op.terms[0][1])
+    solver = pcg.SolverConfig(tol=1e-10)
+    for r in range(min(cfg.r, cfg.M) + 1):
+        b = spectral.compute_bounds(
+            r, ctx.a0_min, ctx.a0_max, ctx.tau, ctx.tau_table[r], ctx.sum_norms(r)
+        )
+        for P, bound in (
+            (precond.build_trunc_exact(op.terms, r, op.ny, op.nx), b.Theta_r / b.theta_r),
+            (
+                precond.build_sbgs_affine(K0, op.terms[1 : r + 1], op.ny, op.nx),
+                b.Theta_r * (1.0 + b.delta_r) / b.theta_r,
+            ),
+        ):
+            _, report = pcg.pcg_solve(op, P, f, solver)
+            est = pcg.estimate_condition(report)
+            assert est <= bound, f"{P.label} r={r}: kappa {est:.4g} above bound {bound:.4g}"
 
 
 PROPERTIES = [
@@ -419,6 +465,7 @@ PROPERTIES = [
     ("condition_estimate", prop_condition_estimate),
     ("bound_formulas", prop_bound_formulas),
     ("inclusions_tiny", prop_inclusions_tiny),
+    ("kappa_within_bound", prop_kappa_within_bound),
 ]
 
 

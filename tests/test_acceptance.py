@@ -8,10 +8,10 @@ one pass/fail line per criterion.
 """
 
 import math
+from dataclasses import replace
 
-import numpy as np
-
-from sgkron import cli, fem2d, gram, kronsys, multiindex, orthopoly, precond, spectral
+from sgkron import cli, fem2d, multiindex, spectral, verify
+from sgkron.verify import SmallConfig
 
 ITER_TOL = 2
 
@@ -202,144 +202,39 @@ def test_criterion_05_expansion_ordering():
 
 
 def test_criterion_06_spectral_inclusions():
-    mesh = fem2d.build_mesh(2)
+    # Every claimed inclusion for r = 0..3 at both decay rates.
     for sigma_tilde in (2.0, 4.0):
-        op, _, ctx = kronsys.build_affine_system(mesh, M=3, k=2, sigma_tilde=sigma_tilde)
-        checks = spectral.verify_inclusions(op, ctx, r_values=range(4), slack=1e-8)
-        assert len(checks) == 24
-        failed = [c for c in checks if not c.passed]
-        assert not failed, f"sigma_tilde={sigma_tilde}: {failed}"
+        verify.prop_inclusions_tiny(SmallConfig(sigma_tilde=sigma_tilde))
 
 
 def test_criterion_07_structural_properties():
-    # Gram factors couple only neighbours in one coordinate: at most two
-    # off-diagonal entries per row and an identically zero diagonal.
-    S = multiindex.build_index_set(8, 6)
-    for family in (orthopoly.LEGENDRE, orthopoly.HERMITE):
-        for m in range(1, 9):
-            G = gram.gram_linear(m, S, family).tocsr()
-            assert np.all(np.diff(G.indptr) <= 2)
-            assert np.all(G.diagonal() == 0)
-            L = gram.split_lower(G)
-            assert (L + L.T != G).nnz == 0
-            assert np.all(np.diff(L.tocsr().indptr) <= 1)
-            assert np.all(np.diff(L.tocsc().indptr) <= 1)
+    # Gram factors couple only neighbours in one coordinate (at most two
+    # off-diagonal entries per row, a zero diagonal), and each block row of
+    # the affine system matrix holds at most 2M+1 blocks.
+    verify.prop_gram_structure()
+    verify.prop_block_row_count(SmallConfig(M=4, k=3))
 
-    # Each block row of the affine system matrix holds at most 2M+1 blocks.
-    mesh = fem2d.build_mesh(2)
-    op, _, _ = kronsys.build_affine_system(mesh, M=4, k=3, sigma_tilde=2.0)
-    ny, nx = op.ny, op.nx
-    blocks = kronsys.assemble_dense(op).reshape(ny, nx, ny, nx)
-    block_counts = np.count_nonzero(np.abs(blocks).max(axis=(1, 3)) > 0, axis=1)
-    assert np.all(block_counts <= 2 * 4 + 1)
-
-    # The block Gauss-Seidel application inverts (D + L) D^-1 (D + L)^T.
-    op, _, _ = kronsys.build_affine_system(mesh, M=3, k=2, sigma_tilde=2.0)
-    ny, nx = op.ny, op.nx
-    K0 = op.terms[0][1].toarray()
-    D = np.kron(np.eye(ny), K0)
-    Lmat = np.zeros_like(D)
-    for G_m, K_m in op.terms[1:3]:
-        Lmat += np.kron(
-            np.tril(G_m.toarray(), -1), K_m.toarray()
-        )
-    P_dense = (D + Lmat) @ np.linalg.solve(D, (D + Lmat).T)
-    P = precond.build_sbgs_affine(
-        precond.factor_spd(op.terms[0][1]), op.terms[1:3], ny, nx
-    )
-    applied = np.column_stack([P.apply_inverse(col) for col in P_dense.T])
-    np.testing.assert_allclose(applied, np.eye(ny * nx), atol=1e-10)
-
-    # Lognormal variant of the same identity, and definiteness: the sweep
-    # stays positive definite even where the plain truncation is indefinite.
-    _, _, ctx = kronsys.build_lognormal_system(
-        mesh, M=3, k=3, N=6, sigma_tilde=2.0, alpha_bar=0.547
-    )
-    terms = ctx.leading_terms(3)
-    ny = len(ctx.index_set)
-    D = np.zeros((ny * nx, ny * nx))
-    Lmat = np.zeros_like(D)
-    for t in terms:
-        if t.G is None:
-            continue
-        Gd = t.G.toarray()
-        Kd = t.K.toarray()
-        D += np.kron(np.diag(np.diag(Gd)), Kd)
-        Lmat += np.kron(np.tril(Gd, -1), Kd)
-    P_dense = (D + Lmat) @ np.linalg.solve(D, (D + Lmat).T)
-    P = precond.build_sbgs_lognormal(terms, ny, nx)
-    applied = np.column_stack([P.apply_inverse(col) for col in P_dense.T])
-    np.testing.assert_allclose(applied, np.eye(ny * nx), atol=1e-10)
-
-    report = spectral.lognormal_spd_report(ctx, nx, r_values=range(6))
-    sbgs = [c for c in report if c.claim == "sbgs_spd"]
-    trunc = [c for c in report if c.claim == "trunc_spd"]
-    assert all(c.passed and c.observed_lo > 0 for c in sbgs)
-    assert any(not c.applicable for c in trunc)
+    # The block Gauss-Seidel application inverts (D + L) D^-1 (D + L)^T,
+    # affine and lognormal, and the lognormal sweep stays positive definite
+    # even where the plain truncation is indefinite.
+    verify.prop_sbgs_identity(SmallConfig(r=2))
+    lognormal = SmallConfig("lognormal", k=3, r=3)
+    verify.prop_sbgs_identity(lognormal)
+    verify.prop_sbgs_lognormal_spd(replace(lognormal, r=5))
+    _, _, ctx = lognormal.build()
+    report = spectral.lognormal_spd_report(ctx, fem2d.build_mesh(2).n_interior, range(6))
+    assert any(not c.applicable for c in report if c.claim == "trunc_spd")
 
 
 def test_criterion_08_independent_oracles():
-    rng = np.random.default_rng(42)
-    mesh = fem2d.build_mesh(2)
-
-    # Kronecker-structured matvec against the densely assembled matrix.
-    op_a, _, _ = kronsys.build_affine_system(mesh, M=3, k=2, sigma_tilde=2.0)
-    op_l, _, _ = kronsys.build_lognormal_system(
-        mesh, M=3, k=3, N=6, sigma_tilde=2.0, alpha_bar=0.547
-    )
-    for op in (op_a, op_l):
-        dense = kronsys.assemble_dense(op)
-        for _ in range(20):
-            v = rng.standard_normal(op.dim)
-            np.testing.assert_allclose(op.matvec(v), dense @ v, rtol=1e-12, atol=1e-12)
-
-    # Gram entries against a full tensor quadrature over all parameters.
-    S = multiindex.build_index_set(2, 2)
-    leg_nodes, leg_weights = np.polynomial.legendre.leggauss(8)
-    her_nodes, her_weights = np.polynomial.hermite_e.hermegauss(12)
-    rules = {
-        orthopoly.LEGENDRE: (leg_nodes, leg_weights / 2.0),
-        orthopoly.HERMITE: (her_nodes, her_weights / np.sqrt(2.0 * np.pi)),
-    }
-    for family, (nodes, weights) in rules.items():
-        y1, y2 = np.meshgrid(nodes, nodes, indexing="ij")
-        w = np.outer(weights, weights)
-        for m in (1, 2):
-            G = gram.gram_linear(m, S, family).toarray()
-            y_m = (y1, y2)[m - 1]
-            for j, aj in enumerate(S.indices):
-                pj = orthopoly.evaluate(family, aj[0], y1) * orthopoly.evaluate(
-                    family, aj[1], y2
-                )
-                for t, at in enumerate(S.indices):
-                    pt = orthopoly.evaluate(family, at[0], y1) * orthopoly.evaluate(
-                        family, at[1], y2
-                    )
-                    ref = float(np.sum(w * y_m * pj * pt))
-                    assert abs(G[j, t] - ref) < 1e-12
-
-    # Kronecker-product coefficient matrix against the explicit
-    # least-squares solution of the Frobenius fitting problem.
-    K0 = op_a.terms[0][1].toarray()
-    ny, nx = op_a.ny, op_a.nx
-    blocks = kronsys.assemble_dense(op_a).reshape(ny, nx, ny, nx)
-    G_ref = np.einsum("jatb,ab->jt", blocks, K0) / np.sum(K0 * K0)
-    P = precond.build_kron(op_a.terms)
-    np.testing.assert_allclose(P.G, G_ref, atol=1e-10)
-
-    # Lognormal expansion coefficients against per-parameter Gauss-Hermite
+    # Kronecker-structured matvec against the densely assembled matrix,
+    # Gram entries against a full tensor quadrature over all parameters,
+    # the Kronecker-product coefficient matrix against the explicit
+    # least-squares solution of the Frobenius fitting problem, and the
+    # lognormal expansion coefficients against per-parameter Gauss-Hermite
     # quadrature of E[exp(b) psi_alpha].
-    b0 = fem2d.fourier_coefficient(0, 2.0, 0.547)
-    b_fields = [fem2d.fourier_coefficient(m, 2.0, 0.547) for m in range(1, 4)]
-    nodes, weights = np.polynomial.hermite_e.hermegauss(48)
-    weights = weights / np.sqrt(2.0 * np.pi)
-    x1, x2 = np.meshgrid(np.linspace(0, 1, 5), np.linspace(0, 1, 5), indexing="ij")
-    for alpha in [(0, 0, 0), (1, 0, 0), (2, 1, 0), (1, 1, 2)]:
-        field = fem2d.lognormal_expansion_coeff(alpha, b_fields, b0)
-        ref = np.exp(b0(x1, x2))
-        for m, b in enumerate(b_fields):
-            a_m = alpha[m] if m < len(alpha) else 0
-            c = b(x1, x2)[..., None]
-            poly = orthopoly.evaluate(orthopoly.HERMITE, a_m, nodes)
-            ref = ref * np.sum(weights * poly * np.exp(c * nodes), axis=-1)
-        np.testing.assert_allclose(field(x1, x2), ref, atol=1e-10)
+    verify.prop_matvec_vs_dense(SmallConfig())
+    verify.prop_matvec_vs_dense(SmallConfig("lognormal", k=3))
+    verify.prop_gram_vs_quadrature()
+    verify.prop_kron_frobenius_lsq()
+    verify.prop_lognormal_coeff_quadrature()

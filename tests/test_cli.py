@@ -316,6 +316,10 @@ class TestRunCommand:
             {"problem": "helmholtz"},
             {"alpha_bar_mode": "bogus"},
             {"seed": 1},
+            {"sigma_tilde": 1.0},
+            {"mesh_level": 0},
+            {"M": 0},
+            {"k": -1},
         ],
     )
     def test_invalid_configs_exit_1(self, tmp_path, mutate, capsys):
@@ -323,7 +327,9 @@ class TestRunCommand:
         cfg_dict.update(mutate)
         cfg = write_config(tmp_path / "cfg.json", cfg_dict)
         assert cli.main(["run", cfg]) == 1
-        assert capsys.readouterr().err.startswith("run:")
+        captured = capsys.readouterr()
+        assert captured.err.startswith("run: invalid config:")
+        assert captured.out == ""
 
     def test_usage_errors_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", tiny_affine_config())
@@ -426,6 +432,7 @@ class TestSpectrumCommand:
             {"problem": "lognormal", "mesh_level": 1, "M": 4, "N": 3},
             {"decay": ["fast", "slow"]},
             {"k": [1, 2]},
+            {"sigma_tilde": 0.5},
         ):
             cfg = spectrum_config(tmp_path, **bad)
             assert cli.main(["spectrum", cfg]) == 1

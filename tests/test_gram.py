@@ -1,5 +1,4 @@
 import math
-from itertools import product
 
 import numpy as np
 import pytest
@@ -18,20 +17,18 @@ def tensor_gram_oracle(m, S, family, n_quad=24):
     else:
         y, w = np.polynomial.hermite_e.hermegauss(n_quad)
         w = w / math.sqrt(2.0 * math.pi)
-    n = len(S)
-    G = np.zeros((n, n))
-    pts = list(product(range(n_quad), repeat=S.M))
-    for j, alpha in enumerate(S.indices):
-        for t, beta in enumerate(S.indices):
-            total = 0.0
-            for combo in pts:
-                yv = y[list(combo)]
-                wv = np.prod(w[list(combo)])
-                pj = np.prod([evaluate(family, a, yv[s]) for s, a in enumerate(alpha)])
-                pt = np.prod([evaluate(family, b, yv[s]) for s, b in enumerate(beta)])
-                total += wv * yv[m - 1] * pj * pt
-            G[j, t] = total
-    return G
+    vals = np.array([evaluate(family, d, y) for d in range(S.k + 1)])
+    idx = np.asarray(S.indices)
+    # psi_j, and the weight times y_m, on the n_quad^M tensor grid.
+    psi = np.ones((len(S),) + (n_quad,) * S.M)
+    weight = np.ones((n_quad,) * S.M)
+    for s in range(S.M):
+        axis = [1] * S.M
+        axis[s] = n_quad
+        psi = psi * vals[idx[:, s]].reshape(len(S), *axis)
+        weight = weight * (w * y if s == m - 1 else w).reshape(axis)
+    psi = psi.reshape(len(S), -1)
+    return (psi * weight.ravel()) @ psi.T
 
 
 def dense_gram_general(alpha, S):

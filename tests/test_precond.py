@@ -2,14 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sgkron import precond
+from sgkron import precond, verify
 from sgkron.fem2d import assemble_stiffness, build_mesh, fourier_coefficient
-from sgkron.kronsys import (
-    assemble_dense,
-    build_affine_system,
-    build_lognormal_system,
-    matvec,
-)
+from sgkron.kronsys import assemble_dense, build_affine_system, build_lognormal_system
 from sgkron.pcg import SolverConfig, pcg_solve
 from sgkron.precond import (
     CholeskyFactor,
@@ -19,8 +14,8 @@ from sgkron.precond import (
     build_sbgs_affine,
     build_sbgs_lognormal,
     build_trunc_exact,
-    factor_spd,
 )
+from sgkron.verify import SmallConfig
 
 
 def tiny_affine(level=2, M=3, k=2, sigma=2.0):
@@ -31,13 +26,6 @@ def tiny_lognormal(level=2, M=3, k=3, N=6):
     return build_lognormal_system(
         build_mesh(level), M=M, k=k, N=N, sigma_tilde=2.0, alpha_bar=0.547
     )
-
-
-def sbgs_dense(pairs):
-    """(D + L) D^{-1} (D + L^T) assembled from the pair list."""
-    D = sum(np.kron(np.diag(G.diagonal()), K.toarray()) for G, K in pairs)
-    L = sum(np.kron(sp.tril(G, k=-1).toarray(), K.toarray()) for G, K in pairs)
-    return (D + L) @ np.linalg.solve(D, (D + L).T)
 
 
 def dense_apply_inverse(P, n):
@@ -59,16 +47,6 @@ class TestCholeskyFactor:
         b = np.array([1.0, -2.0])
         np.testing.assert_allclose(factor.solve(b), np.linalg.solve(A, b), rtol=1e-14)
 
-    def test_hand_example_lower_factor(self):
-        # L L^T reproduces the (permuted) input; reference L = [[2,0],[1,sqrt(2)]].
-        A = np.array([[4.0, 2.0], [2.0, 3.0]])
-        factor = CholeskyFactor(sp.csc_matrix(A))
-        L = factor.lower_factor().toarray()
-        p = factor.permutation
-        np.testing.assert_allclose(L @ L.T, A[np.ix_(p, p)], atol=1e-14)
-        if np.array_equal(p, [0, 1]):
-            np.testing.assert_allclose(L, [[2.0, 0.0], [1.0, np.sqrt(2.0)]], atol=1e-14)
-
     def test_indefinite_rejected(self):
         with pytest.raises(NotPositiveDefiniteError):
             CholeskyFactor(sp.csc_matrix(np.array([[1.0, 2.0], [2.0, 1.0]])))
@@ -85,12 +63,9 @@ class TestCholeskyFactor:
         rng = np.random.default_rng(42)
         R = rng.standard_normal((30, 30))
         A = R.T @ R + 30.0 * np.eye(30)
-        factor = factor_spd(sp.csc_matrix(A))
+        factor = CholeskyFactor(sp.csc_matrix(A))
         b = rng.standard_normal(30)
         np.testing.assert_allclose(factor.solve(b), np.linalg.solve(A, b), rtol=1e-10)
-        L = factor.lower_factor().toarray()
-        p = factor.permutation
-        np.testing.assert_allclose(L @ L.T, A[np.ix_(p, p)], atol=1e-9)
 
     def test_multi_rhs_solve(self):
         rng = np.random.default_rng(42)
@@ -149,18 +124,6 @@ class TestMeanBased:
 
 
 class TestKroneckerProduct:
-    def test_g_matches_frobenius_least_squares(self):
-        # Brute-force oracle: per parametric block (j,t), the optimal G entry
-        # is <A_jt, K0>_F / <K0, K0>_F.
-        op, _, _ = tiny_affine()
-        A = assemble_dense(op)
-        K0 = op.terms[0][1].toarray()
-        ny, nx = op.ny, op.nx
-        blocks = A.reshape(ny, nx, ny, nx)
-        G_ref = np.einsum("jatb,ab->jt", blocks, K0) / np.sum(K0 * K0)
-        P = build_kron(op.terms)
-        np.testing.assert_allclose(P.G, G_ref, atol=1e-10)
-
     def test_apply_inverse(self):
         op, _, _ = tiny_affine()
         P = build_kron(op.terms)
@@ -197,7 +160,7 @@ class TestTruncExact:
         P = build_trunc_exact(op.terms, 3, op.ny, op.nx)
         x, report = pcg_solve(op, P, f, SolverConfig(tol=1e-10))
         assert report.iterations == 1
-        np.testing.assert_allclose(matvec(op, x), f, atol=1e-10 * np.linalg.norm(f))
+        np.testing.assert_allclose(op.matvec(x), f, atol=1e-10 * np.linalg.norm(f))
 
     def test_r_beyond_m_clamps(self):
         op, f, _ = tiny_affine(M=3)
@@ -209,9 +172,7 @@ class TestTruncExact:
         op, _, _ = tiny_affine()
         for r in (0, 1, 2):
             P = build_trunc_exact(op.terms, r, op.ny, op.nx)
-            P_dense = sum(
-                np.kron(G.toarray(), K.toarray()) for G, K in op.terms[: r + 1]
-            )
+            P_dense = assemble_dense(op.terms[: r + 1])
             rng = np.random.default_rng(42)
             v = rng.standard_normal(op.dim)
             np.testing.assert_allclose(
@@ -274,7 +235,7 @@ class TestTruncExact:
         pairs = ((sp.identity(4, format="csr"), K0), (G1, K0))
         P = build_trunc_exact(pairs, 1, 4, K0.shape[0])
         assert P.distinct_factor_count == 2
-        P_dense = sum(np.kron(G.toarray(), K.toarray()) for G, K in pairs)
+        P_dense = assemble_dense(pairs)
         v = np.random.default_rng(42).standard_normal(P_dense.shape[0])
         np.testing.assert_allclose(P.apply_inverse(v), np.linalg.solve(P_dense, v), rtol=1e-12)
 
@@ -287,7 +248,7 @@ class TestTruncExact:
         assert P.distinct_factor_count == 1
         rng = np.random.default_rng(42)
         v = rng.standard_normal(op.dim)
-        P_dense = sum(np.kron(G.toarray(), K.toarray()) for G, K in op.terms[:3])
+        P_dense = assemble_dense(op.terms[:3])
         np.testing.assert_allclose(P.apply_inverse(v), np.linalg.solve(P_dense, v), rtol=1e-9)
 
     def test_indefinite_truncation_rejected_direct(self):
@@ -299,50 +260,9 @@ class TestTruncExact:
 
 
 class TestSbgsAffine:
-    def test_dense_identity(self):
-        # apply_inverse inverts (D + L) D^{-1} (D + L^T) with
-        # D = I (x) K0 and L = sum_m tril(G_m) (x) K_m, to 1e-10.
-        from sgkron.gram import split_lower
-
-        op, _, _ = tiny_affine()
-        K0 = op.terms[0][1]
-        P = build_sbgs_affine(K0, op.terms[1:], op.ny, op.nx)
-        assert P.label == "sbgs" and P.r == len(op.terms) - 1
-
-        D = np.kron(np.eye(op.ny), K0.toarray())
-        L = sum(
-            np.kron(split_lower(G).toarray(), K.toarray()) for G, K in op.terms[1:]
-        )
-        P_dense = (D + L) @ np.linalg.solve(D, (D + L).T)
-        rng = np.random.default_rng(42)
-        for _ in range(3):
-            x = rng.standard_normal(op.dim)
-            np.testing.assert_allclose(
-                P.apply_inverse(P_dense @ x), x, atol=1e-10 * np.linalg.norm(x)
-            )
-
-    def test_splitting_formula(self):
-        # P_tilde = P_r + S_r D0^{-1} S_r^T with S_r the strictly lower part.
-        from sgkron.gram import split_lower
-
-        op, _, _ = tiny_affine()
-        K0 = op.terms[0][1].toarray()
-        r = 2
-        P_r = sum(np.kron(G.toarray(), K.toarray()) for G, K in op.terms[: r + 1])
-        S_r = sum(
-            np.kron(split_lower(G).toarray(), K.toarray())
-            for G, K in op.terms[1 : r + 1]
-        )
-        D0 = np.kron(np.eye(op.ny), K0)
-        formula = P_r + S_r @ np.linalg.solve(D0, S_r.T)
-
-        P = build_sbgs_affine(op.terms[0][1], op.terms[1 : r + 1], op.ny, op.nx)
-        P_applied = np.linalg.inv(dense_apply_inverse(P, op.dim))
-        np.testing.assert_allclose(P_applied, formula, atol=1e-9)
-
     def test_reuses_callers_k0_factor(self, monkeypatch):
         op, _, _ = tiny_affine()
-        K0_factor = factor_spd(op.terms[0][1])
+        K0_factor = CholeskyFactor(op.terms[0][1])
         built = []
         init = CholeskyFactor.__init__
 
@@ -372,7 +292,7 @@ class TestSbgsAffine:
 
         op, _, ctx = tiny_affine()
         r = 2
-        P_r = sum(np.kron(G.toarray(), K.toarray()) for G, K in op.terms[: r + 1])
+        P_r = assemble_dense(op.terms[: r + 1])
         P = build_sbgs_affine(op.terms[0][1], op.terms[1 : r + 1], op.ny, op.nx)
         P_tilde = np.linalg.inv(dense_apply_inverse(P, op.dim))
         lo, hi = eig_range(P_r, P_tilde)
@@ -385,22 +305,16 @@ class TestSbgsAffine:
 
 class TestSbgsLognormal:
     def test_dense_identity(self):
-        op, _, ctx = tiny_lognormal()
-        rng = np.random.default_rng(42)
+        _, _, ctx = tiny_lognormal()
         for r in (3, 4):
-            terms = ctx.leading_terms(r)
-            P = build_sbgs_lognormal(terms, op.ny, op.nx)
-            pairs = [(t.G, t.K) for t in terms if t.G is not None]
+            pairs = [(t.G, t.K) for t in ctx.leading_terms(r) if t.G is not None]
             # At r = 4 the term alpha = (1, 1, 0) couples one block to two
             # lower sources, so a sweep step meets one target twice per term.
             max_row_couplings = max(
                 np.diff(sp.tril(G, k=-1).tocsr().indptr).max() for G, _ in pairs
             )
             assert max_row_couplings == (2 if r == 4 else 1)
-            x = rng.standard_normal(op.dim)
-            np.testing.assert_allclose(
-                P.apply_inverse(sbgs_dense(pairs) @ x), x, atol=1e-10 * np.linalg.norm(x)
-            )
+            verify.prop_sbgs_identity(SmallConfig("lognormal", k=3, r=r))
 
     def test_backward_sweep_solves_receiving_blocks_only(self, monkeypatch):
         # The forward sweep solves every block once, the backward sweep only
@@ -430,7 +344,7 @@ class TestSbgsLognormal:
         op, _, ctx = tiny_lognormal()
         terms = ctx.leading_terms(1)
         pairs = [(t.G, t.K) for t in terms if t.G is not None]
-        P_r = sum(np.kron(G.toarray(), K.toarray()) for G, K in pairs)
+        P_r = assemble_dense(pairs)
         assert np.linalg.eigvalsh(P_r).min() < 0
 
         P = build_sbgs_lognormal(terms, op.ny, op.nx)
@@ -456,7 +370,7 @@ class TestSbgsLognormal:
         P = build_sbgs_lognormal(ctx.leading_terms(2), op.ny, op.nx)
         x, report = pcg_solve(op, P, f)
         assert report.converged
-        np.testing.assert_allclose(matvec(op, x), f, atol=1e-5 * np.linalg.norm(f))
+        np.testing.assert_allclose(op.matvec(x), f, atol=1e-5 * np.linalg.norm(f))
 
 
 def _random_sbgs_configs(n, seed=20240):
@@ -475,24 +389,5 @@ def _random_sbgs_configs(n, seed=20240):
 
 @pytest.mark.parametrize("problem, level, M, k, r", _random_sbgs_configs(8))
 def test_sbgs_random_dense_oracle(problem, level, M, k, r):
-    # One engine, both splittings: apply_inverse inverts the assembled
-    # (D + L) D^{-1} (D + L^T) of the leading pair list.
-    mesh = build_mesh(level)
-    try:
-        if problem == "affine":
-            op, _, _ = build_affine_system(mesh, M=M, k=k, sigma_tilde=2.0)
-            pairs = op.terms[: r + 1]
-            P = build_sbgs_affine(pairs[0][1], pairs[1:], op.ny, op.nx)
-        else:
-            op, _, ctx = build_lognormal_system(
-                mesh, M=M, k=k, N=6, sigma_tilde=2.0, alpha_bar=0.547
-            )
-            terms = ctx.leading_terms(r)
-            pairs = [(t.G, t.K) for t in terms if t.G is not None]
-            P = build_sbgs_lognormal(terms, op.ny, op.nx)
-    except NotPositiveDefiniteError:
-        pytest.skip("splitting reported not SPD")
-    x = np.random.default_rng(42).standard_normal(op.dim)
-    np.testing.assert_allclose(
-        P.apply_inverse(sbgs_dense(pairs) @ x), x, atol=1e-10 * np.linalg.norm(x)
-    )
+    # One engine, both splittings, at fixed random configurations.
+    verify.prop_sbgs_identity(SmallConfig(problem, level, M, k, r, N=6))

@@ -1,41 +1,81 @@
-"""Randomized properties over small affine and lognormal configurations."""
+"""The property catalogue of ``sgkron.verify``, and randomized properties.
 
+Catalogue properties that build a tiny system run on drawn configurations
+(levels 1-2, M <= 4, k <= 3, N = M + 2 for lognormal) and on an
+``@example`` for the configuration of each test they took over; the other
+catalogue properties run once each.
+"""
+
+import inspect
 from unittest.mock import patch
 
 import numpy as np
+import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from sgkron import precond
+from sgkron import precond, verify
 from sgkron.fem2d import build_mesh
-from sgkron.kronsys import (
-    KroneckerSumOperator,
-    assemble_sparse,
-    build_affine_system,
-    build_lognormal_system,
-)
+from sgkron.kronsys import assemble_dense, build_affine_system, build_lognormal_system
+from sgkron.verify import AFFINE, LOGNORMAL, SmallConfig
+
+CATALOGUE = dict(verify.PROPERTIES)
+TAKES_CONFIG = {n for n, prop in CATALOGUE.items() if inspect.signature(prop).parameters}
 
 
-@settings(max_examples=30, deadline=None, database=None)
-@given(
-    problem=st.sampled_from(["affine", "lognormal"]),
-    level=st.integers(1, 2),
-    M=st.integers(1, 4),
-    k=st.integers(1, 3),
-    sigma=st.sampled_from([2.0, 4.0]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_matvec_equals_assembled_sparse(problem, level, M, k, sigma, seed):
-    mesh = build_mesh(level)
-    if problem == "affine":
-        op, _, _ = build_affine_system(mesh, M=M, k=k, sigma_tilde=sigma)
-    else:
-        op, _, _ = build_lognormal_system(
-            mesh, M=M, k=k, N=M + 2, sigma_tilde=sigma, alpha_bar=0.547
-        )
-    v = np.random.default_rng(seed).standard_normal(op.dim)
-    ref = assemble_sparse(op) @ v
-    assert np.linalg.norm(op.matvec(v) - ref) <= 1e-13 * np.linalg.norm(ref)
+def configs(*problems):
+    def config(problem, level, M, k, r, seed, sigma_tilde):
+        r = min(r, M) if problem == "affine" else r
+        return SmallConfig(problem, level, M, k, r, seed, sigma_tilde, N=M + 2)
+
+    return st.builds(
+        config,
+        problem=st.sampled_from(problems),
+        level=st.integers(1, 2),
+        M=st.integers(1, 4),
+        k=st.integers(0, 3),
+        r=st.integers(0, 5),
+        seed=st.integers(0, 2**32 - 1),
+        sigma_tilde=st.sampled_from([2.0, 4.0]),
+    )
+
+
+def drawn(name, problems, *pins):
+    """The hypothesis test of a config-taking property, pins included."""
+
+    def test(cfg):
+        CATALOGUE[name](cfg)
+
+    test = given(cfg=configs(*problems))(test)
+    for pin in pins:
+        test = example(cfg=pin)(test)
+    test = settings(max_examples=20, deadline=None, database=None)(test)
+    test.__name__ = f"test_{name}"
+    return test
+
+
+BOTH = ("affine", "lognormal")
+test_matvec_vs_dense = drawn("matvec_vs_dense", BOTH, AFFINE, LOGNORMAL)
+test_block_row_count = drawn("block_row_count", ("affine",))
+test_load_structure = drawn("load_structure", BOTH)
+test_trunc_full_equals_system = drawn("trunc_full_equals_system", BOTH)
+test_sbgs_identity = drawn("sbgs_identity", BOTH, AFFINE, SmallConfig(r=2))
+test_sbgs_lognormal_spd = drawn("sbgs_lognormal_spd", ("lognormal",))
+test_kron_frobenius_lsq = drawn("kron_frobenius_lsq", BOTH, AFFINE)
+test_pcg_exact_preconditioner = drawn("pcg_exact_preconditioner", BOTH)
+test_pcg_deterministic = drawn("pcg_deterministic", BOTH)
+test_condition_estimate = drawn("condition_estimate", BOTH, AFFINE)
+test_inclusions_tiny = drawn("inclusions_tiny", ("affine",))
+test_kappa_within_bound = drawn("kappa_within_bound", ("affine",))
+
+
+def test_every_config_property_is_drawn():
+    assert TAKES_CONFIG == {n for n in CATALOGUE if f"test_{n}" in globals()}
+
+
+@pytest.mark.parametrize("name", [n for n in CATALOGUE if n not in TAKES_CONFIG])
+def test_catalogue_property(name):
+    CATALOGUE[name]()
 
 
 @settings(max_examples=30, deadline=None, database=None)
@@ -69,8 +109,7 @@ def test_trunc_exact_equals_dense_solve(problem, level, M, k, r, cut, seed):
             mesh, M=M, k=k, N=M + 2, sigma_tilde=2.0, alpha_bar=0.547
         )
         pairs = [(t.G, t.K) for t in ctx.leading_terms(r) if t.G is not None]
-    P_r = assemble_sparse(KroneckerSumOperator(terms=tuple(pairs), ny=op.ny, nx=op.nx))
-    P_r = P_r.toarray()
+    P_r = assemble_dense(pairs)
     if problem == "lognormal" and np.linalg.eigvalsh(P_r)[0] <= 0.0:
         reject()
     v = np.random.default_rng(seed).standard_normal(op.dim)
