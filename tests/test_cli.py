@@ -84,6 +84,30 @@ class TestRunCommand:
         assert captured.out.startswith(cli.CSV_HEADER + "\n")
         assert len(captured.out.strip().split("\n")) == 5
 
+    @pytest.mark.parametrize(
+        "overrides, r_cells",
+        [
+            ({"preconditioners": ["trunc_exact 5", "sbgs 5"]}, ["5", "2"]),
+            (
+                {
+                    "problem": "lognormal", "sigma_tilde": 2.0, "alpha_bar_mode": 0.547,
+                    "M": 2, "N": 4, "k": 1, "preconditioners": ["trunc_exact 9", "sbgs 9"],
+                },
+                ["9", "5"],
+            ),
+        ],
+    )
+    def test_r_column_beyond_the_expansion(self, tmp_path, overrides, r_cells):
+        # An index past the last expansion term: trunc_exact reports the
+        # requested r, sbgs the index of its last term (affine M = 2; the
+        # lognormal expansion over I_2^2 has six terms).
+        cfg = write_config(tmp_path / "cfg.json", tiny_affine_config(**overrides))
+        out = tmp_path / "out.csv"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert [r[COL["r"]] for r in rows] == r_cells
+        assert rows[0][COL["iterations"]] == "1"  # the whole system
+
     def test_sigma_tilde_labels_decay_column(self, tmp_path):
         cfg_dict = tiny_affine_config(sigma_tilde=2.0, preconditioners=["mean"])
         del cfg_dict["decay"]
