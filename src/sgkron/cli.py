@@ -186,32 +186,22 @@ def _parse_run_config(cfg: dict):
 
 
 def _build_system(cell: Cell):
-    mesh = fem2d.build_mesh(cell.level)
-    if cell.problem == "affine":
-        return kronsys.build_affine_system(
-            mesh, M=cell.M, k=cell.k, sigma_tilde=cell.sigma_tilde, alpha_bar_mode=cell.alpha_bar
-        )
-    return kronsys.build_lognormal_system(
-        mesh, M=cell.M, k=cell.k, N=cell.N,
-        sigma_tilde=cell.sigma_tilde, alpha_bar=cell.alpha_bar,
+    return kronsys.build_system(
+        cell.problem, cell.level, cell.M, cell.k, cell.sigma_tilde, cell.alpha_bar, cell.N
     )
 
 
 def _build_preconditioner(kind, r, op, ctx, K0_factor):
-    ny, nx = op.ny, op.nx
     if kind == "mean":
-        return precond.build_mean_based(K0_factor, ny)
+        return precond.build_mean_based(K0_factor, op.ny)
     if kind == "kron":
         return precond.build_kron(op.terms, K0_factor)
-    if isinstance(ctx, kronsys.LognormalContext):
-        terms = ctx.leading_terms(r)
-        if kind == "sbgs":
-            return precond.build_sbgs_lognormal(terms, ny, nx)
-        pairs = [(t.G, t.K) for t in terms if t.G is not None]
-        return precond.build_trunc_exact(pairs, r, ny, nx)
-    if kind == "sbgs":
-        return precond.build_sbgs_affine(K0_factor, op.terms[1 : r + 1], ny, nx)
-    return precond.build_trunc_exact(op.terms, r, ny, nx)
+    pairs = op.terms[: ctx.lead(r)]
+    if kind == "trunc_exact":
+        return precond.build_trunc_exact(pairs, r, op.ny, op.nx)
+    if isinstance(ctx, kronsys.AffineContext):
+        return precond.build_sbgs_affine(K0_factor, pairs, op.ny, op.nx)
+    return precond.build_sbgs_lognormal(pairs, op.ny, op.nx)
 
 
 def _format_row(cell: Cell, label, r_cell, it, conv, relres, setup_s, solve_s, n) -> str:
@@ -425,7 +415,7 @@ def cmd_spectrum(config_path, out_path, full) -> int:
         if not full:
             checks = [c for c in checks if c.claim in THEOREM_CLAIMS]
     else:
-        checks = spectral.lognormal_spd_report(ctx, op.nx, r_values)
+        checks = spectral.lognormal_spd_report(op, ctx, r_values)
 
     lines = [SPECTRUM_HEADER]
     width = max(len(c.claim) for c in checks)

@@ -108,7 +108,8 @@ class KroneckerSumOperator:
         return out.ravel()
 
 
-def _is_identity(G: sp.csr_matrix) -> bool:
+def _is_identity(G) -> bool:
+    G = sp.csr_matrix(G)
     n = G.shape[0]
     return (
         G.nnz == n
@@ -212,13 +213,10 @@ def assemble_sparse(terms) -> sp.csc_matrix:
 class AffineContext:
     index_set: MultiIndexSet
     mesh: UniformMesh
-    fields: tuple[CoefficientField, ...]  # a_0 .. a_M
     norm_table: tuple[float, ...]  # ||a_m||_inf for m = 1..M
     tau_table: tuple[float, ...]  # tau_0 .. tau_M
     a0_min: float
     a0_max: float
-    sigma_tilde: float
-    alpha_bar: float
 
     @property
     def tau(self) -> float:
@@ -228,24 +226,21 @@ class AffineContext:
     def sum_norms(self, r: int) -> float:
         return float(sum(self.norm_table[:r]))
 
+    def lead(self, r: int) -> int:
+        """Number of leading ``op.terms`` in P_r: min(r, M) + 1."""
+        if r < 0:
+            raise ValueError("truncation index r must be >= 0")
+        return min(r, len(self.norm_table)) + 1
+
 
 def build_affine_system(
-    mesh: UniformMesh,
-    M: int,
-    k: int,
-    sigma_tilde: float,
-    alpha_bar_mode: float | str = "auto",
+    mesh: UniformMesh, M: int, k: int, sigma_tilde: float, alpha_bar: float
 ) -> tuple[KroneckerSumOperator, np.ndarray, AffineContext]:
     """Assemble A = G_0 (x) K_0 + sum_{m<=M} G_m (x) K_m and the load vector.
 
     The right-hand side is nonzero only in the block of the zero
     multi-index (mean block), where it equals the FE load vector.
     """
-    if alpha_bar_mode == "auto":
-        alpha_bar = fem2d.auto_alpha_bar(sigma_tilde)
-    else:
-        alpha_bar = float(alpha_bar_mode)
-
     S = multiindex.build_index_set(M, k)
     fields = [fem2d.fourier_coefficient(m, sigma_tilde, alpha_bar) for m in range(M + 1)]
 
@@ -266,13 +261,10 @@ def build_affine_system(
     ctx = AffineContext(
         index_set=S,
         mesh=mesh,
-        fields=tuple(fields),
         norm_table=norm_table,
         tau_table=tau_table,
         a0_min=a0_min,
         a0_max=a0_max,
-        sigma_tilde=sigma_tilde,
-        alpha_bar=alpha_bar,
     )
     return op, f, ctx
 
@@ -285,9 +277,7 @@ def build_affine_system(
 class LognormalTerm:
     alpha: tuple[int, ...]
     magnitude: float  # ||a_alpha||_inf
-    G: sp.csr_matrix | None  # None when G_alpha is identically zero
-    K: sp.csr_matrix | None
-    even: bool
+    live: bool  # G_alpha is not identically zero, so the term is in op.terms
 
 
 @dataclass(frozen=True)
@@ -297,16 +287,13 @@ class LognormalContext:
     ordered_terms: tuple[LognormalTerm, ...]  # descending magnitude over I_{2k}^M
     b_fields: tuple[CoefficientField, ...]
     b0: CoefficientField
-    sigma_tilde: float
-    alpha_bar: float
-    N: int
 
-    def leading_terms(self, r: int) -> list[LognormalTerm]:
-        """The first r+1 expansion terms (truncation index counts all terms,
-        including any whose Gram factor vanishes identically)."""
+    def lead(self, r: int) -> int:
+        """Number of leading ``op.terms`` in P_r: the live terms among the
+        first r+1 expansion terms (r counts every expansion term)."""
         if r < 0:
             raise ValueError("truncation index r must be >= 0")
-        return [t for t in self.ordered_terms[: r + 1]]
+        return sum(t.live for t in self.ordered_terms[: r + 1])
 
 
 def _expansion_quad_values(mesh, alphas, b_fields, b0) -> np.ndarray:
@@ -346,7 +333,7 @@ def build_lognormal_system(
     taken from the decaying cosine family.  The Galerkin matrix is the sum
     of G_alpha (x) K_alpha over alpha in I_{2k}^M; identically zero Gram
     factors are dropped from the operator but kept in the ordered context
-    so truncation indices count expansion terms.
+    (not live) so truncation indices count expansion terms.
     """
     if M >= N:
         raise ValueError(f"lognormal truncation requires M < N, got M={M}, N={N}")
@@ -363,29 +350,30 @@ def build_lognormal_system(
     grams = [gram.gram_general(alpha, S) for alpha, _ in ordered]
     live = [i for i, G in enumerate(grams) if G.nnz]
     quad_values = _expansion_quad_values(mesh, [ordered[i][0] for i in live], b_fields, b0)
-    K_of = dict(zip(live, fem2d.assemble_from_quad_values(mesh, quad_values)))
+    Ks = fem2d.assemble_from_quad_values(mesh, quad_values)
     del quad_values  # released before the operator takes its SVD
 
-    terms: list[LognormalTerm] = []
-    for i, (alpha, magnitude) in enumerate(ordered):
-        K_a = K_of.get(i)
-        G_a = None if K_a is None else grams[i]
-        even = all(a % 2 == 0 for a in alpha)
-        terms.append(LognormalTerm(alpha=alpha, magnitude=magnitude, G=G_a, K=K_a, even=even))
-    op_terms = [(t.G, t.K) for t in terms if t.K is not None]
-
-    op = KroneckerSumOperator(terms=tuple(op_terms), ny=len(S), nx=mesh.n_interior)
+    op_terms = tuple((grams[i], K) for i, K in zip(live, Ks))
+    op = KroneckerSumOperator(terms=op_terms, ny=len(S), nx=mesh.n_interior)
     f = np.zeros(op.dim)
     f[: mesh.n_interior] = fem2d.assemble_load(mesh)
 
     ctx = LognormalContext(
         index_set=S,
         mesh=mesh,
-        ordered_terms=tuple(terms),
+        ordered_terms=tuple(LognormalTerm(a, m, G.nnz > 0) for (a, m), G in zip(ordered, grams)),
         b_fields=tuple(b_fields),
         b0=b0,
-        sigma_tilde=sigma_tilde,
-        alpha_bar=alpha_bar,
-        N=N,
     )
     return op, f, ctx
+
+
+def build_system(
+    problem: str, level: int, M: int, k: int, sigma_tilde: float, alpha_bar: float, N: int
+):
+    """The operator, load vector and context of one configuration (N is
+    read by the lognormal problem only)."""
+    mesh = fem2d.build_mesh(level)
+    if problem == "affine":
+        return build_affine_system(mesh, M, k, sigma_tilde, alpha_bar)
+    return build_lognormal_system(mesh, M, k, N, sigma_tilde, alpha_bar)

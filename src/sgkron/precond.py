@@ -34,8 +34,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from . import gram
-from .kronsys import KroneckerSumOperator, as_blocks, assemble_sparse, from_blocks
+from .kronsys import KroneckerSumOperator, _is_identity, as_blocks, assemble_sparse, from_blocks
 from .pcg import BreakdownError as _InnerBreakdown
 from .pcg import SolverConfig as _InnerConfig
 from .pcg import pcg_solve as _inner_solve
@@ -193,7 +192,7 @@ def build_kron(terms, K0_factor: CholeskyFactor | None = None) -> KroneckerProdu
         raise ValueError("empty term list")
     G0, K0 = terms[0]
     n = G0.shape[0]
-    if abs(G0 - sp.identity(n)).max() != 0.0:
+    if not _is_identity(G0):
         raise ValueError("leading term must have an identity parametric factor")
     denom = K0.multiply(K0).sum()
     G = np.zeros((n, n))
@@ -240,7 +239,8 @@ def _tail_blocks(Gs: list, ny: int) -> list[np.ndarray]:
 
 
 class TruncExactPreconditioner:
-    """Exact application of the truncation P_r (first r+1 ordered terms).
+    """Exact application of the truncation P_r = the sum of ``terms``, the
+    leading pairs ``op.terms[: ctx.lead(r)]``; r is reported, not read.
 
     The leading terms couple parametric indices only within the connected
     components of their G patterns: for the affine expansion the
@@ -260,7 +260,7 @@ class TruncExactPreconditioner:
     label = "trunc_exact"
 
     def __init__(self, terms, r: int, ny: int, nx: int):
-        used = tuple(terms)[: r + 1]
+        used = tuple(terms)
         if not used:
             raise ValueError("truncation needs at least one term")
         self.r = r
@@ -452,32 +452,26 @@ class PairBlockSbgs:
         return from_blocks(Z)
 
 
-def build_sbgs_affine(K0, terms, ny: int, nx: int) -> PairBlockSbgs:
-    """terms: the linear pairs (G_m, K_m) for m = 1..r (possibly empty).
+def build_sbgs_affine(K0, pairs, ny: int, nx: int) -> PairBlockSbgs:
+    """pairs: the leading pairs of P_r, I (x) K_0 and (G_m, K_m) for m <= r.
 
-    The lead I (x) K_0 and the hollow G_m make every diagonal block K_0,
+    The identity lead and the hollow G_m make every diagonal block K_0,
     so the caller's K_0 factor serves all of them.
     """
-    terms = list(terms)
-    if any(np.any(G.diagonal()) for G, _ in terms):
-        raise ValueError("affine SBGS terms need hollow parametric factors")
-    lead = (gram.gram_identity(ny), None)
-    return PairBlockSbgs([lead, *terms], ny, nx, factors={((0, 1.0),): _as_factor(K0)})
+    pairs = list(pairs)
+    if not pairs or not _is_identity(pairs[0][0]) or any(G.diagonal().any() for G, _ in pairs[1:]):
+        raise ValueError("affine SBGS needs the lead I (x) K_0 and hollow parametric factors")
+    return PairBlockSbgs(pairs, ny, nx, factors={((0, 1.0),): _as_factor(K0)})
 
 
-def build_sbgs_lognormal(terms, ny: int, nx: int) -> PairBlockSbgs:
-    """terms: magnitude-ordered term objects (alpha, G, K) for ell = 0..r.
+def build_sbgs_lognormal(pairs, ny: int, nx: int) -> PairBlockSbgs:
+    """pairs: the leading pairs of P_r, ``op.terms[: ctx.lead(r)]``.
 
-    The zero multi-index term must lead the truncation so that the mean
-    stiffness anchors every diagonal block (the condition under which the
-    splitting is provably SPD).  The truncation index r counts expansion
-    terms including any whose parametric factor vanishes identically.
+    The zero multi-index term, whose Gram factor is the identity, must lead
+    the truncation so that the mean stiffness anchors every diagonal block
+    (the condition under which the splitting is provably SPD).
     """
-    terms = list(terms)
-    if not terms:
-        raise ValueError("truncation needs at least one term")
-    if any(a != 0 for a in terms[0].alpha):
+    pairs = list(pairs)
+    if not pairs or not _is_identity(pairs[0][0]):
         raise ValueError("the zero multi-index term must lead the truncation")
-    P = PairBlockSbgs([(t.G, t.K) for t in terms if t.G is not None], ny, nx)
-    P.r = len(terms) - 1
-    return P
+    return PairBlockSbgs(pairs, ny, nx)

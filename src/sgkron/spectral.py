@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-
 import scipy.sparse as sp
 
-from .kronsys import KroneckerSumOperator, LognormalContext, assemble_dense
+from .kronsys import KroneckerSumOperator, assemble_dense
 from .precond import NotPositiveDefiniteError
 
 EIG_GUARD = 2000
@@ -171,9 +170,8 @@ def verify_inclusions(
     """
     if op.dim > EIG_GUARD:
         raise ValueError(f"verification refused at dimension {op.dim} > {EIG_GUARD}")
-    M = len(op.terms) - 1
     if r_values is None:
-        r_values = range(0, M + 1)
+        r_values = range(len(op.terms))
 
     A = assemble_dense(op.terms)
     K0 = op.terms[0][1].toarray()
@@ -188,7 +186,8 @@ def verify_inclusions(
 
     checks: list[InclusionCheck] = []
     for r in r_values:
-        r_eff = min(r, M)
+        pairs = op.terms[: ctx.lead(r)]
+        r_eff = len(pairs) - 1
         bounds = compute_bounds(
             r,
             ctx.a0_min,
@@ -197,8 +196,8 @@ def verify_inclusions(
             tau_r=ctx.tau_table[r_eff],
             sum_norms_r=ctx.sum_norms(r_eff),
         )
-        P_r = assemble_dense(op.terms[: r + 1])
-        P_sbgs, S_r = sbgs_dense(op.terms[: r + 1])
+        P_r = assemble_dense(pairs)
+        P_sbgs, S_r = sbgs_dense(pairs)
         S_tilde = np.kron(np.eye(ny), K0_isqrt) @ S_r @ np.kron(np.eye(ny), K0_isqrt)
 
         checks.append(
@@ -262,7 +261,7 @@ def verify_inclusions(
 
 
 def lognormal_spd_report(
-    ctx: LognormalContext, nx: int, r_values, slack: float = 1e-8
+    op: KroneckerSumOperator, ctx, r_values, slack: float = 1e-8
 ) -> list[InclusionCheck]:
     """Definiteness report for lognormal truncations at tiny scale.
 
@@ -270,13 +269,11 @@ def lognormal_spd_report(
     applicable.  The block Gauss-Seidel surrogate must be SPD for every r
     whenever the zero-index term leads the truncation.
     """
-    ny = len(ctx.index_set)
-    if ny * nx > EIG_GUARD:
-        raise ValueError(f"verification refused at dimension {ny * nx} > {EIG_GUARD}")
+    if op.dim > EIG_GUARD:
+        raise ValueError(f"verification refused at dimension {op.dim} > {EIG_GUARD}")
     checks: list[InclusionCheck] = []
     for r in r_values:
-        terms = ctx.leading_terms(r)
-        pairs = [(t.G, t.K) for t in terms if t.G is not None]
+        pairs = op.terms[: ctx.lead(r)]
         P_r = assemble_dense(pairs)
         eigs = np.linalg.eigvalsh(P_r)
         spd = bool(eigs[0] > 0)

@@ -52,14 +52,12 @@ class SmallConfig:
     N: int = 6
 
     def build(self):
-        mesh = fem2d.build_mesh(self.level)
         if self.problem == "affine":
-            return kronsys.build_affine_system(
-                mesh, M=self.M, k=self.k, sigma_tilde=self.sigma_tilde
-            )
-        return kronsys.build_lognormal_system(
-            mesh, M=self.M, k=self.k, N=self.N,
-            sigma_tilde=self.sigma_tilde, alpha_bar=LOGNORMAL_ALPHA_BAR,
+            alpha_bar = fem2d.auto_alpha_bar(self.sigma_tilde)
+        else:
+            alpha_bar = LOGNORMAL_ALPHA_BAR
+        return kronsys.build_system(
+            self.problem, self.level, self.M, self.k, self.sigma_tilde, alpha_bar, self.N
         )
 
 
@@ -322,14 +320,12 @@ def prop_sbgs_identity(cfg: SmallConfig = AFFINE):
     # apply_inverse of SBGS r inverts (D + L) D^{-1} (D + L)^T of the
     # truncation's pairs: on every column, and on random vectors.
     op, _, ctx = cfg.build()
+    pairs = op.terms[: ctx.lead(cfg.r)]
     if cfg.problem == "affine":
-        lead = pairs = op.terms[: cfg.r + 1]
-        P = precond.build_sbgs_affine(op.terms[0][1], lead[1:], op.ny, op.nx)
+        P = precond.build_sbgs_affine(op.terms[0][1], pairs, op.ny, op.nx)
     else:
-        lead = ctx.leading_terms(cfg.r)
-        pairs = [(t.G, t.K) for t in lead if t.G is not None]
-        P = precond.build_sbgs_lognormal(lead, op.ny, op.nx)
-    assert P.label == "sbgs" and P.r == len(lead) - 1, (P.label, P.r)
+        P = precond.build_sbgs_lognormal(pairs, op.ny, op.nx)
+    assert P.label == "sbgs" and P.r == len(pairs) - 1, (P.label, P.r)
     dense, _ = spectral.sbgs_dense(pairs)
     applied = np.column_stack([P.apply_inverse(col) for col in dense.T])
     assert np.max(np.abs(applied - np.eye(op.dim))) < 1e-10
@@ -341,7 +337,7 @@ def prop_sbgs_identity(cfg: SmallConfig = AFFINE):
 
 def prop_sbgs_lognormal_spd(cfg: SmallConfig = LOGNORMAL):
     op, _, ctx = cfg.build()
-    report = spectral.lognormal_spd_report(ctx, op.nx, range(0, cfg.r + 1))
+    report = spectral.lognormal_spd_report(op, ctx, range(0, cfg.r + 1))
     for row in report:
         if row.claim == "sbgs_spd":
             assert row.passed and row.observed_lo > 0, f"SBGS indefinite at r={row.r}"
@@ -422,14 +418,15 @@ def prop_kappa_within_bound(cfg: SmallConfig = AFFINE):
     op, f, ctx = cfg.build()
     K0 = precond.CholeskyFactor(op.terms[0][1])
     solver = pcg.SolverConfig(tol=1e-10)
-    for r in range(min(cfg.r, cfg.M) + 1):
+    for r in range(ctx.lead(cfg.r)):
+        pairs = op.terms[: ctx.lead(r)]
         b = spectral.compute_bounds(
             r, ctx.a0_min, ctx.a0_max, ctx.tau, ctx.tau_table[r], ctx.sum_norms(r)
         )
         for P, bound in (
-            (precond.build_trunc_exact(op.terms, r, op.ny, op.nx), b.Theta_r / b.theta_r),
+            (precond.build_trunc_exact(pairs, r, op.ny, op.nx), b.Theta_r / b.theta_r),
             (
-                precond.build_sbgs_affine(K0, op.terms[1 : r + 1], op.ny, op.nx),
+                precond.build_sbgs_affine(K0, pairs, op.ny, op.nx),
                 b.Theta_r * (1.0 + b.delta_r) / b.theta_r,
             ),
         ):

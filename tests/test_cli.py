@@ -310,10 +310,9 @@ class TestRunCommand:
             "import resource\n"
             "import numpy as np\n"
             "from sgkron import cli\n"
-            "from sgkron.fem2d import build_mesh\n"
-            "from sgkron.kronsys import build_affine_system\n"
+            "from sgkron.verify import SmallConfig\n"
             "cli._set_allocator_policy()\n"
-            "op, _, _ = build_affine_system(build_mesh(4), M=8, k=3, sigma_tilde=2.0)\n"
+            "op, _, _ = SmallConfig(level=4, M=8, k=3).build()\n"
             "v = np.random.default_rng(0).standard_normal(op.dim)\n"
             "for _ in range(3):\n"
             "    op.matvec(v)\n"

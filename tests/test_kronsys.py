@@ -17,18 +17,17 @@ from sgkron.kronsys import (
 )
 from sgkron.multiindex import build_index_set
 from sgkron.precond import build_kron
+from sgkron.verify import SmallConfig
 
 SLOW_NORMS = [0.6079, 0.1520, 0.0675, 0.0380, 0.0243, 0.0169]
 
 
 def tiny_affine(level=2, M=3, k=2, sigma=2.0):
-    return build_affine_system(build_mesh(level), M=M, k=k, sigma_tilde=sigma)
+    return SmallConfig("affine", level, M, k, sigma_tilde=sigma).build()
 
 
 def tiny_lognormal(level=2, M=3, k=2, N=6):
-    return build_lognormal_system(
-        build_mesh(level), M=M, k=k, N=N, sigma_tilde=2.0, alpha_bar=0.547
-    )
+    return SmallConfig("lognormal", level, M, k, N=N).build()
 
 
 class TestBlockLayout:
@@ -89,7 +88,7 @@ class TestMatvecVsDense:
         np.testing.assert_allclose(A, A.T, atol=1e-13)
 
     def test_dense_guard(self):
-        op, _, _ = build_affine_system(build_mesh(4), M=8, k=4, sigma_tilde=4.0)
+        op, _, _ = tiny_affine(level=4, M=8, k=4, sigma=4.0)
         with pytest.raises(ValueError):
             assemble_dense(op.terms)
 
@@ -114,7 +113,7 @@ class TestAffineSystem:
 
     def test_norm_table_matches_reference_decay(self):
         _, _, ctx = build_affine_system(
-            build_mesh(2), M=6, k=1, sigma_tilde=2.0, alpha_bar_mode=0.6079
+            build_mesh(2), M=6, k=1, sigma_tilde=2.0, alpha_bar=0.6079
         )
         np.testing.assert_allclose(ctx.norm_table, SLOW_NORMS, atol=5e-5)
 
@@ -133,12 +132,18 @@ class TestAffineSystem:
         blocks = np.abs(A.reshape(ny, nx, ny, nx)).sum(axis=(1, 3)) > 0
         assert blocks.sum(axis=1).max() <= 2 * 3 + 1
 
-    def test_alpha_bar_modes(self):
-        mesh = build_mesh(2)
-        _, _, auto_ctx = build_affine_system(mesh, 2, 1, 2.0, alpha_bar_mode="auto")
-        _, _, fixed_ctx = build_affine_system(mesh, 2, 1, 2.0, alpha_bar_mode=0.5)
-        np.testing.assert_allclose(auto_ctx.alpha_bar, 0.60787, atol=1e-5)
-        assert fixed_ctx.alpha_bar == 0.5
+    def test_auto_and_explicit_amplitude(self):
+        # The auto amplitude is resolved before the build; the builder takes
+        # the amplitude as given (||a_1||_inf = alpha_bar).
+        np.testing.assert_allclose(fem2d.auto_alpha_bar(2.0), 0.60787, atol=1e-5)
+        _, _, ctx = build_affine_system(build_mesh(2), 2, 1, 2.0, alpha_bar=0.5)
+        np.testing.assert_allclose(ctx.norm_table[0], 0.5, atol=5e-5)
+
+    def test_lead(self):
+        _, _, ctx = tiny_affine(M=3)
+        assert [ctx.lead(r) for r in range(6)] == [1, 2, 3, 4, 4, 4]
+        with pytest.raises(ValueError):
+            ctx.lead(-1)
 
     def test_sum_norms_prefix(self):
         _, _, ctx = tiny_affine(M=4)
@@ -160,24 +165,21 @@ class TestLognormalSystem:
         _, _, ctx = tiny_lognormal(M=3, k=2)
         assert len(ctx.ordered_terms) == dimension(3, 4)
 
-    def test_even_flag(self):
-        _, _, ctx = tiny_lognormal()
-        for t in ctx.ordered_terms:
-            assert t.even == all(a % 2 == 0 for a in t.alpha)
-
     def test_operator_drops_vanishing_gram_factors(self):
         op, _, ctx = tiny_lognormal()
         assert len(op.terms) <= len(ctx.ordered_terms)
         for G, K in op.terms:
             assert G.nnz > 0
 
-    def test_leading_terms(self):
-        _, _, ctx = tiny_lognormal()
-        lead = ctx.leading_terms(3)
-        assert len(lead) == 4
-        assert lead[0].alpha == (0, 0, 0)
+    def test_lead(self):
+        # The live terms among the first r + 1: every term of I_4^3 is live
+        # here, so lead(r) = min(r + 1, 35), and op.terms keeps their order.
+        op, _, ctx = tiny_lognormal()
+        assert len(op.terms) == len(ctx.ordered_terms) == 35
+        assert [ctx.lead(r) for r in (0, 3, 34, 40)] == [1, 4, 35, 35]
+        assert ctx.ordered_terms[0].alpha == (0, 0, 0)
         with pytest.raises(ValueError):
-            ctx.leading_terms(-1)
+            ctx.lead(-1)
 
     def test_requires_more_sources_than_active_parameters(self):
         with pytest.raises(ValueError):
@@ -208,9 +210,7 @@ def term_sum_matvec(op, v):
 
 
 def table6_lognormal(level, k):
-    return build_lognormal_system(
-        build_mesh(level), M=6, k=k, N=20, sigma_tilde=2.0, alpha_bar=0.547
-    )
+    return tiny_lognormal(level, M=6, k=k, N=20)
 
 
 class TestRecompressedOperator:
@@ -234,7 +234,7 @@ class TestRecompressedOperator:
     @pytest.mark.parametrize("M", [4, 8])
     def test_affine_keeps_term_loop(self, M):
         for k in (2, 3):
-            op, _, _ = build_affine_system(build_mesh(3), M=M, k=k, sigma_tilde=2.0)
+            op, _, _ = tiny_affine(level=3, M=M, k=k)
             assert op.rank == len(op.terms) == M + 1
             if k == 3:  # every G_m, m >= 1, leaves some blocks uncoupled
                 assert all(np.diff(G.indptr).min() == 0 for G, _ in op.terms[1:])
@@ -297,7 +297,7 @@ class TestRecompressedOperator:
         # recompression; reference: K_alpha assembled one at a time from
         # the lognormal expansion coefficients.
         op, _, ctx = table6_lognormal(3, 2)
-        live = [t for t in ctx.ordered_terms if t.G is not None]
+        live = [t for t in ctx.ordered_terms if t.live]
         K_ref = [
             fem2d.assemble_stiffness(
                 ctx.mesh, fem2d.lognormal_expansion_coeff(t.alpha, ctx.b_fields, ctx.b0)
@@ -306,8 +306,8 @@ class TestRecompressedOperator:
         ]
         K0 = K_ref[0]
         G_ref = sum(
-            (K.multiply(K0).sum() / K0.multiply(K0).sum()) * t.G.toarray()
-            for t, K in zip(live, K_ref)
+            (K.multiply(K0).sum() / K0.multiply(K0).sum()) * G.toarray()
+            for (G, _), K in zip(op.terms, K_ref)
         )
         P = build_kron(op.terms)
         np.testing.assert_allclose(P.G, G_ref, rtol=1e-13, atol=1e-15)

@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sgkron.fem2d import build_mesh
-from sgkron.kronsys import build_affine_system
 from sgkron.pcg import (
     BreakdownError,
     SolverConfig,
@@ -12,6 +10,7 @@ from sgkron.pcg import (
     pcg_solve,
 )
 from sgkron.precond import build_mean_based, build_trunc_exact
+from sgkron.verify import SmallConfig
 
 
 class DenseOperator:
@@ -101,7 +100,7 @@ class TestResidualNorms:
 
 class TestDeterminism:
     def test_bitwise_repeatable(self):
-        op, f, _ = build_affine_system(build_mesh(2), M=3, k=2, sigma_tilde=2.0)
+        op, f, _ = SmallConfig().build()
         P = build_mean_based(op.terms[0][1], op.ny)
         x1, rep1 = pcg_solve(op, P, f)
         x2, rep2 = pcg_solve(op, P, f)
@@ -160,17 +159,17 @@ class TestConditionEstimate:
 
 class TestOnAssembledSystem:
     def test_trunc_preconditioner_counts_drop(self):
-        op, f, _ = build_affine_system(build_mesh(3), M=4, k=2, sigma_tilde=4.0)
+        op, f, _ = SmallConfig(level=3, M=4, sigma_tilde=4.0).build()
         counts = {}
         for r in (0, 2, 4):
-            P = build_trunc_exact(op.terms, r, op.ny, op.nx)
+            P = build_trunc_exact(op.terms[: r + 1], r, op.ny, op.nx)
             _, report = pcg_solve(op, P, f)
             counts[r] = report.iterations
             assert report.converged
         assert counts[4] <= counts[2] <= counts[0]
 
     def test_solution_satisfies_system(self):
-        op, f, _ = build_affine_system(build_mesh(3), M=3, k=2, sigma_tilde=2.0)
+        op, f, _ = SmallConfig(level=3).build()
         P = build_mean_based(op.terms[0][1], op.ny)
         x, _ = pcg_solve(op, P, f)
         np.testing.assert_allclose(

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from sgkron import precond, verify
 from sgkron.fem2d import assemble_stiffness, build_mesh, fourier_coefficient
-from sgkron.kronsys import assemble_dense, build_affine_system, build_lognormal_system
+from sgkron.kronsys import assemble_dense
 from sgkron.pcg import SolverConfig, pcg_solve
 from sgkron.precond import (
     CholeskyFactor,
@@ -19,13 +19,11 @@ from sgkron.verify import SmallConfig
 
 
 def tiny_affine(level=2, M=3, k=2, sigma=2.0):
-    return build_affine_system(build_mesh(level), M=M, k=k, sigma_tilde=sigma)
+    return SmallConfig("affine", level, M, k, sigma_tilde=sigma).build()
 
 
 def tiny_lognormal(level=2, M=3, k=3, N=6):
-    return build_lognormal_system(
-        build_mesh(level), M=M, k=k, N=N, sigma_tilde=2.0, alpha_bar=0.547
-    )
+    return SmallConfig("lognormal", level, M, k, N=N).build()
 
 
 def dense_apply_inverse(P, n):
@@ -115,7 +113,7 @@ class TestMeanBased:
     def test_equals_trunc_r0(self):
         op, _, _ = tiny_affine()
         P_mean = build_mean_based(op.terms[0][1], op.ny)
-        P_trunc = build_trunc_exact(op.terms, 0, op.ny, op.nx)
+        P_trunc = build_trunc_exact(op.terms[:1], 0, op.ny, op.nx)
         rng = np.random.default_rng(42)
         v = rng.standard_normal(op.dim)
         np.testing.assert_allclose(
@@ -163,15 +161,15 @@ class TestTruncExact:
         np.testing.assert_allclose(op.matvec(x), f, atol=1e-10 * np.linalg.norm(f))
 
     def test_r_beyond_m_clamps(self):
-        op, f, _ = tiny_affine(M=3)
-        P = build_trunc_exact(op.terms, 9, op.ny, op.nx)
+        op, f, ctx = tiny_affine(M=3)
+        P = build_trunc_exact(op.terms[: ctx.lead(9)], 9, op.ny, op.nx)
         _, report = pcg_solve(op, P, f, SolverConfig(tol=1e-10))
         assert report.iterations == 1
 
     def test_matches_dense_inverse(self):
         op, _, _ = tiny_affine()
         for r in (0, 1, 2):
-            P = build_trunc_exact(op.terms, r, op.ny, op.nx)
+            P = build_trunc_exact(op.terms[: r + 1], r, op.ny, op.nx)
             P_dense = assemble_dense(op.terms[: r + 1])
             rng = np.random.default_rng(42)
             v = rng.standard_normal(op.dim)
@@ -183,7 +181,7 @@ class TestTruncExact:
         op, f, _ = tiny_affine(M=4, k=3, sigma=2.0)
         counts = []
         for r in range(5):
-            P = build_trunc_exact(op.terms, r, op.ny, op.nx)
+            P = build_trunc_exact(op.terms[: r + 1], r, op.ny, op.nx)
             _, report = pcg_solve(op, P, f)
             counts.append(report.iterations)
         assert all(b <= a for a, b in zip(counts, counts[1:]))
@@ -192,9 +190,9 @@ class TestTruncExact:
     def test_iterative_fallback_matches_direct(self, monkeypatch):
         # Force the beyond-guard path and compare against the factorized apply.
         op, _, _ = tiny_affine()
-        direct = build_trunc_exact(op.terms, 2, op.ny, op.nx)
+        direct = build_trunc_exact(op.terms[:3], 2, op.ny, op.nx)
         monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", 1)
-        nested = build_trunc_exact(op.terms, 2, op.ny, op.nx)
+        nested = build_trunc_exact(op.terms[:3], 2, op.ny, op.nx)
         rng = np.random.default_rng(42)
         v = rng.standard_normal(op.dim)
         np.testing.assert_allclose(
@@ -205,7 +203,7 @@ class TestTruncExact:
         # The inner SBGS of a general pair list: Hermite diagonals and a
         # term coupling one block to two sources of a level (r = 4).
         op, _, ctx = tiny_lognormal()
-        pairs = [(t.G, t.K) for t in ctx.leading_terms(4) if t.G is not None]
+        pairs = op.terms[: ctx.lead(4)]
         direct = build_trunc_exact(pairs, 4, op.ny, op.nx)
         monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", 1)
         nested = build_trunc_exact(pairs, 4, op.ny, op.nx)
@@ -221,7 +219,7 @@ class TestTruncExact:
         # the same system, so P_r has one factor per distinct d.
         op, _, ctx = tiny_affine(M=4, k=3)
         for r in (1, 2, 3):
-            P = build_trunc_exact(op.terms, r, op.ny, op.nx)
+            P = build_trunc_exact(op.terms[: r + 1], r, op.ny, op.nx)
             degrees = {3 - sum(alpha[r:]) for alpha in ctx.index_set}
             assert P.distinct_factor_count == len(degrees) == 4
 
@@ -244,7 +242,7 @@ class TestTruncExact:
         # blocks (a K_0 each) and solves the rest with the nested CG.
         op, _, _ = tiny_affine(M=4, k=3)
         monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", op.nx)
-        P = build_trunc_exact(op.terms, 2, op.ny, op.nx)
+        P = build_trunc_exact(op.terms[:3], 2, op.ny, op.nx)
         assert P.distinct_factor_count == 1
         rng = np.random.default_rng(42)
         v = rng.standard_normal(op.dim)
@@ -253,8 +251,7 @@ class TestTruncExact:
 
     def test_indefinite_truncation_rejected_direct(self):
         op, _, ctx = tiny_lognormal()
-        terms = ctx.leading_terms(1)
-        pairs = [(t.G, t.K) for t in terms if t.G is not None]
+        pairs = op.terms[: ctx.lead(1)]
         with pytest.raises(NotPositiveDefiniteError):
             build_trunc_exact(pairs, 1, op.ny, op.nx)
 
@@ -271,14 +268,14 @@ class TestSbgsAffine:
             init(self, K)
 
         monkeypatch.setattr(CholeskyFactor, "__init__", counting_init)
-        P = build_sbgs_affine(K0_factor, op.terms[1:], op.ny, op.nx)
+        P = build_sbgs_affine(K0_factor, op.terms, op.ny, op.nx)
         assert P.distinct_factor_count == 1
         assert built == []
 
     def test_empty_terms_reduce_to_mean(self):
         op, _, _ = tiny_affine()
         K0 = op.terms[0][1]
-        P_sbgs = build_sbgs_affine(K0, [], op.ny, op.nx)
+        P_sbgs = build_sbgs_affine(K0, op.terms[:1], op.ny, op.nx)
         P_mean = build_mean_based(K0, op.ny)
         rng = np.random.default_rng(42)
         v = rng.standard_normal(op.dim)
@@ -293,7 +290,7 @@ class TestSbgsAffine:
         op, _, ctx = tiny_affine()
         r = 2
         P_r = assemble_dense(op.terms[: r + 1])
-        P = build_sbgs_affine(op.terms[0][1], op.terms[1 : r + 1], op.ny, op.nx)
+        P = build_sbgs_affine(op.terms[0][1], op.terms[: r + 1], op.ny, op.nx)
         P_tilde = np.linalg.inv(dense_apply_inverse(P, op.dim))
         lo, hi = eig_range(P_r, P_tilde)
         bounds = compute_bounds(
@@ -305,9 +302,9 @@ class TestSbgsAffine:
 
 class TestSbgsLognormal:
     def test_dense_identity(self):
-        _, _, ctx = tiny_lognormal()
+        op, _, ctx = tiny_lognormal()
         for r in (3, 4):
-            pairs = [(t.G, t.K) for t in ctx.leading_terms(r) if t.G is not None]
+            pairs = op.terms[: ctx.lead(r)]
             # At r = 4 the term alpha = (1, 1, 0) couples one block to two
             # lower sources, so a sweep step meets one target twice per term.
             max_row_couplings = max(
@@ -330,9 +327,9 @@ class TestSbgsLognormal:
 
         monkeypatch.setattr(CholeskyFactor, "solve", counting)
         for r in (1, 4):
-            terms = ctx.leading_terms(r)
-            P = build_sbgs_lognormal(terms, op.ny, op.nx)
-            lower = [sp.tril(G, k=-1).tocoo() for G in (t.G for t in terms) if G is not None]
+            pairs = op.terms[: ctx.lead(r)]
+            P = build_sbgs_lognormal(pairs, op.ny, op.nx)
+            lower = [sp.tril(G, k=-1).tocoo() for G, _ in pairs]
             receiving = np.unique(np.concatenate([L.col for L in lower]))
             assert 0 < len(receiving) < op.ny
             cols.clear()
@@ -342,32 +339,31 @@ class TestSbgsLognormal:
     def test_spd_even_when_truncation_is_not(self):
         # At k=3 the two-term truncation is indefinite, its splitting is not.
         op, _, ctx = tiny_lognormal()
-        terms = ctx.leading_terms(1)
-        pairs = [(t.G, t.K) for t in terms if t.G is not None]
+        pairs = op.terms[: ctx.lead(1)]
         P_r = assemble_dense(pairs)
         assert np.linalg.eigvalsh(P_r).min() < 0
 
-        P = build_sbgs_lognormal(terms, op.ny, op.nx)
+        P = build_sbgs_lognormal(pairs, op.ny, op.nx)
         P_tilde = np.linalg.inv(dense_apply_inverse(P, op.dim))
         P_tilde = 0.5 * (P_tilde + P_tilde.T)
         assert np.linalg.eigvalsh(P_tilde).min() > 0
 
     def test_requires_zero_lead(self):
-        _, _, ctx = tiny_lognormal()
-        terms = ctx.leading_terms(2)
+        op, _, ctx = tiny_lognormal()
+        pairs = op.terms[: ctx.lead(2)]
         with pytest.raises(ValueError):
-            build_sbgs_lognormal(terms[1:], 10, 9)
+            build_sbgs_lognormal(pairs[1:], 10, 9)
         with pytest.raises(ValueError):
             build_sbgs_lognormal([], 10, 9)
 
     def test_factor_cache_bounded(self):
         op, _, ctx = tiny_lognormal()
-        P = build_sbgs_lognormal(ctx.leading_terms(4), op.ny, op.nx)
+        P = build_sbgs_lognormal(op.terms[: ctx.lead(4)], op.ny, op.nx)
         assert 1 <= P.distinct_factor_count <= op.ny
 
     def test_solves_system(self):
         op, f, ctx = tiny_lognormal(k=2)
-        P = build_sbgs_lognormal(ctx.leading_terms(2), op.ny, op.nx)
+        P = build_sbgs_lognormal(op.terms[: ctx.lead(2)], op.ny, op.nx)
         x, report = pcg_solve(op, P, f)
         assert report.converged
         np.testing.assert_allclose(op.matvec(x), f, atol=1e-5 * np.linalg.norm(f))

@@ -15,8 +15,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from sgkron import precond, verify
-from sgkron.fem2d import build_mesh
-from sgkron.kronsys import assemble_dense, build_affine_system, build_lognormal_system
+from sgkron.kronsys import assemble_dense
 from sgkron.verify import AFFINE, LOGNORMAL, SmallConfig
 
 CATALOGUE = dict(verify.PROPERTIES)
@@ -100,15 +99,8 @@ def test_trunc_exact_equals_dense_solve(problem, level, M, k, r, cut, seed):
     one with both paths.
     """
     r = min(r, M + 1)
-    mesh = build_mesh(level)
-    if problem == "affine":
-        op, _, _ = build_affine_system(mesh, M=M, k=k, sigma_tilde=2.0)
-        pairs = op.terms[: r + 1]
-    else:
-        op, _, ctx = build_lognormal_system(
-            mesh, M=M, k=k, N=M + 2, sigma_tilde=2.0, alpha_bar=0.547
-        )
-        pairs = [(t.G, t.K) for t in ctx.leading_terms(r) if t.G is not None]
+    op, _, ctx = SmallConfig(problem, level, M, k, r, seed, 2.0, N=M + 2).build()
+    pairs = op.terms[: ctx.lead(r)]
     P_r = assemble_dense(pairs)
     if problem == "lognormal" and np.linalg.eigvalsh(P_r)[0] <= 0.0:
         reject()

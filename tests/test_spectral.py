@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from sgkron import fem2d, kronsys, spectral
+from sgkron import spectral
 from sgkron.precond import NotPositiveDefiniteError
+from sgkron.verify import SmallConfig
 
 # Fluctuation sup-norms of the decaying cosine family on the unit square,
 # slow (sigma_tilde = 2) and fast (sigma_tilde = 4), m = 1..6.
@@ -149,8 +150,7 @@ CLAIMS = [
 
 
 def tiny_affine(sigma_tilde):
-    mesh = fem2d.build_mesh(2)
-    return kronsys.build_affine_system(mesh, M=3, k=2, sigma_tilde=sigma_tilde)
+    return SmallConfig(sigma_tilde=sigma_tilde).build()
 
 
 class TestVerifyInclusions:
@@ -201,8 +201,7 @@ class TestVerifyInclusions:
                 assert np.isclose(c.bound_hi, 1.0 + ctx.tau_table[c.r], rtol=1e-12)
 
     def test_size_guard(self):
-        mesh = fem2d.build_mesh(5)
-        op, _, ctx = kronsys.build_affine_system(mesh, M=3, k=2, sigma_tilde=2.0)
+        op, _, ctx = SmallConfig(level=5).build()
         assert op.dim > spectral.EIG_GUARD
         with pytest.raises(ValueError, match="dimension"):
             spectral.verify_inclusions(op, ctx, r_values=[0])
@@ -210,11 +209,8 @@ class TestVerifyInclusions:
 
 @pytest.fixture(scope="module")
 def report():
-    mesh = fem2d.build_mesh(2)
-    _, _, ctx = kronsys.build_lognormal_system(
-        mesh, M=3, k=3, N=6, sigma_tilde=2.0, alpha_bar=0.547
-    )
-    return spectral.lognormal_spd_report(ctx, mesh.n_interior, r_values=range(6))
+    op, _, ctx = SmallConfig("lognormal", k=3).build()
+    return spectral.lognormal_spd_report(op, ctx, r_values=range(6))
 
 
 class TestLognormalSpdReport:
@@ -235,9 +231,6 @@ class TestLognormalSpdReport:
         assert all(c.observed_lo > 0 for c in sbgs)
 
     def test_size_guard(self):
-        mesh = fem2d.build_mesh(4)
-        _, _, ctx = kronsys.build_lognormal_system(
-            mesh, M=3, k=3, N=6, sigma_tilde=2.0, alpha_bar=0.547
-        )
+        op, _, ctx = SmallConfig("lognormal", level=4, k=3).build()
         with pytest.raises(ValueError, match="dimension"):
-            spectral.lognormal_spd_report(ctx, mesh.n_interior, r_values=[0])
+            spectral.lognormal_spd_report(op, ctx, r_values=[0])
