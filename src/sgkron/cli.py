@@ -6,8 +6,8 @@ Subcommands:
   spectrum  verify eigenvalue-inclusion claims at tiny scale;
   verify    run the package's property suite.
 
-Exit codes: 0 success, 1 config/usage error, 2 non-convergence,
-3 property failure.  A `run` whose output is closed early stops its grid
+Exit codes: 0 success, 1 config/usage error (or `verify` under python -O),
+2 non-convergence, 3 property failure.  A `run` whose output is closed early stops its grid
 and exits as the rows already written imply (0 or 2).
 """
 
@@ -464,7 +464,11 @@ def cmd_verify() -> int:
         print(line)
 
     t0 = time.perf_counter()
-    verify.run_all(report)
+    try:
+        verify.run_all(report)
+    except verify.AssertionsDisabledError as exc:
+        print(f"verify: {exc}", file=sys.stderr)
+        return 1
     print(f"total {time.perf_counter() - t0:.1f}s")
     if failed:
         print(f"verify: property failed: {failed[0]}", file=sys.stderr)

@@ -475,3 +475,14 @@ class TestVerifyCommand:
         assert cli.main(["verify"]) == 3
         out = capsys.readouterr().out
         assert "FAIL recurrence_constants" in out
+
+    def test_refuses_without_assertions(self):
+        # python -O strips every assert, so no property could fail: verify
+        # runs none of them and exits 1.
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "sgkron.cli", "verify"],
+            capture_output=True, text=True, env=subprocess_env(), timeout=300,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "verify: assertions are disabled (python -O)\n"
+        assert proc.stdout == ""

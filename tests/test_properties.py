@@ -61,6 +61,7 @@ test_trunc_full_equals_system = drawn("trunc_full_equals_system", BOTH)
 test_sbgs_identity = drawn("sbgs_identity", BOTH, AFFINE, SmallConfig(r=2))
 test_sbgs_lognormal_spd = drawn("sbgs_lognormal_spd", ("lognormal",))
 test_kron_frobenius_lsq = drawn("kron_frobenius_lsq", BOTH, AFFINE)
+test_precond_dense_formula = drawn("precond_dense_formula", BOTH, AFFINE, LOGNORMAL)
 test_pcg_exact_preconditioner = drawn("pcg_exact_preconditioner", BOTH)
 test_pcg_deterministic = drawn("pcg_deterministic", BOTH)
 test_condition_estimate = drawn("condition_estimate", BOTH, AFFINE)
