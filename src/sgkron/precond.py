@@ -188,12 +188,10 @@ def build_kron(terms, K0_factor: CholeskyFactor | None = None) -> KroneckerProdu
     parametric factor (its K is the K_0 used for the fit).
     """
     terms = list(terms)
-    if not terms:
-        raise ValueError("empty term list")
+    if not terms or not _is_identity(terms[0][0]):
+        raise ValueError("leading term must have an identity parametric factor")
     G0, K0 = terms[0]
     n = G0.shape[0]
-    if not _is_identity(G0):
-        raise ValueError("leading term must have an identity parametric factor")
     denom = K0.multiply(K0).sum()
     G = np.zeros((n, n))
     for G_i, K_i in terms:

@@ -153,10 +153,7 @@ def sbgs_dense(terms) -> tuple[np.ndarray, np.ndarray]:
 
 
 def verify_inclusions(
-    op: KroneckerSumOperator,
-    ctx,
-    r_values=None,
-    slack: float = 1e-8,
+    op: KroneckerSumOperator, ctx, r_values, slack: float = 1e-8
 ) -> list[InclusionCheck]:
     """Check every claimed spectral inclusion for an affine system.
 
@@ -170,8 +167,6 @@ def verify_inclusions(
     """
     if op.dim > EIG_GUARD:
         raise ValueError(f"verification refused at dimension {op.dim} > {EIG_GUARD}")
-    if r_values is None:
-        r_values = range(len(op.terms))
 
     A = assemble_dense(op.terms)
     K0 = op.terms[0][1].toarray()
