@@ -7,8 +7,8 @@ Subcommands:
   verify    run the package's property suite.
 
 Exit codes: 0 success, 1 config/usage error (or `verify` under python -O),
-2 non-convergence, 3 property failure.  A `run` whose output is closed early stops its grid
-and exits as the rows already written imply (0 or 2).
+2 non-convergence, 3 property failure.  A `run` whose output is closed
+early stops its grid and exits as the rows already written imply (0 or 2).
 """
 
 from __future__ import annotations
@@ -466,7 +466,7 @@ def cmd_verify() -> int:
     t0 = time.perf_counter()
     try:
         verify.run_all(report)
-    except verify.AssertionsDisabledError as exc:
+    except RuntimeError as exc:  # python -O
         print(f"verify: {exc}", file=sys.stderr)
         return 1
     print(f"total {time.perf_counter() - t0:.1f}s")

@@ -15,6 +15,12 @@ R = T and keeps the per-term loop.  ``terms`` stays the exact per-term
 list either way.  Dense materialization exists only as a small-scale test
 and spectral-study oracle behind a size guard.
 
+Truncation map: ``op.terms`` follows the expansion order, so P_r is the
+prefix ``op.terms[: ctx.lead(r)]`` for both problems.  Affine: I (x) K_0
+and G_m (x) K_m for m <= min(r, M).  Lognormal: the live terms (Gram
+factor not identically zero; only these enter the operator) among the
+first r + 1 of the magnitude-ordered expansion.
+
 Vectors use the block layout v = [v_1; ...; v_ny] with block j holding
 the nx spatial coefficients of parametric basis function j.
 """

@@ -24,10 +24,6 @@ RNG_SEED = 42
 LOGNORMAL_ALPHA_BAR = 0.547
 
 
-class AssertionsDisabledError(RuntimeError):
-    """The properties are assert statements, which python -O strips."""
-
-
 @dataclass
 class PropertyResult:
     name: str
@@ -359,27 +355,24 @@ def prop_kron_frobenius_lsq(cfg: SmallConfig = AFFINE):
 
 
 def prop_precond_dense_formula(cfg: SmallConfig = AFFINE):
-    # mean, kron and trunc_exact r are SPD and invert their dense formulas
-    # I (x) K_0, G (x) K_0 and P_r.  A lognormal P_r may be indefinite; it
-    # is skipped by the rule that marks it n/a in `spectrum`.
+    # mean, kron and trunc_exact r are SPD and invert I (x) K_0 = P_0,
+    # G (x) K_0 and P_r; a lognormal P_r that `spectrum` marks n/a is skipped.
     op, _, ctx = cfg.build()
     K0 = op.terms[0][1]
-    pairs = op.terms[: ctx.lead(cfg.r)]
     kron = precond.build_kron(op.terms, precond.CholeskyFactor(K0))
     cases = [
-        (precond.build_mean_based(K0, op.ny), np.kron(np.eye(op.ny), K0.toarray())),
+        (precond.build_mean_based(K0, op.ny), kronsys.assemble_dense(op.terms[:1])),
         (kron, np.kron(kron.G, K0.toarray())),
     ]
     if cfg.problem == "affine" or spectral.lognormal_spd_report(op, ctx, [cfg.r])[0].applicable:
-        cases.append(
-            (precond.build_trunc_exact(pairs, cfg.r, op.ny, op.nx), kronsys.assemble_dense(pairs))
-        )
+        pairs = op.terms[: ctx.lead(cfg.r)]
+        P = precond.build_trunc_exact(pairs, cfg.r, op.ny, op.nx)
+        cases.append((P, kronsys.assemble_dense(pairs)))
     rng = np.random.default_rng(cfg.seed)
     for P, dense in cases:
         assert np.max(np.abs(dense - dense.T)) <= 1e-14 * np.max(np.abs(dense)), P.label
         assert np.linalg.eigvalsh(dense)[0] > 0, f"{P.label} not positive definite"
-        for _ in range(3):
-            v = rng.standard_normal(op.dim)
+        for v in rng.standard_normal((3, op.dim)):
             err = np.linalg.norm(P.apply_inverse(dense @ v) - v)
             assert err < 1e-10 * np.linalg.norm(v), (P.label, err)
 
@@ -498,12 +491,9 @@ PROPERTIES = [
 
 
 def run_all(report=None) -> list[PropertyResult]:
-    """Run every property; optionally stream one line per property.
-
-    Refuses to run under python -O, where no property could fail.
-    """
-    if not __debug__:
-        raise AssertionsDisabledError("assertions are disabled (python -O)")
+    """Run every property; optionally stream one line per property."""
+    if not __debug__:  # python -O strips the asserts every property makes
+        raise RuntimeError("assertions are disabled (python -O)")
     results = []
     for name, fn in PROPERTIES:
         t0 = time.perf_counter()
