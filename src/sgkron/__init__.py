@@ -26,11 +26,9 @@ from .kronsys import (
     AffineContext,
     KroneckerSumOperator,
     LognormalContext,
-    as_blocks,
     assemble_dense,
     build_affine_system,
     build_lognormal_system,
-    from_blocks,
 )
 from .multiindex import MultiIndexSet, build_even_subset, build_index_set, dimension
 from .orthopoly import HERMITE, LEGENDRE, evaluate, hermite_triple, recurrence_c
@@ -77,7 +75,6 @@ __all__ = [
     "SolverConfig",
     "UnavailableError",
     "UniformMesh",
-    "as_blocks",
     "assemble_dense",
     "assemble_load",
     "assemble_stiffness",
@@ -97,7 +94,6 @@ __all__ = [
     "estimate_condition",
     "evaluate",
     "fourier_coefficient",
-    "from_blocks",
     "gram_general",
     "gram_identity",
     "gram_linear",

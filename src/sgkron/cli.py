@@ -142,9 +142,13 @@ _RUN_KEYS = {
 
 def _parse_cells(cfg: dict, keys: set[str]) -> list[Cell]:
     """The grid of cells a config spans, after checking its fields and ranges."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(cfg).__name__}")
     unknown = set(cfg) - keys
     if unknown:
         raise ConfigError(f"unknown config field(s): {', '.join(sorted(unknown))}")
+    if not isinstance(cfg.get("output", ""), str):
+        raise ConfigError(f"output must be a path string, got {cfg['output']!r}")
     problem = _require(cfg, "problem")
     if problem not in ("affine", "lognormal"):
         raise ConfigError(f"problem must be 'affine' or 'lognormal', got {problem!r}")
@@ -201,7 +205,7 @@ def _build_preconditioner(kind, r, op, ctx, K0_factor):
         return precond.build_trunc_exact(pairs, r, op.ny, op.nx)
     if isinstance(ctx, kronsys.AffineContext):
         return precond.build_sbgs_affine(K0_factor, pairs, op.ny, op.nx)
-    return precond.build_sbgs_lognormal(pairs, op.ny, op.nx)
+    return precond.build_sbgs_lognormal(K0_factor, pairs, op.ny, op.nx)
 
 
 def _format_row(cell: Cell, label, r_cell, it, conv, relres, setup_s, solve_s, n) -> str:
@@ -265,7 +269,7 @@ def cmd_run(config_path, preset, out_path, max_k) -> int:
     except json.JSONDecodeError as exc:
         print(f"run: config is not valid JSON (line {exc.lineno}): {exc.msg}", file=sys.stderr)
         return 1
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, TypeError) as exc:  # TypeError: a wrongly typed value
         print(f"run: invalid config: {exc}", file=sys.stderr)
         return 1
 
@@ -397,7 +401,7 @@ def cmd_spectrum(config_path, out_path, full) -> int:
     except json.JSONDecodeError as exc:
         print(f"spectrum: config is not valid JSON (line {exc.lineno}): {exc.msg}", file=sys.stderr)
         return 1
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, TypeError) as exc:  # TypeError: a wrongly typed value
         print(f"spectrum: invalid config: {exc}", file=sys.stderr)
         return 1
 

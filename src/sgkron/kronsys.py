@@ -17,12 +17,15 @@ and spectral-study oracle behind a size guard.
 
 Truncation map: ``op.terms`` follows the expansion order, so P_r is the
 prefix ``op.terms[: ctx.lead(r)]`` for both problems.  Affine: I (x) K_0
-and G_m (x) K_m for m <= min(r, M).  Lognormal: the live terms (Gram
-factor not identically zero; only these enter the operator) among the
-first r + 1 of the magnitude-ordered expansion.
+and G_m (x) K_m for m <= min(r, M).  Lognormal: the first r + 1 terms of
+the magnitude-ordered expansion.
 
-Vectors use the block layout v = [v_1; ...; v_ny] with block j holding
-the nx spatial coefficients of parametric basis function j.
+Block layout, the one every operator and preconditioner uses: vectors are
+v = [v_1; ...; v_ny] with block j holding the nx spatial coefficients of
+parametric basis function j, so block j = row j of ``v.reshape(ny, nx)``
+(a free view; results go back with ``.ravel()``).  Parametric factors act
+on its rows; spatial operators act on its transpose, whose columns are
+the blocks.
 """
 
 from __future__ import annotations
@@ -45,18 +48,6 @@ DENSE_GUARD = 20000
 RANK_TOL = 1e-14
 # Scratch bytes of one chunk of the recompressed matvec.
 _CHUNK_BYTES = 1 << 21
-
-
-def as_blocks(v: np.ndarray, nx: int, ny: int) -> np.ndarray:
-    """View the flat block vector as an (nx, ny) matrix, block j = column j."""
-    if v.shape != (nx * ny,):
-        raise ValueError(f"expected flat vector of length {nx * ny}, got {v.shape}")
-    return v.reshape(ny, nx).T
-
-
-def from_blocks(V: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`as_blocks`."""
-    return V.T.ravel()
 
 
 @dataclass(frozen=True)
@@ -98,18 +89,18 @@ class KroneckerSumOperator:
         return sum(K_stack.shape[0] for K_stack, _ in self._chunks) // self.nx
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        V = np.ascontiguousarray(as_blocks(v, self.nx, self.ny))
+        Vt = v.reshape(self.ny, self.nx).T  # block j = column j
         out = np.zeros((self.ny, self.nx))
         if self._chunks is None:
             for rows, cols, G, K in self._loop:
                 if G is None:
-                    out += (K @ V).T
+                    out += (K @ Vt).T
                 else:
-                    out[rows] += G @ (K @ V[:, cols]).T
+                    out[rows] += G @ (K @ Vt[:, cols]).T
             return out.ravel()
         for K_stack, G_row in self._chunks:
             c = K_stack.shape[0] // self.nx
-            W = (K_stack @ V).reshape(c, self.nx, self.ny)  # W_s = Khat_s V
+            W = (K_stack @ Vt).reshape(c, self.nx, self.ny)  # W_s = Khat_s Vt
             out += G_row @ W.transpose(0, 2, 1).reshape(c * self.ny, self.nx)
         return out.ravel()
 
@@ -283,7 +274,6 @@ def build_affine_system(
 class LognormalTerm:
     alpha: tuple[int, ...]
     magnitude: float  # ||a_alpha||_inf
-    live: bool  # G_alpha is not identically zero, so the term is in op.terms
 
 
 @dataclass(frozen=True)
@@ -295,11 +285,10 @@ class LognormalContext:
     b0: CoefficientField
 
     def lead(self, r: int) -> int:
-        """Number of leading ``op.terms`` in P_r: the live terms among the
-        first r+1 expansion terms (r counts every expansion term)."""
+        """Number of leading ``op.terms`` in P_r: min(r + 1, T)."""
         if r < 0:
             raise ValueError("truncation index r must be >= 0")
-        return sum(t.live for t in self.ordered_terms[: r + 1])
+        return min(r + 1, len(self.ordered_terms))
 
 
 def _expansion_quad_values(mesh, alphas, b_fields, b0) -> np.ndarray:
@@ -337,9 +326,11 @@ def build_lognormal_system(
 
     The coefficient is exp(b) with b = b_0 + sum_{m=1}^N b_m y_m, the b_m
     taken from the decaying cosine family.  The Galerkin matrix is the sum
-    of G_alpha (x) K_alpha over alpha in I_{2k}^M; identically zero Gram
-    factors are dropped from the operator but kept in the ordered context
-    (not live) so truncation indices count expansion terms.
+    of G_alpha (x) K_alpha over alpha in I_{2k}^M, and ``op.terms`` holds
+    every one of them.  No G_alpha vanishes on I_k^M: split alpha = beta +
+    gamma with beta, gamma in I_k^M (possible since |alpha| <= 2k); each
+    Hermite triple <H_{alpha_m} H_{beta_m}, H_{gamma_m}> with alpha_m =
+    beta_m + gamma_m is nonzero, so G_alpha[beta, gamma] != 0.
     """
     if M >= N:
         raise ValueError(f"lognormal truncation requires M < N, got M={M}, N={N}")
@@ -354,20 +345,18 @@ def build_lognormal_system(
     ordered = fem2d.order_by_magnitude(full, b_fields, b0)
 
     grams = [gram.gram_general(alpha, S) for alpha, _ in ordered]
-    live = [i for i, G in enumerate(grams) if G.nnz]
-    quad_values = _expansion_quad_values(mesh, [ordered[i][0] for i in live], b_fields, b0)
+    quad_values = _expansion_quad_values(mesh, [alpha for alpha, _ in ordered], b_fields, b0)
     Ks = fem2d.assemble_from_quad_values(mesh, quad_values)
     del quad_values  # released before the operator takes its SVD
 
-    op_terms = tuple((grams[i], K) for i, K in zip(live, Ks))
-    op = KroneckerSumOperator(terms=op_terms, ny=len(S), nx=mesh.n_interior)
+    op = KroneckerSumOperator(terms=tuple(zip(grams, Ks)), ny=len(S), nx=mesh.n_interior)
     f = np.zeros(op.dim)
     f[: mesh.n_interior] = fem2d.assemble_load(mesh)
 
     ctx = LognormalContext(
         index_set=S,
         mesh=mesh,
-        ordered_terms=tuple(LognormalTerm(a, m, G.nnz > 0) for (a, m), G in zip(ordered, grams)),
+        ordered_terms=tuple(LognormalTerm(a, m) for a, m in ordered),
         b_fields=tuple(b_fields),
         b0=b0,
     )

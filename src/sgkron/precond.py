@@ -34,7 +34,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from .kronsys import KroneckerSumOperator, _is_identity, as_blocks, assemble_sparse, from_blocks
+from .kronsys import KroneckerSumOperator, _is_identity, assemble_sparse
 from .pcg import BreakdownError as _InnerBreakdown
 from .pcg import SolverConfig as _InnerConfig
 from .pcg import pcg_solve as _inner_solve
@@ -122,10 +122,12 @@ class CholeskyFactor:
             )
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """K^{-1} b for a vector or a matrix of stacked right-hand sides."""
+        """K^{-1} b for b of shape (n,) or (n, m), one right-hand side per
+        column, in either memory order; the result has b's shape.  Block
+        arrays (rows = blocks) pass their transpose."""
         if self._inv is not None:
             return self._inv @ b
-        return self._lu.solve(np.ascontiguousarray(b))
+        return self._lu.solve(b)
 
 
 def _as_factor(K0) -> CholeskyFactor:
@@ -146,8 +148,7 @@ class MeanBasedPreconditioner:
         self.nx = K0_factor.n
 
     def apply_inverse(self, v: np.ndarray) -> np.ndarray:
-        V = as_blocks(v, self.nx, self.ny)
-        return from_blocks(self.K0.solve(V))
+        return self.K0.solve(v.reshape(self.ny, self.nx).T).T.ravel()
 
 
 def build_mean_based(K0, ny: int) -> MeanBasedPreconditioner:
@@ -175,9 +176,8 @@ class KroneckerProductPreconditioner:
             ) from exc
 
     def apply_inverse(self, v: np.ndarray) -> np.ndarray:
-        W = self.K0.solve(as_blocks(v, self.nx, self.ny))  # (nx, ny)
-        Z = scipy.linalg.cho_solve(self._g_chol, W.T)  # (ny, nx)
-        return Z.ravel()
+        W = self.K0.solve(v.reshape(self.ny, self.nx).T)  # (nx, ny)
+        return scipy.linalg.cho_solve(self._g_chol, W.T).ravel()
 
 
 def build_kron(terms, K0_factor: CholeskyFactor | None = None) -> KroneckerProductPreconditioner:
@@ -285,7 +285,7 @@ class TruncExactPreconditioner:
             self._inner_cfg = _InnerConfig(tol=INNER_TOL, max_iter=400)
 
     def apply_inverse(self, v: np.ndarray) -> np.ndarray:
-        V = as_blocks(v, self.nx, self.ny).T  # (ny, nx), block j = row j
+        V = v.reshape(self.ny, self.nx)
         Z = np.empty((self.ny, self.nx))
         for idx, factor in self._direct:
             n, c = idx.shape
@@ -431,23 +431,23 @@ class PairBlockSbgs:
             )
 
     def apply_inverse(self, v: np.ndarray) -> np.ndarray:
-        RHS = as_blocks(v, self.nx, self.ny)
-        W = np.empty((self.nx, self.ny))
+        RHS = v.reshape(self.ny, self.nx)
+        Z = np.empty((self.ny, self.nx))
         for idx, solves, fwd, *_ in self._levels:
-            rhs = RHS[:, idx].copy()
+            rhs = RHS[idx]  # a copy: idx is an index array
             for loc, src, val, K in fwd:
-                rhs[:, loc] -= (K @ W[:, src]) * val
+                rhs[loc] -= ((K @ Z[src].T) * val).T
             for sel, factor in solves:
-                W[:, idx[sel]] = factor.solve(rhs[:, sel])
+                Z[idx[sel]] = factor.solve(rhs[sel].T).T
 
-        Z = W.copy()
+        # The backward sweep overwrites the forward result block by block.
         for *_, back, solves, bwd in reversed(self._levels):
-            acc = np.zeros((self.nx, len(back)))
+            acc = np.zeros((len(back), self.nx))
             for loc, src, val, K in bwd:
-                acc[:, loc] += (K @ Z[:, src]) * val
+                acc[loc] += ((K @ Z[src].T) * val).T
             for sel, factor in solves:
-                Z[:, back[sel]] -= factor.solve(acc[:, sel])
-        return from_blocks(Z)
+                Z[back[sel]] -= factor.solve(acc[sel].T).T
+        return Z.ravel()
 
 
 def build_sbgs_affine(K0, pairs, ny: int, nx: int) -> PairBlockSbgs:
@@ -462,14 +462,16 @@ def build_sbgs_affine(K0, pairs, ny: int, nx: int) -> PairBlockSbgs:
     return PairBlockSbgs(pairs, ny, nx, factors={((0, 1.0),): _as_factor(K0)})
 
 
-def build_sbgs_lognormal(pairs, ny: int, nx: int) -> PairBlockSbgs:
+def build_sbgs_lognormal(K0, pairs, ny: int, nx: int) -> PairBlockSbgs:
     """pairs: the leading pairs of P_r, ``op.terms[: ctx.lead(r)]``.
 
     The zero multi-index term, whose Gram factor is the identity, must lead
     the truncation so that the mean stiffness anchors every diagonal block
-    (the condition under which the splitting is provably SPD).
+    (the condition under which the splitting is provably SPD).  The blocks
+    whose only diagonal entry comes from that term are exactly K_0, so the
+    caller's K_0 factor serves them.
     """
     pairs = list(pairs)
     if not pairs or not _is_identity(pairs[0][0]):
         raise ValueError("the zero multi-index term must lead the truncation")
-    return PairBlockSbgs(pairs, ny, nx)
+    return PairBlockSbgs(pairs, ny, nx, factors={((0, 1.0),): _as_factor(K0)})

@@ -321,10 +321,8 @@ def prop_sbgs_identity(cfg: SmallConfig = AFFINE):
     # truncation's pairs: on every column, and on random vectors.
     op, _, ctx = cfg.build()
     pairs = op.terms[: ctx.lead(cfg.r)]
-    if cfg.problem == "affine":
-        P = precond.build_sbgs_affine(op.terms[0][1], pairs, op.ny, op.nx)
-    else:
-        P = precond.build_sbgs_lognormal(pairs, op.ny, op.nx)
+    build = precond.build_sbgs_affine if cfg.problem == "affine" else precond.build_sbgs_lognormal
+    P = build(op.terms[0][1], pairs, op.ny, op.nx)
     assert P.label == "sbgs" and P.r == len(pairs) - 1, (P.label, P.r)
     dense, _ = spectral.sbgs_dense(pairs)
     applied = np.column_stack([P.apply_inverse(col) for col in dense.T])

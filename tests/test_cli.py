@@ -343,11 +343,18 @@ class TestRunCommand:
             {"mesh_level": 0},
             {"M": 0},
             {"k": -1},
+            # Wrongly typed values; a list replaces the whole config.
+            {"preconditioners": 5},
+            {"k": None},
+            {"decay": ["fast", ["slow"]]},
+            {"tol": None},
+            {"preconditioners": [{"type": "sbgs", "r": [1]}]},
+            {"output": ["out.csv"]},
+            [tiny_affine_config()],
         ],
     )
     def test_invalid_configs_exit_1(self, tmp_path, mutate, capsys):
-        cfg_dict = tiny_affine_config()
-        cfg_dict.update(mutate)
+        cfg_dict = mutate if isinstance(mutate, list) else {**tiny_affine_config(), **mutate}
         cfg = write_config(tmp_path / "cfg.json", cfg_dict)
         assert cli.main(["run", cfg]) == 1
         captured = capsys.readouterr()
@@ -456,10 +463,16 @@ class TestSpectrumCommand:
             {"decay": ["fast", "slow"]},
             {"k": [1, 2]},
             {"sigma_tilde": 0.5},
+            {"r": [[1]]},
+            {"k": None},
+            {"output": 5},
         ):
             cfg = spectrum_config(tmp_path, **bad)
             assert cli.main(["spectrum", cfg]) == 1
             assert capsys.readouterr().err.startswith("spectrum: invalid config:")
+        cfg = write_config(tmp_path / "list.json", [{"problem": "affine"}])
+        assert cli.main(["spectrum", cfg]) == 1
+        assert capsys.readouterr().err.startswith("spectrum: invalid config:")
 
 
 class TestVerifyCommand:

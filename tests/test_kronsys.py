@@ -8,12 +8,10 @@ from sgkron import fem2d, kronsys
 from sgkron.fem2d import build_mesh
 from sgkron.kronsys import (
     KroneckerSumOperator,
-    as_blocks,
     assemble_dense,
     assemble_sparse,
     build_affine_system,
     build_lognormal_system,
-    from_blocks,
 )
 from sgkron.multiindex import build_index_set
 from sgkron.precond import build_kron
@@ -28,21 +26,6 @@ def tiny_affine(level=2, M=3, k=2, sigma=2.0):
 
 def tiny_lognormal(level=2, M=3, k=2, N=6):
     return SmallConfig("lognormal", level, M, k, N=N).build()
-
-
-class TestBlockLayout:
-    def test_roundtrip(self):
-        rng = np.random.default_rng(42)
-        v = rng.standard_normal(5 * 3)
-        V = as_blocks(v, nx=3, ny=5)
-        assert V.shape == (3, 5)
-        np.testing.assert_array_equal(from_blocks(V), v)
-
-    def test_block_columns_are_contiguous_slices(self):
-        v = np.arange(12.0)
-        V = as_blocks(v, nx=4, ny=3)
-        np.testing.assert_array_equal(V[:, 0], v[:4])
-        np.testing.assert_array_equal(V[:, 2], v[8:])
 
 
 class TestMatvecHandOracle:
@@ -166,14 +149,15 @@ class TestLognormalSystem:
         assert len(ctx.ordered_terms) == dimension(3, 4)
 
     def test_operator_drops_vanishing_gram_factors(self):
+        # No G_alpha with |alpha| <= 2k vanishes on I_k^M, so the operator
+        # keeps every expansion term and none of its Gram factors is zero.
         op, _, ctx = tiny_lognormal()
-        assert len(op.terms) <= len(ctx.ordered_terms)
+        assert len(op.terms) == len(ctx.ordered_terms)
         for G, K in op.terms:
             assert G.nnz > 0
 
     def test_lead(self):
-        # The live terms among the first r + 1: every term of I_4^3 is live
-        # here, so lead(r) = min(r + 1, 35), and op.terms keeps their order.
+        # lead(r) = min(r + 1, 35), and op.terms keeps the expansion order.
         op, _, ctx = tiny_lognormal()
         assert len(op.terms) == len(ctx.ordered_terms) == 35
         assert [ctx.lead(r) for r in (0, 3, 34, 40)] == [1, 4, 35, 35]
@@ -202,10 +186,10 @@ class TestLognormalSystem:
 
 def term_sum_matvec(op, v):
     # Oracle: the per-term Kronecker sum over op.terms.
-    V = as_blocks(v, op.nx, op.ny)
+    V = v.reshape(op.ny, op.nx)
     out = np.zeros((op.ny, op.nx))
     for G, K in op.terms:
-        out += G @ (K @ V).T
+        out += G @ (K @ V.T).T
     return out.ravel()
 
 
@@ -297,12 +281,11 @@ class TestRecompressedOperator:
         # recompression; reference: K_alpha assembled one at a time from
         # the lognormal expansion coefficients.
         op, _, ctx = table6_lognormal(3, 2)
-        live = [t for t in ctx.ordered_terms if t.live]
         K_ref = [
             fem2d.assemble_stiffness(
                 ctx.mesh, fem2d.lognormal_expansion_coeff(t.alpha, ctx.b_fields, ctx.b0)
             )
-            for t in live
+            for t in ctx.ordered_terms
         ]
         K0 = K_ref[0]
         G_ref = sum(

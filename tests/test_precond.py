@@ -301,6 +301,27 @@ class TestSbgsAffine:
 
 
 class TestSbgsLognormal:
+    def test_reuses_callers_k0_factor(self, monkeypatch):
+        # The blocks whose diagonal comes from the zero multi-index term
+        # alone (block 0 at least) are exactly K_0: the caller's factor
+        # serves them, and only the other signatures are factorized.
+        op, _, ctx = tiny_lognormal()
+        K0 = op.terms[0][1]
+        K0_factor = CholeskyFactor(K0)
+        built = []
+        init = CholeskyFactor.__init__
+
+        def counting_init(self, K):
+            built.append(K)
+            init(self, K)
+
+        monkeypatch.setattr(CholeskyFactor, "__init__", counting_init)
+        for r in (1, 3, 6):
+            built.clear()
+            P = build_sbgs_lognormal(K0_factor, op.terms[: ctx.lead(r)], op.ny, op.nx)
+            assert len(built) == P.distinct_factor_count - 1
+            assert all(abs(D - K0).max() > 0 for D in built)
+
     def test_dense_identity(self):
         op, _, ctx = tiny_lognormal()
         for r in (3, 4):
@@ -328,7 +349,7 @@ class TestSbgsLognormal:
         monkeypatch.setattr(CholeskyFactor, "solve", counting)
         for r in (1, 4):
             pairs = op.terms[: ctx.lead(r)]
-            P = build_sbgs_lognormal(pairs, op.ny, op.nx)
+            P = build_sbgs_lognormal(op.terms[0][1], pairs, op.ny, op.nx)
             lower = [sp.tril(G, k=-1).tocoo() for G, _ in pairs]
             receiving = np.unique(np.concatenate([L.col for L in lower]))
             assert 0 < len(receiving) < op.ny
@@ -343,7 +364,7 @@ class TestSbgsLognormal:
         P_r = assemble_dense(pairs)
         assert np.linalg.eigvalsh(P_r).min() < 0
 
-        P = build_sbgs_lognormal(pairs, op.ny, op.nx)
+        P = build_sbgs_lognormal(op.terms[0][1], pairs, op.ny, op.nx)
         P_tilde = np.linalg.inv(dense_apply_inverse(P, op.dim))
         P_tilde = 0.5 * (P_tilde + P_tilde.T)
         assert np.linalg.eigvalsh(P_tilde).min() > 0
@@ -352,21 +373,57 @@ class TestSbgsLognormal:
         op, _, ctx = tiny_lognormal()
         pairs = op.terms[: ctx.lead(2)]
         with pytest.raises(ValueError):
-            build_sbgs_lognormal(pairs[1:], 10, 9)
+            build_sbgs_lognormal(op.terms[0][1], pairs[1:], 10, 9)
         with pytest.raises(ValueError):
-            build_sbgs_lognormal([], 10, 9)
+            build_sbgs_lognormal(op.terms[0][1], [], 10, 9)
 
     def test_factor_cache_bounded(self):
         op, _, ctx = tiny_lognormal()
-        P = build_sbgs_lognormal(op.terms[: ctx.lead(4)], op.ny, op.nx)
+        P = build_sbgs_lognormal(op.terms[0][1], op.terms[: ctx.lead(4)], op.ny, op.nx)
         assert 1 <= P.distinct_factor_count <= op.ny
 
     def test_solves_system(self):
         op, f, ctx = tiny_lognormal(k=2)
-        P = build_sbgs_lognormal(op.terms[: ctx.lead(2)], op.ny, op.nx)
+        P = build_sbgs_lognormal(op.terms[0][1], op.terms[: ctx.lead(2)], op.ny, op.nx)
         x, report = pcg_solve(op, P, f)
         assert report.converged
         np.testing.assert_allclose(op.matvec(x), f, atol=1e-5 * np.linalg.norm(f))
+
+
+class TestReadOnlyInput:
+    @pytest.mark.parametrize("dense_solve_max", [precond.DENSE_SOLVE_MAX, 0])
+    def test_inputs_stay_unchanged(self, monkeypatch, dense_solve_max):
+        # matvec and every apply_inverse read their input through the row
+        # view v.reshape(ny, nx), which aliases the caller's PCG vector: a
+        # read-only input must work, on both spatial-solve paths, and come
+        # back as a new flat vector equal to the one a writable input gives.
+        monkeypatch.setattr(precond, "DENSE_SOLVE_MAX", dense_solve_max)
+        aff, _, _ = tiny_affine()
+        log, _, ctx = tiny_lognormal()
+        log_pairs = log.terms[: ctx.lead(4)]
+        cases = [
+            (aff, aff.matvec),
+            (log, log.matvec),
+            (aff, build_mean_based(aff.terms[0][1], aff.ny).apply_inverse),
+            (aff, build_kron(aff.terms).apply_inverse),
+            (aff, build_trunc_exact(aff.terms[:3], 2, aff.ny, aff.nx).apply_inverse),
+            (log, build_trunc_exact(log_pairs, 4, log.ny, log.nx).apply_inverse),
+            (aff, build_sbgs_affine(aff.terms[0][1], aff.terms[:3], aff.ny, aff.nx).apply_inverse),
+            (log, build_sbgs_lognormal(log.terms[0][1], log_pairs, log.ny, log.nx).apply_inverse),
+        ]
+        monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", 1)  # the nested path
+        for op, pairs, r in ((aff, aff.terms[:3], 2), (log, log_pairs, 4)):
+            P = build_trunc_exact(pairs, r, op.ny, op.nx)
+            assert P.distinct_factor_count == 0
+            cases.append((op, P.apply_inverse))
+        for op, apply in cases:
+            v = np.random.default_rng(42).standard_normal(op.dim)
+            expected = apply(v.copy())
+            v.setflags(write=False)
+            out = apply(v)
+            assert out.shape == (op.dim,)
+            assert not np.shares_memory(out, v)
+            np.testing.assert_array_equal(out, expected)
 
 
 def _random_sbgs_configs(n, seed=20240):
