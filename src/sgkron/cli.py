@@ -65,6 +65,13 @@ def _as_list(value):
     return value if isinstance(value, list) else [value]
 
 
+def _int(value, what: str) -> int:
+    """An integer config value; bools and non-integral numbers are refused."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _require(cfg: dict, key: str):
     if key not in cfg:
         raise ConfigError(f"missing required field '{key}'")
@@ -86,7 +93,7 @@ def _parse_precond(item) -> tuple[str, int | None]:
     if kind in ("trunc_exact", "sbgs"):
         if r is None:
             raise ConfigError(f"preconditioner '{kind}' needs a truncation index r")
-        r = int(r)
+        r = _int(r, f"truncation index of '{kind}'")
         if r < 0:
             raise ConfigError(f"preconditioner '{kind}' needs r >= 0, got {r}")
     elif r is not None:
@@ -136,7 +143,7 @@ def _parse_alpha_bar(cfg: dict, sigma_tilde: float) -> float:
 
 _RUN_KEYS = {
     "problem", "decay", "sigma_tilde", "alpha_bar_mode", "mesh_level", "M", "k",
-    "N", "preconditioners", "tol", "max_iter", "residual_norm", "output",
+    "N", "preconditioners", "tol", "max_iter", "output",
 }
 
 
@@ -152,10 +159,10 @@ def _parse_cells(cfg: dict, keys: set[str]) -> list[Cell]:
     problem = _require(cfg, "problem")
     if problem not in ("affine", "lognormal"):
         raise ConfigError(f"problem must be 'affine' or 'lognormal', got {problem!r}")
-    N = int(cfg.get("N", 20))
-    Ms = [int(v) for v in _as_list(_require(cfg, "M"))]
-    levels = [int(v) for v in _as_list(_require(cfg, "mesh_level"))]
-    ks = [int(v) for v in _as_list(_require(cfg, "k"))]
+    N = _int(cfg.get("N", 20), "N")
+    Ms = [_int(v, "M") for v in _as_list(_require(cfg, "M"))]
+    levels = [_int(v, "mesh_level") for v in _as_list(_require(cfg, "mesh_level"))]
+    ks = [_int(v, "k") for v in _as_list(_require(cfg, "k"))]
     cells = []
     for decay_label, sigma in _decay_entries(cfg):
         alpha_bar = _parse_alpha_bar(cfg, sigma)
@@ -179,8 +186,7 @@ def _parse_run_config(cfg: dict):
         raise ConfigError("preconditioner list must not be empty")
     solver_cfg = pcg.SolverConfig(
         tol=float(cfg.get("tol", 1e-6)),
-        max_iter=int(cfg.get("max_iter", 1000)),
-        residual_norm=cfg.get("residual_norm", pcg.TRUE_RESIDUAL),
+        max_iter=_int(cfg.get("max_iter", 1000), "max_iter"),
     )
     return cells, preconds, solver_cfg, cfg.get("output")
 
@@ -390,7 +396,7 @@ def cmd_spectrum(config_path, out_path, full) -> int:
                 f"spectrum checks one configuration, the config spans {len(cells)}"
             )
         (cell,) = cells
-        r_values = [int(r) for r in _as_list(cfg.get("r", [0, 1, 2, 3]))]
+        r_values = [_int(r, "r") for r in _as_list(cfg.get("r", [0, 1, 2, 3]))]
         if not r_values:
             raise ConfigError("truncation index list must not be empty")
         if any(r < 0 for r in r_values):

@@ -47,25 +47,16 @@ def build_mesh(level: int) -> UniformMesh:
 # coefficient fields
 
 
-@dataclass(frozen=True)
-class CoefficientField:
-    """Scalar field on the closed unit square with a provenance descriptor.
-
-    The evaluator must accept numpy arrays (broadcast over points).
-    """
-
-    evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    descriptor: str
-
-    def __call__(self, x1, x2):
-        return self.evaluator(np.asarray(x1, float), np.asarray(x2, float))
+# A scalar field f(x1, x2) on the closed unit square; it broadcasts over
+# numpy arrays of points.
+CoefficientField = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def constant_field(value: float) -> CoefficientField:
     def ev(x1, x2):
         return np.full(np.broadcast(x1, x2).shape, float(value))
 
-    return CoefficientField(ev, f"constant({value})")
+    return ev
 
 
 def frequency_pair(m: int) -> tuple[int, int]:
@@ -83,7 +74,7 @@ def fourier_coefficient(m: int, sigma_tilde: float, alpha_bar: float) -> Coeffic
     if m < 0:
         raise ValueError("mode index must be >= 0")
     if m == 0:
-        return CoefficientField(constant_field(1.0).evaluator, "fourier(m=0)")
+        return constant_field(1.0)
     b1, b2 = frequency_pair(m)
     amp = alpha_bar * float(m) ** (-sigma_tilde)
     w1 = 2.0 * math.pi * b1
@@ -92,7 +83,7 @@ def fourier_coefficient(m: int, sigma_tilde: float, alpha_bar: float) -> Coeffic
     def ev(x1, x2):
         return amp * np.cos(w1 * x1) * np.cos(w2 * x2)
 
-    return CoefficientField(ev, f"fourier(m={m})")
+    return ev
 
 
 def auto_alpha_bar(sigma_tilde: float) -> float:
@@ -308,7 +299,7 @@ def lognormal_expansion_coeff(
                 out = out * b_fields[m](x1, x2) ** a / math.sqrt(math.factorial(a))
         return out
 
-    return CoefficientField(ev, f"lognormal(alpha={alpha})")
+    return ev
 
 
 def order_by_magnitude(

@@ -97,13 +97,3 @@ def _hermite_table(a: int, k: int) -> np.ndarray:
             table[i, j] = hermite_triple(a, i, j)
     table.flags.writeable = False
     return table
-
-
-def split_lower(G: sp.spmatrix) -> sp.csr_matrix:
-    """Strictly lower triangle L with L + L^T = G; requires a zero diagonal."""
-    diag = G.diagonal()
-    if np.any(diag != 0.0):
-        raise ValueError("split_lower requires a zero diagonal")
-    L = sp.tril(G, k=-1).tocsr()
-    L.sort_indices()
-    return L

@@ -21,10 +21,6 @@ def dimension(M: int, k: int) -> int:
     return math.comb(M + k, k)
 
 
-def total_degree(alpha: Sequence[int]) -> int:
-    return sum(alpha)
-
-
 @dataclass(frozen=True)
 class MultiIndexSet:
     """All multi-indices of total degree <= k in M parameters, degree-lex ordered.
@@ -81,11 +77,3 @@ def build_index_set(M: int, k: int) -> MultiIndexSet:
     )
     position = {alpha: j for j, alpha in enumerate(indices)}
     return MultiIndexSet(M=M, k=k, indices=indices, _position=position)
-
-
-def build_even_subset(S: MultiIndexSet) -> list[int]:
-    """Linear indices of all members with every entry even, in set order.
-
-    Always contains position 0 (the zero multi-index).
-    """
-    return [j for j, alpha in enumerate(S.indices) if all(a % 2 == 0 for a in alpha)]

@@ -33,8 +33,6 @@ class BoundSet:
     theta_r: float
     Theta_r: float
     delta_r: float
-    tau_tilde: float | None = None
-    tau_tilde_r: float | None = None
 
 
 def compute_bounds(
@@ -61,8 +59,6 @@ def compute_bounds(
     Theta = (a0_max + a0_min * tau) / ((1.0 - tau_r) * a0_min)
     s = a0_min * tau_r if sum_norms_r is None else float(sum_norms_r)
     delta = (s / a0_min) ** 2 / (1.0 - tau_r)
-    tilde = tau if a0_min == a0_max else None
-    tilde_r = tau_r if a0_min == a0_max else None
     return BoundSet(
         r=r,
         a0_min=a0_min,
@@ -72,8 +68,15 @@ def compute_bounds(
         theta_r=theta,
         Theta_r=Theta,
         delta_r=delta,
-        tau_tilde=tilde,
-        tau_tilde_r=tilde_r,
+    )
+
+
+def affine_bounds(ctx, r: int) -> BoundSet:
+    """The bounds of truncation index r of an affine system (an
+    ``AffineContext``); r is clamped to the M terms there are."""
+    r_eff = ctx.lead(r) - 1
+    return compute_bounds(
+        r, ctx.a0_min, ctx.a0_max, ctx.tau, ctx.tau_table[r_eff], ctx.sum_norms(r_eff)
     )
 
 
@@ -183,14 +186,7 @@ def verify_inclusions(
     for r in r_values:
         pairs = op.terms[: ctx.lead(r)]
         r_eff = len(pairs) - 1
-        bounds = compute_bounds(
-            r,
-            ctx.a0_min,
-            ctx.a0_max,
-            tau=ctx.tau,
-            tau_r=ctx.tau_table[r_eff],
-            sum_norms_r=ctx.sum_norms(r_eff),
-        )
+        bounds = affine_bounds(ctx, r)
         P_r = assemble_dense(pairs)
         P_sbgs, S_r = sbgs_dense(pairs)
         S_tilde = np.kron(np.eye(ny), K0_isqrt) @ S_r @ np.kron(np.eye(ny), K0_isqrt)

@@ -351,6 +351,15 @@ class TestRunCommand:
             {"preconditioners": [{"type": "sbgs", "r": [1]}]},
             {"output": ["out.csv"]},
             [tiny_affine_config()],
+            # The one PCG stopping rule has no setting.
+            {"residual_norm": "true"},
+            # Integer fields refuse bools and non-integral numbers.
+            {"k": 1.5},
+            {"mesh_level": True},
+            {"M": 2.5},
+            {"N": 20.5},
+            {"max_iter": 10.5},
+            {"preconditioners": [{"type": "sbgs", "r": 1.5}]},
         ],
     )
     def test_invalid_configs_exit_1(self, tmp_path, mutate, capsys):
@@ -466,6 +475,10 @@ class TestSpectrumCommand:
             {"r": [[1]]},
             {"k": None},
             {"output": 5},
+            {"residual_norm": "true"},
+            {"r": [1.5]},
+            {"k": 1.5},
+            {"mesh_level": True},
         ):
             cfg = spectrum_config(tmp_path, **bad)
             assert cli.main(["spectrum", cfg]) == 1

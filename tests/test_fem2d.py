@@ -83,10 +83,7 @@ class TestStiffness:
         mesh = build_mesh(3)
         a = fourier_coefficient(1, 2.0, 0.6)
         b = fourier_coefficient(2, 2.0, 0.6)
-        combined = fem2d.CoefficientField(
-            lambda x1, x2: a(x1, x2) + 3.0 * b(x1, x2), "a+3b"
-        )
-        K = assemble_stiffness(mesh, combined).toarray()
+        K = assemble_stiffness(mesh, lambda x1, x2: a(x1, x2) + 3.0 * b(x1, x2)).toarray()
         Ka = assemble_stiffness(mesh, a).toarray()
         Kb = assemble_stiffness(mesh, b).toarray()
         np.testing.assert_allclose(K, Ka + 3.0 * Kb, atol=1e-14)

@@ -4,13 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from sgkron.multiindex import (
-    MultiIndexSet,
-    build_even_subset,
-    build_index_set,
-    dimension,
-    total_degree,
-)
+from sgkron.multiindex import MultiIndexSet, build_index_set, dimension
 
 
 def brute_force_indices(M, k):
@@ -55,7 +49,7 @@ class TestOrdering:
 
     def test_degree_ascending_then_lex(self):
         S = build_index_set(4, 5)
-        keys = [(total_degree(a), a) for a in S]
+        keys = [(sum(a), a) for a in S]
         assert keys == sorted(keys)
 
     def test_matches_brute_force_order(self):
@@ -67,7 +61,7 @@ class TestOrdering:
         # Stars and bars: exactly binomial(M + d - 1, d) indices of degree d.
         S = build_index_set(5, 6)
         for d in range(7):
-            count = sum(1 for a in S if total_degree(a) == d)
+            count = sum(1 for a in S if sum(a) == d)
             assert count == math.comb(5 + d - 1, d)
 
 
@@ -92,31 +86,6 @@ class TestPositionBijection:
     def test_accepts_list_input(self):
         S = build_index_set(3, 2)
         assert S.position([0, 1, 0]) == S.position((0, 1, 0))
-
-
-class TestEvenSubset:
-    def test_all_entries_even(self):
-        S = build_index_set(4, 5)
-        even = build_even_subset(S)
-        for j in even:
-            assert all(a % 2 == 0 for a in S[j])
-
-    def test_complement_has_an_odd_entry(self):
-        S = build_index_set(4, 5)
-        even = set(build_even_subset(S))
-        for j, alpha in enumerate(S):
-            if j not in even:
-                assert any(a % 2 == 1 for a in alpha)
-
-    def test_zero_index_always_included(self):
-        for M, k in [(1, 0), (3, 1), (6, 6)]:
-            assert build_even_subset(build_index_set(M, k))[0] == 0
-
-    def test_count_matches_halved_set(self):
-        # Even members of I_k^M biject onto I_{k//2}^M via alpha -> alpha/2.
-        for M, k in [(2, 4), (3, 6), (4, 5)]:
-            S = build_index_set(M, k)
-            assert len(build_even_subset(S)) == dimension(M, k // 2)
 
 
 class TestDataclassBehavior:

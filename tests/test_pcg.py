@@ -78,19 +78,6 @@ class TestBasicConvergence:
 
 
 class TestResidualNorms:
-    def test_preconditioned_norm_converges(self):
-        A, f = spd_problem()
-        cfg = SolverConfig(tol=1e-8, residual_norm="preconditioned")
-        x, report = pcg_solve(
-            DenseOperator(A), DensePreconditioner(np.diag(np.diag(A))), f, cfg
-        )
-        assert report.converged
-        np.testing.assert_allclose(A @ x, f, atol=1e-6 * np.linalg.norm(f))
-
-    def test_unknown_norm_rejected(self):
-        with pytest.raises(ValueError):
-            SolverConfig(residual_norm="energy")
-
     def test_invalid_tolerances_rejected(self):
         with pytest.raises(ValueError):
             SolverConfig(tol=0.0)

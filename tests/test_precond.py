@@ -285,7 +285,7 @@ class TestSbgsAffine:
 
     def test_spectrum_above_truncation(self):
         # Lambda(P_r^{-1} P_tilde_r) sits in [1, 1 + delta_r].
-        from sgkron.spectral import compute_bounds, eig_range
+        from sgkron.spectral import affine_bounds, eig_range
 
         op, _, ctx = tiny_affine()
         r = 2
@@ -293,9 +293,7 @@ class TestSbgsAffine:
         P = build_sbgs_affine(op.terms[0][1], op.terms[: r + 1], op.ny, op.nx)
         P_tilde = np.linalg.inv(dense_apply_inverse(P, op.dim))
         lo, hi = eig_range(P_r, P_tilde)
-        bounds = compute_bounds(
-            r, ctx.a0_min, ctx.a0_max, ctx.tau, ctx.tau_table[r], ctx.sum_norms(r)
-        )
+        bounds = affine_bounds(ctx, r)
         assert lo >= 1.0 - 1e-8
         assert hi <= 1.0 + bounds.delta_r + 1e-8
 

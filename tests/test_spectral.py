@@ -57,14 +57,6 @@ class TestComputeBounds:
             assert 0 <= b.tau_r <= b.tau < 1
             assert b.delta_r >= 0
 
-    def test_tilde_constants_track_constant_mean(self):
-        b = spectral.compute_bounds(1, 1.0, 1.0, tau=0.6, tau_r=0.2)
-        assert b.tau_tilde == b.tau
-        assert b.tau_tilde_r == b.tau_r
-        b = spectral.compute_bounds(1, 0.9, 1.1, tau=0.6, tau_r=0.2)
-        assert b.tau_tilde is None
-        assert b.tau_tilde_r is None
-
     def test_validation(self):
         with pytest.raises(ValueError):
             spectral.compute_bounds(0, a0_min=0.0, a0_max=1.0, tau=0.5, tau_r=0.0)
@@ -199,6 +191,18 @@ class TestVerifyInclusions:
             if c.claim == "mean_vs_trunc":
                 assert np.isclose(c.bound_lo, 1.0 - ctx.tau_table[c.r], rtol=1e-12)
                 assert np.isclose(c.bound_hi, 1.0 + ctx.tau_table[c.r], rtol=1e-12)
+
+    def test_affine_bounds_read_the_context_and_clamp_r(self):
+        _, _, ctx = tiny_affine(2.0)  # M = 3
+        b = spectral.affine_bounds(ctx, 2)
+        ref = spectral.compute_bounds(
+            2, ctx.a0_min, ctx.a0_max, ctx.tau, ctx.tau_table[2], ctx.sum_norms(2)
+        )
+        assert b == ref
+        clamped = spectral.affine_bounds(ctx, 7)
+        assert clamped.r == 7
+        assert clamped.tau_r == ctx.tau_table[3] == ctx.tau
+        assert clamped.delta_r == spectral.affine_bounds(ctx, 3).delta_r
 
     def test_size_guard(self):
         op, _, ctx = SmallConfig(level=5).build()
