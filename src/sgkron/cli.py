@@ -72,6 +72,13 @@ def _int(value, what: str) -> int:
     return int(value)
 
 
+def _float(value, what: str) -> float:
+    """A finite real config value; bools, inf and nan are refused."""
+    if isinstance(value, bool) or not math.isfinite(x := float(value)):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return x
+
+
 def _require(cfg: dict, key: str):
     if key not in cfg:
         raise ConfigError(f"missing required field '{key}'")
@@ -121,7 +128,7 @@ def _decay_entries(cfg: dict) -> list[tuple[str, float]]:
                 raise ConfigError(f"decay must be 'fast' or 'slow', got {d!r}")
             entries.append((d, DECAY_SIGMA[d]))
     if "sigma_tilde" in cfg:
-        sigma = float(cfg["sigma_tilde"])
+        sigma = _float(cfg["sigma_tilde"], "sigma_tilde")
         if entries:
             entries = [(label, sigma) for label, _ in entries]
         else:
@@ -138,7 +145,7 @@ def _parse_alpha_bar(cfg: dict, sigma_tilde: float) -> float:
         if mode not in ("auto", "auto_0.9999"):
             raise ConfigError(f"alpha_bar_mode must be auto_0.9999 or a number, got {mode!r}")
         return fem2d.auto_alpha_bar(sigma_tilde)
-    return float(mode)
+    return _float(mode, "alpha_bar_mode")
 
 
 _RUN_KEYS = {
@@ -185,7 +192,7 @@ def _parse_run_config(cfg: dict):
     if not preconds:
         raise ConfigError("preconditioner list must not be empty")
     solver_cfg = pcg.SolverConfig(
-        tol=float(cfg.get("tol", 1e-6)),
+        tol=_float(cfg.get("tol", 1e-6), "tol"),
         max_iter=_int(cfg.get("max_iter", 1000), "max_iter"),
     )
     return cells, preconds, solver_cfg, cfg.get("output")

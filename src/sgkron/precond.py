@@ -20,13 +20,17 @@ the test suite checks both algebraically and spectrally.
 
 All spatial solves, with K_0 or with a diagonal block of a splitting, and
 the truncation's block factors go through :class:`CholeskyFactor`.  It
-solves with a dense inverse up to order ``DENSE_SOLVE_MAX`` (spatial
-blocks of mesh levels <= 4 and the smallest tail blocks) and with SuperLU
-above it (level-5 meshes and the larger tail blocks), at the measured
-crossover of the two.
+reads one of three paths off the matrix: a grid Laplacian (the affine K_0)
+is solved in the sine eigenbasis of its 1-D factors, positive definite by
+its closed-form eigenvalues; any other matrix with a dense inverse up to
+order ``DENSE_SOLVE_MAX`` (mesh levels <= 4, the smallest tail blocks) and
+with SuperLU above it, at the measured crossover of the two.
 """
 
 from __future__ import annotations
+
+import math
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -35,7 +39,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from .kronsys import KroneckerSumOperator, _is_identity, assemble_sparse
-from .pcg import BreakdownError as _InnerBreakdown
+from .pcg import BreakdownError as _BreakdownError
 from .pcg import SolverConfig as _InnerConfig
 from .pcg import pcg_solve as _inner_solve
 
@@ -51,11 +55,15 @@ from .pcg import pcg_solve as _inner_solve
 TRUNC_DIRECT_GUARD = 1600
 INNER_TOL = 1e-13
 # Largest order CholeskyFactor solves with a dense inverse.  Measured on one
-# BLAS thread (OpenBLAS, Xeon): the K^{-1} product beats the SuperLU
-# triangular solves at every block width up to n = 441 (Q1 Laplacian,
-# n = 225: 1 column 17 -> 9 us, 495 columns 4.0 -> 0.8 ms); from n = 529
-# SuperLU wins below ~45 columns, and at n = 961 below ~165.
+# BLAS thread (OpenBLAS, Xeon) on the Q1 Laplacian pattern: the K^{-1}
+# product beats the SuperLU triangular solves at every block width up to
+# n = 441 (n = 225: 1 column 17 -> 9 us, 495 columns 4.0 -> 0.8 ms); from
+# n = 529 SuperLU wins below ~45 columns, and at n = 961 below ~165.
 DENSE_SOLVE_MAX = 500
+# Smallest grid-Laplacian order solved by GEMMs, not its closed-form K^{-1}.
+# Same machine, 165 columns, dense -> GEMMs: q = 7 26 -> 93 us, 11 133 -> 196,
+# 13 241 -> 128 (loses below ~30 columns), 15 401 -> 186; 31 SuperLU 9.8 -> 1.5 ms.
+SINE_SOLVE_MIN = 169
 
 
 class NotPositiveDefiniteError(Exception):
@@ -66,22 +74,52 @@ class InnerStallError(RuntimeError):
     """The nested truncation solve stopped short of factorization accuracy."""
 
 
+@lru_cache(maxsize=8)
+def _grid_laplacian(q: int):
+    """L = A (x) M + M (x) A; S, the orthogonal sine basis of A and M; L's eigenvalues."""
+    A, M = (sp.diags(v, [-1, 0, 1], (q, q)) for v in ([-1.0, 2.0, -1.0], [1 / 6, 4 / 6, 1 / 6]))
+    t = np.arange(1, q + 1) * math.pi / (q + 1)
+    a, m = 2.0 - 2.0 * np.cos(t), (4.0 + 2.0 * np.cos(t)) / 6.0
+    S = math.sqrt(2.0 / (q + 1)) * np.sin(np.outer(t, np.arange(1, q + 1)))
+    S.flags.writeable = False  # cached, and kept by every factor of order q^2
+    return (sp.kron(A, M) + sp.kron(M, A)).tocsc(), S, np.outer(a, m) + np.outer(m, a)
+
+
+def _sine_solve(S: np.ndarray, inv_lam: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """S (inv_lam o (S X S)) S per q x q block X, a row of b.T (read in place)."""
+    B = np.reshape(b.T, (-1, *S.shape))
+    out = np.empty(B.shape)
+    step = max(1, (1 << 15) // S.size)  # chunks of 256 KB stay in L2
+    for s in range(0, len(B), step):
+        out[s : s + step] = S @ (inv_lam * (S @ B[s : s + step] @ S)) @ S
+    return out.reshape(b.T.shape).T
+
+
 class CholeskyFactor:
     """Symmetric factorization with positive-definiteness detection.
 
-    One interface, two paths chosen by the order n:
+    One interface, three paths chosen from the matrix itself:
 
-    * n <= ``DENSE_SOLVE_MAX``: LAPACK Cholesky of the dense matrix, then
-      K^{-1} formed once from the factor (dpotri), so that a solve is one
-      matrix product over all right-hand sides.  The Cholesky fails on a
-      non-positive pivot, which certifies that K is not positive definite.
+    * a grid Laplacian (the affine K_0), K = c L within 1e-12 max|K| for
+      L = A (x) M + M (x) A of order q^2, A = tridiag(-1, 2, -1) and
+      M = tridiag(1, 4, 1) / 6: K^{-1} maps each q x q block X to
+      S (Lambda^{-1} o (S X S)) S, S the symmetric orthogonal sine basis
+      of A and M and Lambda = c (a_i m_j + m_i a_j) from their eigenvalues.
+      The closed-form Lambda > 0 (a, m > 0, c > 0) certifies positive
+      definiteness, so nothing is factorized.  Below order
+      ``SINE_SOLVE_MIN`` that map is formed once as a dense K^{-1}.
+    * other n <= ``DENSE_SOLVE_MAX``: LAPACK Cholesky of the dense matrix,
+      then K^{-1} formed once from the factor (dpotri), so that a solve is
+      one matrix product over all right-hand sides.  The Cholesky fails on
+      a non-positive pivot, which certifies that K is not positive definite.
     * larger n: SuperLU in symmetric mode with diagonal pivoting, which for
       an SPD matrix is a Cholesky factorization up to diagonal scaling:
       L * sqrt(diag U) reproduces the permuted input.  Positivity of all
       pivots together with equality of the row and column permutations
       certifies positive definiteness.
 
-    Either certificate failing raises :class:`NotPositiveDefiniteError`.
+    Either factorization certificate failing raises
+    :class:`NotPositiveDefiniteError`.
     """
 
     def __init__(self, K: sp.spmatrix | np.ndarray):
@@ -93,8 +131,19 @@ class CholeskyFactor:
         if asym > 1e-10 * scale:
             raise ValueError(f"matrix not symmetric (deviation {asym:.3e})")
         self.n = K.shape[0]
+        self._inv = self._lu = self._sine = None
+        # Rejection in O(n) before L is built; NaN and inf fail every test.
+        q = math.isqrt(self.n)
+        d = K.diagonal() if q * q == self.n and K.nnz == (3 * q - 2) ** 2 else [0.0]
+        c = d[0] * 3.0 / 8.0
+        if 0.0 < c < np.inf and np.all(d == d[0]):
+            L, S, lam = _grid_laplacian(q)
+            if abs(K - c * L).max() <= 1e-12 * scale < np.inf:
+                self._sine = (S, 1.0 / (c * lam))
+                if self.n < SINE_SOLVE_MIN:
+                    self._inv = _sine_solve(*self._sine, np.eye(self.n))
+                return
         if self.n <= DENSE_SOLVE_MAX:
-            self._lu = None
             L, info = scipy.linalg.lapack.dpotrf(
                 K.toarray(order="F"), lower=1, clean=1, overwrite_a=1
             )
@@ -106,7 +155,6 @@ class CholeskyFactor:
             inv += np.tril(inv, -1).T  # dpotri fills the lower triangle only
             self._inv = inv
             return
-        self._inv = None
         self._lu = spla.splu(
             K,
             permc_spec="MMD_AT_PLUS_A",
@@ -114,9 +162,7 @@ class CholeskyFactor:
             options=dict(SymmetricMode=True),
         )
         pivots = self._lu.U.diagonal()
-        if not np.array_equal(self._lu.perm_r, self._lu.perm_c) or np.any(
-            pivots <= 0.0
-        ):
+        if not np.array_equal(self._lu.perm_r, self._lu.perm_c) or np.any(pivots <= 0.0):
             raise NotPositiveDefiniteError(
                 "matrix is not positive definite (non-positive pivot)"
             )
@@ -127,6 +173,8 @@ class CholeskyFactor:
         arrays (rows = blocks) pass their transpose."""
         if self._inv is not None:
             return self._inv @ b
+        if self._sine is not None:
+            return _sine_solve(*self._sine, b)
         return self._lu.solve(b)
 
 
@@ -168,6 +216,8 @@ class KroneckerProductPreconditioner:
         self.K0 = K0_factor
         self.ny = G.shape[0]
         self.nx = K0_factor.n
+        if not np.isfinite(G).all():  # overflowing coefficients; PCG breaks down on them too
+            raise _BreakdownError("Frobenius-optimal parametric factor G is not finite")
         try:
             self._g_chol = scipy.linalg.cho_factor(G)
         except scipy.linalg.LinAlgError as exc:
@@ -298,7 +348,7 @@ class TruncExactPreconditioner:
     def _solve_nested(self, v: np.ndarray) -> np.ndarray:
         try:
             z, rep = _inner_solve(self._op, self._inner_precond, v, self._inner_cfg)
-        except _InnerBreakdown as exc:
+        except _BreakdownError as exc:
             raise NotPositiveDefiniteError(
                 "truncation is not positive definite (inner solve breakdown)"
             ) from exc

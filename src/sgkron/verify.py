@@ -296,6 +296,30 @@ def prop_cholesky_factor_roundtrip():
         pass
     else:
         raise AssertionError("indefinite matrix accepted")
+    # The grid Laplacian L (the affine K_0) takes the sine path when scaled;
+    # a perturbed L is refused but still solved, -L is not SPD, and one NaN
+    # or inf, wherever it sits, keeps the path closed.
+    L = fem2d.assemble_stiffness(fem2d.build_mesh(4), fem2d.constant_field(1.0)).tocsc()
+    b = np.random.default_rng(RNG_SEED).standard_normal(L.shape[0])
+    bumped = L.tolil()
+    bumped[0, 1] = bumped[1, 0] = L[0, 1] * (1.0 + 1e-6)
+    for K, sine in ((2.5 * L, True), (bumped.tocsc(), False)):
+        fac = precond.CholeskyFactor(K)
+        assert (fac._sine is not None) == sine
+        assert np.linalg.norm(K @ fac.solve(b) - b) <= 1e-12 * np.linalg.norm(b)
+    try:
+        precond.CholeskyFactor(-L)
+    except precond.NotPositiveDefiniteError:
+        pass
+    else:
+        raise AssertionError("negative definite Laplacian accepted")
+    for entry, bad in ((0, np.nan), (1, np.nan), (1, np.inf)):  # diagonal, off-diagonal
+        K = L.copy()
+        K.data[K.indptr[0] + entry] = bad
+        try:
+            assert precond.CholeskyFactor(K)._sine is None
+        except precond.NotPositiveDefiniteError:
+            pass
 
 
 def prop_trunc_full_equals_system(cfg: SmallConfig = AFFINE):

@@ -218,6 +218,28 @@ class TestRunCommand:
         assert good[COL["precond"]] == "mean"
         assert good[COL["converged"]] == "true"
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"alpha_bar_mode": 1e308, "mesh_level": 2, "M": 1, "k": 1},
+            {
+                "problem": "lognormal", "alpha_bar_mode": 1000, "mesh_level": 2,
+                "M": 1, "N": 2, "k": 1,
+            },
+        ],
+    )
+    def test_non_finite_kron_factor_row(self, tmp_path, overrides):
+        # Overflowing coefficients make the parametric factor G non-finite:
+        # kron ends in the breakdown row PCG gives the cell's mean row.
+        cfg = write_config(
+            tmp_path / "cfg.json", tiny_affine_config(**overrides, preconditioners=["kron", "mean"])
+        )
+        out = tmp_path / "out.csv"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 2
+        _, rows = read_rows(out)
+        assert [r[COL["precond"]] for r in rows] == ["kron!breakdown", "mean!breakdown"]
+        assert all(r[COL["final_relres"]] == "nan" for r in rows)
+
     def test_finished_rows_survive_a_crash(self, tmp_path, monkeypatch):
         # An error no failure label maps ends the run, but the rows written
         # before it stay in the file.
@@ -360,6 +382,12 @@ class TestRunCommand:
             {"N": 20.5},
             {"max_iter": 10.5},
             {"preconditioners": [{"type": "sbgs", "r": 1.5}]},
+            # Float fields refuse bools and non-finite numbers (1e400 is inf).
+            {"tol": True},
+            {"tol": 1e400},
+            {"tol": float("nan")},
+            {"alpha_bar_mode": True},
+            {"sigma_tilde": True, "alpha_bar_mode": 0.5},
         ],
     )
     def test_invalid_configs_exit_1(self, tmp_path, mutate, capsys):

@@ -79,14 +79,39 @@ class TestCholeskyFactorSuperLU(TestCholeskyFactor):
         monkeypatch.setattr(precond, "DENSE_SOLVE_MAX", 0)
 
 
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+def test_laplacian_k0_takes_the_sine_path(level):
+    # The affine K_0 is the grid Laplacian at every level: no LAPACK or
+    # SuperLU factor, checked against LAPACK's general solver.  cond(K_0)
+    # < 1e3 up to level 5, so 1e-11 leaves a wide margin over cond * eps.
+    K0 = assemble_stiffness(build_mesh(level), fourier_coefficient(0, 2.0, 0.6))
+    factor = CholeskyFactor(K0)
+    assert factor._sine is not None and factor._lu is None
+    assert (factor._inv is not None) == (factor.n < precond.SINE_SOLVE_MIN)
+    rng = np.random.default_rng(level)
+    A = K0.toarray()
+    b = rng.standard_normal(factor.n)
+    B = rng.standard_normal((45, factor.n)).T  # the transposed block layout
+    for rhs in (b, B):
+        x_ref = np.linalg.solve(A, rhs)
+        rhs.setflags(write=False)
+        x = factor.solve(rhs)
+        assert x.shape == rhs.shape
+        assert np.linalg.norm(x - x_ref) / np.linalg.norm(x_ref) < 1e-11
+
+
 @pytest.mark.parametrize("level, dense", [(3, True), (4, True), (5, False)])
 def test_factor_solves_real_k0(level, dense):
-    # Both sides of the cutoff at its shipped value, against LAPACK's
-    # general solver.  cond(K_0) < 1e3 up to level 5, so 1e-11 leaves a
-    # wide margin over cond * eps for either path.
+    # Both sides of the dense/SuperLU cutoff at its shipped value, on a
+    # variable-coefficient stiffness (not a grid Laplacian), against
+    # LAPACK's general solver.  cond < 1e3 up to level 5, so 1e-11 leaves
+    # a wide margin over cond * eps for either path.
     mesh = build_mesh(level)
-    K0 = assemble_stiffness(mesh, fourier_coefficient(0, 2.0, 0.6))
+    K0 = assemble_stiffness(
+        mesh, lambda x1, x2: 2.0 + np.cos(2 * np.pi * x1) * np.cos(2 * np.pi * x2)
+    )
     factor = CholeskyFactor(K0)
+    assert factor._sine is None
     assert (factor.n <= precond.DENSE_SOLVE_MAX) == dense
     assert (factor._lu is None) == dense
     rng = np.random.default_rng(level)
@@ -393,8 +418,12 @@ class TestReadOnlyInput:
     def test_inputs_stay_unchanged(self, monkeypatch, dense_solve_max):
         # matvec and every apply_inverse read their input through the row
         # view v.reshape(ny, nx), which aliases the caller's PCG vector: a
-        # read-only input must work, on both spatial-solve paths, and come
+        # read-only input must work, on every spatial-solve path, and come
         # back as a new flat vector equal to the one a writable input gives.
+        # The affine K_0 is a grid Laplacian, so the affine mean, kron and
+        # SBGS cases and the affine trunc_exact blocks of degree 0 run the
+        # Laplacian path whatever the cutoff; the lognormal K_0, D_jj and
+        # blocks and the larger affine blocks keep dense or SuperLU.
         monkeypatch.setattr(precond, "DENSE_SOLVE_MAX", dense_solve_max)
         aff, _, _ = tiny_affine()
         log, _, ctx = tiny_lognormal()
