@@ -16,12 +16,15 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
+import functools
 import json
 import math
 import os
 import sys
 import time
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import fem2d, kronsys, multiindex, pcg, precond, spectral, verify
 
@@ -86,13 +89,11 @@ def _require(cfg: dict, key: str):
 
 
 def _parse_precond(item) -> tuple[str, int | None]:
-    if isinstance(item, dict):
-        kind = item.get("type")
-        r = item.get("r")
-    elif isinstance(item, str):
-        parts = item.replace(":", " ").split()
-        kind = parts[0] if parts else ""
-        r = int(parts[1]) if len(parts) > 1 else None
+    """An entry "kind" or "kind r" (space or colon), or {"type": kind, "r": r}."""
+    if isinstance(item, dict) and set(item) <= {"type", "r"}:
+        kind, r = item.get("type"), item.get("r")
+    elif isinstance(item, str) and len(parts := item.replace(":", " ").split()) <= 2:
+        kind, r = (parts + [None, None])[:2]
     else:
         raise ConfigError(f"unrecognized preconditioner entry {item!r}")
     if kind not in ("mean", "kron", "trunc_exact", "sbgs"):
@@ -209,16 +210,17 @@ def _build_system(cell: Cell):
 
 
 def _build_preconditioner(kind, r, op, ctx, K0_factor):
+    """K0_factor() gives the cell's K_0 factor; trunc_exact never asks."""
     if kind == "mean":
-        return precond.build_mean_based(K0_factor, op.ny)
+        return precond.build_mean_based(K0_factor(), op.ny)
     if kind == "kron":
-        return precond.build_kron(op.terms, K0_factor)
+        return precond.build_kron(op.terms, K0_factor())
     pairs = op.terms[: ctx.lead(r)]
     if kind == "trunc_exact":
         return precond.build_trunc_exact(pairs, r, op.ny, op.nx)
     if isinstance(ctx, kronsys.AffineContext):
-        return precond.build_sbgs_affine(K0_factor, pairs, op.ny, op.nx)
-    return precond.build_sbgs_lognormal(K0_factor, pairs, op.ny, op.nx)
+        return precond.build_sbgs_affine(K0_factor(), pairs, op.ny, op.nx)
+    return precond.build_sbgs_lognormal(K0_factor(), pairs, op.ny, op.nx)
 
 
 def _format_row(cell: Cell, label, r_cell, it, conv, relres, setup_s, solve_s, n) -> str:
@@ -269,6 +271,9 @@ def cmd_run(config_path, preset, out_path, max_k) -> int:
     if (config_path is None) == (preset is None):
         print("run: pass exactly one of <config.json> or --preset", file=sys.stderr)
         return 1
+    if max_k is not None and preset is None:
+        print("run: --max-k trims a preset; it needs --preset", file=sys.stderr)
+        return 1
     try:
         if preset is not None:
             cfg = _preset_config(preset, max_k)
@@ -298,7 +303,9 @@ def cmd_run(config_path, preset, out_path, max_k) -> int:
             print(CSV_HEADER, file=out, flush=True)
             for cell in cells:
                 op, f, ctx = _build_system(cell)
-                K0_factor = precond.CholeskyFactor(op.terms[0][1])
+                # Built on first use, so that a K_0 it refuses ends as the rows
+                # of the preconditioners that need it.
+                K0_factor = functools.cache(lambda K0=op.terms[0][1]: precond.CholeskyFactor(K0))
                 for kind, r in preconds:
                     t0 = time.perf_counter()
                     P = None
@@ -408,6 +415,16 @@ def cmd_spectrum(config_path, out_path, full) -> int:
             raise ConfigError("truncation index list must not be empty")
         if any(r < 0 for r in r_values):
             raise ConfigError("truncation indices must be >= 0")
+        op, _, ctx = _build_system(cell)
+        if op.dim > spectral.EIG_GUARD:
+            raise ConfigError(
+                f"system dimension {op.dim} exceeds the dense guard "
+                f"{spectral.EIG_GUARD}; lower mesh_level, M or k"
+            )
+        if not all(np.isfinite(K.data).all() for _, K in op.terms):
+            raise ConfigError("the coefficient overflows: the system is not finite")
+        if cell.problem == "affine" and not ctx.tau < 1:
+            raise ConfigError(f"the affine bounds need tau < 1, got tau = {ctx.tau:.6g}")
     except OSError as exc:
         print(f"spectrum: cannot read config: {exc}", file=sys.stderr)
         return 1
@@ -418,54 +435,39 @@ def cmd_spectrum(config_path, out_path, full) -> int:
         print(f"spectrum: invalid config: {exc}", file=sys.stderr)
         return 1
 
-    op, _, ctx = _build_system(cell)
-    if op.dim > spectral.EIG_GUARD:
-        print(
-            f"spectrum: system dimension {op.dim} exceeds the dense guard "
-            f"{spectral.EIG_GUARD}; lower mesh_level, M or k",
-            file=sys.stderr,
-        )
-        return 1
-
-    if cell.problem == "affine":
-        checks = spectral.verify_inclusions(op, ctx, r_values=r_values)
-        if not full:
-            checks = [c for c in checks if c.claim in THEOREM_CLAIMS]
-    else:
-        checks = spectral.lognormal_spd_report(op, ctx, r_values)
-
-    lines = [SPECTRUM_HEADER]
-    width = max(len(c.claim) for c in checks)
-    for c in checks:
-        status = "pass" if c.passed else "FAIL"
-        if not c.applicable:
-            status = "n/a"
-        print(
-            f"{c.claim:<{width}}  r={c.r}  "
-            f"bound [{_fmt_bound(c.bound_lo)}, {_fmt_bound(c.bound_hi)}]  "
-            f"observed [{_fmt_bound(c.observed_lo)}, {_fmt_bound(c.observed_hi)}]  "
-            f"margin {c.margin:+.3e}  {status}"
-        )
-        lines.append(
-            ",".join(
-                (
-                    c.claim,
-                    str(c.r),
-                    _fmt_bound(c.bound_lo),
-                    _fmt_bound(c.bound_hi),
-                    _fmt_bound(c.observed_lo),
-                    _fmt_bound(c.observed_hi),
-                    f"{c.margin:.6e}",
-                    "n/a" if not c.applicable else ("true" if c.passed else "false"),
-                )
-            )
-        )
-    n_pass = sum(1 for c in checks if c.passed)
-    print(f"{n_pass}/{len(checks)} claims passed")
     out_path = out_path or cfg.get("output")
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+    try:  # before the eigensolves, so that an unwritable path costs none
+        sink = open(out_path, "w") if out_path else contextlib.nullcontext()
+    except OSError as exc:
+        print(f"spectrum: cannot write output: {exc}", file=sys.stderr)
+        return 1
+    with sink as out:
+        if cell.problem == "affine":
+            checks = spectral.verify_inclusions(op, ctx, r_values=r_values)
+            if not full:
+                checks = [c for c in checks if c.claim in THEOREM_CLAIMS]
+        else:
+            checks = spectral.lognormal_spd_report(op, ctx, r_values)
+
+        lines = [SPECTRUM_HEADER]
+        width = max(len(c.claim) for c in checks)
+        for c in checks:
+            ends = (c.bound_lo, c.bound_hi, c.observed_lo, c.observed_hi)
+            lo, hi, seen_lo, seen_hi = map(_fmt_bound, ends)
+            shown, cell = ("pass", "true") if c.passed else ("FAIL", "false")
+            if not c.applicable:
+                shown = cell = "n/a"
+            print(
+                f"{c.claim:<{width}}  r={c.r}  bound [{lo}, {hi}]  "
+                f"observed [{seen_lo}, {seen_hi}]  margin {c.margin:+.3e}  {shown}"
+            )
+            lines.append(
+                ",".join((c.claim, str(c.r), lo, hi, seen_lo, seen_hi, f"{c.margin:.6e}", cell))
+            )
+        n_pass = sum(1 for c in checks if c.passed)
+        print(f"{n_pass}/{len(checks)} claims passed")
+        if out is not None:
+            out.write("\n".join(lines) + "\n")
     return 0 if n_pass == len(checks) else 2
 
 

@@ -280,7 +280,7 @@ class LognormalTerm:
 class LognormalContext:
     index_set: MultiIndexSet  # parametric basis I_k^M
     mesh: UniformMesh
-    ordered_terms: tuple[LognormalTerm, ...]  # descending magnitude over I_{2k}^M
+    ordered_terms: tuple[LognormalTerm, ...]  # I_{2k}^M: zero index, then by magnitude
     b_fields: tuple[CoefficientField, ...]
     b0: CoefficientField
 
@@ -343,6 +343,9 @@ def build_lognormal_system(
     ]
 
     ordered = fem2d.order_by_magnitude(full, b_fields, b0)
+    # The mean term leads even when a large amplitude lets another outweigh
+    # it: P_0 = I (x) K_0, and the kron fit and the SBGS splitting need it.
+    ordered.sort(key=lambda term: any(term[0]))  # stable
 
     grams = [gram.gram_general(alpha, S) for alpha, _ in ordered]
     quad_values = _expansion_quad_values(mesh, [alpha for alpha, _ in ordered], b_fields, b0)

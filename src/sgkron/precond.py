@@ -119,26 +119,29 @@ class CholeskyFactor:
       certifies positive definiteness.
 
     Either factorization certificate failing raises
-    :class:`NotPositiveDefiniteError`.
+    :class:`NotPositiveDefiniteError`; a NaN or inf entry is refused first,
+    with the :class:`pcg.BreakdownError` PCG raises on non-finite data.
     """
 
     def __init__(self, K: sp.spmatrix | np.ndarray):
         K = sp.csc_matrix(K)
         if K.shape[0] != K.shape[1]:
             raise ValueError("matrix must be square")
+        if not np.isfinite(K.data).all():
+            raise _BreakdownError("matrix has a non-finite entry")
         asym = abs(K - K.T).max()
         scale = abs(K).max() or 1.0
         if asym > 1e-10 * scale:
             raise ValueError(f"matrix not symmetric (deviation {asym:.3e})")
         self.n = K.shape[0]
         self._inv = self._lu = self._sine = None
-        # Rejection in O(n) before L is built; NaN and inf fail every test.
+        # Rejection in O(n) before L is built.
         q = math.isqrt(self.n)
         d = K.diagonal() if q * q == self.n and K.nnz == (3 * q - 2) ** 2 else [0.0]
         c = d[0] * 3.0 / 8.0
-        if 0.0 < c < np.inf and np.all(d == d[0]):
+        if c > 0.0 and np.all(d == d[0]):
             L, S, lam = _grid_laplacian(q)
-            if abs(K - c * L).max() <= 1e-12 * scale < np.inf:
+            if abs(K - c * L).max() <= 1e-12 * scale:
                 self._sine = (S, 1.0 / (c * lam))
                 if self.n < SINE_SOLVE_MIN:
                     self._inv = _sine_solve(*self._sine, np.eye(self.n))

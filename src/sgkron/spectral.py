@@ -80,6 +80,17 @@ def affine_bounds(ctx, r: int) -> BoundSet:
     )
 
 
+def kappa_bound(ctx, kind: str, r: int) -> float:
+    """The theorem's bound on the condition number of PCG on an affine system
+    preconditioned by ``kind`` ("trunc_exact" or "sbgs") at index r."""
+    b = affine_bounds(ctx, r)
+    if kind == "trunc_exact":
+        return b.Theta_r / b.theta_r
+    if kind == "sbgs":
+        return b.Theta_r * (1.0 + b.delta_r) / b.theta_r
+    raise ValueError(f"no condition bound for preconditioner {kind!r}")
+
+
 def _check_spd_dense(X: np.ndarray, name: str) -> None:
     try:
         np.linalg.cholesky(X)
@@ -158,96 +169,43 @@ def sbgs_dense(terms) -> tuple[np.ndarray, np.ndarray]:
 def verify_inclusions(
     op: KroneckerSumOperator, ctx, r_values, slack: float = 1e-8
 ) -> list[InclusionCheck]:
-    """Check every claimed spectral inclusion for an affine system.
-
-    For each requested truncation index r:
-      * trunc_vs_system:  spectrum of P_r^{-1} A within [theta_r, Theta_r];
-      * mean_vs_trunc:    spectrum of P_0^{-1} P_r within [1 - tau_r, 1 + tau_r];
-      * sbgs_vs_trunc:    spectrum of P_r^{-1} P~_r within [1, 1 + delta_r];
-      * sbgs_vs_system:   spectrum of P~_r^{-1} A within [theta_r/(1+delta_r), Theta_r];
-      * scaled_eig_floor: lambda_min(I + S~ + S~^T) >= 1 - tau_r;
-      * scaled_sigma_cap: sigma_max(S~) <= sum of first r sup-norms / a0_min.
-    """
+    """Check every claimed spectral inclusion of an affine system, for each
+    truncation index r; the claims are the rows of the table below."""
     if op.dim > EIG_GUARD:
         raise ValueError(f"verification refused at dimension {op.dim} > {EIG_GUARD}")
 
     A = assemble_dense(op.terms)
     K0 = op.terms[0][1].toarray()
-    ny = op.ny
-    P0 = np.kron(np.eye(ny), K0)
+    P0 = np.kron(np.eye(op.ny), K0)
 
     # Symmetric scaling by D_0^{-1/2} = I (x) K_0^{-1/2}.
     w, Q = scipy.linalg.eigh(K0)
     if w[0] <= 0:
         raise NotPositiveDefiniteError("mean stiffness factor is not SPD")
-    K0_isqrt = (Q * (1.0 / np.sqrt(w))) @ Q.T
+    D0_isqrt = np.kron(np.eye(op.ny), (Q * (1.0 / np.sqrt(w))) @ Q.T)
 
     checks: list[InclusionCheck] = []
     for r in r_values:
         pairs = op.terms[: ctx.lead(r)]
-        r_eff = len(pairs) - 1
-        bounds = affine_bounds(ctx, r)
+        b = affine_bounds(ctx, r)
         P_r = assemble_dense(pairs)
         P_sbgs, S_r = sbgs_dense(pairs)
-        S_tilde = np.kron(np.eye(ny), K0_isqrt) @ S_r @ np.kron(np.eye(ny), K0_isqrt)
-
-        checks.append(
-            _containment(
-                "trunc_vs_system",
-                r,
-                (bounds.theta_r, bounds.Theta_r),
-                eig_range(P_r, A),
-                slack,
-            )
+        S_tilde = D0_isqrt @ S_r @ D0_isqrt  # S~, the scaled strictly lower part
+        floor = np.linalg.eigvalsh(np.eye(op.dim) + S_tilde + S_tilde.T)
+        smax = float(scipy.linalg.svdvals(S_tilde)[0]) if len(pairs) > 1 else 0.0
+        cap = ctx.sum_norms(len(pairs) - 1) / ctx.a0_min  # first r sup-norms / a0_min
+        # (claim, interval, observed range).  eig_range(B, A) spans the
+        # spectrum of B^{-1} A; P~_r is the SBGS approximation of P_r; the
+        # scaled rows bound lambda_min(I + S~ + S~^T) and sigma_max(S~).
+        table = (
+            ("trunc_vs_system", (b.theta_r, b.Theta_r), eig_range(P_r, A)),
+            ("mean_vs_trunc", (1.0 - b.tau_r, 1.0 + b.tau_r), eig_range(P0, P_r)),
+            ("sbgs_vs_trunc", (1.0, 1.0 + b.delta_r), eig_range(P_r, P_sbgs)),
+            ("sbgs_vs_system", (b.theta_r / (1.0 + b.delta_r), b.Theta_r), eig_range(P_sbgs, A)),
+            ("scaled_eig_floor", (1.0 - b.tau_r, np.inf), (float(floor[0]), float(floor[-1]))),
+            ("scaled_sigma_cap", (-np.inf, cap), (0.0, smax)),
         )
-        checks.append(
-            _containment(
-                "mean_vs_trunc",
-                r,
-                (1.0 - bounds.tau_r, 1.0 + bounds.tau_r),
-                eig_range(P0, P_r),
-                slack,
-            )
-        )
-        checks.append(
-            _containment(
-                "sbgs_vs_trunc",
-                r,
-                (1.0, 1.0 + bounds.delta_r),
-                eig_range(P_r, P_sbgs),
-                slack,
-            )
-        )
-        checks.append(
-            _containment(
-                "sbgs_vs_system",
-                r,
-                (bounds.theta_r / (1.0 + bounds.delta_r), bounds.Theta_r),
-                eig_range(P_sbgs, A),
-                slack,
-            )
-        )
-        sym = np.eye(op.dim) + S_tilde + S_tilde.T
-        eigs = np.linalg.eigvalsh(sym)
-        checks.append(
-            _containment(
-                "scaled_eig_floor",
-                r,
-                (1.0 - bounds.tau_r, np.inf),
-                (float(eigs[0]), float(eigs[-1])),
-                slack,
-            )
-        )
-        smax = float(scipy.linalg.svdvals(S_tilde)[0]) if r_eff > 0 else 0.0
-        checks.append(
-            _containment(
-                "scaled_sigma_cap",
-                r,
-                (-np.inf, ctx.sum_norms(r_eff) / ctx.a0_min),
-                (0.0, smax),
-                slack,
-            )
-        )
+        checks += [_containment(claim, r, bound, seen, slack) for claim, bound, seen in table]
     return checks
 
 
@@ -262,38 +220,18 @@ def lognormal_spd_report(
     """
     if op.dim > EIG_GUARD:
         raise ValueError(f"verification refused at dimension {op.dim} > {EIG_GUARD}")
+
+    def row(claim, r, eigs, passed, applicable=True):
+        lo, hi = float(eigs[0]), float(eigs[-1])
+        return InclusionCheck(claim, r, 0.0, np.inf, lo, hi, lo, passed, applicable)
+
     checks: list[InclusionCheck] = []
     for r in r_values:
         pairs = op.terms[: ctx.lead(r)]
-        P_r = assemble_dense(pairs)
-        eigs = np.linalg.eigvalsh(P_r)
-        spd = bool(eigs[0] > 0)
-        checks.append(
-            InclusionCheck(
-                claim="trunc_spd",
-                r=r,
-                bound_lo=0.0,
-                bound_hi=np.inf,
-                observed_lo=float(eigs[0]),
-                observed_hi=float(eigs[-1]),
-                margin=float(eigs[0]),
-                passed=True,
-                applicable=spd,
-            )
-        )
-
-        P_sbgs, _ = sbgs_dense(pairs)
-        sbgs_eigs = np.linalg.eigvalsh(P_sbgs)
-        checks.append(
-            InclusionCheck(
-                claim="sbgs_spd",
-                r=r,
-                bound_lo=0.0,
-                bound_hi=np.inf,
-                observed_lo=float(sbgs_eigs[0]),
-                observed_hi=float(sbgs_eigs[-1]),
-                margin=float(sbgs_eigs[0]),
-                passed=bool(sbgs_eigs[0] > slack * abs(sbgs_eigs[-1])),
-            )
-        )
+        trunc = np.linalg.eigvalsh(assemble_dense(pairs))
+        sbgs = np.linalg.eigvalsh(sbgs_dense(pairs)[0])
+        checks += [
+            row("trunc_spd", r, trunc, True, bool(trunc[0] > 0)),
+            row("sbgs_spd", r, sbgs, bool(sbgs[0] > slack * abs(sbgs[-1]))),
+        ]
     return checks

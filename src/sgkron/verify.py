@@ -297,8 +297,8 @@ def prop_cholesky_factor_roundtrip():
     else:
         raise AssertionError("indefinite matrix accepted")
     # The grid Laplacian L (the affine K_0) takes the sine path when scaled;
-    # a perturbed L is refused but still solved, -L is not SPD, and one NaN
-    # or inf, wherever it sits, keeps the path closed.
+    # a perturbed L is refused but still solved, -L is not SPD, and a matrix
+    # with one NaN or inf, wherever it sits, is refused as a breakdown.
     L = fem2d.assemble_stiffness(fem2d.build_mesh(4), fem2d.constant_field(1.0)).tocsc()
     b = np.random.default_rng(RNG_SEED).standard_normal(L.shape[0])
     bumped = L.tolil()
@@ -317,9 +317,11 @@ def prop_cholesky_factor_roundtrip():
         K = L.copy()
         K.data[K.indptr[0] + entry] = bad
         try:
-            assert precond.CholeskyFactor(K)._sine is None
-        except precond.NotPositiveDefiniteError:
+            precond.CholeskyFactor(K)
+        except pcg.BreakdownError:
             pass
+        else:
+            raise AssertionError(f"matrix with {bad} at entry {entry} accepted")
 
 
 def prop_trunc_full_equals_system(cfg: SmallConfig = AFFINE):
@@ -448,23 +450,20 @@ def prop_inclusions_tiny(cfg: SmallConfig = AFFINE):
 
 def prop_kappa_within_bound(cfg: SmallConfig = AFFINE):
     # Affine: the Lanczos estimate of PCG with trunc_exact r and sbgs r stays
-    # below the theorem's bound, Theta_r / theta_r and Theta_r (1 + delta_r)
-    # / theta_r.  Ritz values lie inside the spectrum, so no slack.
+    # below the theorem's bound, spectral.kappa_bound.  Ritz values lie
+    # inside the spectrum, so no slack.
     op, f, ctx = cfg.build()
     K0 = precond.CholeskyFactor(op.terms[0][1])
     solver = pcg.SolverConfig(tol=1e-10)
     for r in range(ctx.lead(cfg.r)):
         pairs = op.terms[: ctx.lead(r)]
-        b = spectral.affine_bounds(ctx, r)
-        for P, bound in (
-            (precond.build_trunc_exact(pairs, r, op.ny, op.nx), b.Theta_r / b.theta_r),
-            (
-                precond.build_sbgs_affine(K0, pairs, op.ny, op.nx),
-                b.Theta_r * (1.0 + b.delta_r) / b.theta_r,
-            ),
+        for P in (
+            precond.build_trunc_exact(pairs, r, op.ny, op.nx),
+            precond.build_sbgs_affine(K0, pairs, op.ny, op.nx),
         ):
             _, report = pcg.pcg_solve(op, P, f, solver)
             est = pcg.estimate_condition(report)
+            bound = spectral.kappa_bound(ctx, P.label, r)
             assert est <= bound, f"{P.label} r={r}: kappa {est:.4g} above bound {bound:.4g}"
 
 

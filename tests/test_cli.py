@@ -1,16 +1,22 @@
 """End-to-end tests of the command-line interface (in-process, and in a
 subprocess where the process state is under test)."""
 
+import contextlib
 import io
 import json
+import math
 import os
 import platform
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sgkron import cli, pcg, precond
+from sgkron import cli, fem2d, pcg, precond
 
 
 def subprocess_env():
@@ -388,6 +394,10 @@ class TestRunCommand:
             {"tol": float("nan")},
             {"alpha_bar_mode": True},
             {"sigma_tilde": True, "alpha_bar_mode": 0.5},
+            # An entry is "kind", "kind r" or {"type": kind, "r": r}, no more.
+            {"preconditioners": ["sbgs 1 2"]},
+            {"preconditioners": ["sbgs:1:9"]},
+            {"preconditioners": [{"type": "sbgs", "r": 1, "bogus": 3}]},
         ],
     )
     def test_invalid_configs_exit_1(self, tmp_path, mutate, capsys):
@@ -408,6 +418,7 @@ class TestRunCommand:
         assert cli.main(["run", str(bad)]) == 1
         assert cli.main(["run", "--preset", "table2", "--max-k", "0"]) == 1
         assert cli.main(["run", cfg, "--out", str(tmp_path / "no" / "out.csv")]) == 1
+        assert cli.main(["run", cfg, "--max-k", "1"]) == 1  # --max-k trims a preset only
         capsys.readouterr()
 
     def test_argparse_usage_exit(self):
@@ -484,6 +495,13 @@ class TestSpectrumCommand:
 
     def test_invalid_configs_exit_1(self, tmp_path, capsys):
         assert cli.main(["spectrum", str(tmp_path / "missing.json")]) == 1
+        capsys.readouterr()
+        # The output is opened before the eigensolves, which print nothing.
+        cfg = spectrum_config(tmp_path)
+        assert cli.main(["spectrum", cfg, "--out", str(tmp_path / "no" / "x.csv")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("spectrum: cannot write output:")
+        assert captured.out == ""
         cfg = spectrum_config(tmp_path, preconditioners=["mean"])
         assert cli.main(["spectrum", cfg]) == 1
         cfg = spectrum_config(tmp_path, r=[])
@@ -540,3 +558,172 @@ class TestVerifyCommand:
         assert proc.returncode == 1
         assert proc.stderr == "verify: assertions are disabled (python -O)\n"
         assert proc.stdout == ""
+
+
+# ---------------------------------------------------------------------------
+# The CLI contract, as one property over configs drawn key by key: valid
+# values, and values of every JSON type (bool, int, float with inf and nan,
+# str, list, dict, null).  Sizes stay tiny: level <= 2, M <= 3, k <= 2.
+
+OUT = "<output path>"  # replaced by a path in the example's own directory
+NON_STR = st.one_of(
+    st.booleans(),
+    st.integers(-2, 0),
+    st.sampled_from([math.inf, -math.inf, math.nan, 0.5, -1.5]),
+    st.lists(st.none() | st.integers(0, 2) | st.text(max_size=2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=1),
+    st.none(),
+)
+JUNK = NON_STR | st.text(max_size=4)
+
+
+def one_or_two(values):
+    return st.one_of(values, st.lists(values, min_size=1, max_size=2))
+
+
+ENTRY = st.one_of(
+    st.sampled_from(["mean", "kron"]),
+    st.builds(
+        "{}{}{}".format,
+        st.sampled_from(["trunc_exact", "sbgs"]), st.sampled_from([" ", ":"]), st.integers(0, 4),
+    ),
+    st.fixed_dictionaries(
+        {"type": st.sampled_from(["trunc_exact", "sbgs"]), "r": st.integers(0, 4)}
+    ),
+)
+BAD_ENTRY = st.one_of(  # an extra token or key, or no entry at all
+    st.builds("sbgs 1 {}".format, st.integers(0, 9)),
+    st.builds(lambda key: {"type": "sbgs", "r": 1, key: 0}, st.text(min_size=1, max_size=3)),
+    JUNK,
+)
+CELL_KEYS = {
+    "problem": st.sampled_from(["affine", "lognormal"]),
+    "decay": one_or_two(st.sampled_from(["fast", "slow"])),
+    "mesh_level": st.sampled_from([1, 2, 2.0, [1]]),
+    "M": st.sampled_from([1, 2, 3, [2]]),
+    "k": one_or_two(st.integers(0, 2)),
+}
+OPTIONAL_KEYS = {
+    "sigma_tilde": st.sampled_from([2.0, 4, 0.5]),
+    "alpha_bar_mode": st.sampled_from(["auto", "auto_0.9999", 0, 0.547, 2.0, -1.0, 1000, 1e308]),
+    "N": st.integers(2, 6),
+    "output": st.just(OUT),
+}
+RUN_KEYS = {"preconditioners": st.lists(ENTRY, min_size=1, max_size=3)}
+RUN_OPTIONAL_KEYS = {
+    "tol": st.sampled_from([1e-6, 1e-8, 0.5, 1]),
+    "max_iter": st.sampled_from([1, 3, 1000]),
+}
+SPECTRUM_OPTIONAL_KEYS = {"r": one_or_two(st.integers(0, 4))}
+
+
+@st.composite
+def cli_cases(draw):
+    """(argv without the config path, config): a valid config of either
+    command with up to two keys set to a drawn value or dropped."""
+    run = draw(st.booleans())
+    required = {**CELL_KEYS, **(RUN_KEYS if run else {})}
+    optional = {**OPTIONAL_KEYS, **(RUN_OPTIONAL_KEYS if run else SPECTRUM_OPTIONAL_KEYS)}
+    cfg = draw(st.fixed_dictionaries(required, optional=optional))
+    keys = sorted({*required, *optional, *RUN_KEYS, *RUN_OPTIONAL_KEYS, "r", "seed"})
+    for key in draw(st.lists(st.sampled_from(keys), max_size=2, unique=True)):
+        if draw(st.booleans()):
+            cfg.pop(key, None)
+        elif key == "preconditioners":
+            cfg[key] = draw(JUNK | st.lists(ENTRY | BAD_ENTRY, max_size=3))
+        else:
+            cfg[key] = draw(NON_STR if key == "output" else JUNK)
+    if run:
+        return ["run"], cfg
+    return ["spectrum", *draw(st.sampled_from([[], ["--full"]]))], cfg
+
+
+def as_list(value):
+    return value if isinstance(value, list) else [value]
+
+
+TINY_RUN = tiny_affine_config(preconditioners=["trunc_exact 1"])
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(case=cli_cases())
+# entries with an extra token or key
+@example(case=(["run"], {**TINY_RUN, "preconditioners": ["sbgs 1 2"]}))
+@example(case=(["run"], {**TINY_RUN, "preconditioners": ["sbgs:1:9"]}))
+@example(case=(["run"], {**TINY_RUN, "preconditioners": [{"type": "sbgs", "r": 1, "bogus": 3}]}))
+# float fields that are bools or not finite
+@example(case=(["run"], {**TINY_RUN, "tol": True}))
+@example(case=(["run"], {**TINY_RUN, "tol": math.inf}))
+@example(case=(["run"], {**TINY_RUN, "tol": math.nan}))
+@example(case=(["run"], {**TINY_RUN, "alpha_bar_mode": True}))
+@example(case=(["run"], {**TINY_RUN, "sigma_tilde": True, "alpha_bar_mode": 0.5}))
+# overflowing coefficients: breakdown rows, and a refused spectrum
+@example(case=(["run"], {**TINY_RUN, "alpha_bar_mode": 1e308, "M": 1, "k": 1}))
+@example(case=(["spectrum"], {"problem": "lognormal", "alpha_bar_mode": 1000, "mesh_level": 2,
+                              "M": 1, "N": 2, "k": 1}))
+# amplitudes past the theory: the mean term still leads, tau >= 1 is refused
+@example(case=(["run"], {**TINY_RUN, "problem": "lognormal", "alpha_bar_mode": 5, "N": 4,
+                         "preconditioners": ["mean", "kron", "sbgs 1"]}))
+@example(case=(["spectrum"], {"problem": "affine", "decay": "slow", "alpha_bar_mode": 5,
+                              "mesh_level": 2, "M": 2, "k": 1}))
+def test_cli_contract(case):
+    # No exception escapes and the exit code is 0, 1 or 2; exit 1 is an
+    # invalid config with nothing on stdout; exit 0 or 2 writes every row,
+    # and exit 2 comes exactly when a row did not converge (pass).
+    argv, cfg = case
+    with tempfile.TemporaryDirectory() as tmp:
+        out_path = os.path.join(tmp, "out.csv")
+        if cfg.get("output") == OUT:
+            cfg = {**cfg, "output": out_path}
+        config = os.path.join(tmp, "cfg.json")
+        with open(config, "w") as fh:
+            json.dump(cfg, fh)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main([*argv, config])
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert "invalid config" in stderr.getvalue()
+            assert stdout.getvalue() == ""
+            return
+        written = Path(out_path).read_text() if os.path.exists(out_path) else None
+    lines = (written or stdout.getvalue()).splitlines()
+    if argv[0] == "run":
+        assert lines[0] == cli.CSV_HEADER
+        rows = [line.split(",") for line in lines[1:]]
+        n_decay = len(as_list(cfg["decay"])) if "decay" in cfg else 1
+        n_cells = n_decay * len(as_list(cfg["M"])) * len(as_list(cfg["mesh_level"]))
+        assert len(rows) == n_cells * len(as_list(cfg["k"])) * len(cfg["preconditioners"])
+        failed = [row for row in rows if row[COL["converged"]] == "false"]
+    else:
+        per_r = 2 if cfg["problem"] == "lognormal" else 6 if "--full" in argv else 3
+        rows = stdout.getvalue().splitlines()[:-1]
+        assert len(rows) == per_r * len(as_list(cfg.get("r", [0, 1, 2, 3])))
+        if written is not None:
+            assert lines[0] == cli.SPECTRUM_HEADER and len(lines) == len(rows) + 1
+        failed = [row for row in rows if row.endswith("FAIL")]
+    assert (code == 2) == bool(failed)
+
+
+def test_nan_stiffness_term_ends_as_breakdown_rows(tmp_path, monkeypatch):
+    # Fault injection: K_1 assembles with a NaN, and every preconditioner
+    # ends in a breakdown row, at set-up or in PCG.
+    assemble = fem2d.assemble_stiffness
+    calls = []
+
+    def poisoned(mesh, field):
+        K = assemble(mesh, field)
+        calls.append(1)
+        if len(calls) == 2:  # K_0, then K_1
+            K.data[0] = math.nan
+        return K
+
+    monkeypatch.setattr(fem2d, "assemble_stiffness", poisoned)
+    kinds = ["mean", "kron", "trunc_exact 0", "trunc_exact 1", "sbgs 1"]
+    cfg = write_config(tmp_path / "cfg.json", tiny_affine_config(preconditioners=kinds))
+    out = tmp_path / "out.csv"
+    assert cli.main(["run", cfg, "--out", str(out)]) == 2
+    _, rows = read_rows(out)
+    assert [r[COL["precond"]] for r in rows] == [
+        f"{kind.split()[0]}!breakdown" for kind in kinds
+    ]
