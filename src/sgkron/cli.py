@@ -56,6 +56,21 @@ _M_TRIM_THRESHOLD = -1  # mallopt parameter numbers of glibc's malloc.h
 _M_MMAP_THRESHOLD = -3
 
 
+# Size guards of one cell, checked at parse time from counts alone.
+# Coefficient fields sampled on the 257^2 sup-norm grid, M affine, N
+# lognormal (0.5 MB a field, all N held at once): 2000 hold ~1 GB, less than
+# the largest preset cell; the presets use 8 and 20.  A bounded M also keeps
+# the counts below fast for any k.
+MAX_FIELDS = 2000
+# Basis-term pairs |I_k^M| T (T = M + 1 affine, |I_2k^M| lognormal terms),
+# the Gram build's work: table6 k = 6 has 924 x 18,564 = 1.7e7, a cell
+# measured at ~500 s and 2.4 GB.
+MAX_TERM_PAIRS = 2 * 10**7
+# Unknowns |I_k^M| (2^level - 1)^2: table3 k = 6 has 3003 x 225 = 675,675,
+# and its cells take minutes.
+MAX_UNKNOWNS = 10**6
+
+
 class ConfigError(Exception):
     pass
 
@@ -179,12 +194,25 @@ def _parse_cells(cfg: dict, keys: set[str]) -> list[Cell]:
                 for k in ks:
                     if problem == "lognormal" and M >= N:
                         raise ConfigError(f"lognormal requires M < N, got M={M}, N={N}")
-                    fem2d.build_mesh(level)  # the library's range checks
-                    multiindex.dimension(M, k)
+                    nx = fem2d.build_mesh(level).n_interior  # the library's range checks
+                    _check_size(problem, nx, M, k, N)
                     cells.append(
                         Cell(problem, decay_label, sigma, alpha_bar, level, M, k, N)
                     )
     return cells
+
+
+def _check_size(problem: str, nx: int, M: int, k: int, N: int) -> None:
+    """Refuse a cell past the size guards above (range-checks M and k too)."""
+    name, fields = ("M", M) if problem == "affine" else ("N", N)
+    if fields > MAX_FIELDS:
+        raise ConfigError(f"{name}={fields}: over {MAX_FIELDS} fields (size guard)")
+    n_basis = multiindex.dimension(M, k)
+    n_terms = M + 1 if problem == "affine" else multiindex.dimension(M, 2 * k)
+    if n_basis * n_terms > MAX_TERM_PAIRS:
+        raise ConfigError(f"M={M}, k={k}: over {MAX_TERM_PAIRS} basis-term pairs (size guard)")
+    if n_basis * nx > MAX_UNKNOWNS:
+        raise ConfigError(f"M={M}, k={k}, {nx} nodes: over {MAX_UNKNOWNS} unknowns (size guard)")
 
 
 def _parse_run_config(cfg: dict):
@@ -217,31 +245,19 @@ def _build_preconditioner(kind, r, op, ctx, K0_factor):
         return precond.build_kron(op.terms, K0_factor())
     pairs = op.terms[: ctx.lead(r)]
     if kind == "trunc_exact":
-        return precond.build_trunc_exact(pairs, r, op.ny, op.nx)
+        return precond.build_trunc_exact(pairs, op.ny, op.nx)
     if isinstance(ctx, kronsys.AffineContext):
         return precond.build_sbgs_affine(K0_factor(), pairs, op.ny, op.nx)
     return precond.build_sbgs_lognormal(K0_factor(), pairs, op.ny, op.nx)
 
 
-def _format_row(cell: Cell, label, r_cell, it, conv, relres, setup_s, solve_s, n) -> str:
-    h = 2.0 ** (-cell.level)
-    return ",".join(
-        (
-            cell.problem,
-            cell.decay_label,
-            f"{h:.10g}",
-            str(cell.M),
-            str(cell.k),
-            label,
-            "" if r_cell is None else str(r_cell),
-            str(it),
-            "true" if conv else "false",
-            f"{relres:.6e}",
-            f"{setup_s:.2f}",
-            f"{solve_s:.2f}",
-            str(n),
-        )
-    )
+def _format_row(cell: Cell, r_cell, n, label, it, conv, relres, setup_s, solve_s) -> str:
+    r_text = "" if r_cell is None else str(r_cell)
+    return ",".join((
+        cell.problem, cell.decay_label, f"{2.0 ** -cell.level:.10g}", str(cell.M), str(cell.k),
+        label, r_text, str(it), "true" if conv else "false", f"{relres:.6e}",
+        f"{setup_s:.2f}", f"{solve_s:.2f}", str(n),
+    ))
 
 
 # Failures of a preconditioner's set-up or solve, reported as a labelled
@@ -299,7 +315,9 @@ def cmd_run(config_path, preset, out_path, max_k) -> int:
         return 1
     status = 0  # 2 once a written row did not converge
     try:
-        with sink as out:  # rows go out as they finish, so a crash keeps them
+        # Rows go out as they finish, so a crash keeps them.  Overflow in the
+        # build or a solve is labelled by the finiteness checks, not warned of.
+        with sink as out, np.errstate(over="ignore", invalid="ignore"):
             print(CSV_HEADER, file=out, flush=True)
             for cell in cells:
                 op, f, ctx = _build_system(cell)
@@ -307,23 +325,24 @@ def cmd_run(config_path, preset, out_path, max_k) -> int:
                 # of the preconditioners that need it.
                 K0_factor = functools.cache(lambda K0=op.terms[0][1]: precond.CholeskyFactor(K0))
                 for kind, r in preconds:
+                    # The r cell, on success and failure rows alike: 0 for mean,
+                    # empty for kron, the requested r for trunc_exact and the
+                    # index of the last term for sbgs.
+                    r_cell = ctx.lead(r) - 1 if kind == "sbgs" else {"mean": 0}.get(kind, r)
                     t0 = time.perf_counter()
-                    P = None
+                    setup_s = 0.0  # until the preconditioner is built
                     try:
                         P = _build_preconditioner(kind, r, op, ctx, K0_factor)
                         setup_s = time.perf_counter() - t0
                         _, rep = pcg.pcg_solve(op, P, f, solver_cfg)
-                        row = (kind, P.r, rep.iterations, rep.converged, rep.final_relres,
+                        row = (kind, rep.iterations, rep.converged, rep.final_relres,
                                setup_s, rep.solve_seconds)
                     except tuple(_FAILURE_LABELS) as exc:
                         label = next(v for t, v in _FAILURE_LABELS.items() if isinstance(exc, t))
-                        if P is None:
-                            r_cell, setup_s = r, time.perf_counter() - t0
-                        else:
-                            r_cell = P.r
-                        row = (f"{kind}!{label}", r_cell, 0, False, float("nan"), setup_s, 0.0)
-                    print(_format_row(cell, *row, op.dim), file=out, flush=True)
-                    if not row[3]:
+                        setup_s = setup_s or time.perf_counter() - t0
+                        row = (f"{kind}!{label}", 0, False, float("nan"), setup_s, 0.0)
+                    print(_format_row(cell, r_cell, op.dim, *row), file=out, flush=True)
+                    if not row[2]:
                         status = 2
     except BrokenPipeError:
         # The reader closed the output (`sgkron run ... | head`): the grid
@@ -415,7 +434,8 @@ def cmd_spectrum(config_path, out_path, full) -> int:
             raise ConfigError("truncation index list must not be empty")
         if any(r < 0 for r in r_values):
             raise ConfigError("truncation indices must be >= 0")
-        op, _, ctx = _build_system(cell)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            op, _, ctx = _build_system(cell)
         if op.dim > spectral.EIG_GUARD:
             raise ConfigError(
                 f"system dimension {op.dim} exceeds the dense guard "

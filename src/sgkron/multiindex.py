@@ -10,6 +10,7 @@ identical across runs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -59,14 +60,14 @@ def _check_params(M: int, k: int) -> None:
 
 
 def _compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
-    # Tuples of `slots` nonnegative integers summing to `total`,
-    # generated in ascending lexicographic order.
-    if slots == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, slots - 1):
-            yield (head,) + tail
+    # Tuples of `slots` nonnegative integers summing to `total`, in
+    # ascending lexicographic order: the gaps around `slots - 1` bars among
+    # `total + slots - 1` places (stars and bars), whose placements
+    # itertools.combinations yields in the same order.
+    n = total + slots - 1
+    for bars in itertools.combinations(range(n), slots - 1):
+        edges = (-1, *bars, n)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
 def build_index_set(M: int, k: int) -> MultiIndexSet:

@@ -1,7 +1,7 @@
 """Preconditioners for the Kronecker-structured Galerkin systems.
 
-Four families share one duck-typed interface (``apply_inverse`` on flat
-block vectors, plus ``label`` and ``r`` attributes for reporting):
+Four families share one duck-typed interface, ``apply_inverse`` on flat
+block vectors:
 
 * mean-based: block-diagonal solves with the mean stiffness factor;
 * Kronecker product: a single G (x) K_0 with G the Frobenius-optimal
@@ -190,9 +190,6 @@ def _as_factor(K0) -> CholeskyFactor:
 
 
 class MeanBasedPreconditioner:
-    label = "mean"
-    r = 0
-
     def __init__(self, K0_factor: CholeskyFactor, ny: int):
         self.K0 = K0_factor
         self.ny = ny
@@ -211,9 +208,6 @@ def build_mean_based(K0, ny: int) -> MeanBasedPreconditioner:
 
 
 class KroneckerProductPreconditioner:
-    label = "kron"
-    r = None
-
     def __init__(self, G: np.ndarray, K0_factor: CholeskyFactor):
         self.G = G
         self.K0 = K0_factor
@@ -291,7 +285,7 @@ def _tail_blocks(Gs: list, ny: int) -> list[np.ndarray]:
 
 class TruncExactPreconditioner:
     """Exact application of the truncation P_r = the sum of ``terms``, the
-    leading pairs ``op.terms[: ctx.lead(r)]``; r is reported, not read.
+    leading pairs ``op.terms[: ctx.lead(r)]``.
 
     The leading terms couple parametric indices only within the connected
     components of their G patterns: for the affine expansion the
@@ -308,13 +302,10 @@ class TruncExactPreconditioner:
     ``INNER_TOL`` = 1e-13, i.e. to factorization-level accuracy.
     """
 
-    label = "trunc_exact"
-
-    def __init__(self, terms, r: int, ny: int, nx: int):
+    def __init__(self, terms, ny: int, nx: int):
         used = tuple(terms)
         if not used:
             raise ValueError("truncation needs at least one term")
-        self.r = r
         self.ny = ny
         self.nx = nx
         Gs = [sp.csr_matrix(G) for G, _ in used]
@@ -362,8 +353,8 @@ class TruncExactPreconditioner:
         return z
 
 
-def build_trunc_exact(terms, r: int, ny: int, nx: int) -> TruncExactPreconditioner:
-    return TruncExactPreconditioner(terms, r, ny, nx)
+def build_trunc_exact(terms, ny: int, nx: int) -> TruncExactPreconditioner:
+    return TruncExactPreconditioner(terms, ny, nx)
 
 
 # ---------------------------------------------------------------------------
@@ -387,46 +378,41 @@ class PairBlockSbgs:
 
     Blocks are scheduled by longest-path level in the union of the lower
     couplings, so blocks of one level are independent.  A sweep step solves
-    the blocks of a level that share a diagonal signature (the pairs
-    (l, G_l[j, j]) defining D_jj) in one multi-right-hand-side solve, and
-    applies the couplings into the level per term, in rounds of distinct
-    target blocks; the backward sweep solves only the blocks a coupling
-    lands on, the others keep their forward value.  ``factors`` maps
-    signatures to ready factors of their D_jj; a pair's K is read only for
-    its couplings and unsupplied D_jj.
+    the blocks of a level that share a diagonal row (G_l[j, j])_l, which
+    defines D_jj, in one multi-right-hand-side solve, and applies the
+    couplings into the level per term, in rounds of distinct target blocks;
+    the backward sweep solves only the blocks a coupling lands on, the
+    others keep their forward value.  ``K0``, a factor of the leading K,
+    serves the rows (1, 0, ..., 0), whose D_jj is that K; a pair's K is
+    read only for its couplings and the other D_jj.
     """
 
-    label = "sbgs"
-
-    def __init__(self, pairs, ny: int, nx: int, factors: dict | None = None):
+    def __init__(self, pairs, ny: int, nx: int, K0: CholeskyFactor | None = None):
         pairs = list(pairs)
         if not pairs:
             raise ValueError("truncation needs at least one term")
-        self.r = len(pairs) - 1
         self.ny = ny
         self.nx = nx
 
-        # One factor per distinct diagonal signature.
-        ells = [ell for ell, (G, _) in enumerate(pairs) if np.any(G.diagonal())]
-        Dg = np.array([pairs[ell][0].diagonal() for ell in ells]).reshape(-1, ny)
-        sig_cols, first, sig_id = np.unique(
-            Dg.T, axis=0, return_index=True, return_inverse=True
+        # One factor per distinct diagonal row.
+        diag_rows, first, diag_id = np.unique(
+            np.array([G.diagonal() for G, _ in pairs]).T,
+            axis=0, return_index=True, return_inverse=True,
         )
-        cache: dict[tuple, CholeskyFactor] = dict(factors or {})
         factor = []
-        for col, j in zip(sig_cols, first):
-            sig = tuple((ell, float(c)) for ell, c in zip(ells, col) if c != 0.0)
-            if sig not in cache:
-                D_jj = sp.csr_matrix((nx, nx))
-                for ell, coef in sig:
-                    D_jj = D_jj + coef * pairs[ell][1]
-                try:
-                    cache[sig] = CholeskyFactor(D_jj)
-                except NotPositiveDefiniteError as exc:
-                    raise NotPositiveDefiniteError(
-                        f"diagonal block {j} of the SBGS splitting is not SPD"
-                    ) from exc
-            factor.append(cache[sig])
+        for d, j in zip(diag_rows, first):
+            if K0 is not None and d[0] == 1.0 and not d[1:].any():
+                factor.append(K0)
+                continue
+            D_jj = sp.csr_matrix((nx, nx))
+            for ell in np.flatnonzero(d):
+                D_jj = D_jj + float(d[ell]) * pairs[ell][1]
+            try:
+                factor.append(CholeskyFactor(D_jj))
+            except NotPositiveDefiniteError as exc:
+                raise NotPositiveDefiniteError(
+                    f"diagonal block {j} of the SBGS splitting is not SPD"
+                ) from exc
         self.distinct_factor_count = len(factor)
 
         # Strictly lower couplings (targets, sources, values) of every term.
@@ -467,20 +453,20 @@ class PairBlockSbgs:
                     e = key == k
                     out[k // ny].append((pos[tgt[e]], src[e], val[e], K))
 
-        def by_signature(blocks):
+        def by_diagonal(blocks):
             groups = []
-            for s in np.unique(sig_id[blocks]):
-                sel = np.flatnonzero(sig_id[blocks] == s)
+            for s in np.unique(diag_id[blocks]):
+                sel = np.flatnonzero(diag_id[blocks] == s)
                 groups.append((slice(None) if len(sel) == len(blocks) else sel, factor[s]))
             return groups
 
-        # Per level: blocks and their (slots, factor) per signature, forward
+        # Per level: blocks and their (slots, factor) per diagonal row, forward
         # couplings, receiving blocks and theirs, backward couplings.
         self._levels = []
         for d, (idx, fwd_d, bwd_d) in enumerate(zip(by_level, fwd, bwd)):
             back = recv[level[recv] == d]
             self._levels.append(
-                (idx, by_signature(idx), fwd_d, back, by_signature(back), bwd_d)
+                (idx, by_diagonal(idx), fwd_d, back, by_diagonal(back), bwd_d)
             )
 
     def apply_inverse(self, v: np.ndarray) -> np.ndarray:
@@ -512,7 +498,7 @@ def build_sbgs_affine(K0, pairs, ny: int, nx: int) -> PairBlockSbgs:
     pairs = list(pairs)
     if not pairs or not _is_identity(pairs[0][0]) or any(G.diagonal().any() for G, _ in pairs[1:]):
         raise ValueError("affine SBGS needs the lead I (x) K_0 and hollow parametric factors")
-    return PairBlockSbgs(pairs, ny, nx, factors={((0, 1.0),): _as_factor(K0)})
+    return PairBlockSbgs(pairs, ny, nx, _as_factor(K0))
 
 
 def build_sbgs_lognormal(K0, pairs, ny: int, nx: int) -> PairBlockSbgs:
@@ -527,4 +513,4 @@ def build_sbgs_lognormal(K0, pairs, ny: int, nx: int) -> PairBlockSbgs:
     pairs = list(pairs)
     if not pairs or not _is_identity(pairs[0][0]):
         raise ValueError("the zero multi-index term must lead the truncation")
-    return PairBlockSbgs(pairs, ny, nx, factors={((0, 1.0),): _as_factor(K0)})
+    return PairBlockSbgs(pairs, ny, nx, _as_factor(K0))

@@ -326,7 +326,7 @@ def prop_cholesky_factor_roundtrip():
 
 def prop_trunc_full_equals_system(cfg: SmallConfig = AFFINE):
     op, _, _ = cfg.build()
-    P = precond.build_trunc_exact(op.terms, len(op.terms) - 1, op.ny, op.nx)
+    P = precond.build_trunc_exact(op.terms, op.ny, op.nx)
     A = kronsys.assemble_dense(op.terms)
     v = np.random.default_rng(cfg.seed).standard_normal(op.dim)
     assert np.linalg.norm(P.apply_inverse(A @ v) - v) < 1e-10 * np.linalg.norm(v)
@@ -339,7 +339,6 @@ def prop_sbgs_identity(cfg: SmallConfig = AFFINE):
     pairs = op.terms[: ctx.lead(cfg.r)]
     build = precond.build_sbgs_affine if cfg.problem == "affine" else precond.build_sbgs_lognormal
     P = build(op.terms[0][1], pairs, op.ny, op.nx)
-    assert P.label == "sbgs" and P.r == len(pairs) - 1, (P.label, P.r)
     dense, _ = spectral.sbgs_dense(pairs)
     applied = np.column_stack([P.apply_inverse(col) for col in dense.T])
     assert np.max(np.abs(applied - np.eye(op.dim))) < 1e-10
@@ -368,29 +367,6 @@ def prop_kron_frobenius_lsq(cfg: SmallConfig = AFFINE):
     assert np.max(np.abs(P.G - G_best)) < 1e-10
 
 
-def prop_precond_dense_formula(cfg: SmallConfig = AFFINE):
-    # mean, kron and trunc_exact r are SPD and invert I (x) K_0 = P_0,
-    # G (x) K_0 and P_r; a lognormal P_r that `spectrum` marks n/a is skipped.
-    op, _, ctx = cfg.build()
-    K0 = op.terms[0][1]
-    kron = precond.build_kron(op.terms, precond.CholeskyFactor(K0))
-    cases = [
-        (precond.build_mean_based(K0, op.ny), kronsys.assemble_dense(op.terms[:1])),
-        (kron, np.kron(kron.G, K0.toarray())),
-    ]
-    if cfg.problem == "affine" or spectral.lognormal_spd_report(op, ctx, [cfg.r])[0].applicable:
-        pairs = op.terms[: ctx.lead(cfg.r)]
-        P = precond.build_trunc_exact(pairs, cfg.r, op.ny, op.nx)
-        cases.append((P, kronsys.assemble_dense(pairs)))
-    rng = np.random.default_rng(cfg.seed)
-    for P, dense in cases:
-        assert np.max(np.abs(dense - dense.T)) <= 1e-14 * np.max(np.abs(dense)), P.label
-        assert np.linalg.eigvalsh(dense)[0] > 0, f"{P.label} not positive definite"
-        for v in rng.standard_normal((3, op.dim)):
-            err = np.linalg.norm(P.apply_inverse(dense @ v) - v)
-            assert err < 1e-10 * np.linalg.norm(v), (P.label, err)
-
-
 # ---------------------------------------------------------------------------
 # pcg
 
@@ -399,7 +375,7 @@ def prop_pcg_exact_preconditioner(cfg: SmallConfig = AFFINE):
     op, f, _ = cfg.build()
     A = kronsys.assemble_dense(op.terms)
     dense = SimpleNamespace(dim=op.dim, matvec=lambda v: A @ v)
-    exact = SimpleNamespace(label="exact", r=None, apply_inverse=lambda v: np.linalg.solve(A, v))
+    exact = SimpleNamespace(apply_inverse=lambda v: np.linalg.solve(A, v))
     u, report = pcg.pcg_solve(dense, exact, f)
     assert report.iterations == 1 and report.converged
     zero_u, zero_rep = pcg.pcg_solve(dense, exact, np.zeros_like(f))
@@ -457,45 +433,41 @@ def prop_kappa_within_bound(cfg: SmallConfig = AFFINE):
     solver = pcg.SolverConfig(tol=1e-10)
     for r in range(ctx.lead(cfg.r)):
         pairs = op.terms[: ctx.lead(r)]
-        for P in (
-            precond.build_trunc_exact(pairs, r, op.ny, op.nx),
-            precond.build_sbgs_affine(K0, pairs, op.ny, op.nx),
+        for kind, P in (
+            ("trunc_exact", precond.build_trunc_exact(pairs, op.ny, op.nx)),
+            ("sbgs", precond.build_sbgs_affine(K0, pairs, op.ny, op.nx)),
         ):
             _, report = pcg.pcg_solve(op, P, f, solver)
             est = pcg.estimate_condition(report)
-            bound = spectral.kappa_bound(ctx, P.label, r)
-            assert est <= bound, f"{P.label} r={r}: kappa {est:.4g} above bound {bound:.4g}"
+            bound = spectral.kappa_bound(ctx, kind, r)
+            assert est <= bound, f"{kind} r={r}: kappa {est:.4g} above bound {bound:.4g}"
 
 
-PROPERTIES = [
-    ("index_set_cardinality", prop_index_set_cardinality),
-    ("orthonormality", prop_orthonormality),
-    ("recurrence_constants", prop_recurrence_constants),
-    ("hermite_triple_quadrature", prop_hermite_triple_quadrature),
-    ("gram_structure", prop_gram_structure),
-    ("gram_vs_quadrature", prop_gram_vs_quadrature),
-    ("gram_general_diagonal_parity", prop_gram_general_diagonal_parity),
-    ("stiffness_reference_values", prop_stiffness_reference_values),
-    ("stiffness_spd_and_linear", prop_stiffness_spd_and_linear),
-    ("frequency_pairs", prop_frequency_pairs),
-    ("tau_monotone", prop_tau_monotone),
-    ("lognormal_coeff_quadrature", prop_lognormal_coeff_quadrature),
-    ("matvec_vs_dense", prop_matvec_vs_dense),
-    ("block_row_count", prop_block_row_count),
-    ("load_structure", prop_load_structure),
-    ("cholesky_factor_roundtrip", prop_cholesky_factor_roundtrip),
-    ("trunc_full_equals_system", prop_trunc_full_equals_system),
-    ("sbgs_identity", prop_sbgs_identity),
-    ("sbgs_lognormal_spd", prop_sbgs_lognormal_spd),
-    ("kron_frobenius_lsq", prop_kron_frobenius_lsq),
-    ("pcg_exact_preconditioner", prop_pcg_exact_preconditioner),
-    ("pcg_deterministic", prop_pcg_deterministic),
-    ("condition_estimate", prop_condition_estimate),
-    ("bound_formulas", prop_bound_formulas),
-    ("inclusions_tiny", prop_inclusions_tiny),
-    ("kappa_within_bound", prop_kappa_within_bound),
-    ("precond_dense_formula", prop_precond_dense_formula),
-]
+def prop_precond_dense_formula(cfg: SmallConfig = AFFINE):
+    # mean, kron and trunc_exact r are SPD and invert I (x) K_0 = P_0,
+    # G (x) K_0 and P_r; a lognormal P_r that `spectrum` marks n/a is skipped.
+    op, _, ctx = cfg.build()
+    K0 = op.terms[0][1]
+    kron = precond.build_kron(op.terms, precond.CholeskyFactor(K0))
+    cases = [
+        ("mean", precond.build_mean_based(K0, op.ny), kronsys.assemble_dense(op.terms[:1])),
+        ("kron", kron, np.kron(kron.G, K0.toarray())),
+    ]
+    if cfg.problem == "affine" or spectral.lognormal_spd_report(op, ctx, [cfg.r])[0].applicable:
+        pairs = op.terms[: ctx.lead(cfg.r)]
+        cases.append(("trunc_exact", precond.build_trunc_exact(pairs, op.ny, op.nx),
+                      kronsys.assemble_dense(pairs)))
+    rng = np.random.default_rng(cfg.seed)
+    for kind, P, dense in cases:
+        assert np.max(np.abs(dense - dense.T)) <= 1e-14 * np.max(np.abs(dense)), kind
+        assert np.linalg.eigvalsh(dense)[0] > 0, f"{kind} not positive definite"
+        for v in rng.standard_normal((3, op.dim)):
+            err = np.linalg.norm(P.apply_inverse(dense @ v) - v)
+            assert err < 1e-10 * np.linalg.norm(v), (kind, err)
+
+
+# (name, property) in definition order: every prop_* function above.
+PROPERTIES = [(name[5:], fn) for name, fn in list(globals().items()) if name.startswith("prop_")]
 
 
 def run_all(report=None) -> list[PropertyResult]:

@@ -10,6 +10,8 @@ import platform
 import subprocess
 import sys
 import tempfile
+import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -50,6 +52,19 @@ def read_rows(path):
 
 
 COL = {name: i for i, name in enumerate(cli.CSV_HEADER.split(","))}
+
+# A tiny lognormal cell: six expansion terms over I_2^2, 27 unknowns.
+LOGNORMAL_M2 = {"problem": "lognormal", "sigma_tilde": 2.0, "M": 2, "N": 4, "k": 1}
+
+# Cells past the size guards, each refused before any work: 10^6 fields,
+# 4.6 million multi-indices x 301 terms (a build of minutes), 10^6 lognormal
+# sources (~500 GB of samples), and 1,046,529 unknowns.
+SIZE_GUARDED = [
+    {"M": 10**6, "k": 2},
+    {"M": 300, "k": 3},
+    {"problem": "lognormal", "sigma_tilde": 2.0, "N": 10**6},
+    {"mesh_level": 10, "k": 0},
+]
 
 
 class TestRunCommand:
@@ -113,6 +128,58 @@ class TestRunCommand:
         _, rows = read_rows(out)
         assert [r[COL["r"]] for r in rows] == r_cells
         assert rows[0][COL["iterations"]] == "1"  # the whole system
+
+    def test_r_column_on_failure_rows(self, tmp_path):
+        # The r cell depends on the entry and the cell only: amplitude 100
+        # overflows the coefficient and fails every row, K_0 set-up included,
+        # and the rows keep the r cells converged rows show at amplitude 0.547.
+        cfg = write_config(tmp_path / "cfg.json", tiny_affine_config(
+            **LOGNORMAL_M2, alpha_bar_mode=100,
+            preconditioners=["mean", "kron", "trunc_exact 9", "sbgs 9"],
+        ))
+        out = tmp_path / "out.csv"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 2
+        _, rows = read_rows(out)
+        assert all(r[COL["precond"]].endswith("!breakdown") for r in rows)
+        assert [r[COL["r"]] for r in rows] == ["0", "", "9", "5"]
+
+    @pytest.mark.parametrize(
+        "overrides, labels",
+        [
+            (
+                {"alpha_bar_mode": 1e300, "M": 2, "k": 1},
+                ["mean!breakdown", "kron!not_positive_definite",
+                 "trunc_exact!not_positive_definite", "sbgs!breakdown"],
+            ),
+            (
+                {**LOGNORMAL_M2, "alpha_bar_mode": 100},
+                ["mean!breakdown", "kron!breakdown", "trunc_exact!breakdown", "sbgs!breakdown"],
+            ),
+        ],
+    )
+    def test_overflow_rows_without_warnings(self, tmp_path, overrides, labels):
+        # The finiteness checks label these rows; numpy's overflow warnings
+        # would only repeat them on stderr.
+        cfg = write_config(tmp_path / "cfg.json", tiny_affine_config(**overrides))
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["run", cfg, "--out", str(out)]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        _, rows = read_rows(out)
+        assert [r[COL["precond"]] for r in rows] == labels
+
+    def test_many_parameters_run(self, tmp_path):
+        # M = 1100 at mesh level 1 (1,101 unknowns): the index set is built
+        # without a recursion per parameter, and the size guards pass it.
+        cfg = write_config(tmp_path / "cfg.json", tiny_affine_config(
+            mesh_level=1, M=1100, k=1, preconditioners=["mean", "sbgs 2"]
+        ))
+        out = tmp_path / "out.csv"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert [r[COL["precond"]] for r in rows] == ["mean", "sbgs"]
+        assert all(r[COL["n_unknowns"]] == "1101" for r in rows)
 
     def test_sigma_tilde_labels_decay_column(self, tmp_path):
         cfg_dict = tiny_affine_config(sigma_tilde=2.0, preconditioners=["mean"])
@@ -398,12 +465,16 @@ class TestRunCommand:
             {"preconditioners": ["sbgs 1 2"]},
             {"preconditioners": ["sbgs:1:9"]},
             {"preconditioners": [{"type": "sbgs", "r": 1, "bogus": 3}]},
+            # Size guards, refused at parse time.
+            *SIZE_GUARDED,
         ],
     )
     def test_invalid_configs_exit_1(self, tmp_path, mutate, capsys):
         cfg_dict = mutate if isinstance(mutate, list) else {**tiny_affine_config(), **mutate}
         cfg = write_config(tmp_path / "cfg.json", cfg_dict)
+        t0 = time.perf_counter()
         assert cli.main(["run", cfg]) == 1
+        assert time.perf_counter() - t0 < 1.0
         captured = capsys.readouterr()
         assert captured.err.startswith("run: invalid config:")
         assert captured.out == ""
@@ -525,10 +596,15 @@ class TestSpectrumCommand:
             {"r": [1.5]},
             {"k": 1.5},
             {"mesh_level": True},
+            *SIZE_GUARDED,
         ):
             cfg = spectrum_config(tmp_path, **bad)
+            t0 = time.perf_counter()
             assert cli.main(["spectrum", cfg]) == 1
-            assert capsys.readouterr().err.startswith("spectrum: invalid config:")
+            assert time.perf_counter() - t0 < 1.0
+            captured = capsys.readouterr()
+            assert captured.err.startswith("spectrum: invalid config:")
+            assert captured.out == ""
         cfg = write_config(tmp_path / "list.json", [{"problem": "affine"}])
         assert cli.main(["spectrum", cfg]) == 1
         assert capsys.readouterr().err.startswith("spectrum: invalid config:")
@@ -563,7 +639,8 @@ class TestVerifyCommand:
 # ---------------------------------------------------------------------------
 # The CLI contract, as one property over configs drawn key by key: valid
 # values, and values of every JSON type (bool, int, float with inf and nan,
-# str, list, dict, null).  Sizes stay tiny: level <= 2, M <= 3, k <= 2.
+# str, list, dict, null).  Sizes stay tiny (level <= 2, M <= 3, k <= 2), or
+# M, k or N is 10^6, past a size guard.
 
 OUT = "<output path>"  # replaced by a path in the example's own directory
 NON_STR = st.one_of(
@@ -600,13 +677,13 @@ CELL_KEYS = {
     "problem": st.sampled_from(["affine", "lognormal"]),
     "decay": one_or_two(st.sampled_from(["fast", "slow"])),
     "mesh_level": st.sampled_from([1, 2, 2.0, [1]]),
-    "M": st.sampled_from([1, 2, 3, [2]]),
-    "k": one_or_two(st.integers(0, 2)),
+    "M": st.sampled_from([1, 2, 3, [2], 10**6]),
+    "k": one_or_two(st.integers(0, 2) | st.just(10**6)),
 }
 OPTIONAL_KEYS = {
     "sigma_tilde": st.sampled_from([2.0, 4, 0.5]),
     "alpha_bar_mode": st.sampled_from(["auto", "auto_0.9999", 0, 0.547, 2.0, -1.0, 1000, 1e308]),
-    "N": st.integers(2, 6),
+    "N": st.integers(2, 6) | st.just(10**6),
     "output": st.just(OUT),
 }
 RUN_KEYS = {"preconditioners": st.lists(ENTRY, min_size=1, max_size=3)}
@@ -661,6 +738,10 @@ TINY_RUN = tiny_affine_config(preconditioners=["trunc_exact 1"])
 @example(case=(["run"], {**TINY_RUN, "alpha_bar_mode": 1e308, "M": 1, "k": 1}))
 @example(case=(["spectrum"], {"problem": "lognormal", "alpha_bar_mode": 1000, "mesh_level": 2,
                               "M": 1, "N": 2, "k": 1}))
+# past a size guard, also where the index set has one element (k = 0)
+@example(case=(["run"], {**TINY_RUN, "M": 10**6, "k": 0}))
+@example(case=(["spectrum"], {"problem": "affine", "decay": "slow", "mesh_level": 1,
+                              "M": 10**6, "k": 2}))
 # amplitudes past the theory: the mean term still leads, tau >= 1 is refused
 @example(case=(["run"], {**TINY_RUN, "problem": "lognormal", "alpha_bar_mode": 5, "N": 4,
                          "preconditioners": ["mean", "kron", "sbgs 1"]}))

@@ -149,7 +149,7 @@ class TestOnAssembledSystem:
         op, f, _ = SmallConfig(level=3, M=4, sigma_tilde=4.0).build()
         counts = {}
         for r in (0, 2, 4):
-            P = build_trunc_exact(op.terms[: r + 1], r, op.ny, op.nx)
+            P = build_trunc_exact(op.terms[: r + 1], op.ny, op.nx)
             _, report = pcg_solve(op, P, f)
             counts[r] = report.iterations
             assert report.converged

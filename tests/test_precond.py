@@ -129,7 +129,6 @@ class TestMeanBased:
         op, _, _ = tiny_affine()
         K0 = op.terms[0][1]
         P = build_mean_based(K0, op.ny)
-        assert P.label == "mean" and P.r == 0
         rng = np.random.default_rng(42)
         v = rng.standard_normal(op.dim)
         expected = np.linalg.solve(np.kron(np.eye(op.ny), K0.toarray()), v)
@@ -138,7 +137,7 @@ class TestMeanBased:
     def test_equals_trunc_r0(self):
         op, _, _ = tiny_affine()
         P_mean = build_mean_based(op.terms[0][1], op.ny)
-        P_trunc = build_trunc_exact(op.terms[:1], 0, op.ny, op.nx)
+        P_trunc = build_trunc_exact(op.terms[:1], op.ny, op.nx)
         rng = np.random.default_rng(42)
         v = rng.standard_normal(op.dim)
         np.testing.assert_allclose(
@@ -150,7 +149,6 @@ class TestKroneckerProduct:
     def test_apply_inverse(self):
         op, _, _ = tiny_affine()
         P = build_kron(op.terms)
-        assert P.label == "kron" and P.r is None
         K0 = op.terms[0][1].toarray()
         dense = np.kron(P.G, K0)
         rng = np.random.default_rng(42)
@@ -180,21 +178,21 @@ class TestKroneckerProduct:
 class TestTruncExact:
     def test_full_truncation_equals_system(self):
         op, f, _ = tiny_affine(M=3)
-        P = build_trunc_exact(op.terms, 3, op.ny, op.nx)
+        P = build_trunc_exact(op.terms, op.ny, op.nx)
         x, report = pcg_solve(op, P, f, SolverConfig(tol=1e-10))
         assert report.iterations == 1
         np.testing.assert_allclose(op.matvec(x), f, atol=1e-10 * np.linalg.norm(f))
 
     def test_r_beyond_m_clamps(self):
         op, f, ctx = tiny_affine(M=3)
-        P = build_trunc_exact(op.terms[: ctx.lead(9)], 9, op.ny, op.nx)
+        P = build_trunc_exact(op.terms[: ctx.lead(9)], op.ny, op.nx)
         _, report = pcg_solve(op, P, f, SolverConfig(tol=1e-10))
         assert report.iterations == 1
 
     def test_matches_dense_inverse(self):
         op, _, _ = tiny_affine()
         for r in (0, 1, 2):
-            P = build_trunc_exact(op.terms[: r + 1], r, op.ny, op.nx)
+            P = build_trunc_exact(op.terms[: r + 1], op.ny, op.nx)
             P_dense = assemble_dense(op.terms[: r + 1])
             rng = np.random.default_rng(42)
             v = rng.standard_normal(op.dim)
@@ -206,7 +204,7 @@ class TestTruncExact:
         op, f, _ = tiny_affine(M=4, k=3, sigma=2.0)
         counts = []
         for r in range(5):
-            P = build_trunc_exact(op.terms[: r + 1], r, op.ny, op.nx)
+            P = build_trunc_exact(op.terms[: r + 1], op.ny, op.nx)
             _, report = pcg_solve(op, P, f)
             counts.append(report.iterations)
         assert all(b <= a for a, b in zip(counts, counts[1:]))
@@ -215,9 +213,9 @@ class TestTruncExact:
     def test_iterative_fallback_matches_direct(self, monkeypatch):
         # Force the beyond-guard path and compare against the factorized apply.
         op, _, _ = tiny_affine()
-        direct = build_trunc_exact(op.terms[:3], 2, op.ny, op.nx)
+        direct = build_trunc_exact(op.terms[:3], op.ny, op.nx)
         monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", 1)
-        nested = build_trunc_exact(op.terms[:3], 2, op.ny, op.nx)
+        nested = build_trunc_exact(op.terms[:3], op.ny, op.nx)
         rng = np.random.default_rng(42)
         v = rng.standard_normal(op.dim)
         np.testing.assert_allclose(
@@ -229,9 +227,9 @@ class TestTruncExact:
         # term coupling one block to two sources of a level (r = 4).
         op, _, ctx = tiny_lognormal()
         pairs = op.terms[: ctx.lead(4)]
-        direct = build_trunc_exact(pairs, 4, op.ny, op.nx)
+        direct = build_trunc_exact(pairs, op.ny, op.nx)
         monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", 1)
-        nested = build_trunc_exact(pairs, 4, op.ny, op.nx)
+        nested = build_trunc_exact(pairs, op.ny, op.nx)
         rng = np.random.default_rng(42)
         v = rng.standard_normal(op.dim)
         np.testing.assert_allclose(
@@ -244,7 +242,7 @@ class TestTruncExact:
         # the same system, so P_r has one factor per distinct d.
         op, _, ctx = tiny_affine(M=4, k=3)
         for r in (1, 2, 3):
-            P = build_trunc_exact(op.terms[: r + 1], r, op.ny, op.nx)
+            P = build_trunc_exact(op.terms[: r + 1], op.ny, op.nx)
             degrees = {3 - sum(alpha[r:]) for alpha in ctx.index_set}
             assert P.distinct_factor_count == len(degrees) == 4
 
@@ -256,7 +254,7 @@ class TestTruncExact:
             [[0, 0.2, 0, 0], [0.2, 0, 0, 0], [0, 0, 0, 0.4], [0, 0, 0.4, 0]]
         ))
         pairs = ((sp.identity(4, format="csr"), K0), (G1, K0))
-        P = build_trunc_exact(pairs, 1, 4, K0.shape[0])
+        P = build_trunc_exact(pairs, 4, K0.shape[0])
         assert P.distinct_factor_count == 2
         P_dense = assemble_dense(pairs)
         v = np.random.default_rng(42).standard_normal(P_dense.shape[0])
@@ -267,7 +265,7 @@ class TestTruncExact:
         # blocks (a K_0 each) and solves the rest with the nested CG.
         op, _, _ = tiny_affine(M=4, k=3)
         monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", op.nx)
-        P = build_trunc_exact(op.terms[:3], 2, op.ny, op.nx)
+        P = build_trunc_exact(op.terms[:3], op.ny, op.nx)
         assert P.distinct_factor_count == 1
         rng = np.random.default_rng(42)
         v = rng.standard_normal(op.dim)
@@ -278,7 +276,7 @@ class TestTruncExact:
         op, _, ctx = tiny_lognormal()
         pairs = op.terms[: ctx.lead(1)]
         with pytest.raises(NotPositiveDefiniteError):
-            build_trunc_exact(pairs, 1, op.ny, op.nx)
+            build_trunc_exact(pairs, op.ny, op.nx)
 
 
 class TestSbgsAffine:
@@ -433,14 +431,14 @@ class TestReadOnlyInput:
             (log, log.matvec),
             (aff, build_mean_based(aff.terms[0][1], aff.ny).apply_inverse),
             (aff, build_kron(aff.terms).apply_inverse),
-            (aff, build_trunc_exact(aff.terms[:3], 2, aff.ny, aff.nx).apply_inverse),
-            (log, build_trunc_exact(log_pairs, 4, log.ny, log.nx).apply_inverse),
+            (aff, build_trunc_exact(aff.terms[:3], aff.ny, aff.nx).apply_inverse),
+            (log, build_trunc_exact(log_pairs, log.ny, log.nx).apply_inverse),
             (aff, build_sbgs_affine(aff.terms[0][1], aff.terms[:3], aff.ny, aff.nx).apply_inverse),
             (log, build_sbgs_lognormal(log.terms[0][1], log_pairs, log.ny, log.nx).apply_inverse),
         ]
         monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", 1)  # the nested path
         for op, pairs, r in ((aff, aff.terms[:3], 2), (log, log_pairs, 4)):
-            P = build_trunc_exact(pairs, r, op.ny, op.nx)
+            P = build_trunc_exact(pairs, op.ny, op.nx)
             assert P.distinct_factor_count == 0
             cases.append((op, P.apply_inverse))
         for op, apply in cases:

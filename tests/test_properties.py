@@ -108,5 +108,5 @@ def test_trunc_exact_equals_dense_solve(problem, level, M, k, r, cut, seed):
     v = np.random.default_rng(seed).standard_normal(op.dim)
     ref = np.linalg.solve(P_r, v)
     with patch.object(precond, "TRUNC_DIRECT_GUARD", cut * op.nx):
-        z = precond.build_trunc_exact(pairs, r, op.ny, op.nx).apply_inverse(v)
+        z = precond.build_trunc_exact(pairs, op.ny, op.nx).apply_inverse(v)
     assert np.linalg.norm(z - ref) <= 1e-10 * np.linalg.norm(ref)
