@@ -69,6 +69,10 @@ MAX_TERM_PAIRS = 2 * 10**7
 # Unknowns |I_k^M| (2^level - 1)^2: table3 k = 6 has 3003 x 225 = 675,675,
 # and its cells take minutes.
 MAX_UNKNOWNS = 10**6
+# Multi-indices |I_k^M| of a cell that `kron` runs on: its parametric factor
+# G is dense, 200 MB at the bound (table3 k = 6 has 3003; level 1, M = 300,
+# k = 2 has 45,451 and would take 16.5 GB).
+MAX_KRON_BASIS = 5000
 
 
 class ConfigError(Exception):
@@ -84,15 +88,16 @@ def _as_list(value):
 
 
 def _int(value, what: str) -> int:
-    """An integer config value; bools and non-integral numbers are refused."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """An integer config value; bools, strings and non-integral numbers are
+    refused."""
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
     return int(value)
 
 
 def _float(value, what: str) -> float:
-    """A finite real config value; bools, inf and nan are refused."""
-    if isinstance(value, bool) or not math.isfinite(x := float(value)):
+    """A finite real config value; bools, strings, inf and nan are refused."""
+    if isinstance(value, (bool, str)) or not math.isfinite(x := float(value)):
         raise ConfigError(f"{what} must be a finite number, got {value!r}")
     return x
 
@@ -103,12 +108,23 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _grid(cfg: dict, key: str) -> list[int]:
+    """The integer values of a required grid field, one or a non-empty list."""
+    values = [_int(v, key) for v in _as_list(_require(cfg, key))]
+    if not values:
+        raise ConfigError(f"{key} list must not be empty")
+    return values
+
+
 def _parse_precond(item) -> tuple[str, int | None]:
     """An entry "kind" or "kind r" (space or colon), or {"type": kind, "r": r}."""
     if isinstance(item, dict) and set(item) <= {"type", "r"}:
         kind, r = item.get("type"), item.get("r")
     elif isinstance(item, str) and len(parts := item.replace(":", " ").split()) <= 2:
-        kind, r = (parts + [None, None])[:2]
+        kind, token = (parts + [None, None])[:2]
+        if token is not None and not (token.isascii() and token.isdigit()):
+            raise ConfigError(f"the index of {item!r} must be a non-negative integer")
+        r = None if token is None else int(token)
     else:
         raise ConfigError(f"unrecognized preconditioner entry {item!r}")
     if kind not in ("mean", "kron", "trunc_exact", "sbgs"):
@@ -183,9 +199,7 @@ def _parse_cells(cfg: dict, keys: set[str]) -> list[Cell]:
     if problem not in ("affine", "lognormal"):
         raise ConfigError(f"problem must be 'affine' or 'lognormal', got {problem!r}")
     N = _int(cfg.get("N", 20), "N")
-    Ms = [_int(v, "M") for v in _as_list(_require(cfg, "M"))]
-    levels = [_int(v, "mesh_level") for v in _as_list(_require(cfg, "mesh_level"))]
-    ks = [_int(v, "k") for v in _as_list(_require(cfg, "k"))]
+    Ms, levels, ks = _grid(cfg, "M"), _grid(cfg, "mesh_level"), _grid(cfg, "k")
     cells = []
     for decay_label, sigma in _decay_entries(cfg):
         alpha_bar = _parse_alpha_bar(cfg, sigma)
@@ -220,6 +234,13 @@ def _parse_run_config(cfg: dict):
     preconds = [_parse_precond(p) for p in _require(cfg, "preconditioners")]
     if not preconds:
         raise ConfigError("preconditioner list must not be empty")
+    if any(kind == "kron" for kind, _ in preconds):
+        for cell in cells:
+            if multiindex.dimension(cell.M, cell.k) > MAX_KRON_BASIS:
+                raise ConfigError(
+                    f"M={cell.M}, k={cell.k}: over {MAX_KRON_BASIS} multi-indices "
+                    "for kron's dense G (size guard)"
+                )
     solver_cfg = pcg.SolverConfig(
         tol=_float(cfg.get("tol", 1e-6), "tol"),
         max_iter=_int(cfg.get("max_iter", 1000), "max_iter"),
@@ -243,10 +264,10 @@ def _build_preconditioner(kind, r, op, ctx, K0_factor):
         return precond.build_mean_based(K0_factor(), op.ny)
     if kind == "kron":
         return precond.build_kron(op.terms, K0_factor())
-    pairs = op.terms[: ctx.lead(r)]
+    pairs = kronsys.leading_terms(op, r)
     if kind == "trunc_exact":
         return precond.build_trunc_exact(pairs, op.ny, op.nx)
-    if isinstance(ctx, kronsys.AffineContext):
+    if ctx is not None:  # affine
         return precond.build_sbgs_affine(K0_factor(), pairs, op.ny, op.nx)
     return precond.build_sbgs_lognormal(K0_factor(), pairs, op.ny, op.nx)
 
@@ -328,7 +349,10 @@ def cmd_run(config_path, preset, out_path, max_k) -> int:
                     # The r cell, on success and failure rows alike: 0 for mean,
                     # empty for kron, the requested r for trunc_exact and the
                     # index of the last term for sbgs.
-                    r_cell = ctx.lead(r) - 1 if kind == "sbgs" else {"mean": 0}.get(kind, r)
+                    r_cell = (
+                        len(kronsys.leading_terms(op, r)) - 1 if kind == "sbgs"
+                        else {"mean": 0}.get(kind, r)
+                    )
                     t0 = time.perf_counter()
                     setup_s = 0.0  # until the preconditioner is built
                     try:
@@ -467,7 +491,7 @@ def cmd_spectrum(config_path, out_path, full) -> int:
             if not full:
                 checks = [c for c in checks if c.claim in THEOREM_CLAIMS]
         else:
-            checks = spectral.lognormal_spd_report(op, ctx, r_values)
+            checks = spectral.lognormal_spd_report(op, r_values)
 
         lines = [SPECTRUM_HEADER]
         width = max(len(c.claim) for c in checks)

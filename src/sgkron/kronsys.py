@@ -16,9 +16,9 @@ list either way.  Dense materialization exists only as a small-scale test
 and spectral-study oracle behind a size guard.
 
 Truncation map: ``op.terms`` follows the expansion order, so P_r is the
-prefix ``op.terms[: ctx.lead(r)]`` for both problems.  Affine: I (x) K_0
-and G_m (x) K_m for m <= min(r, M).  Lognormal: the first r + 1 terms of
-the magnitude-ordered expansion.
+prefix ``leading_terms(op, r) = op.terms[: r + 1]`` for both problems.
+Affine: I (x) K_0 and G_m (x) K_m for m <= min(r, M).  Lognormal: the
+first r + 1 terms of the magnitude-ordered expansion.
 
 Block layout, the one every operator and preconditioner uses: vectors are
 v = [v_1; ...; v_ny] with block j holding the nx spatial coefficients of
@@ -38,8 +38,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from . import fem2d, gram, multiindex
-from .fem2d import CoefficientField, UniformMesh
-from .multiindex import MultiIndexSet
+from .fem2d import UniformMesh
 from .orthopoly import LEGENDRE
 
 DENSE_GUARD = 20000
@@ -202,14 +201,22 @@ def assemble_sparse(terms) -> sp.csc_matrix:
     return A
 
 
+def leading_terms(op: KroneckerSumOperator, r: int) -> tuple:
+    """The terms of P_r, the first r + 1 of ``op.terms`` (all of them past
+    the end of the expansion)."""
+    if r < 0:
+        raise ValueError("truncation index r must be >= 0")
+    return op.terms[: r + 1]
+
+
 # ---------------------------------------------------------------------------
 # affine-parametric system
 
 
 @dataclass(frozen=True)
 class AffineContext:
-    index_set: MultiIndexSet
-    mesh: UniformMesh
+    """The constants of the affine bounds, as ``spectral`` reads them."""
+
     norm_table: tuple[float, ...]  # ||a_m||_inf for m = 1..M
     tau_table: tuple[float, ...]  # tau_0 .. tau_M
     a0_min: float
@@ -222,12 +229,6 @@ class AffineContext:
 
     def sum_norms(self, r: int) -> float:
         return float(sum(self.norm_table[:r]))
-
-    def lead(self, r: int) -> int:
-        """Number of leading ``op.terms`` in P_r: min(r, M) + 1."""
-        if r < 0:
-            raise ValueError("truncation index r must be >= 0")
-        return min(r, len(self.norm_table)) + 1
 
 
 def build_affine_system(
@@ -255,40 +256,11 @@ def build_affine_system(
 
     a0_min, a0_max = fem2d.field_extrema(fields[0])
     norm_table, tau_table = fem2d.sup_norm_tables(fields[1:], a0_min)
-    ctx = AffineContext(
-        index_set=S,
-        mesh=mesh,
-        norm_table=norm_table,
-        tau_table=tau_table,
-        a0_min=a0_min,
-        a0_max=a0_max,
-    )
-    return op, f, ctx
+    return op, f, AffineContext(norm_table, tau_table, a0_min, a0_max)
 
 
 # ---------------------------------------------------------------------------
 # lognormal system
-
-
-@dataclass(frozen=True)
-class LognormalTerm:
-    alpha: tuple[int, ...]
-    magnitude: float  # ||a_alpha||_inf
-
-
-@dataclass(frozen=True)
-class LognormalContext:
-    index_set: MultiIndexSet  # parametric basis I_k^M
-    mesh: UniformMesh
-    ordered_terms: tuple[LognormalTerm, ...]  # I_{2k}^M: zero index, then by magnitude
-    b_fields: tuple[CoefficientField, ...]
-    b0: CoefficientField
-
-    def lead(self, r: int) -> int:
-        """Number of leading ``op.terms`` in P_r: min(r + 1, T)."""
-        if r < 0:
-            raise ValueError("truncation index r must be >= 0")
-        return min(r + 1, len(self.ordered_terms))
 
 
 def _expansion_quad_values(mesh, alphas, b_fields, b0) -> np.ndarray:
@@ -321,7 +293,7 @@ def build_lognormal_system(
     N: int,
     sigma_tilde: float,
     alpha_bar: float,
-) -> tuple[KroneckerSumOperator, np.ndarray, LognormalContext]:
+) -> tuple[KroneckerSumOperator, np.ndarray]:
     """Assemble the Hermite-Galerkin system of the lognormal problem.
 
     The coefficient is exp(b) with b = b_0 + sum_{m=1}^N b_m y_m, the b_m
@@ -355,23 +327,16 @@ def build_lognormal_system(
     op = KroneckerSumOperator(terms=tuple(zip(grams, Ks)), ny=len(S), nx=mesh.n_interior)
     f = np.zeros(op.dim)
     f[: mesh.n_interior] = fem2d.assemble_load(mesh)
-
-    ctx = LognormalContext(
-        index_set=S,
-        mesh=mesh,
-        ordered_terms=tuple(LognormalTerm(a, m) for a, m in ordered),
-        b_fields=tuple(b_fields),
-        b0=b0,
-    )
-    return op, f, ctx
+    return op, f
 
 
 def build_system(
     problem: str, level: int, M: int, k: int, sigma_tilde: float, alpha_bar: float, N: int
 ):
-    """The operator, load vector and context of one configuration (N is
-    read by the lognormal problem only)."""
+    """The operator, load vector and context of one configuration.  The
+    context holds the affine bound constants; it is None for the lognormal
+    problem, which the bounds do not cover (N is read by it only)."""
     mesh = fem2d.build_mesh(level)
     if problem == "affine":
         return build_affine_system(mesh, M, k, sigma_tilde, alpha_bar)
-    return build_lognormal_system(mesh, M, k, N, sigma_tilde, alpha_bar)
+    return (*build_lognormal_system(mesh, M, k, N, sigma_tilde, alpha_bar), None)

@@ -285,7 +285,7 @@ def _tail_blocks(Gs: list, ny: int) -> list[np.ndarray]:
 
 class TruncExactPreconditioner:
     """Exact application of the truncation P_r = the sum of ``terms``, the
-    leading pairs ``op.terms[: ctx.lead(r)]``.
+    leading pairs ``kronsys.leading_terms(op, r)``.
 
     The leading terms couple parametric indices only within the connected
     components of their G patterns: for the affine expansion the
@@ -502,7 +502,7 @@ def build_sbgs_affine(K0, pairs, ny: int, nx: int) -> PairBlockSbgs:
 
 
 def build_sbgs_lognormal(K0, pairs, ny: int, nx: int) -> PairBlockSbgs:
-    """pairs: the leading pairs of P_r, ``op.terms[: ctx.lead(r)]``.
+    """pairs: the leading pairs of P_r, ``kronsys.leading_terms(op, r)``.
 
     The zero multi-index term, whose Gram factor is the identity, must lead
     the truncation so that the mean stiffness anchors every diagonal block

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .kronsys import KroneckerSumOperator, assemble_dense
+from .kronsys import KroneckerSumOperator, assemble_dense, leading_terms
 from .precond import NotPositiveDefiniteError
 
 EIG_GUARD = 2000
@@ -74,7 +74,9 @@ def compute_bounds(
 def affine_bounds(ctx, r: int) -> BoundSet:
     """The bounds of truncation index r of an affine system (an
     ``AffineContext``); r is clamped to the M terms there are."""
-    r_eff = ctx.lead(r) - 1
+    if r < 0:
+        raise ValueError("truncation index r must be >= 0")
+    r_eff = min(r, len(ctx.norm_table))
     return compute_bounds(
         r, ctx.a0_min, ctx.a0_max, ctx.tau, ctx.tau_table[r_eff], ctx.sum_norms(r_eff)
     )
@@ -186,7 +188,7 @@ def verify_inclusions(
 
     checks: list[InclusionCheck] = []
     for r in r_values:
-        pairs = op.terms[: ctx.lead(r)]
+        pairs = leading_terms(op, r)
         b = affine_bounds(ctx, r)
         P_r = assemble_dense(pairs)
         P_sbgs, S_r = sbgs_dense(pairs)
@@ -210,7 +212,7 @@ def verify_inclusions(
 
 
 def lognormal_spd_report(
-    op: KroneckerSumOperator, ctx, r_values, slack: float = 1e-8
+    op: KroneckerSumOperator, r_values, slack: float = 1e-8
 ) -> list[InclusionCheck]:
     """Definiteness report for lognormal truncations at tiny scale.
 
@@ -227,7 +229,7 @@ def lognormal_spd_report(
 
     checks: list[InclusionCheck] = []
     for r in r_values:
-        pairs = op.terms[: ctx.lead(r)]
+        pairs = leading_terms(op, r)
         trunc = np.linalg.eigvalsh(assemble_dense(pairs))
         sbgs = np.linalg.eigvalsh(sbgs_dense(pairs)[0])
         checks += [

@@ -335,8 +335,8 @@ def prop_trunc_full_equals_system(cfg: SmallConfig = AFFINE):
 def prop_sbgs_identity(cfg: SmallConfig = AFFINE):
     # apply_inverse of SBGS r inverts (D + L) D^{-1} (D + L)^T of the
     # truncation's pairs: on every column, and on random vectors.
-    op, _, ctx = cfg.build()
-    pairs = op.terms[: ctx.lead(cfg.r)]
+    op, _, _ = cfg.build()
+    pairs = kronsys.leading_terms(op, cfg.r)
     build = precond.build_sbgs_affine if cfg.problem == "affine" else precond.build_sbgs_lognormal
     P = build(op.terms[0][1], pairs, op.ny, op.nx)
     dense, _ = spectral.sbgs_dense(pairs)
@@ -349,8 +349,8 @@ def prop_sbgs_identity(cfg: SmallConfig = AFFINE):
 
 
 def prop_sbgs_lognormal_spd(cfg: SmallConfig = LOGNORMAL):
-    op, _, ctx = cfg.build()
-    report = spectral.lognormal_spd_report(op, ctx, range(0, cfg.r + 1))
+    op, _, _ = cfg.build()
+    report = spectral.lognormal_spd_report(op, range(0, cfg.r + 1))
     for row in report:
         if row.claim == "sbgs_spd":
             assert row.passed and row.observed_lo > 0, f"SBGS indefinite at r={row.r}"
@@ -431,8 +431,8 @@ def prop_kappa_within_bound(cfg: SmallConfig = AFFINE):
     op, f, ctx = cfg.build()
     K0 = precond.CholeskyFactor(op.terms[0][1])
     solver = pcg.SolverConfig(tol=1e-10)
-    for r in range(ctx.lead(cfg.r)):
-        pairs = op.terms[: ctx.lead(r)]
+    for r in range(len(kronsys.leading_terms(op, cfg.r))):
+        pairs = kronsys.leading_terms(op, r)
         for kind, P in (
             ("trunc_exact", precond.build_trunc_exact(pairs, op.ny, op.nx)),
             ("sbgs", precond.build_sbgs_affine(K0, pairs, op.ny, op.nx)),
@@ -446,15 +446,15 @@ def prop_kappa_within_bound(cfg: SmallConfig = AFFINE):
 def prop_precond_dense_formula(cfg: SmallConfig = AFFINE):
     # mean, kron and trunc_exact r are SPD and invert I (x) K_0 = P_0,
     # G (x) K_0 and P_r; a lognormal P_r that `spectrum` marks n/a is skipped.
-    op, _, ctx = cfg.build()
+    op, _, _ = cfg.build()
     K0 = op.terms[0][1]
     kron = precond.build_kron(op.terms, precond.CholeskyFactor(K0))
     cases = [
         ("mean", precond.build_mean_based(K0, op.ny), kronsys.assemble_dense(op.terms[:1])),
         ("kron", kron, np.kron(kron.G, K0.toarray())),
     ]
-    if cfg.problem == "affine" or spectral.lognormal_spd_report(op, ctx, [cfg.r])[0].applicable:
-        pairs = op.terms[: ctx.lead(cfg.r)]
+    if cfg.problem == "affine" or spectral.lognormal_spd_report(op, [cfg.r])[0].applicable:
+        pairs = kronsys.leading_terms(op, cfg.r)
         cases.append(("trunc_exact", precond.build_trunc_exact(pairs, op.ny, op.nx),
                       kronsys.assemble_dense(pairs)))
     rng = np.random.default_rng(cfg.seed)

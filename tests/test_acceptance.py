@@ -221,8 +221,8 @@ def test_criterion_07_structural_properties():
     lognormal = SmallConfig("lognormal", k=3, r=3)
     verify.prop_sbgs_identity(lognormal)
     verify.prop_sbgs_lognormal_spd(replace(lognormal, r=5))
-    op, _, ctx = lognormal.build()
-    report = spectral.lognormal_spd_report(op, ctx, range(6))
+    op, _, _ = lognormal.build()
+    report = spectral.lognormal_spd_report(op, range(6))
     assert any(not c.applicable for c in report if c.claim == "trunc_spd")
 
 

@@ -65,6 +65,9 @@ SIZE_GUARDED = [
     {"problem": "lognormal", "sigma_tilde": 2.0, "N": 10**6},
     {"mesh_level": 10, "k": 0},
 ]
+# Wrongly typed or empty values that both commands refuse.
+NUMERIC_STRINGS = [{"k": "1"}, {"M": "2"}, {"mesh_level": "2"}, {"sigma_tilde": "3"}]
+EMPTY_GRIDS = [{"k": []}, {"M": []}, {"mesh_level": []}]
 
 
 class TestRunCommand:
@@ -467,6 +470,13 @@ class TestRunCommand:
             {"preconditioners": [{"type": "sbgs", "r": 1, "bogus": 3}]},
             # Size guards, refused at parse time.
             *SIZE_GUARDED,
+            # Numbers given as strings, and grid lists with no value.
+            *NUMERIC_STRINGS,
+            {"tol": "0.5"},
+            {"preconditioners": [{"type": "sbgs", "r": "1"}]},
+            {"preconditioners": ["sbgs 1.5"]},
+            {"preconditioners": ["sbgs -1"]},
+            *EMPTY_GRIDS,
         ],
     )
     def test_invalid_configs_exit_1(self, tmp_path, mutate, capsys):
@@ -478,6 +488,22 @@ class TestRunCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("run: invalid config:")
         assert captured.out == ""
+
+    def test_kron_size_guard(self, tmp_path, monkeypatch, capsys):
+        # kron's dense G is refused past MAX_KRON_BASIS multi-indices
+        # (|I_2^2| = 6 here), before any output; other kinds run.
+        monkeypatch.setattr(cli, "MAX_KRON_BASIS", 5)
+        for kinds, code in ((["mean", "kron"], 1), (["mean", "sbgs 1"], 0)):
+            cfg = write_config(tmp_path / "cfg.json", tiny_affine_config(preconditioners=kinds))
+            assert cli.main(["run", cfg]) == code
+            captured = capsys.readouterr()
+            if code == 1:
+                assert captured.err.startswith("run: invalid config:")
+                assert "kron" in captured.err
+                assert captured.out == ""
+        monkeypatch.setattr(cli, "MAX_KRON_BASIS", 6)
+        cfg = write_config(tmp_path / "cfg.json", tiny_affine_config(preconditioners=["kron"]))
+        assert cli.main(["run", cfg]) == 0
 
     def test_usage_errors_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", tiny_affine_config())
@@ -597,6 +623,9 @@ class TestSpectrumCommand:
             {"k": 1.5},
             {"mesh_level": True},
             *SIZE_GUARDED,
+            *NUMERIC_STRINGS,
+            {"r": ["1"]},
+            *EMPTY_GRIDS,
         ):
             cfg = spectrum_config(tmp_path, **bad)
             t0 = time.perf_counter()

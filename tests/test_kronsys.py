@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sgkron import fem2d, kronsys
+from sgkron import fem2d, gram, kronsys
 from sgkron.fem2d import build_mesh
 from sgkron.kronsys import (
     KroneckerSumOperator,
@@ -12,10 +12,11 @@ from sgkron.kronsys import (
     assemble_sparse,
     build_affine_system,
     build_lognormal_system,
+    leading_terms,
 )
-from sgkron.multiindex import build_index_set
+from sgkron.multiindex import build_index_set, dimension
 from sgkron.precond import build_kron
-from sgkron.verify import SmallConfig
+from sgkron.verify import LOGNORMAL_ALPHA_BAR, SmallConfig
 
 SLOW_NORMS = [0.6079, 0.1520, 0.0675, 0.0380, 0.0243, 0.0169]
 
@@ -26,6 +27,13 @@ def tiny_affine(level=2, M=3, k=2, sigma=2.0):
 
 def tiny_lognormal(level=2, M=3, k=2, N=6):
     return SmallConfig("lognormal", level, M, k, N=N).build()
+
+
+def lognormal_expansion(N, sigma=2.0):
+    """b_0 and b_1..b_N of the lognormal systems above."""
+    b0 = fem2d.fourier_coefficient(0, sigma, LOGNORMAL_ALPHA_BAR)
+    b_fields = [fem2d.fourier_coefficient(m, sigma, LOGNORMAL_ALPHA_BAR) for m in range(1, N + 1)]
+    return b0, b_fields
 
 
 class TestMatvecHandOracle:
@@ -78,16 +86,16 @@ class TestMatvecVsDense:
 
 class TestAffineSystem:
     def test_shapes_and_term_count(self):
-        op, f, ctx = tiny_affine(M=4, k=3)
+        op, f, _ = tiny_affine(M=4, k=3)
         assert len(op.terms) == 5
-        assert op.ny == len(ctx.index_set) == 35
+        assert op.ny == len(build_index_set(4, 3)) == 35
         assert op.nx == 9
         assert f.shape == (op.dim,)
 
     def test_load_in_mean_block_only(self):
-        op, f, ctx = tiny_affine()
+        op, f, _ = tiny_affine()
         nx = op.nx
-        np.testing.assert_allclose(f[:nx], ctx.mesh.h**2 * np.ones(nx), rtol=0)
+        np.testing.assert_allclose(f[:nx], build_mesh(2).h ** 2 * np.ones(nx), rtol=0)
         assert np.all(f[nx:] == 0.0)
 
     def test_mean_field_extrema(self):
@@ -122,48 +130,54 @@ class TestAffineSystem:
         _, _, ctx = build_affine_system(build_mesh(2), 2, 1, 2.0, alpha_bar=0.5)
         np.testing.assert_allclose(ctx.norm_table[0], 0.5, atol=5e-5)
 
-    def test_lead(self):
-        _, _, ctx = tiny_affine(M=3)
-        assert [ctx.lead(r) for r in range(6)] == [1, 2, 3, 4, 4, 4]
-        with pytest.raises(ValueError):
-            ctx.lead(-1)
-
     def test_sum_norms_prefix(self):
         _, _, ctx = tiny_affine(M=4)
         np.testing.assert_allclose(ctx.sum_norms(2), sum(ctx.norm_table[:2]), rtol=0)
         assert ctx.sum_norms(0) == 0.0
 
 
+class TestLeadingTerms:
+    @pytest.mark.parametrize("problem", ["affine", "lognormal"])
+    def test_prefix_clamped_past_the_expansion(self, problem):
+        # P_r is the first r + 1 terms; T = M + 1 = 4 affine terms, and
+        # |I_4^3| = 35 lognormal ones.
+        op, _, _ = SmallConfig(problem, M=3, k=2).build()
+        T = len(op.terms)
+        assert T == (4 if problem == "affine" else 35)
+        for r in (0, 1, T - 1, T, T + 5):
+            assert leading_terms(op, r) == op.terms[: min(r + 1, T)]
+        with pytest.raises(ValueError):
+            leading_terms(op, -1)
+
+
 class TestLognormalSystem:
     def test_ordering_descending_zero_first(self):
-        _, _, ctx = tiny_lognormal()
-        mags = [t.magnitude for t in ctx.ordered_terms]
+        # op.terms follows fem2d.order_by_magnitude over I_{2k}^M, with the
+        # zero index moved to the front: G_alpha identifies each term.
+        op, _, ctx = tiny_lognormal()
+        assert ctx is None
+        b0, b_fields = lognormal_expansion(6)
+        ordered = fem2d.order_by_magnitude(build_index_set(3, 4), b_fields, b0)
+        alphas = [(0, 0, 0)] + [alpha for alpha, _ in ordered if any(alpha)]
+        mags = [mag for alpha, mag in ordered if any(alpha)]
         assert all(b <= a for a, b in zip(mags, mags[1:]))
-        assert ctx.ordered_terms[0].alpha == (0, 0, 0)
+        S = build_index_set(3, 2)
+        assert len(op.terms) == len(alphas)
+        for (G, _), alpha in zip(op.terms, alphas):
+            assert (G != gram.gram_general(alpha, S)).nnz == 0, alpha
 
     def test_term_count_covers_doubled_degree(self):
         # Expansion runs over I_{2k}^M.
-        from sgkron.multiindex import dimension
-
-        _, _, ctx = tiny_lognormal(M=3, k=2)
-        assert len(ctx.ordered_terms) == dimension(3, 4)
+        op, _, _ = tiny_lognormal(M=3, k=2)
+        assert len(op.terms) == dimension(3, 4)
 
     def test_operator_drops_vanishing_gram_factors(self):
         # No G_alpha with |alpha| <= 2k vanishes on I_k^M, so the operator
         # keeps every expansion term and none of its Gram factors is zero.
-        op, _, ctx = tiny_lognormal()
-        assert len(op.terms) == len(ctx.ordered_terms)
+        op, _, _ = tiny_lognormal()
+        assert len(op.terms) == dimension(3, 4)
         for G, K in op.terms:
             assert G.nnz > 0
-
-    def test_lead(self):
-        # lead(r) = min(r + 1, 35), and op.terms keeps the expansion order.
-        op, _, ctx = tiny_lognormal()
-        assert len(op.terms) == len(ctx.ordered_terms) == 35
-        assert [ctx.lead(r) for r in (0, 3, 34, 40)] == [1, 4, 35, 35]
-        assert ctx.ordered_terms[0].alpha == (0, 0, 0)
-        with pytest.raises(ValueError):
-            ctx.lead(-1)
 
     def test_requires_more_sources_than_active_parameters(self):
         with pytest.raises(ValueError):
@@ -280,12 +294,15 @@ class TestRecompressedOperator:
         # build_kron reads op.terms, so its Frobenius fit is unchanged by the
         # recompression; reference: K_alpha assembled one at a time from
         # the lognormal expansion coefficients.
-        op, _, ctx = table6_lognormal(3, 2)
+        op, _, _ = table6_lognormal(3, 2)
+        b0, b_fields = lognormal_expansion(20)
+        ordered = fem2d.order_by_magnitude(build_index_set(6, 4), b_fields, b0)
+        ordered.sort(key=lambda term: any(term[0]))
         K_ref = [
             fem2d.assemble_stiffness(
-                ctx.mesh, fem2d.lognormal_expansion_coeff(t.alpha, ctx.b_fields, ctx.b0)
+                build_mesh(3), fem2d.lognormal_expansion_coeff(alpha, b_fields, b0)
             )
-            for t in ctx.ordered_terms
+            for alpha, _ in ordered
         ]
         K0 = K_ref[0]
         G_ref = sum(

@@ -4,7 +4,8 @@ import scipy.sparse as sp
 
 from sgkron import precond, verify
 from sgkron.fem2d import assemble_stiffness, build_mesh, fourier_coefficient
-from sgkron.kronsys import assemble_dense
+from sgkron.kronsys import assemble_dense, leading_terms
+from sgkron.multiindex import build_index_set
 from sgkron.pcg import SolverConfig, pcg_solve
 from sgkron.precond import (
     CholeskyFactor,
@@ -184,8 +185,8 @@ class TestTruncExact:
         np.testing.assert_allclose(op.matvec(x), f, atol=1e-10 * np.linalg.norm(f))
 
     def test_r_beyond_m_clamps(self):
-        op, f, ctx = tiny_affine(M=3)
-        P = build_trunc_exact(op.terms[: ctx.lead(9)], op.ny, op.nx)
+        op, f, _ = tiny_affine(M=3)
+        P = build_trunc_exact(leading_terms(op, 9), op.ny, op.nx)
         _, report = pcg_solve(op, P, f, SolverConfig(tol=1e-10))
         assert report.iterations == 1
 
@@ -225,8 +226,8 @@ class TestTruncExact:
     def test_iterative_fallback_matches_direct_lognormal(self, monkeypatch):
         # The inner SBGS of a general pair list: Hermite diagonals and a
         # term coupling one block to two sources of a level (r = 4).
-        op, _, ctx = tiny_lognormal()
-        pairs = op.terms[: ctx.lead(4)]
+        op, _, _ = tiny_lognormal()
+        pairs = leading_terms(op, 4)
         direct = build_trunc_exact(pairs, op.ny, op.nx)
         monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", 1)
         nested = build_trunc_exact(pairs, op.ny, op.nx)
@@ -240,10 +241,10 @@ class TestTruncExact:
         # Affine r < M: the blocks of P_r are the tails (alpha_{r+1}, ..,
         # alpha_M), and blocks of equal remaining degree d = k - |tail| are
         # the same system, so P_r has one factor per distinct d.
-        op, _, ctx = tiny_affine(M=4, k=3)
+        op, _, _ = tiny_affine(M=4, k=3)
         for r in (1, 2, 3):
             P = build_trunc_exact(op.terms[: r + 1], op.ny, op.nx)
-            degrees = {3 - sum(alpha[r:]) for alpha in ctx.index_set}
+            degrees = {3 - sum(alpha[r:]) for alpha in build_index_set(4, 3)}
             assert P.distinct_factor_count == len(degrees) == 4
 
     def test_equal_size_blocks_with_different_values(self):
@@ -273,8 +274,8 @@ class TestTruncExact:
         np.testing.assert_allclose(P.apply_inverse(v), np.linalg.solve(P_dense, v), rtol=1e-9)
 
     def test_indefinite_truncation_rejected_direct(self):
-        op, _, ctx = tiny_lognormal()
-        pairs = op.terms[: ctx.lead(1)]
+        op, _, _ = tiny_lognormal()
+        pairs = leading_terms(op, 1)
         with pytest.raises(NotPositiveDefiniteError):
             build_trunc_exact(pairs, op.ny, op.nx)
 
@@ -326,7 +327,7 @@ class TestSbgsLognormal:
         # The blocks whose diagonal comes from the zero multi-index term
         # alone (block 0 at least) are exactly K_0: the caller's factor
         # serves them, and only the other signatures are factorized.
-        op, _, ctx = tiny_lognormal()
+        op, _, _ = tiny_lognormal()
         K0 = op.terms[0][1]
         K0_factor = CholeskyFactor(K0)
         built = []
@@ -339,14 +340,14 @@ class TestSbgsLognormal:
         monkeypatch.setattr(CholeskyFactor, "__init__", counting_init)
         for r in (1, 3, 6):
             built.clear()
-            P = build_sbgs_lognormal(K0_factor, op.terms[: ctx.lead(r)], op.ny, op.nx)
+            P = build_sbgs_lognormal(K0_factor, leading_terms(op, r), op.ny, op.nx)
             assert len(built) == P.distinct_factor_count - 1
             assert all(abs(D - K0).max() > 0 for D in built)
 
     def test_dense_identity(self):
-        op, _, ctx = tiny_lognormal()
+        op, _, _ = tiny_lognormal()
         for r in (3, 4):
-            pairs = op.terms[: ctx.lead(r)]
+            pairs = leading_terms(op, r)
             # At r = 4 the term alpha = (1, 1, 0) couples one block to two
             # lower sources, so a sweep step meets one target twice per term.
             max_row_couplings = max(
@@ -358,7 +359,7 @@ class TestSbgsLognormal:
     def test_backward_sweep_solves_receiving_blocks_only(self, monkeypatch):
         # The forward sweep solves every block once, the backward sweep only
         # the blocks a backward coupling lands on: the sources of L.
-        op, _, ctx = tiny_lognormal()
+        op, _, _ = tiny_lognormal()
         x = np.random.default_rng(42).standard_normal(op.dim)
         cols = []
         solve = CholeskyFactor.solve
@@ -369,7 +370,7 @@ class TestSbgsLognormal:
 
         monkeypatch.setattr(CholeskyFactor, "solve", counting)
         for r in (1, 4):
-            pairs = op.terms[: ctx.lead(r)]
+            pairs = leading_terms(op, r)
             P = build_sbgs_lognormal(op.terms[0][1], pairs, op.ny, op.nx)
             lower = [sp.tril(G, k=-1).tocoo() for G, _ in pairs]
             receiving = np.unique(np.concatenate([L.col for L in lower]))
@@ -380,8 +381,8 @@ class TestSbgsLognormal:
 
     def test_spd_even_when_truncation_is_not(self):
         # At k=3 the two-term truncation is indefinite, its splitting is not.
-        op, _, ctx = tiny_lognormal()
-        pairs = op.terms[: ctx.lead(1)]
+        op, _, _ = tiny_lognormal()
+        pairs = leading_terms(op, 1)
         P_r = assemble_dense(pairs)
         assert np.linalg.eigvalsh(P_r).min() < 0
 
@@ -391,21 +392,21 @@ class TestSbgsLognormal:
         assert np.linalg.eigvalsh(P_tilde).min() > 0
 
     def test_requires_zero_lead(self):
-        op, _, ctx = tiny_lognormal()
-        pairs = op.terms[: ctx.lead(2)]
+        op, _, _ = tiny_lognormal()
+        pairs = leading_terms(op, 2)
         with pytest.raises(ValueError):
             build_sbgs_lognormal(op.terms[0][1], pairs[1:], 10, 9)
         with pytest.raises(ValueError):
             build_sbgs_lognormal(op.terms[0][1], [], 10, 9)
 
     def test_factor_cache_bounded(self):
-        op, _, ctx = tiny_lognormal()
-        P = build_sbgs_lognormal(op.terms[0][1], op.terms[: ctx.lead(4)], op.ny, op.nx)
+        op, _, _ = tiny_lognormal()
+        P = build_sbgs_lognormal(op.terms[0][1], leading_terms(op, 4), op.ny, op.nx)
         assert 1 <= P.distinct_factor_count <= op.ny
 
     def test_solves_system(self):
-        op, f, ctx = tiny_lognormal(k=2)
-        P = build_sbgs_lognormal(op.terms[0][1], op.terms[: ctx.lead(2)], op.ny, op.nx)
+        op, f, _ = tiny_lognormal(k=2)
+        P = build_sbgs_lognormal(op.terms[0][1], leading_terms(op, 2), op.ny, op.nx)
         x, report = pcg_solve(op, P, f)
         assert report.converged
         np.testing.assert_allclose(op.matvec(x), f, atol=1e-5 * np.linalg.norm(f))
@@ -424,8 +425,8 @@ class TestReadOnlyInput:
         # blocks and the larger affine blocks keep dense or SuperLU.
         monkeypatch.setattr(precond, "DENSE_SOLVE_MAX", dense_solve_max)
         aff, _, _ = tiny_affine()
-        log, _, ctx = tiny_lognormal()
-        log_pairs = log.terms[: ctx.lead(4)]
+        log, _, _ = tiny_lognormal()
+        log_pairs = leading_terms(log, 4)
         cases = [
             (aff, aff.matvec),
             (log, log.matvec),

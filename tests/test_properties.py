@@ -15,7 +15,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from sgkron import precond, verify
-from sgkron.kronsys import assemble_dense
+from sgkron.kronsys import assemble_dense, leading_terms
 from sgkron.verify import AFFINE, LOGNORMAL, SmallConfig
 
 CATALOGUE = dict(verify.PROPERTIES)
@@ -100,8 +100,8 @@ def test_trunc_exact_equals_dense_solve(problem, level, M, k, r, cut, seed):
     one with both paths.
     """
     r = min(r, M + 1)
-    op, _, ctx = SmallConfig(problem, level, M, k, r, seed, 2.0, N=M + 2).build()
-    pairs = op.terms[: ctx.lead(r)]
+    op, _, _ = SmallConfig(problem, level, M, k, r, seed, 2.0, N=M + 2).build()
+    pairs = leading_terms(op, r)
     P_r = assemble_dense(pairs)
     if problem == "lognormal" and np.linalg.eigvalsh(P_r)[0] <= 0.0:
         reject()

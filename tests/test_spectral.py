@@ -213,8 +213,8 @@ class TestVerifyInclusions:
 
 @pytest.fixture(scope="module")
 def report():
-    op, _, ctx = SmallConfig("lognormal", k=3).build()
-    return spectral.lognormal_spd_report(op, ctx, r_values=range(6))
+    op, _, _ = SmallConfig("lognormal", k=3).build()
+    return spectral.lognormal_spd_report(op, r_values=range(6))
 
 
 class TestLognormalSpdReport:
@@ -235,6 +235,6 @@ class TestLognormalSpdReport:
         assert all(c.observed_lo > 0 for c in sbgs)
 
     def test_size_guard(self):
-        op, _, ctx = SmallConfig("lognormal", level=4, k=3).build()
+        op, _, _ = SmallConfig("lognormal", level=4, k=3).build()
         with pytest.raises(ValueError, match="dimension"):
-            spectral.lognormal_spd_report(op, ctx, r_values=[0])
+            spectral.lognormal_spd_report(op, r_values=[0])
