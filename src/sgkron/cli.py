@@ -153,18 +153,16 @@ class Cell:
 
 
 def _decay_entries(cfg: dict) -> list[tuple[str, float]]:
+    sigma = _float(cfg["sigma_tilde"], "sigma_tilde") if "sigma_tilde" in cfg else None
     entries = []
-    if "decay" in cfg:
-        for d in _as_list(cfg["decay"]):
-            if d not in DECAY_SIGMA:
-                raise ConfigError(f"decay must be 'fast' or 'slow', got {d!r}")
-            entries.append((d, DECAY_SIGMA[d]))
-    if "sigma_tilde" in cfg:
-        sigma = _float(cfg["sigma_tilde"], "sigma_tilde")
-        if entries:
-            entries = [(label, sigma) for label, _ in entries]
-        else:
-            entries = [(f"sigma{sigma:g}", sigma)]
+    for d in _as_list(cfg.get("decay", [])):
+        if d not in DECAY_SIGMA:
+            raise ConfigError(f"decay must be 'fast' or 'slow', got {d!r}")
+        if sigma not in (None, DECAY_SIGMA[d]):  # a row labelled by its decay runs at that rate
+            raise ConfigError(f"sigma_tilde {sigma:g} is not the {d} rate {DECAY_SIGMA[d]:g}")
+        entries.append((d, DECAY_SIGMA[d]))
+    if not entries and sigma is not None:
+        entries = [(f"sigma{sigma:g}", sigma)]
     if not entries:
         raise ConfigError("config needs 'decay' (fast|slow) or explicit 'sigma_tilde'")
     return entries
@@ -565,7 +563,10 @@ def main(argv=None) -> int:
 
     sub.add_parser("verify", help="run the property suite")
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse's usage errors exit 2, here non-convergence
+        raise SystemExit(1 if exc.code else 0) from None
     _set_allocator_policy()
     if args.command == "run":
         return cmd_run(args.config, args.preset, args.out, args.max_k)

@@ -3,11 +3,13 @@
 Three kinds appear in the Kronecker-structured systems:
 
 * ``gram_identity``: G_0 = I (orthonormality of the basis);
-* ``gram_linear``: G_m with entries <y_m psi_j, psi_t>, nonzero only
-  between multi-indices that differ by +-1 in slot m, so at most two
-  entries per row and a zero diagonal;
+* ``gram_linear``: G_m with entries <y_m psi_j, psi_t> for the Legendre
+  family (the affine expansion), nonzero only between multi-indices that
+  differ by +-1 in slot m, so at most two entries per row and a zero
+  diagonal;
 * ``gram_general``: G_alpha with entries <psi_alpha psi_j, psi_t> for the
-  Hermite family, a product of univariate triple products per slot.
+  Hermite family (the lognormal expansion), a product of univariate triple
+  products per slot.  Its linear Hermite terms are G_{e_m}, y_m = psi_1(y_m).
 
 All matrices are returned in CSR form with sorted (canonical) indices so
 that identical inputs produce bit-identical structures across runs.
@@ -21,15 +23,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from .multiindex import MultiIndexSet
-from .orthopoly import HERMITE, PolyFamily, hermite_triple, recurrence_c
+from .orthopoly import LEGENDRE, hermite_triple, recurrence_c
 
 
 def gram_identity(n: int) -> sp.csr_matrix:
     return sp.identity(n, format="csr")
 
 
-def gram_linear(m: int, S: MultiIndexSet, family: PolyFamily) -> sp.csr_matrix:
-    """G_m for the linear-in-y_m coefficient term, 1 <= m <= S.M.
+def gram_linear(m: int, S: MultiIndexSet) -> sp.csr_matrix:
+    """Legendre G_m for the linear-in-y_m coefficient term, 1 <= m <= S.M.
 
     Entry between positions of alpha and alpha - e_m equals c_{alpha_m};
     everything else vanishes by orthogonality and the three-term recurrence.
@@ -44,7 +46,7 @@ def gram_linear(m: int, S: MultiIndexSet, family: PolyFamily) -> sp.csr_matrix:
             continue
         neighbor = alpha[:slot] + (a_m - 1,) + alpha[slot + 1 :]
         t = S.position(neighbor)
-        c = recurrence_c(family, a_m)
+        c = recurrence_c(LEGENDRE, a_m)
         rows.extend((t, j))
         cols.extend((j, t))
         vals.extend((c, c))

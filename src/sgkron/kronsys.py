@@ -39,7 +39,6 @@ import scipy.sparse as sp
 
 from . import fem2d, gram, multiindex
 from .fem2d import UniformMesh
-from .orthopoly import LEGENDRE
 
 DENSE_GUARD = 20000
 # Singular values of the stacked K values below RANK_TOL * sigma_max are
@@ -245,7 +244,7 @@ def build_affine_system(
     terms: list[tuple[sp.csr_matrix, sp.csr_matrix]] = []
     terms.append((gram.gram_identity(len(S)), fem2d.assemble_stiffness(mesh, fields[0])))
     for m in range(1, M + 1):
-        G_m = gram.gram_linear(m, S, LEGENDRE)
+        G_m = gram.gram_linear(m, S)
         K_m = fem2d.assemble_stiffness(mesh, fields[m])
         terms.append((G_m, K_m))
 

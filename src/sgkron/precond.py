@@ -21,10 +21,11 @@ the test suite checks both algebraically and spectrally.
 All spatial solves, with K_0 or with a diagonal block of a splitting, and
 the truncation's block factors go through :class:`CholeskyFactor`.  It
 reads one of three paths off the matrix: a grid Laplacian (the affine K_0)
-is solved in the sine eigenbasis of its 1-D factors, positive definite by
-its closed-form eigenvalues; any other matrix with a dense inverse up to
-order ``DENSE_SOLVE_MAX`` (mesh levels <= 4, the smallest tail blocks) and
-with SuperLU above it, at the measured crossover of the two.
+of order ``SINE_SOLVE_MIN`` (mesh level 4) and up is solved in the sine
+eigenbasis of its 1-D factors, positive definite by its closed-form
+eigenvalues; any other matrix with a dense inverse up to order
+``DENSE_SOLVE_MAX`` (mesh levels <= 4) and with SuperLU above it, at the
+measured crossover of the two.  Builders take the caller's K_0 factor.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ INNER_TOL = 1e-13
 # n = 441 (n = 225: 1 column 17 -> 9 us, 495 columns 4.0 -> 0.8 ms); from
 # n = 529 SuperLU wins below ~45 columns, and at n = 961 below ~165.
 DENSE_SOLVE_MAX = 500
-# Smallest grid-Laplacian order solved by GEMMs, not its closed-form K^{-1}.
+# Smallest grid-Laplacian order solved by sine-basis GEMMs, not the dense path.
 # Same machine, 165 columns, dense -> GEMMs: q = 7 26 -> 93 us, 11 133 -> 196,
 # 13 241 -> 128 (loses below ~30 columns), 15 401 -> 186; 31 SuperLU 9.8 -> 1.5 ms.
 SINE_SOLVE_MIN = 169
@@ -100,15 +101,14 @@ class CholeskyFactor:
 
     One interface, three paths chosen from the matrix itself:
 
-    * a grid Laplacian (the affine K_0), K = c L within 1e-12 max|K| for
-      L = A (x) M + M (x) A of order q^2, A = tridiag(-1, 2, -1) and
-      M = tridiag(1, 4, 1) / 6: K^{-1} maps each q x q block X to
-      S (Lambda^{-1} o (S X S)) S, S the symmetric orthogonal sine basis
-      of A and M and Lambda = c (a_i m_j + m_i a_j) from their eigenvalues.
-      The closed-form Lambda > 0 (a, m > 0, c > 0) certifies positive
-      definiteness, so nothing is factorized.  Below order
-      ``SINE_SOLVE_MIN`` that map is formed once as a dense K^{-1}.
-    * other n <= ``DENSE_SOLVE_MAX``: LAPACK Cholesky of the dense matrix,
+    * a grid Laplacian (the affine K_0) of order q^2 >= ``SINE_SOLVE_MIN``,
+      K = c L within 1e-12 max|K| for L = A (x) M + M (x) A,
+      A = tridiag(-1, 2, -1) and M = tridiag(1, 4, 1) / 6: K^{-1} maps each
+      q x q block X to S (Lambda^{-1} o (S X S)) S, S the symmetric
+      orthogonal sine basis of A and M and Lambda = c (a_i m_j + m_i a_j)
+      from their eigenvalues.  The closed-form Lambda > 0 (a, m > 0, c > 0)
+      certifies positive definiteness, so nothing is factorized.
+    * any other n <= ``DENSE_SOLVE_MAX``: LAPACK Cholesky of the dense matrix,
       then K^{-1} formed once from the factor (dpotri), so that a solve is
       one matrix product over all right-hand sides.  The Cholesky fails on
       a non-positive pivot, which certifies that K is not positive definite.
@@ -137,14 +137,13 @@ class CholeskyFactor:
         self._inv = self._lu = self._sine = None
         # Rejection in O(n) before L is built.
         q = math.isqrt(self.n)
-        d = K.diagonal() if q * q == self.n and K.nnz == (3 * q - 2) ** 2 else [0.0]
+        grid = self.n >= SINE_SOLVE_MIN and q * q == self.n and K.nnz == (3 * q - 2) ** 2
+        d = K.diagonal() if grid else [0.0]
         c = d[0] * 3.0 / 8.0
         if c > 0.0 and np.all(d == d[0]):
             L, S, lam = _grid_laplacian(q)
             if abs(K - c * L).max() <= 1e-12 * scale:
                 self._sine = (S, 1.0 / (c * lam))
-                if self.n < SINE_SOLVE_MIN:
-                    self._inv = _sine_solve(*self._sine, np.eye(self.n))
                 return
         if self.n <= DENSE_SOLVE_MAX:
             L, info = scipy.linalg.lapack.dpotrf(
@@ -181,10 +180,6 @@ class CholeskyFactor:
         return self._lu.solve(b)
 
 
-def _as_factor(K0) -> CholeskyFactor:
-    return K0 if isinstance(K0, CholeskyFactor) else CholeskyFactor(K0)
-
-
 # ---------------------------------------------------------------------------
 # mean-based
 
@@ -199,8 +194,8 @@ class MeanBasedPreconditioner:
         return self.K0.solve(v.reshape(self.ny, self.nx).T).T.ravel()
 
 
-def build_mean_based(K0, ny: int) -> MeanBasedPreconditioner:
-    return MeanBasedPreconditioner(_as_factor(K0), ny)
+def build_mean_based(K0_factor: CholeskyFactor, ny: int) -> MeanBasedPreconditioner:
+    return MeanBasedPreconditioner(K0_factor, ny)
 
 
 # ---------------------------------------------------------------------------
@@ -227,12 +222,13 @@ class KroneckerProductPreconditioner:
         return scipy.linalg.cho_solve(self._g_chol, W.T).ravel()
 
 
-def build_kron(terms, K0_factor: CholeskyFactor | None = None) -> KroneckerProductPreconditioner:
+def build_kron(terms, K0_factor: CholeskyFactor) -> KroneckerProductPreconditioner:
     """P = G (x) K_0 with G = sum_i [tr(K_i^T K_0)/tr(K_0^T K_0)] G_i.
 
     G is the closed-form minimizer of the Frobenius distance between the
     term sum and Q (x) K_0.  The leading term must carry an identity
-    parametric factor (its K is the K_0 used for the fit).
+    parametric factor (its K is the K_0 used for the fit, and K0_factor
+    factors it).
     """
     terms = list(terms)
     if not terms or not _is_identity(terms[0][0]):
@@ -244,7 +240,7 @@ def build_kron(terms, K0_factor: CholeskyFactor | None = None) -> KroneckerProdu
     for G_i, K_i in terms:
         weight = K_i.multiply(K0).sum() / denom
         G += weight * G_i.toarray()
-    return KroneckerProductPreconditioner(G, K0_factor or CholeskyFactor(K0))
+    return KroneckerProductPreconditioner(G, K0_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +485,7 @@ class PairBlockSbgs:
         return Z.ravel()
 
 
-def build_sbgs_affine(K0, pairs, ny: int, nx: int) -> PairBlockSbgs:
+def build_sbgs_affine(K0_factor: CholeskyFactor, pairs, ny: int, nx: int) -> PairBlockSbgs:
     """pairs: the leading pairs of P_r, I (x) K_0 and (G_m, K_m) for m <= r.
 
     The identity lead and the hollow G_m make every diagonal block K_0,
@@ -498,10 +494,10 @@ def build_sbgs_affine(K0, pairs, ny: int, nx: int) -> PairBlockSbgs:
     pairs = list(pairs)
     if not pairs or not _is_identity(pairs[0][0]) or any(G.diagonal().any() for G, _ in pairs[1:]):
         raise ValueError("affine SBGS needs the lead I (x) K_0 and hollow parametric factors")
-    return PairBlockSbgs(pairs, ny, nx, _as_factor(K0))
+    return PairBlockSbgs(pairs, ny, nx, K0_factor)
 
 
-def build_sbgs_lognormal(K0, pairs, ny: int, nx: int) -> PairBlockSbgs:
+def build_sbgs_lognormal(K0_factor: CholeskyFactor, pairs, ny: int, nx: int) -> PairBlockSbgs:
     """pairs: the leading pairs of P_r, ``kronsys.leading_terms(op, r)``.
 
     The zero multi-index term, whose Gram factor is the identity, must lead
@@ -513,4 +509,4 @@ def build_sbgs_lognormal(K0, pairs, ny: int, nx: int) -> PairBlockSbgs:
     pairs = list(pairs)
     if not pairs or not _is_identity(pairs[0][0]):
         raise ValueError("the zero multi-index term must lead the truncation")
-    return PairBlockSbgs(pairs, ny, nx, _as_factor(K0))
+    return PairBlockSbgs(pairs, ny, nx, K0_factor)

@@ -4,9 +4,10 @@ The truncation analysis bounds every preconditioned spectrum through a
 handful of scalar constants derived from the coefficient expansion:
 tau (full fluctuation mass), tau_r (mass of the first r terms), the
 equivalence interval [theta_r, Theta_r], and the block Gauss-Seidel
-degradation factor delta_r.  This module evaluates the closed forms and
-checks the claimed eigenvalue inclusions with dense generalized
-eigensolves at sizes where that is exact and cheap.
+degradation factor delta_r, built from the sum of the first r sup-norms.
+This module evaluates the closed forms and checks the claimed eigenvalue
+inclusions with dense generalized eigensolves at sizes where that is exact
+and cheap; an inclusion passes within ``SLACK``.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .kronsys import KroneckerSumOperator, assemble_dense, leading_terms
 from .precond import NotPositiveDefiniteError
 
 EIG_GUARD = 2000
+SLACK = 1e-8  # round-off by which a passing claim may miss its bound (sbgs_spd: relative)
 
 
 @dataclass(frozen=True)
@@ -41,13 +43,13 @@ def compute_bounds(
     a0_max: float,
     tau: float,
     tau_r: float,
-    sum_norms_r: float | None = None,
+    sum_norms_r: float,
 ) -> BoundSet:
     """Closed-form evaluation of theta_r, Theta_r and delta_r.
 
     ``sum_norms_r`` is the sum of the individual sup-norms of the first r
-    fluctuation terms, which enters delta_r; when omitted it defaults to
-    a0_min * tau_r (exact whenever the term extrema are co-located).
+    fluctuation terms, sum_{m<=r} ||a_m||_inf, and gives
+    delta_r = (sum_norms_r / a0_min)^2 / (1 - tau_r).
     """
     if a0_min <= 0:
         raise ValueError("a0_min must be positive")
@@ -57,8 +59,7 @@ def compute_bounds(
         raise ValueError("bounds require tau < 1")
     theta = (1.0 - tau) * a0_min / (a0_max + a0_min * tau_r)
     Theta = (a0_max + a0_min * tau) / ((1.0 - tau_r) * a0_min)
-    s = a0_min * tau_r if sum_norms_r is None else float(sum_norms_r)
-    delta = (s / a0_min) ** 2 / (1.0 - tau_r)
+    delta = (sum_norms_r / a0_min) ** 2 / (1.0 - tau_r)
     return BoundSet(
         r=r,
         a0_min=a0_min,
@@ -141,7 +142,6 @@ def _containment(
     r: int,
     bound: tuple[float, float],
     observed: tuple[float, float],
-    slack: float,
 ) -> InclusionCheck:
     lo_gap = observed[0] - bound[0] if np.isfinite(bound[0]) else np.inf
     hi_gap = bound[1] - observed[1] if np.isfinite(bound[1]) else np.inf
@@ -154,7 +154,7 @@ def _containment(
         observed_lo=observed[0],
         observed_hi=observed[1],
         margin=margin,
-        passed=bool(margin >= -slack),
+        passed=bool(margin >= -SLACK),
     )
 
 
@@ -168,9 +168,7 @@ def sbgs_dense(terms) -> tuple[np.ndarray, np.ndarray]:
     return (D + L) @ np.linalg.solve(D, (D + L).T), L
 
 
-def verify_inclusions(
-    op: KroneckerSumOperator, ctx, r_values, slack: float = 1e-8
-) -> list[InclusionCheck]:
+def verify_inclusions(op: KroneckerSumOperator, ctx, r_values) -> list[InclusionCheck]:
     """Check every claimed spectral inclusion of an affine system, for each
     truncation index r; the claims are the rows of the table below."""
     if op.dim > EIG_GUARD:
@@ -207,13 +205,11 @@ def verify_inclusions(
             ("scaled_eig_floor", (1.0 - b.tau_r, np.inf), (float(floor[0]), float(floor[-1]))),
             ("scaled_sigma_cap", (-np.inf, cap), (0.0, smax)),
         )
-        checks += [_containment(claim, r, bound, seen, slack) for claim, bound, seen in table]
+        checks += [_containment(claim, r, bound, seen) for claim, bound, seen in table]
     return checks
 
 
-def lognormal_spd_report(
-    op: KroneckerSumOperator, r_values, slack: float = 1e-8
-) -> list[InclusionCheck]:
+def lognormal_spd_report(op: KroneckerSumOperator, r_values) -> list[InclusionCheck]:
     """Definiteness report for lognormal truncations at tiny scale.
 
     P_r itself may legitimately be indefinite; those rows are marked not
@@ -234,6 +230,6 @@ def lognormal_spd_report(
         sbgs = np.linalg.eigvalsh(sbgs_dense(pairs)[0])
         checks += [
             row("trunc_spd", r, trunc, True, bool(trunc[0] > 0)),
-            row("sbgs_spd", r, sbgs, bool(sbgs[0] > slack * abs(sbgs[-1]))),
+            row("sbgs_spd", r, sbgs, bool(sbgs[0] > SLACK * abs(sbgs[-1]))),
         ]
     return checks

@@ -68,6 +68,11 @@ SIZE_GUARDED = [
 # Wrongly typed or empty values that both commands refuse.
 NUMERIC_STRINGS = [{"k": "1"}, {"M": "2"}, {"mesh_level": "2"}, {"sigma_tilde": "3"}]
 EMPTY_GRIDS = [{"k": []}, {"M": []}, {"mesh_level": []}]
+# A sigma_tilde that is not the rate of a named decay (fast 4, slow 2).
+DECAY_MISMATCH = [
+    {"decay": "fast", "sigma_tilde": 3},
+    {"decay": ["fast", "slow"], "sigma_tilde": 3},
+]
 
 
 class TestRunCommand:
@@ -192,6 +197,23 @@ class TestRunCommand:
         assert cli.main(["run", cfg, "--out", str(out)]) == 0
         _, rows = read_rows(out)
         assert rows[0][COL["decay"]] == "sigma2"
+
+    def test_named_decay_runs_at_its_rate(self, tmp_path, capsys):
+        # A row labelled fast or slow runs at sigma_tilde 4 or 2: an explicit
+        # sigma_tilde must be that rate, and alone it needs > 1 for the auto
+        # amplitude.
+        cfg_dict = tiny_affine_config(sigma_tilde=2, preconditioners=["mean"])
+        cfg = write_config(tmp_path / "cfg.json", cfg_dict)
+        out = tmp_path / "out.csv"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 0
+        assert read_rows(out)[1][0][COL["decay"]] == "slow"
+        cfg = write_config(tmp_path / "cfg.json", {**cfg_dict, "decay": ["slow", "fast"]})
+        assert cli.main(["run", cfg]) == 1
+        assert "sigma_tilde 2 is not the fast rate 4" in capsys.readouterr().err
+        del cfg_dict["decay"]
+        cfg = write_config(tmp_path / "cfg.json", {**cfg_dict, "sigma_tilde": 1.0})
+        assert cli.main(["run", cfg]) == 1
+        assert capsys.readouterr().err.startswith("run: invalid config:")
 
     def test_deterministic_modulo_timings(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", tiny_affine_config())
@@ -477,6 +499,7 @@ class TestRunCommand:
             {"preconditioners": ["sbgs 1.5"]},
             {"preconditioners": ["sbgs -1"]},
             *EMPTY_GRIDS,
+            *DECAY_MISMATCH,
         ],
     )
     def test_invalid_configs_exit_1(self, tmp_path, mutate, capsys):
@@ -521,10 +544,10 @@ class TestRunCommand:
     def test_argparse_usage_exit(self):
         with pytest.raises(SystemExit) as exc:
             cli.main([])
-        assert exc.value.code == 2
+        assert exc.value.code == 1
         with pytest.raises(SystemExit) as exc:
             cli.main(["run", "--preset", "table99"])
-        assert exc.value.code == 2
+        assert exc.value.code == 1
 
 
 def spectrum_config(tmp_path, **overrides):
@@ -626,6 +649,7 @@ class TestSpectrumCommand:
             *NUMERIC_STRINGS,
             {"r": ["1"]},
             *EMPTY_GRIDS,
+            *DECAY_MISMATCH,
         ):
             cfg = spectrum_config(tmp_path, **bad)
             t0 = time.perf_counter()

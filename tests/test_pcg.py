@@ -9,7 +9,7 @@ from sgkron.pcg import (
     estimate_condition,
     pcg_solve,
 )
-from sgkron.precond import build_mean_based, build_trunc_exact
+from sgkron.precond import CholeskyFactor, build_mean_based, build_trunc_exact
 from sgkron.verify import SmallConfig
 
 
@@ -88,7 +88,7 @@ class TestResidualNorms:
 class TestDeterminism:
     def test_bitwise_repeatable(self):
         op, f, _ = SmallConfig().build()
-        P = build_mean_based(op.terms[0][1], op.ny)
+        P = build_mean_based(CholeskyFactor(op.terms[0][1]), op.ny)
         x1, rep1 = pcg_solve(op, P, f)
         x2, rep2 = pcg_solve(op, P, f)
         np.testing.assert_array_equal(x1, x2)
@@ -157,7 +157,7 @@ class TestOnAssembledSystem:
 
     def test_solution_satisfies_system(self):
         op, f, _ = SmallConfig(level=3).build()
-        P = build_mean_based(op.terms[0][1], op.ny)
+        P = build_mean_based(CholeskyFactor(op.terms[0][1]), op.ny)
         x, _ = pcg_solve(op, P, f)
         np.testing.assert_allclose(
             op.matvec(x), f, atol=2e-6 * np.linalg.norm(f)

@@ -27,6 +27,11 @@ def tiny_lognormal(level=2, M=3, k=3, N=6):
     return SmallConfig("lognormal", level, M, k, N=N).build()
 
 
+def k0_factor(op):
+    """The factor of the mean stiffness K_0 that every builder is passed."""
+    return CholeskyFactor(op.terms[0][1])
+
+
 def dense_apply_inverse(P, n):
     cols = [P.apply_inverse(e) for e in np.eye(n)]
     return np.stack(cols, axis=1)
@@ -82,13 +87,18 @@ class TestCholeskyFactorSuperLU(TestCholeskyFactor):
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
 def test_laplacian_k0_takes_the_sine_path(level):
-    # The affine K_0 is the grid Laplacian at every level: no LAPACK or
-    # SuperLU factor, checked against LAPACK's general solver.  cond(K_0)
-    # < 1e3 up to level 5, so 1e-11 leaves a wide margin over cond * eps.
+    # The affine K_0 is the grid Laplacian at every level: from order
+    # SINE_SOLVE_MIN (level 4) up it takes the sine path, with no LAPACK or
+    # SuperLU factor, and below it the dense inverse.  Checked against
+    # LAPACK's general solver; cond(K_0) < 1e3 up to level 5, so 1e-11
+    # leaves a wide margin over cond * eps.
     K0 = assemble_stiffness(build_mesh(level), fourier_coefficient(0, 2.0, 0.6))
     factor = CholeskyFactor(K0)
-    assert factor._sine is not None and factor._lu is None
-    assert (factor._inv is not None) == (factor.n < precond.SINE_SOLVE_MIN)
+    sine = factor.n >= precond.SINE_SOLVE_MIN
+    assert sine == (level >= 4)
+    assert (factor._sine is not None) == sine
+    assert (factor._inv is not None) == (not sine)
+    assert factor._lu is None
     rng = np.random.default_rng(level)
     A = K0.toarray()
     b = rng.standard_normal(factor.n)
@@ -129,7 +139,7 @@ class TestMeanBased:
     def test_blockwise_mean_solve(self):
         op, _, _ = tiny_affine()
         K0 = op.terms[0][1]
-        P = build_mean_based(K0, op.ny)
+        P = build_mean_based(CholeskyFactor(K0), op.ny)
         rng = np.random.default_rng(42)
         v = rng.standard_normal(op.dim)
         expected = np.linalg.solve(np.kron(np.eye(op.ny), K0.toarray()), v)
@@ -137,7 +147,7 @@ class TestMeanBased:
 
     def test_equals_trunc_r0(self):
         op, _, _ = tiny_affine()
-        P_mean = build_mean_based(op.terms[0][1], op.ny)
+        P_mean = build_mean_based(k0_factor(op), op.ny)
         P_trunc = build_trunc_exact(op.terms[:1], op.ny, op.nx)
         rng = np.random.default_rng(42)
         v = rng.standard_normal(op.dim)
@@ -149,7 +159,7 @@ class TestMeanBased:
 class TestKroneckerProduct:
     def test_apply_inverse(self):
         op, _, _ = tiny_affine()
-        P = build_kron(op.terms)
+        P = build_kron(op.terms, k0_factor(op))
         K0 = op.terms[0][1].toarray()
         dense = np.kron(P.G, K0)
         rng = np.random.default_rng(42)
@@ -163,17 +173,14 @@ class TestKroneckerProduct:
         # indefinite (1 +/- w c eigenvalues with w large).
         from sgkron.fem2d import assemble_stiffness, constant_field
         from sgkron.gram import gram_identity, gram_linear
-        from sgkron.multiindex import build_index_set
 
         mesh = build_mesh(2)
         S = build_index_set(1, 2)
-        from sgkron.orthopoly import LEGENDRE
-
         K0 = assemble_stiffness(mesh, constant_field(1.0))
         K1 = assemble_stiffness(mesh, constant_field(5.0))
-        terms = ((gram_identity(len(S)), K0), (gram_linear(1, S, LEGENDRE), K1))
+        terms = ((gram_identity(len(S)), K0), (gram_linear(1, S), K1))
         with pytest.raises(NotPositiveDefiniteError):
-            build_kron(terms)
+            build_kron(terms, CholeskyFactor(K0))
 
 
 class TestTruncExact:
@@ -283,7 +290,7 @@ class TestTruncExact:
 class TestSbgsAffine:
     def test_reuses_callers_k0_factor(self, monkeypatch):
         op, _, _ = tiny_affine()
-        K0_factor = CholeskyFactor(op.terms[0][1])
+        K0_factor = k0_factor(op)
         built = []
         init = CholeskyFactor.__init__
 
@@ -298,7 +305,7 @@ class TestSbgsAffine:
 
     def test_empty_terms_reduce_to_mean(self):
         op, _, _ = tiny_affine()
-        K0 = op.terms[0][1]
+        K0 = k0_factor(op)
         P_sbgs = build_sbgs_affine(K0, op.terms[:1], op.ny, op.nx)
         P_mean = build_mean_based(K0, op.ny)
         rng = np.random.default_rng(42)
@@ -314,7 +321,7 @@ class TestSbgsAffine:
         op, _, ctx = tiny_affine()
         r = 2
         P_r = assemble_dense(op.terms[: r + 1])
-        P = build_sbgs_affine(op.terms[0][1], op.terms[: r + 1], op.ny, op.nx)
+        P = build_sbgs_affine(k0_factor(op), op.terms[: r + 1], op.ny, op.nx)
         P_tilde = np.linalg.inv(dense_apply_inverse(P, op.dim))
         lo, hi = eig_range(P_r, P_tilde)
         bounds = affine_bounds(ctx, r)
@@ -371,7 +378,7 @@ class TestSbgsLognormal:
         monkeypatch.setattr(CholeskyFactor, "solve", counting)
         for r in (1, 4):
             pairs = leading_terms(op, r)
-            P = build_sbgs_lognormal(op.terms[0][1], pairs, op.ny, op.nx)
+            P = build_sbgs_lognormal(k0_factor(op), pairs, op.ny, op.nx)
             lower = [sp.tril(G, k=-1).tocoo() for G, _ in pairs]
             receiving = np.unique(np.concatenate([L.col for L in lower]))
             assert 0 < len(receiving) < op.ny
@@ -386,7 +393,7 @@ class TestSbgsLognormal:
         P_r = assemble_dense(pairs)
         assert np.linalg.eigvalsh(P_r).min() < 0
 
-        P = build_sbgs_lognormal(op.terms[0][1], pairs, op.ny, op.nx)
+        P = build_sbgs_lognormal(k0_factor(op), pairs, op.ny, op.nx)
         P_tilde = np.linalg.inv(dense_apply_inverse(P, op.dim))
         P_tilde = 0.5 * (P_tilde + P_tilde.T)
         assert np.linalg.eigvalsh(P_tilde).min() > 0
@@ -395,18 +402,18 @@ class TestSbgsLognormal:
         op, _, _ = tiny_lognormal()
         pairs = leading_terms(op, 2)
         with pytest.raises(ValueError):
-            build_sbgs_lognormal(op.terms[0][1], pairs[1:], 10, 9)
+            build_sbgs_lognormal(k0_factor(op), pairs[1:], 10, 9)
         with pytest.raises(ValueError):
-            build_sbgs_lognormal(op.terms[0][1], [], 10, 9)
+            build_sbgs_lognormal(k0_factor(op), [], 10, 9)
 
     def test_factor_cache_bounded(self):
         op, _, _ = tiny_lognormal()
-        P = build_sbgs_lognormal(op.terms[0][1], leading_terms(op, 4), op.ny, op.nx)
+        P = build_sbgs_lognormal(k0_factor(op), leading_terms(op, 4), op.ny, op.nx)
         assert 1 <= P.distinct_factor_count <= op.ny
 
     def test_solves_system(self):
         op, f, _ = tiny_lognormal(k=2)
-        P = build_sbgs_lognormal(op.terms[0][1], leading_terms(op, 2), op.ny, op.nx)
+        P = build_sbgs_lognormal(k0_factor(op), leading_terms(op, 2), op.ny, op.nx)
         x, report = pcg_solve(op, P, f)
         assert report.converged
         np.testing.assert_allclose(op.matvec(x), f, atol=1e-5 * np.linalg.norm(f))
@@ -419,23 +426,23 @@ class TestReadOnlyInput:
         # view v.reshape(ny, nx), which aliases the caller's PCG vector: a
         # read-only input must work, on every spatial-solve path, and come
         # back as a new flat vector equal to the one a writable input gives.
-        # The affine K_0 is a grid Laplacian, so the affine mean, kron and
-        # SBGS cases and the affine trunc_exact blocks of degree 0 run the
-        # Laplacian path whatever the cutoff; the lognormal K_0, D_jj and
-        # blocks and the larger affine blocks keep dense or SuperLU.
+        # The tiny systems' K_0, D_jj and blocks are all below SINE_SOLVE_MIN,
+        # so they take the dense or the SuperLU path by the cutoff; the
+        # Laplacian path is checked in test_laplacian_k0_takes_the_sine_path.
         monkeypatch.setattr(precond, "DENSE_SOLVE_MAX", dense_solve_max)
         aff, _, _ = tiny_affine()
         log, _, _ = tiny_lognormal()
         log_pairs = leading_terms(log, 4)
+        aff_K0, log_K0 = k0_factor(aff), k0_factor(log)
         cases = [
             (aff, aff.matvec),
             (log, log.matvec),
-            (aff, build_mean_based(aff.terms[0][1], aff.ny).apply_inverse),
-            (aff, build_kron(aff.terms).apply_inverse),
+            (aff, build_mean_based(aff_K0, aff.ny).apply_inverse),
+            (aff, build_kron(aff.terms, aff_K0).apply_inverse),
             (aff, build_trunc_exact(aff.terms[:3], aff.ny, aff.nx).apply_inverse),
             (log, build_trunc_exact(log_pairs, log.ny, log.nx).apply_inverse),
-            (aff, build_sbgs_affine(aff.terms[0][1], aff.terms[:3], aff.ny, aff.nx).apply_inverse),
-            (log, build_sbgs_lognormal(log.terms[0][1], log_pairs, log.ny, log.nx).apply_inverse),
+            (aff, build_sbgs_affine(aff_K0, aff.terms[:3], aff.ny, aff.nx).apply_inverse),
+            (log, build_sbgs_lognormal(log_K0, log_pairs, log.ny, log.nx).apply_inverse),
         ]
         monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", 1)  # the nested path
         for op, pairs, r in ((aff, aff.terms[:3], 2), (log, log_pairs, 4)):

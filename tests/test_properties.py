@@ -55,17 +55,19 @@ def drawn(name, problems, *pins):
 
 BOTH = ("affine", "lognormal")
 test_matvec_vs_dense = drawn("matvec_vs_dense", BOTH, AFFINE, LOGNORMAL)
-test_block_row_count = drawn("block_row_count", ("affine",))
-test_load_structure = drawn("load_structure", BOTH)
+test_block_row_count = drawn("block_row_count", ("affine",), SmallConfig(M=3, k=3))
+test_load_structure = drawn("load_structure", BOTH, AFFINE, LOGNORMAL)
 test_trunc_full_equals_system = drawn("trunc_full_equals_system", BOTH)
 test_sbgs_identity = drawn("sbgs_identity", BOTH, AFFINE, SmallConfig(r=2))
-test_sbgs_lognormal_spd = drawn("sbgs_lognormal_spd", ("lognormal",))
+test_sbgs_lognormal_spd = drawn(
+    "sbgs_lognormal_spd", ("lognormal",), SmallConfig("lognormal", k=3, r=5)
+)
 test_kron_frobenius_lsq = drawn("kron_frobenius_lsq", BOTH, AFFINE)
 test_precond_dense_formula = drawn("precond_dense_formula", BOTH, AFFINE, LOGNORMAL)
 test_pcg_exact_preconditioner = drawn("pcg_exact_preconditioner", BOTH)
 test_pcg_deterministic = drawn("pcg_deterministic", BOTH)
 test_condition_estimate = drawn("condition_estimate", BOTH, AFFINE)
-test_inclusions_tiny = drawn("inclusions_tiny", ("affine",))
+test_inclusions_tiny = drawn("inclusions_tiny", ("affine",), AFFINE, SmallConfig(sigma_tilde=4.0))
 test_kappa_within_bound = drawn("kappa_within_bound", ("affine",))
 
 
