@@ -6,6 +6,11 @@ Subcommands:
   spectrum  verify eigenvalue-inclusion claims at tiny scale;
   verify    run the package's property suite.
 
+The CLI parses configs (presets and size guards included), refuses a bad
+one before any work, writes and flushes the rows and decides the exit
+code.  ``grid.solve_cell`` builds and solves each cell of ``run``, under
+the numpy error state the CLI sets around its row loop.
+
 Exit codes: 0 success, 1 config/usage error (or `verify` under python -O),
 2 non-convergence, 3 property failure.  A `run` whose output is closed
 early stops its grid and exits as the rows already written imply (0 or 2).
@@ -16,17 +21,15 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
-import functools
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import fem2d, kronsys, multiindex, pcg, precond, spectral, verify
+from . import fem2d, grid, multiindex, pcg, spectral, verify
 
 CSV_HEADER = (
     "problem,decay,h,M,k,precond,r,iterations,converged,"
@@ -77,6 +80,11 @@ MAX_KRON_BASIS = 5000
 
 class ConfigError(Exception):
     pass
+
+
+class Refused(Exception):
+    """A command refused before any work: ``main`` prints the message after
+    the command's name and exits 1."""
 
 
 # ---------------------------------------------------------------------------
@@ -140,18 +148,6 @@ def _parse_precond(item) -> tuple[str, int | None]:
     return kind, r
 
 
-@dataclass
-class Cell:
-    problem: str
-    decay_label: str
-    sigma_tilde: float
-    alpha_bar: float
-    level: int
-    M: int
-    k: int
-    N: int
-
-
 def _decay_entries(cfg: dict) -> list[tuple[str, float]]:
     sigma = _float(cfg["sigma_tilde"], "sigma_tilde") if "sigma_tilde" in cfg else None
     entries = []
@@ -178,13 +174,14 @@ def _parse_alpha_bar(cfg: dict, sigma_tilde: float) -> float:
     return _float(mode, "alpha_bar_mode")
 
 
-_RUN_KEYS = {
-    "problem", "decay", "sigma_tilde", "alpha_bar_mode", "mesh_level", "M", "k",
-    "N", "preconditioners", "tol", "max_iter", "output",
+_CELL_KEYS = {
+    "problem", "decay", "sigma_tilde", "alpha_bar_mode", "mesh_level", "M", "k", "N", "output",
 }
+_RUN_KEYS = _CELL_KEYS | {"preconditioners", "tol", "max_iter"}
+_SPECTRUM_KEYS = _CELL_KEYS | {"r"}
 
 
-def _parse_cells(cfg: dict, keys: set[str]) -> list[Cell]:
+def _parse_cells(cfg: dict, keys: set[str]) -> list[grid.Cell]:
     """The grid of cells a config spans, after checking its fields and ranges."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"config must be a JSON object, got {type(cfg).__name__}")
@@ -209,7 +206,7 @@ def _parse_cells(cfg: dict, keys: set[str]) -> list[Cell]:
                     nx = fem2d.build_mesh(level).n_interior  # the library's range checks
                     _check_size(problem, nx, M, k, N)
                     cells.append(
-                        Cell(problem, decay_label, sigma, alpha_bar, level, M, k, N)
+                        grid.Cell(problem, decay_label, sigma, alpha_bar, level, M, k, N)
                     )
     return cells
 
@@ -229,7 +226,10 @@ def _check_size(problem: str, nx: int, M: int, k: int, N: int) -> None:
 
 def _parse_run_config(cfg: dict):
     cells = _parse_cells(cfg, _RUN_KEYS)
-    preconds = [_parse_precond(p) for p in _require(cfg, "preconditioners")]
+    entries = _require(cfg, "preconditioners")
+    if not isinstance(entries, list):
+        raise ConfigError(f"preconditioners must be a list of entries, got {entries!r}")
+    preconds = [_parse_precond(p) for p in entries]
     if not preconds:
         raise ConfigError("preconditioner list must not be empty")
     if any(kind == "kron" for kind, _ in preconds):
@@ -246,46 +246,68 @@ def _parse_run_config(cfg: dict):
     return cells, preconds, solver_cfg, cfg.get("output")
 
 
+def _read_config(path: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise Refused(f"cannot read config: {exc}")
+    except json.JSONDecodeError as exc:
+        raise Refused(f"config is not valid JSON (line {exc.lineno}): {exc.msg}")
+
+
+@contextlib.contextmanager
+def _invalid_config():
+    try:
+        yield
+    except (ConfigError, ValueError, TypeError) as exc:  # TypeError: a wrongly typed value
+        raise Refused(f"invalid config: {exc}")
+
+
+def _open_output(path, default):
+    """A sink writing to `path`, or to `default` (left open) without one."""
+    try:
+        return open(path, "w") if path else contextlib.nullcontext(default)
+    except OSError as exc:
+        raise Refused(f"cannot write output: {exc}")
+
+
 # ---------------------------------------------------------------------------
 # run command
 
-
-def _build_system(cell: Cell):
-    return kronsys.build_system(
-        cell.problem, cell.level, cell.M, cell.k, cell.sigma_tilde, cell.alpha_bar, cell.N
-    )
-
-
-def _build_preconditioner(kind, r, op, ctx, K0_factor):
-    """K0_factor() gives the cell's K_0 factor; trunc_exact never asks."""
-    if kind == "mean":
-        return precond.build_mean_based(K0_factor(), op.ny)
-    if kind == "kron":
-        return precond.build_kron(op.terms, K0_factor())
-    pairs = kronsys.leading_terms(op, r)
-    if kind == "trunc_exact":
-        return precond.build_trunc_exact(pairs, op.ny, op.nx)
-    if ctx is not None:  # affine
-        return precond.build_sbgs_affine(K0_factor(), pairs, op.ny, op.nx)
-    return precond.build_sbgs_lognormal(K0_factor(), pairs, op.ny, op.nx)
+_SBGS_ALL = [f"sbgs {r}" for r in range(1, 7)]
+_AFFINE_GRID = {"problem": "affine", "decay": ["fast", "slow"], "mesh_level": 4, "M": 8}
+# The grids of the paper's tables; `_preset_config` trims a copy.
+PRESETS = {
+    "table2": {**_AFFINE_GRID, "k": [1, 2, 3, 4],
+               "preconditioners": [f"trunc_exact {r}" for r in range(7)]},
+    "table3": {**_AFFINE_GRID, "k": [1, 2, 3, 4, 5, 6],
+               "preconditioners": ["kron", "mean"] + _SBGS_ALL},
+    "table4": {**_AFFINE_GRID, "mesh_level": [3, 4, 5], "M": [4, 8], "k": 3,
+               "preconditioners": ["mean", "sbgs 1", "sbgs 2"]},
+    "table6": {"problem": "lognormal", "decay": "slow", "sigma_tilde": 2.0,
+               "alpha_bar_mode": 0.547, "mesh_level": 4, "M": 6, "N": 20,
+               "k": [1, 2, 3, 4, 5, 6], "preconditioners": ["kron", "mean"] + _SBGS_ALL},
+}
 
 
-def _format_row(cell: Cell, r_cell, n, label, it, conv, relres, setup_s, solve_s) -> str:
-    r_text = "" if r_cell is None else str(r_cell)
+def _preset_config(preset: str, max_k: int | None) -> dict:
+    """A new config dict of the preset, its k grid trimmed to k <= max_k."""
+    cfg = dict(PRESETS[preset])
+    if max_k is not None:
+        cfg["k"] = [k for k in _as_list(cfg["k"]) if k <= max_k]
+        if not cfg["k"]:
+            raise ConfigError(f"--max-k {max_k} removes every k from preset {preset}")
+    return cfg
+
+
+def _format_row(cell: grid.Cell, row: grid.Row) -> str:
     return ",".join((
         cell.problem, cell.decay_label, f"{2.0 ** -cell.level:.10g}", str(cell.M), str(cell.k),
-        label, r_text, str(it), "true" if conv else "false", f"{relres:.6e}",
-        f"{setup_s:.2f}", f"{solve_s:.2f}", str(n),
+        row.precond, "" if row.r is None else str(row.r), str(row.iterations),
+        "true" if row.converged else "false", f"{row.final_relres:.6e}",
+        f"{row.setup_s:.2f}", f"{row.solve_s:.2f}", str(row.n_unknowns),
     ))
-
-
-# Failures of a preconditioner's set-up or solve, reported as a labelled
-# row (suffix after "!") so that the rest of the grid still runs.
-_FAILURE_LABELS = {
-    precond.NotPositiveDefiniteError: "not_positive_definite",
-    precond.InnerStallError: "inner_stall",
-    pcg.BreakdownError: "breakdown",
-}
 
 
 def _set_allocator_policy() -> None:
@@ -304,34 +326,14 @@ def _set_allocator_policy() -> None:
 
 def cmd_run(config_path, preset, out_path, max_k) -> int:
     if (config_path is None) == (preset is None):
-        print("run: pass exactly one of <config.json> or --preset", file=sys.stderr)
-        return 1
+        raise Refused("pass exactly one of <config.json> or --preset")
     if max_k is not None and preset is None:
-        print("run: --max-k trims a preset; it needs --preset", file=sys.stderr)
-        return 1
-    try:
-        if preset is not None:
-            cfg = _preset_config(preset, max_k)
-        else:
-            with open(config_path) as fh:
-                cfg = json.load(fh)
+        raise Refused("--max-k trims a preset; it needs --preset")
+    with _invalid_config():
+        cfg = _read_config(config_path) if preset is None else _preset_config(preset, max_k)
         cells, preconds, solver_cfg, cfg_out = _parse_run_config(cfg)
-    except OSError as exc:
-        print(f"run: cannot read config: {exc}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(f"run: config is not valid JSON (line {exc.lineno}): {exc.msg}", file=sys.stderr)
-        return 1
-    except (ConfigError, ValueError, TypeError) as exc:  # TypeError: a wrongly typed value
-        print(f"run: invalid config: {exc}", file=sys.stderr)
-        return 1
-
     out_path = out_path or cfg_out
-    try:
-        sink = open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout)
-    except OSError as exc:
-        print(f"run: cannot write output: {exc}", file=sys.stderr)
-        return 1
+    sink = _open_output(out_path, sys.stdout)
     status = 0  # 2 once a written row did not converge
     try:
         # Rows go out as they finish, so a crash keeps them.  Overflow in the
@@ -339,32 +341,9 @@ def cmd_run(config_path, preset, out_path, max_k) -> int:
         with sink as out, np.errstate(over="ignore", invalid="ignore"):
             print(CSV_HEADER, file=out, flush=True)
             for cell in cells:
-                op, f, ctx = _build_system(cell)
-                # Built on first use, so that a K_0 it refuses ends as the rows
-                # of the preconditioners that need it.
-                K0_factor = functools.cache(lambda K0=op.terms[0][1]: precond.CholeskyFactor(K0))
-                for kind, r in preconds:
-                    # The r cell, on success and failure rows alike: 0 for mean,
-                    # empty for kron, the requested r for trunc_exact and the
-                    # index of the last term for sbgs.
-                    r_cell = (
-                        len(kronsys.leading_terms(op, r)) - 1 if kind == "sbgs"
-                        else {"mean": 0}.get(kind, r)
-                    )
-                    t0 = time.perf_counter()
-                    setup_s = 0.0  # until the preconditioner is built
-                    try:
-                        P = _build_preconditioner(kind, r, op, ctx, K0_factor)
-                        setup_s = time.perf_counter() - t0
-                        _, rep = pcg.pcg_solve(op, P, f, solver_cfg)
-                        row = (kind, rep.iterations, rep.converged, rep.final_relres,
-                               setup_s, rep.solve_seconds)
-                    except tuple(_FAILURE_LABELS) as exc:
-                        label = next(v for t, v in _FAILURE_LABELS.items() if isinstance(exc, t))
-                        setup_s = setup_s or time.perf_counter() - t0
-                        row = (f"{kind}!{label}", 0, False, float("nan"), setup_s, 0.0)
-                    print(_format_row(cell, r_cell, op.dim, *row), file=out, flush=True)
-                    if not row[2]:
+                for row in grid.solve_cell(cell, preconds, solver_cfg):
+                    print(_format_row(cell, row), file=out, flush=True)
+                    if not row.converged:
                         status = 2
     except BrokenPipeError:
         # The reader closed the output (`sgkron run ... | head`): the grid
@@ -382,59 +361,6 @@ def cmd_run(config_path, preset, out_path, max_k) -> int:
     return status
 
 
-def _preset_config(preset: str, max_k: int | None) -> dict:
-    sbgs_all = [f"sbgs {r}" for r in range(1, 7)]
-    presets = {
-        "table2": {
-            "problem": "affine",
-            "decay": ["fast", "slow"],
-            "mesh_level": 4,
-            "M": 8,
-            "k": [1, 2, 3, 4],
-            "preconditioners": [f"trunc_exact {r}" for r in range(7)],
-        },
-        "table3": {
-            "problem": "affine",
-            "decay": ["fast", "slow"],
-            "mesh_level": 4,
-            "M": 8,
-            "k": [1, 2, 3, 4, 5, 6],
-            "preconditioners": ["kron", "mean"] + sbgs_all,
-        },
-        "table4": {
-            "problem": "affine",
-            "decay": ["fast", "slow"],
-            "mesh_level": [3, 4, 5],
-            "M": [4, 8],
-            "k": 3,
-            "preconditioners": ["mean", "sbgs 1", "sbgs 2"],
-        },
-        "table6": {
-            "problem": "lognormal",
-            "decay": "slow",
-            "sigma_tilde": 2.0,
-            "alpha_bar_mode": 0.547,
-            "mesh_level": 4,
-            "M": 6,
-            "N": 20,
-            "k": [1, 2, 3, 4, 5, 6],
-            "preconditioners": ["kron", "mean"] + sbgs_all,
-        },
-    }
-    cfg = presets[preset]
-    if max_k is not None:
-        cfg["k"] = [k for k in _as_list(cfg["k"]) if k <= max_k]
-        if not cfg["k"]:
-            raise ConfigError(f"--max-k {max_k} removes every k from preset {preset}")
-    return cfg
-
-
-_SPECTRUM_KEYS = {
-    "problem", "decay", "sigma_tilde", "alpha_bar_mode", "mesh_level", "M", "k",
-    "N", "r", "output",
-}
-
-
 def _fmt_bound(x: float) -> str:
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
@@ -442,9 +368,8 @@ def _fmt_bound(x: float) -> str:
 
 
 def cmd_spectrum(config_path, out_path, full) -> int:
-    try:
-        with open(config_path) as fh:
-            cfg = json.load(fh)
+    with _invalid_config():
+        cfg = _read_config(config_path)
         cells = _parse_cells(cfg, _SPECTRUM_KEYS)
         if len(cells) != 1:
             raise ConfigError(
@@ -457,7 +382,7 @@ def cmd_spectrum(config_path, out_path, full) -> int:
         if any(r < 0 for r in r_values):
             raise ConfigError("truncation indices must be >= 0")
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-            op, _, ctx = _build_system(cell)
+            op, _, ctx = cell.build()
         if op.dim > spectral.EIG_GUARD:
             raise ConfigError(
                 f"system dimension {op.dim} exceeds the dense guard "
@@ -467,23 +392,8 @@ def cmd_spectrum(config_path, out_path, full) -> int:
             raise ConfigError("the coefficient overflows: the system is not finite")
         if cell.problem == "affine" and not ctx.tau < 1:
             raise ConfigError(f"the affine bounds need tau < 1, got tau = {ctx.tau:.6g}")
-    except OSError as exc:
-        print(f"spectrum: cannot read config: {exc}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(f"spectrum: config is not valid JSON (line {exc.lineno}): {exc.msg}", file=sys.stderr)
-        return 1
-    except (ConfigError, ValueError, TypeError) as exc:  # TypeError: a wrongly typed value
-        print(f"spectrum: invalid config: {exc}", file=sys.stderr)
-        return 1
-
-    out_path = out_path or cfg.get("output")
-    try:  # before the eigensolves, so that an unwritable path costs none
-        sink = open(out_path, "w") if out_path else contextlib.nullcontext()
-    except OSError as exc:
-        print(f"spectrum: cannot write output: {exc}", file=sys.stderr)
-        return 1
-    with sink as out:
+    # Opened before the eigensolves, so that an unwritable path costs none.
+    with _open_output(out_path or cfg.get("output"), None) as out:
         if cell.problem == "affine":
             checks = spectral.verify_inclusions(op, ctx, r_values=r_values)
             if not full:
@@ -528,8 +438,7 @@ def cmd_verify() -> int:
     try:
         verify.run_all(report)
     except RuntimeError as exc:  # python -O
-        print(f"verify: {exc}", file=sys.stderr)
-        return 1
+        raise Refused(exc)
     print(f"total {time.perf_counter() - t0:.1f}s")
     if failed:
         print(f"verify: property failed: {failed[0]}", file=sys.stderr)
@@ -546,7 +455,7 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="solve a benchmark grid, emit CSV")
     p_run.add_argument("config", nargs="?", help="JSON config path")
-    p_run.add_argument("--preset", choices=["table2", "table3", "table4", "table6"])
+    p_run.add_argument("--preset", choices=list(PRESETS))
     p_run.add_argument("--out", help="CSV output path (default: stdout)")
     p_run.add_argument(
         "--max-k", type=int, default=None,
@@ -568,11 +477,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse's usage errors exit 2, here non-convergence
         raise SystemExit(1 if exc.code else 0) from None
     _set_allocator_policy()
-    if args.command == "run":
-        return cmd_run(args.config, args.preset, args.out, args.max_k)
-    if args.command == "spectrum":
-        return cmd_spectrum(args.config, args.out, args.full)
-    return cmd_verify()
+    try:
+        if args.command == "run":
+            return cmd_run(args.config, args.preset, args.out, args.max_k)
+        if args.command == "spectrum":
+            return cmd_spectrum(args.config, args.out, args.full)
+        return cmd_verify()
+    except Refused as exc:  # the one report of a refusal
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

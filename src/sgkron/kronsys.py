@@ -327,15 +327,3 @@ def build_lognormal_system(
     f = np.zeros(op.dim)
     f[: mesh.n_interior] = fem2d.assemble_load(mesh)
     return op, f
-
-
-def build_system(
-    problem: str, level: int, M: int, k: int, sigma_tilde: float, alpha_bar: float, N: int
-):
-    """The operator, load vector and context of one configuration.  The
-    context holds the affine bound constants; it is None for the lognormal
-    problem, which the bounds do not cover (N is read by it only)."""
-    mesh = fem2d.build_mesh(level)
-    if problem == "affine":
-        return build_affine_system(mesh, M, k, sigma_tilde, alpha_bar)
-    return (*build_lognormal_system(mesh, M, k, N, sigma_tilde, alpha_bar), None)

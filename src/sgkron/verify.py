@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.sparse as sp
 
-from . import fem2d, gram, kronsys, multiindex, orthopoly, pcg, precond, spectral
+from . import fem2d, gram, grid, kronsys, multiindex, orthopoly, pcg, precond, spectral
 
 RNG_SEED = 42
 # Amplitude of the lognormal tiny systems (the table6 preset's).
@@ -52,13 +52,10 @@ class SmallConfig:
     N: int = 6
 
     def build(self):
-        if self.problem == "affine":
-            alpha_bar = fem2d.auto_alpha_bar(self.sigma_tilde)
-        else:
-            alpha_bar = LOGNORMAL_ALPHA_BAR
-        return kronsys.build_system(
-            self.problem, self.level, self.M, self.k, self.sigma_tilde, alpha_bar, self.N
-        )
+        affine = self.problem == "affine"
+        alpha_bar = fem2d.auto_alpha_bar(self.sigma_tilde) if affine else LOGNORMAL_ALPHA_BAR
+        return grid.Cell(self.problem, "", self.sigma_tilde, alpha_bar, self.level, self.M,
+                         self.k, self.N).build()
 
 
 AFFINE = SmallConfig()

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sgkron import cli, fem2d, pcg, precond
+from sgkron import cli, fem2d, grid, pcg, precond
 
 
 def subprocess_env():
@@ -68,6 +68,8 @@ SIZE_GUARDED = [
 # Wrongly typed or empty values that both commands refuse.
 NUMERIC_STRINGS = [{"k": "1"}, {"M": "2"}, {"mesh_level": "2"}, {"sigma_tilde": "3"}]
 EMPTY_GRIDS = [{"k": []}, {"M": []}, {"mesh_level": []}]
+# Preconditioners given as one entry instead of a list of entries.
+NOT_A_LIST = [{"preconditioners": "mean"}, {"preconditioners": {"type": "sbgs", "r": 1}}]
 # A sigma_tilde that is not the rate of a named decay (fast 4, slow 2).
 DECAY_MISMATCH = [
     {"decay": "fast", "sigma_tilde": 3},
@@ -500,6 +502,8 @@ class TestRunCommand:
             {"preconditioners": ["sbgs -1"]},
             *EMPTY_GRIDS,
             *DECAY_MISMATCH,
+            # A preconditioner list given as one entry.
+            *NOT_A_LIST,
         ],
     )
     def test_invalid_configs_exit_1(self, tmp_path, mutate, capsys):
@@ -548,6 +552,58 @@ class TestRunCommand:
         with pytest.raises(SystemExit) as exc:
             cli.main(["run", "--preset", "table99"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("entries", ["mean", {"type": "sbgs", "r": 1}, 5])
+    def test_preconditioners_must_be_a_list(self, tmp_path, entries, capsys):
+        cfg = write_config(tmp_path / "cfg.json", tiny_affine_config(preconditioners=entries))
+        assert cli.main(["run", cfg]) == 1
+        assert capsys.readouterr().err == (
+            f"run: invalid config: preconditioners must be a list of entries, got {entries!r}\n"
+        )
+
+    def test_trim_leaves_the_presets_intact(self, tmp_path):
+        out = tmp_path / "out.csv"
+        assert cli.main(["run", "--preset", "table6", "--max-k", "1", "--out", str(out)]) == 0
+        assert cli.PRESETS["table6"]["k"] == [1, 2, 3, 4, 5, 6]
+        _, rows = read_rows(out)
+        assert {r[COL["k"]] for r in rows} == {"1"}
+
+
+class TestSolveCell:
+    CFG = tiny_affine_config(preconditioners=["mean", "trunc_exact 1", "sbgs 1"])
+
+    def test_rows_stream(self, monkeypatch):
+        # One solve per next(): a row is out before the next solve starts.
+        solve = pcg.pcg_solve
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(pcg, "pcg_solve", counted)
+        (cell,), preconds, solver_cfg, _ = cli._parse_run_config(self.CFG)
+        rows = grid.solve_cell(cell, preconds, solver_cfg)
+        assert next(rows).precond == "mean"
+        assert len(calls) == 1
+        assert [row.precond for row in rows] == ["trunc_exact", "sbgs"]
+        assert len(calls) == 3
+
+    def test_rows_are_the_cli_rows(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", self.CFG)
+        out = tmp_path / "out.csv"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 0
+        _, csv_rows = read_rows(out)
+        (cell,), preconds, solver_cfg, _ = cli._parse_run_config(self.CFG)
+        rows = [cli._format_row(cell, row).split(",")
+                for row in grid.solve_cell(cell, preconds, solver_cfg)]
+        timings = (COL["setup_s"], COL["solve_s"])
+
+        def untimed(row):
+            return [v for i, v in enumerate(row) if i not in timings]
+
+        assert len(rows) == 3
+        assert list(map(untimed, rows)) == list(map(untimed, csv_rows))
 
 
 def spectrum_config(tmp_path, **overrides):

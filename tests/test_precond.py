@@ -457,23 +457,3 @@ class TestReadOnlyInput:
             assert out.shape == (op.dim,)
             assert not np.shares_memory(out, v)
             np.testing.assert_array_equal(out, expected)
-
-
-def _random_sbgs_configs(n, seed=20240):
-    rng = np.random.default_rng(seed)
-    return [
-        (
-            ("affine", "lognormal")[rng.integers(2)],
-            int(rng.integers(1, 3)),  # mesh level
-            int(rng.integers(1, 5)),  # M
-            int(rng.integers(1, 4)),  # k
-            int(rng.integers(0, 5)),  # r
-        )
-        for _ in range(n)
-    ]
-
-
-@pytest.mark.parametrize("problem, level, M, k, r", _random_sbgs_configs(8))
-def test_sbgs_random_dense_oracle(problem, level, M, k, r):
-    # One engine, both splittings, at fixed random configurations.
-    verify.prop_sbgs_identity(SmallConfig(problem, level, M, k, r, N=6))

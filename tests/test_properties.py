@@ -58,7 +58,16 @@ test_matvec_vs_dense = drawn("matvec_vs_dense", BOTH, AFFINE, LOGNORMAL)
 test_block_row_count = drawn("block_row_count", ("affine",), SmallConfig(M=3, k=3))
 test_load_structure = drawn("load_structure", BOTH, AFFINE, LOGNORMAL)
 test_trunc_full_equals_system = drawn("trunc_full_equals_system", BOTH)
-test_sbgs_identity = drawn("sbgs_identity", BOTH, AFFINE, SmallConfig(r=2))
+# Fixed configurations of both splittings, r past the affine expansion included.
+SBGS_PINS = [
+    SmallConfig(problem, level, M, k, r, N=6)
+    for problem, level, M, k, r in [
+        ("lognormal", 1, 3, 3, 1), ("lognormal", 2, 4, 3, 2), ("lognormal", 2, 2, 2, 2),
+        ("affine", 1, 4, 1, 0), ("affine", 2, 4, 3, 3), ("lognormal", 1, 1, 1, 4),
+        ("affine", 2, 1, 2, 2), ("lognormal", 1, 4, 3, 2),
+    ]
+]
+test_sbgs_identity = drawn("sbgs_identity", BOTH, AFFINE, SmallConfig(r=2), *SBGS_PINS)
 test_sbgs_lognormal_spd = drawn(
     "sbgs_lognormal_spd", ("lognormal",), SmallConfig("lognormal", k=3, r=5)
 )

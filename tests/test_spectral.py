@@ -20,14 +20,6 @@ def random_spd(n, seed, shift=None):
 
 
 class TestComputeBounds:
-    def test_mean_preconditioner_constants(self):
-        b = spectral.compute_bounds(
-            0, a0_min=1.0, a0_max=1.0, tau=0.9999, tau_r=0.0, sum_norms_r=1.0 * 0.0
-        )
-        assert np.isclose(b.theta_r, 1e-4, rtol=1e-12)
-        assert np.isclose(b.Theta_r, 1.9999, rtol=1e-12)
-        assert b.delta_r == 0.0
-
     def test_closed_forms_generic(self):
         b = spectral.compute_bounds(
             2, a0_min=0.5, a0_max=2.0, tau=0.8, tau_r=0.3, sum_norms_r=0.5 * 0.3
