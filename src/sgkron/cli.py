@@ -60,10 +60,9 @@ _M_MMAP_THRESHOLD = -3
 
 
 # Size guards of one cell, checked at parse time from counts alone.
-# Coefficient fields sampled on the 257^2 sup-norm grid, M affine, N
-# lognormal (0.5 MB a field, all N held at once): 2000 hold ~1 GB, less than
-# the largest preset cell; the presets use 8 and 20.  A bounded M also keeps
-# the counts below fast for any k.
+# Coefficient fields, M affine and N lognormal: binomial(M + k, k), which the
+# counts below take, costs min(M, k) big-integer steps, so a bounded M keeps
+# them fast for any k.  The presets use 8 and 20.
 MAX_FIELDS = 2000
 # Basis-term pairs |I_k^M| T (T = M + 1 affine, |I_2k^M| lognormal terms),
 # the Gram build's work: table6 k = 6 has 924 x 18,564 = 1.7e7, a cell
@@ -72,6 +71,11 @@ MAX_TERM_PAIRS = 2 * 10**7
 # Unknowns |I_k^M| (2^level - 1)^2: table3 k = 6 has 3003 x 225 = 675,675,
 # and its cells take minutes.
 MAX_UNKNOWNS = 10**6
+# Values a build holds: T stiffness value arrays of nnz(K) doubles, plus the
+# N source fields of a lognormal build at its 9 quadrature points per
+# element.  table6 k = 6 has 18,564 x 1,849 + 20 x 9 x 256 = 3.4e7 (275 MB);
+# level 9, M = 2000, k = 0 would hold 2001 x 2,343,961 = 4.7e9 (37.5 GB).
+MAX_STORED_VALUES = 4 * 10**7
 # Multi-indices |I_k^M| of a cell that `kron` runs on: its parametric factor
 # G is dense, 200 MB at the bound (table3 k = 6 has 3003; level 1, M = 300,
 # k = 2 has 45,451 and would take 16.5 GB).
@@ -203,15 +207,15 @@ def _parse_cells(cfg: dict, keys: set[str]) -> list[grid.Cell]:
                 for k in ks:
                     if problem == "lognormal" and M >= N:
                         raise ConfigError(f"lognormal requires M < N, got M={M}, N={N}")
-                    nx = fem2d.build_mesh(level).n_interior  # the library's range checks
-                    _check_size(problem, nx, M, k, N)
+                    mesh = fem2d.build_mesh(level)  # the library's range checks
+                    _check_size(problem, mesh, M, k, N)
                     cells.append(
                         grid.Cell(problem, decay_label, sigma, alpha_bar, level, M, k, N)
                     )
     return cells
 
 
-def _check_size(problem: str, nx: int, M: int, k: int, N: int) -> None:
+def _check_size(problem: str, mesh: fem2d.UniformMesh, M: int, k: int, N: int) -> None:
     """Refuse a cell past the size guards above (range-checks M and k too)."""
     name, fields = ("M", M) if problem == "affine" else ("N", N)
     if fields > MAX_FIELDS:
@@ -220,8 +224,15 @@ def _check_size(problem: str, nx: int, M: int, k: int, N: int) -> None:
     n_terms = M + 1 if problem == "affine" else multiindex.dimension(M, 2 * k)
     if n_basis * n_terms > MAX_TERM_PAIRS:
         raise ConfigError(f"M={M}, k={k}: over {MAX_TERM_PAIRS} basis-term pairs (size guard)")
+    nx = mesh.n_interior
     if n_basis * nx > MAX_UNKNOWNS:
         raise ConfigError(f"M={M}, k={k}, {nx} nodes: over {MAX_UNKNOWNS} unknowns (size guard)")
+    nnz = (3 * mesh.n_side - 5) ** 2  # nine-point stencil on (n_side - 1)^2 nodes
+    quad = 0 if problem == "affine" else N * 9 * mesh.n_side**2
+    if n_terms * nnz + quad > MAX_STORED_VALUES:
+        raise ConfigError(
+            f"M={M}, k={k}, level {mesh.level}: over {MAX_STORED_VALUES} values held (size guard)"
+        )
 
 
 def _parse_run_config(cfg: dict):

@@ -7,6 +7,12 @@ the two coefficient expansions driving the experiments: planar Fourier
 modes with algebraically decaying amplitudes, and the Hermite expansion
 coefficients of a lognormal field.
 
+Every cosine mode, and so every product of modes, attains its sup-norm at
+the corner (0, 0), where each cosine factor is exactly 1.  The builds read
+the constants they need there, in closed form; the sampled sup-norms on a
+257 x 257 grid (``sup_norm``, ``field_extrema``, ``tau_r``) are the oracle
+``verify.prop_closed_form_constants`` checks that against.
+
 Element integrals use a 3x3 tensor Gauss rule per square element; for a
 bilinear basis on squares the map to the reference element makes the
 mesh size cancel out of the stiffness integrand, so only coefficient
@@ -22,7 +28,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import zeta
 
 # ---------------------------------------------------------------------------
 # mesh
@@ -90,6 +95,8 @@ def auto_alpha_bar(sigma_tilde: float) -> float:
     """Amplitude making the decaying-mode sup-norm series sum to 0.9999."""
     if sigma_tilde <= 1.0:
         raise ValueError("sigma_tilde must exceed 1 (series diverges otherwise)")
+    from scipy.special import zeta  # ~20 ms of import that explicit amplitudes skip
+
     return 0.9999 / float(zeta(sigma_tilde))
 
 
@@ -214,9 +221,7 @@ def assemble_load(mesh: UniformMesh) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# sup-norms and expansion bookkeeping
-
-_SAMPLE_N = 257
+# grid-sampled sup-norms (the oracle of the closed forms), expansion terms
 
 
 @lru_cache(maxsize=1)
@@ -226,7 +231,7 @@ def sample_grid() -> tuple[np.ndarray, np.ndarray]:
     Contains every extremum of integer-frequency cosine modes, so grid
     maxima of those fields are exact sup-norms.
     """
-    x = np.linspace(0.0, 1.0, _SAMPLE_N)
+    x = np.linspace(0.0, 1.0, 257)
     X1, X2 = np.meshgrid(x, x, indexing="ij")
     return X1, X2
 
@@ -243,32 +248,15 @@ def field_extrema(field: CoefficientField) -> tuple[float, float]:
     return float(vals.min()), float(vals.max())
 
 
-def sup_norm_tables(
-    fields: Sequence[CoefficientField], a0_min: float
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """(||a_m||_inf per field, tau_0 .. tau_M over the prefixes), grid-sampled.
-
-    tau_r is the sup of sum_{m<=r} |a_m| divided by a0_min (tau_0 = 0).
-    Each field is evaluated once and the prefix sums accumulate in list
-    order, so every entry equals :func:`sup_norm` and :func:`tau_r` of
-    the corresponding field or prefix bit for bit.
-    """
+def tau_r(fields: Sequence[CoefficientField], a0_min: float) -> float:
+    """Grid-sampled sup of sum_m |a_m| divided by a0_min; 0 for an empty list."""
     if a0_min <= 0:
         raise ValueError("a0_min must be positive")
     X1, X2 = sample_grid()
     acc = np.zeros_like(X1)
-    norms, taus = [], [0.0]
     for f in fields:
-        vals = np.abs(f(X1, X2))
-        norms.append(float(vals.max()))
-        acc += vals
-        taus.append(float(acc.max()) / a0_min)
-    return tuple(norms), tuple(taus)
-
-
-def tau_r(fields: Sequence[CoefficientField], a0_min: float) -> float:
-    """Grid-sampled sup of sum_m |a_m| divided by a0_min; 0 for an empty list."""
-    return sup_norm_tables(fields, a0_min)[1][-1]
+        acc += np.abs(f(X1, X2))
+    return float(acc.max()) / a0_min
 
 
 def lognormal_expansion_coeff(
@@ -302,6 +290,10 @@ def lognormal_expansion_coeff(
     return ev
 
 
+# Step of the grid the log magnitudes are rounded to before ordering.
+_TIE_GRID = 1e-12
+
+
 def order_by_magnitude(
     alphas,
     b_fields: Sequence[CoefficientField],
@@ -309,41 +301,35 @@ def order_by_magnitude(
 ) -> list[tuple[tuple[int, ...], float]]:
     """Expansion terms sorted by descending sup-norm of a_alpha.
 
-    Returns (alpha, magnitude) pairs.  Exact magnitude ties keep the
-    degree-lex order of the input set (stable sort).
+    Returns (alpha, magnitude) pairs.  The fields must attain their
+    sup-norms together at the corner (0, 0), as the cosine modes and the
+    constants do; then so does every a_alpha, and
+    sup |a_alpha| = exp(b0 + 1/2 sum_m b_m^2) prod_m |b_m|^alpha_m / sqrt(alpha_m!)
+    at the corner, with m running over all of ``b_fields``.
+
+    Tie rule: the sort key is the log magnitude rounded to a grid of step
+    1e-12 (a relative 1e-12 in the magnitude), and terms on one grid point
+    keep degree-lex order (total degree, then entries ascending).  Exact
+    ties such as a_2 a_3 = a_1 a_6 at sigma_tilde = 2 thus do not depend on
+    rounding, and with a zero amplitude the order is pure degree-lex.
     """
     alphas = [tuple(int(a) for a in alpha) for alpha in alphas]
     if not alphas:
         return []
-    X1, X2 = sample_grid()
-    B = [b(X1, X2) for b in b_fields]
-    exponent = b0(X1, X2) + 0.5 * sum(b * b for b in B)
     width = max(len(alpha) for alpha in alphas)
     if width > len(b_fields):
         raise ValueError("alpha refers to more parameters than b_fields provides")
+    corner = [float(b(0.0, 0.0)) for b in b_fields]
+    log_e = float(b0(0.0, 0.0)) + 0.5 * sum(c * c for c in corner)
 
-    # sup |E prod B_m^a_m| = exp(max(log E + sum a_m log|B_m|)) since E > 0;
-    # one blocked matmul over all indices replaces per-index grid powers.
-    powers = np.zeros((len(alphas), width))
+    powers = np.zeros((len(alphas), width), dtype=np.int64)
     for i, alpha in enumerate(alphas):
         powers[i, : len(alpha)] = alpha
-    log_e = np.asarray(exponent, dtype=float).ravel()
-    log_b = np.log(np.maximum(
-        np.abs(np.stack([np.asarray(b, dtype=float).ravel() for b in B[:width]]))
-        if width else np.zeros((0, log_e.size)),
-        1e-300,
-    ))
-    best = np.full(len(alphas), -np.inf)
-    chunk = 1024
-    for start in range(0, log_e.size, chunk):
-        vals = powers @ log_b[:, start : start + chunk]
-        vals += log_e[start : start + chunk]
-        np.maximum(best, vals.max(axis=1), out=best)
-    half_log_fact = np.array(
-        [0.5 * sum(math.lgamma(a + 1) for a in alpha) for alpha in alphas]
-    )
-    magnitudes = np.exp(best - half_log_fact)
-
-    entries = [(alpha, float(mag)) for alpha, mag in zip(alphas, magnitudes)]
-    entries.sort(key=lambda pair: -pair[1])
-    return entries
+    half_log_fact = np.array([0.5 * math.lgamma(a + 1) for a in range(powers.max(initial=0) + 1)])
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0 = -inf; 0 * -inf unused
+        log_b = np.log(np.abs(corner[:width]))
+        slot_logs = np.where(powers > 0, powers * log_b, 0.0) - half_log_fact[powers]
+    log_mag = log_e + slot_logs.sum(axis=1)
+    key = np.rint(log_mag / _TIE_GRID)
+    order = sorted(range(len(alphas)), key=lambda i: (-key[i], sum(alphas[i]), alphas[i]))
+    return [(alphas[i], mag) for i, mag in zip(order, np.exp(log_mag[order]).tolist())]

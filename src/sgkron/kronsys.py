@@ -30,6 +30,7 @@ the blocks.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -214,7 +215,9 @@ def leading_terms(op: KroneckerSumOperator, r: int) -> tuple:
 
 @dataclass(frozen=True)
 class AffineContext:
-    """The constants of the affine bounds, as ``spectral`` reads them."""
+    """The constants of the affine bounds, as ``spectral`` reads them: field
+    values at the corner (0, 0), where every mode and every prefix sum of
+    |a_m| attains its sup-norm, so they equal the sampled ones bit for bit."""
 
     norm_table: tuple[float, ...]  # ||a_m||_inf for m = 1..M
     tau_table: tuple[float, ...]  # tau_0 .. tau_M
@@ -253,9 +256,10 @@ def build_affine_system(
     f = np.zeros(op.dim)
     f[: mesh.n_interior] = fem2d.assemble_load(mesh)
 
-    a0_min, a0_max = fem2d.field_extrema(fields[0])
-    norm_table, tau_table = fem2d.sup_norm_tables(fields[1:], a0_min)
-    return op, f, AffineContext(norm_table, tau_table, a0_min, a0_max)
+    a0 = float(fields[0](0.0, 0.0))  # a_0 = 1 is constant
+    norm_table = tuple(abs(float(a(0.0, 0.0))) for a in fields[1:])
+    tau_table = tuple(t / a0 for t in itertools.accumulate(norm_table, initial=0.0))
+    return op, f, AffineContext(norm_table, tau_table, a0, a0)
 
 
 # ---------------------------------------------------------------------------

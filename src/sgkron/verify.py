@@ -231,10 +231,32 @@ def prop_frequency_pairs():
 
 
 def prop_tau_monotone():
-    fields = [fem2d.fourier_coefficient(m, 2.0, 0.6) for m in range(1, 7)]
-    _, taus = fem2d.sup_norm_tables(fields, 1.0)
+    _, _, ctx = kronsys.build_affine_system(fem2d.build_mesh(1), 6, 0, 2.0, 0.6)
+    taus = ctx.tau_table
     assert taus[0] == 0.0
     assert all(b >= a for a, b in zip(taus, taus[1:]))
+
+
+def prop_closed_form_constants(sigma_tilde: float = 2.0, alpha_bar: float | None = None,
+                               M: int = 8):
+    # The corner values the builds read against the 257^2 grid maxima: the
+    # affine bound constants bit for bit, the lognormal magnitudes (sources
+    # b_1..b_M) to 1e-13 relative.  alpha_bar None is the auto amplitude.
+    if alpha_bar is None:
+        alpha_bar = fem2d.auto_alpha_bar(sigma_tilde)
+    fields = [fem2d.fourier_coefficient(m, sigma_tilde, alpha_bar) for m in range(M + 1)]
+    _, _, ctx = kronsys.build_affine_system(fem2d.build_mesh(1), M, 0, sigma_tilde, alpha_bar)
+    a0_min, a0_max = fem2d.field_extrema(fields[0])
+    assert (ctx.a0_min, ctx.a0_max) == (a0_min, a0_max)
+    assert ctx.norm_table == tuple(fem2d.sup_norm(a) for a in fields[1:]), ctx.norm_table
+    taus = tuple(fem2d.tau_r(fields[1 : r + 1], a0_min) for r in range(M + 1))
+    assert ctx.tau_table == taus, (ctx.tau_table, taus)
+    b0, b_fields = fields[0], fields[1:]
+    for alpha, mag in fem2d.order_by_magnitude(
+        multiindex.build_index_set(min(M, 4), 2), b_fields, b0
+    ):
+        ref = fem2d.sup_norm(fem2d.lognormal_expansion_coeff(alpha, b_fields, b0))
+        assert abs(mag - ref) <= 1e-13 * ref, (alpha, mag, ref)
 
 
 def prop_lognormal_coeff_quadrature():

@@ -64,6 +64,10 @@ SIZE_GUARDED = [
     {"M": 300, "k": 3},
     {"problem": "lognormal", "sigma_tilde": 2.0, "N": 10**6},
     {"mesh_level": 10, "k": 0},
+    # Stored values: 2001 stiffness value arrays of level 9 (37.5 GB), and
+    # 2000 lognormal sources at the quadrature points of level 8.
+    {"mesh_level": 9, "M": 2000, "k": 0},
+    {"problem": "lognormal", "sigma_tilde": 2.0, "mesh_level": 8, "M": 1, "k": 0, "N": 2000},
 ]
 # Wrongly typed or empty values that both commands refuse.
 NUMERIC_STRINGS = [{"k": "1"}, {"M": "2"}, {"mesh_level": "2"}, {"sigma_tilde": "3"}]
@@ -560,6 +564,11 @@ class TestRunCommand:
         assert capsys.readouterr().err == (
             f"run: invalid config: preconditioners must be a list of entries, got {entries!r}\n"
         )
+
+    def test_presets_pass_the_size_guards(self):
+        # The largest stored-value count is table6 k = 6: 18,564 x 1,849.
+        for preset in cli.PRESETS:
+            cli._parse_run_config(cli._preset_config(preset, None))
 
     def test_trim_leaves_the_presets_intact(self, tmp_path):
         out = tmp_path / "out.csv"

@@ -18,9 +18,10 @@ from sgkron.fem2d import (
     lognormal_expansion_coeff,
     order_by_magnitude,
     sup_norm,
-    sup_norm_tables,
     tau_r,
 )
+from sgkron.kronsys import build_affine_system
+from sgkron.multiindex import build_index_set
 
 # Published sup-norm decay of the cosine modes, 4 decimal places, m = 1..6.
 SLOW_NORMS = [0.6079, 0.1520, 0.0675, 0.0380, 0.0243, 0.0169]
@@ -208,19 +209,12 @@ class TestTauR:
 
     @pytest.mark.parametrize("M", [4, 8])
     def test_tables_equal_per_prefix_sampling(self, M):
-        # Reference: every prefix resampled on its own, without the
-        # running sum; the tables must agree bit for bit.
-        def prefix_tau(prefix, a0_min):
-            X1, X2 = fem2d.sample_grid()
-            acc = np.zeros_like(X1)
-            for f in prefix:
-                acc += np.abs(f(X1, X2))
-            return float(acc.max()) / a0_min
-
+        # Reference: every prefix resampled on its own; the closed-form
+        # tables of the affine build must agree bit for bit.
         fields = [fourier_coefficient(m, 2.0, 0.6079) for m in range(1, M + 1)]
-        norms, taus = sup_norm_tables(fields, 0.9)
-        assert norms == tuple(sup_norm(f) for f in fields)
-        assert taus == (0.0,) + tuple(prefix_tau(fields[:r], 0.9) for r in range(1, M + 1))
+        _, _, ctx = build_affine_system(build_mesh(1), M, 0, 2.0, 0.6079)
+        assert ctx.norm_table == tuple(sup_norm(f) for f in fields)
+        assert ctx.tau_table == tuple(tau_r(fields[:r], 1.0) for r in range(M + 1))
 
 
 class TestLognormalCoeff:
@@ -270,8 +264,6 @@ class TestOrderByMagnitude:
     def test_descending_and_matches_sup_norm(self):
         b_fields = [fourier_coefficient(m, 2.0, 0.547) for m in range(1, 7)]
         b0 = fourier_coefficient(0, 2.0, 0.547)
-        from sgkron.multiindex import build_index_set
-
         S = build_index_set(3, 3)
         ordered = order_by_magnitude(S.indices, b_fields, b0)
         mags = [mag for _, mag in ordered]
@@ -284,8 +276,6 @@ class TestOrderByMagnitude:
         # The mean-field coefficient dominates for these amplitudes.
         b_fields = [fourier_coefficient(m, 2.0, 0.547) for m in range(1, 5)]
         b0 = fourier_coefficient(0, 2.0, 0.547)
-        from sgkron.multiindex import build_index_set
-
         S = build_index_set(4, 2)
         ordered = order_by_magnitude(S.indices, b_fields, b0)
         assert ordered[0][0] == (0, 0, 0, 0)
@@ -299,6 +289,32 @@ class TestOrderByMagnitude:
         )
         assert [alpha for alpha, _ in ordered] == [(0, 0), (0, 1), (1, 0)]
         assert ordered[1][1] == ordered[2][1]
+
+    def test_exact_product_ties_keep_degree_lex_order(self):
+        # At sigma_tilde = 2, a_2 a_3 = a_1 a_6 and a_3 a_4 = a_2 a_6 =
+        # a_1 a_12 exactly (2 * 3 = 1 * 6, 3 * 4 = 2 * 6 = 1 * 12); rounding
+        # must not break these ties.
+        b_fields = [fourier_coefficient(m, 2.0, 0.547) for m in range(1, 13)]
+        b0 = fourier_coefficient(0, 2.0, 0.547)
+        ordered = order_by_magnitude(build_index_set(12, 2).indices, b_fields, b0)
+        alphas = [alpha for alpha, _ in ordered]
+
+        def pair(i, j):
+            return tuple(int(m in (i, j)) for m in range(1, 13))
+
+        for group in ([(2, 3), (1, 6)], [(3, 4), (2, 6), (1, 12)]):
+            at = [alphas.index(pair(i, j)) for i, j in group]
+            assert at == list(range(at[0], at[0] + len(group))), group
+            mags = [ordered[i][1] for i in at]
+            np.testing.assert_allclose(mags, mags[0], rtol=1e-14)
+
+    def test_zero_amplitude_is_degree_lex(self):
+        b_fields = [fourier_coefficient(m, 2.0, 0.0) for m in range(1, 5)]
+        S = build_index_set(4, 3)
+        ordered = order_by_magnitude(S.indices, b_fields, fourier_coefficient(0, 2.0, 0.0))
+        assert [alpha for alpha, _ in ordered] == list(S.indices)
+        assert ordered[0][1] == math.e
+        assert all(mag == 0.0 for _, mag in ordered[1:])
 
     def test_empty_input(self):
         assert order_by_magnitude([], [constant_field(0.1)], constant_field(0.0)) == []

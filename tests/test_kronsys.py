@@ -87,6 +87,16 @@ class TestAffineSystem:
         assert op.nx == 9
         assert f.shape == (op.dim,)
 
+    def test_builds_sample_no_grid(self, monkeypatch):
+        # The bound constants and the term order come from corner values;
+        # the 257^2 grid is the oracle's only.
+        def refuse():
+            raise AssertionError("a build sampled the sup-norm grid")
+
+        monkeypatch.setattr(fem2d, "sample_grid", refuse)
+        tiny_affine()
+        tiny_lognormal()
+
     def test_mean_field_extrema(self):
         _, _, ctx = tiny_affine()
         assert ctx.a0_min == ctx.a0_max == 1.0

@@ -2,8 +2,9 @@
 
 Catalogue properties that build a tiny system run on drawn configurations
 (levels 1-2, M <= 4, k <= 3, N = M + 2 for lognormal) and on an
-``@example`` for the configuration of each test they took over; the other
-catalogue properties run once each.
+``@example`` for the configuration of each test they took over;
+``closed_form_constants`` runs on drawn decay rates, amplitudes and mode
+counts.  The other catalogue properties run once each.
 """
 
 import inspect
@@ -78,6 +79,20 @@ test_pcg_deterministic = drawn("pcg_deterministic", BOTH)
 test_condition_estimate = drawn("condition_estimate", BOTH, AFFINE)
 test_inclusions_tiny = drawn("inclusions_tiny", ("affine",), AFFINE, SmallConfig(sigma_tilde=4.0))
 test_kappa_within_bound = drawn("kappa_within_bound", ("affine",))
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(
+    sigma_tilde=st.floats(1.05, 6.0),
+    alpha_bar=st.one_of(
+        st.none(), st.just(0.0), st.floats(0.01, 2.0), st.floats(-2.0, -0.01)
+    ),
+    M=st.integers(1, 12),
+)
+@example(sigma_tilde=2.0, alpha_bar=None, M=8)
+@example(sigma_tilde=4.0, alpha_bar=-0.3, M=12)
+def test_closed_form_constants(sigma_tilde, alpha_bar, M):
+    CATALOGUE["closed_form_constants"](sigma_tilde, alpha_bar, M)
 
 
 def test_every_config_property_is_drawn():
