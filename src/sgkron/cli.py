@@ -76,9 +76,12 @@ MAX_UNKNOWNS = 10**6
 # element.  table6 k = 6 has 18,564 x 1,849 + 20 x 9 x 256 = 3.4e7 (275 MB);
 # level 9, M = 2000, k = 0 would hold 2001 x 2,343,961 = 4.7e9 (37.5 GB).
 MAX_STORED_VALUES = 4 * 10**7
-# Multi-indices |I_k^M| of a cell that `kron` runs on: its parametric factor
-# G is dense, 200 MB at the bound (table3 k = 6 has 3003; level 1, M = 300,
-# k = 2 has 45,451 and would take 16.5 GB).
+# Multi-indices |I_k^M| of a cell that `kron` runs on.  The lognormal G has
+# a full pattern (G_{beta+gamma}[beta, gamma] != 0), |I_k^M|^2 values (and
+# MAX_TERM_PAIRS keeps it under 4,472 multi-indices).  The affine G is sparse
+# but its SuperLU factor fills in: nnz(L) + nnz(U) = 478,012 at table3 k = 6
+# (3003 multi-indices), 716,748 at level 1, M = 7, k = 7 (3432).  Level 1,
+# M = 300, k = 2 has 45,451.
 MAX_KRON_BASIS = 5000
 
 
@@ -248,7 +251,7 @@ def _parse_run_config(cfg: dict):
             if multiindex.dimension(cell.M, cell.k) > MAX_KRON_BASIS:
                 raise ConfigError(
                     f"M={cell.M}, k={cell.k}: over {MAX_KRON_BASIS} multi-indices "
-                    "for kron's dense G (size guard)"
+                    "for kron's G (size guard)"
                 )
     solver_cfg = pcg.SolverConfig(
         tol=_float(cfg.get("tol", 1e-6), "tol"),

@@ -5,7 +5,7 @@ block vectors:
 
 * mean-based: block-diagonal solves with the mean stiffness factor;
 * Kronecker product: a single G (x) K_0 with G the Frobenius-optimal
-  parametric factor;
+  parametric factor, a sparse matrix;
 * exact truncation: the leading r+1 terms, block diagonal over the
   parametric tails they leave uncoupled; one factor per distinct tail
   block up to a per-block size, one nested CG for the larger blocks;
@@ -18,14 +18,15 @@ block vectors:
 Every apply_inverse realizes a symmetric positive definite map, which
 the test suite checks both algebraically and spectrally.
 
-All spatial solves, with K_0 or with a diagonal block of a splitting, and
-the truncation's block factors go through :class:`CholeskyFactor`.  It
-reads one of three paths off the matrix: a grid Laplacian (the affine K_0)
-of order ``SINE_SOLVE_MIN`` (mesh level 4) and up is solved in the sine
-eigenbasis of its 1-D factors, positive definite by its closed-form
-eigenvalues; any other matrix with a dense inverse up to order
-``DENSE_SOLVE_MAX`` (mesh levels <= 4) and with SuperLU above it, at the
-measured crossover of the two.  Builders take the caller's K_0 factor.
+Every factorization goes through :class:`CholeskyFactor`: the spatial
+solves, with K_0 or with a diagonal block of a splitting, the truncation's
+block factors and the Kronecker product's G.  It reads one of three paths
+off the matrix: a grid Laplacian (the affine K_0) of order
+``SINE_SOLVE_MIN`` (mesh level 4) and up is solved in the sine eigenbasis
+of its 1-D factors, positive definite by its closed-form eigenvalues; any
+other matrix with a dense inverse up to order ``DENSE_SOLVE_MAX`` (mesh
+levels <= 4) and with SuperLU above it, at the measured crossover of the
+two.  Builders take the caller's K_0 factor.
 """
 
 from __future__ import annotations
@@ -203,44 +204,35 @@ def build_mean_based(K0_factor: CholeskyFactor, ny: int) -> MeanBasedPreconditio
 
 
 class KroneckerProductPreconditioner:
-    def __init__(self, G: np.ndarray, K0_factor: CholeskyFactor):
+    def __init__(self, G: sp.csr_matrix, K0_factor: CholeskyFactor):
         self.G = G
         self.K0 = K0_factor
         self.ny = G.shape[0]
         self.nx = K0_factor.n
-        if not np.isfinite(G).all():  # overflowing coefficients; PCG breaks down on them too
-            raise _BreakdownError("Frobenius-optimal parametric factor G is not finite")
-        try:
-            self._g_chol = scipy.linalg.cho_factor(G)
-        except scipy.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError(
-                "Frobenius-optimal parametric factor G is not positive definite"
-            ) from exc
+        self._G_factor = CholeskyFactor(G)
 
     def apply_inverse(self, v: np.ndarray) -> np.ndarray:
         W = self.K0.solve(v.reshape(self.ny, self.nx).T)  # (nx, ny)
-        return scipy.linalg.cho_solve(self._g_chol, W.T).ravel()
+        return self._G_factor.solve(W.T).ravel()
 
 
 def build_kron(terms, K0_factor: CholeskyFactor) -> KroneckerProductPreconditioner:
     """P = G (x) K_0 with G = sum_i [tr(K_i^T K_0)/tr(K_0^T K_0)] G_i.
 
     G is the closed-form minimizer of the Frobenius distance between the
-    term sum and Q (x) K_0.  The leading term must carry an identity
-    parametric factor (its K is the K_0 used for the fit, and K0_factor
-    factors it).
+    term sum and Q (x) K_0, formed as one sparse product that adds the
+    weighted G_i entry by entry in term order.  The leading term must carry
+    an identity parametric factor (its K is the K_0 used for the fit, and
+    K0_factor factors it).
     """
     terms = list(terms)
     if not terms or not _is_identity(terms[0][0]):
         raise ValueError("leading term must have an identity parametric factor")
     G0, K0 = terms[0]
-    n = G0.shape[0]
     denom = K0.multiply(K0).sum()
-    G = np.zeros((n, n))
-    for G_i, K_i in terms:
-        weight = K_i.multiply(K0).sum() / denom
-        G += weight * G_i.toarray()
-    return KroneckerProductPreconditioner(G, K0_factor)
+    w = np.array([K_i.multiply(K0).sum() / denom for _, K_i in terms])
+    G = sp.hstack([G_i for G_i, _ in terms]) @ sp.kron(w[:, None], sp.identity(G0.shape[0]))
+    return KroneckerProductPreconditioner(G.tocsr(), K0_factor)
 
 
 # ---------------------------------------------------------------------------

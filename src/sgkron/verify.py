@@ -391,7 +391,7 @@ def prop_kron_frobenius_lsq(cfg: SmallConfig = AFFINE):
     blocks = kronsys.assemble_dense(op.terms).reshape(op.ny, op.nx, op.ny, op.nx)
     K0 = op.terms[0][1].toarray()
     G_best = np.einsum("jatb,ab->jt", blocks, K0) / np.sum(K0 * K0)
-    assert np.max(np.abs(P.G - G_best)) < 1e-10
+    assert np.max(np.abs(P.G.toarray() - G_best)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +482,7 @@ def prop_precond_dense_formula(cfg: SmallConfig = AFFINE):
     kron = precond.build_kron(op.terms, K0_factor)
     cases = [
         ("mean", precond.build_mean_based(K0_factor, op.ny), kronsys.assemble_dense(op.terms[:1])),
-        ("kron", kron, np.kron(kron.G, K0.toarray())),
+        ("kron", kron, np.kron(kron.G.toarray(), K0.toarray())),
     ]
     if cfg.problem == "affine" or spectral.lognormal_spd_report(op, [cfg.r])[0].applicable:
         pairs = kronsys.leading_terms(op, cfg.r)
@@ -495,6 +495,18 @@ def prop_precond_dense_formula(cfg: SmallConfig = AFFINE):
         for v in rng.standard_normal((3, op.dim)):
             err = np.linalg.norm(P.apply_inverse(dense @ v) - v)
             assert err < 1e-10 * np.linalg.norm(v), (kind, err)
+
+
+def prop_trunc_spectrum_symmetric(cfg: SmallConfig = AFFINE):
+    # Affine, every r <= M: the sign flip J of the blocks with odd
+    # alpha_{r+1} + ... + alpha_M gives J P_r J = P_r and J (A - P_r) J =
+    # -(A - P_r), so the spectrum of P_r^{-1} A is symmetric about 1.
+    op, _, _ = cfg.build()
+    A = kronsys.assemble_dense(op.terms)
+    for r in range(len(op.terms)):
+        lam = spectral.eig_spectrum(kronsys.assemble_dense(kronsys.leading_terms(op, r)), A)
+        gap = np.max(np.abs(lam + lam[::-1] - 2.0))
+        assert gap <= 1e-12, f"r={r}: spectrum off symmetric about 1 by {gap:.3e}"
 
 
 # (name, property) in definition order: every prop_* function above.

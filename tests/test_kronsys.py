@@ -294,4 +294,4 @@ class TestRecompressedOperator:
             for (G, _), K in zip(op.terms, K_ref)
         )
         P = build_kron(op.terms, CholeskyFactor(op.terms[0][1]))
-        np.testing.assert_allclose(P.G, G_ref, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(P.G.toarray(), G_ref, rtol=1e-13, atol=1e-15)

@@ -6,7 +6,7 @@ from sgkron import precond, verify
 from sgkron.fem2d import assemble_stiffness, build_mesh, fourier_coefficient
 from sgkron.kronsys import assemble_dense, leading_terms
 from sgkron.multiindex import build_index_set
-from sgkron.pcg import SolverConfig, pcg_solve
+from sgkron.pcg import BreakdownError, SolverConfig, pcg_solve
 from sgkron.precond import (
     CholeskyFactor,
     NotPositiveDefiniteError,
@@ -161,7 +161,7 @@ class TestKroneckerProduct:
         op, _, _ = tiny_affine()
         P = build_kron(op.terms, k0_factor(op))
         K0 = op.terms[0][1].toarray()
-        dense = np.kron(P.G, K0)
+        dense = np.kron(P.G.toarray(), K0)
         rng = np.random.default_rng(42)
         v = rng.standard_normal(op.dim)
         np.testing.assert_allclose(
@@ -181,6 +181,37 @@ class TestKroneckerProduct:
         terms = ((gram_identity(len(S)), K0), (gram_linear(1, S), K1))
         with pytest.raises(NotPositiveDefiniteError):
             build_kron(terms, CholeskyFactor(K0))
+
+    def test_non_finite_parametric_factor_rejected(self):
+        # A NaN stiffness value makes its Frobenius weight, and so G, NaN.
+        op, _, _ = tiny_affine()
+        (G0, K0), (G1, K1), *rest = op.terms
+        K1 = K1.copy()
+        K1.data[0] = np.nan
+        with pytest.raises(BreakdownError):
+            build_kron([(G0, K0), (G1, K1), *rest], k0_factor(op))
+
+
+class TestKroneckerProductSuperLU(TestKroneckerProduct):
+    """Reruns every case with G (and K_0) factorized by SuperLU."""
+
+    @pytest.fixture(autouse=True)
+    def factor_path(self, monkeypatch):
+        monkeypatch.setattr(precond, "DENSE_SOLVE_MAX", 0)
+
+
+@pytest.mark.parametrize("build", [tiny_affine, tiny_lognormal])
+def test_build_kron_sums_weighted_terms_exactly(build):
+    # G is sum_i w_i G_i added entry by entry in term order, as a dense
+    # accumulation does it, so equal to it bit for bit.
+    op, _, _ = build()
+    K0 = op.terms[0][1]
+    G_ref = np.zeros((op.ny, op.ny))
+    for G_i, K_i in op.terms:
+        G_ref += (K_i.multiply(K0).sum() / K0.multiply(K0).sum()) * G_i.toarray()
+    G = build_kron(op.terms, k0_factor(op)).G
+    assert G.format == "csr"
+    assert np.array_equal(G.toarray(), G_ref)
 
 
 class TestTruncExact:

@@ -12,11 +12,12 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from sgkron import precond, verify
-from sgkron.kronsys import assemble_dense, leading_terms
+from sgkron.kronsys import KroneckerSumOperator, assemble_dense, leading_terms
 from sgkron.verify import AFFINE, LOGNORMAL, SmallConfig
 
 CATALOGUE = dict(verify.PROPERTIES)
@@ -79,6 +80,19 @@ test_pcg_deterministic = drawn("pcg_deterministic", BOTH)
 test_condition_estimate = drawn("condition_estimate", BOTH, AFFINE)
 test_inclusions_tiny = drawn("inclusions_tiny", ("affine",), AFFINE, SmallConfig(sigma_tilde=4.0))
 test_kappa_within_bound = drawn("kappa_within_bound", ("affine",))
+test_trunc_spectrum_symmetric = drawn("trunc_spectrum_symmetric", ("affine",), AFFINE)
+
+
+def test_trunc_spectrum_symmetric_detects_parity_fault():
+    # A diagonal entry in G_M breaks the parity structure of the system,
+    # not of the truncations r < M: their spectra lose the symmetry.
+    op, f, ctx = AFFINE.build()
+    G_M, K_M = op.terms[-1]
+    planted = G_M + sp.csr_matrix(([0.05], ([0], [0])), shape=G_M.shape)
+    faulty = KroneckerSumOperator(terms=(*op.terms[:-1], (planted, K_M)), ny=op.ny, nx=op.nx)
+    with patch.object(SmallConfig, "build", lambda self: (faulty, f, ctx)):
+        with pytest.raises(AssertionError, match="r=0"):
+            CATALOGUE["trunc_spectrum_symmetric"](AFFINE)
 
 
 @settings(max_examples=20, deadline=None, database=None)
