@@ -1,6 +1,7 @@
 """One cell of a benchmark grid, built and solved once per preconditioner.
 
-``Cell.build`` is the one place a problem name becomes a system.
+``Cell.build`` is the one place a problem name becomes a system, and
+``build_preconditioner`` the one place a kind becomes a preconditioner.
 ``solve_cell`` is the pipeline behind ``sgkron run``: it yields the rows
 of one cell in the order of its preconditioner entries, each once its
 solve ends.  A set-up or solve failure that ``_FAILURE_LABELS`` maps
@@ -59,7 +60,7 @@ _FAILURE_LABELS = {
 }
 
 
-def _build_preconditioner(kind, pairs, op, ctx, K0_factor):
+def build_preconditioner(kind, pairs, op, ctx, K0_factor):
     """K0_factor() gives the cell's K_0 factor; trunc_exact never asks."""
     if kind == "mean":
         return precond.build_mean_based(K0_factor(), op.ny)
@@ -88,7 +89,7 @@ def solve_cell(cell: Cell, preconds, solver_cfg: pcg.SolverConfig):
         t0 = time.perf_counter()
         setup_s = 0.0  # until the preconditioner is built
         try:
-            P = _build_preconditioner(kind, pairs, op, ctx, K0_factor)
+            P = build_preconditioner(kind, pairs, op, ctx, K0_factor)
             setup_s = time.perf_counter() - t0
             _, rep = pcg.pcg_solve(op, P, f, solver_cfg)
             row = Row(kind, r_cell, rep.iterations, rep.converged, rep.final_relres,

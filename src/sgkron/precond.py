@@ -229,8 +229,12 @@ def build_kron(terms, K0_factor: CholeskyFactor) -> KroneckerProductPrecondition
     if not terms or not _is_identity(terms[0][0]):
         raise ValueError("leading term must have an identity parametric factor")
     G0, K0 = terms[0]
-    denom = K0.multiply(K0).sum()
-    w = np.array([K_i.multiply(K0).sum() / denom for _, K_i in terms])
+    # The second factor of each inner product is K_0 scaled by a power of
+    # two to max entry in [1/2, 1): the weights are the same bits, and stay
+    # finite where <K_0, K_0> itself overflows.
+    K0_scaled = K0 * np.ldexp(1.0, -np.frexp(abs(K0).max())[1])
+    denom = K0.multiply(K0_scaled).sum()
+    w = np.array([K_i.multiply(K0_scaled).sum() / denom for _, K_i in terms])
     G = sp.hstack([G_i for G_i, _ in terms]) @ sp.kron(w[:, None], sp.identity(G0.shape[0]))
     return KroneckerProductPreconditioner(G.tocsr(), K0_factor)
 

@@ -3,7 +3,9 @@
 Each property re-checks one module invariant at small scale against an
 independent oracle (quadrature, dense algebra, brute-force enumeration),
 the only copy of that oracle.  A property that builds a tiny system takes
-a :class:`SmallConfig` whose default is the one ``sgkron verify`` checks.
+a :class:`SmallConfig` whose default is the one ``sgkron verify`` checks,
+and one that builds a preconditioner builds it through
+``grid.build_preconditioner``, the dispatch of ``sgkron run``.
 """
 
 from __future__ import annotations
@@ -60,6 +62,13 @@ class SmallConfig:
 
 AFFINE = SmallConfig()
 LOGNORMAL = SmallConfig(problem="lognormal")
+
+
+def _preconditioner(kind, op, ctx, pairs=None):
+    """The `kind` preconditioner of a built system, as `sgkron run` builds it."""
+    return grid.build_preconditioner(
+        kind, pairs, op, ctx, lambda: precond.CholeskyFactor(op.terms[0][1])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -351,30 +360,6 @@ def prop_cholesky_factor_roundtrip():
             raise AssertionError(f"matrix with {bad} at entry {entry} accepted")
 
 
-def prop_trunc_full_equals_system(cfg: SmallConfig = AFFINE):
-    op, _, _ = cfg.build()
-    P = precond.build_trunc_exact(op.terms, op.ny, op.nx)
-    A = kronsys.assemble_dense(op.terms)
-    v = np.random.default_rng(cfg.seed).standard_normal(op.dim)
-    assert np.linalg.norm(P.apply_inverse(A @ v) - v) < 1e-10 * np.linalg.norm(v)
-
-
-def prop_sbgs_identity(cfg: SmallConfig = AFFINE):
-    # apply_inverse of SBGS r inverts (D + L) D^{-1} (D + L)^T of the
-    # truncation's pairs: on every column, and on random vectors.
-    op, _, _ = cfg.build()
-    pairs = kronsys.leading_terms(op, cfg.r)
-    build = precond.build_sbgs_affine if cfg.problem == "affine" else precond.build_sbgs_lognormal
-    P = build(precond.CholeskyFactor(op.terms[0][1]), pairs, op.ny, op.nx)
-    dense, _ = spectral.sbgs_dense(pairs)
-    applied = np.column_stack([P.apply_inverse(col) for col in dense.T])
-    assert np.max(np.abs(applied - np.eye(op.dim))) < 1e-10
-    rng = np.random.default_rng(cfg.seed)
-    for _ in range(3):
-        v = rng.standard_normal(op.dim)
-        assert np.linalg.norm(P.apply_inverse(dense @ v) - v) < 1e-10 * np.linalg.norm(v)
-
-
 def prop_sbgs_lognormal_spd(cfg: SmallConfig = LOGNORMAL):
     op, _, _ = cfg.build()
     report = spectral.lognormal_spd_report(op, range(0, cfg.r + 1))
@@ -386,8 +371,8 @@ def prop_sbgs_lognormal_spd(cfg: SmallConfig = LOGNORMAL):
 def prop_kron_frobenius_lsq(cfg: SmallConfig = AFFINE):
     # Brute-force oracle: entrywise Frobenius least squares over all of G,
     # g_jt = <A_jt, K0>_F / <K0, K0>_F on the dense block partition.
-    op, _, _ = cfg.build()
-    P = precond.build_kron(op.terms, precond.CholeskyFactor(op.terms[0][1]))
+    op, _, ctx = cfg.build()
+    P = _preconditioner("kron", op, ctx)
     blocks = kronsys.assemble_dense(op.terms).reshape(op.ny, op.nx, op.ny, op.nx)
     K0 = op.terms[0][1].toarray()
     G_best = np.einsum("jatb,ab->jt", blocks, K0) / np.sum(K0 * K0)
@@ -410,8 +395,8 @@ def prop_pcg_exact_preconditioner(cfg: SmallConfig = AFFINE):
 
 
 def prop_pcg_deterministic(cfg: SmallConfig = AFFINE):
-    op, f, _ = cfg.build()
-    P = precond.build_mean_based(precond.CholeskyFactor(op.terms[0][1]), op.ny)
+    op, f, ctx = cfg.build()
+    P = _preconditioner("mean", op, ctx)
     u1, r1 = pcg.pcg_solve(op, P, f)
     u2, r2 = pcg.pcg_solve(op, P, f)
     assert np.array_equal(u1, u2)
@@ -419,8 +404,8 @@ def prop_pcg_deterministic(cfg: SmallConfig = AFFINE):
 
 
 def prop_condition_estimate(cfg: SmallConfig = AFFINE):
-    op, f, _ = cfg.build()
-    P = precond.build_mean_based(precond.CholeskyFactor(op.terms[0][1]), op.ny)
+    op, f, ctx = cfg.build()
+    P = _preconditioner("mean", op, ctx)
     _, report = pcg.pcg_solve(op, P, f, pcg.SolverConfig(tol=1e-12))
     est = pcg.estimate_condition(report)
     A = kronsys.assemble_dense(op.terms)
@@ -459,14 +444,10 @@ def prop_kappa_within_bound(cfg: SmallConfig = AFFINE):
     # below the theorem's bound, spectral.kappa_bound.  Ritz values lie
     # inside the spectrum, so no slack.
     op, f, ctx = cfg.build()
-    K0 = precond.CholeskyFactor(op.terms[0][1])
     solver = pcg.SolverConfig(tol=1e-10)
     for r in range(len(kronsys.leading_terms(op, cfg.r))):
-        pairs = kronsys.leading_terms(op, r)
-        for kind, P in (
-            ("trunc_exact", precond.build_trunc_exact(pairs, op.ny, op.nx)),
-            ("sbgs", precond.build_sbgs_affine(K0, pairs, op.ny, op.nx)),
-        ):
+        for kind in ("trunc_exact", "sbgs"):
+            P = _preconditioner(kind, op, ctx, kronsys.leading_terms(op, r))
             _, report = pcg.pcg_solve(op, P, f, solver)
             est = pcg.estimate_condition(report)
             bound = spectral.kappa_bound(ctx, kind, r)
@@ -474,24 +455,29 @@ def prop_kappa_within_bound(cfg: SmallConfig = AFFINE):
 
 
 def prop_precond_dense_formula(cfg: SmallConfig = AFFINE):
-    # mean, kron and trunc_exact r are SPD and invert I (x) K_0 = P_0,
-    # G (x) K_0 and P_r; a lognormal P_r that `spectrum` marks n/a is skipped.
-    op, _, _ = cfg.build()
-    K0 = op.terms[0][1]
-    K0_factor = precond.CholeskyFactor(K0)
-    kron = precond.build_kron(op.terms, K0_factor)
-    cases = [
-        ("mean", precond.build_mean_based(K0_factor, op.ny), kronsys.assemble_dense(op.terms[:1])),
-        ("kron", kron, np.kron(kron.G.toarray(), K0.toarray())),
-    ]
-    if cfg.problem == "affine" or spectral.lognormal_spd_report(op, [cfg.r])[0].applicable:
-        pairs = kronsys.leading_terms(op, cfg.r)
-        cases.append(("trunc_exact", precond.build_trunc_exact(pairs, op.ny, op.nx),
-                      kronsys.assemble_dense(pairs)))
+    # Each family, built as `run` builds it, is SPD and its apply_inverse
+    # inverts its dense formula, on every column and on random vectors:
+    # mean I (x) K_0, kron G (x) K_0, trunc_exact P_r and sbgs
+    # (D + L) D^{-1} (D + L)^T of P_r's pairs.  A lognormal P_r that
+    # `spectrum` marks n/a is skipped.
+    op, _, ctx = cfg.build()
+    pairs = kronsys.leading_terms(op, cfg.r)
+    formulas = {
+        "mean": lambda P: kronsys.assemble_dense(op.terms[:1]),
+        "kron": lambda P: np.kron(P.G.toarray(), op.terms[0][1].toarray()),
+        "trunc_exact": lambda P: kronsys.assemble_dense(pairs),
+        "sbgs": lambda P: spectral.sbgs_dense(pairs)[0],
+    }
+    if cfg.problem == "lognormal" and not spectral.lognormal_spd_report(op, [cfg.r])[0].applicable:
+        del formulas["trunc_exact"]
     rng = np.random.default_rng(cfg.seed)
-    for kind, P, dense in cases:
+    for kind, formula in formulas.items():
+        P = _preconditioner(kind, op, ctx, pairs)
+        dense = formula(P)
         assert np.max(np.abs(dense - dense.T)) <= 1e-14 * np.max(np.abs(dense)), kind
         assert np.linalg.eigvalsh(dense)[0] > 0, f"{kind} not positive definite"
+        applied = np.column_stack([P.apply_inverse(col) for col in dense.T])
+        assert np.max(np.abs(applied - np.eye(op.dim))) < 1e-10, kind
         for v in rng.standard_normal((3, op.dim)):
             err = np.linalg.norm(P.apply_inverse(dense @ v) - v)
             assert err < 1e-10 * np.linalg.norm(v), (kind, err)

@@ -214,12 +214,13 @@ def test_criterion_07_structural_properties():
     verify.prop_gram_structure()
     verify.prop_block_row_count(SmallConfig(M=4, k=3))
 
-    # The block Gauss-Seidel application inverts (D + L) D^-1 (D + L)^T,
-    # affine and lognormal, and the lognormal sweep stays positive definite
-    # even where the plain truncation is indefinite.
-    verify.prop_sbgs_identity(SmallConfig(r=2))
+    # Every preconditioner inverts its dense formula, the block Gauss-Seidel
+    # one (D + L) D^-1 (D + L)^T included, affine and lognormal, and the
+    # lognormal sweep stays positive definite even where the plain
+    # truncation is indefinite.
+    verify.prop_precond_dense_formula(SmallConfig(r=2))
     lognormal = SmallConfig("lognormal", k=3, r=3)
-    verify.prop_sbgs_identity(lognormal)
+    verify.prop_precond_dense_formula(lognormal)
     verify.prop_sbgs_lognormal_spd(replace(lognormal, r=5))
     op, _, _ = lognormal.build()
     report = spectral.lognormal_spd_report(op, range(6))

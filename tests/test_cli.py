@@ -183,6 +183,19 @@ class TestRunCommand:
         _, rows = read_rows(out)
         assert [r[COL["precond"]] for r in rows] == labels
 
+    def test_kron_weights_past_the_square_of_k0(self, tmp_path):
+        # Every K_alpha is finite (max |K_0| = 2.8e203) but <K_0, K_0> is
+        # not: kron's Frobenius weights are still finite, and kron converges.
+        cfg = write_config(tmp_path / "cfg.json", tiny_affine_config(
+            problem="lognormal", sigma_tilde=2.0, alpha_bar_mode=30, M=2, N=3, k=2,
+            preconditioners=["mean", "kron"],
+        ))
+        out = tmp_path / "out.csv"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert [r[COL["precond"]] for r in rows] == ["mean", "kron"]
+        assert all(r[COL["converged"]] == "true" for r in rows)
+
     def test_many_parameters_run(self, tmp_path):
         # M = 1100 at mesh level 1 (1,101 unknowns): the index set is built
         # without a recursion per parameter, and the size guards pass it.

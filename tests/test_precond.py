@@ -392,7 +392,7 @@ class TestSbgsLognormal:
                 np.diff(sp.tril(G, k=-1).tocsr().indptr).max() for G, _ in pairs
             )
             assert max_row_couplings == (2 if r == 4 else 1)
-            verify.prop_sbgs_identity(SmallConfig("lognormal", k=3, r=r))
+            verify.prop_precond_dense_formula(SmallConfig("lognormal", k=3, r=r))
 
     def test_backward_sweep_solves_receiving_blocks_only(self, monkeypatch):
         # The forward sweep solves every block once, the backward sweep only

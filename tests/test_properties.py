@@ -59,8 +59,8 @@ BOTH = ("affine", "lognormal")
 test_matvec_vs_dense = drawn("matvec_vs_dense", BOTH, AFFINE, LOGNORMAL)
 test_block_row_count = drawn("block_row_count", ("affine",), SmallConfig(M=3, k=3))
 test_load_structure = drawn("load_structure", BOTH, AFFINE, LOGNORMAL)
-test_trunc_full_equals_system = drawn("trunc_full_equals_system", BOTH)
-# Fixed configurations of both splittings, r past the affine expansion included.
+# Fixed configurations of both SBGS splittings, r past the affine expansion
+# included.
 SBGS_PINS = [
     SmallConfig(problem, level, M, k, r, N=6)
     for problem, level, M, k, r in [
@@ -69,18 +69,30 @@ SBGS_PINS = [
         ("affine", 2, 1, 2, 2), ("lognormal", 1, 4, 3, 2),
     ]
 ]
-test_sbgs_identity = drawn("sbgs_identity", BOTH, AFFINE, SmallConfig(r=2), *SBGS_PINS)
 test_sbgs_lognormal_spd = drawn(
     "sbgs_lognormal_spd", ("lognormal",), SmallConfig("lognormal", k=3, r=5)
 )
 test_kron_frobenius_lsq = drawn("kron_frobenius_lsq", BOTH, AFFINE)
-test_precond_dense_formula = drawn("precond_dense_formula", BOTH, AFFINE, LOGNORMAL)
+# The last pin truncates nothing: P_r is the whole lognormal system.
+test_precond_dense_formula = drawn(
+    "precond_dense_formula", BOTH, AFFINE, LOGNORMAL, SmallConfig(r=2), *SBGS_PINS,
+    SmallConfig("lognormal", level=1, M=2, k=1, r=5, N=4),
+)
 test_pcg_exact_preconditioner = drawn("pcg_exact_preconditioner", BOTH)
 test_pcg_deterministic = drawn("pcg_deterministic", BOTH)
 test_condition_estimate = drawn("condition_estimate", BOTH, AFFINE)
 test_inclusions_tiny = drawn("inclusions_tiny", ("affine",), AFFINE, SmallConfig(sigma_tilde=4.0))
 test_kappa_within_bound = drawn("kappa_within_bound", ("affine",))
 test_trunc_spectrum_symmetric = drawn("trunc_spectrum_symmetric", ("affine",), AFFINE)
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(cfg=configs(*BOTH))
+def test_precond_dense_formula_superlu(cfg):
+    # Every factor the preconditioners take (K_0, kron's G, the trunc_exact
+    # blocks, the lognormal SBGS diagonals) on SuperLU, not a dense inverse.
+    with patch.object(precond, "DENSE_SOLVE_MAX", 0):
+        CATALOGUE["precond_dense_formula"](cfg)
 
 
 def test_trunc_spectrum_symmetric_detects_parity_fault():
