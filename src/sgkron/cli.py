@@ -76,6 +76,11 @@ MAX_UNKNOWNS = 10**6
 # element.  table6 k = 6 has 18,564 x 1,849 + 20 x 9 x 256 = 3.4e7 (275 MB);
 # level 9, M = 2000, k = 0 would hold 2001 x 2,343,961 = 4.7e9 (37.5 GB).
 MAX_STORED_VALUES = 4 * 10**7
+# Hermite degree 2k of a lognormal expansion: a term of slot degree a is
+# scaled by 1/sqrt(a!), and 171! is not a double.  Only M = 1 reaches it
+# (MAX_TERM_PAIRS refuses M = 2 from k = 66); it also caps the (k + 1)^2
+# Python loop per degree of gram's Hermite table.
+MAX_HERMITE_DEGREE = 170
 # Multi-indices |I_k^M| of a cell that `kron` runs on.  The lognormal G has
 # a full pattern (G_{beta+gamma}[beta, gamma] != 0), |I_k^M|^2 values (and
 # MAX_TERM_PAIRS keeps it under 4,472 multi-indices).  The affine G is sparse
@@ -223,6 +228,8 @@ def _check_size(problem: str, mesh: fem2d.UniformMesh, M: int, k: int, N: int) -
     name, fields = ("M", M) if problem == "affine" else ("N", N)
     if fields > MAX_FIELDS:
         raise ConfigError(f"{name}={fields}: over {MAX_FIELDS} fields (size guard)")
+    if problem == "lognormal" and 2 * k > MAX_HERMITE_DEGREE:
+        raise ConfigError(f"k={k}: Hermite degree 2k over {MAX_HERMITE_DEGREE} (size guard)")
     n_basis = multiindex.dimension(M, k)
     n_terms = M + 1 if problem == "affine" else multiindex.dimension(M, 2 * k)
     if n_basis * n_terms > MAX_TERM_PAIRS:
@@ -375,12 +382,6 @@ def cmd_run(config_path, preset, out_path, max_k) -> int:
     return status
 
 
-def _fmt_bound(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.6e}"
-
-
 def cmd_spectrum(config_path, out_path, full) -> int:
     with _invalid_config():
         cfg = _read_config(config_path)
@@ -395,13 +396,14 @@ def cmd_spectrum(config_path, out_path, full) -> int:
             raise ConfigError("truncation index list must not be empty")
         if any(r < 0 for r in r_values):
             raise ConfigError("truncation indices must be >= 0")
-        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-            op, _, ctx = cell.build()
-        if op.dim > spectral.EIG_GUARD:
+        dim = multiindex.dimension(cell.M, cell.k) * fem2d.build_mesh(cell.level).n_interior
+        if dim > spectral.EIG_GUARD:
             raise ConfigError(
-                f"system dimension {op.dim} exceeds the dense guard "
+                f"system dimension {dim} exceeds the dense guard "
                 f"{spectral.EIG_GUARD}; lower mesh_level, M or k"
             )
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            op, _, ctx = cell.build()
         if not all(np.isfinite(K.data).all() for _, K in op.terms):
             raise ConfigError("the coefficient overflows: the system is not finite")
         if cell.problem == "affine" and not ctx.tau < 1:
@@ -419,7 +421,7 @@ def cmd_spectrum(config_path, out_path, full) -> int:
         width = max(len(c.claim) for c in checks)
         for c in checks:
             ends = (c.bound_lo, c.bound_hi, c.observed_lo, c.observed_hi)
-            lo, hi, seen_lo, seen_hi = map(_fmt_bound, ends)
+            lo, hi, seen_lo, seen_hi = (f"{x:.6e}" for x in ends)
             shown, cell = ("pass", "true") if c.passed else ("FAIL", "false")
             if not c.applicable:
                 shown = cell = "n/a"

@@ -1,7 +1,9 @@
 """One cell of a benchmark grid, built and solved once per preconditioner.
 
 ``Cell.build`` is the one place a problem name becomes a system, and
-``build_preconditioner`` the one place a kind becomes a preconditioner.
+``build_preconditioner`` the one place a kind becomes a preconditioner,
+from the operator and the truncation's pairs alone: no preconditioner
+asks which problem built them.
 ``solve_cell`` is the pipeline behind ``sgkron run``: it yields the rows
 of one cell in the order of its preconditioner entries, each once its
 solve ends.  A set-up or solve failure that ``_FAILURE_LABELS`` maps
@@ -60,7 +62,7 @@ _FAILURE_LABELS = {
 }
 
 
-def build_preconditioner(kind, pairs, op, ctx, K0_factor):
+def build_preconditioner(kind, pairs, op, K0_factor):
     """K0_factor() gives the cell's K_0 factor; trunc_exact never asks."""
     if kind == "mean":
         return precond.build_mean_based(K0_factor(), op.ny)
@@ -68,15 +70,13 @@ def build_preconditioner(kind, pairs, op, ctx, K0_factor):
         return precond.build_kron(op.terms, K0_factor())
     if kind == "trunc_exact":
         return precond.build_trunc_exact(pairs, op.ny, op.nx)
-    if ctx is not None:  # affine
-        return precond.build_sbgs_affine(K0_factor(), pairs, op.ny, op.nx)
-    return precond.build_sbgs_lognormal(K0_factor(), pairs, op.ny, op.nx)
+    return precond.build_sbgs(K0_factor(), pairs, op.ny, op.nx)
 
 
 def solve_cell(cell: Cell, preconds, solver_cfg: pcg.SolverConfig):
     """Build `cell`, then solve it once per (kind, r) of `preconds`,
     yielding a ``Row`` as each solve ends."""
-    op, f, ctx = cell.build()
+    op, f, _ = cell.build()
     # Built on first use, so that a K_0 it refuses ends as the rows of the
     # preconditioners that need it.
     K0_factor = functools.cache(lambda: precond.CholeskyFactor(op.terms[0][1]))
@@ -89,7 +89,7 @@ def solve_cell(cell: Cell, preconds, solver_cfg: pcg.SolverConfig):
         t0 = time.perf_counter()
         setup_s = 0.0  # until the preconditioner is built
         try:
-            P = build_preconditioner(kind, pairs, op, ctx, K0_factor)
+            P = build_preconditioner(kind, pairs, op, K0_factor)
             setup_s = time.perf_counter() - t0
             _, rep = pcg.pcg_solve(op, P, f, solver_cfg)
             row = Row(kind, r_cell, rep.iterations, rep.converged, rep.final_relres,

@@ -6,14 +6,18 @@ stiffness factors K.  The operator is kept matrix-free and never forms
 the ny*nx matrix.  A matvec costs, per term, one sparse K-product and
 one sparse G-product over the blocks G_i couples (its non-empty rows
 and columns; an identity G_i adds the K-product directly), unless the
-K_i share one symmetric pattern and their values have numerical rank R
-below the term count T.  Then the operator applies the recompressed sum
-sum_{s<=R} Ghat_s (x) Khat_s, obtained from a thin SVD of the stacked K
-values: one stacked sparse product over the Khat_s and one dense product
-over the Ghat_s.  The lognormal expansion has R << T; the affine one has
-R = T and keeps the per-term loop.  ``terms`` stays the exact per-term
-list either way.  Dense materialization exists only as a small-scale test
-and spectral-study oracle behind a size guard.
+G_i together couple every pair of blocks and the K_i share one symmetric
+pattern whose values have numerical rank R below the term count T.  Then
+the operator applies the recompressed sum sum_{s<=R} Ghat_s (x) Khat_s,
+obtained from a thin SVD of the stacked K values: one stacked sparse
+product over the Khat_s and one dense product over the dense ny x ny
+Ghat_s.  The lognormal G_alpha couple every pair and have R << T.  The
+affine G_m couple only multi-indices one degree apart (every pair only
+for ny <= 2), so the affine operator keeps the per-term loop and takes
+no SVD, also where its values have R < T (mesh levels 1-2, or a zero
+amplitude).  ``terms`` stays the exact per-term list either way.  Dense
+materialization exists only as a small-scale test and spectral-study
+oracle behind a size guard.
 
 Truncation map: ``op.terms`` follows the expansion order, so P_r is the
 prefix ``leading_terms(op, r) = op.terms[: r + 1]`` for both problems.
@@ -118,14 +122,21 @@ def _is_identity(G) -> bool:
 def _recompress(terms, ny: int, nx: int) -> tuple | None:
     """Chunks of the recompressed sum, or None when it would not be shorter.
 
-    Needs every K_i in canonical CSR form on one symmetric pattern with
-    symmetric, finite values.  The thin SVD of the (T, nnz) value matrix,
-    restricted to the upper triangle, gives K_i = sum_s U_is sigma_s Khat_s
-    up to RANK_TOL, hence A = sum_s Ghat_s (x) Khat_s with
-    Ghat_s = sum_i U_is sigma_s G_i.
+    Needs the G_i together to couple every pair of blocks, since each Ghat_s
+    is a dense ny x ny matrix, and every K_i in canonical CSR form on one
+    symmetric pattern with symmetric, finite values.  The thin SVD of the
+    (T, nnz) value matrix, restricted to the upper triangle, gives
+    K_i = sum_s U_is sigma_s Khat_s up to RANK_TOL, hence
+    A = sum_s Ghat_s (x) Khat_s with Ghat_s = sum_i U_is sigma_s G_i.
     """
     Ks = [K for _, K in terms]
     if len(Ks) < 2 or not all(sp.issparse(K) and K.format == "csr" for K in Ks):
+        return None
+    Gs = [sp.csr_matrix(G) for G, _ in terms]
+    # Flat index j * ny + t of every stored G_i[j, t]; fewer than ny^2 of
+    # them cannot cover the blocks, and then no ny^2 count is allocated.
+    flat = np.concatenate([np.repeat(np.arange(ny) * ny, np.diff(G.indptr)) + G.indices for G in Gs])
+    if len(flat) < ny * ny or not np.bincount(flat, minlength=ny * ny).all():
         return None
     K0 = Ks[0]
     if K0.shape != (nx, nx) or not K0.has_canonical_format:
@@ -157,13 +168,8 @@ def _recompress(terms, ny: int, nx: int) -> tuple | None:
     # Khat_s on the full pattern: each entry takes its upper-triangle twin.
     twin = np.where(upper, np.arange(nnz), mirror.data)
     K_hat = Vt[:R, (np.cumsum(upper) - 1)[twin]]
-    Gs = [sp.csr_matrix(G) for G, _ in terms]
     G_stack = sp.csr_matrix(  # row i holds G_i flattened
-        (
-            np.concatenate([G.data for G in Gs]),
-            np.concatenate([np.repeat(np.arange(ny) * ny, np.diff(G.indptr)) + G.indices for G in Gs]),
-            np.cumsum([0] + [G.nnz for G in Gs]),
-        ),
+        (np.concatenate([G.data for G in Gs]), flat, np.cumsum([0] + [G.nnz for G in Gs])),
         shape=(len(Gs), ny * ny),
     )
     G_hat = np.asarray(G_stack.T @ (U[:, :R] * sigma[:R])).T.reshape(R, ny, ny)

@@ -11,9 +11,10 @@ block vectors:
   block up to a per-block size, one nested CG for the larger blocks;
 * symmetric block Gauss-Seidel (SBGS): (D + L) D^{-1} (D + L^T) built
   from the truncation's block splitting, applied by one forward and one
-  backward block-triangular sweep.  One engine serves the affine and the
-  lognormal splitting: each sweep step solves a whole level of
-  independent blocks, batched by their diagonal block.
+  backward block-triangular sweep.  One engine and one builder,
+  ``build_sbgs``, serve the affine and the lognormal splitting alike,
+  from the truncation's pairs alone: each sweep step solves a whole level
+  of independent blocks, batched by their diagonal block.
 
 Every apply_inverse realizes a symmetric positive definite map, which
 the test suite checks both algebraically and spectrally.
@@ -481,28 +482,21 @@ class PairBlockSbgs:
         return Z.ravel()
 
 
-def build_sbgs_affine(K0_factor: CholeskyFactor, pairs, ny: int, nx: int) -> PairBlockSbgs:
-    """pairs: the leading pairs of P_r, I (x) K_0 and (G_m, K_m) for m <= r.
-
-    The identity lead and the hollow G_m make every diagonal block K_0,
-    so the caller's K_0 factor serves all of them.
-    """
-    pairs = list(pairs)
-    if not pairs or not _is_identity(pairs[0][0]) or any(G.diagonal().any() for G, _ in pairs[1:]):
-        raise ValueError("affine SBGS needs the lead I (x) K_0 and hollow parametric factors")
-    return PairBlockSbgs(pairs, ny, nx, K0_factor)
-
-
-def build_sbgs_lognormal(K0_factor: CholeskyFactor, pairs, ny: int, nx: int) -> PairBlockSbgs:
+def build_sbgs(K0_factor: CholeskyFactor, pairs, ny: int, nx: int) -> PairBlockSbgs:
     """pairs: the leading pairs of P_r, ``kronsys.leading_terms(op, r)``.
 
-    The zero multi-index term, whose Gram factor is the identity, must lead
-    the truncation so that the mean stiffness anchors every diagonal block
-    (the condition under which the splitting is provably SPD).  The blocks
-    whose only diagonal entry comes from that term are exactly K_0, so the
-    caller's K_0 factor serves them.
+    The truncation must be led by I (x) K_0, so that the mean stiffness
+    anchors every diagonal block (the condition under which the splitting
+    is provably SPD).  The blocks whose only diagonal entry comes from that
+    term are exactly K_0, so the caller's K_0 factor serves them: every
+    block of the affine splitting, whose G_m are hollow.
     """
     pairs = list(pairs)
     if not pairs or not _is_identity(pairs[0][0]):
-        raise ValueError("the zero multi-index term must lead the truncation")
+        raise ValueError("SBGS needs the truncation led by I (x) K_0")
     return PairBlockSbgs(pairs, ny, nx, K0_factor)
+
+
+# These names exist only because perfbench's SETUP_SPANS["sbgs"] and
+# tests/test_span_names.py resolve them; ROADMAP item 1's PR B deletes them.
+build_sbgs_affine = build_sbgs_lognormal = build_sbgs

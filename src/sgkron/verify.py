@@ -64,10 +64,10 @@ AFFINE = SmallConfig()
 LOGNORMAL = SmallConfig(problem="lognormal")
 
 
-def _preconditioner(kind, op, ctx, pairs=None):
+def _preconditioner(kind, op, pairs=None):
     """The `kind` preconditioner of a built system, as `sgkron run` builds it."""
     return grid.build_preconditioner(
-        kind, pairs, op, ctx, lambda: precond.CholeskyFactor(op.terms[0][1])
+        kind, pairs, op, lambda: precond.CholeskyFactor(op.terms[0][1])
     )
 
 
@@ -371,8 +371,8 @@ def prop_sbgs_lognormal_spd(cfg: SmallConfig = LOGNORMAL):
 def prop_kron_frobenius_lsq(cfg: SmallConfig = AFFINE):
     # Brute-force oracle: entrywise Frobenius least squares over all of G,
     # g_jt = <A_jt, K0>_F / <K0, K0>_F on the dense block partition.
-    op, _, ctx = cfg.build()
-    P = _preconditioner("kron", op, ctx)
+    op, _, _ = cfg.build()
+    P = _preconditioner("kron", op)
     blocks = kronsys.assemble_dense(op.terms).reshape(op.ny, op.nx, op.ny, op.nx)
     K0 = op.terms[0][1].toarray()
     G_best = np.einsum("jatb,ab->jt", blocks, K0) / np.sum(K0 * K0)
@@ -395,8 +395,8 @@ def prop_pcg_exact_preconditioner(cfg: SmallConfig = AFFINE):
 
 
 def prop_pcg_deterministic(cfg: SmallConfig = AFFINE):
-    op, f, ctx = cfg.build()
-    P = _preconditioner("mean", op, ctx)
+    op, f, _ = cfg.build()
+    P = _preconditioner("mean", op)
     u1, r1 = pcg.pcg_solve(op, P, f)
     u2, r2 = pcg.pcg_solve(op, P, f)
     assert np.array_equal(u1, u2)
@@ -404,8 +404,8 @@ def prop_pcg_deterministic(cfg: SmallConfig = AFFINE):
 
 
 def prop_condition_estimate(cfg: SmallConfig = AFFINE):
-    op, f, ctx = cfg.build()
-    P = _preconditioner("mean", op, ctx)
+    op, f, _ = cfg.build()
+    P = _preconditioner("mean", op)
     _, report = pcg.pcg_solve(op, P, f, pcg.SolverConfig(tol=1e-12))
     est = pcg.estimate_condition(report)
     A = kronsys.assemble_dense(op.terms)
@@ -447,7 +447,7 @@ def prop_kappa_within_bound(cfg: SmallConfig = AFFINE):
     solver = pcg.SolverConfig(tol=1e-10)
     for r in range(len(kronsys.leading_terms(op, cfg.r))):
         for kind in ("trunc_exact", "sbgs"):
-            P = _preconditioner(kind, op, ctx, kronsys.leading_terms(op, r))
+            P = _preconditioner(kind, op, kronsys.leading_terms(op, r))
             _, report = pcg.pcg_solve(op, P, f, solver)
             est = pcg.estimate_condition(report)
             bound = spectral.kappa_bound(ctx, kind, r)
@@ -460,7 +460,7 @@ def prop_precond_dense_formula(cfg: SmallConfig = AFFINE):
     # mean I (x) K_0, kron G (x) K_0, trunc_exact P_r and sbgs
     # (D + L) D^{-1} (D + L)^T of P_r's pairs.  A lognormal P_r that
     # `spectrum` marks n/a is skipped.
-    op, _, ctx = cfg.build()
+    op, _, _ = cfg.build()
     pairs = kronsys.leading_terms(op, cfg.r)
     formulas = {
         "mean": lambda P: kronsys.assemble_dense(op.terms[:1]),
@@ -472,7 +472,7 @@ def prop_precond_dense_formula(cfg: SmallConfig = AFFINE):
         del formulas["trunc_exact"]
     rng = np.random.default_rng(cfg.seed)
     for kind, formula in formulas.items():
-        P = _preconditioner(kind, op, ctx, pairs)
+        P = _preconditioner(kind, op, pairs)
         dense = formula(P)
         assert np.max(np.abs(dense - dense.T)) <= 1e-14 * np.max(np.abs(dense)), kind
         assert np.linalg.eigvalsh(dense)[0] > 0, f"{kind} not positive definite"

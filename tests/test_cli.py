@@ -69,6 +69,10 @@ SIZE_GUARDED = [
     {"mesh_level": 9, "M": 2000, "k": 0},
     {"problem": "lognormal", "sigma_tilde": 2.0, "mesh_level": 8, "M": 1, "k": 0, "N": 2000},
 ]
+# A lognormal cell of Hermite degree 2k = 172, past MAX_HERMITE_DEGREE: its
+# expansion would divide by sqrt(171!), which is not a double.
+HERMITE_PAST_DOUBLE = {"problem": "lognormal", "sigma_tilde": 2.0, "alpha_bar_mode": 0.547,
+                       "mesh_level": 1, "M": 1, "N": 2, "k": 86}
 # Wrongly typed or empty values that both commands refuse.
 NUMERIC_STRINGS = [{"k": "1"}, {"M": "2"}, {"mesh_level": "2"}, {"sigma_tilde": "3"}]
 EMPTY_GRIDS = [{"k": []}, {"M": []}, {"mesh_level": []}]
@@ -549,6 +553,22 @@ class TestRunCommand:
         cfg = write_config(tmp_path / "cfg.json", tiny_affine_config(preconditioners=["kron"]))
         assert cli.main(["run", cfg]) == 0
 
+    @pytest.mark.parametrize("command", ["run", "spectrum"])
+    def test_hermite_degree_guard(self, tmp_path, command, capsys):
+        extra = {"preconditioners": ["mean"]} if command == "run" else {}
+        cfg = write_config(tmp_path / "cfg.json", {**HERMITE_PAST_DOUBLE, **extra})
+        assert cli.main([command, cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"{command}: invalid config:")
+        assert "Hermite degree" in captured.err
+        assert captured.out == ""
+
+    def test_largest_hermite_degree_runs(self, tmp_path, capsys):
+        cfg = {**HERMITE_PAST_DOUBLE, "k": 85, "preconditioners": ["mean"]}
+        assert cli.main(["run", write_config(tmp_path / "cfg.json", cfg)]) == 0
+        _, row = capsys.readouterr().out.splitlines()
+        assert row.split(",")[COL["iterations"]] == "110"
+
     def test_usage_errors_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", tiny_affine_config())
         assert cli.main(["run"]) == 1
@@ -686,7 +706,12 @@ class TestSpectrumCommand:
         assert status[("trunc_spd", "0")] == "true"
         assert all(status[("sbgs_spd", str(r))] == "true" for r in range(4))
 
-    def test_size_guard_exit_1(self, tmp_path, capsys):
+    def test_size_guard_exit_1(self, tmp_path, monkeypatch, capsys):
+        # Refused from the counts, before the system is built.
+        def no_build(cell):
+            raise AssertionError("built a system past the dense guard")
+
+        monkeypatch.setattr(grid.Cell, "build", no_build)
         cfg = spectrum_config(tmp_path, mesh_level=5)
         assert cli.main(["spectrum", cfg]) == 1
         assert "dense guard" in capsys.readouterr().err
@@ -873,6 +898,9 @@ TINY_RUN = tiny_affine_config(preconditioners=["trunc_exact 1"])
 @example(case=(["run"], {**TINY_RUN, "M": 10**6, "k": 0}))
 @example(case=(["spectrum"], {"problem": "affine", "decay": "slow", "mesh_level": 1,
                               "M": 10**6, "k": 2}))
+# a lognormal Hermite degree 2k past MAX_HERMITE_DEGREE
+@example(case=(["run"], {**HERMITE_PAST_DOUBLE, "preconditioners": ["mean"]}))
+@example(case=(["spectrum"], HERMITE_PAST_DOUBLE))
 # amplitudes past the theory: the mean term still leads, tau >= 1 is refused
 @example(case=(["run"], {**TINY_RUN, "problem": "lognormal", "alpha_bar_mode": 5, "N": 4,
                          "preconditioners": ["mean", "kron", "sbgs 1"]}))

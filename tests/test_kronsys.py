@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -215,8 +216,10 @@ class TestRecompressedOperator:
 
     @pytest.mark.parametrize("M", [4, 8])
     def test_affine_keeps_term_loop(self, M):
-        for k in (2, 3):
-            op, _, _ = tiny_affine(level=3, M=M, k=k)
+        # At level 1 every K_m is 1 x 1, so the values have rank 1; the G_m
+        # leave block pairs uncoupled, so no dense Ghat_s is formed.
+        for level, k in itertools.product((1, 3), (2, 3)):
+            op, _, _ = tiny_affine(level=level, M=M, k=k)
             assert op.rank == len(op.terms) == M + 1
             if k == 3:  # every G_m, m >= 1, leaves some blocks uncoupled
                 assert all(np.diff(G.indptr).min() == 0 for G, _ in op.terms[1:])
@@ -247,10 +250,11 @@ class TestRecompressedOperator:
         assert op.rank == 2
 
     def test_proportional_terms_collapse(self):
-        # Symmetric K values of rank one: one recompressed term, exact sum.
+        # Symmetric K values of rank one, and G_i that together couple every
+        # pair of blocks: one recompressed term, exact sum.
         K = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
         G1 = sp.csr_matrix(np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 2.0]]))
-        G2 = sp.csr_matrix(np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+        G2 = sp.csr_matrix(np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]))
         op = KroneckerSumOperator(terms=((G1, K), (G2, -3.0 * K)), ny=3, nx=2)
         assert op.rank == 1
         A = np.kron(G1.toarray(), K.toarray()) - 3.0 * np.kron(G2.toarray(), K.toarray())

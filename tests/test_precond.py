@@ -12,8 +12,7 @@ from sgkron.precond import (
     NotPositiveDefiniteError,
     build_kron,
     build_mean_based,
-    build_sbgs_affine,
-    build_sbgs_lognormal,
+    build_sbgs,
     build_trunc_exact,
 )
 from sgkron.verify import SmallConfig
@@ -330,14 +329,14 @@ class TestSbgsAffine:
             init(self, K)
 
         monkeypatch.setattr(CholeskyFactor, "__init__", counting_init)
-        P = build_sbgs_affine(K0_factor, op.terms, op.ny, op.nx)
+        P = build_sbgs(K0_factor, op.terms, op.ny, op.nx)
         assert P.distinct_factor_count == 1
         assert built == []
 
     def test_empty_terms_reduce_to_mean(self):
         op, _, _ = tiny_affine()
         K0 = k0_factor(op)
-        P_sbgs = build_sbgs_affine(K0, op.terms[:1], op.ny, op.nx)
+        P_sbgs = build_sbgs(K0, op.terms[:1], op.ny, op.nx)
         P_mean = build_mean_based(K0, op.ny)
         rng = np.random.default_rng(42)
         v = rng.standard_normal(op.dim)
@@ -352,7 +351,7 @@ class TestSbgsAffine:
         op, _, ctx = tiny_affine()
         r = 2
         P_r = assemble_dense(op.terms[: r + 1])
-        P = build_sbgs_affine(k0_factor(op), op.terms[: r + 1], op.ny, op.nx)
+        P = build_sbgs(k0_factor(op), op.terms[: r + 1], op.ny, op.nx)
         P_tilde = np.linalg.inv(dense_apply_inverse(P, op.dim))
         lo, hi = eig_range(P_r, P_tilde)
         bounds = affine_bounds(ctx, r)
@@ -378,7 +377,7 @@ class TestSbgsLognormal:
         monkeypatch.setattr(CholeskyFactor, "__init__", counting_init)
         for r in (1, 3, 6):
             built.clear()
-            P = build_sbgs_lognormal(K0_factor, leading_terms(op, r), op.ny, op.nx)
+            P = build_sbgs(K0_factor, leading_terms(op, r), op.ny, op.nx)
             assert len(built) == P.distinct_factor_count - 1
             assert all(abs(D - K0).max() > 0 for D in built)
 
@@ -409,7 +408,7 @@ class TestSbgsLognormal:
         monkeypatch.setattr(CholeskyFactor, "solve", counting)
         for r in (1, 4):
             pairs = leading_terms(op, r)
-            P = build_sbgs_lognormal(k0_factor(op), pairs, op.ny, op.nx)
+            P = build_sbgs(k0_factor(op), pairs, op.ny, op.nx)
             lower = [sp.tril(G, k=-1).tocoo() for G, _ in pairs]
             receiving = np.unique(np.concatenate([L.col for L in lower]))
             assert 0 < len(receiving) < op.ny
@@ -424,7 +423,7 @@ class TestSbgsLognormal:
         P_r = assemble_dense(pairs)
         assert np.linalg.eigvalsh(P_r).min() < 0
 
-        P = build_sbgs_lognormal(k0_factor(op), pairs, op.ny, op.nx)
+        P = build_sbgs(k0_factor(op), pairs, op.ny, op.nx)
         P_tilde = np.linalg.inv(dense_apply_inverse(P, op.dim))
         P_tilde = 0.5 * (P_tilde + P_tilde.T)
         assert np.linalg.eigvalsh(P_tilde).min() > 0
@@ -433,18 +432,18 @@ class TestSbgsLognormal:
         op, _, _ = tiny_lognormal()
         pairs = leading_terms(op, 2)
         with pytest.raises(ValueError):
-            build_sbgs_lognormal(k0_factor(op), pairs[1:], 10, 9)
+            build_sbgs(k0_factor(op), pairs[1:], 10, 9)
         with pytest.raises(ValueError):
-            build_sbgs_lognormal(k0_factor(op), [], 10, 9)
+            build_sbgs(k0_factor(op), [], 10, 9)
 
     def test_factor_cache_bounded(self):
         op, _, _ = tiny_lognormal()
-        P = build_sbgs_lognormal(k0_factor(op), leading_terms(op, 4), op.ny, op.nx)
+        P = build_sbgs(k0_factor(op), leading_terms(op, 4), op.ny, op.nx)
         assert 1 <= P.distinct_factor_count <= op.ny
 
     def test_solves_system(self):
         op, f, _ = tiny_lognormal(k=2)
-        P = build_sbgs_lognormal(k0_factor(op), leading_terms(op, 2), op.ny, op.nx)
+        P = build_sbgs(k0_factor(op), leading_terms(op, 2), op.ny, op.nx)
         x, report = pcg_solve(op, P, f)
         assert report.converged
         np.testing.assert_allclose(op.matvec(x), f, atol=1e-5 * np.linalg.norm(f))
@@ -472,8 +471,8 @@ class TestReadOnlyInput:
             (aff, build_kron(aff.terms, aff_K0).apply_inverse),
             (aff, build_trunc_exact(aff.terms[:3], aff.ny, aff.nx).apply_inverse),
             (log, build_trunc_exact(log_pairs, log.ny, log.nx).apply_inverse),
-            (aff, build_sbgs_affine(aff_K0, aff.terms[:3], aff.ny, aff.nx).apply_inverse),
-            (log, build_sbgs_lognormal(log_K0, log_pairs, log.ny, log.nx).apply_inverse),
+            (aff, build_sbgs(aff_K0, aff.terms[:3], aff.ny, aff.nx).apply_inverse),
+            (log, build_sbgs(log_K0, log_pairs, log.ny, log.nx).apply_inverse),
         ]
         monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", 1)  # the nested path
         for op, pairs, r in ((aff, aff.terms[:3], 2), (log, log_pairs, 4)):
