@@ -63,13 +63,15 @@ _FAILURE_LABELS = {
 
 
 def build_preconditioner(kind, pairs, op, K0_factor):
-    """K0_factor() gives the cell's K_0 factor; trunc_exact never asks."""
+    """K0_factor() gives the cell's K_0 factor; trunc_exact never asks.
+    mean and trunc_exact take the parity classes of their truncation."""
     if kind == "mean":
-        return precond.build_mean_based(K0_factor(), op.ny)
+        return precond.build_mean_based(K0_factor(), op.ny, kronsys.parity_classes(op, 0))
     if kind == "kron":
         return precond.build_kron(op.terms, K0_factor())
     if kind == "trunc_exact":
-        return precond.build_trunc_exact(pairs, op.ny, op.nx)
+        classes = kronsys.parity_classes(op, len(pairs) - 1)
+        return precond.build_trunc_exact(pairs, op.ny, op.nx, classes)
     return precond.build_sbgs(K0_factor(), pairs, op.ny, op.nx)
 
 

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from . import fem2d, gram, multiindex
 from .fem2d import UniformMesh
@@ -213,6 +214,42 @@ def leading_terms(op: KroneckerSumOperator, r: int) -> tuple:
     if r < 0:
         raise ValueError("truncation index r must be >= 0")
     return op.terms[: r + 1]
+
+
+def parity_classes(op: KroneckerSumOperator, r: int) -> np.ndarray | None:
+    """One bool per block, False at block 0, that the terms of P_r keep and
+    every other term flips; None without a tail coupling or such colouring.
+
+    Blocks the leading patterns connect share a colour, and each tail entry
+    must join two components of unlike colour: a 2-colouring of the
+    components, read off the bipartite double cover (component c as nodes c
+    and c + n).  The tail is read term by term and the first entry inside
+    one component ends the search, as a Hermite G_alpha with a diagonal
+    does.  Affine r < M: the parity of alpha_{r+1} + ... + alpha_M.
+    """
+    def entries(G):  # (rows, columns) of the stored entries
+        G = sp.csr_matrix(G)
+        return np.repeat(np.arange(op.ny), np.diff(G.indptr)), G.indices
+
+    def graph(rows, cols, n):
+        return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+
+    rows, cols = (np.concatenate(e) for e in zip(*(entries(G) for G, _ in op.terms[: r + 1])))
+    n, comp = connected_components(graph(rows, cols, op.ny), directed=False)
+    ends = []
+    for G, _ in op.terms[r + 1 :]:
+        a, b = (comp[e] for e in entries(G))
+        if np.any(a == b):
+            return None
+        ends.append((a, b))
+    if not sum(len(a) for a, _ in ends):
+        return None
+    a, b = (np.concatenate(e) for e in zip(*ends))
+    _, label = connected_components(graph(np.r_[a, a + n], np.r_[b + n, b], 2 * n), directed=False)
+    if np.any(label[:n] == label[n:]):
+        return None
+    colour = (label[:n] > label[n:])[comp]
+    return colour ^ colour[0]
 
 
 # ---------------------------------------------------------------------------

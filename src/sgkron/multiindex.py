@@ -63,7 +63,11 @@ def _compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
     # Tuples of `slots` nonnegative integers summing to `total`, in
     # ascending lexicographic order: the gaps around `slots - 1` bars among
     # `total + slots - 1` places (stars and bars), whose placements
-    # itertools.combinations yields in the same order.
+    # itertools.combinations yields in the same order.  One slot holds the
+    # total: combinations(range(n), 0) would copy its pool of n for one ().
+    if slots == 1:
+        yield (total,)
+        return
     n = total + slots - 1
     for bars in itertools.combinations(range(n), slots - 1):
         edges = (-1, *bars, n)

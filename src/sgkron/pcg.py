@@ -6,6 +6,14 @@ right-hand side, the paper's stopping rule.  The solver records the CG step
 and direction-update coefficients so the Lanczos tridiagonal matrix, and
 from it a condition-number estimate of the preconditioned operator, can
 be recovered after the run.
+
+Class-alternating apply: a preconditioner with parity ``classes`` (one
+bool per block) that it never couples while the operator's other terms
+always flip them has A = [[P_0, C], [C^T, P_1]] in class order ("Property
+A").  When f lies in one class c, the residual of step j lies in class
+c XOR (j mod 2) up to round-off, so step j applies P^{-1} to that class
+only.  Any other f, or a preconditioner without classes, takes the plain
+apply.
 """
 
 from __future__ import annotations
@@ -70,9 +78,19 @@ def pcg_solve(A, P, f: np.ndarray, cfg: SolverConfig | None = None):
         report.solve_seconds = time.perf_counter() - t0
         return np.zeros_like(f), report
 
+    # The class of f, when it lies in one: step j then applies to class
+    # cls ^ (j & 1) only.
+    classes, cls = getattr(P, "classes", None), None
+    if classes is not None:
+        live = classes[f.reshape(len(classes), -1).any(axis=1)]
+        cls = int(live[0]) if live.min() == live.max() else None
+
+    def precondition(r, j):
+        return P.apply_inverse(r) if cls is None else P.apply_inverse(r, cls ^ (j & 1))
+
     u = np.zeros_like(f)
     r = f.copy()
-    z = P.apply_inverse(r)
+    z = precondition(r, 0)
     rz = float(r @ z)
     _check_positive(rz, r, z, "r^T P^{-1} r")
 
@@ -98,7 +116,7 @@ def pcg_solve(A, P, f: np.ndarray, cfg: SolverConfig | None = None):
         if relres <= cfg.tol:
             converged = True
             break
-        z = P.apply_inverse(r)
+        z = precondition(r, it)
         rz_new = float(r @ z)
         _check_positive(rz_new, r, z, "r^T P^{-1} r")
         beta = rz_new / rz

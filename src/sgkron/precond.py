@@ -17,7 +17,10 @@ block vectors:
   of independent blocks, batched by their diagonal block.
 
 Every apply_inverse realizes a symmetric positive definite map, which
-the test suite checks both algebraically and spectrally.
+the test suite checks both algebraically and spectrally.  The mean-based
+and exact-truncation preconditioners also take the parity ``classes`` of
+their truncation (``kronsys.parity_classes``), which P_r never couples:
+``apply_inverse(v, cls)`` then solves only the blocks of class ``cls``.
 
 Every factorization goes through :class:`CholeskyFactor`: the spatial
 solves, with K_0 or with a diagonal block of a splitting, the truncation's
@@ -187,17 +190,24 @@ class CholeskyFactor:
 
 
 class MeanBasedPreconditioner:
-    def __init__(self, K0_factor: CholeskyFactor, ny: int):
+    def __init__(self, K0_factor: CholeskyFactor, ny: int, classes=None):
         self.K0 = K0_factor
         self.ny = ny
         self.nx = K0_factor.n
+        self.classes = classes
 
-    def apply_inverse(self, v: np.ndarray) -> np.ndarray:
-        return self.K0.solve(v.reshape(self.ny, self.nx).T).T.ravel()
+    def apply_inverse(self, v: np.ndarray, cls: int | None = None) -> np.ndarray:
+        V = v.reshape(self.ny, self.nx)
+        if cls is None:
+            return self.K0.solve(V.T).T.ravel()
+        blocks = self.classes == cls
+        Z = np.zeros((self.ny, self.nx))
+        Z[blocks] = self.K0.solve(V[blocks].T).T
+        return Z.ravel()
 
 
-def build_mean_based(K0_factor: CholeskyFactor, ny: int) -> MeanBasedPreconditioner:
-    return MeanBasedPreconditioner(K0_factor, ny)
+def build_mean_based(K0_factor: CholeskyFactor, ny: int, classes=None) -> MeanBasedPreconditioner:
+    return MeanBasedPreconditioner(K0_factor, ny, classes)
 
 
 # ---------------------------------------------------------------------------
@@ -293,17 +303,23 @@ class TruncExactPreconditioner:
     inner conjugate-gradient iteration on the restricted truncation,
     preconditioned by its SBGS approximation and run to relative tolerance
     ``INNER_TOL`` = 1e-13, i.e. to factorization-level accuracy.
+
+    ``classes``, from ``kronsys.parity_classes``, splits the blocks into
+    two colours that P_r never couples: the nested blocks get one inner CG
+    per colour, and ``apply_inverse(v, cls)`` solves the rows of colour
+    ``cls`` only, leaving zeros elsewhere.
     """
 
-    def __init__(self, terms, ny: int, nx: int):
+    def __init__(self, terms, ny: int, nx: int, classes=None):
         used = tuple(terms)
         if not used:
             raise ValueError("truncation needs at least one term")
         self.ny = ny
         self.nx = nx
+        self.classes = classes
         Gs = [sp.csr_matrix(G) for G, _ in used]
         self._direct = []  # (class indices, factor of its block)
-        nested = []
+        nested = [np.zeros(0, dtype=np.int64)]
         for idx in _tail_blocks([G.tocoo() for G in Gs], ny):
             c = idx.shape[1]
             if c * nx > TRUNC_DIRECT_GUARD:
@@ -312,29 +328,35 @@ class TruncExactPreconditioner:
             block = [(G[idx[0]][:, idx[0]], K) for G, (_, K) in zip(Gs, used)]
             self._direct.append((idx, CholeskyFactor(assemble_sparse(block))))
         self.distinct_factor_count = len(self._direct)
-        self._rest = None
-        if nested:
-            rest = np.sort(np.concatenate(nested))
+        # The nested blocks of each colour: (blocks, restricted truncation,
+        # its SBGS); the colours share the diagonal-block factors.
+        rest = np.sort(np.concatenate(nested))
+        parts = [rest] if classes is None else [rest[~classes[rest]], rest[classes[rest]]]
+        self._nested, factors = [], {}
+        for rest in filter(len, parts):
             block = tuple((G[rest][:, rest], K) for G, (_, K) in zip(Gs, used))
-            self._rest = rest
-            self._op = KroneckerSumOperator(terms=block, ny=len(rest), nx=nx)
-            self._inner_precond = PairBlockSbgs(block, len(rest), nx)
-            self._inner_cfg = _InnerConfig(tol=INNER_TOL, max_iter=400)
+            op = KroneckerSumOperator(terms=block, ny=len(rest), nx=nx)
+            self._nested.append((rest, op, PairBlockSbgs(block, len(rest), nx, factors)))
+        self._inner_cfg = _InnerConfig(tol=INNER_TOL, max_iter=400)
 
-    def apply_inverse(self, v: np.ndarray) -> np.ndarray:
+    def apply_inverse(self, v: np.ndarray, cls: int | None = None) -> np.ndarray:
         V = v.reshape(self.ny, self.nx)
-        Z = np.empty((self.ny, self.nx))
+        Z = np.zeros((self.ny, self.nx))
         for idx, factor in self._direct:
+            if cls is not None:  # the class's rows of colour cls
+                idx = idx[self.classes[idx[:, 0]] == cls]
             n, c = idx.shape
-            X = factor.solve(V[idx].reshape(n, c * self.nx).T)
-            Z[idx] = X.T.reshape(n, c, self.nx)
-        if self._rest is not None:
-            Z[self._rest] = self._solve_nested(V[self._rest].ravel()).reshape(-1, self.nx)
+            if n:
+                X = factor.solve(V[idx].reshape(n, c * self.nx).T)
+                Z[idx] = X.T.reshape(n, c, self.nx)
+        for rest, op, sbgs in self._nested:
+            if cls is None or self.classes[rest[0]] == cls:
+                Z[rest] = self._solve_nested(op, sbgs, V[rest].ravel()).reshape(-1, self.nx)
         return Z.ravel()
 
-    def _solve_nested(self, v: np.ndarray) -> np.ndarray:
+    def _solve_nested(self, op, sbgs, v: np.ndarray) -> np.ndarray:
         try:
-            z, rep = _inner_solve(self._op, self._inner_precond, v, self._inner_cfg)
+            z, rep = _inner_solve(op, sbgs, v, self._inner_cfg)
         except _BreakdownError as exc:
             raise NotPositiveDefiniteError(
                 "truncation is not positive definite (inner solve breakdown)"
@@ -346,8 +368,8 @@ class TruncExactPreconditioner:
         return z
 
 
-def build_trunc_exact(terms, ny: int, nx: int) -> TruncExactPreconditioner:
-    return TruncExactPreconditioner(terms, ny, nx)
+def build_trunc_exact(terms, ny: int, nx: int, classes=None) -> TruncExactPreconditioner:
+    return TruncExactPreconditioner(terms, ny, nx, classes)
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +382,14 @@ def _occurrence(tgt: np.ndarray) -> np.ndarray:
     rank = np.empty_like(order)
     rank[order] = np.arange(len(tgt)) - np.searchsorted(tgt[order], tgt[order])
     return rank
+
+
+def _groups(key: np.ndarray, n: int) -> list[np.ndarray]:
+    """Positions of key grouped by its value 0..n-1, ascending in a group:
+    one stable sort, where a scan per value would be quadratic."""
+    order = np.argsort(key, kind="stable")
+    ends = np.cumsum(np.bincount(key, minlength=n)).tolist()
+    return [order[a:b] for a, b in zip([0] + ends, ends)]
 
 
 class PairBlockSbgs:
@@ -375,37 +405,39 @@ class PairBlockSbgs:
     defines D_jj, in one multi-right-hand-side solve, and applies the
     couplings into the level per term, in rounds of distinct target blocks;
     the backward sweep solves only the blocks a coupling lands on, the
-    others keep their forward value.  ``K0``, a factor of the leading K,
-    serves the rows (1, 0, ..., 0), whose D_jj is that K; a pair's K is
-    read only for its couplings and the other D_jj.
+    others keep their forward value.  ``factors`` maps a diagonal row (a
+    tuple) to the factor of its D_jj: a row found there is not factored
+    again, and the rows factored here are added, so splittings over the same
+    K_l share them.  A pair's K is read only for its couplings and the
+    D_jj factored here.
     """
 
-    def __init__(self, pairs, ny: int, nx: int, K0: CholeskyFactor | None = None):
+    def __init__(self, pairs, ny: int, nx: int, factors: dict | None = None):
         pairs = list(pairs)
         if not pairs:
             raise ValueError("truncation needs at least one term")
         self.ny = ny
         self.nx = nx
 
-        # One factor per distinct diagonal row.
+        # One factor per distinct diagonal row, read from and added to factors.
         diag_rows, first, diag_id = np.unique(
             np.array([G.diagonal() for G, _ in pairs]).T,
             axis=0, return_index=True, return_inverse=True,
         )
-        factor = []
+        factors = {} if factors is None else factors
         for d, j in zip(diag_rows, first):
-            if K0 is not None and d[0] == 1.0 and not d[1:].any():
-                factor.append(K0)
+            if tuple(d) in factors:
                 continue
             D_jj = sp.csr_matrix((nx, nx))
             for ell in np.flatnonzero(d):
                 D_jj = D_jj + float(d[ell]) * pairs[ell][1]
             try:
-                factor.append(CholeskyFactor(D_jj))
+                factors[tuple(d)] = CholeskyFactor(D_jj)
             except NotPositiveDefiniteError as exc:
                 raise NotPositiveDefiniteError(
                     f"diagonal block {j} of the SBGS splitting is not SPD"
                 ) from exc
+        factor = [factors[tuple(d)] for d in diag_rows]
         self.distinct_factor_count = len(factor)
 
         # Strictly lower couplings (targets, sources, values) of every term.
@@ -426,7 +458,8 @@ class PairBlockSbgs:
             if np.array_equal(deeper, level):
                 break
             level = deeper
-        by_level = [np.flatnonzero(level == d) for d in range(level.max() + 1)]
+        n_levels = level.max() + 1
+        by_level = _groups(level, n_levels)
         posmap = _occurrence(level)  # slot of each block within its level
         # Blocks a backward coupling lands on, and their slot among the
         # receiving blocks of their level; the other blocks keep Z = W.
@@ -441,10 +474,11 @@ class PairBlockSbgs:
         bwd = [[] for _ in by_level]
         for (_, K), (row, col, val) in zip(pairs, lower):
             for out, tgt, src, pos in ((fwd, row, col, posmap), (bwd, col, row, recv_pos)):
-                key = level[tgt] * ny + _occurrence(tgt)
-                for k in np.unique(key):
-                    e = key == k
-                    out[k // ny].append((pos[tgt[e]], src[e], val[e], K))
+                occ = _occurrence(tgt)
+                rounds = occ.max(initial=0) + 1
+                for k, e in enumerate(_groups(level[tgt] * rounds + occ, n_levels * rounds)):
+                    if len(e):
+                        out[k // rounds].append((pos[tgt[e]], src[e], val[e], K))
 
         def by_diagonal(blocks):
             groups = []
@@ -456,8 +490,8 @@ class PairBlockSbgs:
         # Per level: blocks and their (slots, factor) per diagonal row, forward
         # couplings, receiving blocks and theirs, backward couplings.
         self._levels = []
-        for d, (idx, fwd_d, bwd_d) in enumerate(zip(by_level, fwd, bwd)):
-            back = recv[level[recv] == d]
+        back_by_level = (recv[e] for e in _groups(level[recv], n_levels))
+        for idx, fwd_d, back, bwd_d in zip(by_level, fwd, back_by_level, bwd):
             self._levels.append(
                 (idx, by_diagonal(idx), fwd_d, back, by_diagonal(back), bwd_d)
             )
@@ -494,7 +528,7 @@ def build_sbgs(K0_factor: CholeskyFactor, pairs, ny: int, nx: int) -> PairBlockS
     pairs = list(pairs)
     if not pairs or not _is_identity(pairs[0][0]):
         raise ValueError("SBGS needs the truncation led by I (x) K_0")
-    return PairBlockSbgs(pairs, ny, nx, K0_factor)
+    return PairBlockSbgs(pairs, ny, nx, {(1.0,) + (0.0,) * (len(pairs) - 1): K0_factor})
 
 
 # These names exist only because perfbench's SETUP_SPANS["sbgs"] and

@@ -495,6 +495,40 @@ def prop_trunc_spectrum_symmetric(cfg: SmallConfig = AFFINE):
         assert gap <= 1e-12, f"r={r}: spectrum off symmetric about 1 by {gap:.3e}"
 
 
+def prop_parity_split(cfg: SmallConfig = AFFINE):
+    # Affine, every r <= M: plain PCG (a P without classes) keeps each
+    # residual's off-class part below 1e-13 ||f||; the class-alternating run
+    # of mean and trunc_exact r takes as many steps, with a history equal to
+    # 1e-12 relative, or to 1e-13 (in units of ||f||) once the residual has
+    # fallen below the round-off the split drops; the classes are the parity
+    # of alpha_{r+1} + ... + alpha_M (none at r = M).  Lognormal: a tail
+    # G_alpha with even alpha has a diagonal, so no r has classes.
+    op, f, _ = cfg.build()
+    if cfg.problem == "lognormal":
+        assert all(kronsys.parity_classes(op, r) is None for r in range(len(op.terms)))
+        return
+    S = multiindex.build_index_set(cfg.M, cfg.k)
+    for kind, r in [("mean", 0)] + [("trunc_exact", r) for r in range(cfg.M + 1)]:
+        classes = kronsys.parity_classes(op, r)
+        parity = np.array([sum(alpha[r:]) % 2 == 1 for alpha in S])
+        if r == cfg.M or not parity.any():  # no tail term couples two blocks
+            assert classes is None, f"r={r}: classes without a tail"
+            continue
+        P = _preconditioner(kind, op, kronsys.leading_terms(op, r))
+        seen = []
+        plain_P = SimpleNamespace(apply_inverse=lambda v: seen.append(v.copy()) or P.apply_inverse(v))
+        _, plain = pcg.pcg_solve(op, plain_P, f)
+        for j, v in enumerate(seen):
+            off = np.linalg.norm(v.reshape(op.ny, op.nx)[classes != bool(j % 2)])
+            assert off <= 1e-13 * np.linalg.norm(f), f"{kind} r={r} step {j}: off-class {off:.3e}"
+        _, split = pcg.pcg_solve(op, P, f)
+        assert split.iterations == plain.iterations, (kind, r)
+        h_plain, h_split = np.array(plain.residual_history), np.array(split.residual_history)
+        gap = np.abs(h_split - h_plain)
+        assert np.all(gap <= 1e-12 * h_plain + 1e-13), f"{kind} r={r}: history off by {gap.max():.3e}"
+        assert np.array_equal(classes, parity), f"r={r}: classes are not the tail parity"
+
+
 # (name, property) in definition order: every prop_* function above.
 PROPERTIES = [(name[5:], fn) for name, fn in list(globals().items()) if name.startswith("prop_")]
 

@@ -57,6 +57,12 @@ class TestOrdering:
             S = build_index_set(M, k)
             assert list(S.indices) == brute_force_indices(M, k)
 
+    def test_brute_force_order_up_to_m4_k6(self):
+        # M = 1 takes the one-slot shortcut, M >= 2 the stars and bars.
+        for M, k in product(range(1, 5), range(7)):
+            assert list(build_index_set(M, k).indices) == brute_force_indices(M, k), (M, k)
+        assert build_index_set(1, 500).indices == tuple((d,) for d in range(501))
+
     def test_per_degree_counts(self):
         # Stars and bars: exactly binomial(M + d - 1, d) indices of degree d.
         S = build_index_set(5, 6)

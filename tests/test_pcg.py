@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from sgkron.kronsys import parity_classes
 from sgkron.pcg import (
     BreakdownError,
     SolverConfig,
@@ -94,6 +97,19 @@ class TestDeterminism:
         np.testing.assert_array_equal(x1, x2)
         assert rep1.residual_history == rep2.residual_history
         assert rep1.iterations == rep2.iterations
+
+
+class TestParitySplit:
+    def test_random_rhs_takes_the_plain_path(self):
+        # f outside one parity class: every apply solves both classes, as
+        # for a P without classes, so the runs agree bit for bit.
+        op, f, _ = SmallConfig().build()
+        P = build_mean_based(CholeskyFactor(op.terms[0][1]), op.ny, parity_classes(op, 0))
+        f = np.random.default_rng(42).standard_normal(op.dim)
+        _, split = pcg_solve(op, P, f)
+        _, plain = pcg_solve(op, SimpleNamespace(apply_inverse=P.apply_inverse), f)
+        assert split.residual_history == plain.residual_history
+        assert split.converged
 
 
 class TestMaxIter:

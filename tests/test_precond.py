@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from sgkron import precond, verify
 from sgkron.fem2d import assemble_stiffness, build_mesh, fourier_coefficient
-from sgkron.kronsys import assemble_dense, leading_terms
+from sgkron.kronsys import assemble_dense, leading_terms, parity_classes
 from sgkron.multiindex import build_index_set
 from sgkron.pcg import BreakdownError, SolverConfig, pcg_solve
 from sgkron.precond import (
@@ -309,6 +309,25 @@ class TestTruncExact:
         v = rng.standard_normal(op.dim)
         P_dense = assemble_dense(op.terms[:3])
         np.testing.assert_allclose(P.apply_inverse(v), np.linalg.solve(P_dense, v), rtol=1e-9)
+
+    @pytest.mark.parametrize("cut", [0, 1, 10**9])
+    def test_class_apply_is_the_full_apply_on_its_class(self, monkeypatch, cut):
+        # P_r never couples the two parity classes, so the apply of class c
+        # is the full apply on c's blocks and zero elsewhere, with the
+        # nested blocks (cut 0: all of them) solved per colour.
+        op, _, _ = tiny_affine(M=4, k=3)
+        monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", cut * op.nx)
+        v = np.random.default_rng(42).standard_normal(op.dim)
+        for r in (0, 2):
+            classes = parity_classes(op, r)
+            mean = build_mean_based(k0_factor(op), op.ny, classes)
+            P = build_trunc_exact(leading_terms(op, r), op.ny, op.nx, classes)
+            for prec in ((mean, P) if r == 0 else (P,)):
+                full = prec.apply_inverse(v).reshape(op.ny, op.nx)
+                for c in (0, 1):
+                    part = prec.apply_inverse(v, c).reshape(op.ny, op.nx)
+                    np.testing.assert_allclose(part[classes == c], full[classes == c], rtol=1e-10)
+                    assert not part[classes != c].any()
 
     def test_indefinite_truncation_rejected_direct(self):
         op, _, _ = tiny_lognormal()

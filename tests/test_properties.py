@@ -84,6 +84,7 @@ test_condition_estimate = drawn("condition_estimate", BOTH, AFFINE)
 test_inclusions_tiny = drawn("inclusions_tiny", ("affine",), AFFINE, SmallConfig(sigma_tilde=4.0))
 test_kappa_within_bound = drawn("kappa_within_bound", ("affine",))
 test_trunc_spectrum_symmetric = drawn("trunc_spectrum_symmetric", ("affine",), AFFINE)
+test_parity_split = drawn("parity_split", BOTH, AFFINE, LOGNORMAL, SmallConfig(level=1, k=0))
 
 
 @settings(max_examples=20, deadline=None, database=None)
@@ -105,6 +106,22 @@ def test_trunc_spectrum_symmetric_detects_parity_fault():
     with patch.object(SmallConfig, "build", lambda self: (faulty, f, ctx)):
         with pytest.raises(AssertionError, match="r=0"):
             CATALOGUE["trunc_spectrum_symmetric"](AFFINE)
+
+
+def test_parity_split_detects_flipped_block():
+    # One block moved to the other class: the residual of the plain run
+    # has a real part in what the classes call its off class.
+    parity_classes = verify.kronsys.parity_classes
+
+    def flipped(op, r):
+        classes = parity_classes(op, r)
+        if classes is not None:
+            classes[-1] = not classes[-1]
+        return classes
+
+    with patch.object(verify.kronsys, "parity_classes", flipped):
+        with pytest.raises(AssertionError, match="off-class"):
+            CATALOGUE["parity_split"](AFFINE)
 
 
 @settings(max_examples=20, deadline=None, database=None)
