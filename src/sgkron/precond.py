@@ -8,7 +8,9 @@ block vectors:
   parametric factor, a sparse matrix;
 * exact truncation: the leading r+1 terms, block diagonal over the
   parametric tails they leave uncoupled; one factor per distinct tail
-  block up to a per-block size, one nested CG for the larger blocks;
+  block up to a per-block size, a nested CG for the larger blocks: reduced
+  to one colour and preconditioned by I (x) K_0 where the truncation is
+  2-cyclic (affine), SBGS-preconditioned otherwise (lognormal);
 * symmetric block Gauss-Seidel (SBGS): (D + L) D^{-1} (D + L^T) built
   from the truncation's block splitting, applied by one forward and one
   backward block-triangular sweep.  One engine and one builder,
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg
@@ -44,20 +47,22 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from .kronsys import KroneckerSumOperator, _is_identity, assemble_sparse
+from .kronsys import KroneckerSumOperator, _is_identity, assemble_sparse, parity_classes
 from .pcg import BreakdownError as _BreakdownError
 from .pcg import SolverConfig as _InnerConfig
 from .pcg import pcg_solve as _inner_solve
 
 # Largest tail block, in unknowns, that TruncExactPreconditioner factorizes;
-# larger blocks go to its nested CG.  Measured on one BLAS thread (OpenBLAS,
-# Xeon) over the table2 grid (level 4, M = 8, k <= 4, r = 0..6), set-up and
-# solve of all 56 cells summed: 1000 10.7 s, 1200 10.8 s, 1600 10.6 s,
-# 2500 10.7 s, 3500 11.6 s (14.4 s with one factor of the whole truncation
-# up to 20,000 unknowns); the k <= 3 cells alone 3.5, 3.7, 3.6, 3.9, 4.3 s
-# (5.6 s).  At level 4 a block of 1600 unknowns holds up to seven
-# multi-indices (1,575 unknowns, SuperLU factor ~0.02 s); ten take ~0.1 s
-# and 35 over 1 s.
+# larger blocks go to its nested CG.  The scan below timed the SBGS inner
+# solve, before the affine blocks took the cheaper reduced one; refitting the
+# cutoff to it is the open cutoff work of ROADMAP item 6.  Measured on one
+# BLAS thread (OpenBLAS, Xeon) over the table2 grid (level 4, M = 8, k <= 4,
+# r = 0..6), set-up and solve of all 56 cells summed: 1000 10.7 s,
+# 1200 10.8 s, 1600 10.6 s, 2500 10.7 s, 3500 11.6 s (14.4 s with one factor
+# of the whole truncation up to 20,000 unknowns); the k <= 3 cells alone
+# 3.5, 3.7, 3.6, 3.9, 4.3 s (5.6 s).  At level 4 a block of 1600 unknowns
+# holds up to seven multi-indices (1,575 unknowns, SuperLU factor ~0.02 s);
+# ten take ~0.1 s and 35 over 1 s.
 TRUNC_DIRECT_GUARD = 1600
 INNER_TOL = 1e-13
 # Largest order CholeskyFactor solves with a dense inverse.  Measured on one
@@ -299,10 +304,19 @@ class TruncExactPreconditioner:
     remaining degree d = k - |tail|).  Each such class with at most
     ``TRUNC_DIRECT_GUARD`` unknowns per block is assembled and factorized
     once, and applied as one multi-right-hand-side solve whose columns are
-    the class's blocks.  The larger blocks together are solved with one
-    inner conjugate-gradient iteration on the restricted truncation,
-    preconditioned by its SBGS approximation and run to relative tolerance
-    ``INNER_TOL`` = 1e-13, i.e. to factorization-level accuracy.
+    the class's blocks.  The larger blocks together are solved by an inner
+    conjugate-gradient iteration run until ||b - P_r z|| <= ``INNER_TOL``
+    ||b||, 1e-13, i.e. to factorization-level accuracy.  Which one is read
+    off the restricted G patterns:
+
+    * led by an identity G whose other terms 2-colour the blocks (every
+      affine truncation: D = I (x) K_0 on the diagonal, couplings between
+      unlike parities of alpha_1 + ... + alpha_r), P_r = [[D, C], [C^T, D]]
+      by colour, and CG runs on the Schur complement D - C D^{-1} C^T of the
+      smaller colour, preconditioned by D; the other colour is
+      back-substituted with K_0 solves;
+    * otherwise (lognormal: Hermite G with diagonals) CG runs on the
+      restricted truncation, preconditioned by its SBGS approximation.
 
     ``classes``, from ``kronsys.parity_classes``, splits the blocks into
     two colours that P_r never couples: the nested blocks get one inner CG
@@ -328,16 +342,26 @@ class TruncExactPreconditioner:
             block = [(G[idx[0]][:, idx[0]], K) for G, (_, K) in zip(Gs, used)]
             self._direct.append((idx, CholeskyFactor(assemble_sparse(block))))
         self.distinct_factor_count = len(self._direct)
-        # The nested blocks of each colour: (blocks, restricted truncation,
-        # its SBGS); the colours share the diagonal-block factors.
+        # The nested blocks of each colour: (blocks, inner operator, inner
+        # preconditioner).  Led by I (x) K_0, with other terms that 2-colour
+        # the blocks (or none), they take the reduced solve, else SBGS-PCG.
         rest = np.sort(np.concatenate(nested))
         parts = [rest] if classes is None else [rest[~classes[rest]], rest[classes[rest]]]
-        self._nested, factors = [], {}
+        self._nested, factors, K0_factor = [], {}, None
         for rest in filter(len, parts):
             block = tuple((G[rest][:, rest], K) for G, (_, K) in zip(Gs, used))
-            op = KroneckerSumOperator(terms=block, ny=len(rest), nx=nx)
-            self._nested.append((rest, op, PairBlockSbgs(block, len(rest), nx, factors)))
-        self._inner_cfg = _InnerConfig(tol=INNER_TOL, max_iter=400)
+            colour = None
+            if _is_identity(block[0][0]):
+                colour = parity_classes(SimpleNamespace(terms=block, ny=len(rest)), 0)
+                if not any(G.nnz for G, _ in block[1:]):
+                    colour = np.zeros(len(rest), dtype=bool)
+            if colour is None:
+                op = KroneckerSumOperator(terms=block, ny=len(rest), nx=nx)
+                self._nested.append((rest, op, PairBlockSbgs(block, len(rest), nx, factors)))
+            else:
+                K0_factor = K0_factor or CholeskyFactor(used[0][1])
+                S = _SchurComplement(block, colour, K0_factor)
+                self._nested.append((rest, S, MeanBasedPreconditioner(K0_factor, len(S.keep))))
 
     def apply_inverse(self, v: np.ndarray, cls: int | None = None) -> np.ndarray:
         V = v.reshape(self.ny, self.nx)
@@ -349,23 +373,72 @@ class TruncExactPreconditioner:
             if n:
                 X = factor.solve(V[idx].reshape(n, c * self.nx).T)
                 Z[idx] = X.T.reshape(n, c, self.nx)
-        for rest, op, sbgs in self._nested:
+        for rest, op, inner in self._nested:
             if cls is None or self.classes[rest[0]] == cls:
-                Z[rest] = self._solve_nested(op, sbgs, V[rest].ravel()).reshape(-1, self.nx)
+                Z[rest] = self._solve_nested(op, inner, V[rest])
         return Z.ravel()
 
-    def _solve_nested(self, op, sbgs, v: np.ndarray) -> np.ndarray:
+    def _solve_nested(self, op, inner, B: np.ndarray) -> np.ndarray:
+        """P_r^{-1} on the nested rows B, to ||B - P_r Z|| <= INNER_TOL ||B||.
+        The reduced solve's residual is the full one on the kept colour (the
+        other is eliminated exactly), so its tolerance is scaled by ||B|| / ||f||."""
+        f = B
+        if isinstance(op, _SchurComplement):
+            f = B[op.keep] - op.lift(op.factor.solve(B[op.elim].T).T)
+        f_norm = np.linalg.norm(f)
+        scale = np.linalg.norm(B) / f_norm if f_norm else 1.0
         try:
-            z, rep = _inner_solve(op, sbgs, v, self._inner_cfg)
+            z, rep = _inner_solve(op, inner, f.ravel(), _InnerConfig(INNER_TOL * scale, 400))
         except _BreakdownError as exc:
             raise NotPositiveDefiniteError(
                 "truncation is not positive definite (inner solve breakdown)"
             ) from exc
-        if rep.final_relres > 1e-10:
+        if rep.final_relres / scale > 1e-10:
             raise InnerStallError(
-                f"inner truncation solve stalled at relres {rep.final_relres:.2e}"
+                f"inner truncation solve stalled at relres {rep.final_relres / scale:.2e}"
             )
-        return z
+        if f is B:
+            return z.reshape(B.shape)
+        Z = np.empty(B.shape)
+        Z[op.keep] = z.reshape(-1, self.nx)
+        Z[op.elim] = op.factor.solve((B[op.elim] - op.drop(Z[op.keep])).T).T
+        return Z
+
+
+class _SchurComplement:
+    """S = D - C D^{-1} C^T on the kept colour of a truncation that is
+    [[D, C], [C^T, D]] in the order of a 2-colouring, D = I (x) K_0: the
+    operator of the reduced inner CG, which D preconditions (Reid's method).
+    The smaller colour is kept, and every K_l product acts on its blocks."""
+
+    def __init__(self, pairs, colour: np.ndarray, K0_factor: CholeskyFactor):
+        keep = colour if 2 * np.count_nonzero(colour) <= len(colour) else ~colour
+        self.keep, self.elim = np.flatnonzero(keep), np.flatnonzero(~keep)
+        self._K0, self.factor, self.nx = pairs[0][1], K0_factor, K0_factor.n
+        # The C_l stacked by rows, the K_l by rows and by columns: one sparse
+        # call per product.  The empty matrices stand in for no coupling.
+        self._r, self._n = len(pairs) - 1, len(self.keep)
+        Cs = [G[self.keep][:, self.elim] for G, _ in pairs[1:]]
+        self._C = sp.vstack(Cs + [sp.csr_matrix((0, len(self.elim)))], "csr")
+        self._Ct = self._C.T.tocsr()
+        Ks = [K for _, K in pairs[1:]]
+        self._K_rows = sp.vstack(Ks + [sp.csr_matrix((0, self.nx))], "csr")
+        self._K_cols = sp.hstack(Ks + [sp.csr_matrix((self.nx, 0))], "csr")
+
+    def lift(self, Y: np.ndarray) -> np.ndarray:
+        """C Y = sum_l (C_l (x) K_l) Y for rows Y of the eliminated blocks."""
+        U = (self._C @ Y).reshape(self._r, self._n, self.nx).transpose(0, 2, 1)
+        return (self._K_cols @ U.reshape(self._r * self.nx, self._n)).T
+
+    def drop(self, X: np.ndarray) -> np.ndarray:
+        """C^T X for rows X of the kept blocks."""
+        W = (self._K_rows @ X.T).reshape(self._r, self.nx, self._n).transpose(0, 2, 1)
+        return self._Ct @ W.reshape(self._r * self._n, self.nx)
+
+    def matvec(self, p: np.ndarray) -> np.ndarray:
+        X = p.reshape(-1, self.nx)
+        Y = self.factor.solve(self.drop(X).T).T
+        return (self._K0 @ X.T - self.lift(Y).T).T.ravel()
 
 
 def build_trunc_exact(terms, ny: int, nx: int, classes=None) -> TruncExactPreconditioner:

@@ -339,6 +339,60 @@ class TestRunCommand:
         assert good[COL["precond"]] == "mean"
         assert good[COL["converged"]] == "true"
 
+    def test_inner_stall_row_lognormal(self, tmp_path, monkeypatch):
+        # The lognormal nested blocks keep SBGS-PCG, whose stall is the same
+        # row as the affine reduced solve's.
+        monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", 0)
+        monkeypatch.setattr(precond, "INNER_TOL", 1e-3)
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {
+                "problem": "lognormal",
+                "sigma_tilde": 2.0,
+                "alpha_bar_mode": 0.547,
+                "mesh_level": 2,
+                "M": 5,
+                "k": 3,
+                "N": 20,
+                "preconditioners": ["trunc_exact 2", "mean"],
+            },
+        )
+        out = tmp_path / "out.csv"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 2
+        _, rows = read_rows(out)
+        stall, good = rows
+        assert stall[COL["precond"]] == "trunc_exact!inner_stall"
+        assert stall[COL["r"]] == "2"
+        assert stall[COL["iterations"]] == "0"
+        assert good[COL["precond"]] == "mean"
+        assert good[COL["converged"]] == "true"
+
+    def test_reduced_inner_breakdown_row(self, tmp_path, monkeypatch):
+        # A breakdown of the reduced inner CG (the affine nested path) ends
+        # as the truncation's not-positive-definite row.
+        operators = []
+
+        def broken(A, P, f, cfg):
+            operators.append(type(A))
+            raise pcg.BreakdownError("forced inner breakdown")
+
+        monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", 0)
+        monkeypatch.setattr(precond, "_inner_solve", broken)
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            tiny_affine_config(preconditioners=["trunc_exact 1", "mean"]),
+        )
+        out = tmp_path / "out.csv"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 2
+        _, rows = read_rows(out)
+        bad, good = rows
+        assert bad[COL["precond"]] == "trunc_exact!not_positive_definite"
+        assert bad[COL["r"]] == "1"
+        assert bad[COL["final_relres"]] == "nan"
+        assert good[COL["precond"]] == "mean"
+        assert good[COL["converged"]] == "true"
+        assert operators == [precond._SchurComplement]
+
     @pytest.mark.parametrize(
         "overrides",
         [

@@ -329,6 +329,87 @@ class TestTruncExact:
                     np.testing.assert_allclose(part[classes == c], full[classes == c], rtol=1e-10)
                     assert not part[classes != c].any()
 
+    @pytest.mark.parametrize("cut", [0, 1])
+    def test_reduced_nested_apply_equals_dense_solve(self, monkeypatch, cut):
+        # The affine nested blocks take the reduced solve, which keeps the
+        # smaller colour: at (M 3, k 2, r 1) block 0's colour is eliminated,
+        # at (M 4, k 3, r 3) the other one.
+        eliminated = set()
+        for (M, k), r in (((3, 2), 1), ((4, 3), 3)):
+            op, _, _ = tiny_affine(M=M, k=k)
+            monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", cut * op.nx)
+            P = build_trunc_exact(leading_terms(op, r), op.ny, op.nx)
+            assert P._nested
+            for _, S, _ in P._nested:
+                assert isinstance(S, precond._SchurComplement)
+                eliminated.add(0 in S.elim)
+            v = np.random.default_rng(7).standard_normal(op.dim)
+            P_dense = assemble_dense(leading_terms(op, r))
+            np.testing.assert_allclose(P.apply_inverse(v), np.linalg.solve(P_dense, v), rtol=1e-10)
+        assert eliminated == {True, False}
+
+    def test_reduced_solve_true_residual(self, monkeypatch):
+        # The reduced CG's residual is the full one on the kept colour, the
+        # other being eliminated exactly, so it stops at the first step at
+        # which ||b - P_r z|| <= INNER_TOL ||b||, and no earlier.  Checked
+        # with a random b, and with one whose kept rows nearly cancel the
+        # eliminated ones' coupling (C D^{-1} b_e plus 1e-4 of noise): its
+        # reduced right-hand side f is over 1000 times shorter than b, which
+        # moves the stopping step, and puts the scaled tolerance above the
+        # stall threshold 1e-10 on the reduced residual.
+        op, _, _ = tiny_affine(M=4, k=3)
+        monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", 0)
+        pairs = leading_terms(op, 2)
+        P = build_trunc_exact(pairs, op.ny, op.nx)
+        (_, S, _), = P._nested
+        calls = []
+
+        def recorded(A, M, f, cfg):
+            z, rep = pcg_solve(A, M, f, cfg)
+            calls.append((np.linalg.norm(f), rep.residual_history))
+            return z, rep
+
+        monkeypatch.setattr(precond, "_inner_solve", recorded)
+        rng = np.random.default_rng(3)
+        P_dense = assemble_dense(pairs)
+        kept, elim = ((b[:, None] * op.nx + np.arange(op.nx)).ravel() for b in (S.keep, S.elim))
+        cancelled = np.zeros(op.dim)
+        cancelled[elim] = rng.standard_normal(len(elim))
+        x_elim = np.linalg.solve(P_dense[np.ix_(elim, elim)], cancelled[elim])
+        cancelled[kept] = P_dense[np.ix_(kept, elim)] @ x_elim
+        cancelled[kept] += 1e-4 * rng.standard_normal(len(kept))
+        for b in (rng.standard_normal(op.dim), cancelled):
+            residual = b - P_dense @ P.apply_inverse(b)
+            assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(b)
+            f_norm, history = calls.pop()
+            full = np.array(history) * f_norm / np.linalg.norm(b)
+            assert full[-1] <= precond.INNER_TOL < full[-2]
+        assert f_norm < 1e-3 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("cut", [0, 1])
+    def test_sbgs_built_only_for_the_lognormal_nested_blocks(self, monkeypatch, cut):
+        # The affine nested blocks are 2-cyclic and take the reduced solve;
+        # the lognormal ones (Hermite diagonals) keep SBGS-PCG.
+        built = []
+        init = precond.PairBlockSbgs.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(precond.PairBlockSbgs, "__init__", counted)
+        op, _, _ = tiny_affine(M=4, k=3)
+        monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", cut * op.nx)
+        for r in range(5):
+            for classes in (None, parity_classes(op, r)):
+                P = build_trunc_exact(leading_terms(op, r), op.ny, op.nx, classes)
+                P.apply_inverse(np.ones(op.dim))
+        assert not built
+        op, _, _ = tiny_lognormal()
+        monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", op.nx)
+        build_trunc_exact(leading_terms(op, 4), op.ny, op.nx)
+        assert built
+
     def test_indefinite_truncation_rejected_direct(self):
         op, _, _ = tiny_lognormal()
         pairs = leading_terms(op, 1)
