@@ -9,15 +9,17 @@ and columns; an identity G_i adds the K-product directly), unless the
 G_i together couple every pair of blocks and the K_i share one symmetric
 pattern whose values have numerical rank R below the term count T.  Then
 the operator applies the recompressed sum sum_{s<=R} Ghat_s (x) Khat_s,
-obtained from a thin SVD of the stacked K values: one stacked sparse
-product over the Khat_s and one dense product over the dense ny x ny
-Ghat_s.  The lognormal G_alpha couple every pair and have R << T.  The
-affine G_m couple only multi-indices one degree apart (every pair only
-for ny <= 2), so the affine operator keeps the per-term loop and takes
-no SVD, also where its values have R < T (mesh levels 1-2, or a zero
-amplitude).  ``terms`` stays the exact per-term list either way.  Dense
-materialization exists only as a small-scale test and spectral-study
-oracle behind a size guard.
+obtained from a thin SVD of the stacked K values.  The Khat_s are kept in
+the ELL layout of their shared pattern (each row's w values, zero-padded),
+so the Khat side is one batched GEMM, a small one per spatial row x over
+the w rows of the block matrix that row x reads, and the Ghat side one
+dense product over the dense ny x ny Ghat_s.  The lognormal G_alpha couple
+every pair and have R << T.  The affine G_m couple only multi-indices one
+degree apart (every pair only for ny <= 2), so the affine operator keeps
+the per-term loop and takes no SVD, also where its values have R < T (mesh
+levels 1-2, or a zero amplitude).  ``terms`` stays the exact per-term list
+either way.  Dense materialization exists only as a small-scale test and
+spectral-study oracle behind a size guard.
 
 Truncation map: ``op.terms`` follows the expansion order, so P_r is the
 prefix ``leading_terms(op, r) = op.terms[: r + 1]`` for both problems.
@@ -50,7 +52,9 @@ DENSE_GUARD = 20000
 # Singular values of the stacked K values below RANK_TOL * sigma_max are
 # dropped from the recompressed operator.
 RANK_TOL = 1e-14
-# Scratch bytes of one chunk of the recompressed matvec.
+# Bytes of W, the (nx, c, ny) Khat_s products of one chunk of c terms of
+# the recompressed matvec.  The gathered neighbour rows it reads (nx * w * ny
+# doubles, w the longest pattern row) are shared by all chunks, not chunked.
 _CHUNK_BYTES = 1 << 21
 
 
@@ -59,7 +63,8 @@ class KroneckerSumOperator:
     terms: tuple[tuple[sp.csr_matrix, sp.csr_matrix], ...]
     ny: int
     nx: int
-    # (vstack Khat_s, hstack Ghat_s) per chunk of s, or None for the term loop.
+    # (nbr, ((K_ell, hstack Ghat_s) per chunk of s)) from _recompress, or
+    # None for the term loop.
     _chunks: tuple | None = field(init=False, repr=False, compare=False)
     # Term loop: (rows, cols, G[rows][:, cols], K) per term, rows and cols
     # the non-empty rows and columns of G, or slice(None) where G has full
@@ -90,7 +95,7 @@ class KroneckerSumOperator:
         """Number of Kronecker terms one matvec applies."""
         if self._chunks is None:
             return len(self.terms)
-        return sum(K_stack.shape[0] for K_stack, _ in self._chunks) // self.nx
+        return sum(K_ell.shape[1] for K_ell, _ in self._chunks[1])
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         Vt = v.reshape(self.ny, self.nx).T  # block j = column j
@@ -102,10 +107,13 @@ class KroneckerSumOperator:
                 else:
                     out[rows] += G @ (K @ Vt[:, cols]).T
             return out.ravel()
-        for K_stack, G_row in self._chunks:
-            c = K_stack.shape[0] // self.nx
-            W = (K_stack @ Vt).reshape(c, self.nx, self.ny)  # W_s = Khat_s Vt
-            out += G_row @ W.transpose(0, 2, 1).reshape(c * self.ny, self.nx)
+        nbr, chunks = self._chunks
+        padded = np.zeros((self.nx + 1, self.ny))  # row nx reads as zero
+        padded[: self.nx] = Vt
+        near = padded[nbr]  # (nx, w, ny): the rows of Vt each row x reads
+        for K_ell, G_row in chunks:
+            W = K_ell @ near  # (nx, c, ny): W[:, s] = Khat_s Vt
+            out += G_row @ W.reshape(self.nx, -1).T
         return out.ravel()
 
 
@@ -129,6 +137,11 @@ def _recompress(terms, ny: int, nx: int) -> tuple | None:
     (T, nnz) value matrix, restricted to the upper triangle, gives
     K_i = sum_s U_is sigma_s Khat_s up to RANK_TOL, hence
     A = sum_s Ghat_s (x) Khat_s with Ghat_s = sum_i U_is sigma_s G_i.
+
+    Returns (nbr, chunks).  nbr (nx x w, w the longest row) holds each row's
+    column indices, padded with nx; each chunk of c terms is (K_ell, G_row),
+    K_ell (nx x c x w) the Khat_s values in that layout, padded with 0, and
+    G_row (ny x c ny) the Ghat_s side by side.
     """
     Ks = [K for _, K in terms]
     if len(Ks) < 2 or not all(sp.issparse(K) and K.format == "csr" for K in Ks):
@@ -149,7 +162,8 @@ def _recompress(terms, ny: int, nx: int) -> tuple | None:
     mirror = sp.csr_matrix((np.arange(nnz), K0.indices, K0.indptr), shape=(nx, nx)).T.tocsr()
     if not (np.array_equal(mirror.indptr, K0.indptr) and np.array_equal(mirror.indices, K0.indices)):
         return None
-    upper = K0.indices >= np.repeat(np.arange(nx), np.diff(K0.indptr))
+    row = np.repeat(np.arange(nx), np.diff(K0.indptr))  # of each stored entry
+    upper = K0.indices >= row
     lower = ~upper
     twin_of_lower = mirror.data[lower]
     if not all(np.array_equal(K.data[lower], K.data[twin_of_lower]) for K in Ks):
@@ -175,17 +189,19 @@ def _recompress(terms, ny: int, nx: int) -> tuple | None:
     )
     G_hat = np.asarray(G_stack.T @ (U[:, :R] * sigma[:R])).T.reshape(R, ny, ny)
 
+    # ELL layout of the pattern: entry e in slot e - indptr[row[e]] of its row.
+    slot = np.arange(nnz) - K0.indptr[row]
+    nbr = np.full((nx, slot.max() + 1), nx)
+    nbr[row, slot] = K0.indices
     chunk = max(1, _CHUNK_BYTES // (8 * nx * ny))
     chunks = []
     for a in range(0, R, chunk):
         b = min(a + chunk, R)
-        K_stack = sp.vstack(
-            [sp.csr_matrix((K_hat[s], K0.indices, K0.indptr), shape=(nx, nx)) for s in range(a, b)],
-            format="csr",
-        )
+        K_ell = np.zeros((nx, b - a, nbr.shape[1]))
+        K_ell[row, :, slot] = K_hat[a:b].T
         G_row = np.ascontiguousarray(G_hat[a:b].transpose(1, 0, 2).reshape(ny, (b - a) * ny))
-        chunks.append((K_stack, G_row))
-    return tuple(chunks)
+        chunks.append((K_ell, G_row))
+    return nbr, tuple(chunks)
 
 
 def assemble_dense(terms) -> np.ndarray:

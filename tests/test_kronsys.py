@@ -196,18 +196,68 @@ def table6_lognormal(level, k):
     return tiny_lognormal(level, M=6, k=k, N=20)
 
 
+def assert_matches_term_sum(op):
+    rng = np.random.default_rng(42)
+    for _ in range(5):
+        v = rng.standard_normal(op.dim)
+        ref = term_sum_matvec(op, v)
+        err = np.linalg.norm(op.matvec(v) - ref) / np.linalg.norm(ref)
+        assert err <= 1e-13
+
+
 class TestRecompressedOperator:
     @pytest.mark.parametrize("level", [2, 3])
     @pytest.mark.parametrize("k", [1, 2])
     def test_matches_term_sum(self, level, k):
         op, _, _ = table6_lognormal(level, k)
         assert op.rank < len(op.terms)
+        assert_matches_term_sum(op)
+
+    def test_mesh_level_5(self):
+        # The largest spatial size of the table grids: 961 rows, so 961 small
+        # GEMMs per chunk, against ny = 7 blocks.
+        op, _, _ = table6_lognormal(5, 1)
+        assert op.nx == 961 and op.rank < len(op.terms)
+        assert_matches_term_sum(op)
+
+    def test_ragged_chunks(self, monkeypatch):
+        # A chunk budget of c terms, c not dividing R: at least three
+        # chunks, the last one shorter.
+        op, _, _ = table6_lognormal(3, 2)
+        R = op.rank
+        c = next(c for c in range(R // 3, 0, -1) if R % c)
+        monkeypatch.setattr(kronsys, "_CHUNK_BYTES", 8 * op.nx * op.ny * c)
+        chunked = KroneckerSumOperator(terms=op.terms, ny=op.ny, nx=op.nx)
+        sizes = [K_ell.shape[1] for K_ell, _ in chunked._chunks[1]]
+        assert len(sizes) >= 3 and sizes[0] == c and 0 < sizes[-1] < c
+        assert chunked.rank == R
+        assert_matches_term_sum(chunked)
+
+    def test_uneven_rows_and_an_empty_row(self):
+        # A shared symmetric pattern with rows of 3, 2, 0, 3 and 2 entries,
+        # so row 2 reads only padding slots; K_2 = 2 K_0 - K_1 gives rank 2
+        # of 3, and dense G_i couple every pair of blocks.
         rng = np.random.default_rng(42)
-        for _ in range(5):
-            v = rng.standard_normal(op.dim)
-            ref = term_sum_matvec(op, v)
-            err = np.linalg.norm(op.matvec(v) - ref) / np.linalg.norm(ref)
-            assert err <= 1e-13
+        mask = np.zeros((5, 5), dtype=bool)
+        mask[[0, 1, 3, 4], [0, 1, 3, 4]] = True
+        mask[[0, 1, 0, 3, 3, 4], [1, 0, 3, 0, 4, 3]] = True
+        Ks = []
+        for _ in range(2):
+            K = np.where(mask, rng.uniform(1.0, 2.0, (5, 5)), 0.0)
+            Ks.append(K + K.T)
+        Ks.append(2.0 * Ks[0] - Ks[1])
+        Gs = [rng.standard_normal((3, 3)) for _ in Ks]
+        op = KroneckerSumOperator(
+            terms=tuple((sp.csr_matrix(G), sp.csr_matrix(K)) for G, K in zip(Gs, Ks)),
+            ny=3,
+            nx=5,
+        )
+        assert all(np.array_equal(K != 0, mask) for K in Ks)
+        assert op.rank == 2
+        A = sum(np.kron(G, K) for G, K in zip(Gs, Ks))
+        v = rng.standard_normal(op.dim)
+        ref = A @ v
+        assert np.linalg.norm(op.matvec(v) - ref) / np.linalg.norm(ref) <= 1e-13
 
     def test_table6_ranks(self):
         # Numerical rank of the stacked K values at RANK_TOL, mesh level 4.
