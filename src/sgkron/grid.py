@@ -63,15 +63,16 @@ _FAILURE_LABELS = {
 
 
 def build_preconditioner(kind, pairs, op, K0_factor):
-    """K0_factor() gives the cell's K_0 factor; trunc_exact never asks.
-    mean and trunc_exact take the parity classes of their truncation."""
+    """All four families take K0_factor(), the cell's K_0 factor; mean and
+    trunc_exact also take the parity classes of their truncation."""
     if kind == "mean":
-        return precond.build_mean_based(K0_factor(), op.ny, kronsys.parity_classes(op, 0))
+        classes = kronsys.parity_classes(op.terms, op.ny, 0)
+        return precond.build_mean_based(K0_factor(), op.ny, classes)
     if kind == "kron":
         return precond.build_kron(op.terms, K0_factor())
     if kind == "trunc_exact":
-        classes = kronsys.parity_classes(op, len(pairs) - 1)
-        return precond.build_trunc_exact(pairs, op.ny, op.nx, classes)
+        classes = kronsys.parity_classes(op.terms, op.ny, len(pairs) - 1)
+        return precond.build_trunc_exact(K0_factor(), pairs, op.ny, op.nx, classes)
     return precond.build_sbgs(K0_factor(), pairs, op.ny, op.nx)
 
 
@@ -79,8 +80,8 @@ def solve_cell(cell: Cell, preconds, solver_cfg: pcg.SolverConfig):
     """Build `cell`, then solve it once per (kind, r) of `preconds`,
     yielding a ``Row`` as each solve ends."""
     op, f, _ = cell.build()
-    # Built on first use, so that a K_0 it refuses ends as the rows of the
-    # preconditioners that need it.
+    # Built on first use, so that a K_0 it refuses ends as a labelled row of
+    # each preconditioner, all of which take it.
     K0_factor = functools.cache(lambda: precond.CholeskyFactor(op.terms[0][1]))
     for kind, r in preconds:
         pairs = None if r is None else kronsys.leading_terms(op, r)

@@ -232,9 +232,9 @@ def leading_terms(op: KroneckerSumOperator, r: int) -> tuple:
     return op.terms[: r + 1]
 
 
-def parity_classes(op: KroneckerSumOperator, r: int) -> np.ndarray | None:
-    """One bool per block, False at block 0, that the terms of P_r keep and
-    every other term flips; None without a tail coupling or such colouring.
+def parity_classes(terms, ny: int, r: int) -> np.ndarray | None:
+    """One bool per block (of ny), False at block 0, that the first r + 1 of
+    ``terms`` keep and every other flips; None without a tail coupling or such colouring.
 
     Blocks the leading patterns connect share a colour, and each tail entry
     must join two components of unlike colour: a 2-colouring of the
@@ -245,15 +245,15 @@ def parity_classes(op: KroneckerSumOperator, r: int) -> np.ndarray | None:
     """
     def entries(G):  # (rows, columns) of the stored entries
         G = sp.csr_matrix(G)
-        return np.repeat(np.arange(op.ny), np.diff(G.indptr)), G.indices
+        return np.repeat(np.arange(ny), np.diff(G.indptr)), G.indices
 
     def graph(rows, cols, n):
         return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
 
-    rows, cols = (np.concatenate(e) for e in zip(*(entries(G) for G, _ in op.terms[: r + 1])))
-    n, comp = connected_components(graph(rows, cols, op.ny), directed=False)
+    rows, cols = (np.concatenate(e) for e in zip(*(entries(G) for G, _ in terms[: r + 1])))
+    n, comp = connected_components(graph(rows, cols, ny), directed=False)
     ends = []
-    for G, _ in op.terms[r + 1 :]:
+    for G, _ in terms[r + 1 :]:
         a, b = (comp[e] for e in entries(G))
         if np.any(a == b):
             return None

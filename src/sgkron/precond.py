@@ -32,14 +32,13 @@ off the matrix: a grid Laplacian (the affine K_0) of order
 of its 1-D factors, positive definite by its closed-form eigenvalues; any
 other matrix with a dense inverse up to order ``DENSE_SOLVE_MAX`` (mesh
 levels <= 4) and with SuperLU above it, at the measured crossover of the
-two.  Builders take the caller's K_0 factor.
+two.  Builders take the caller's K_0 factor, and none factors K_0 again.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg
@@ -52,17 +51,15 @@ from .pcg import BreakdownError as _BreakdownError
 from .pcg import SolverConfig as _InnerConfig
 from .pcg import pcg_solve as _inner_solve
 
-# Largest tail block, in unknowns, that TruncExactPreconditioner factorizes;
-# larger blocks go to its nested CG.  The scan below timed the SBGS inner
-# solve, before the affine blocks took the cheaper reduced one; refitting the
-# cutoff to it is the open cutoff work of ROADMAP item 6.  Measured on one
-# BLAS thread (OpenBLAS, Xeon) over the table2 grid (level 4, M = 8, k <= 4,
-# r = 0..6), set-up and solve of all 56 cells summed: 1000 10.7 s,
-# 1200 10.8 s, 1600 10.6 s, 2500 10.7 s, 3500 11.6 s (14.4 s with one factor
-# of the whole truncation up to 20,000 unknowns); the k <= 3 cells alone
-# 3.5, 3.7, 3.6, 3.9, 4.3 s (5.6 s).  At level 4 a block of 1600 unknowns
-# holds up to seven multi-indices (1,575 unknowns, SuperLU factor ~0.02 s);
-# ten take ~0.1 s and 35 over 1 s.
+# Largest tail block, in unknowns, that TruncExactPreconditioner factorizes
+# (an I (x) K_0 block takes the caller's K_0 factor at any size); larger blocks
+# go to its nested CG.  Scanned with the constant monkeypatched, one BLAS thread
+# (AMD EPYC), medians of three: table2 (level 4, M = 8, k <= 4, r = 0..6) at
+# cutoff 1600 / 1000 / 500 / 0 took 0.99 / 0.88 / 0.87 / 0.86 s, set-up 0.38 /
+# 0.23 / 0.17 / 0.15 s and solve 0.59 / 0.63 / 0.67 / 0.70 s, rows identical:
+# a lower cutoff trades set-up for solve.  On the lognormal grid (level 4,
+# M = 4, N = 20, k = 3) all-direct beats nested at r = 3, 4 (0.04 against
+# 0.08-0.10 s) and loses at r = 6, 8, 10 (0.19 / 1.2 / 1.2 against 0.14-0.21 s).
 TRUNC_DIRECT_GUARD = 1600
 INNER_TOL = 1e-13
 # Largest order CholeskyFactor solves with a dense inverse.  Measured on one
@@ -293,7 +290,8 @@ def _tail_blocks(Gs: list, ny: int) -> list[np.ndarray]:
 
 class TruncExactPreconditioner:
     """Exact application of the truncation P_r = the sum of ``terms``, the
-    leading pairs ``kronsys.leading_terms(op, r)``.
+    leading pairs ``kronsys.leading_terms(op, r)``; ``K0_factor`` is the
+    caller's factor of the leading K (K_0).
 
     The leading terms couple parametric indices only within the connected
     components of their G patterns: for the affine expansion the
@@ -301,22 +299,24 @@ class TruncExactPreconditioner:
     lognormal one those sharing the coordinates outside the leading
     multi-indices' support.  P_r is block diagonal over these tail blocks,
     and blocks with equal restricted G_l are equal (affine: one per
-    remaining degree d = k - |tail|).  Each such class with at most
-    ``TRUNC_DIRECT_GUARD`` unknowns per block is assembled and factorized
-    once, and applied as one multi-right-hand-side solve whose columns are
-    the class's blocks.  The larger blocks together are solved by an inner
-    conjugate-gradient iteration run until ||b - P_r z|| <= ``INNER_TOL``
-    ||b||, 1e-13, i.e. to factorization-level accuracy.  Which one is read
-    off the restricted G patterns:
+    remaining degree d = k - |tail|).  A class that is I (x) K_0 alone
+    (affine d = 0, every block at r = 0) takes ``K0_factor`` at any size,
+    any other with at most ``TRUNC_DIRECT_GUARD`` unknowns per block is
+    factorized once, and a class is applied as one multi-right-hand-side
+    solve whose columns are its blocks.  The larger blocks together are
+    solved by an inner CG run until ||b - P_r z|| <= ``INNER_TOL`` ||b||,
+    1e-13, i.e. to factorization-level accuracy.  Which one is read off the
+    restricted G patterns:
 
     * led by an identity G whose other terms 2-colour the blocks (every
       affine truncation: D = I (x) K_0 on the diagonal, couplings between
       unlike parities of alpha_1 + ... + alpha_r), P_r = [[D, C], [C^T, D]]
       by colour, and CG runs on the Schur complement D - C D^{-1} C^T of the
       smaller colour, preconditioned by D; the other colour is
-      back-substituted with K_0 solves;
+      back-substituted; both solve with ``K0_factor``;
     * otherwise (lognormal: Hermite G with diagonals) CG runs on the
-      restricted truncation, preconditioned by its SBGS approximation.
+      restricted truncation, preconditioned by its SBGS approximation,
+      whose K_0 diagonal blocks are solved with ``K0_factor`` too.
 
     ``classes``, from ``kronsys.parity_classes``, splits the blocks into
     two colours that P_r never couples: the nested blocks get one inner CG
@@ -324,7 +324,7 @@ class TruncExactPreconditioner:
     ``cls`` only, leaving zeros elsewhere.
     """
 
-    def __init__(self, terms, ny: int, nx: int, classes=None):
+    def __init__(self, K0_factor: CholeskyFactor, terms, ny: int, nx: int, classes=None):
         used = tuple(terms)
         if not used:
             raise ValueError("truncation needs at least one term")
@@ -335,31 +335,27 @@ class TruncExactPreconditioner:
         self._direct = []  # (class indices, factor of its block)
         nested = [np.zeros(0, dtype=np.int64)]
         for idx in _tail_blocks([G.tocoo() for G in Gs], ny):
-            c = idx.shape[1]
-            if c * nx > TRUNC_DIRECT_GUARD:
-                nested.append(idx.ravel())
-                continue
             block = [(G[idx[0]][:, idx[0]], K) for G, (_, K) in zip(Gs, used)]
-            self._direct.append((idx, CholeskyFactor(assemble_sparse(block))))
+            if _is_identity(block[0][0]) and not any(G.nnz for G, _ in block[1:]):
+                self._direct.append((idx, K0_factor))  # I (x) K_0 alone
+            elif idx.shape[1] * nx > TRUNC_DIRECT_GUARD:
+                nested.append(idx.ravel())
+            else:
+                self._direct.append((idx, CholeskyFactor(assemble_sparse(block))))
         self.distinct_factor_count = len(self._direct)
         # The nested blocks of each colour: (blocks, inner operator, inner
         # preconditioner).  Led by I (x) K_0, with other terms that 2-colour
-        # the blocks (or none), they take the reduced solve, else SBGS-PCG.
+        # the blocks, they take the reduced solve, else SBGS-PCG.
         rest = np.sort(np.concatenate(nested))
         parts = [rest] if classes is None else [rest[~classes[rest]], rest[classes[rest]]]
-        self._nested, factors, K0_factor = [], {}, None
+        self._nested = []
         for rest in filter(len, parts):
             block = tuple((G[rest][:, rest], K) for G, (_, K) in zip(Gs, used))
-            colour = None
-            if _is_identity(block[0][0]):
-                colour = parity_classes(SimpleNamespace(terms=block, ny=len(rest)), 0)
-                if not any(G.nnz for G, _ in block[1:]):
-                    colour = np.zeros(len(rest), dtype=bool)
+            colour = parity_classes(block, len(rest), 0) if _is_identity(block[0][0]) else None
             if colour is None:
                 op = KroneckerSumOperator(terms=block, ny=len(rest), nx=nx)
-                self._nested.append((rest, op, PairBlockSbgs(block, len(rest), nx, factors)))
+                self._nested.append((rest, op, PairBlockSbgs(block, len(rest), nx, K0_factor)))
             else:
-                K0_factor = K0_factor or CholeskyFactor(used[0][1])
                 S = _SchurComplement(block, colour, K0_factor)
                 self._nested.append((rest, S, MeanBasedPreconditioner(K0_factor, len(S.keep))))
 
@@ -441,8 +437,8 @@ class _SchurComplement:
         return (self._K0 @ X.T - self.lift(Y).T).T.ravel()
 
 
-def build_trunc_exact(terms, ny: int, nx: int, classes=None) -> TruncExactPreconditioner:
-    return TruncExactPreconditioner(terms, ny, nx, classes)
+def build_trunc_exact(K0_factor: CholeskyFactor, terms, ny: int, nx: int, classes=None):
+    return TruncExactPreconditioner(K0_factor, terms, ny, nx, classes)
 
 
 # ---------------------------------------------------------------------------
@@ -478,39 +474,38 @@ class PairBlockSbgs:
     defines D_jj, in one multi-right-hand-side solve, and applies the
     couplings into the level per term, in rounds of distinct target blocks;
     the backward sweep solves only the blocks a coupling lands on, the
-    others keep their forward value.  ``factors`` maps a diagonal row (a
-    tuple) to the factor of its D_jj: a row found there is not factored
-    again, and the rows factored here are added, so splittings over the same
-    K_l share them.  A pair's K is read only for its couplings and the
-    D_jj factored here.
+    others keep their forward value.  The diagonal row (1, 0, ..., 0), whose
+    D_jj is the leading K (K_0), takes ``K0_factor``, the caller's factor of
+    it; every other distinct row is factored once.  A pair's K is read only
+    for its couplings and the D_jj factored here.
     """
 
-    def __init__(self, pairs, ny: int, nx: int, factors: dict | None = None):
+    def __init__(self, pairs, ny: int, nx: int, K0_factor: CholeskyFactor):
         pairs = list(pairs)
         if not pairs:
             raise ValueError("truncation needs at least one term")
         self.ny = ny
         self.nx = nx
 
-        # One factor per distinct diagonal row, read from and added to factors.
+        # One factor per distinct diagonal row; the row (1, 0, ..., 0) is K_0's.
         diag_rows, first, diag_id = np.unique(
             np.array([G.diagonal() for G, _ in pairs]).T,
             axis=0, return_index=True, return_inverse=True,
         )
-        factors = {} if factors is None else factors
+        factor = []
         for d, j in zip(diag_rows, first):
-            if tuple(d) in factors:
+            if d[0] == 1.0 and not d[1:].any():
+                factor.append(K0_factor)
                 continue
             D_jj = sp.csr_matrix((nx, nx))
             for ell in np.flatnonzero(d):
                 D_jj = D_jj + float(d[ell]) * pairs[ell][1]
             try:
-                factors[tuple(d)] = CholeskyFactor(D_jj)
+                factor.append(CholeskyFactor(D_jj))
             except NotPositiveDefiniteError as exc:
                 raise NotPositiveDefiniteError(
                     f"diagonal block {j} of the SBGS splitting is not SPD"
                 ) from exc
-        factor = [factors[tuple(d)] for d in diag_rows]
         self.distinct_factor_count = len(factor)
 
         # Strictly lower couplings (targets, sources, values) of every term.
@@ -594,14 +589,13 @@ def build_sbgs(K0_factor: CholeskyFactor, pairs, ny: int, nx: int) -> PairBlockS
 
     The truncation must be led by I (x) K_0, so that the mean stiffness
     anchors every diagonal block (the condition under which the splitting
-    is provably SPD).  The blocks whose only diagonal entry comes from that
-    term are exactly K_0, so the caller's K_0 factor serves them: every
-    block of the affine splitting, whose G_m are hollow.
+    is provably SPD).  K0_factor serves the K_0 blocks: every block of the
+    affine splitting, whose G_m are hollow.
     """
     pairs = list(pairs)
     if not pairs or not _is_identity(pairs[0][0]):
         raise ValueError("SBGS needs the truncation led by I (x) K_0")
-    return PairBlockSbgs(pairs, ny, nx, {(1.0,) + (0.0,) * (len(pairs) - 1): K0_factor})
+    return PairBlockSbgs(pairs, ny, nx, K0_factor)
 
 
 # These names exist only because perfbench's SETUP_SPANS["sbgs"] and

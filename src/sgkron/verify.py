@@ -505,11 +505,11 @@ def prop_parity_split(cfg: SmallConfig = AFFINE):
     # G_alpha with even alpha has a diagonal, so no r has classes.
     op, f, _ = cfg.build()
     if cfg.problem == "lognormal":
-        assert all(kronsys.parity_classes(op, r) is None for r in range(len(op.terms)))
+        assert all(kronsys.parity_classes(op.terms, op.ny, r) is None for r in range(len(op.terms)))
         return
     S = multiindex.build_index_set(cfg.M, cfg.k)
     for kind, r in [("mean", 0)] + [("trunc_exact", r) for r in range(cfg.M + 1)]:
-        classes = kronsys.parity_classes(op, r)
+        classes = kronsys.parity_classes(op.terms, op.ny, r)
         parity = np.array([sum(alpha[r:]) % 2 == 1 for alpha in S])
         if r == cfg.M or not parity.any():  # no tail term couples two blocks
             assert classes is None, f"r={r}: classes without a tail"

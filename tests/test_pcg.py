@@ -104,7 +104,8 @@ class TestParitySplit:
         # f outside one parity class: every apply solves both classes, as
         # for a P without classes, so the runs agree bit for bit.
         op, f, _ = SmallConfig().build()
-        P = build_mean_based(CholeskyFactor(op.terms[0][1]), op.ny, parity_classes(op, 0))
+        classes = parity_classes(op.terms, op.ny, 0)
+        P = build_mean_based(CholeskyFactor(op.terms[0][1]), op.ny, classes)
         f = np.random.default_rng(42).standard_normal(op.dim)
         _, split = pcg_solve(op, P, f)
         _, plain = pcg_solve(op, SimpleNamespace(apply_inverse=P.apply_inverse), f)
@@ -163,9 +164,10 @@ class TestConditionEstimate:
 class TestOnAssembledSystem:
     def test_trunc_preconditioner_counts_drop(self):
         op, f, _ = SmallConfig(level=3, M=4, sigma_tilde=4.0).build()
+        K0_factor = CholeskyFactor(op.terms[0][1])
         counts = {}
         for r in (0, 2, 4):
-            P = build_trunc_exact(op.terms[: r + 1], op.ny, op.nx)
+            P = build_trunc_exact(K0_factor, op.terms[: r + 1], op.ny, op.nx)
             _, report = pcg_solve(op, P, f)
             counts[r] = report.iterations
             assert report.converged

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sgkron import precond, verify
-from sgkron.fem2d import assemble_stiffness, build_mesh, fourier_coefficient
+from sgkron import grid, precond, verify
+from sgkron.fem2d import assemble_stiffness, auto_alpha_bar, build_mesh, fourier_coefficient
 from sgkron.kronsys import assemble_dense, leading_terms, parity_classes
 from sgkron.multiindex import build_index_set
 from sgkron.pcg import BreakdownError, SolverConfig, pcg_solve
@@ -145,14 +145,19 @@ class TestMeanBased:
         np.testing.assert_allclose(P.apply_inverse(v), expected, rtol=1e-10)
 
     def test_equals_trunc_r0(self):
-        op, _, _ = tiny_affine()
-        P_mean = build_mean_based(k0_factor(op), op.ny)
-        P_trunc = build_trunc_exact(op.terms[:1], op.ny, op.nx)
-        rng = np.random.default_rng(42)
-        v = rng.standard_normal(op.dim)
-        np.testing.assert_allclose(
-            P_mean.apply_inverse(v), P_trunc.apply_inverse(v), rtol=1e-12
-        )
+        # trunc_exact 0 is I (x) K_0 block by block, and solves with the
+        # shared K_0 factor what mean solves, bit for bit: on the dense path
+        # (levels 2, 3) and the sine path (4, 5), in the full apply and in
+        # each class apply.
+        for level in (2, 3, 4, 5):
+            op, _, _ = tiny_affine(level=level)
+            K0 = k0_factor(op)
+            classes = parity_classes(op.terms, op.ny, 0)
+            P_mean = build_mean_based(K0, op.ny, classes)
+            P_trunc = build_trunc_exact(K0, op.terms[:1], op.ny, op.nx, classes)
+            v = np.random.default_rng(42).standard_normal(op.dim)
+            for cls in (None, 0, 1):
+                assert np.array_equal(P_mean.apply_inverse(v, cls), P_trunc.apply_inverse(v, cls))
 
 
 class TestKroneckerProduct:
@@ -216,21 +221,21 @@ def test_build_kron_sums_weighted_terms_exactly(build):
 class TestTruncExact:
     def test_full_truncation_equals_system(self):
         op, f, _ = tiny_affine(M=3)
-        P = build_trunc_exact(op.terms, op.ny, op.nx)
+        P = build_trunc_exact(k0_factor(op), op.terms, op.ny, op.nx)
         x, report = pcg_solve(op, P, f, SolverConfig(tol=1e-10))
         assert report.iterations == 1
         np.testing.assert_allclose(op.matvec(x), f, atol=1e-10 * np.linalg.norm(f))
 
     def test_r_beyond_m_clamps(self):
         op, f, _ = tiny_affine(M=3)
-        P = build_trunc_exact(leading_terms(op, 9), op.ny, op.nx)
+        P = build_trunc_exact(k0_factor(op), leading_terms(op, 9), op.ny, op.nx)
         _, report = pcg_solve(op, P, f, SolverConfig(tol=1e-10))
         assert report.iterations == 1
 
     def test_matches_dense_inverse(self):
         op, _, _ = tiny_affine()
         for r in (0, 1, 2):
-            P = build_trunc_exact(op.terms[: r + 1], op.ny, op.nx)
+            P = build_trunc_exact(k0_factor(op), op.terms[: r + 1], op.ny, op.nx)
             P_dense = assemble_dense(op.terms[: r + 1])
             rng = np.random.default_rng(42)
             v = rng.standard_normal(op.dim)
@@ -242,7 +247,7 @@ class TestTruncExact:
         op, f, _ = tiny_affine(M=4, k=3, sigma=2.0)
         counts = []
         for r in range(5):
-            P = build_trunc_exact(op.terms[: r + 1], op.ny, op.nx)
+            P = build_trunc_exact(k0_factor(op), op.terms[: r + 1], op.ny, op.nx)
             _, report = pcg_solve(op, P, f)
             counts.append(report.iterations)
         assert all(b <= a for a, b in zip(counts, counts[1:]))
@@ -251,9 +256,9 @@ class TestTruncExact:
     def test_iterative_fallback_matches_direct(self, monkeypatch):
         # Force the beyond-guard path and compare against the factorized apply.
         op, _, _ = tiny_affine()
-        direct = build_trunc_exact(op.terms[:3], op.ny, op.nx)
+        direct = build_trunc_exact(k0_factor(op), op.terms[:3], op.ny, op.nx)
         monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", 1)
-        nested = build_trunc_exact(op.terms[:3], op.ny, op.nx)
+        nested = build_trunc_exact(k0_factor(op), op.terms[:3], op.ny, op.nx)
         rng = np.random.default_rng(42)
         v = rng.standard_normal(op.dim)
         np.testing.assert_allclose(
@@ -265,9 +270,9 @@ class TestTruncExact:
         # term coupling one block to two sources of a level (r = 4).
         op, _, _ = tiny_lognormal()
         pairs = leading_terms(op, 4)
-        direct = build_trunc_exact(pairs, op.ny, op.nx)
+        direct = build_trunc_exact(k0_factor(op), pairs, op.ny, op.nx)
         monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", 1)
-        nested = build_trunc_exact(pairs, op.ny, op.nx)
+        nested = build_trunc_exact(k0_factor(op), pairs, op.ny, op.nx)
         rng = np.random.default_rng(42)
         v = rng.standard_normal(op.dim)
         np.testing.assert_allclose(
@@ -280,7 +285,7 @@ class TestTruncExact:
         # the same system, so P_r has one factor per distinct d.
         op, _, _ = tiny_affine(M=4, k=3)
         for r in (1, 2, 3):
-            P = build_trunc_exact(op.terms[: r + 1], op.ny, op.nx)
+            P = build_trunc_exact(k0_factor(op), op.terms[: r + 1], op.ny, op.nx)
             degrees = {3 - sum(alpha[r:]) for alpha in build_index_set(4, 3)}
             assert P.distinct_factor_count == len(degrees) == 4
 
@@ -292,7 +297,7 @@ class TestTruncExact:
             [[0, 0.2, 0, 0], [0.2, 0, 0, 0], [0, 0, 0, 0.4], [0, 0, 0.4, 0]]
         ))
         pairs = ((sp.identity(4, format="csr"), K0), (G1, K0))
-        P = build_trunc_exact(pairs, 4, K0.shape[0])
+        P = build_trunc_exact(CholeskyFactor(K0), pairs, 4, K0.shape[0])
         assert P.distinct_factor_count == 2
         P_dense = assemble_dense(pairs)
         v = np.random.default_rng(42).standard_normal(P_dense.shape[0])
@@ -303,7 +308,7 @@ class TestTruncExact:
         # blocks (a K_0 each) and solves the rest with the nested CG.
         op, _, _ = tiny_affine(M=4, k=3)
         monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", op.nx)
-        P = build_trunc_exact(op.terms[:3], op.ny, op.nx)
+        P = build_trunc_exact(k0_factor(op), op.terms[:3], op.ny, op.nx)
         assert P.distinct_factor_count == 1
         rng = np.random.default_rng(42)
         v = rng.standard_normal(op.dim)
@@ -319,9 +324,9 @@ class TestTruncExact:
         monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", cut * op.nx)
         v = np.random.default_rng(42).standard_normal(op.dim)
         for r in (0, 2):
-            classes = parity_classes(op, r)
+            classes = parity_classes(op.terms, op.ny, r)
             mean = build_mean_based(k0_factor(op), op.ny, classes)
-            P = build_trunc_exact(leading_terms(op, r), op.ny, op.nx, classes)
+            P = build_trunc_exact(k0_factor(op), leading_terms(op, r), op.ny, op.nx, classes)
             for prec in ((mean, P) if r == 0 else (P,)):
                 full = prec.apply_inverse(v).reshape(op.ny, op.nx)
                 for c in (0, 1):
@@ -338,7 +343,7 @@ class TestTruncExact:
         for (M, k), r in (((3, 2), 1), ((4, 3), 3)):
             op, _, _ = tiny_affine(M=M, k=k)
             monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", cut * op.nx)
-            P = build_trunc_exact(leading_terms(op, r), op.ny, op.nx)
+            P = build_trunc_exact(k0_factor(op), leading_terms(op, r), op.ny, op.nx)
             assert P._nested
             for _, S, _ in P._nested:
                 assert isinstance(S, precond._SchurComplement)
@@ -360,8 +365,8 @@ class TestTruncExact:
         op, _, _ = tiny_affine(M=4, k=3)
         monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", 0)
         pairs = leading_terms(op, 2)
-        P = build_trunc_exact(pairs, op.ny, op.nx)
-        (_, S, _), = P._nested
+        P = build_trunc_exact(k0_factor(op), pairs, op.ny, op.nx)
+        (rest, S, _), = P._nested  # every block but the I (x) K_0 ones
         calls = []
 
         def recorded(A, M, f, cfg):
@@ -372,7 +377,7 @@ class TestTruncExact:
         monkeypatch.setattr(precond, "_inner_solve", recorded)
         rng = np.random.default_rng(3)
         P_dense = assemble_dense(pairs)
-        kept, elim = ((b[:, None] * op.nx + np.arange(op.nx)).ravel() for b in (S.keep, S.elim))
+        kept, elim = ((rest[b, None] * op.nx + np.arange(op.nx)).ravel() for b in (S.keep, S.elim))
         cancelled = np.zeros(op.dim)
         cancelled[elim] = rng.standard_normal(len(elim))
         x_elim = np.linalg.solve(P_dense[np.ix_(elim, elim)], cancelled[elim])
@@ -401,20 +406,61 @@ class TestTruncExact:
         op, _, _ = tiny_affine(M=4, k=3)
         monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", cut * op.nx)
         for r in range(5):
-            for classes in (None, parity_classes(op, r)):
-                P = build_trunc_exact(leading_terms(op, r), op.ny, op.nx, classes)
+            for classes in (None, parity_classes(op.terms, op.ny, r)):
+                P = build_trunc_exact(k0_factor(op), leading_terms(op, r), op.ny, op.nx, classes)
                 P.apply_inverse(np.ones(op.dim))
         assert not built
         op, _, _ = tiny_lognormal()
         monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", op.nx)
-        build_trunc_exact(leading_terms(op, 4), op.ny, op.nx)
+        build_trunc_exact(k0_factor(op), leading_terms(op, 4), op.ny, op.nx)
         assert built
 
     def test_indefinite_truncation_rejected_direct(self):
         op, _, _ = tiny_lognormal()
         pairs = leading_terms(op, 1)
         with pytest.raises(NotPositiveDefiniteError):
-            build_trunc_exact(pairs, op.ny, op.nx)
+            build_trunc_exact(k0_factor(op), pairs, op.ny, op.nx)
+
+
+AFFINE_CELL = grid.Cell("affine", "", 2.0, auto_alpha_bar(2.0), 3, 4, 3, 6)
+LOGNORMAL_CELL = grid.Cell("lognormal", "", 2.0, verify.LOGNORMAL_ALPHA_BAR, 2, 3, 3, 6)
+ALL_FAMILIES = ([("mean", None), ("kron", None)] + [("trunc_exact", r) for r in range(5)]
+                + [("sbgs", r) for r in range(1, 5)])
+
+
+@pytest.mark.parametrize("cell, preconds, cut, inner", [
+    (AFFINE_CELL, ALL_FAMILIES, None, "_SchurComplement"),
+    (AFFINE_CELL, ALL_FAMILIES, 1, "_SchurComplement"),
+    (LOGNORMAL_CELL, [("trunc_exact", 4), ("sbgs", 4)], 1, "KroneckerSumOperator"),
+], ids=["affine", "affine-cut", "lognormal-cut"])
+def test_one_k0_factorization_per_cell(monkeypatch, cell, preconds, cut, inner):
+    # Every family takes the cell's K_0 factor, so a cell factors K_0 once:
+    # also trunc_exact's I (x) K_0 tail blocks, the D = I (x) K_0 of its
+    # Schur parts and the K_0 diagonal blocks of its nested SBGS (the parts
+    # a cutoff of one parametric index per block, cut 1, forms).
+    op, _, _ = cell.build()
+    K0 = op.terms[0][1]
+    if cut:
+        monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", cut * op.nx)
+    built, truncs = [], []
+    init, trunc_init = CholeskyFactor.__init__, precond.TruncExactPreconditioner.__init__
+
+    def recorded(self, K):
+        K = sp.csr_matrix(K)
+        if K.shape == K0.shape and not abs(K - K0).max():
+            built.append(K)
+        init(self, K)
+
+    def kept(self, *args):
+        trunc_init(self, *args)
+        truncs.append(self)
+
+    monkeypatch.setattr(CholeskyFactor, "__init__", recorded)
+    monkeypatch.setattr(precond.TruncExactPreconditioner, "__init__", kept)
+    rows = list(grid.solve_cell(cell, preconds, SolverConfig()))
+    assert [row.precond for row in rows] == [kind for kind, _ in preconds]
+    assert {type(S).__name__ for P in truncs for _, S, _ in P._nested} == {inner}
+    assert len(built) == 1
 
 
 class TestSbgsAffine:
@@ -569,15 +615,16 @@ class TestReadOnlyInput:
             (log, log.matvec),
             (aff, build_mean_based(aff_K0, aff.ny).apply_inverse),
             (aff, build_kron(aff.terms, aff_K0).apply_inverse),
-            (aff, build_trunc_exact(aff.terms[:3], aff.ny, aff.nx).apply_inverse),
-            (log, build_trunc_exact(log_pairs, log.ny, log.nx).apply_inverse),
+            (aff, build_trunc_exact(aff_K0, aff.terms[:3], aff.ny, aff.nx).apply_inverse),
+            (log, build_trunc_exact(log_K0, log_pairs, log.ny, log.nx).apply_inverse),
             (aff, build_sbgs(aff_K0, aff.terms[:3], aff.ny, aff.nx).apply_inverse),
             (log, build_sbgs(log_K0, log_pairs, log.ny, log.nx).apply_inverse),
         ]
         monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", 1)  # the nested path
-        for op, pairs, r in ((aff, aff.terms[:3], 2), (log, log_pairs, 4)):
-            P = build_trunc_exact(pairs, op.ny, op.nx)
-            assert P.distinct_factor_count == 0
+        for op, K0, pairs in ((aff, aff_K0, aff.terms[:3]), (log, log_K0, log_pairs)):
+            P = build_trunc_exact(K0, pairs, op.ny, op.nx)
+            # Only the I (x) K_0 blocks, which take K0 at any size, stay direct.
+            assert P._nested and all(factor is K0 for _, factor in P._direct)
             cases.append((op, P.apply_inverse))
         for op, apply in cases:
             v = np.random.default_rng(42).standard_normal(op.dim)

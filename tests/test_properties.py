@@ -113,8 +113,8 @@ def test_parity_split_detects_flipped_block():
     # has a real part in what the classes call its off class.
     parity_classes = verify.kronsys.parity_classes
 
-    def flipped(op, r):
-        classes = parity_classes(op, r)
+    def flipped(terms, ny, r):
+        classes = parity_classes(terms, ny, r)
         if classes is not None:
             classes[-1] = not classes[-1]
         return classes
@@ -176,6 +176,7 @@ def test_trunc_exact_equals_dense_solve(problem, level, M, k, r, cut, seed):
         reject()
     v = np.random.default_rng(seed).standard_normal(op.dim)
     ref = np.linalg.solve(P_r, v)
+    K0_factor = precond.CholeskyFactor(op.terms[0][1])
     with patch.object(precond, "TRUNC_DIRECT_GUARD", cut * op.nx):
-        z = precond.build_trunc_exact(pairs, op.ny, op.nx).apply_inverse(v)
+        z = precond.build_trunc_exact(K0_factor, pairs, op.ny, op.nx).apply_inverse(v)
     assert np.linalg.norm(z - ref) <= 1e-10 * np.linalg.norm(ref)
