@@ -2,8 +2,8 @@
 
 ``Cell.build`` is the one place a problem name becomes a system, and
 ``build_preconditioner`` the one place a kind becomes a preconditioner,
-from the operator and the truncation's pairs alone: no preconditioner
-asks which problem built them.
+from what the operator answers alone: no preconditioner asks which
+problem built them, nor how the operator stores its terms.
 ``solve_cell`` is the pipeline behind ``sgkron run``: it yields the rows
 of one cell in the order of its preconditioner entries, each once its
 solve ends.  A set-up or solve failure that ``_FAILURE_LABELS`` maps
@@ -62,18 +62,17 @@ _FAILURE_LABELS = {
 }
 
 
-def build_preconditioner(kind, pairs, op, K0_factor):
-    """All four families take K0_factor(), the cell's K_0 factor; mean and
-    trunc_exact also take the parity classes of their truncation."""
+def build_preconditioner(kind, r, op, K0_factor):
+    """All four families take K0_factor(), the cell's K_0 factor, and ask
+    `op` for the rest: P_r's pairs, its parity classes and kron's G."""
     if kind == "mean":
-        classes = kronsys.parity_classes(op.terms, op.ny, 0)
-        return precond.build_mean_based(K0_factor(), op.ny, classes)
+        return precond.build_mean_based(K0_factor(), op.ny, op.parity_classes(0))
     if kind == "kron":
-        return precond.build_kron(op.terms, K0_factor())
+        return precond.build_kron(op, K0_factor())
     if kind == "trunc_exact":
-        classes = kronsys.parity_classes(op.terms, op.ny, len(pairs) - 1)
-        return precond.build_trunc_exact(K0_factor(), pairs, op.ny, op.nx, classes)
-    return precond.build_sbgs(K0_factor(), pairs, op.ny, op.nx)
+        classes = op.parity_classes(r)
+        return precond.build_trunc_exact(K0_factor(), op.leading(r), op.ny, op.nx, classes)
+    return precond.build_sbgs(K0_factor(), op.leading(r), op.ny, op.nx)
 
 
 def solve_cell(cell: Cell, preconds, solver_cfg: pcg.SolverConfig):
@@ -82,17 +81,16 @@ def solve_cell(cell: Cell, preconds, solver_cfg: pcg.SolverConfig):
     op, f, _ = cell.build()
     # Built on first use, so that a K_0 it refuses ends as a labelled row of
     # each preconditioner, all of which take it.
-    K0_factor = functools.cache(lambda: precond.CholeskyFactor(op.terms[0][1]))
+    K0_factor = functools.cache(lambda: precond.CholeskyFactor(op.leading(0)[0][1]))
     for kind, r in preconds:
-        pairs = None if r is None else kronsys.leading_terms(op, r)
         # The r cell, on success and failure rows alike: 0 for mean, empty
         # for kron, the requested r for trunc_exact and the index of the
         # last term for sbgs.
-        r_cell = len(pairs) - 1 if kind == "sbgs" else {"mean": 0}.get(kind, r)
+        r_cell = len(op.leading(r)) - 1 if kind == "sbgs" else {"mean": 0}.get(kind, r)
         t0 = time.perf_counter()
         setup_s = 0.0  # until the preconditioner is built
         try:
-            P = build_preconditioner(kind, pairs, op, K0_factor)
+            P = build_preconditioner(kind, r, op, K0_factor)
             setup_s = time.perf_counter() - t0
             _, rep = pcg.pcg_solve(op, P, f, solver_cfg)
             row = Row(kind, r_cell, rep.iterations, rep.converged, rep.final_relres,

@@ -21,10 +21,10 @@ levels 1-2, or a zero amplitude).  ``terms`` stays the exact per-term list
 either way.  Dense materialization exists only as a small-scale test and
 spectral-study oracle behind a size guard.
 
-Truncation map: ``op.terms`` follows the expansion order, so P_r is the
-prefix ``leading_terms(op, r) = op.terms[: r + 1]`` for both problems.
-Affine: I (x) K_0 and G_m (x) K_m for m <= min(r, M).  Lognormal: the
-first r + 1 terms of the magnitude-ordered expansion.
+Truncation map: the run path asks the operator, never ``terms`` (kept for
+the dense oracles), for P_r's pairs ``op.leading(r)``, their parity classes
+and kron's G.  P_r is the expansion-order prefix: affine I (x) K_0 and
+G_m (x) K_m, m <= min(r, M); lognormal the first r + 1 terms by magnitude.
 
 Block layout, the one every operator and preconditioner uses: vectors are
 v = [v_1; ...; v_ny] with block j holding the nx spatial coefficients of
@@ -96,6 +96,33 @@ class KroneckerSumOperator:
         if self._chunks is None:
             return len(self.terms)
         return sum(K_ell.shape[1] for K_ell, _ in self._chunks[1])
+
+    def leading(self, r: int) -> tuple:
+        """The pairs of P_r, the first r + 1 terms (all of them past the end
+        of the expansion)."""
+        if r < 0:
+            raise ValueError("truncation index r must be >= 0")
+        return self.terms[: r + 1]
+
+    def parity_classes(self, r: int) -> np.ndarray | None:
+        """:func:`parity_classes` of P_r: the colouring it keeps, the tail flips."""
+        return parity_classes(self.terms, self.ny, r)
+
+    def kron_factor(self) -> sp.csr_matrix:
+        """kron's G = sum_i [tr(K_i^T K_0)/tr(K_0^T K_0)] G_i, minimizing the
+        Frobenius distance of G (x) K_0 to the operator, the weighted G_i added
+        entry by entry in term order; the lead must be I (x) K_0."""
+        if not self.terms or not _is_identity(self.terms[0][0]):
+            raise ValueError("leading term must have an identity parametric factor")
+        K0 = self.terms[0][1]
+        # The second factor of each inner product is K_0 scaled by a power of
+        # two to max entry in [1/2, 1): the weights are the same bits, and stay
+        # finite where <K_0, K_0> itself overflows.
+        K0_scaled = K0 * np.ldexp(1.0, -np.frexp(abs(K0).max())[1])
+        denom = K0.multiply(K0_scaled).sum()
+        w = np.array([K_i.multiply(K0_scaled).sum() / denom for _, K_i in self.terms])
+        G = sp.hstack([G_i for G_i, _ in self.terms]) @ sp.kron(w[:, None], sp.identity(self.ny))
+        return G.tocsr()
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         Vt = v.reshape(self.ny, self.nx).T  # block j = column j
@@ -222,14 +249,6 @@ def assemble_sparse(terms) -> sp.csc_matrix:
         A = A + sp.kron(G, K, format="csc")
     A.sort_indices()
     return A
-
-
-def leading_terms(op: KroneckerSumOperator, r: int) -> tuple:
-    """The terms of P_r, the first r + 1 of ``op.terms`` (all of them past
-    the end of the expansion)."""
-    if r < 0:
-        raise ValueError("truncation index r must be >= 0")
-    return op.terms[: r + 1]
 
 
 def parity_classes(terms, ny: int, r: int) -> np.ndarray | None:

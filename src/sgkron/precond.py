@@ -5,7 +5,7 @@ block vectors:
 
 * mean-based: block-diagonal solves with the mean stiffness factor;
 * Kronecker product: a single G (x) K_0 with G the Frobenius-optimal
-  parametric factor, a sparse matrix;
+  parametric factor, a sparse matrix the operator forms (``op.kron_factor()``);
 * exact truncation: the leading r+1 terms, block diagonal over the
   parametric tails they leave uncoupled; one factor per distinct tail
   block up to a per-block size, a nested CG for the larger blocks: reduced
@@ -21,7 +21,7 @@ block vectors:
 Every apply_inverse realizes a symmetric positive definite map, which
 the test suite checks both algebraically and spectrally.  The mean-based
 and exact-truncation preconditioners also take the parity ``classes`` of
-their truncation (``kronsys.parity_classes``), which P_r never couples:
+their truncation (``op.parity_classes(r)``), which P_r never couples:
 ``apply_inverse(v, cls)`` then solves only the blocks of class ``cls``.
 
 Every factorization goes through :class:`CholeskyFactor`: the spatial
@@ -229,27 +229,10 @@ class KroneckerProductPreconditioner:
         return self._G_factor.solve(W.T).ravel()
 
 
-def build_kron(terms, K0_factor: CholeskyFactor) -> KroneckerProductPreconditioner:
-    """P = G (x) K_0 with G = sum_i [tr(K_i^T K_0)/tr(K_0^T K_0)] G_i.
-
-    G is the closed-form minimizer of the Frobenius distance between the
-    term sum and Q (x) K_0, formed as one sparse product that adds the
-    weighted G_i entry by entry in term order.  The leading term must carry
-    an identity parametric factor (its K is the K_0 used for the fit, and
-    K0_factor factors it).
-    """
-    terms = list(terms)
-    if not terms or not _is_identity(terms[0][0]):
-        raise ValueError("leading term must have an identity parametric factor")
-    G0, K0 = terms[0]
-    # The second factor of each inner product is K_0 scaled by a power of
-    # two to max entry in [1/2, 1): the weights are the same bits, and stay
-    # finite where <K_0, K_0> itself overflows.
-    K0_scaled = K0 * np.ldexp(1.0, -np.frexp(abs(K0).max())[1])
-    denom = K0.multiply(K0_scaled).sum()
-    w = np.array([K_i.multiply(K0_scaled).sum() / denom for _, K_i in terms])
-    G = sp.hstack([G_i for G_i, _ in terms]) @ sp.kron(w[:, None], sp.identity(G0.shape[0]))
-    return KroneckerProductPreconditioner(G.tocsr(), K0_factor)
+def build_kron(op, K0_factor: CholeskyFactor) -> KroneckerProductPreconditioner:
+    """P = G (x) K_0 with G = ``op.kron_factor()``, the Frobenius-optimal
+    parametric factor of the operator; K0_factor factors its K_0."""
+    return KroneckerProductPreconditioner(op.kron_factor(), K0_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +273,8 @@ def _tail_blocks(Gs: list, ny: int) -> list[np.ndarray]:
 
 class TruncExactPreconditioner:
     """Exact application of the truncation P_r = the sum of ``terms``, the
-    leading pairs ``kronsys.leading_terms(op, r)``; ``K0_factor`` is the
-    caller's factor of the leading K (K_0).
+    leading pairs ``op.leading(r)``; ``K0_factor`` is the caller's factor of
+    the leading K (K_0).
 
     The leading terms couple parametric indices only within the connected
     components of their G patterns: for the affine expansion the
@@ -318,7 +301,7 @@ class TruncExactPreconditioner:
       restricted truncation, preconditioned by its SBGS approximation,
       whose K_0 diagonal blocks are solved with ``K0_factor`` too.
 
-    ``classes``, from ``kronsys.parity_classes``, splits the blocks into
+    ``classes``, from ``op.parity_classes(r)``, splits the blocks into
     two colours that P_r never couples: the nested blocks get one inner CG
     per colour, and ``apply_inverse(v, cls)`` solves the rows of colour
     ``cls`` only, leaving zeros elsewhere.
@@ -585,7 +568,7 @@ class PairBlockSbgs:
 
 
 def build_sbgs(K0_factor: CholeskyFactor, pairs, ny: int, nx: int) -> PairBlockSbgs:
-    """pairs: the leading pairs of P_r, ``kronsys.leading_terms(op, r)``.
+    """pairs: the leading pairs of P_r, ``op.leading(r)``.
 
     The truncation must be led by I (x) K_0, so that the mean stiffness
     anchors every diagonal block (the condition under which the splitting

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .kronsys import KroneckerSumOperator, assemble_dense, leading_terms
+from .kronsys import KroneckerSumOperator, assemble_dense
 from .precond import NotPositiveDefiniteError
 
 EIG_GUARD = 2000
@@ -186,7 +186,7 @@ def verify_inclusions(op: KroneckerSumOperator, ctx, r_values) -> list[Inclusion
 
     checks: list[InclusionCheck] = []
     for r in r_values:
-        pairs = leading_terms(op, r)
+        pairs = op.leading(r)
         b = affine_bounds(ctx, r)
         P_r = assemble_dense(pairs)
         P_sbgs, S_r = sbgs_dense(pairs)
@@ -225,7 +225,7 @@ def lognormal_spd_report(op: KroneckerSumOperator, r_values) -> list[InclusionCh
 
     checks: list[InclusionCheck] = []
     for r in r_values:
-        pairs = leading_terms(op, r)
+        pairs = op.leading(r)
         trunc = np.linalg.eigvalsh(assemble_dense(pairs))
         sbgs = np.linalg.eigvalsh(sbgs_dense(pairs)[0])
         checks += [

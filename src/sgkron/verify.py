@@ -64,10 +64,10 @@ AFFINE = SmallConfig()
 LOGNORMAL = SmallConfig(problem="lognormal")
 
 
-def _preconditioner(kind, op, pairs=None):
+def _preconditioner(kind, op, r=None):
     """The `kind` preconditioner of a built system, as `sgkron run` builds it."""
     return grid.build_preconditioner(
-        kind, pairs, op, lambda: precond.CholeskyFactor(op.terms[0][1])
+        kind, r, op, lambda: precond.CholeskyFactor(op.leading(0)[0][1])
     )
 
 
@@ -445,9 +445,9 @@ def prop_kappa_within_bound(cfg: SmallConfig = AFFINE):
     # inside the spectrum, so no slack.
     op, f, ctx = cfg.build()
     solver = pcg.SolverConfig(tol=1e-10)
-    for r in range(len(kronsys.leading_terms(op, cfg.r))):
+    for r in range(len(op.leading(cfg.r))):
         for kind in ("trunc_exact", "sbgs"):
-            P = _preconditioner(kind, op, kronsys.leading_terms(op, r))
+            P = _preconditioner(kind, op, r)
             _, report = pcg.pcg_solve(op, P, f, solver)
             est = pcg.estimate_condition(report)
             bound = spectral.kappa_bound(ctx, kind, r)
@@ -461,7 +461,7 @@ def prop_precond_dense_formula(cfg: SmallConfig = AFFINE):
     # (D + L) D^{-1} (D + L)^T of P_r's pairs.  A lognormal P_r that
     # `spectrum` marks n/a is skipped.
     op, _, _ = cfg.build()
-    pairs = kronsys.leading_terms(op, cfg.r)
+    pairs = op.leading(cfg.r)
     formulas = {
         "mean": lambda P: kronsys.assemble_dense(op.terms[:1]),
         "kron": lambda P: np.kron(P.G.toarray(), op.terms[0][1].toarray()),
@@ -472,7 +472,7 @@ def prop_precond_dense_formula(cfg: SmallConfig = AFFINE):
         del formulas["trunc_exact"]
     rng = np.random.default_rng(cfg.seed)
     for kind, formula in formulas.items():
-        P = _preconditioner(kind, op, pairs)
+        P = _preconditioner(kind, op, cfg.r)
         dense = formula(P)
         assert np.max(np.abs(dense - dense.T)) <= 1e-14 * np.max(np.abs(dense)), kind
         assert np.linalg.eigvalsh(dense)[0] > 0, f"{kind} not positive definite"
@@ -490,7 +490,7 @@ def prop_trunc_spectrum_symmetric(cfg: SmallConfig = AFFINE):
     op, _, _ = cfg.build()
     A = kronsys.assemble_dense(op.terms)
     for r in range(len(op.terms)):
-        lam = spectral.eig_spectrum(kronsys.assemble_dense(kronsys.leading_terms(op, r)), A)
+        lam = spectral.eig_spectrum(kronsys.assemble_dense(op.leading(r)), A)
         gap = np.max(np.abs(lam + lam[::-1] - 2.0))
         assert gap <= 1e-12, f"r={r}: spectrum off symmetric about 1 by {gap:.3e}"
 
@@ -505,16 +505,16 @@ def prop_parity_split(cfg: SmallConfig = AFFINE):
     # G_alpha with even alpha has a diagonal, so no r has classes.
     op, f, _ = cfg.build()
     if cfg.problem == "lognormal":
-        assert all(kronsys.parity_classes(op.terms, op.ny, r) is None for r in range(len(op.terms)))
+        assert all(op.parity_classes(r) is None for r in range(len(op.terms)))
         return
     S = multiindex.build_index_set(cfg.M, cfg.k)
     for kind, r in [("mean", 0)] + [("trunc_exact", r) for r in range(cfg.M + 1)]:
-        classes = kronsys.parity_classes(op.terms, op.ny, r)
+        classes = op.parity_classes(r)
         parity = np.array([sum(alpha[r:]) % 2 == 1 for alpha in S])
         if r == cfg.M or not parity.any():  # no tail term couples two blocks
             assert classes is None, f"r={r}: classes without a tail"
             continue
-        P = _preconditioner(kind, op, kronsys.leading_terms(op, r))
+        P = _preconditioner(kind, op, r)
         seen = []
         plain_P = SimpleNamespace(apply_inverse=lambda v: seen.append(v.copy()) or P.apply_inverse(v))
         _, plain = pcg.pcg_solve(op, plain_P, f)

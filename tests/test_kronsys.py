@@ -13,7 +13,6 @@ from sgkron.kronsys import (
     assemble_sparse,
     build_affine_system,
     build_lognormal_system,
-    leading_terms,
 )
 from sgkron.multiindex import build_index_set, dimension
 from sgkron.precond import CholeskyFactor, build_kron
@@ -137,9 +136,18 @@ class TestLeadingTerms:
         T = len(op.terms)
         assert T == (4 if problem == "affine" else 35)
         for r in (0, 1, T - 1, T, T + 5):
-            assert leading_terms(op, r) == op.terms[: min(r + 1, T)]
+            assert op.leading(r) == op.terms[: min(r + 1, T)]
         with pytest.raises(ValueError):
-            leading_terms(op, -1)
+            op.leading(-1)
+
+
+def test_kron_factor_needs_identity_lead():
+    # kron fits Q (x) K_0 to the terms, which needs I (x) K_0 leading.
+    op, _, _ = tiny_affine()
+    (G0, K0), *rest = op.terms
+    scaled = KroneckerSumOperator(terms=((2.0 * G0, K0), *rest), ny=op.ny, nx=op.nx)
+    with pytest.raises(ValueError, match="identity"):
+        scaled.kron_factor()
 
 
 class TestLognormalSystem:
@@ -329,7 +337,7 @@ class TestRecompressedOperator:
             np.testing.assert_array_equal(got, ref)
 
     def test_build_kron_parametric_factor(self):
-        # build_kron reads op.terms, so its Frobenius fit is unchanged by the
+        # kron_factor reads op.terms, so its Frobenius fit is unchanged by the
         # recompression; reference: K_alpha assembled one at a time from
         # the lognormal expansion coefficients.
         op, _, _ = table6_lognormal(3, 2)
@@ -347,5 +355,5 @@ class TestRecompressedOperator:
             (K.multiply(K0).sum() / K0.multiply(K0).sum()) * G.toarray()
             for (G, _), K in zip(op.terms, K_ref)
         )
-        P = build_kron(op.terms, CholeskyFactor(op.terms[0][1]))
+        P = build_kron(op, CholeskyFactor(op.leading(0)[0][1]))
         np.testing.assert_allclose(P.G.toarray(), G_ref, rtol=1e-13, atol=1e-15)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sgkron.kronsys import parity_classes
 from sgkron.pcg import (
     BreakdownError,
     SolverConfig,
@@ -104,7 +103,7 @@ class TestParitySplit:
         # f outside one parity class: every apply solves both classes, as
         # for a P without classes, so the runs agree bit for bit.
         op, f, _ = SmallConfig().build()
-        classes = parity_classes(op.terms, op.ny, 0)
+        classes = op.parity_classes(0)
         P = build_mean_based(CholeskyFactor(op.terms[0][1]), op.ny, classes)
         f = np.random.default_rng(42).standard_normal(op.dim)
         _, split = pcg_solve(op, P, f)

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from sgkron import grid, precond, verify
 from sgkron.fem2d import assemble_stiffness, auto_alpha_bar, build_mesh, fourier_coefficient
-from sgkron.kronsys import assemble_dense, leading_terms, parity_classes
+from sgkron.kronsys import KroneckerSumOperator, assemble_dense
 from sgkron.multiindex import build_index_set
 from sgkron.pcg import BreakdownError, SolverConfig, pcg_solve
 from sgkron.precond import (
@@ -28,7 +28,7 @@ def tiny_lognormal(level=2, M=3, k=3, N=6):
 
 def k0_factor(op):
     """The factor of the mean stiffness K_0 that every builder is passed."""
-    return CholeskyFactor(op.terms[0][1])
+    return CholeskyFactor(op.leading(0)[0][1])
 
 
 def dense_apply_inverse(P, n):
@@ -152,7 +152,7 @@ class TestMeanBased:
         for level in (2, 3, 4, 5):
             op, _, _ = tiny_affine(level=level)
             K0 = k0_factor(op)
-            classes = parity_classes(op.terms, op.ny, 0)
+            classes = op.parity_classes(0)
             P_mean = build_mean_based(K0, op.ny, classes)
             P_trunc = build_trunc_exact(K0, op.terms[:1], op.ny, op.nx, classes)
             v = np.random.default_rng(42).standard_normal(op.dim)
@@ -163,7 +163,7 @@ class TestMeanBased:
 class TestKroneckerProduct:
     def test_apply_inverse(self):
         op, _, _ = tiny_affine()
-        P = build_kron(op.terms, k0_factor(op))
+        P = build_kron(op, k0_factor(op))
         K0 = op.terms[0][1].toarray()
         dense = np.kron(P.G.toarray(), K0)
         rng = np.random.default_rng(42)
@@ -183,8 +183,9 @@ class TestKroneckerProduct:
         K0 = assemble_stiffness(mesh, constant_field(1.0))
         K1 = assemble_stiffness(mesh, constant_field(5.0))
         terms = ((gram_identity(len(S)), K0), (gram_linear(1, S), K1))
+        op = KroneckerSumOperator(terms=terms, ny=len(S), nx=mesh.n_interior)
         with pytest.raises(NotPositiveDefiniteError):
-            build_kron(terms, CholeskyFactor(K0))
+            build_kron(op, CholeskyFactor(K0))
 
     def test_non_finite_parametric_factor_rejected(self):
         # A NaN stiffness value makes its Frobenius weight, and so G, NaN.
@@ -192,8 +193,9 @@ class TestKroneckerProduct:
         (G0, K0), (G1, K1), *rest = op.terms
         K1 = K1.copy()
         K1.data[0] = np.nan
+        faulty = KroneckerSumOperator(terms=((G0, K0), (G1, K1), *rest), ny=op.ny, nx=op.nx)
         with pytest.raises(BreakdownError):
-            build_kron([(G0, K0), (G1, K1), *rest], k0_factor(op))
+            build_kron(faulty, k0_factor(op))
 
 
 class TestKroneckerProductSuperLU(TestKroneckerProduct):
@@ -213,7 +215,7 @@ def test_build_kron_sums_weighted_terms_exactly(build):
     G_ref = np.zeros((op.ny, op.ny))
     for G_i, K_i in op.terms:
         G_ref += (K_i.multiply(K0).sum() / K0.multiply(K0).sum()) * G_i.toarray()
-    G = build_kron(op.terms, k0_factor(op)).G
+    G = build_kron(op, k0_factor(op)).G
     assert G.format == "csr"
     assert np.array_equal(G.toarray(), G_ref)
 
@@ -228,7 +230,7 @@ class TestTruncExact:
 
     def test_r_beyond_m_clamps(self):
         op, f, _ = tiny_affine(M=3)
-        P = build_trunc_exact(k0_factor(op), leading_terms(op, 9), op.ny, op.nx)
+        P = build_trunc_exact(k0_factor(op), op.leading(9), op.ny, op.nx)
         _, report = pcg_solve(op, P, f, SolverConfig(tol=1e-10))
         assert report.iterations == 1
 
@@ -269,7 +271,7 @@ class TestTruncExact:
         # The inner SBGS of a general pair list: Hermite diagonals and a
         # term coupling one block to two sources of a level (r = 4).
         op, _, _ = tiny_lognormal()
-        pairs = leading_terms(op, 4)
+        pairs = op.leading(4)
         direct = build_trunc_exact(k0_factor(op), pairs, op.ny, op.nx)
         monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", 1)
         nested = build_trunc_exact(k0_factor(op), pairs, op.ny, op.nx)
@@ -324,9 +326,9 @@ class TestTruncExact:
         monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", cut * op.nx)
         v = np.random.default_rng(42).standard_normal(op.dim)
         for r in (0, 2):
-            classes = parity_classes(op.terms, op.ny, r)
+            classes = op.parity_classes(r)
             mean = build_mean_based(k0_factor(op), op.ny, classes)
-            P = build_trunc_exact(k0_factor(op), leading_terms(op, r), op.ny, op.nx, classes)
+            P = build_trunc_exact(k0_factor(op), op.leading(r), op.ny, op.nx, classes)
             for prec in ((mean, P) if r == 0 else (P,)):
                 full = prec.apply_inverse(v).reshape(op.ny, op.nx)
                 for c in (0, 1):
@@ -343,13 +345,13 @@ class TestTruncExact:
         for (M, k), r in (((3, 2), 1), ((4, 3), 3)):
             op, _, _ = tiny_affine(M=M, k=k)
             monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", cut * op.nx)
-            P = build_trunc_exact(k0_factor(op), leading_terms(op, r), op.ny, op.nx)
+            P = build_trunc_exact(k0_factor(op), op.leading(r), op.ny, op.nx)
             assert P._nested
             for _, S, _ in P._nested:
                 assert isinstance(S, precond._SchurComplement)
                 eliminated.add(0 in S.elim)
             v = np.random.default_rng(7).standard_normal(op.dim)
-            P_dense = assemble_dense(leading_terms(op, r))
+            P_dense = assemble_dense(op.leading(r))
             np.testing.assert_allclose(P.apply_inverse(v), np.linalg.solve(P_dense, v), rtol=1e-10)
         assert eliminated == {True, False}
 
@@ -364,7 +366,7 @@ class TestTruncExact:
         # stall threshold 1e-10 on the reduced residual.
         op, _, _ = tiny_affine(M=4, k=3)
         monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", 0)
-        pairs = leading_terms(op, 2)
+        pairs = op.leading(2)
         P = build_trunc_exact(k0_factor(op), pairs, op.ny, op.nx)
         (rest, S, _), = P._nested  # every block but the I (x) K_0 ones
         calls = []
@@ -406,18 +408,18 @@ class TestTruncExact:
         op, _, _ = tiny_affine(M=4, k=3)
         monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", cut * op.nx)
         for r in range(5):
-            for classes in (None, parity_classes(op.terms, op.ny, r)):
-                P = build_trunc_exact(k0_factor(op), leading_terms(op, r), op.ny, op.nx, classes)
+            for classes in (None, op.parity_classes(r)):
+                P = build_trunc_exact(k0_factor(op), op.leading(r), op.ny, op.nx, classes)
                 P.apply_inverse(np.ones(op.dim))
         assert not built
         op, _, _ = tiny_lognormal()
         monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", op.nx)
-        build_trunc_exact(k0_factor(op), leading_terms(op, 4), op.ny, op.nx)
+        build_trunc_exact(k0_factor(op), op.leading(4), op.ny, op.nx)
         assert built
 
     def test_indefinite_truncation_rejected_direct(self):
         op, _, _ = tiny_lognormal()
-        pairs = leading_terms(op, 1)
+        pairs = op.leading(1)
         with pytest.raises(NotPositiveDefiniteError):
             build_trunc_exact(k0_factor(op), pairs, op.ny, op.nx)
 
@@ -461,6 +463,34 @@ def test_one_k0_factorization_per_cell(monkeypatch, cell, preconds, cut, inner):
     assert [row.precond for row in rows] == [kind for kind, _ in preconds]
     assert {type(S).__name__ for P in truncs for _, S, _ in P._nested} == {inner}
     assert len(built) == 1
+
+
+class ContractOperator:
+    """What the run path may ask of an operator, and no ``terms``."""
+
+    def __init__(self, op):
+        self.ny, self.nx, self.dim, self.matvec = op.ny, op.nx, op.dim, op.matvec
+        self.leading = lambda r: op.leading(r)
+        self.parity_classes = lambda r: op.parity_classes(r)
+        self.kron_factor = lambda: op.kron_factor()
+
+
+@pytest.mark.parametrize("cell, preconds", [
+    (grid.Cell("affine", "", 2.0, auto_alpha_bar(2.0), 2, 3, 2, 6),
+     [("mean", None), ("kron", None)] + [("trunc_exact", r) for r in range(5)]
+     + [("sbgs", r) for r in range(1, 4)]),
+    (grid.Cell("lognormal", "", 2.0, verify.LOGNORMAL_ALPHA_BAR, 2, 3, 2, 6),
+     [("kron", None), ("mean", None), ("trunc_exact", 3), ("sbgs", 3)]),
+], ids=["affine", "lognormal"])
+def test_run_path_reads_only_the_operator_contract(monkeypatch, cell, preconds):
+    # grid.solve_cell on an operator that has leading, parity_classes and
+    # kron_factor but no term list gives the rows of the real operator.
+    op, f, ctx = cell.build()
+    rows = list(grid.solve_cell(cell, preconds, SolverConfig()))
+    monkeypatch.setattr(grid.Cell, "build", lambda self: (ContractOperator(op), f, ctx))
+    contract = list(grid.solve_cell(cell, preconds, SolverConfig()))
+    untimed = [row._replace(setup_s=0.0, solve_s=0.0) for row in rows]
+    assert [row._replace(setup_s=0.0, solve_s=0.0) for row in contract] == untimed
 
 
 class TestSbgsAffine:
@@ -523,14 +553,14 @@ class TestSbgsLognormal:
         monkeypatch.setattr(CholeskyFactor, "__init__", counting_init)
         for r in (1, 3, 6):
             built.clear()
-            P = build_sbgs(K0_factor, leading_terms(op, r), op.ny, op.nx)
+            P = build_sbgs(K0_factor, op.leading(r), op.ny, op.nx)
             assert len(built) == P.distinct_factor_count - 1
             assert all(abs(D - K0).max() > 0 for D in built)
 
     def test_dense_identity(self):
         op, _, _ = tiny_lognormal()
         for r in (3, 4):
-            pairs = leading_terms(op, r)
+            pairs = op.leading(r)
             # At r = 4 the term alpha = (1, 1, 0) couples one block to two
             # lower sources, so a sweep step meets one target twice per term.
             max_row_couplings = max(
@@ -553,7 +583,7 @@ class TestSbgsLognormal:
 
         monkeypatch.setattr(CholeskyFactor, "solve", counting)
         for r in (1, 4):
-            pairs = leading_terms(op, r)
+            pairs = op.leading(r)
             P = build_sbgs(k0_factor(op), pairs, op.ny, op.nx)
             lower = [sp.tril(G, k=-1).tocoo() for G, _ in pairs]
             receiving = np.unique(np.concatenate([L.col for L in lower]))
@@ -565,7 +595,7 @@ class TestSbgsLognormal:
     def test_spd_even_when_truncation_is_not(self):
         # At k=3 the two-term truncation is indefinite, its splitting is not.
         op, _, _ = tiny_lognormal()
-        pairs = leading_terms(op, 1)
+        pairs = op.leading(1)
         P_r = assemble_dense(pairs)
         assert np.linalg.eigvalsh(P_r).min() < 0
 
@@ -576,7 +606,7 @@ class TestSbgsLognormal:
 
     def test_requires_zero_lead(self):
         op, _, _ = tiny_lognormal()
-        pairs = leading_terms(op, 2)
+        pairs = op.leading(2)
         with pytest.raises(ValueError):
             build_sbgs(k0_factor(op), pairs[1:], 10, 9)
         with pytest.raises(ValueError):
@@ -584,12 +614,12 @@ class TestSbgsLognormal:
 
     def test_factor_cache_bounded(self):
         op, _, _ = tiny_lognormal()
-        P = build_sbgs(k0_factor(op), leading_terms(op, 4), op.ny, op.nx)
+        P = build_sbgs(k0_factor(op), op.leading(4), op.ny, op.nx)
         assert 1 <= P.distinct_factor_count <= op.ny
 
     def test_solves_system(self):
         op, f, _ = tiny_lognormal(k=2)
-        P = build_sbgs(k0_factor(op), leading_terms(op, 2), op.ny, op.nx)
+        P = build_sbgs(k0_factor(op), op.leading(2), op.ny, op.nx)
         x, report = pcg_solve(op, P, f)
         assert report.converged
         np.testing.assert_allclose(op.matvec(x), f, atol=1e-5 * np.linalg.norm(f))
@@ -608,13 +638,13 @@ class TestReadOnlyInput:
         monkeypatch.setattr(precond, "DENSE_SOLVE_MAX", dense_solve_max)
         aff, _, _ = tiny_affine()
         log, _, _ = tiny_lognormal()
-        log_pairs = leading_terms(log, 4)
+        log_pairs = log.leading(4)
         aff_K0, log_K0 = k0_factor(aff), k0_factor(log)
         cases = [
             (aff, aff.matvec),
             (log, log.matvec),
             (aff, build_mean_based(aff_K0, aff.ny).apply_inverse),
-            (aff, build_kron(aff.terms, aff_K0).apply_inverse),
+            (aff, build_kron(aff, aff_K0).apply_inverse),
             (aff, build_trunc_exact(aff_K0, aff.terms[:3], aff.ny, aff.nx).apply_inverse),
             (log, build_trunc_exact(log_K0, log_pairs, log.ny, log.nx).apply_inverse),
             (aff, build_sbgs(aff_K0, aff.terms[:3], aff.ny, aff.nx).apply_inverse),

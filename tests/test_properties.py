@@ -17,7 +17,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from sgkron import precond, verify
-from sgkron.kronsys import KroneckerSumOperator, assemble_dense, leading_terms
+from sgkron.kronsys import KroneckerSumOperator, assemble_dense
 from sgkron.verify import AFFINE, LOGNORMAL, SmallConfig
 
 CATALOGUE = dict(verify.PROPERTIES)
@@ -111,15 +111,15 @@ def test_trunc_spectrum_symmetric_detects_parity_fault():
 def test_parity_split_detects_flipped_block():
     # One block moved to the other class: the residual of the plain run
     # has a real part in what the classes call its off class.
-    parity_classes = verify.kronsys.parity_classes
+    parity_classes = KroneckerSumOperator.parity_classes
 
-    def flipped(terms, ny, r):
-        classes = parity_classes(terms, ny, r)
+    def flipped(op, r):
+        classes = parity_classes(op, r)
         if classes is not None:
             classes[-1] = not classes[-1]
         return classes
 
-    with patch.object(verify.kronsys, "parity_classes", flipped):
+    with patch.object(KroneckerSumOperator, "parity_classes", flipped):
         with pytest.raises(AssertionError, match="off-class"):
             CATALOGUE["parity_split"](AFFINE)
 
@@ -170,13 +170,13 @@ def test_trunc_exact_equals_dense_solve(problem, level, M, k, r, cut, seed):
     """
     r = min(r, M + 1)
     op, _, _ = SmallConfig(problem, level, M, k, r, seed, 2.0, N=M + 2).build()
-    pairs = leading_terms(op, r)
+    pairs = op.leading(r)
     P_r = assemble_dense(pairs)
     if problem == "lognormal" and np.linalg.eigvalsh(P_r)[0] <= 0.0:
         reject()
     v = np.random.default_rng(seed).standard_normal(op.dim)
     ref = np.linalg.solve(P_r, v)
-    K0_factor = precond.CholeskyFactor(op.terms[0][1])
+    K0_factor = precond.CholeskyFactor(op.leading(0)[0][1])
     with patch.object(precond, "TRUNC_DIRECT_GUARD", cut * op.nx):
         z = precond.build_trunc_exact(K0_factor, pairs, op.ny, op.nx).apply_inverse(v)
     assert np.linalg.norm(z - ref) <= 1e-10 * np.linalg.norm(ref)
