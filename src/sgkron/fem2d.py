@@ -107,7 +107,7 @@ _GAUSS_1D = np.polynomial.legendre.leggauss(3)
 
 
 @lru_cache(maxsize=None)
-def _reference_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _reference_tables() -> tuple[np.ndarray, ...]:
     # 3x3 tensor Gauss rule mapped to [0,1]^2; weights sum to 1.
     g, w = _GAUSS_1D
     g01 = 0.5 * (g + 1.0)
@@ -116,19 +116,20 @@ def _reference_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     xi = xi.ravel()
     eta = eta.ravel()
     wq = np.outer(w01, w01).ravel()
-    # Bilinear basis on the reference square, corners (0,0),(1,0),(0,1),(1,1).
+    # Bilinear basis on the reference square, corners (0,0),(1,0),(0,1),(1,1):
+    # its gradients at the points give S_ref and the gradient map's table.
     dxi = np.stack([-(1 - eta), (1 - eta), -eta, eta], axis=1)  # (9, 4)
     deta = np.stack([-(1 - xi), -xi, (1 - xi), xi], axis=1)
     S_ref = wq[:, None, None] * (
         dxi[:, :, None] * dxi[:, None, :] + deta[:, :, None] * deta[:, None, :]
     )  # (9, 4, 4)
-    return xi, eta, S_ref
+    return xi, eta, S_ref, np.sqrt(wq)[:, None] * np.stack([dxi, deta])
 
 
 @lru_cache(maxsize=None)
 def _element_geometry(mesh: UniformMesh):
     n = mesh.n_side
-    xi, eta, _ = _reference_tables()
+    xi, eta, _, _ = _reference_tables()
     ex, ey = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     ex = ex.ravel()
     ey = ey.ravel()
@@ -153,7 +154,7 @@ def quadrature_points(mesh: UniformMesh) -> tuple[np.ndarray, np.ndarray]:
 
 
 # Scratch bytes of one slice of a batched assembly.
-_ASSEMBLY_CHUNK_BYTES = 1 << 21
+_ASSEMBLY_SLICE_BYTES = 1 << 21
 
 
 @lru_cache(maxsize=None)
@@ -166,7 +167,7 @@ def _assembly_map(mesh: UniformMesh) -> tuple[sp.csr_matrix, np.ndarray, np.ndar
     9 e + q) in non-zero p.  The index arrays are shared by every matrix
     assembled on the mesh; all returned arrays are read-only.
     """
-    _, _, S_ref = _reference_tables()
+    _, _, S_ref, _ = _reference_tables()
     _, _, dof = _element_geometry(mesh)
     n = mesh.n_interior
     e, a, b = np.nonzero((dof[:, :, None] >= 0) & (dof[:, None, :] >= 0))
@@ -182,6 +183,23 @@ def _assembly_map(mesh: UniformMesh) -> tuple[sp.csr_matrix, np.ndarray, np.ndar
     for arr in (B.data, B.indices, B.indptr, indices, indptr):
         arr.flags.writeable = False
     return B, indices, indptr
+
+
+@lru_cache(maxsize=None)
+def gradient_map(mesh: UniformMesh) -> tuple[np.ndarray, np.ndarray]:
+    """The Q1 gradient map G, K(c) = G^T diag(c) G, in element form.
+
+    Row (d, e, q) of G holds table[d, q, a] = sqrt(w_q) d phi_a / d x_d at
+    point q in column corners[e, a], the interior index of corner a of
+    element e (n_interior, no column, at a boundary node); c takes the
+    quadrature values once per direction d.  Both arrays are read-only.
+    """
+    _, _, _, table = _reference_tables()
+    _, _, dof = _element_geometry(mesh)
+    corners = np.where(dof >= 0, dof, mesh.n_interior)
+    for arr in (corners, table):
+        arr.flags.writeable = False
+    return corners, table
 
 
 def assemble_from_quad_values(
@@ -202,7 +220,7 @@ def assemble_from_quad_values(
         raise ValueError(f"expected quadrature values of shape {(nel, 9)} or (T, {nel}, 9)")
     flat = values.reshape(-1, nel * 9)
     data = np.empty((len(flat), B.shape[0]))  # (T, nnz)
-    step = max(1, _ASSEMBLY_CHUNK_BYTES // (8 * flat.shape[1]))
+    step = max(1, _ASSEMBLY_SLICE_BYTES // (8 * flat.shape[1]))
     for t in range(0, len(flat), step):
         data[t : t + step] = (B @ flat[t : t + step].T).T
     n = mesh.n_interior

@@ -5,20 +5,13 @@ A = sum_i G_i (x) K_i with small sparse parametric factors G and FE
 stiffness factors K.  The operator is kept matrix-free and never forms
 the ny*nx matrix.  A matvec costs, per term, one sparse K-product and
 one sparse G-product over the blocks G_i couples (its non-empty rows
-and columns; an identity G_i adds the K-product directly), unless the
-G_i together couple every pair of blocks and the K_i share one symmetric
-pattern whose values have numerical rank R below the term count T.  Then
-the operator applies the recompressed sum sum_{s<=R} Ghat_s (x) Khat_s,
-obtained from a thin SVD of the stacked K values.  The Khat_s are kept in
-the ELL layout of their shared pattern (each row's w values, zero-padded),
-so the Khat side is one batched GEMM, a small one per spatial row x over
-the w rows of the block matrix that row x reads, and the Ghat side one
-dense product over the dense ny x ny Ghat_s.  The lognormal G_alpha couple
-every pair and have R << T.  The affine G_m couple only multi-indices one
-degree apart (every pair only for ny <= 2), so the affine operator keeps
-the per-term loop and takes no SVD, also where its values have R < T (mesh
-levels 1-2, or a zero amplitude).  ``terms`` stays the exact per-term list
-either way.  Dense materialization exists only as a small-scale test and
+and columns; an identity G_i adds the K-product directly).  The lognormal
+operator holds its quadrature-point factorization instead
+(:class:`QuadratureFactorization`), A = sum_q E_q (T_q T_q^T) (x) k_q, and
+its matvec reads no G_alpha and no K_alpha: the gradient map to the Gauss
+points, M mode sweeps of T_q^T, the scaling by E_q, M sweeps of T_q and
+the transposed map.  ``terms`` stays the exact per-term list either way.
+Dense materialization exists only as a small-scale test and
 spectral-study oracle behind a size guard.
 
 Truncation map: the run path asks the operator, never ``terms`` (kept for
@@ -41,7 +34,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
@@ -49,13 +41,40 @@ from . import fem2d, gram, multiindex
 from .fem2d import UniformMesh
 
 DENSE_GUARD = 20000
-# Singular values of the stacked K values below RANK_TOL * sigma_max are
-# dropped from the recompressed operator.
-RANK_TOL = 1e-14
-# Bytes of W, the (nx, c, ny) Khat_s products of one chunk of c terms of
-# the recompressed matvec.  The gathered neighbour rows it reads (nx * w * ny
-# doubles, w the longest pattern row) are shared by all chunks, not chunked.
-_CHUNK_BYTES = 1 << 21
+
+
+@dataclass(frozen=True, eq=False)
+class QuadratureFactorization:
+    """A = sum_q E_q (T_q T_q^T) (x) k_q over the quadrature points x_q.
+
+    k_q = g_q g_q^T summed over both directions, g_q the rows of
+    ``fem2d.gradient_map`` at x_q, and T_q = prod_m T(b_m(x_q)) on I_k^M,
+    T(t)[n, j] = sqrt(C(n, j)) t^(n-j) / sqrt((n-j)!).  This is the sum of
+    G_alpha (x) K_alpha over alpha in I_2k^M, exactly: with h_n the
+    orthonormal Hermite polynomials, sum_a <h_a h_b h_c> t^a / sqrt(a!) =
+    E[h_b(y + t) h_c(y + t)] and h_n(y + t) = sum_j T(t)[n, j] h_j(y), so
+    sum_alpha a_alpha(x_q) G_alpha = E_q T_q T_q^T, while K_alpha = sum_q
+    a_alpha(x_q) k_q.  T is lower triangular, so I_k^M restricts it
+    exactly.  T(t) = D^(1/2) P(t) D^(-1/2) with D = diag(n!) and
+    P(t)[n, j] = t^(n-j) / (n-j)!, so a shift by s in mode m weighs every
+    row by t^s / s!.
+    """
+
+    corners: np.ndarray  # fem2d.gradient_map
+    table: np.ndarray
+    E: np.ndarray  # E_q = exp(b_0 + 1/2 sum_{m<=N} b_m^2)
+    b: np.ndarray  # b_m(x_q), one row per m <= M
+    offsets: np.ndarray  # rows offsets[d]:offsets[d + 1] have degree d
+    shifts: tuple  # per mode m: (d, s, rows of alpha + s e_m, |alpha| = d), by d, then s
+    factorial: np.ndarray  # alpha! per row: D
+
+
+def _shift_weights(t: np.ndarray, k: int) -> list[np.ndarray]:
+    """t^s / s! for s = 1..k."""
+    weights = [t]
+    for s in range(2, k + 1):
+        weights.append(weights[-1] * (t / s))
+    return weights[:k]
 
 
 @dataclass(frozen=True)
@@ -63,9 +82,9 @@ class KroneckerSumOperator:
     terms: tuple[tuple[sp.csr_matrix, sp.csr_matrix], ...]
     ny: int
     nx: int
-    # (nbr, ((K_ell, hstack Ghat_s) per chunk of s)) from _recompress, or
-    # None for the term loop.
-    _chunks: tuple | None = field(init=False, repr=False, compare=False)
+    # The matrix's own factorization, which the matvec applies in place of
+    # the term loop; only the lognormal builder sets it.
+    factorization: QuadratureFactorization | None = field(default=None, repr=False, compare=False)
     # Term loop: (rows, cols, G[rows][:, cols], K) per term, rows and cols
     # the non-empty rows and columns of G, or slice(None) where G has full
     # support (a view, so that term copies nothing).  G is None for an
@@ -73,10 +92,8 @@ class KroneckerSumOperator:
     _loop: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        chunks = _recompress(self.terms, self.ny, self.nx)
-        object.__setattr__(self, "_chunks", chunks)
         loop = []
-        if chunks is None:
+        if self.factorization is None:
             for G, K in self.terms:
                 G = sp.csr_matrix(G)
                 rows = np.flatnonzero(np.diff(G.indptr))
@@ -89,13 +106,6 @@ class KroneckerSumOperator:
     @property
     def dim(self) -> int:
         return self.ny * self.nx
-
-    @property
-    def rank(self) -> int:
-        """Number of Kronecker terms one matvec applies."""
-        if self._chunks is None:
-            return len(self.terms)
-        return sum(K_ell.shape[1] for K_ell, _ in self._chunks[1])
 
     def leading(self, r: int) -> tuple:
         """The pairs of P_r, the first r + 1 terms (all of them past the end
@@ -125,23 +135,43 @@ class KroneckerSumOperator:
         return G.tocsr()
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        Vt = v.reshape(self.ny, self.nx).T  # block j = column j
-        out = np.zeros((self.ny, self.nx))
-        if self._chunks is None:
+        f = self.factorization
+        if f is None:
+            Vt = v.reshape(self.ny, self.nx).T  # block j = column j
+            out = np.zeros((self.ny, self.nx))
             for rows, cols, G, K in self._loop:
                 if G is None:
                     out += (K @ Vt).T
                 else:
                     out[rows] += G @ (K @ Vt[:, cols]).T
             return out.ravel()
-        nbr, chunks = self._chunks
-        padded = np.zeros((self.nx + 1, self.ny))  # row nx reads as zero
-        padded[: self.nx] = Vt
-        near = padded[nbr]  # (nx, w, ny): the rows of Vt each row x reads
-        for K_ell, G_row in chunks:
-            W = K_ell @ near  # (nx, c, ny): W[:, s] = Khat_s Vt
-            out += G_row @ W.reshape(self.nx, -1).T
-        return out.ravel()
+        # D^(1/2) G^T [E_q P_q D^(-1) P_q^T] G D^(1/2) V, one row of U per
+        # multi-index and one column per direction and point.  The mode sweeps
+        # work in place: P^T sets a row of degree d from rows of higher degree
+        # (d runs up), and P adds it into them (d runs down).
+        ny, nx, off = self.ny, self.nx, f.offsets
+        root = np.sqrt(f.factorial)[:, None]
+        padded = np.zeros((ny, nx + 1))  # column nx reads as zero
+        padded[:, :nx] = v.reshape(ny, nx) * root
+        forward = np.ascontiguousarray(f.table.transpose(0, 2, 1))  # BLAS takes it whole
+        U = np.matmul(np.take(padded, f.corners, axis=1)[:, None], forward).reshape(ny, 2, -1)
+        for t, groups in zip(f.b, f.shifts):
+            weights = _shift_weights(t, len(off) - 2)
+            for d, s, src in groups:
+                shifted = U[src]
+                shifted *= weights[s - 1]
+                U[off[d] : off[d + 1]] += shifted
+        U *= f.E
+        U /= f.factorial[:, None, None]
+        for t, groups in zip(f.b, f.shifts):
+            weights = _shift_weights(t, len(off) - 2)
+            for d, s, src in reversed(groups):
+                U[src] += U[off[d] : off[d + 1]] * weights[s - 1]
+        Z = np.matmul(U.reshape(ny, 2, -1, 9), f.table).sum(axis=1)  # (ny, elements, 4)
+        out = np.zeros((ny, nx + 1))
+        for a in range(4):  # a node is corner a of one element; column nx is dropped
+            out[:, f.corners[:, a]] += Z[:, :, a]
+        return (out[:, :nx] * root).ravel()
 
 
 def _is_identity(G) -> bool:
@@ -153,82 +183,6 @@ def _is_identity(G) -> bool:
         and np.array_equal(G.indices, np.arange(n))
         and np.all(G.data == 1.0)
     )
-
-
-def _recompress(terms, ny: int, nx: int) -> tuple | None:
-    """Chunks of the recompressed sum, or None when it would not be shorter.
-
-    Needs the G_i together to couple every pair of blocks, since each Ghat_s
-    is a dense ny x ny matrix, and every K_i in canonical CSR form on one
-    symmetric pattern with symmetric, finite values.  The thin SVD of the
-    (T, nnz) value matrix, restricted to the upper triangle, gives
-    K_i = sum_s U_is sigma_s Khat_s up to RANK_TOL, hence
-    A = sum_s Ghat_s (x) Khat_s with Ghat_s = sum_i U_is sigma_s G_i.
-
-    Returns (nbr, chunks).  nbr (nx x w, w the longest row) holds each row's
-    column indices, padded with nx; each chunk of c terms is (K_ell, G_row),
-    K_ell (nx x c x w) the Khat_s values in that layout, padded with 0, and
-    G_row (ny x c ny) the Ghat_s side by side.
-    """
-    Ks = [K for _, K in terms]
-    if len(Ks) < 2 or not all(sp.issparse(K) and K.format == "csr" for K in Ks):
-        return None
-    Gs = [sp.csr_matrix(G) for G, _ in terms]
-    # Flat index j * ny + t of every stored G_i[j, t]; fewer than ny^2 of
-    # them cannot cover the blocks, and then no ny^2 count is allocated.
-    flat = np.concatenate([np.repeat(np.arange(ny) * ny, np.diff(G.indptr)) + G.indices for G in Gs])
-    if len(flat) < ny * ny or not np.bincount(flat, minlength=ny * ny).all():
-        return None
-    K0 = Ks[0]
-    if K0.shape != (nx, nx) or not K0.has_canonical_format:
-        return None
-    for K in Ks[1:]:
-        if not (np.array_equal(K.indptr, K0.indptr) and np.array_equal(K.indices, K0.indices)):
-            return None
-    nnz = K0.nnz
-    mirror = sp.csr_matrix((np.arange(nnz), K0.indices, K0.indptr), shape=(nx, nx)).T.tocsr()
-    if not (np.array_equal(mirror.indptr, K0.indptr) and np.array_equal(mirror.indices, K0.indices)):
-        return None
-    row = np.repeat(np.arange(nx), np.diff(K0.indptr))  # of each stored entry
-    upper = K0.indices >= row
-    lower = ~upper
-    twin_of_lower = mirror.data[lower]
-    if not all(np.array_equal(K.data[lower], K.data[twin_of_lower]) for K in Ks):
-        return None
-    # Column-major (T, nnz_upper) so that LAPACK works in place.
-    values = np.stack([K.data[upper] for K in Ks], axis=1).T
-    if values.size == 0 or not np.all(np.isfinite(values)):
-        return None
-    U, sigma, Vt = scipy.linalg.svd(
-        values, full_matrices=False, overwrite_a=True, check_finite=False
-    )
-    del values  # overwritten by the SVD
-    R = int(np.count_nonzero(sigma > RANK_TOL * sigma[0]))
-    if R >= len(Ks):
-        return None
-
-    # Khat_s on the full pattern: each entry takes its upper-triangle twin.
-    twin = np.where(upper, np.arange(nnz), mirror.data)
-    K_hat = Vt[:R, (np.cumsum(upper) - 1)[twin]]
-    G_stack = sp.csr_matrix(  # row i holds G_i flattened
-        (np.concatenate([G.data for G in Gs]), flat, np.cumsum([0] + [G.nnz for G in Gs])),
-        shape=(len(Gs), ny * ny),
-    )
-    G_hat = np.asarray(G_stack.T @ (U[:, :R] * sigma[:R])).T.reshape(R, ny, ny)
-
-    # ELL layout of the pattern: entry e in slot e - indptr[row[e]] of its row.
-    slot = np.arange(nnz) - K0.indptr[row]
-    nbr = np.full((nx, slot.max() + 1), nx)
-    nbr[row, slot] = K0.indices
-    chunk = max(1, _CHUNK_BYTES // (8 * nx * ny))
-    chunks = []
-    for a in range(0, R, chunk):
-        b = min(a + chunk, R)
-        K_ell = np.zeros((nx, b - a, nbr.shape[1]))
-        K_ell[row, :, slot] = K_hat[a:b].T
-        G_row = np.ascontiguousarray(G_hat[a:b].transpose(1, 0, 2).reshape(ny, (b - a) * ny))
-        chunks.append((K_ell, G_row))
-    return nbr, tuple(chunks)
 
 
 def assemble_dense(terms) -> np.ndarray:
@@ -344,24 +298,22 @@ def build_affine_system(
 # lognormal system
 
 
-def _expansion_quad_values(mesh, alphas, b_fields, b0) -> np.ndarray:
+def _expansion_quad_values(alphas, E, B) -> np.ndarray:
     """a_alpha at the quadrature points, shape (len(alphas), n_elements, 9).
 
-    Every b_m is evaluated once; each a_alpha is then formed by the
-    pointwise products of :func:`fem2d.lognormal_expansion_coeff`, slot by
-    slot, batched over the alphas sharing a slot degree.
+    E and B (one row per b_m) are E(x) and the b_m at those points; each
+    a_alpha is formed by the pointwise products of
+    :func:`fem2d.lognormal_expansion_coeff`, slot by slot, batched over
+    the alphas sharing a slot degree.
     """
-    xq1, xq2 = fem2d.quadrature_points(mesh)
-    Bq = [b(xq1, xq2) for b in b_fields]
-    Eq = np.exp(b0(xq1, xq2) + 0.5 * sum(b * b for b in Bq))
     powers = np.array(alphas, dtype=np.int64).reshape(len(alphas), -1)
-    vals = np.broadcast_to(Eq, (len(alphas),) + Eq.shape).copy()
+    vals = np.broadcast_to(E, (len(alphas),) + E.shape).copy()
     for m in range(powers.shape[1]):
         for a in map(int, np.unique(powers[:, m])):
             if a:
                 rows = powers[:, m] == a
                 sub = vals[rows]
-                sub *= Bq[m] ** a
+                sub *= B[m] ** a
                 sub /= math.sqrt(math.factorial(a))
                 vals[rows] = sub
     return vals
@@ -380,10 +332,11 @@ def build_lognormal_system(
     The coefficient is exp(b) with b = b_0 + sum_{m=1}^N b_m y_m, the b_m
     taken from the decaying cosine family.  The Galerkin matrix is the sum
     of G_alpha (x) K_alpha over alpha in I_{2k}^M, and ``op.terms`` holds
-    every one of them.  No G_alpha vanishes on I_k^M: split alpha = beta +
-    gamma with beta, gamma in I_k^M (possible since |alpha| <= 2k); each
-    Hermite triple <H_{alpha_m} H_{beta_m}, H_{gamma_m}> with alpha_m =
-    beta_m + gamma_m is nonzero, so G_alpha[beta, gamma] != 0.
+    every one of them, ``op.factorization`` their sum as the matvec applies
+    it.  No G_alpha vanishes on I_k^M: split alpha = beta + gamma with beta,
+    gamma in I_k^M (possible since |alpha| <= 2k); each Hermite triple
+    <H_{alpha_m} H_{beta_m}, H_{gamma_m}> with alpha_m = beta_m + gamma_m
+    is nonzero, so G_alpha[beta, gamma] != 0.
     """
     if M >= N:
         raise ValueError(f"lognormal truncation requires M < N, got M={M}, N={N}")
@@ -401,11 +354,24 @@ def build_lognormal_system(
     ordered.sort(key=lambda term: any(term[0]))  # stable
 
     grams = [gram.gram_general(alpha, S) for alpha, _ in ordered]
-    quad_values = _expansion_quad_values(mesh, [alpha for alpha, _ in ordered], b_fields, b0)
-    Ks = fem2d.assemble_from_quad_values(mesh, quad_values)
-    del quad_values  # released before the operator takes its SVD
-
-    op = KroneckerSumOperator(terms=tuple(zip(grams, Ks)), ny=len(S), nx=mesh.n_interior)
+    xq1, xq2 = fem2d.quadrature_points(mesh)
+    B = np.array([b(xq1, xq2) for b in b_fields])
+    E = np.exp(b0(xq1, xq2) + 0.5 * sum(b * b for b in B))
+    Ks = fem2d.assemble_from_quad_values(
+        mesh, _expansion_quad_values([alpha for alpha, _ in ordered], E, B)
+    )
+    offsets = np.searchsorted([sum(alpha) for alpha in S], np.arange(k + 2))
+    shifts = tuple(
+        tuple((d, s, np.array([S.position(a[:m] + (a[m] + s,) + a[m + 1 :])
+                               for a in S.indices[offsets[d] : offsets[d + 1]]]))
+              for d in range(k) for s in range(1, k - d + 1))
+        for m in range(M)
+    )
+    factorial = np.array([float(math.prod(map(math.factorial, alpha))) for alpha in S])
+    factorization = QuadratureFactorization(
+        *fem2d.gradient_map(mesh), E.ravel(), B[:M].reshape(M, -1), offsets, shifts, factorial
+    )
+    op = KroneckerSumOperator(tuple(zip(grams, Ks)), len(S), mesh.n_interior, factorization)
     f = np.zeros(op.dim)
     f[: mesh.n_interior] = fem2d.assemble_load(mesh)
     return op, f

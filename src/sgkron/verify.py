@@ -301,6 +301,18 @@ def prop_matvec_vs_dense(cfg: SmallConfig = AFFINE):
     assert np.max(np.abs(A - A.T)) < 1e-13
 
 
+def prop_lognormal_factored_matvec(level: int = 2, M: int = 3, k: int = 2, N: int = 6,
+                                   alpha_bar: float = LOGNORMAL_ALPHA_BAR, seed: int = RNG_SEED):
+    # The factored lognormal matvec against the sum of G_alpha (K_alpha V)
+    # over op.terms: 1e-13 relative on three random V.
+    op, _ = kronsys.build_lognormal_system(fem2d.build_mesh(level), M, k, N, 2.0, alpha_bar)
+    assert op.factorization is not None
+    for V in np.random.default_rng(seed).standard_normal((3, op.ny, op.nx)):
+        ref = sum(G @ (K @ V.T).T for G, K in op.terms).ravel()
+        err = np.linalg.norm(op.matvec(V.ravel()) - ref) / np.linalg.norm(ref)
+        assert err <= 1e-13, f"relative error {err:.3e}"
+
+
 def prop_block_row_count(cfg: SmallConfig = SmallConfig(M=4)):
     # Affine: each block row of the assembled matrix holds at most 2M + 1
     # nonzero blocks.

@@ -621,7 +621,10 @@ class TestRunCommand:
         cfg = {**HERMITE_PAST_DOUBLE, "k": 85, "preconditioners": ["mean"]}
         assert cli.main(["run", write_config(tmp_path / "cfg.json", cfg)]) == 0
         _, row = capsys.readouterr().out.splitlines()
-        assert row.split(",")[COL["iterations"]] == "110"
+        # The count of the quadrature-point factored matvec; the count is
+        # sensitive to rounding at this degree (the term loop takes 106).
+        assert row.split(",")[COL["iterations"]] == "102"
+        assert row.split(",")[COL["converged"]] == "true"
 
     def test_usage_errors_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", tiny_affine_config())

@@ -44,7 +44,7 @@ class TestMesh:
 
 def coo_assembly(mesh, values):
     # Reference: element matrices summed into COO form, one matrix at a time.
-    _, _, S_ref = fem2d._reference_tables()
+    _, _, S_ref, _ = fem2d._reference_tables()
     _, _, dof = fem2d._element_geometry(mesh)
     Ke = np.einsum("eq,qab->eab", values, S_ref)
     rows = np.repeat(dof[:, :, None], 4, axis=2)
@@ -115,6 +115,25 @@ class TestStiffness:
             assert err <= 1e-15
             assert K.has_canonical_format
             assert abs(K - K.T).max() == 0.0
+
+    @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+    def test_gradient_map_factors_stiffness(self, level):
+        # G^T diag(c) G, G the sparse matrix of the element form, c the
+        # quadrature values repeated for both directions.
+        mesh = build_mesh(level)
+        corners, table = fem2d.gradient_map(mesh)
+        assert not corners.flags.writeable and not table.flags.writeable
+        nel, n = corners.shape[0], mesh.n_interior
+        d, e, q, a = np.meshgrid(range(2), range(nel), range(9), range(4), indexing="ij")
+        keep = corners[e, a] < n
+        G = sp.csr_matrix(
+            (table[d, q, a][keep], ((d * nel * 9 + e * 9 + q)[keep], corners[e, a][keep])),
+            shape=(2 * nel * 9, n),
+        )
+        c = np.random.default_rng(level).random((nel, 9)) + 0.5
+        K = assemble_from_quad_values(mesh, c).toarray()
+        GtcG = (G.T @ sp.diags(np.tile(c.ravel(), 2)) @ G).toarray()
+        assert np.linalg.norm(GtcG - K) <= 1e-14 * np.linalg.norm(K)
 
     def test_load_vector(self):
         mesh = build_mesh(4)

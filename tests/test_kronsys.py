@@ -214,71 +214,48 @@ def assert_matches_term_sum(op):
 
 
 class TestRecompressedOperator:
+    """The lognormal factored matvec and the term loop against the term sum."""
+
     @pytest.mark.parametrize("level", [2, 3])
     @pytest.mark.parametrize("k", [1, 2])
     def test_matches_term_sum(self, level, k):
         op, _, _ = table6_lognormal(level, k)
-        assert op.rank < len(op.terms)
+        assert op.factorization is not None
         assert_matches_term_sum(op)
 
     def test_mesh_level_5(self):
-        # The largest spatial size of the table grids: 961 rows, so 961 small
-        # GEMMs per chunk, against ny = 7 blocks.
+        # The largest spatial size of the table grids: 961 rows and 9,216
+        # quadrature points, against ny = 7 blocks.
         op, _, _ = table6_lognormal(5, 1)
-        assert op.nx == 961 and op.rank < len(op.terms)
+        assert op.nx == 961
         assert_matches_term_sum(op)
 
-    def test_ragged_chunks(self, monkeypatch):
-        # A chunk budget of c terms, c not dividing R: at least three
-        # chunks, the last one shorter.
-        op, _, _ = table6_lognormal(3, 2)
-        R = op.rank
-        c = next(c for c in range(R // 3, 0, -1) if R % c)
-        monkeypatch.setattr(kronsys, "_CHUNK_BYTES", 8 * op.nx * op.ny * c)
-        chunked = KroneckerSumOperator(terms=op.terms, ny=op.ny, nx=op.nx)
-        sizes = [K_ell.shape[1] for K_ell, _ in chunked._chunks[1]]
-        assert len(sizes) >= 3 and sizes[0] == c and 0 < sizes[-1] < c
-        assert chunked.rank == R
-        assert_matches_term_sum(chunked)
+    def test_degree_zero_has_no_shift(self):
+        # k = 0: one block, no mode sweep; the operator is E_q times k_q.
+        op, _, _ = tiny_lognormal(level=3, M=2, k=0, N=4)
+        assert op.ny == 1 and all(not groups for groups in op.factorization.shifts)
+        assert_matches_term_sum(op)
 
-    def test_uneven_rows_and_an_empty_row(self):
-        # A shared symmetric pattern with rows of 3, 2, 0, 3 and 2 entries,
-        # so row 2 reads only padding slots; K_2 = 2 K_0 - K_1 gives rank 2
-        # of 3, and dense G_i couple every pair of blocks.
-        rng = np.random.default_rng(42)
-        mask = np.zeros((5, 5), dtype=bool)
-        mask[[0, 1, 3, 4], [0, 1, 3, 4]] = True
-        mask[[0, 1, 0, 3, 3, 4], [1, 0, 3, 0, 4, 3]] = True
-        Ks = []
-        for _ in range(2):
-            K = np.where(mask, rng.uniform(1.0, 2.0, (5, 5)), 0.0)
-            Ks.append(K + K.T)
-        Ks.append(2.0 * Ks[0] - Ks[1])
-        Gs = [rng.standard_normal((3, 3)) for _ in Ks]
-        op = KroneckerSumOperator(
-            terms=tuple((sp.csr_matrix(G), sp.csr_matrix(K)) for G, K in zip(Gs, Ks)),
-            ny=3,
-            nx=5,
+    def test_one_mode(self):
+        op, _, _ = tiny_lognormal(level=3, M=1, k=3, N=4)
+        assert_matches_term_sum(op)
+
+    def test_largest_hermite_degree(self):
+        # 2k = 170, the largest Hermite degree the parser accepts: alpha!
+        # reaches 85!, about 2.8e128, in the scaling by D.
+        op, _ = build_lognormal_system(
+            build_mesh(1), M=1, k=85, N=2, sigma_tilde=2.0, alpha_bar=LOGNORMAL_ALPHA_BAR
         )
-        assert all(np.array_equal(K != 0, mask) for K in Ks)
-        assert op.rank == 2
-        A = sum(np.kron(G, K) for G, K in zip(Gs, Ks))
-        v = rng.standard_normal(op.dim)
-        ref = A @ v
-        assert np.linalg.norm(op.matvec(v) - ref) / np.linalg.norm(ref) <= 1e-13
-
-    def test_table6_ranks(self):
-        # Numerical rank of the stacked K values at RANK_TOL, mesh level 4.
-        op, _, _ = table6_lognormal(4, 1)
-        assert (op.rank, len(op.terms)) == (19, 28)
+        assert op.ny == 86
+        assert_matches_term_sum(op)
 
     @pytest.mark.parametrize("M", [4, 8])
     def test_affine_keeps_term_loop(self, M):
-        # At level 1 every K_m is 1 x 1, so the values have rank 1; the G_m
-        # leave block pairs uncoupled, so no dense Ghat_s is formed.
+        # The affine operator has no factorization: the term loop, bit for
+        # bit, also at level 1, where every K_m is 1 x 1.
         for level, k in itertools.product((1, 3), (2, 3)):
             op, _, _ = tiny_affine(level=level, M=M, k=k)
-            assert op.rank == len(op.terms) == M + 1
+            assert op.factorization is None and len(op.terms) == M + 1
             if k == 3:  # every G_m, m >= 1, leaves some blocks uncoupled
                 assert all(np.diff(G.indptr).min() == 0 for G, _ in op.terms[1:])
             v = np.random.default_rng(42).standard_normal(op.dim)
@@ -295,26 +272,25 @@ class TestRecompressedOperator:
         op = KroneckerSumOperator(
             terms=((sp.identity(4, format="csr"), K0), (G, K1)), ny=4, nx=3
         )
-        assert op.rank == 2
         A = np.kron(np.eye(4), K0.toarray()) + np.kron(G.toarray(), K1.toarray())
         v = np.random.default_rng(42).standard_normal(12)
         np.testing.assert_allclose(op.matvec(v), A @ v, rtol=1e-14, atol=1e-14)
 
     def test_unsymmetric_terms_keep_term_loop(self):
-        # Two terms with proportional (rank-one) but unsymmetric K values.
+        # Two terms with proportional but unsymmetric K values.
         K = sp.csr_matrix(np.array([[2.0, 1.0], [0.5, 3.0]]))
         G = sp.csr_matrix(np.eye(2))
         op = KroneckerSumOperator(terms=((G, K), (G, 2.0 * K)), ny=2, nx=2)
-        assert op.rank == 2
+        v = np.random.default_rng(42).standard_normal(4)
+        np.testing.assert_allclose(op.matvec(v), 3.0 * np.kron(np.eye(2), K.toarray()) @ v, rtol=1e-14)
 
     def test_proportional_terms_collapse(self):
         # Symmetric K values of rank one, and G_i that together couple every
-        # pair of blocks: one recompressed term, exact sum.
+        # pair of blocks: the term loop sums them exactly.
         K = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
         G1 = sp.csr_matrix(np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 2.0]]))
         G2 = sp.csr_matrix(np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]))
         op = KroneckerSumOperator(terms=((G1, K), (G2, -3.0 * K)), ny=3, nx=2)
-        assert op.rank == 1
         A = np.kron(G1.toarray(), K.toarray()) - 3.0 * np.kron(G2.toarray(), K.toarray())
         v = np.random.default_rng(42).standard_normal(6)
         np.testing.assert_allclose(op.matvec(v), A @ v, rtol=1e-14, atol=1e-14)
@@ -325,10 +301,10 @@ class TestRecompressedOperator:
         b0 = fem2d.fourier_coefficient(0, 2.0, 0.547)
         b_fields = [fem2d.fourier_coefficient(m, 2.0, 0.547) for m in range(1, 7)]
         alphas = list(build_index_set(4, 4))
-        vals = kronsys._expansion_quad_values(mesh, alphas, b_fields, b0)
         xq1, xq2 = fem2d.quadrature_points(mesh)
         Bq = [b(xq1, xq2) for b in b_fields]
         Eq = np.exp(b0(xq1, xq2) + 0.5 * sum(b * b for b in Bq))
+        vals = kronsys._expansion_quad_values(alphas, Eq, Bq)
         for alpha, got in zip(alphas, vals):
             ref = Eq
             for m, a in enumerate(alpha):
@@ -337,9 +313,9 @@ class TestRecompressedOperator:
             np.testing.assert_array_equal(got, ref)
 
     def test_build_kron_parametric_factor(self):
-        # kron_factor reads op.terms, so its Frobenius fit is unchanged by the
-        # recompression; reference: K_alpha assembled one at a time from
-        # the lognormal expansion coefficients.
+        # kron_factor reads op.terms, not the factorization; reference:
+        # K_alpha assembled one at a time from the lognormal expansion
+        # coefficients.
         op, _, _ = table6_lognormal(3, 2)
         b0, b_fields = lognormal_expansion(20)
         ordered = fem2d.order_by_magnitude(build_index_set(6, 4), b_fields, b0)

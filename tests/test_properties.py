@@ -4,10 +4,13 @@ Catalogue properties that build a tiny system run on drawn configurations
 (levels 1-2, M <= 4, k <= 3, N = M + 2 for lognormal) and on an
 ``@example`` for the configuration of each test they took over;
 ``closed_form_constants`` runs on drawn decay rates, amplitudes and mode
-counts.  The other catalogue properties run once each.
+counts, and ``lognormal_factored_matvec`` on drawn levels 1-3, M <= 4,
+k <= 3, M < N <= 8 and amplitudes in [0.1, 1].  The other catalogue
+properties run once each.
 """
 
 import inspect
+from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
@@ -16,7 +19,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from sgkron import precond, verify
+from sgkron import fem2d, kronsys, precond, verify
 from sgkron.kronsys import KroneckerSumOperator, assemble_dense
 from sgkron.verify import AFFINE, LOGNORMAL, SmallConfig
 
@@ -85,6 +88,49 @@ test_inclusions_tiny = drawn("inclusions_tiny", ("affine",), AFFINE, SmallConfig
 test_kappa_within_bound = drawn("kappa_within_bound", ("affine",))
 test_trunc_spectrum_symmetric = drawn("trunc_spectrum_symmetric", ("affine",), AFFINE)
 test_parity_split = drawn("parity_split", BOTH, AFFINE, LOGNORMAL, SmallConfig(level=1, k=0))
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(
+    level=st.integers(1, 3),
+    M_N=st.integers(1, 4).flatmap(lambda M: st.tuples(st.just(M), st.integers(M + 1, 8))),
+    k=st.integers(0, 3),
+    alpha_bar=st.floats(0.1, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(level=2, M_N=(3, 6), k=2, alpha_bar=verify.LOGNORMAL_ALPHA_BAR, seed=verify.RNG_SEED)
+def test_lognormal_factored_matvec(level, M_N, k, alpha_bar, seed):
+    M, N = M_N
+    CATALOGUE["lognormal_factored_matvec"](level, M, k, N, alpha_bar, seed)
+
+
+def test_lognormal_factored_matvec_detects_shift_fault():
+    # The weight of a shift by one, t / 1!, off by 1e-8 in every mode.
+    weights = kronsys._shift_weights
+
+    def planted(t, k):
+        w = weights(t, k)
+        return [w[0] * (1 + 1e-8)] + w[1:] if w else w
+
+    with patch.object(kronsys, "_shift_weights", planted):
+        with pytest.raises(AssertionError, match="relative error"):
+            CATALOGUE["lognormal_factored_matvec"]()
+
+
+def test_lognormal_factored_matvec_detects_truncated_envelope():
+    # E_q = exp(b_0 + 1/2 sum b_m^2) summed over the first M sources, not all N.
+    build = kronsys.build_lognormal_system
+
+    def planted(mesh, M, k, N, sigma_tilde, alpha_bar):
+        op, f = build(mesh, M, k, N, sigma_tilde, alpha_bar)
+        fac = op.factorization
+        b0 = fem2d.fourier_coefficient(0, sigma_tilde, alpha_bar)(*fem2d.quadrature_points(mesh))
+        E = np.exp(b0.ravel() + 0.5 * sum(b * b for b in fac.b))
+        return replace(op, factorization=replace(fac, E=E)), f
+
+    with patch.object(kronsys, "build_lognormal_system", planted):
+        with pytest.raises(AssertionError, match="relative error"):
+            CATALOGUE["lognormal_factored_matvec"]()
 
 
 @settings(max_examples=20, deadline=None, database=None)
