@@ -29,7 +29,7 @@ import time
 
 import numpy as np
 
-from . import fem2d, grid, multiindex, pcg, spectral, verify
+from . import fem2d, grid, kronsys, multiindex, pcg, spectral, verify
 
 CSV_HEADER = (
     "problem,decay,h,M,k,precond,r,iterations,converged,"
@@ -397,10 +397,10 @@ def cmd_spectrum(config_path, out_path, full) -> int:
         if any(r < 0 for r in r_values):
             raise ConfigError("truncation indices must be >= 0")
         dim = multiindex.dimension(cell.M, cell.k) * fem2d.build_mesh(cell.level).n_interior
-        if dim > spectral.EIG_GUARD:
+        if dim > kronsys.DENSE_GUARD:
             raise ConfigError(
                 f"system dimension {dim} exceeds the dense guard "
-                f"{spectral.EIG_GUARD}; lower mesh_level, M or k"
+                f"{kronsys.DENSE_GUARD}; lower mesh_level, M or k"
             )
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
             op, _, ctx = cell.build()

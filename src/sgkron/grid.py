@@ -66,13 +66,12 @@ def build_preconditioner(kind, r, op, K0_factor):
     """All four families take K0_factor(), the cell's K_0 factor, and ask
     `op` for the rest: P_r's pairs, its parity classes and kron's G."""
     if kind == "mean":
-        return precond.build_mean_based(K0_factor(), op.ny, op.parity_classes(0))
+        return precond.build_mean_based(K0_factor(), op.parity_classes(0))
     if kind == "kron":
         return precond.build_kron(op, K0_factor())
     if kind == "trunc_exact":
-        classes = op.parity_classes(r)
-        return precond.build_trunc_exact(K0_factor(), op.leading(r), op.ny, op.nx, classes)
-    return precond.build_sbgs(K0_factor(), op.leading(r), op.ny, op.nx)
+        return precond.build_trunc_exact(K0_factor(), op.leading(r), op.parity_classes(r))
+    return precond.build_sbgs(K0_factor(), op.leading(r))
 
 
 def solve_cell(cell: Cell, preconds, solver_cfg: pcg.SolverConfig):

@@ -24,7 +24,7 @@ v = [v_1; ...; v_ny] with block j holding the nx spatial coefficients of
 parametric basis function j, so block j = row j of ``v.reshape(ny, nx)``
 (a free view; results go back with ``.ravel()``).  Parametric factors act
 on its rows; spatial operators act on its transpose, whose columns are
-the blocks.
+the blocks.  ny and nx are the orders of the lead pair's G and K.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from scipy.sparse.csgraph import connected_components
 from . import fem2d, gram, multiindex
 from .fem2d import UniformMesh
 
-DENSE_GUARD = 20000
+DENSE_GUARD = 2000  # largest dimension of a dense matrix or eigensolve
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,11 +80,11 @@ def _shift_weights(t: np.ndarray, k: int) -> list[np.ndarray]:
 @dataclass(frozen=True)
 class KroneckerSumOperator:
     terms: tuple[tuple[sp.csr_matrix, sp.csr_matrix], ...]
-    ny: int
-    nx: int
     # The matrix's own factorization, which the matvec applies in place of
     # the term loop; only the lognormal builder sets it.
     factorization: QuadratureFactorization | None = field(default=None, repr=False, compare=False)
+    ny: int = field(init=False)
+    nx: int = field(init=False)
     # Term loop: (rows, cols, G[rows][:, cols], K) per term, rows and cols
     # the non-empty rows and columns of G, or slice(None) where G has full
     # support (a view, so that term copies nothing).  G is None for an
@@ -92,6 +92,10 @@ class KroneckerSumOperator:
     _loop: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not self.terms:
+            raise ValueError("operator needs at least one term")
+        object.__setattr__(self, "ny", self.terms[0][0].shape[0])
+        object.__setattr__(self, "nx", self.terms[0][1].shape[0])
         loop = []
         if self.factorization is None:
             for G, K in self.terms:
@@ -116,7 +120,7 @@ class KroneckerSumOperator:
 
     def parity_classes(self, r: int) -> np.ndarray | None:
         """:func:`parity_classes` of P_r: the colouring it keeps, the tail flips."""
-        return parity_classes(self.terms, self.ny, r)
+        return parity_classes(self.terms, r)
 
     def kron_factor(self) -> sp.csr_matrix:
         """kron's G = sum_i [tr(K_i^T K_0)/tr(K_0^T K_0)] G_i, minimizing the
@@ -205,9 +209,9 @@ def assemble_sparse(terms) -> sp.csc_matrix:
     return A
 
 
-def parity_classes(terms, ny: int, r: int) -> np.ndarray | None:
-    """One bool per block (of ny), False at block 0, that the first r + 1 of
-    ``terms`` keep and every other flips; None without a tail coupling or such colouring.
+def parity_classes(terms, r: int) -> np.ndarray | None:
+    """One bool per block (row of the G), False at block 0, that the first r + 1
+    of ``terms`` keep and every other flips; None without a tail coupling or such colouring.
 
     Blocks the leading patterns connect share a colour, and each tail entry
     must join two components of unlike colour: a 2-colouring of the
@@ -218,13 +222,13 @@ def parity_classes(terms, ny: int, r: int) -> np.ndarray | None:
     """
     def entries(G):  # (rows, columns) of the stored entries
         G = sp.csr_matrix(G)
-        return np.repeat(np.arange(ny), np.diff(G.indptr)), G.indices
+        return np.repeat(np.arange(G.shape[0]), np.diff(G.indptr)), G.indices
 
     def graph(rows, cols, n):
         return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
 
     rows, cols = (np.concatenate(e) for e in zip(*(entries(G) for G, _ in terms[: r + 1])))
-    n, comp = connected_components(graph(rows, cols, ny), directed=False)
+    n, comp = connected_components(graph(rows, cols, terms[0][0].shape[0]), directed=False)
     ends = []
     for G, _ in terms[r + 1 :]:
         a, b = (comp[e] for e in entries(G))
@@ -283,7 +287,7 @@ def build_affine_system(
         K_m = fem2d.assemble_stiffness(mesh, fields[m])
         terms.append((G_m, K_m))
 
-    op = KroneckerSumOperator(terms=tuple(terms), ny=len(S), nx=mesh.n_interior)
+    op = KroneckerSumOperator(tuple(terms))
 
     f = np.zeros(op.dim)
     f[: mesh.n_interior] = fem2d.assemble_load(mesh)
@@ -371,7 +375,7 @@ def build_lognormal_system(
     factorization = QuadratureFactorization(
         *fem2d.gradient_map(mesh), E.ravel(), B[:M].reshape(M, -1), offsets, shifts, factorial
     )
-    op = KroneckerSumOperator(tuple(zip(grams, Ks)), len(S), mesh.n_interior, factorization)
+    op = KroneckerSumOperator(tuple(zip(grams, Ks)), factorization)
     f = np.zeros(op.dim)
     f[: mesh.n_interior] = fem2d.assemble_load(mesh)
     return op, f

@@ -32,7 +32,8 @@ off the matrix: a grid Laplacian (the affine K_0) of order
 of its 1-D factors, positive definite by its closed-form eigenvalues; any
 other matrix with a dense inverse up to order ``DENSE_SOLVE_MAX`` (mesh
 levels <= 4) and with SuperLU above it, at the measured crossover of the
-two.  Builders take the caller's K_0 factor, and none factors K_0 again.
+two.  Builders take the caller's K_0 factor, and none factors K_0 again;
+each reads ny off its lead G (or ``classes``, or v) and nx off that factor.
 """
 
 from __future__ import annotations
@@ -187,29 +188,37 @@ class CholeskyFactor:
         return self._lu.solve(b)
 
 
+def _shape(pairs, K0_factor: CholeskyFactor) -> tuple[int, int]:
+    """(ny, nx): the orders of the lead G and of K0_factor, the lead K's."""
+    if not pairs:
+        raise ValueError("truncation needs at least one term")
+    (G, K), n = pairs[0], K0_factor.n
+    if K.shape[0] != n:
+        raise ValueError(f"K_0 factor of order {n} for a lead K of order {K.shape[0]}")
+    return G.shape[0], n
+
+
 # ---------------------------------------------------------------------------
 # mean-based
 
 
 class MeanBasedPreconditioner:
-    def __init__(self, K0_factor: CholeskyFactor, ny: int, classes=None):
+    def __init__(self, K0_factor: CholeskyFactor, classes=None):
         self.K0 = K0_factor
-        self.ny = ny
-        self.nx = K0_factor.n
         self.classes = classes
 
     def apply_inverse(self, v: np.ndarray, cls: int | None = None) -> np.ndarray:
-        V = v.reshape(self.ny, self.nx)
+        V = v.reshape(-1, self.K0.n)
         if cls is None:
             return self.K0.solve(V.T).T.ravel()
         blocks = self.classes == cls
-        Z = np.zeros((self.ny, self.nx))
+        Z = np.zeros(V.shape)
         Z[blocks] = self.K0.solve(V[blocks].T).T
         return Z.ravel()
 
 
-def build_mean_based(K0_factor: CholeskyFactor, ny: int, classes=None) -> MeanBasedPreconditioner:
-    return MeanBasedPreconditioner(K0_factor, ny, classes)
+def build_mean_based(K0_factor: CholeskyFactor, classes=None) -> MeanBasedPreconditioner:
+    return MeanBasedPreconditioner(K0_factor, classes)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +248,7 @@ def build_kron(op, K0_factor: CholeskyFactor) -> KroneckerProductPreconditioner:
 # exact truncation
 
 
-def _tail_blocks(Gs: list, ny: int) -> list[np.ndarray]:
+def _tail_blocks(Gs: list) -> list[np.ndarray]:
     """Parametric indices of the diagonal blocks of sum_l G_l (x) K_l, grouped.
 
     The blocks are the connected components of the union of the G_l
@@ -250,7 +259,7 @@ def _tail_blocks(Gs: list, ny: int) -> list[np.ndarray]:
     """
     rows = np.concatenate([G.row for G in Gs])
     cols = np.concatenate([G.col for G in Gs])
-    union = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(ny, ny))
+    union = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=Gs[0].shape)
     n_comp, comp = connected_components(union, directed=False)
     size = np.bincount(comp, minlength=n_comp)
     slot = _occurrence(comp)
@@ -272,7 +281,7 @@ def _tail_blocks(Gs: list, ny: int) -> list[np.ndarray]:
 
 
 class TruncExactPreconditioner:
-    """Exact application of the truncation P_r = the sum of ``terms``, the
+    """Exact application of the truncation P_r = the sum of ``pairs``, the
     leading pairs ``op.leading(r)``; ``K0_factor`` is the caller's factor of
     the leading K (K_0).
 
@@ -307,21 +316,18 @@ class TruncExactPreconditioner:
     ``cls`` only, leaving zeros elsewhere.
     """
 
-    def __init__(self, K0_factor: CholeskyFactor, terms, ny: int, nx: int, classes=None):
-        used = tuple(terms)
-        if not used:
-            raise ValueError("truncation needs at least one term")
-        self.ny = ny
-        self.nx = nx
+    def __init__(self, K0_factor: CholeskyFactor, pairs, classes=None):
+        used = tuple(pairs)
+        self.ny, self.nx = _shape(used, K0_factor)
         self.classes = classes
         Gs = [sp.csr_matrix(G) for G, _ in used]
         self._direct = []  # (class indices, factor of its block)
         nested = [np.zeros(0, dtype=np.int64)]
-        for idx in _tail_blocks([G.tocoo() for G in Gs], ny):
+        for idx in _tail_blocks([G.tocoo() for G in Gs]):
             block = [(G[idx[0]][:, idx[0]], K) for G, (_, K) in zip(Gs, used)]
             if _is_identity(block[0][0]) and not any(G.nnz for G, _ in block[1:]):
                 self._direct.append((idx, K0_factor))  # I (x) K_0 alone
-            elif idx.shape[1] * nx > TRUNC_DIRECT_GUARD:
+            elif idx.shape[1] * self.nx > TRUNC_DIRECT_GUARD:
                 nested.append(idx.ravel())
             else:
                 self._direct.append((idx, CholeskyFactor(assemble_sparse(block))))
@@ -334,13 +340,13 @@ class TruncExactPreconditioner:
         self._nested = []
         for rest in filter(len, parts):
             block = tuple((G[rest][:, rest], K) for G, (_, K) in zip(Gs, used))
-            colour = parity_classes(block, len(rest), 0) if _is_identity(block[0][0]) else None
+            colour = parity_classes(block, 0) if _is_identity(block[0][0]) else None
             if colour is None:
-                op = KroneckerSumOperator(terms=block, ny=len(rest), nx=nx)
-                self._nested.append((rest, op, PairBlockSbgs(block, len(rest), nx, K0_factor)))
+                op = KroneckerSumOperator(block)
+                self._nested.append((rest, op, PairBlockSbgs(block, K0_factor)))
             else:
                 S = _SchurComplement(block, colour, K0_factor)
-                self._nested.append((rest, S, MeanBasedPreconditioner(K0_factor, len(S.keep))))
+                self._nested.append((rest, S, MeanBasedPreconditioner(K0_factor)))
 
     def apply_inverse(self, v: np.ndarray, cls: int | None = None) -> np.ndarray:
         V = v.reshape(self.ny, self.nx)
@@ -420,8 +426,8 @@ class _SchurComplement:
         return (self._K0 @ X.T - self.lift(Y).T).T.ravel()
 
 
-def build_trunc_exact(K0_factor: CholeskyFactor, terms, ny: int, nx: int, classes=None):
-    return TruncExactPreconditioner(K0_factor, terms, ny, nx, classes)
+def build_trunc_exact(K0_factor: CholeskyFactor, pairs, classes=None):
+    return TruncExactPreconditioner(K0_factor, pairs, classes)
 
 
 # ---------------------------------------------------------------------------
@@ -447,28 +453,27 @@ def _groups(key: np.ndarray, n: int) -> list[np.ndarray]:
 class PairBlockSbgs:
     """(D + L) D^{-1} (D + L^T) for a sum of Kronecker terms sum_l G_l (x) K_l.
 
-    One engine for both splittings.  D_jj = sum_l G_l[j, j] K_l must be
-    SPD, and L = sum_l tril(G_l, -1) (x) K_l.  Affine: G_0 = I and hollow
-    G_m, so every D_jj is K_0; lognormal: Hermite diagonals vary D_jj.
+    One engine for both splittings, on the blocks of the lead G, of the
+    order of ``K0_factor``.  D_jj = sum_l G_l[j, j] K_l must be SPD, and L =
+    sum_l tril(G_l, -1) (x) K_l.  Affine: G_0 = I and hollow G_m, so every
+    D_jj is K_0; lognormal: Hermite diagonals vary D_jj.
 
     Blocks are scheduled by longest-path level in the union of the lower
-    couplings, so blocks of one level are independent.  A sweep step solves
-    the blocks of a level that share a diagonal row (G_l[j, j])_l, which
-    defines D_jj, in one multi-right-hand-side solve, and applies the
-    couplings into the level per term, in rounds of distinct target blocks;
-    the backward sweep solves only the blocks a coupling lands on, the
-    others keep their forward value.  The diagonal row (1, 0, ..., 0), whose
-    D_jj is the leading K (K_0), takes ``K0_factor``, the caller's factor of
-    it; every other distinct row is factored once.  A pair's K is read only
-    for its couplings and the D_jj factored here.
+    couplings, read in one pass in target order, so blocks of one level are
+    independent.  A sweep step solves the blocks of a level that share a
+    diagonal row (G_l[j, j])_l, which defines D_jj, in one
+    multi-right-hand-side solve, and applies the couplings into the level
+    per term, in rounds of distinct target blocks; the backward sweep solves
+    only the blocks a coupling lands on, the others keep their forward
+    value.  The diagonal row (1, 0, ..., 0), whose D_jj is the leading K
+    (K_0), takes ``K0_factor``, the caller's factor of it; every other
+    distinct row is factored once.  A pair's K is read only for its
+    couplings and the D_jj factored here.
     """
 
-    def __init__(self, pairs, ny: int, nx: int, K0_factor: CholeskyFactor):
+    def __init__(self, pairs, K0_factor: CholeskyFactor):
         pairs = list(pairs)
-        if not pairs:
-            raise ValueError("truncation needs at least one term")
-        self.ny = ny
-        self.nx = nx
+        ny, nx = self.ny, self.nx = _shape(pairs, K0_factor)
 
         # One factor per distinct diagonal row; the row (1, 0, ..., 0) is K_0's.
         diag_rows, first, diag_id = np.unique(
@@ -498,17 +503,15 @@ class PairBlockSbgs:
             low = C.row > C.col
             lower.append((C.row[low], C.col[low], C.data[low]))
 
-        # Longest-path level over the union of the couplings, by relaxation:
-        # every source ends at a smaller level than its target.
+        # Longest-path levels: a source precedes its target, so its level is final.
         rows = np.concatenate([t for t, _, _ in lower])
         srcs = np.concatenate([s for _, s, _ in lower])
-        level = np.zeros(ny, dtype=np.int64)
-        while True:
-            deeper = np.zeros(ny, dtype=np.int64)
-            np.maximum.at(deeper, rows, level[srcs] + 1)
-            if np.array_equal(deeper, level):
-                break
-            level = deeper
+        order = np.argsort(rows, kind="stable")
+        level = [0] * ny
+        for t, s in zip(rows[order].tolist(), srcs[order].tolist()):
+            if level[s] >= level[t]:
+                level[t] = level[s] + 1
+        level = np.array(level, dtype=np.int64)
         n_levels = level.max() + 1
         by_level = _groups(level, n_levels)
         posmap = _occurrence(level)  # slot of each block within its level
@@ -567,7 +570,7 @@ class PairBlockSbgs:
         return Z.ravel()
 
 
-def build_sbgs(K0_factor: CholeskyFactor, pairs, ny: int, nx: int) -> PairBlockSbgs:
+def build_sbgs(K0_factor: CholeskyFactor, pairs) -> PairBlockSbgs:
     """pairs: the leading pairs of P_r, ``op.leading(r)``.
 
     The truncation must be led by I (x) K_0, so that the mean stiffness
@@ -578,7 +581,7 @@ def build_sbgs(K0_factor: CholeskyFactor, pairs, ny: int, nx: int) -> PairBlockS
     pairs = list(pairs)
     if not pairs or not _is_identity(pairs[0][0]):
         raise ValueError("SBGS needs the truncation led by I (x) K_0")
-    return PairBlockSbgs(pairs, ny, nx, K0_factor)
+    return PairBlockSbgs(pairs, K0_factor)
 
 
 # These names exist only because perfbench's SETUP_SPANS["sbgs"] and

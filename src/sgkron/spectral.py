@@ -18,10 +18,9 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .kronsys import KroneckerSumOperator, assemble_dense
+from .kronsys import DENSE_GUARD, KroneckerSumOperator, assemble_dense
 from .precond import NotPositiveDefiniteError
 
-EIG_GUARD = 2000
 SLACK = 1e-8  # round-off by which a passing claim may miss its bound (sbgs_spd: relative)
 
 
@@ -105,11 +104,11 @@ def eig_spectrum(B: np.ndarray, A: np.ndarray) -> np.ndarray:
     """All eigenvalues of B^{-1}A (ascending) via Cholesky congruence.
 
     The generalized symmetric solve reduces B = L L^T and diagonalizes
-    L^{-1} A L^{-T}; both inputs must be dense SPD of dimension <= 2000.
+    L^{-1} A L^{-T}; both inputs must be dense SPD of dimension <= ``DENSE_GUARD``.
     """
     n = B.shape[0]
-    if n > EIG_GUARD:
-        raise ValueError(f"dense eigensolve refused at dimension {n} > {EIG_GUARD}")
+    if n > DENSE_GUARD:
+        raise ValueError(f"dense eigensolve refused at dimension {n} > {DENSE_GUARD}")
     _check_spd_dense(B, "B")
     _check_spd_dense(A, "A")
     return scipy.linalg.eigh(A, B, eigvals_only=True)
@@ -171,9 +170,6 @@ def sbgs_dense(terms) -> tuple[np.ndarray, np.ndarray]:
 def verify_inclusions(op: KroneckerSumOperator, ctx, r_values) -> list[InclusionCheck]:
     """Check every claimed spectral inclusion of an affine system, for each
     truncation index r; the claims are the rows of the table below."""
-    if op.dim > EIG_GUARD:
-        raise ValueError(f"verification refused at dimension {op.dim} > {EIG_GUARD}")
-
     A = assemble_dense(op.terms)
     K0 = op.terms[0][1].toarray()
     P0 = np.kron(np.eye(op.ny), K0)
@@ -216,9 +212,6 @@ def lognormal_spd_report(op: KroneckerSumOperator, r_values) -> list[InclusionCh
     applicable.  The block Gauss-Seidel surrogate must be SPD for every r
     whenever the zero-index term leads the truncation.
     """
-    if op.dim > EIG_GUARD:
-        raise ValueError(f"verification refused at dimension {op.dim} > {EIG_GUARD}")
-
     def row(claim, r, eigs, passed, applicable=True):
         lo, hi = float(eigs[0]), float(eigs[-1])
         return InclusionCheck(claim, r, 0.0, np.inf, lo, hi, lo, passed, applicable)

@@ -41,7 +41,7 @@ class TestMatvecHandOracle:
         G = np.array([[2.0, 1.0], [1.0, 3.0]])
         K = np.array([[4.0, -1.0], [-1.0, 2.0]])
         op = KroneckerSumOperator(
-            terms=((sp.csr_matrix(G), sp.csr_matrix(K)),), ny=2, nx=2
+            terms=((sp.csr_matrix(G), sp.csr_matrix(K)),)
         )
         A = np.kron(G, K)
         rng = np.random.default_rng(42)
@@ -58,8 +58,6 @@ class TestMatvecHandOracle:
                 (sp.csr_matrix(G1), sp.csr_matrix(K1)),
                 (sp.csr_matrix(G2), sp.csr_matrix(K2)),
             ),
-            ny=3,
-            nx=2,
         )
         A = np.kron(G1, K1) + np.kron(G2, K2)
         v = rng.standard_normal(6)
@@ -145,7 +143,7 @@ def test_kron_factor_needs_identity_lead():
     # kron fits Q (x) K_0 to the terms, which needs I (x) K_0 leading.
     op, _, _ = tiny_affine()
     (G0, K0), *rest = op.terms
-    scaled = KroneckerSumOperator(terms=((2.0 * G0, K0), *rest), ny=op.ny, nx=op.nx)
+    scaled = KroneckerSumOperator(terms=((2.0 * G0, K0), *rest))
     with pytest.raises(ValueError, match="identity"):
         scaled.kron_factor()
 
@@ -270,7 +268,7 @@ class TestRecompressedOperator:
         K0 = sp.csr_matrix(np.array([[2.0, -1.0, 0], [-1.0, 2.0, -1.0], [0, -1.0, 2.0]]))
         K1 = sp.csr_matrix(np.array([[1.0, 3.0, 0], [0, 1.0, 0], [4.0, 0, 1.0]]))
         op = KroneckerSumOperator(
-            terms=((sp.identity(4, format="csr"), K0), (G, K1)), ny=4, nx=3
+            terms=((sp.identity(4, format="csr"), K0), (G, K1))
         )
         A = np.kron(np.eye(4), K0.toarray()) + np.kron(G.toarray(), K1.toarray())
         v = np.random.default_rng(42).standard_normal(12)
@@ -280,7 +278,7 @@ class TestRecompressedOperator:
         # Two terms with proportional but unsymmetric K values.
         K = sp.csr_matrix(np.array([[2.0, 1.0], [0.5, 3.0]]))
         G = sp.csr_matrix(np.eye(2))
-        op = KroneckerSumOperator(terms=((G, K), (G, 2.0 * K)), ny=2, nx=2)
+        op = KroneckerSumOperator(terms=((G, K), (G, 2.0 * K)))
         v = np.random.default_rng(42).standard_normal(4)
         np.testing.assert_allclose(op.matvec(v), 3.0 * np.kron(np.eye(2), K.toarray()) @ v, rtol=1e-14)
 
@@ -290,7 +288,7 @@ class TestRecompressedOperator:
         K = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
         G1 = sp.csr_matrix(np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 2.0]]))
         G2 = sp.csr_matrix(np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]))
-        op = KroneckerSumOperator(terms=((G1, K), (G2, -3.0 * K)), ny=3, nx=2)
+        op = KroneckerSumOperator(terms=((G1, K), (G2, -3.0 * K)))
         A = np.kron(G1.toarray(), K.toarray()) - 3.0 * np.kron(G2.toarray(), K.toarray())
         v = np.random.default_rng(42).standard_normal(6)
         np.testing.assert_allclose(op.matvec(v), A @ v, rtol=1e-14, atol=1e-14)

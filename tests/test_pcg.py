@@ -90,7 +90,7 @@ class TestResidualNorms:
 class TestDeterminism:
     def test_bitwise_repeatable(self):
         op, f, _ = SmallConfig().build()
-        P = build_mean_based(CholeskyFactor(op.terms[0][1]), op.ny)
+        P = build_mean_based(CholeskyFactor(op.terms[0][1]))
         x1, rep1 = pcg_solve(op, P, f)
         x2, rep2 = pcg_solve(op, P, f)
         np.testing.assert_array_equal(x1, x2)
@@ -104,7 +104,7 @@ class TestParitySplit:
         # for a P without classes, so the runs agree bit for bit.
         op, f, _ = SmallConfig().build()
         classes = op.parity_classes(0)
-        P = build_mean_based(CholeskyFactor(op.terms[0][1]), op.ny, classes)
+        P = build_mean_based(CholeskyFactor(op.terms[0][1]), classes)
         f = np.random.default_rng(42).standard_normal(op.dim)
         _, split = pcg_solve(op, P, f)
         _, plain = pcg_solve(op, SimpleNamespace(apply_inverse=P.apply_inverse), f)
@@ -166,7 +166,7 @@ class TestOnAssembledSystem:
         K0_factor = CholeskyFactor(op.terms[0][1])
         counts = {}
         for r in (0, 2, 4):
-            P = build_trunc_exact(K0_factor, op.terms[: r + 1], op.ny, op.nx)
+            P = build_trunc_exact(K0_factor, op.terms[: r + 1])
             _, report = pcg_solve(op, P, f)
             counts[r] = report.iterations
             assert report.converged
@@ -174,7 +174,7 @@ class TestOnAssembledSystem:
 
     def test_solution_satisfies_system(self):
         op, f, _ = SmallConfig(level=3).build()
-        P = build_mean_based(CholeskyFactor(op.terms[0][1]), op.ny)
+        P = build_mean_based(CholeskyFactor(op.terms[0][1]))
         x, _ = pcg_solve(op, P, f)
         np.testing.assert_allclose(
             op.matvec(x), f, atol=2e-6 * np.linalg.norm(f)

@@ -1,8 +1,11 @@
+import inspect
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from sgkron import grid, precond, verify
+from sgkron import grid, kronsys, precond, verify
 from sgkron.fem2d import assemble_stiffness, auto_alpha_bar, build_mesh, fourier_coefficient
 from sgkron.kronsys import KroneckerSumOperator, assemble_dense
 from sgkron.multiindex import build_index_set
@@ -10,6 +13,8 @@ from sgkron.pcg import BreakdownError, SolverConfig, pcg_solve
 from sgkron.precond import (
     CholeskyFactor,
     NotPositiveDefiniteError,
+    PairBlockSbgs,
+    TruncExactPreconditioner,
     build_kron,
     build_mean_based,
     build_sbgs,
@@ -138,7 +143,7 @@ class TestMeanBased:
     def test_blockwise_mean_solve(self):
         op, _, _ = tiny_affine()
         K0 = op.terms[0][1]
-        P = build_mean_based(CholeskyFactor(K0), op.ny)
+        P = build_mean_based(CholeskyFactor(K0))
         rng = np.random.default_rng(42)
         v = rng.standard_normal(op.dim)
         expected = np.linalg.solve(np.kron(np.eye(op.ny), K0.toarray()), v)
@@ -153,8 +158,8 @@ class TestMeanBased:
             op, _, _ = tiny_affine(level=level)
             K0 = k0_factor(op)
             classes = op.parity_classes(0)
-            P_mean = build_mean_based(K0, op.ny, classes)
-            P_trunc = build_trunc_exact(K0, op.terms[:1], op.ny, op.nx, classes)
+            P_mean = build_mean_based(K0, classes)
+            P_trunc = build_trunc_exact(K0, op.terms[:1], classes)
             v = np.random.default_rng(42).standard_normal(op.dim)
             for cls in (None, 0, 1):
                 assert np.array_equal(P_mean.apply_inverse(v, cls), P_trunc.apply_inverse(v, cls))
@@ -183,7 +188,7 @@ class TestKroneckerProduct:
         K0 = assemble_stiffness(mesh, constant_field(1.0))
         K1 = assemble_stiffness(mesh, constant_field(5.0))
         terms = ((gram_identity(len(S)), K0), (gram_linear(1, S), K1))
-        op = KroneckerSumOperator(terms=terms, ny=len(S), nx=mesh.n_interior)
+        op = KroneckerSumOperator(terms=terms)
         with pytest.raises(NotPositiveDefiniteError):
             build_kron(op, CholeskyFactor(K0))
 
@@ -193,7 +198,7 @@ class TestKroneckerProduct:
         (G0, K0), (G1, K1), *rest = op.terms
         K1 = K1.copy()
         K1.data[0] = np.nan
-        faulty = KroneckerSumOperator(terms=((G0, K0), (G1, K1), *rest), ny=op.ny, nx=op.nx)
+        faulty = KroneckerSumOperator(terms=((G0, K0), (G1, K1), *rest))
         with pytest.raises(BreakdownError):
             build_kron(faulty, k0_factor(op))
 
@@ -223,21 +228,21 @@ def test_build_kron_sums_weighted_terms_exactly(build):
 class TestTruncExact:
     def test_full_truncation_equals_system(self):
         op, f, _ = tiny_affine(M=3)
-        P = build_trunc_exact(k0_factor(op), op.terms, op.ny, op.nx)
+        P = build_trunc_exact(k0_factor(op), op.terms)
         x, report = pcg_solve(op, P, f, SolverConfig(tol=1e-10))
         assert report.iterations == 1
         np.testing.assert_allclose(op.matvec(x), f, atol=1e-10 * np.linalg.norm(f))
 
     def test_r_beyond_m_clamps(self):
         op, f, _ = tiny_affine(M=3)
-        P = build_trunc_exact(k0_factor(op), op.leading(9), op.ny, op.nx)
+        P = build_trunc_exact(k0_factor(op), op.leading(9))
         _, report = pcg_solve(op, P, f, SolverConfig(tol=1e-10))
         assert report.iterations == 1
 
     def test_matches_dense_inverse(self):
         op, _, _ = tiny_affine()
         for r in (0, 1, 2):
-            P = build_trunc_exact(k0_factor(op), op.terms[: r + 1], op.ny, op.nx)
+            P = build_trunc_exact(k0_factor(op), op.terms[: r + 1])
             P_dense = assemble_dense(op.terms[: r + 1])
             rng = np.random.default_rng(42)
             v = rng.standard_normal(op.dim)
@@ -249,7 +254,7 @@ class TestTruncExact:
         op, f, _ = tiny_affine(M=4, k=3, sigma=2.0)
         counts = []
         for r in range(5):
-            P = build_trunc_exact(k0_factor(op), op.terms[: r + 1], op.ny, op.nx)
+            P = build_trunc_exact(k0_factor(op), op.terms[: r + 1])
             _, report = pcg_solve(op, P, f)
             counts.append(report.iterations)
         assert all(b <= a for a, b in zip(counts, counts[1:]))
@@ -258,9 +263,9 @@ class TestTruncExact:
     def test_iterative_fallback_matches_direct(self, monkeypatch):
         # Force the beyond-guard path and compare against the factorized apply.
         op, _, _ = tiny_affine()
-        direct = build_trunc_exact(k0_factor(op), op.terms[:3], op.ny, op.nx)
+        direct = build_trunc_exact(k0_factor(op), op.terms[:3])
         monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", 1)
-        nested = build_trunc_exact(k0_factor(op), op.terms[:3], op.ny, op.nx)
+        nested = build_trunc_exact(k0_factor(op), op.terms[:3])
         rng = np.random.default_rng(42)
         v = rng.standard_normal(op.dim)
         np.testing.assert_allclose(
@@ -272,9 +277,9 @@ class TestTruncExact:
         # term coupling one block to two sources of a level (r = 4).
         op, _, _ = tiny_lognormal()
         pairs = op.leading(4)
-        direct = build_trunc_exact(k0_factor(op), pairs, op.ny, op.nx)
+        direct = build_trunc_exact(k0_factor(op), pairs)
         monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", 1)
-        nested = build_trunc_exact(k0_factor(op), pairs, op.ny, op.nx)
+        nested = build_trunc_exact(k0_factor(op), pairs)
         rng = np.random.default_rng(42)
         v = rng.standard_normal(op.dim)
         np.testing.assert_allclose(
@@ -287,7 +292,7 @@ class TestTruncExact:
         # the same system, so P_r has one factor per distinct d.
         op, _, _ = tiny_affine(M=4, k=3)
         for r in (1, 2, 3):
-            P = build_trunc_exact(k0_factor(op), op.terms[: r + 1], op.ny, op.nx)
+            P = build_trunc_exact(k0_factor(op), op.terms[: r + 1])
             degrees = {3 - sum(alpha[r:]) for alpha in build_index_set(4, 3)}
             assert P.distinct_factor_count == len(degrees) == 4
 
@@ -299,7 +304,7 @@ class TestTruncExact:
             [[0, 0.2, 0, 0], [0.2, 0, 0, 0], [0, 0, 0, 0.4], [0, 0, 0.4, 0]]
         ))
         pairs = ((sp.identity(4, format="csr"), K0), (G1, K0))
-        P = build_trunc_exact(CholeskyFactor(K0), pairs, 4, K0.shape[0])
+        P = build_trunc_exact(CholeskyFactor(K0), pairs)
         assert P.distinct_factor_count == 2
         P_dense = assemble_dense(pairs)
         v = np.random.default_rng(42).standard_normal(P_dense.shape[0])
@@ -310,7 +315,7 @@ class TestTruncExact:
         # blocks (a K_0 each) and solves the rest with the nested CG.
         op, _, _ = tiny_affine(M=4, k=3)
         monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", op.nx)
-        P = build_trunc_exact(k0_factor(op), op.terms[:3], op.ny, op.nx)
+        P = build_trunc_exact(k0_factor(op), op.terms[:3])
         assert P.distinct_factor_count == 1
         rng = np.random.default_rng(42)
         v = rng.standard_normal(op.dim)
@@ -327,8 +332,8 @@ class TestTruncExact:
         v = np.random.default_rng(42).standard_normal(op.dim)
         for r in (0, 2):
             classes = op.parity_classes(r)
-            mean = build_mean_based(k0_factor(op), op.ny, classes)
-            P = build_trunc_exact(k0_factor(op), op.leading(r), op.ny, op.nx, classes)
+            mean = build_mean_based(k0_factor(op), classes)
+            P = build_trunc_exact(k0_factor(op), op.leading(r), classes)
             for prec in ((mean, P) if r == 0 else (P,)):
                 full = prec.apply_inverse(v).reshape(op.ny, op.nx)
                 for c in (0, 1):
@@ -345,7 +350,7 @@ class TestTruncExact:
         for (M, k), r in (((3, 2), 1), ((4, 3), 3)):
             op, _, _ = tiny_affine(M=M, k=k)
             monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", cut * op.nx)
-            P = build_trunc_exact(k0_factor(op), op.leading(r), op.ny, op.nx)
+            P = build_trunc_exact(k0_factor(op), op.leading(r))
             assert P._nested
             for _, S, _ in P._nested:
                 assert isinstance(S, precond._SchurComplement)
@@ -367,7 +372,7 @@ class TestTruncExact:
         op, _, _ = tiny_affine(M=4, k=3)
         monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", 0)
         pairs = op.leading(2)
-        P = build_trunc_exact(k0_factor(op), pairs, op.ny, op.nx)
+        P = build_trunc_exact(k0_factor(op), pairs)
         (rest, S, _), = P._nested  # every block but the I (x) K_0 ones
         calls = []
 
@@ -409,19 +414,19 @@ class TestTruncExact:
         monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", cut * op.nx)
         for r in range(5):
             for classes in (None, op.parity_classes(r)):
-                P = build_trunc_exact(k0_factor(op), op.leading(r), op.ny, op.nx, classes)
+                P = build_trunc_exact(k0_factor(op), op.leading(r), classes)
                 P.apply_inverse(np.ones(op.dim))
         assert not built
         op, _, _ = tiny_lognormal()
         monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", op.nx)
-        build_trunc_exact(k0_factor(op), op.leading(4), op.ny, op.nx)
+        build_trunc_exact(k0_factor(op), op.leading(4))
         assert built
 
     def test_indefinite_truncation_rejected_direct(self):
         op, _, _ = tiny_lognormal()
         pairs = op.leading(1)
         with pytest.raises(NotPositiveDefiniteError):
-            build_trunc_exact(k0_factor(op), pairs, op.ny, op.nx)
+            build_trunc_exact(k0_factor(op), pairs)
 
 
 AFFINE_CELL = grid.Cell("affine", "", 2.0, auto_alpha_bar(2.0), 3, 4, 3, 6)
@@ -469,7 +474,7 @@ class ContractOperator:
     """What the run path may ask of an operator, and no ``terms``."""
 
     def __init__(self, op):
-        self.ny, self.nx, self.dim, self.matvec = op.ny, op.nx, op.dim, op.matvec
+        self.dim, self.matvec = op.dim, op.matvec  # no ny, nx: the pairs carry them
         self.leading = lambda r: op.leading(r)
         self.parity_classes = lambda r: op.parity_classes(r)
         self.kron_factor = lambda: op.kron_factor()
@@ -505,15 +510,15 @@ class TestSbgsAffine:
             init(self, K)
 
         monkeypatch.setattr(CholeskyFactor, "__init__", counting_init)
-        P = build_sbgs(K0_factor, op.terms, op.ny, op.nx)
+        P = build_sbgs(K0_factor, op.terms)
         assert P.distinct_factor_count == 1
         assert built == []
 
     def test_empty_terms_reduce_to_mean(self):
         op, _, _ = tiny_affine()
         K0 = k0_factor(op)
-        P_sbgs = build_sbgs(K0, op.terms[:1], op.ny, op.nx)
-        P_mean = build_mean_based(K0, op.ny)
+        P_sbgs = build_sbgs(K0, op.terms[:1])
+        P_mean = build_mean_based(K0)
         rng = np.random.default_rng(42)
         v = rng.standard_normal(op.dim)
         np.testing.assert_allclose(
@@ -527,7 +532,7 @@ class TestSbgsAffine:
         op, _, ctx = tiny_affine()
         r = 2
         P_r = assemble_dense(op.terms[: r + 1])
-        P = build_sbgs(k0_factor(op), op.terms[: r + 1], op.ny, op.nx)
+        P = build_sbgs(k0_factor(op), op.terms[: r + 1])
         P_tilde = np.linalg.inv(dense_apply_inverse(P, op.dim))
         lo, hi = eig_range(P_r, P_tilde)
         bounds = affine_bounds(ctx, r)
@@ -553,7 +558,7 @@ class TestSbgsLognormal:
         monkeypatch.setattr(CholeskyFactor, "__init__", counting_init)
         for r in (1, 3, 6):
             built.clear()
-            P = build_sbgs(K0_factor, op.leading(r), op.ny, op.nx)
+            P = build_sbgs(K0_factor, op.leading(r))
             assert len(built) == P.distinct_factor_count - 1
             assert all(abs(D - K0).max() > 0 for D in built)
 
@@ -584,7 +589,7 @@ class TestSbgsLognormal:
         monkeypatch.setattr(CholeskyFactor, "solve", counting)
         for r in (1, 4):
             pairs = op.leading(r)
-            P = build_sbgs(k0_factor(op), pairs, op.ny, op.nx)
+            P = build_sbgs(k0_factor(op), pairs)
             lower = [sp.tril(G, k=-1).tocoo() for G, _ in pairs]
             receiving = np.unique(np.concatenate([L.col for L in lower]))
             assert 0 < len(receiving) < op.ny
@@ -599,7 +604,7 @@ class TestSbgsLognormal:
         P_r = assemble_dense(pairs)
         assert np.linalg.eigvalsh(P_r).min() < 0
 
-        P = build_sbgs(k0_factor(op), pairs, op.ny, op.nx)
+        P = build_sbgs(k0_factor(op), pairs)
         P_tilde = np.linalg.inv(dense_apply_inverse(P, op.dim))
         P_tilde = 0.5 * (P_tilde + P_tilde.T)
         assert np.linalg.eigvalsh(P_tilde).min() > 0
@@ -608,21 +613,74 @@ class TestSbgsLognormal:
         op, _, _ = tiny_lognormal()
         pairs = op.leading(2)
         with pytest.raises(ValueError):
-            build_sbgs(k0_factor(op), pairs[1:], 10, 9)
+            build_sbgs(k0_factor(op), pairs[1:])
         with pytest.raises(ValueError):
-            build_sbgs(k0_factor(op), [], 10, 9)
+            build_sbgs(k0_factor(op), [])
 
     def test_factor_cache_bounded(self):
         op, _, _ = tiny_lognormal()
-        P = build_sbgs(k0_factor(op), op.leading(4), op.ny, op.nx)
+        P = build_sbgs(k0_factor(op), op.leading(4))
         assert 1 <= P.distinct_factor_count <= op.ny
 
     def test_solves_system(self):
         op, f, _ = tiny_lognormal(k=2)
-        P = build_sbgs(k0_factor(op), op.leading(2), op.ny, op.nx)
+        P = build_sbgs(k0_factor(op), op.leading(2))
         x, report = pcg_solve(op, P, f)
         assert report.converged
         np.testing.assert_allclose(op.matvec(x), f, atol=1e-5 * np.linalg.norm(f))
+
+
+class TestShapeFromPairs:
+    """Every engine reads ny off its lead G (or v) and nx off the K_0 factor."""
+
+    ENGINES = [
+        lambda K0, pairs: TruncExactPreconditioner(K0, pairs),
+        lambda K0, pairs: build_trunc_exact(K0, pairs),
+        lambda K0, pairs: PairBlockSbgs(pairs, K0),
+        lambda K0, pairs: build_sbgs(K0, pairs),
+    ]
+
+    IDS = ["TruncExactPreconditioner", "build_trunc_exact", "PairBlockSbgs", "build_sbgs"]
+
+    @pytest.mark.parametrize("make", ENGINES, ids=IDS)
+    def test_refuses_empty_pairs(self, make):
+        op, _, _ = tiny_affine()
+        with pytest.raises(ValueError):
+            make(k0_factor(op), [])
+
+    @pytest.mark.parametrize("make", ENGINES, ids=IDS)
+    def test_refuses_k0_factor_of_another_order(self, make):
+        op, _, _ = tiny_affine()
+        with pytest.raises(ValueError, match="order"):
+            make(CholeskyFactor(sp.identity(op.nx + 1)), op.leading(2))
+
+    def test_operator_refuses_no_terms(self):
+        with pytest.raises(ValueError):
+            KroneckerSumOperator(())
+
+    def test_no_callable_takes_ny_or_nx(self):
+        callables = [
+            KroneckerSumOperator, kronsys.parity_classes, precond._tail_blocks,
+            precond.MeanBasedPreconditioner, build_mean_based,
+            TruncExactPreconditioner, build_trunc_exact, PairBlockSbgs, build_sbgs,
+        ]
+        for fn in callables:
+            assert not {"ny", "nx"} & set(inspect.signature(fn).parameters), fn
+
+    def test_sbgs_deep_chain_matches_triangular_solves(self):
+        # Level 1, M = 1, k = 20,000: nx = 1 and G_1 tridiagonal, so each block
+        # is a level of its own, 20,001 of them.
+        op, _, _ = SmallConfig("affine", 1, 1, 20000).build()
+        pairs = op.leading(1)
+        P = build_sbgs(k0_factor(op), pairs)
+        assert len(P._levels) == op.ny == 20001
+        D = kronsys.assemble_sparse([(sp.diags(G.diagonal()), K) for G, K in pairs]).tocsr()
+        L = kronsys.assemble_sparse([(sp.tril(G, -1), K) for G, K in pairs]).tocsr()
+        v = np.random.default_rng(7).standard_normal(op.dim)
+        w = spla.spsolve_triangular(D + L, v, lower=True)
+        z = spla.spsolve_triangular((D + L.T).tocsr(), D @ w, lower=False)
+        out = P.apply_inverse(v)
+        assert np.linalg.norm(out - z) <= 1e-12 * np.linalg.norm(z)
 
 
 class TestReadOnlyInput:
@@ -643,16 +701,16 @@ class TestReadOnlyInput:
         cases = [
             (aff, aff.matvec),
             (log, log.matvec),
-            (aff, build_mean_based(aff_K0, aff.ny).apply_inverse),
+            (aff, build_mean_based(aff_K0).apply_inverse),
             (aff, build_kron(aff, aff_K0).apply_inverse),
-            (aff, build_trunc_exact(aff_K0, aff.terms[:3], aff.ny, aff.nx).apply_inverse),
-            (log, build_trunc_exact(log_K0, log_pairs, log.ny, log.nx).apply_inverse),
-            (aff, build_sbgs(aff_K0, aff.terms[:3], aff.ny, aff.nx).apply_inverse),
-            (log, build_sbgs(log_K0, log_pairs, log.ny, log.nx).apply_inverse),
+            (aff, build_trunc_exact(aff_K0, aff.terms[:3]).apply_inverse),
+            (log, build_trunc_exact(log_K0, log_pairs).apply_inverse),
+            (aff, build_sbgs(aff_K0, aff.terms[:3]).apply_inverse),
+            (log, build_sbgs(log_K0, log_pairs).apply_inverse),
         ]
         monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", 1)  # the nested path
         for op, K0, pairs in ((aff, aff_K0, aff.terms[:3]), (log, log_K0, log_pairs)):
-            P = build_trunc_exact(K0, pairs, op.ny, op.nx)
+            P = build_trunc_exact(K0, pairs)
             # Only the I (x) K_0 blocks, which take K0 at any size, stay direct.
             assert P._nested and all(factor is K0 for _, factor in P._direct)
             cases.append((op, P.apply_inverse))

@@ -148,7 +148,7 @@ def test_trunc_spectrum_symmetric_detects_parity_fault():
     op, f, ctx = AFFINE.build()
     G_M, K_M = op.terms[-1]
     planted = G_M + sp.csr_matrix(([0.05], ([0], [0])), shape=G_M.shape)
-    faulty = KroneckerSumOperator(terms=(*op.terms[:-1], (planted, K_M)), ny=op.ny, nx=op.nx)
+    faulty = KroneckerSumOperator(terms=(*op.terms[:-1], (planted, K_M)))
     with patch.object(SmallConfig, "build", lambda self: (faulty, f, ctx)):
         with pytest.raises(AssertionError, match="r=0"):
             CATALOGUE["trunc_spectrum_symmetric"](AFFINE)
@@ -224,5 +224,5 @@ def test_trunc_exact_equals_dense_solve(problem, level, M, k, r, cut, seed):
     ref = np.linalg.solve(P_r, v)
     K0_factor = precond.CholeskyFactor(op.leading(0)[0][1])
     with patch.object(precond, "TRUNC_DIRECT_GUARD", cut * op.nx):
-        z = precond.build_trunc_exact(K0_factor, pairs, op.ny, op.nx).apply_inverse(v)
+        z = precond.build_trunc_exact(K0_factor, pairs).apply_inverse(v)
     assert np.linalg.norm(z - ref) <= 1e-10 * np.linalg.norm(ref)

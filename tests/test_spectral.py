@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sgkron import spectral
+from sgkron import kronsys, spectral
 from sgkron.precond import NotPositiveDefiniteError
 from sgkron.verify import SmallConfig
 
@@ -123,7 +123,7 @@ class TestEigRange:
         assert np.all(np.diff(w) >= 0)
 
     def test_size_guard(self):
-        big = np.eye(spectral.EIG_GUARD + 1)
+        big = np.eye(kronsys.DENSE_GUARD + 1)
         with pytest.raises(ValueError, match="dimension"):
             spectral.eig_range(big, big)
 
@@ -190,7 +190,7 @@ class TestVerifyInclusions:
 
     def test_size_guard(self):
         op, _, ctx = SmallConfig(level=5).build()
-        assert op.dim > spectral.EIG_GUARD
+        assert op.dim > kronsys.DENSE_GUARD
         with pytest.raises(ValueError, match="dimension"):
             spectral.verify_inclusions(op, ctx, r_values=[0])
 
