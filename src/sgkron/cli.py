@@ -64,9 +64,12 @@ _M_MMAP_THRESHOLD = -3
 # counts below take, costs min(M, k) big-integer steps, so a bounded M keeps
 # them fast for any k.  The presets use 8 and 20.
 MAX_FIELDS = 2000
-# Basis-term pairs |I_k^M| T (T = M + 1 affine, |I_2k^M| lognormal terms),
-# the Gram build's work: table6 k = 6 has 924 x 18,564 = 1.7e7, a cell
-# measured at ~500 s and 2.4 GB.
+# Basis-term pairs |I_k^M| T (T = M + 1 affine, |I_2k^M| lognormal terms):
+# the Gram work of a read of the whole of `op.terms` (the dense oracles, the
+# benchmark's traced cost model), and the scale of kron's Hermite triple list
+# (3.6e6 entries at table6 k = 6).  The run path builds only P_r's r + 1
+# Gram factors.  table6 k = 6 has 924 x 18,564 = 1.7e7; with the whole
+# family built, its cell was measured at ~500 s and 2.4 GB.
 MAX_TERM_PAIRS = 2 * 10**7
 # Unknowns |I_k^M| (2^level - 1)^2: table3 k = 6 has 3003 x 225 = 675,675,
 # and its cells take minutes.
@@ -75,6 +78,9 @@ MAX_UNKNOWNS = 10**6
 # N source fields of a lognormal build at its 9 quadrature points per
 # element.  table6 k = 6 has 18,564 x 1,849 + 20 x 9 x 256 = 3.4e7 (275 MB);
 # level 9, M = 2000, k = 0 would hold 2001 x 2,343,961 = 4.7e9 (37.5 GB).
+# The affine operator holds all T; the lognormal run path holds P_r's r + 1
+# and streams the rest in chunks for kron's weights, so the bound is what a
+# read of the whole of its `op.terms` holds.
 MAX_STORED_VALUES = 4 * 10**7
 # Hermite degree 2k of a lognormal expansion: a term of slot degree a is
 # scaled by 1/sqrt(a!), and 171! is not a double.  Only M = 1 reaches it

@@ -202,6 +202,25 @@ def gradient_map(mesh: UniformMesh) -> tuple[np.ndarray, np.ndarray]:
     return corners, table
 
 
+def stiffness_values(mesh: UniformMesh, values: np.ndarray) -> np.ndarray:
+    """The stored values, shape (T, nnz), of the T stiffness matrices whose
+    coefficient values at the quadrature points are ``values``, shape
+    (T, n_elements, 9), on the mesh's one canonical CSR pattern: one pass
+    of sparse products over slices of T.  Each row is the same bits
+    whichever rows share its slice."""
+    B, _, _ = _assembly_map(mesh)
+    nel = B.shape[1] // 9
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 3 or values.shape[1:] != (nel, 9):
+        raise ValueError(f"expected quadrature values of shape {(nel, 9)} or (T, {nel}, 9)")
+    flat = values.reshape(-1, nel * 9)
+    data = np.empty((len(flat), B.shape[0]))
+    step = max(1, _ASSEMBLY_SLICE_BYTES // (8 * flat.shape[1]))
+    for t in range(0, len(flat), step):
+        data[t : t + step] = (B @ flat[t : t + step].T).T
+    return data
+
+
 def assemble_from_quad_values(
     mesh: UniformMesh, values: np.ndarray
 ) -> sp.csr_matrix | list[sp.csr_matrix]:
@@ -209,20 +228,12 @@ def assemble_from_quad_values(
 
     ``values`` has shape (n_elements, 9) matching ``quadrature_points`` and
     gives one CSR matrix.  A leading axis, shape (T, n_elements, 9), gives
-    a list of T matrices on one shared pattern, assembled in one pass of
-    sparse products over slices of T; their values are the rows of one
-    (T, nnz) array.
+    a list of T matrices on one shared pattern, their values the rows of
+    :func:`stiffness_values`.
     """
-    B, indices, indptr = _assembly_map(mesh)
-    nel = B.shape[1] // 9
+    _, indices, indptr = _assembly_map(mesh)
     values = np.asarray(values, dtype=float)
-    if values.ndim not in (2, 3) or values.shape[-2:] != (nel, 9):
-        raise ValueError(f"expected quadrature values of shape {(nel, 9)} or (T, {nel}, 9)")
-    flat = values.reshape(-1, nel * 9)
-    data = np.empty((len(flat), B.shape[0]))  # (T, nnz)
-    step = max(1, _ASSEMBLY_SLICE_BYTES // (8 * flat.shape[1]))
-    for t in range(0, len(flat), step):
-        data[t : t + step] = (B @ flat[t : t + step].T).T
+    data = stiffness_values(mesh, values if values.ndim == 3 else values[None])
     n = mesh.n_interior
     mats = [sp.csr_matrix((row, indices, indptr), shape=(n, n)) for row in data]
     return mats if values.ndim == 3 else mats[0]

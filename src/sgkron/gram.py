@@ -10,6 +10,8 @@ Three kinds appear in the Kronecker-structured systems:
 * ``gram_general``: G_alpha with entries <psi_alpha psi_j, psi_t> for the
   Hermite family (the lognormal expansion), a product of univariate triple
   products per slot.  Its linear Hermite terms are G_{e_m}, y_m = psi_1(y_m).
+  ``hermite_triples`` lists the entries of a whole family of them at once,
+  without a matrix per alpha.
 
 All matrices are returned in CSR form with sorted (canonical) indices so
 that identical inputs produce bit-identical structures across runs.
@@ -17,6 +19,7 @@ that identical inputs produce bit-identical structures across runs.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -88,6 +91,57 @@ def gram_general(alpha, S: MultiIndexSet) -> sp.csr_matrix:
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows[keep], minlength=n), out=indptr[1:])
     return sp.csr_matrix((vals[keep], cols[keep].astype(np.int32), indptr), shape=(n, n))
+
+
+def hermite_triples(alphas, S: MultiIndexSet) -> tuple[np.ndarray, ...]:
+    """The entries of ``gram_general(alpha, S)`` for every alpha of ``alphas``
+    (in I_{2k}^M, S = I_k^M) as one list (term, row, column, value): by term
+    in the order of ``alphas``, each term's entries in CSR order and its
+    values gram_general's bit for bit.
+
+    G_alpha[beta, gamma] != 0 exactly where every slot's triple product
+    is, a = |b - c|, |b - c| + 2, ..., b + c for (a, b, c) = (alpha_m,
+    beta_m, gamma_m).  So the list is enumerated from the pairs (beta,
+    gamma), slot by slot, and each alpha is found by its rank in the lex
+    order of I_{2k}^M (first slot first):
+    rank = sum_m |I_{D_m}^{M-m}| - |I_{D_m - alpha_m}^{M-m}|, with D_m the
+    degree 2k less the alpha entries before slot m.
+    """
+    M, k, n = S.M, S.k, len(S)
+    idx = np.asarray(S.indices, dtype=np.int64)
+    # size[s, d] = |I_d^s| = C(s + d, d); all are <= |I_{2k}^M|.
+    size = np.array([[math.comb(s + d, d) for d in range(2 * k + 1)] for s in range(M + 1)])
+    # table[a, b, c] = <P_a P_b, P_c>; a = 0 only meets b = c, a factor of 1.
+    table = np.stack([np.eye(k + 1)] + [_hermite_table(a, k) for a in range(1, 2 * k + 1)])
+    rows, cols = np.divmod(np.arange(n * n), n)
+    vals, rank, degree = np.ones(n * n), np.zeros(n * n, dtype=np.int64), np.full(n * n, 2 * k)
+    for m in range(M):
+        b, c = idx[rows, m], idx[cols, m]
+        choices = np.minimum(b, c) + 1
+        at = np.repeat(np.arange(len(rows)), choices)
+        j = np.arange(len(at)) - np.repeat(np.cumsum(choices) - choices, choices)  # 0..min(b, c)
+        a = np.abs(b - c)[at] + 2 * j
+        rows, cols, b, c, rank, degree = (x[at] for x in (rows, cols, b, c, rank, degree))
+        vals = vals[at] * table[a, b, c]
+        rank += size[M - m, degree] - size[M - m, degree - a]
+        degree -= a
+    term = np.full(size[M, 2 * k], -1)
+    term[_lex_rank(alphas, size)] = np.arange(len(alphas))
+    term = term[rank]
+    keep = (term >= 0) & (vals != 0.0)
+    order = np.argsort(term[keep], kind="stable")  # pairs stay in CSR order
+    return tuple(x[keep][order] for x in (term, rows, cols, vals))
+
+
+def _lex_rank(alphas, size: np.ndarray) -> np.ndarray:
+    """Rank of each alpha in the lex order of I_D^M, size[s, d] = |I_d^s|."""
+    powers = np.array(alphas, dtype=np.int64).reshape(len(alphas), -1)
+    M, degree = powers.shape[1], np.full(len(powers), size.shape[1] - 1)
+    rank = np.zeros(len(powers), dtype=np.int64)
+    for m in range(M):
+        rank += size[M - m, degree] - size[M - m, degree - powers[:, m]]
+        degree -= powers[:, m]
+    return rank
 
 
 @lru_cache(maxsize=None)

@@ -10,14 +10,19 @@ operator holds its quadrature-point factorization instead
 (:class:`QuadratureFactorization`), A = sum_q E_q (T_q T_q^T) (x) k_q, and
 its matvec reads no G_alpha and no K_alpha: the gradient map to the Gauss
 points, M mode sweeps of T_q^T, the scaling by E_q, M sweeps of T_q and
-the transposed map.  ``terms`` stays the exact per-term list either way.
-Dense materialization exists only as a small-scale test and
-spectral-study oracle behind a size guard.
+the transposed map.  ``terms`` stays the exact per-term sequence either
+way: the affine operator stores it (:class:`PairList`), the lognormal one
+builds each pair on first read (:class:`HermiteTerms`).  Dense
+materialization exists only as a small-scale test and spectral-study
+oracle behind a size guard.
 
-Truncation map: the run path asks the operator, never ``terms`` (kept for
-the dense oracles), for P_r's pairs ``op.leading(r)``, their parity classes
-and kron's G.  P_r is the expansion-order prefix: affine I (x) K_0 and
-G_m (x) K_m, m <= min(r, M); lognormal the first r + 1 terms by magnitude.
+Truncation map: the run path asks the operator, never ``terms`` (whole,
+for the dense oracles), for P_r's pairs ``op.leading(r)``, their parity
+classes and kron's G.  P_r is the expansion-order prefix: affine I (x) K_0
+and G_m (x) K_m, m <= min(r, M); lognormal the first r + 1 terms by
+magnitude, the only lognormal pairs a run builds.  The classes and G read
+one list of the G entries (term, row, column, value) and, for G, kron's
+weights, which both term families give without building a pair.
 
 Block layout, the one every operator and preconditioner uses: vectors are
 v = [v_1; ...; v_ny] with block j holding the nx spatial coefficients of
@@ -29,8 +34,10 @@ the blocks.  ny and nx are the orders of the lead pair's G and K.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +48,8 @@ from . import fem2d, gram, multiindex
 from .fem2d import UniformMesh
 
 DENSE_GUARD = 2000  # largest dimension of a dense matrix or eigensolve
+# Quadrature values of one chunk of HermiteTerms' streamed K_alpha.
+_STREAM_BYTES = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,9 +86,110 @@ def _shift_weights(t: np.ndarray, k: int) -> list[np.ndarray]:
     return weights[:k]
 
 
+class PairList(tuple):
+    """Stored (G_i, K_i) pairs, and the two reads of all of them that the
+    operator makes: the entries of the G_i and kron's weights."""
+
+    @property
+    def ny(self) -> int:
+        return self[0][0].shape[0]
+
+    @property
+    def nx(self) -> int:
+        return self[0][1].shape[0]
+
+    @functools.cached_property
+    def triples(self) -> tuple[np.ndarray, ...]:
+        """The stored entries (term, row, column, value) of every G_i, by term."""
+        Gs = [sp.csr_matrix(G) for G, _ in self]
+        term = np.repeat(np.arange(len(Gs)), [G.nnz for G in Gs])
+        rows = np.concatenate([np.repeat(np.arange(G.shape[0]), np.diff(G.indptr)) for G in Gs])
+        cols = np.concatenate([G.indices for G in Gs])
+        return term, rows, cols, np.concatenate([G.data for G in Gs])
+
+    def kron_weights(self) -> np.ndarray:
+        """<K_i, K_0> / <K_0, K_0>, the Frobenius inner products of the K_i."""
+        K0 = self[0][1]
+        K0_scaled = K0 * _unit_scale(abs(K0).max())
+        denom = K0.multiply(K0_scaled).sum()
+        return np.array([K_i.multiply(K0_scaled).sum() / denom for _, K_i in self])
+
+
+class HermiteTerms(Sequence):
+    """The lognormal pairs (G_alpha, K_alpha), alpha in expansion order,
+    each built on first access by ``gram_general`` and
+    ``assemble_from_quad_values`` and then kept: ``leading(r)`` builds the
+    first r + 1, and a read of the whole sequence (the dense oracles)
+    builds the rest.  The triple list of the G_alpha and kron's weights
+    build no pair: the one comes from ``gram.hermite_triples``, the other
+    from the K_alpha values, streamed in chunks of at most
+    ``_STREAM_BYTES`` of quadrature values."""
+
+    def __init__(self, mesh: UniformMesh, S, alphas, E: np.ndarray, B: np.ndarray):
+        self.mesh, self.S, self.alphas = mesh, S, alphas
+        self._E, self._B = E, B  # E(x) and the b_m at the quadrature points
+        self.ny, self.nx = len(S), mesh.n_interior
+        self._pairs: list = []
+        self._step = max(1, _STREAM_BYTES // E.nbytes)
+
+    def __len__(self) -> int:
+        return len(self.alphas)
+
+    def __getitem__(self, key):
+        span = range(len(self))[key]  # IndexError past the end, as a tuple's
+        if isinstance(key, slice):
+            self._build(max(span, default=-1) + 1)
+            return tuple(self._pairs[key])
+        self._build(span + 1)
+        return self._pairs[span]
+
+    def __iter__(self):
+        return iter(self[:])
+
+    def _quad_chunks(self, lo: int, hi: int):
+        """(first term, alphas, a_alpha at the quadrature points) of terms
+        lo..hi - 1, chunk by chunk."""
+        for start in range(lo, hi, self._step):
+            alphas = self.alphas[start : min(start + self._step, hi)]
+            yield start, alphas, _expansion_quad_values(alphas, self._E, self._B)
+
+    def _build(self, n: int) -> None:
+        for _, alphas, quad in self._quad_chunks(len(self._pairs), n):
+            Ks = fem2d.assemble_from_quad_values(self.mesh, quad)
+            self._pairs.extend((gram.gram_general(a, self.S), K) for a, K in zip(alphas, Ks))
+
+    @functools.cached_property
+    def triples(self) -> tuple[np.ndarray, ...]:
+        """The entries (term, row, column, value) of every G_alpha, by term."""
+        return gram.hermite_triples(self.alphas, self.S)
+
+    def kron_weights(self) -> np.ndarray:
+        """<K_alpha, K_0> / <K_0, K_0>, the bits of PairList's sparse inner
+        products: term 0 is K_0, and K_alpha.multiply(K_0) drops its zero
+        products, whose count moves the pairwise split of the sum."""
+        num = np.empty(len(self))
+        for start, _, quad in self._quad_chunks(0, len(self)):
+            values = fem2d.stiffness_values(self.mesh, quad)
+            if not start:
+                K0_scaled = values[0] * _unit_scale(np.abs(values[0]).max())
+            for i, products in enumerate(values * K0_scaled, start):
+                num[i] = np.sum(products[products != 0.0])
+        return num / num[0]
+
+
+def _unit_scale(peak: float) -> float:
+    """The power of two that takes ``peak`` (max |K_0|) into [1/2, 1).  The
+    second factor of each of kron's inner products is K_0 so scaled: the
+    weights are the same bits, and stay finite where <K_0, K_0> itself
+    overflows."""
+    return np.ldexp(1.0, -np.frexp(peak)[1])
+
+
 @dataclass(frozen=True)
 class KroneckerSumOperator:
-    terms: tuple[tuple[sp.csr_matrix, sp.csr_matrix], ...]
+    # A PairList (a sequence of pairs is taken as one), or the HermiteTerms
+    # that builds its pairs on demand.
+    terms: Sequence
     # The matrix's own factorization, which the matvec applies in place of
     # the term loop; only the lognormal builder sets it.
     factorization: QuadratureFactorization | None = field(default=None, repr=False, compare=False)
@@ -92,10 +202,12 @@ class KroneckerSumOperator:
     _loop: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.terms:
+        if not isinstance(self.terms, HermiteTerms):
+            object.__setattr__(self, "terms", PairList(self.terms))
+        if not len(self.terms):
             raise ValueError("operator needs at least one term")
-        object.__setattr__(self, "ny", self.terms[0][0].shape[0])
-        object.__setattr__(self, "nx", self.terms[0][1].shape[0])
+        object.__setattr__(self, "ny", self.terms.ny)
+        object.__setattr__(self, "nx", self.terms.nx)
         loop = []
         if self.factorization is None:
             for G, K in self.terms:
@@ -120,23 +232,24 @@ class KroneckerSumOperator:
 
     def parity_classes(self, r: int) -> np.ndarray | None:
         """:func:`parity_classes` of P_r: the colouring it keeps, the tail flips."""
-        return parity_classes(self.terms, r)
+        return _colouring(self.terms.triples, self.ny, r)
 
     def kron_factor(self) -> sp.csr_matrix:
         """kron's G = sum_i [tr(K_i^T K_0)/tr(K_0^T K_0)] G_i, minimizing the
         Frobenius distance of G (x) K_0 to the operator, the weighted G_i added
-        entry by entry in term order; the lead must be I (x) K_0."""
-        if not self.terms or not _is_identity(self.terms[0][0]):
+        entry by entry in term order, as a sparse product sums them; the lead
+        must be I (x) K_0."""
+        term, rows, cols, vals = self.terms.triples
+        lead, eye = term == 0, np.arange(self.ny)
+        if not (np.array_equal(rows[lead], eye) and np.array_equal(cols[lead], eye)
+                and np.all(vals[lead] == 1.0)):
             raise ValueError("leading term must have an identity parametric factor")
-        K0 = self.terms[0][1]
-        # The second factor of each inner product is K_0 scaled by a power of
-        # two to max entry in [1/2, 1): the weights are the same bits, and stay
-        # finite where <K_0, K_0> itself overflows.
-        K0_scaled = K0 * np.ldexp(1.0, -np.frexp(abs(K0).max())[1])
-        denom = K0.multiply(K0_scaled).sum()
-        w = np.array([K_i.multiply(K0_scaled).sum() / denom for _, K_i in self.terms])
-        G = sp.hstack([G_i for G_i, _ in self.terms]) @ sp.kron(w[:, None], sp.identity(self.ny))
-        return G.tocsr()
+        keys, at = np.unique(rows * self.ny + cols, return_inverse=True)
+        sums = np.zeros(len(keys))
+        np.add.at(sums, at, vals * self.terms.kron_weights()[term])  # in list order
+        G = sp.csr_matrix((sums, np.divmod(keys, self.ny)), shape=(self.ny, self.ny))
+        G.eliminate_zeros()
+        return G
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         f = self.factorization
@@ -216,28 +329,26 @@ def parity_classes(terms, r: int) -> np.ndarray | None:
     Blocks the leading patterns connect share a colour, and each tail entry
     must join two components of unlike colour: a 2-colouring of the
     components, read off the bipartite double cover (component c as nodes c
-    and c + n).  The tail is read term by term and the first entry inside
-    one component ends the search, as a Hermite G_alpha with a diagonal
-    does.  Affine r < M: the parity of alpha_{r+1} + ... + alpha_M.
+    and c + n).  A tail entry inside one component, as a Hermite G_alpha
+    with a diagonal has, rules it out.  Affine r < M: the parity of
+    alpha_{r+1} + ... + alpha_M.
     """
-    def entries(G):  # (rows, columns) of the stored entries
-        G = sp.csr_matrix(G)
-        return np.repeat(np.arange(G.shape[0]), np.diff(G.indptr)), G.indices
+    pairs = PairList(terms)
+    return _colouring(pairs.triples, pairs.ny, r)
 
+
+def _colouring(triples, n: int, r: int) -> np.ndarray | None:
+    """:func:`parity_classes` from the entries (term, row, column, value)
+    of the G, by term, on n blocks."""
     def graph(rows, cols, n):
         return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
 
-    rows, cols = (np.concatenate(e) for e in zip(*(entries(G) for G, _ in terms[: r + 1])))
-    n, comp = connected_components(graph(rows, cols, terms[0][0].shape[0]), directed=False)
-    ends = []
-    for G, _ in terms[r + 1 :]:
-        a, b = (comp[e] for e in entries(G))
-        if np.any(a == b):
-            return None
-        ends.append((a, b))
-    if not sum(len(a) for a, _ in ends):
+    term, rows, cols, _ = triples
+    lead = term <= r
+    n, comp = connected_components(graph(rows[lead], cols[lead], n), directed=False)
+    a, b = comp[rows[~lead]], comp[cols[~lead]]
+    if not len(a) or np.any(a == b):
         return None
-    a, b = (np.concatenate(e) for e in zip(*ends))
     _, label = connected_components(graph(np.r_[a, a + n], np.r_[b + n, b], 2 * n), directed=False)
     if np.any(label[:n] == label[n:]):
         return None
@@ -335,9 +446,11 @@ def build_lognormal_system(
 
     The coefficient is exp(b) with b = b_0 + sum_{m=1}^N b_m y_m, the b_m
     taken from the decaying cosine family.  The Galerkin matrix is the sum
-    of G_alpha (x) K_alpha over alpha in I_{2k}^M, and ``op.terms`` holds
-    every one of them, ``op.factorization`` their sum as the matvec applies
-    it.  No G_alpha vanishes on I_k^M: split alpha = beta + gamma with beta,
+    of G_alpha (x) K_alpha over alpha in I_{2k}^M: ``op.terms`` is every one
+    of them, built as it is read (:class:`HermiteTerms`), and
+    ``op.factorization`` their sum as the matvec applies it.  The build
+    itself orders the expansion and forms no pair.  No G_alpha vanishes on
+    I_k^M: split alpha = beta + gamma with beta,
     gamma in I_k^M (possible since |alpha| <= 2k); each Hermite triple
     <H_{alpha_m} H_{beta_m}, H_{gamma_m}> with alpha_m = beta_m + gamma_m
     is nonzero, so G_alpha[beta, gamma] != 0.
@@ -357,13 +470,10 @@ def build_lognormal_system(
     # it: P_0 = I (x) K_0, and the kron fit and the SBGS splitting need it.
     ordered.sort(key=lambda term: any(term[0]))  # stable
 
-    grams = [gram.gram_general(alpha, S) for alpha, _ in ordered]
     xq1, xq2 = fem2d.quadrature_points(mesh)
     B = np.array([b(xq1, xq2) for b in b_fields])
     E = np.exp(b0(xq1, xq2) + 0.5 * sum(b * b for b in B))
-    Ks = fem2d.assemble_from_quad_values(
-        mesh, _expansion_quad_values([alpha for alpha, _ in ordered], E, B)
-    )
+    terms = HermiteTerms(mesh, S, [alpha for alpha, _ in ordered], E, B)
     offsets = np.searchsorted([sum(alpha) for alpha in S], np.arange(k + 2))
     shifts = tuple(
         tuple((d, s, np.array([S.position(a[:m] + (a[m] + s,) + a[m + 1 :])
@@ -375,7 +485,7 @@ def build_lognormal_system(
     factorization = QuadratureFactorization(
         *fem2d.gradient_map(mesh), E.ravel(), B[:M].reshape(M, -1), offsets, shifts, factorial
     )
-    op = KroneckerSumOperator(tuple(zip(grams, Ks)), factorization)
+    op = KroneckerSumOperator(terms, factorization)
     f = np.zeros(op.dim)
     f[: mesh.n_interior] = fem2d.assemble_load(mesh)
     return op, f

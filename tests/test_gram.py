@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sgkron.gram import gram_general, gram_identity, gram_linear
+from sgkron.gram import gram_general, gram_identity, gram_linear, hermite_triples
 from sgkron.multiindex import build_index_set
 from sgkron.orthopoly import HERMITE, LEGENDRE, evaluate, hermite_triple
 from sgkron.verify import linear_gram
@@ -159,6 +159,25 @@ class TestGramGeneral:
                 got, want = getattr(G, attr), getattr(ref, attr)
                 assert got.dtype == want.dtype
                 np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("M,k", [(1, 0), (1, 4), (3, 3), (6, 2), (2, 5), (6, 3)])
+    def test_triple_list_matches_per_term(self, M, k):
+        # Oracle: gram_general term by term, bit for bit, in the order of a
+        # shuffled alphas list and on a subset of it (the rest is dropped).
+        S = build_index_set(M, k)
+        alphas = list(build_index_set(M, 2 * k))
+        np.random.default_rng(M * 10 + k).shuffle(alphas)
+        for subset in (alphas, alphas[::3]):
+            term, rows, cols, vals = hermite_triples(subset, S)
+            starts = np.searchsorted(term, np.arange(len(subset) + 1))
+            assert starts[-1] == len(term)
+            for i, alpha in enumerate(subset):
+                G = gram_general(alpha, S)
+                at = slice(starts[i], starts[i + 1])
+                G_rows = np.repeat(np.arange(len(S)), np.diff(G.indptr))
+                np.testing.assert_array_equal(rows[at], G_rows)
+                np.testing.assert_array_equal(cols[at], G.indices)
+                np.testing.assert_array_equal(vals[at], G.data)
 
     def test_rejects_bad_alpha(self):
         S = build_index_set(2, 2)

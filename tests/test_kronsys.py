@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sgkron import fem2d, gram, kronsys
+from sgkron import fem2d, gram, grid, kronsys
 from sgkron.fem2d import build_mesh
 from sgkron.kronsys import (
     KroneckerSumOperator,
@@ -15,6 +17,7 @@ from sgkron.kronsys import (
     build_lognormal_system,
 )
 from sgkron.multiindex import build_index_set, dimension
+from sgkron.pcg import SolverConfig
 from sgkron.precond import CholeskyFactor, build_kron
 from sgkron.verify import LOGNORMAL_ALPHA_BAR, SmallConfig
 
@@ -331,3 +334,90 @@ class TestRecompressedOperator:
         )
         P = build_kron(op, CholeskyFactor(op.leading(0)[0][1]))
         np.testing.assert_allclose(P.G.toarray(), G_ref, rtol=1e-13, atol=1e-15)
+
+
+def count_pair_builds(monkeypatch):
+    """The alphas of every G_alpha and the count of every K_alpha built."""
+    built = {"G": [], "K": 0}
+    gram_general, assemble = gram.gram_general, fem2d.assemble_from_quad_values
+
+    def counted_gram(alpha, S):
+        built["G"].append(tuple(alpha))
+        return gram_general(alpha, S)
+
+    def counted_assemble(mesh, values):
+        Ks = assemble(mesh, values)
+        built["K"] += len(Ks) if isinstance(Ks, list) else 1
+        return Ks
+
+    monkeypatch.setattr(gram, "gram_general", counted_gram)
+    monkeypatch.setattr(fem2d, "assemble_from_quad_values", counted_assemble)
+    return built
+
+
+class TestPairsOnDemand:
+    """The lognormal operator builds a pair only when one is read."""
+
+    def test_leading_builds_its_prefix(self, monkeypatch):
+        built = count_pair_builds(monkeypatch)
+        op, _, _ = tiny_lognormal(M=3, k=3)
+        assert built == {"G": [], "K": 0}
+        for r, total in ((3, 4), (1, 4), (6, 7), (0, 7)):
+            assert len(op.leading(r)) == r + 1
+            assert len(built["G"]) == built["K"] == total
+        assert built["G"] == op.terms.alphas[:7]
+
+    def test_kron_and_parity_classes_build_none(self, monkeypatch):
+        built = count_pair_builds(monkeypatch)
+        op, _, _ = tiny_lognormal(M=3, k=3)
+        op.kron_factor()
+        for r in range(len(op.terms) + 1):
+            op.parity_classes(r)
+        assert built == {"G": [], "K": 0}
+
+    def test_terms_builds_each_pair_once(self, monkeypatch):
+        built = count_pair_builds(monkeypatch)
+        op, _, _ = tiny_lognormal(M=3, k=2)
+        lead = op.leading(2)
+        terms = list(op.terms)
+        assert built["G"] == list(op.terms.alphas) and built["K"] == len(terms) == 35
+        assert terms[:3] == list(lead)  # the same objects
+        assert op.terms[:] == tuple(terms) and op.terms[-1] is terms[-1]
+        assert op.terms[10:2:-3] == tuple(terms[10:2:-3])
+        assert sum(1 for _ in op.terms) == 35 and assemble_dense(op.terms).shape == (op.dim,) * 2
+        assert len(built["G"]) == built["K"] == 35
+        with pytest.raises(IndexError):
+            op.terms[35]
+
+    def test_run_path_builds_at_most_the_largest_prefix(self, monkeypatch):
+        built = count_pair_builds(monkeypatch)
+        cell = grid.Cell("lognormal", "", 2.0, LOGNORMAL_ALPHA_BAR, 2, 3, 2, 6)
+        preconds = [("kron", None), ("mean", 0), ("sbgs", 1), ("trunc_exact", 3), ("sbgs", 2)]
+        rows = list(grid.solve_cell(cell, preconds, SolverConfig()))
+        assert all(row.converged for row in rows)
+        assert len(built["G"]) == built["K"] == 4
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(level=st.integers(1, 2), M=st.integers(1, 3), k=st.integers(0, 3), extra=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_parity_classes_from_triples_match_pair_list(level, M, k, extra, seed):
+    # The operator's colouring reads the Hermite triple list; the oracle is
+    # the pair-list colouring over the built terms, for every r.  The
+    # expansion order leaves no colouring here (a tail G_alpha has a
+    # diagonal), so the terms are also taken in a drawn order: zero, then
+    # even |alpha|, then odd, which has one where the tail is odd |alpha|.
+    op, _, _ = tiny_lognormal(level, M, k, N=M + extra)
+    odd = [sum(alpha) % 2 for alpha in op.terms.alphas]
+    drawn = 1 + np.random.default_rng(seed).permutation(len(op.terms) - 1)
+    order = np.r_[0, drawn[np.argsort([odd[i] for i in drawn], kind="stable")]]
+    shuffled = [op.terms[i] for i in order]
+    triples = gram.hermite_triples([op.terms.alphas[i] for i in order], build_index_set(M, k))
+    for r in range(len(op.terms) + 1):
+        for got, want in (
+            (op.parity_classes(r), kronsys.parity_classes(op.terms, r)),
+            (kronsys._colouring(triples, op.ny, r), kronsys.parity_classes(shuffled, r)),
+        ):
+            assert (got is None) == (want is None), r
+            if got is not None:
+                np.testing.assert_array_equal(got, want)

@@ -211,7 +211,13 @@ class TestKroneckerProductSuperLU(TestKroneckerProduct):
         monkeypatch.setattr(precond, "DENSE_SOLVE_MAX", 0)
 
 
-@pytest.mark.parametrize("build", [tiny_affine, tiny_lognormal])
+def table6_lognormal_k2():
+    # 8 of its 210 weights move in the last bit if the zero products of
+    # <K_alpha, K_0> are summed too.
+    return tiny_lognormal(level=4, M=6, k=2, N=20)
+
+
+@pytest.mark.parametrize("build", [tiny_affine, tiny_lognormal, table6_lognormal_k2])
 def test_build_kron_sums_weighted_terms_exactly(build):
     # G is sum_i w_i G_i added entry by entry in term order, as a dense
     # accumulation does it, so equal to it bit for bit.
