@@ -7,10 +7,13 @@ block vectors:
 * Kronecker product: a single G (x) K_0 with G the Frobenius-optimal
   parametric factor, a sparse matrix the operator forms (``op.kron_factor()``);
 * exact truncation: the leading r+1 terms, block diagonal over the
-  parametric tails they leave uncoupled; one factor per distinct tail
-  block up to a per-block size, a nested CG for the larger blocks: reduced
-  to one colour and preconditioned by I (x) K_0 where the truncation is
-  2-cyclic (affine), SBGS-preconditioned otherwise (lognormal);
+  parametric tails they leave uncoupled; each distinct tail block up to a
+  per-block size solved directly, the larger ones by a nested CG.  Where
+  the truncation is 2-cyclic (affine), both eliminate one colour with
+  I (x) K_0 and solve the Schur complement of the other: by its one
+  Cholesky factor, or by CG preconditioned by I (x) K_0 (Reid's method).
+  Otherwise (lognormal) a block is factored whole, or solved by
+  SBGS-preconditioned CG;
 * symmetric block Gauss-Seidel (SBGS): (D + L) D^{-1} (D + L^T) built
   from the truncation's block splitting, applied by one forward and one
   backward block-triangular sweep.  One engine and one builder,
@@ -26,8 +29,9 @@ their truncation (``op.parity_classes(r)``), which P_r never couples:
 
 Every factorization goes through :class:`CholeskyFactor`: the spatial
 solves, with K_0 or with a diagonal block of a splitting, the truncation's
-block factors and the Kronecker product's G.  It reads one of three paths
-off the matrix: a grid Laplacian (the affine K_0) of order
+block and Schur-complement factors and the Kronecker product's G.  It
+takes a sparse matrix or a dense array as it is, and reads one of three
+paths off the matrix: a grid Laplacian (the affine K_0) of order
 ``SINE_SOLVE_MIN`` (mesh level 4) and up is solved in the sine eigenbasis
 of its 1-D factors, positive definite by its closed-form eigenvalues; any
 other matrix with a dense inverse up to order ``DENSE_SOLVE_MAX`` (mesh
@@ -38,8 +42,8 @@ each reads ny off its lead G (or ``classes``, or v) and nx off that factor.
 
 from __future__ import annotations
 
+import functools
 import math
-from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -47,20 +51,22 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from .kronsys import KroneckerSumOperator, _is_identity, assemble_sparse, parity_classes
+from .kronsys import KroneckerSumOperator, PairList, _colouring, _is_identity, assemble_sparse
 from .pcg import BreakdownError as _BreakdownError
 from .pcg import SolverConfig as _InnerConfig
 from .pcg import pcg_solve as _inner_solve
 
-# Largest tail block, in unknowns, that TruncExactPreconditioner factorizes
+# Largest tail block, in unknowns, that TruncExactPreconditioner solves directly
 # (an I (x) K_0 block takes the caller's K_0 factor at any size); larger blocks
-# go to its nested CG.  Scanned with the constant monkeypatched, one BLAS thread
-# (AMD EPYC), medians of three: table2 (level 4, M = 8, k <= 4, r = 0..6) at
-# cutoff 1600 / 1000 / 500 / 0 took 0.99 / 0.88 / 0.87 / 0.86 s, set-up 0.38 /
-# 0.23 / 0.17 / 0.15 s and solve 0.59 / 0.63 / 0.67 / 0.70 s, rows identical:
-# a lower cutoff trades set-up for solve.  On the lognormal grid (level 4,
-# M = 4, N = 20, k = 3) all-direct beats nested at r = 3, 4 (0.04 against
-# 0.08-0.10 s) and loses at r = 6, 8, 10 (0.19 / 1.2 / 1.2 against 0.14-0.21 s).
+# go to its nested CG.  An affine direct block costs one dense Cholesky of its
+# Schur complement (order 225-450 at mesh level 4).  Scanned with the constant
+# monkeypatched, in process, one BLAS thread (AMD EPYC), medians of three:
+# table2 (level 4, M = 8, k <= 4, r = 0..6) took 0.77 / 0.77 / 0.77 / 0.75 s
+# at cutoff 0 / 500 / 1000 / 1600 and 0.98 / 1.03 / 3.1 s at 2400 / 3200 /
+# 6400, where Schur complements above DENSE_SOLVE_MAX go to SuperLU; rows
+# identical.  On the lognormal grid (level 4, M = 4, N = 20, k = 3), whose
+# blocks are factored whole, all-direct beat nested at r = 3, 4 (0.04 against
+# 0.08-0.10 s) and lost at r = 6, 8, 10 (0.19 / 1.2 / 1.2 against 0.14-0.21 s).
 TRUNC_DIRECT_GUARD = 1600
 INNER_TOL = 1e-13
 # Largest order CholeskyFactor solves with a dense inverse.  Measured on one
@@ -83,7 +89,7 @@ class InnerStallError(RuntimeError):
     """The nested truncation solve stopped short of factorization accuracy."""
 
 
-@lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=8)
 def _grid_laplacian(q: int):
     """L = A (x) M + M (x) A; S, the orthogonal sine basis of A and M; L's eigenvalues."""
     A, M = (sp.diags(v, [-1, 0, 1], (q, q)) for v in ([-1.0, 2.0, -1.0], [1 / 6, 4 / 6, 1 / 6]))
@@ -128,14 +134,19 @@ class CholeskyFactor:
 
     Either factorization certificate failing raises
     :class:`NotPositiveDefiniteError`; a NaN or inf entry is refused first,
-    with the :class:`pcg.BreakdownError` PCG raises on non-finite data.
+    with the :class:`pcg.BreakdownError` PCG raises on non-finite data.  A
+    dense array is checked and factored as it is, with no sparse copy
+    before the SuperLU path, so that it solves and refuses as its CSC
+    form does.
     """
 
     def __init__(self, K: sp.spmatrix | np.ndarray):
-        K = sp.csc_matrix(K)
         if K.shape[0] != K.shape[1]:
             raise ValueError("matrix must be square")
-        if not np.isfinite(K.data).all():
+        dense = isinstance(K, np.ndarray)  # checked and factored as it is
+        if not dense:
+            K = sp.csc_matrix(K)
+        if not np.isfinite(K if dense else K.data).all():
             raise _BreakdownError("matrix has a non-finite entry")
         asym = abs(K - K.T).max()
         scale = abs(K).max() or 1.0
@@ -145,7 +156,8 @@ class CholeskyFactor:
         self._inv = self._lu = self._sine = None
         # Rejection in O(n) before L is built.
         q = math.isqrt(self.n)
-        grid = self.n >= SINE_SOLVE_MIN and q * q == self.n and K.nnz == (3 * q - 2) ** 2
+        nnz = np.count_nonzero(K) if dense else K.nnz
+        grid = self.n >= SINE_SOLVE_MIN and q * q == self.n and nnz == (3 * q - 2) ** 2
         d = K.diagonal() if grid else [0.0]
         c = d[0] * 3.0 / 8.0
         if c > 0.0 and np.all(d == d[0]):
@@ -155,7 +167,8 @@ class CholeskyFactor:
                 return
         if self.n <= DENSE_SOLVE_MAX:
             L, info = scipy.linalg.lapack.dpotrf(
-                K.toarray(order="F"), lower=1, clean=1, overwrite_a=1
+                np.array(K, order="F") if dense else K.toarray(order="F"),
+                lower=1, clean=1, overwrite_a=1,
             )
             if info != 0:
                 raise NotPositiveDefiniteError(
@@ -166,7 +179,7 @@ class CholeskyFactor:
             self._inv = inv
             return
         self._lu = spla.splu(
-            K,
+            sp.csc_matrix(K),
             permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.0,
             options=dict(SymmetricMode=True),
@@ -176,6 +189,11 @@ class CholeskyFactor:
             raise NotPositiveDefiniteError(
                 "matrix is not positive definite (non-positive pivot)"
             )
+
+    @functools.cached_property
+    def inverse(self) -> np.ndarray:
+        """K^{-1}, dense, formed on first use."""
+        return np.ascontiguousarray(self.solve(np.eye(self.n)))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """K^{-1} b for b of shape (n,) or (n, m), one right-hand side per
@@ -248,18 +266,19 @@ def build_kron(op, K0_factor: CholeskyFactor) -> KroneckerProductPreconditioner:
 # exact truncation
 
 
-def _tail_blocks(Gs: list) -> list[np.ndarray]:
-    """Parametric indices of the diagonal blocks of sum_l G_l (x) K_l, grouped.
+def _tail_blocks(pairs: PairList) -> list[tuple[np.ndarray, tuple]]:
+    """Parametric indices of the diagonal blocks of sum_l G_l (x) K_l, grouped,
+    read off the entries (term, row, column, value) of the G_l.
 
     The blocks are the connected components of the union of the G_l
     patterns.  Components whose restricted G_l are equal entry by entry
     form one class; each class comes back as an (n, c) array of its n
     components' indices, ascending within a row, so that every row
-    restricts the G_l to the same c x c matrices.
+    restricts the G_l to the same c x c matrices, and with those
+    matrices' entries, by term, then row, then column.
     """
-    rows = np.concatenate([G.row for G in Gs])
-    cols = np.concatenate([G.col for G in Gs])
-    union = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=Gs[0].shape)
+    (term, rows, cols, vals), n = pairs.triples, pairs.ny
+    union = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
     n_comp, comp = connected_components(union, directed=False)
     size = np.bincount(comp, minlength=n_comp)
     slot = _occurrence(comp)
@@ -268,16 +287,37 @@ def _tail_blocks(Gs: list) -> list[np.ndarray]:
 
     # Key rows (term, row slot, column slot, value) sorted within each
     # component; equal components have equal sizes and key bytes.
-    term = np.concatenate([np.full(G.nnz, ell) for ell, G in enumerate(Gs)])
-    vals = np.concatenate([G.data for G in Gs])
     owner = comp[rows]
     order = np.lexsort((slot[cols], slot[rows], term, owner))
-    entries = np.stack([term, slot[rows], slot[cols], vals], axis=1)[order]
+    keys = np.stack([term, slot[rows], slot[cols], vals], axis=1)[order]
     count = np.bincount(owner, minlength=n_comp)
-    same: dict[tuple, list[int]] = {}
-    for q, key in enumerate(np.split(entries, np.cumsum(count)[:-1])):
-        same.setdefault((size[q], key.tobytes()), []).append(q)
-    return [members[first[qs, None] + np.arange(size[qs[0]])] for qs in same.values()]
+    same: dict[tuple, tuple] = {}
+    for q, key in enumerate(np.split(keys, np.cumsum(count)[:-1])):
+        same.setdefault((size[q], key.tobytes()), (key, []))[1].append(q)
+    return [
+        (members[first[qs, None] + np.arange(size[qs[0]])],
+         (*key[:, :3].T.astype(np.int64), key[:, 3]))
+        for key, qs in same.values()
+    ]
+
+
+def _restrict(entries, idx: np.ndarray, n: int) -> tuple:
+    """The entries among the blocks idx (a union of components) of n,
+    renumbered in the order of idx."""
+    term, rows, cols, vals = entries
+    pos = np.full(n, -1)
+    pos[idx] = np.arange(len(idx))
+    sel = pos[rows] >= 0
+    return term[sel], pos[rows[sel]], pos[cols[sel]], vals[sel]
+
+
+def _pairs(entries, Ks, n: int) -> tuple:
+    """The (G_l, K_l) pairs of the entries on n blocks."""
+    term, rows, cols, vals = entries
+    masks = (term == l for l in range(len(Ks)))
+    return tuple(
+        (sp.csr_matrix((vals[t], (rows[t], cols[t])), shape=(n, n)), K) for t, K in zip(masks, Ks)
+    )
 
 
 class TruncExactPreconditioner:
@@ -294,21 +334,27 @@ class TruncExactPreconditioner:
     remaining degree d = k - |tail|).  A class that is I (x) K_0 alone
     (affine d = 0, every block at r = 0) takes ``K0_factor`` at any size,
     any other with at most ``TRUNC_DIRECT_GUARD`` unknowns per block is
-    factorized once, and a class is applied as one multi-right-hand-side
-    solve whose columns are its blocks.  The larger blocks together are
-    solved by an inner CG run until ||b - P_r z|| <= ``INNER_TOL`` ||b||,
-    1e-13, i.e. to factorization-level accuracy.  Which one is read off the
-    restricted G patterns:
+    solved exactly, with factors made once per class, and a class is
+    applied as one multi-right-hand-side solve whose columns are its
+    blocks.  The larger blocks together are solved by an inner CG run until
+    ||b - P_r z|| <= ``INNER_TOL`` ||b||, 1e-13, i.e. to factorization-level
+    accuracy.  How is read off the restricted G patterns:
 
     * led by an identity G whose other terms 2-colour the blocks (every
       affine truncation: D = I (x) K_0 on the diagonal, couplings between
       unlike parities of alpha_1 + ... + alpha_r), P_r = [[D, C], [C^T, D]]
-      by colour, and CG runs on the Schur complement D - C D^{-1} C^T of the
-      smaller colour, preconditioned by D; the other colour is
-      back-substituted; both solve with ``K0_factor``;
-    * otherwise (lognormal: Hermite G with diagonals) CG runs on the
-      restricted truncation, preconditioned by its SBGS approximation,
-      whose K_0 diagonal blocks are solved with ``K0_factor`` too.
+      by colour (Reid, SIAM J. Numer. Anal. 9, 1972).  The larger colour is
+      eliminated with ``K0_factor``, the Schur complement S = D - C D^{-1}
+      C^T of the smaller one is solved, and the other colour is
+      back-substituted.  A direct class factors its S, formed from one
+      component, once through :class:`CholeskyFactor`; the nested blocks run
+      CG on S, preconditioned by D.  A direct S that overflows, with D and C
+      finite, is refused as not positive definite;
+    * otherwise (lognormal: Hermite G with diagonals) a direct class
+      factors its assembled block (SuperLU above ``DENSE_SOLVE_MAX``), and
+      the nested blocks run CG on the restricted truncation, preconditioned
+      by its SBGS approximation, whose K_0 diagonal blocks are solved with
+      ``K0_factor`` too.
 
     ``classes``, from ``op.parity_classes(r)``, splits the blocks into
     two colours that P_r never couples: the nested blocks get one inner CG
@@ -317,20 +363,24 @@ class TruncExactPreconditioner:
     """
 
     def __init__(self, K0_factor: CholeskyFactor, pairs, classes=None):
-        used = tuple(pairs)
+        used = PairList(pairs)
         self.ny, self.nx = _shape(used, K0_factor)
         self.classes = classes
-        Gs = [sp.csr_matrix(G) for G, _ in used]
+        Ks, entries = [K for _, K in used], used.triples
+        lead = _is_identity(used[0][0])  # D = I (x) K_0 on every block
         self._direct = []  # (class indices, factor of its block)
         nested = [np.zeros(0, dtype=np.int64)]
-        for idx in _tail_blocks([G.tocoo() for G in Gs]):
-            block = [(G[idx[0]][:, idx[0]], K) for G, (_, K) in zip(Gs, used)]
-            if _is_identity(block[0][0]) and not any(G.nnz for G, _ in block[1:]):
+        for idx, block in _tail_blocks(used):
+            c = idx.shape[1]
+            if lead and not block[0].any():
                 self._direct.append((idx, K0_factor))  # I (x) K_0 alone
-            elif idx.shape[1] * self.nx > TRUNC_DIRECT_GUARD:
+            elif c * self.nx > TRUNC_DIRECT_GUARD:
                 nested.append(idx.ravel())
+            elif (colour := _colouring(block, c, 0) if lead else None) is None:
+                self._direct.append((idx, CholeskyFactor(assemble_sparse(_pairs(block, Ks, c)))))
             else:
-                self._direct.append((idx, CholeskyFactor(assemble_sparse(block))))
+                S = _SchurComplement(block, Ks, colour, K0_factor, direct=True)
+                self._direct.append((idx, S))
         self.distinct_factor_count = len(self._direct)
         # The nested blocks of each colour: (blocks, inner operator, inner
         # preconditioner).  Led by I (x) K_0, with other terms that 2-colour
@@ -339,13 +389,14 @@ class TruncExactPreconditioner:
         parts = [rest] if classes is None else [rest[~classes[rest]], rest[classes[rest]]]
         self._nested = []
         for rest in filter(len, parts):
-            block = tuple((G[rest][:, rest], K) for G, (_, K) in zip(Gs, used))
-            colour = parity_classes(block, 0) if _is_identity(block[0][0]) else None
+            block = _restrict(entries, rest, self.ny)
+            colour = _colouring(block, len(rest), 0) if lead else None
             if colour is None:
+                block = _pairs(block, Ks, len(rest))
                 op = KroneckerSumOperator(block)
                 self._nested.append((rest, op, PairBlockSbgs(block, K0_factor)))
             else:
-                S = _SchurComplement(block, colour, K0_factor)
+                S = _SchurComplement(block, Ks, colour, K0_factor)
                 self._nested.append((rest, S, MeanBasedPreconditioner(K0_factor)))
 
     def apply_inverse(self, v: np.ndarray, cls: int | None = None) -> np.ndarray:
@@ -367,63 +418,123 @@ class TruncExactPreconditioner:
         """P_r^{-1} on the nested rows B, to ||B - P_r Z|| <= INNER_TOL ||B||.
         The reduced solve's residual is the full one on the kept colour (the
         other is eliminated exactly), so its tolerance is scaled by ||B|| / ||f||."""
-        f = B
-        if isinstance(op, _SchurComplement):
-            f = B[op.keep] - op.lift(op.factor.solve(B[op.elim].T).T)
-        f_norm = np.linalg.norm(f)
-        scale = np.linalg.norm(B) / f_norm if f_norm else 1.0
-        try:
-            z, rep = _inner_solve(op, inner, f.ravel(), _InnerConfig(INNER_TOL * scale, 400))
-        except _BreakdownError as exc:
-            raise NotPositiveDefiniteError(
-                "truncation is not positive definite (inner solve breakdown)"
-            ) from exc
-        if rep.final_relres / scale > 1e-10:
-            raise InnerStallError(
-                f"inner truncation solve stalled at relres {rep.final_relres / scale:.2e}"
-            )
-        if f is B:
-            return z.reshape(B.shape)
-        Z = np.empty(B.shape)
-        Z[op.keep] = z.reshape(-1, self.nx)
-        Z[op.elim] = op.factor.solve((B[op.elim] - op.drop(Z[op.keep])).T).T
-        return Z
+        B_norm = np.linalg.norm(B)
+
+        def cg(f):
+            f_norm = np.linalg.norm(f)
+            scale = B_norm / f_norm if f_norm else 1.0
+            try:
+                z, rep = _inner_solve(op, inner, f.ravel(), _InnerConfig(INNER_TOL * scale, 400))
+            except _BreakdownError as exc:
+                raise NotPositiveDefiniteError(
+                    "truncation is not positive definite (inner solve breakdown)"
+                ) from exc
+            if rep.final_relres / scale > 1e-10:
+                raise InnerStallError(
+                    f"inner truncation solve stalled at relres {rep.final_relres / scale:.2e}"
+                )
+            return z.reshape(f.shape)
+
+        return op.eliminate(B, cg) if isinstance(op, _SchurComplement) else cg(B)
 
 
 class _SchurComplement:
     """S = D - C D^{-1} C^T on the kept colour of a truncation that is
     [[D, C], [C^T, D]] in the order of a 2-colouring, D = I (x) K_0: the
-    operator of the reduced inner CG, which D preconditions (Reid's method).
-    The smaller colour is kept, and every K_l product acts on its blocks."""
+    operator of the reduced inner CG, which D preconditions (Reid's method),
+    or, with ``direct``, factored once through :class:`CholeskyFactor` for
+    an exact solve.  The smaller colour is kept, and every K_l product acts
+    on its blocks."""
 
-    def __init__(self, pairs, colour: np.ndarray, K0_factor: CholeskyFactor):
+    def __init__(self, entries, Ks, colour: np.ndarray, K0_factor: CholeskyFactor, direct=False):
         keep = colour if 2 * np.count_nonzero(colour) <= len(colour) else ~colour
         self.keep, self.elim = np.flatnonzero(keep), np.flatnonzero(~keep)
-        self._K0, self.factor, self.nx = pairs[0][1], K0_factor, K0_factor.n
-        # The C_l stacked by rows, the K_l by rows and by columns: one sparse
-        # call per product.  The empty matrices stand in for no coupling.
-        self._r, self._n = len(pairs) - 1, len(self.keep)
-        Cs = [G[self.keep][:, self.elim] for G, _ in pairs[1:]]
-        self._C = sp.vstack(Cs + [sp.csr_matrix((0, len(self.elim)))], "csr")
+        self._K0, self.factor, self.nx = Ks[0], K0_factor, K0_factor.n
+        # The C_l stacked by rows, cut from the entries (term, row, column,
+        # value) of the G_l; the K_l by rows and by columns: one sparse call
+        # per product.  The empty K matrices stand in for no coupling.
+        self._r, self._n, self._Ks = len(Ks) - 1, len(self.keep), Ks[1:]
+        term, rows, cols, vals = entries
+        pos = np.empty(len(keep), dtype=np.int64)
+        pos[self.keep], pos[self.elim] = np.arange(self._n), np.arange(len(self.elim))
+        c = (term > 0) & keep[rows] & ~keep[cols]
+        self._C = sp.csr_matrix(
+            (vals[c], ((term[c] - 1) * self._n + pos[rows[c]], pos[cols[c]])),
+            shape=(self._r * self._n, len(self.elim)),
+        )
         self._Ct = self._C.T.tocsr()
-        Ks = [K for _, K in pairs[1:]]
-        self._K_rows = sp.vstack(Ks + [sp.csr_matrix((0, self.nx))], "csr")
-        self._K_cols = sp.hstack(Ks + [sp.csr_matrix((self.nx, 0))], "csr")
+        self._K_rows = sp.vstack(self._Ks + [sp.csr_matrix((0, self.nx))], "csr")
+        self._K_cols = sp.hstack(self._Ks + [sp.csr_matrix((self.nx, 0))], "csr")
+        if direct:
+            if not np.isfinite(self._K_rows.data).all():
+                raise _BreakdownError("matrix has a non-finite entry")
+            self._S_factor = CholeskyFactor(self._assemble())
+
+    def _assemble(self) -> np.ndarray:
+        """S = I (x) K_0 - sum_{l,m} (C_l C_m^T) (x) (K_l K_0^{-1} K_m), dense,
+        by (kept block, spatial index); a pair (l, m) with C_l C_m^T = 0
+        forms no product."""
+        n, nx = self._n, self.nx
+        W = (self._C @ self._Ct).tocoo()  # block (l, m): C_l C_m^T
+        (l, i), (m, j) = np.divmod(W.row, n), np.divmod(W.col, n)
+        K0_inv, Ks, Z = self.factor.inverse, self._Ks, {}
+        S = np.zeros((n, nx, n, nx))
+        S[np.arange(n), :, np.arange(n), :] = self._K0.toarray()
+        for a, b in np.unique(np.stack([l, m], axis=1), axis=0):
+            if b not in Z:
+                Z[b] = (Ks[b] @ K0_inv).T.copy()  # K_0^{-1} K_m
+            e = (l == a) & (m == b)
+            S[i[e], :, j[e], :] -= W.data[e, None, None] * (Ks[a] @ Z[b])
+        S = S.reshape(n * nx, n * nx)
+        # With D and C finite, only C D^{-1} C^T can overflow, and first on
+        # its diagonal, which S then has at -inf.
+        if not np.isfinite(S).all():
+            raise NotPositiveDefiniteError("truncation is not positive definite (Schur overflow)")
+        return S
+
+    def _solve_D(self, Y: np.ndarray) -> np.ndarray:
+        """D^{-1} Y for block rows Y, shape (blocks, ..., nx)."""
+        return self.factor.solve(Y.reshape(-1, self.nx).T).T.reshape(Y.shape)
 
     def lift(self, Y: np.ndarray) -> np.ndarray:
-        """C Y = sum_l (C_l (x) K_l) Y for rows Y of the eliminated blocks."""
-        U = (self._C @ Y).reshape(self._r, self._n, self.nx).transpose(0, 2, 1)
-        return (self._K_cols @ U.reshape(self._r * self.nx, self._n)).T
+        """C Y = sum_l (C_l (x) K_l) Y for rows Y of the eliminated blocks,
+        shape (blocks, ..., nx): each Y[:, j] is one vector."""
+        U = (self._C @ Y.reshape(len(Y), -1)).reshape(self._r, -1, self.nx).transpose(0, 2, 1)
+        V = self._K_cols @ U.reshape(self._r * self.nx, -1)
+        return V.T.reshape(self._n, *Y.shape[1:])
 
     def drop(self, X: np.ndarray) -> np.ndarray:
-        """C^T X for rows X of the kept blocks."""
-        W = (self._K_rows @ X.T).reshape(self._r, self.nx, self._n).transpose(0, 2, 1)
-        return self._Ct @ W.reshape(self._r * self._n, self.nx)
+        """C^T X for rows X of the kept blocks, shape (blocks, ..., nx)."""
+        m = X[0].size // self.nx  # vectors per block row
+        W = (self._K_rows @ X.reshape(-1, self.nx).T).reshape(self._r, self.nx, -1)
+        W = W.transpose(0, 2, 1).reshape(self._r * self._n, m * self.nx)
+        return (self._Ct @ W).reshape(len(self.elim), *X.shape[1:])
 
     def matvec(self, p: np.ndarray) -> np.ndarray:
         X = p.reshape(-1, self.nx)
-        Y = self.factor.solve(self.drop(X).T).T
-        return (self._K0 @ X.T - self.lift(Y).T).T.ravel()
+        return (self._K0 @ X.T - self.lift(self._solve_D(self.drop(X))).T).T.ravel()
+
+    def eliminate(self, B: np.ndarray, inner) -> np.ndarray:
+        """P^{-1} B for block rows B, shape (blocks, ..., nx): the kept colour
+        is ``inner`` of the reduced right-hand side f = B_keep - C D^{-1}
+        B_elim, the other back-substituted as D^{-1} (B_elim - C^T Z_keep)."""
+        f = B[self.keep] - self.lift(self._solve_D(B[self.elim]))
+        Z = np.empty(B.shape)
+        Z[self.keep] = inner(f)
+        Z[self.elim] = self._solve_D(B[self.elim] - self.drop(Z[self.keep]))
+        return Z
+
+    def solve(self, X: np.ndarray) -> np.ndarray:
+        """P^{-1} X through the factored S, in :meth:`CholeskyFactor.solve`'s
+        layout: one vector of the class's block per column of X."""
+        m, N = X.shape[1], self._n * self.nx
+        B = X.T.reshape(m, -1, self.nx).swapaxes(0, 1)
+
+        def exact(f):  # f, (kept blocks, m, nx), by S's (block, spatial) order
+            z = self._S_factor.solve(f.swapaxes(1, 2).reshape(N, m))
+            return z.reshape(self._n, self.nx, m).swapaxes(1, 2)
+
+        return self.eliminate(B, exact).swapaxes(0, 1).reshape(m, -1).T
 
 
 def build_trunc_exact(K0_factor: CholeskyFactor, pairs, classes=None):

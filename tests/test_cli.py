@@ -367,6 +367,36 @@ class TestRunCommand:
         assert good[COL["precond"]] == "mean"
         assert good[COL["converged"]] == "true"
 
+    @pytest.mark.parametrize("guard", [None, 0], ids=["schur-direct", "nested"])
+    def test_indefinite_affine_truncation_row(self, tmp_path, monkeypatch, guard):
+        # Amplitude 2 makes the affine coefficient, and P_1, indefinite: the
+        # factor of a direct class's Schur complement refuses it at set-up,
+        # and with guard 0 the reduced inner CG breaks down in the solve.
+        # Both end as the truncation's not-positive-definite row.
+        paths = []
+        assemble, inner = precond._SchurComplement._assemble, precond._inner_solve
+
+        def assembled(S):
+            paths.append("direct")
+            return assemble(S)
+
+        def inner_solve(A, *rest):
+            paths.append(type(A).__name__)
+            return inner(A, *rest)
+
+        monkeypatch.setattr(precond._SchurComplement, "_assemble", assembled)
+        monkeypatch.setattr(precond, "_inner_solve", inner_solve)
+        if guard is not None:
+            monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", guard)
+        cfg = write_config(tmp_path / "cfg.json", tiny_affine_config(
+            alpha_bar_mode=2.0, preconditioners=["trunc_exact 1"]
+        ))
+        out = tmp_path / "out.csv"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 2
+        _, rows = read_rows(out)
+        assert [r[COL["precond"]] for r in rows] == ["trunc_exact!not_positive_definite"]
+        assert set(paths) == ({"direct"} if guard is None else {"_SchurComplement"})
+
     def test_reduced_inner_breakdown_row(self, tmp_path, monkeypatch):
         # A breakdown of the reduced inner CG (the affine nested path) ends
         # as the truncation's not-positive-definite row.

@@ -83,6 +83,30 @@ class TestCholeskyFactor:
         np.testing.assert_allclose(factor.solve(B), np.linalg.solve(A, B), rtol=1e-14)
 
 
+    def test_dense_input_solves_and_refuses_as_sparse(self):
+        # A dense array is checked and factored as it is: the solves of its
+        # CSC form, bit for bit, and the same refusals, by type and message.
+        rng = np.random.default_rng(7)
+        R = rng.standard_normal((12, 12))
+        A = R.T @ R + 12.0 * np.eye(12)
+        B = rng.standard_normal((12, 3))
+        assert np.array_equal(CholeskyFactor(A).solve(B), CholeskyFactor(sp.csc_matrix(A)).solve(B))
+
+        def refusal(K):
+            with pytest.raises(Exception) as info:
+                CholeskyFactor(K)
+            return type(info.value), str(info.value)
+
+        non_finite, asymmetric = A.copy(), A.copy()
+        non_finite[3, 4] = non_finite[4, 3] = np.inf
+        asymmetric[3, 4] += 1.0
+        indefinite = A - 2.0 * np.linalg.eigvalsh(A)[-1] * np.eye(12)
+        for K, error in ((non_finite, BreakdownError), (asymmetric, ValueError),
+                         (indefinite, NotPositiveDefiniteError)):
+            assert refusal(K) == refusal(sp.csc_matrix(K))
+            assert refusal(K)[0] is error
+
+
 class TestCholeskyFactorSuperLU(TestCholeskyFactor):
     @pytest.fixture(autouse=True)
     def factor_path(self, monkeypatch):
@@ -365,6 +389,33 @@ class TestTruncExact:
             P_dense = assemble_dense(op.leading(r))
             np.testing.assert_allclose(P.apply_inverse(v), np.linalg.solve(P_dense, v), rtol=1e-10)
         assert eliminated == {True, False}
+
+    @pytest.mark.parametrize("dense_solve_max", [precond.DENSE_SOLVE_MAX, 0])
+    def test_schur_direct_keeps_either_colour(self, monkeypatch, dense_solve_max):
+        # Every affine direct class is solved through the factor of its
+        # Schur complement, which keeps the smaller colour: the star classes
+        # (r >= 2, d = 1: a tail's lowest block and its r neighbours) keep
+        # the even colour {0}, the Legendre chains (r = 1, d = 2, 3) the odd
+        # one.  DENSE_SOLVE_MAX 0 sends S to SuperLU.  The lognormal classes,
+        # whose Hermite G have diagonals, keep their assembled factors.
+        monkeypatch.setattr(precond, "DENSE_SOLVE_MAX", dense_solve_max)
+        op, _, _ = tiny_affine(M=4, k=3)
+        kept = {}
+        for r in (1, 2, 3):
+            P = build_trunc_exact(k0_factor(op), op.leading(r))
+            assert not P._nested
+            for idx, S in P._direct:
+                if isinstance(S, precond._SchurComplement):
+                    kept[r, idx.shape[1]] = S.keep.tolist()
+                    assert (S._S_factor._lu is not None) == (dense_solve_max == 0)
+            v = np.random.default_rng(r).standard_normal(op.dim)
+            ref = np.linalg.solve(assemble_dense(op.leading(r)), v)
+            assert np.linalg.norm(P.apply_inverse(v) - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert kept[1, 3] == [1] and kept[1, 4] == [1, 3]  # chains, d = 2, 3
+        assert kept[2, 3] == [0] and kept[3, 4] == [0]  # stars, d = 1
+        log, _, _ = tiny_lognormal()
+        P = build_trunc_exact(k0_factor(log), log.leading(4))
+        assert {type(factor) for _, factor in P._direct} == {CholeskyFactor}
 
     def test_reduced_solve_true_residual(self, monkeypatch):
         # The reduced CG's residual is the full one on the kept colour, the
