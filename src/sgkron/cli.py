@@ -29,7 +29,7 @@ import time
 
 import numpy as np
 
-from . import fem2d, grid, kronsys, multiindex, pcg, spectral, verify
+from . import fem2d, grid, kronsys, multiindex, pcg
 
 CSV_HEADER = (
     "problem,decay,h,M,k,precond,r,iterations,converged,"
@@ -90,9 +90,10 @@ MAX_HERMITE_DEGREE = 170
 # Multi-indices |I_k^M| of a cell that `kron` runs on.  The lognormal G has
 # a full pattern (G_{beta+gamma}[beta, gamma] != 0), |I_k^M|^2 values (and
 # MAX_TERM_PAIRS keeps it under 4,472 multi-indices).  The affine G is sparse
-# but its SuperLU factor fills in: nnz(L) + nnz(U) = 478,012 at table3 k = 6
-# (3003 multi-indices), 716,748 at level 1, M = 7, k = 7 (3432).  Level 1,
-# M = 300, k = 2 has 45,451.
+# and has no factor of its own, only that of the parity S = I - B^T B of its
+# smaller |alpha| parity: order 920 (3.6% nonzeros) at table3 k = 6 (3003
+# multi-indices), 1,163 at level 1, M = 7, k = 7 (3432).  Level 1, M = 300,
+# k = 2 has 45,451.
 MAX_KRON_BASIS = 5000
 
 
@@ -389,6 +390,8 @@ def cmd_run(config_path, preset, out_path, max_k) -> int:
 
 
 def cmd_spectrum(config_path, out_path, full) -> int:
+    from . import spectral  # imported here, like verify: `run` needs neither
+
     with _invalid_config():
         cfg = _read_config(config_path)
         cells = _parse_cells(cfg, _SPECTRUM_KEYS)
@@ -446,6 +449,8 @@ def cmd_spectrum(config_path, out_path, full) -> int:
 
 
 def cmd_verify() -> int:
+    from . import verify
+
     failed: list[str] = []
 
     def report(res: verify.PropertyResult):

@@ -30,14 +30,19 @@ their truncation (``op.parity_classes(r)``), which P_r never couples:
 Every factorization goes through :class:`CholeskyFactor`: the spatial
 solves, with K_0 or with a diagonal block of a splitting, the truncation's
 block and Schur-complement factors and the Kronecker product's G.  It
-takes a sparse matrix or a dense array as it is, and reads one of three
+takes a sparse matrix or a dense array as it is, and reads one of four
 paths off the matrix: a grid Laplacian (the affine K_0) of order
 ``SINE_SOLVE_MIN`` (mesh level 4) and up is solved in the sine eigenbasis
-of its 1-D factors, positive definite by its closed-form eigenvalues; any
-other matrix with a dense inverse up to order ``DENSE_SOLVE_MAX`` (mesh
-levels <= 4) and with SuperLU above it, at the measured crossover of the
-two.  Builders take the caller's K_0 factor, and none factors K_0 again;
-each reads ny off its lead G (or ``classes``, or v) and nx off that factor.
+of its 1-D factors, positive definite by its closed-form eigenvalues; a
+sparse unit-diagonal matrix whose off-diagonal pattern 2-colours (the
+affine G) by the factor of its smaller colour's S = I - B^T B; any
+other matrix by LAPACK up to order ``DENSE_SOLVE_MAX`` (mesh levels <= 4)
+or from ``DENSE_SOLVE_FILL`` nonzeros, and by SuperLU otherwise, at the
+measured crossovers of the two.  A LAPACK factor forms K^{-1} for its
+solves, except where its caller asks for none: the direct Schur
+complements, solved too few times to repay it, solve by ``dpotrs``.
+Builders take the caller's K_0 factor, and none factors K_0 again; each
+reads ny off its lead G (or ``classes``, or v) and nx off that factor.
 """
 
 from __future__ import annotations
@@ -69,12 +74,25 @@ from .pcg import pcg_solve as _inner_solve
 # 0.08-0.10 s) and lost at r = 6, 8, 10 (0.19 / 1.2 / 1.2 against 0.14-0.21 s).
 TRUNC_DIRECT_GUARD = 1600
 INNER_TOL = 1e-13
-# Largest order CholeskyFactor solves with a dense inverse.  Measured on one
-# BLAS thread (OpenBLAS, Xeon) on the Q1 Laplacian pattern: the K^{-1}
+# Largest order CholeskyFactor factors by LAPACK whatever its fill.  Measured on
+# one BLAS thread (OpenBLAS, Xeon) on the Q1 Laplacian pattern: the K^{-1}
 # product beats the SuperLU triangular solves at every block width up to
 # n = 441 (n = 225: 1 column 17 -> 9 us, 495 columns 4.0 -> 0.8 ms); from
 # n = 529 SuperLU wins below ~45 columns, and at n = 961 below ~165.
 DENSE_SOLVE_MAX = 500
+# Above DENSE_SOLVE_MAX, LAPACK still takes a matrix with at least this share
+# of nonzeros, up to DENSE_SOLVE_ENTRIES (n <= 5000, 200 MB a dense copy).
+# The Q1 Laplacian, with (3q - 2)^2 ~ 9n nonzeros, is 1.8% full at n = 500,
+# and its crossover is there (AMD EPYC, one BLAS thread, 45 / 165 columns,
+# inverse -> SuperLU, ms): n = 441 (1.9%) 0.23 -> 0.24 / 0.62 -> 0.87, 625
+# (1.4%) 0.45 -> 0.36 / 1.22 -> 1.33, 961 (0.9%, level 5's K_0, which keeps
+# SuperLU) 1.06 -> 0.61 / 2.89 -> 2.27.  A fuller matrix fills SuperLU's
+# factor more: a full one of order 924 factors in 3.7 against 42 ms and
+# solves 225 columns in 3.5 against 34 ms, and kron's parity S at table3
+# k = 6 (order 920, 3.6% full) factors in 15.6 against 17.0 ms and solves
+# them in 3.7 against 19.3 ms (inverse; by dpotrs 5.1).
+DENSE_SOLVE_FILL = 0.02
+DENSE_SOLVE_ENTRIES = 25 * 10**6
 # Smallest grid-Laplacian order solved by sine-basis GEMMs, not the dense path.
 # Same machine, 165 columns, dense -> GEMMs: q = 7 26 -> 93 us, 11 133 -> 196,
 # 13 241 -> 128 (loses below ~30 columns), 15 401 -> 186; 31 SuperLU 9.8 -> 1.5 ms.
@@ -113,7 +131,7 @@ def _sine_solve(S: np.ndarray, inv_lam: np.ndarray, b: np.ndarray) -> np.ndarray
 class CholeskyFactor:
     """Symmetric factorization with positive-definiteness detection.
 
-    One interface, three paths chosen from the matrix itself:
+    One interface, four paths chosen from the matrix itself, in this order:
 
     * a grid Laplacian (the affine K_0) of order q^2 >= ``SINE_SOLVE_MIN``,
       K = c L within 1e-12 max|K| for L = A (x) M + M (x) A,
@@ -122,25 +140,37 @@ class CholeskyFactor:
       orthogonal sine basis of A and M and Lambda = c (a_i m_j + m_i a_j)
       from their eigenvalues.  The closed-form Lambda > 0 (a, m > 0, c > 0)
       certifies positive definiteness, so nothing is factorized.
-    * any other n <= ``DENSE_SOLVE_MAX``: LAPACK Cholesky of the dense matrix,
-      then K^{-1} formed once from the factor (dpotri), so that a solve is
-      one matrix product over all right-hand sides.  The Cholesky fails on
-      a non-positive pivot, which certifies that K is not positive definite.
-    * larger n: SuperLU in symmetric mode with diagonal pivoting, which for
+    * a sparse K with unit diagonal whose off-diagonal pattern 2-colours
+      (the affine kron G, [[I, B], [B^T, I]] by |alpha| parity): Reid's
+      reduction (SIAM J. Numer. Anal. 9, 1972) to S = I - B^T B on the
+      smaller colour, factored once through this class (by LAPACK where
+      it is full enough, as at table3 k = 6), whose factor certifies K.
+      A solve is y_o = S^{-1} (x_o - B^T x_e), then y_e = x_e - B y_o.
+      An S that overflows, with K finite, is refused as not positive
+      definite (only |B_ij| > 1 can overflow it).
+    * n <= ``DENSE_SOLVE_MAX``, or a K with at least ``DENSE_SOLVE_FILL``
+      n^2 nonzeros and n^2 <= ``DENSE_SOLVE_ENTRIES``: LAPACK Cholesky of the
+      dense matrix.  With ``inverse`` (the default, for the factors solved
+      at every PCG step) K^{-1} is then formed once from the factor
+      (dpotri), so that a solve is one matrix product over all right-hand
+      sides; without it the factor is kept and a solve is dpotrs.  The
+      Cholesky fails on a non-positive pivot, which certifies that K is not
+      positive definite.
+    * otherwise SuperLU in symmetric mode with diagonal pivoting, which for
       an SPD matrix is a Cholesky factorization up to diagonal scaling:
       L * sqrt(diag U) reproduces the permuted input.  Positivity of all
       pivots together with equality of the row and column permutations
       certifies positive definiteness.
 
-    Either factorization certificate failing raises
-    :class:`NotPositiveDefiniteError`; a NaN or inf entry is refused first,
-    with the :class:`pcg.BreakdownError` PCG raises on non-finite data.  A
-    dense array is checked and factored as it is, with no sparse copy
-    before the SuperLU path, so that it solves and refuses as its CSC
-    form does.
+    Any certificate failing raises :class:`NotPositiveDefiniteError`; a NaN
+    or inf entry is refused first, with the :class:`pcg.BreakdownError` PCG
+    raises on non-finite data.  A dense array is checked and factored as it
+    is, with no sparse copy before the SuperLU path, so that it solves and
+    refuses as its CSC form does (the parity path reads sparse input only).
+    ``path`` names the path taken: sine, parity, inverse, cholesky or superlu.
     """
 
-    def __init__(self, K: sp.spmatrix | np.ndarray):
+    def __init__(self, K: sp.spmatrix | np.ndarray, inverse: bool = True):
         if K.shape[0] != K.shape[1]:
             raise ValueError("matrix must be square")
         dense = isinstance(K, np.ndarray)  # checked and factored as it is
@@ -152,20 +182,22 @@ class CholeskyFactor:
         scale = abs(K).max() or 1.0
         if asym > 1e-10 * scale:
             raise ValueError(f"matrix not symmetric (deviation {asym:.3e})")
-        self.n = K.shape[0]
-        self._inv = self._lu = self._sine = None
+        n = self.n = K.shape[0]
         # Rejection in O(n) before L is built.
-        q = math.isqrt(self.n)
+        q = math.isqrt(n)
         nnz = np.count_nonzero(K) if dense else K.nnz
-        grid = self.n >= SINE_SOLVE_MIN and q * q == self.n and nnz == (3 * q - 2) ** 2
-        d = K.diagonal() if grid else [0.0]
-        c = d[0] * 3.0 / 8.0
-        if c > 0.0 and np.all(d == d[0]):
+        grid = n >= SINE_SOLVE_MIN and q * q == n and nnz == (3 * q - 2) ** 2
+        d = K.diagonal() if grid or not dense else None
+        if grid and (c := d[0] * 3.0 / 8.0) > 0.0 and np.all(d == d[0]):
             L, S, lam = _grid_laplacian(q)
             if abs(K - c * L).max() <= 1e-12 * scale:
-                self._sine = (S, 1.0 / (c * lam))
+                self.path, self._data = "sine", (S, 1.0 / (c * lam))
                 return
-        if self.n <= DENSE_SOLVE_MAX:
+        if not dense and np.all(d == 1.0) and (parity := _parity_reduction(K, inverse)):
+            self.path, self._data = "parity", parity
+            return
+        full = nnz >= DENSE_SOLVE_FILL * n * n and n * n <= DENSE_SOLVE_ENTRIES
+        if n <= DENSE_SOLVE_MAX or full:
             L, info = scipy.linalg.lapack.dpotrf(
                 np.array(K, order="F") if dense else K.toarray(order="F"),
                 lower=1, clean=1, overwrite_a=1,
@@ -174,18 +206,21 @@ class CholeskyFactor:
                 raise NotPositiveDefiniteError(
                     "matrix is not positive definite (non-positive pivot)"
                 )
+            if not inverse:
+                self.path, self._data = "cholesky", L
+                return
             inv, _ = scipy.linalg.lapack.dpotri(L, lower=1, overwrite_c=1)
             inv += np.tril(inv, -1).T  # dpotri fills the lower triangle only
-            self._inv = inv
+            self.path, self._data = "inverse", inv
             return
-        self._lu = spla.splu(
+        self.path = "superlu"
+        lu = self._data = spla.splu(
             sp.csc_matrix(K),
             permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.0,
             options=dict(SymmetricMode=True),
         )
-        pivots = self._lu.U.diagonal()
-        if not np.array_equal(self._lu.perm_r, self._lu.perm_c) or np.any(pivots <= 0.0):
+        if not np.array_equal(lu.perm_r, lu.perm_c) or np.any(lu.U.diagonal() <= 0.0):
             raise NotPositiveDefiniteError(
                 "matrix is not positive definite (non-positive pivot)"
             )
@@ -199,11 +234,41 @@ class CholeskyFactor:
         """K^{-1} b for b of shape (n,) or (n, m), one right-hand side per
         column, in either memory order; the result has b's shape.  Block
         arrays (rows = blocks) pass their transpose."""
-        if self._inv is not None:
-            return self._inv @ b
-        if self._sine is not None:
-            return _sine_solve(*self._sine, b)
-        return self._lu.solve(b)
+        path, data = self.path, self._data
+        if path == "inverse":
+            return data @ b
+        if path == "sine":
+            return _sine_solve(*data, b)
+        if path == "cholesky":
+            return scipy.linalg.lapack.dpotrs(data, b, lower=1)[0]
+        if path == "parity":
+            keep, elim, B, Bt, S = data
+            y = np.empty(b.shape)
+            x_e = b[elim]
+            y[keep] = y_o = S.solve(b[keep] - Bt @ x_e)
+            y[elim] = x_e - B @ y_o
+            return y
+        return data.solve(b)
+
+
+def _parity_reduction(K: sp.csc_matrix, inverse: bool):
+    """(kept, eliminated indices, B, B^T, factor of S = I - B^T B) for a
+    unit-diagonal K whose off-diagonal pattern 2-colours, B = K[elim, kept]
+    with the smaller colour kept; None if the pattern does not 2-colour."""
+    C = K.tocoo()
+    off = (C.row != C.col) & (C.data != 0.0)
+    colour = _colouring((np.ones(np.count_nonzero(off), dtype=np.int64),
+                         C.row[off], C.col[off], C.data[off]), K.shape[0], 0)
+    if colour is None:
+        return None
+    keep = colour if 2 * np.count_nonzero(colour) <= len(colour) else ~colour
+    keep, elim = np.flatnonzero(keep), np.flatnonzero(~keep)
+    B = K[elim][:, keep].tocsr()
+    Bt = B.T.tocsr()
+    S = sp.identity(len(keep), format="csc") - Bt @ B
+    if not np.isfinite(S.data).all():
+        raise NotPositiveDefiniteError("matrix is not positive definite (Schur overflow)")
+    return keep, elim, B, Bt, CholeskyFactor(S, inverse)
 
 
 def _shape(pairs, K0_factor: CholeskyFactor) -> tuple[int, int]:
@@ -351,7 +416,7 @@ class TruncExactPreconditioner:
       CG on S, preconditioned by D.  A direct S that overflows, with D and C
       finite, is refused as not positive definite;
     * otherwise (lognormal: Hermite G with diagonals) a direct class
-      factors its assembled block (SuperLU above ``DENSE_SOLVE_MAX``), and
+      factors its assembled block (mostly SuperLU above ``DENSE_SOLVE_MAX``), and
       the nested blocks run CG on the restricted truncation, preconditioned
       by its SBGS approximation, whose K_0 diagonal blocks are solved with
       ``K0_factor`` too.
@@ -443,8 +508,8 @@ class _SchurComplement:
     [[D, C], [C^T, D]] in the order of a 2-colouring, D = I (x) K_0: the
     operator of the reduced inner CG, which D preconditions (Reid's method),
     or, with ``direct``, factored once through :class:`CholeskyFactor` for
-    an exact solve.  The smaller colour is kept, and every K_l product acts
-    on its blocks."""
+    an exact solve, which keeps the Cholesky factor and forms no inverse.
+    The smaller colour is kept, and every K_l product acts on its blocks."""
 
     def __init__(self, entries, Ks, colour: np.ndarray, K0_factor: CholeskyFactor, direct=False):
         keep = colour if 2 * np.count_nonzero(colour) <= len(colour) else ~colour
@@ -468,7 +533,7 @@ class _SchurComplement:
         if direct:
             if not np.isfinite(self._K_rows.data).all():
                 raise _BreakdownError("matrix has a non-finite entry")
-            self._S_factor = CholeskyFactor(self._assemble())
+            self._S_factor = CholeskyFactor(self._assemble(), inverse=False)
 
     def _assemble(self) -> np.ndarray:
         """S = I (x) K_0 - sum_{l,m} (C_l C_m^T) (x) (K_l K_0^{-1} K_m), dense,

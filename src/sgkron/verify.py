@@ -353,7 +353,7 @@ def prop_cholesky_factor_roundtrip():
     bumped[0, 1] = bumped[1, 0] = L[0, 1] * (1.0 + 1e-6)
     for K, sine in ((2.5 * L, True), (bumped.tocsc(), False)):
         fac = precond.CholeskyFactor(K)
-        assert (fac._sine is not None) == sine
+        assert (fac.path == "sine") == sine
         assert np.linalg.norm(K @ fac.solve(b) - b) <= 1e-12 * np.linalg.norm(b)
     try:
         precond.CholeskyFactor(-L)

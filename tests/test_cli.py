@@ -554,6 +554,26 @@ class TestRunCommand:
         )
         assert float(proc.stdout) < 100
 
+    def test_run_imports_no_spectral_verify_or_special(self, tmp_path):
+        # `run` computes the auto amplitude's zeta itself and imports the
+        # spectrum and verify modules only for their commands: each costs
+        # import time on every run, and compile time where no bytecode is
+        # written.  A fresh interpreter, since this one has them all.
+        cfg = write_config(tmp_path / "cfg.json", tiny_affine_config())
+        script = (
+            "import sys\n"
+            "from sgkron import cli\n"
+            f"assert cli.main(['run', {cfg!r}, '--out', {str(tmp_path / 'out.csv')!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith('scipy.special') or m in ('sgkron.spectral', 'sgkron.verify')))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=subprocess_env(), timeout=300, check=True,
+        )
+        assert proc.stdout.strip() == "[]"
+        assert len(read_rows(tmp_path / "out.csv")[1]) == 4
+
     @pytest.mark.parametrize(
         "mutate",
         [

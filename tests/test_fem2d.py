@@ -206,6 +206,20 @@ class TestAutoAlphaBar:
         with pytest.raises(ValueError):
             auto_alpha_bar(1.0)
 
+    def test_zeta_matches_scipy(self):
+        # Bit for bit at the named decays' rates (and 3), so the preset rows
+        # keep their amplitudes; within 2 ulp of scipy on a sweep.  Below
+        # ~1.5 scipy itself is up to 3 ulp from the exact value (40-digit
+        # mpmath), where the Euler-Maclaurin sum stays within 1.
+        from scipy.special import zeta
+
+        for s in (2.0, 3.0, 4.0):
+            assert fem2d._zeta(s) == zeta(s)
+            assert auto_alpha_bar(s) == 0.9999 / float(zeta(s))
+        for s in np.linspace(1.5, 12.0, 211):
+            ref = zeta(s)
+            assert abs(fem2d._zeta(float(s)) - ref) <= 2 * np.spacing(ref), s
+
 
 class TestTauR:
     def test_empty_prefix_is_zero(self):

@@ -1,4 +1,5 @@
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -36,6 +37,12 @@ def k0_factor(op):
     return CholeskyFactor(op.leading(0)[0][1])
 
 
+def superlu_only(monkeypatch):
+    """Send every factor LAPACK would take, by order or by fill, to SuperLU."""
+    monkeypatch.setattr(precond, "DENSE_SOLVE_MAX", 0)
+    monkeypatch.setattr(precond, "DENSE_SOLVE_FILL", math.inf)
+
+
 def dense_apply_inverse(P, n):
     cols = [P.apply_inverse(e) for e in np.eye(n)]
     return np.stack(cols, axis=1)
@@ -43,7 +50,10 @@ def dense_apply_inverse(P, n):
 
 class TestCholeskyFactor:
     """Runs on the dense path; TestCholeskyFactorSuperLU reruns every case
-    on the sparse one."""
+    on the sparse one.  The unit-diagonal 2 x 2 case takes the parity path,
+    whose 1 x 1 S takes the class's path."""
+
+    PATH = "inverse"
 
     @pytest.fixture(autouse=True)
     def factor_path(self, monkeypatch):
@@ -72,6 +82,7 @@ class TestCholeskyFactor:
         R = rng.standard_normal((30, 30))
         A = R.T @ R + 30.0 * np.eye(30)
         factor = CholeskyFactor(sp.csc_matrix(A))
+        assert factor.path == self.PATH
         b = rng.standard_normal(30)
         np.testing.assert_allclose(factor.solve(b), np.linalg.solve(A, b), rtol=1e-10)
 
@@ -108,9 +119,79 @@ class TestCholeskyFactor:
 
 
 class TestCholeskyFactorSuperLU(TestCholeskyFactor):
+    PATH = "superlu"
+
     @pytest.fixture(autouse=True)
     def factor_path(self, monkeypatch):
-        monkeypatch.setattr(precond, "DENSE_SOLVE_MAX", 0)
+        superlu_only(monkeypatch)
+
+
+def two_cyclic(n_even, n_odd, scale, seed):
+    """A sparse unit-diagonal matrix [[I, B], [B^T, I]], its rows shuffled so
+    that row 0 (the colour _colouring calls False) is even; ||B|| = scale."""
+    rng = np.random.default_rng(seed)
+    B = sp.random(n_even, n_odd, density=0.4, random_state=rng).toarray()
+    B[0, 0] = B[-1, -1] = 1.0  # both colours meet an entry
+    B *= scale / np.linalg.norm(B, 2)
+    G = np.block([[np.eye(n_even), B], [B.T, np.eye(n_odd)]])
+    perm = np.r_[0, 1 + rng.permutation(n_even + n_odd - 1)]
+    return G[np.ix_(perm, perm)]
+
+
+class TestParityPath:
+    @pytest.mark.parametrize("n_even, n_odd", [(7, 12), (12, 7)])
+    @pytest.mark.parametrize("inverse", [True, False])
+    def test_solve_equals_dense_solve(self, n_even, n_odd, inverse):
+        # Either colour may be the smaller, kept one; its S is factored with
+        # or without an inverse as the caller asks.
+        G = two_cyclic(n_even, n_odd, 0.9, seed=n_even)
+        factor = CholeskyFactor(sp.csr_matrix(G), inverse)
+        keep, elim, *_, S = factor._data
+        assert factor.path == "parity"
+        assert len(keep) == min(n_even, n_odd) and (0 in keep) == (n_even < n_odd)
+        assert S.path == ("inverse" if inverse else "cholesky")
+        rng = np.random.default_rng(1)
+        for b in (rng.standard_normal(len(G)), rng.standard_normal((5, len(G))).T):
+            x = factor.solve(b)
+            assert x.shape == b.shape
+            assert np.linalg.norm(x - np.linalg.solve(G, b)) <= 1e-13 * np.linalg.norm(x)
+        assert CholeskyFactor(G).path == "inverse"  # a dense array is not read for parity
+
+    def test_indefinite_refused(self):
+        with pytest.raises(NotPositiveDefiniteError):
+            CholeskyFactor(sp.csr_matrix(two_cyclic(5, 8, 1.1, seed=3)))
+
+    def test_non_finite_refused_first(self):
+        G = two_cyclic(5, 8, 0.9, seed=3)
+        i, j = np.argwhere(G[0] != 0)[-1, 0], 0  # an off-diagonal entry of row 0
+        G[i, j] = G[j, i] = np.inf
+        with pytest.raises(BreakdownError):
+            CholeskyFactor(sp.csr_matrix(G))
+
+    def test_overflowing_schur_complement_refused_as_indefinite(self):
+        # G is finite, S = I - B^T B is not: G has |B_ij| > 1, so it is
+        # indefinite, and refused as such, not as a breakdown.
+        with np.errstate(over="raise", invalid="raise"):
+            with pytest.raises(NotPositiveDefiniteError, match="overflow"):
+                CholeskyFactor(sp.csr_matrix(two_cyclic(5, 8, 1e200, seed=3)))
+
+
+@pytest.mark.parametrize("inverse", [True, False])
+def test_full_matrix_above_the_order_limit_takes_lapack(inverse):
+    # A full SPD matrix of order 600 > DENSE_SOLVE_MAX, sparse or dense,
+    # takes the LAPACK path by its fill; with inverse=False it keeps the
+    # Cholesky factor and forms no K^{-1}.
+    rng = np.random.default_rng(5)
+    n = 600
+    R = rng.standard_normal((n, n))
+    A = R.T @ R / n + np.eye(n)
+    b = rng.standard_normal((n, 3))
+    for K in (A, sp.csc_matrix(A)):
+        factor = CholeskyFactor(K, inverse)
+        assert n > precond.DENSE_SOLVE_MAX
+        assert factor.path == ("inverse" if inverse else "cholesky")
+        x = factor.solve(b)
+        assert np.linalg.norm(x - np.linalg.solve(A, b)) <= 1e-12 * np.linalg.norm(x)
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
@@ -124,9 +205,7 @@ def test_laplacian_k0_takes_the_sine_path(level):
     factor = CholeskyFactor(K0)
     sine = factor.n >= precond.SINE_SOLVE_MIN
     assert sine == (level >= 4)
-    assert (factor._sine is not None) == sine
-    assert (factor._inv is not None) == (not sine)
-    assert factor._lu is None
+    assert factor.path == ("sine" if sine else "inverse")
     rng = np.random.default_rng(level)
     A = K0.toarray()
     b = rng.standard_normal(factor.n)
@@ -143,16 +222,16 @@ def test_laplacian_k0_takes_the_sine_path(level):
 def test_factor_solves_real_k0(level, dense):
     # Both sides of the dense/SuperLU cutoff at its shipped value, on a
     # variable-coefficient stiffness (not a grid Laplacian), against
-    # LAPACK's general solver.  cond < 1e3 up to level 5, so 1e-11 leaves
+    # LAPACK's general solver: level 5 (order 961, 0.9% full) is too sparse
+    # for the LAPACK path by fill.  cond < 1e3 up to level 5, so 1e-11 leaves
     # a wide margin over cond * eps for either path.
     mesh = build_mesh(level)
     K0 = assemble_stiffness(
         mesh, lambda x1, x2: 2.0 + np.cos(2 * np.pi * x1) * np.cos(2 * np.pi * x2)
     )
     factor = CholeskyFactor(K0)
-    assert factor._sine is None
     assert (factor.n <= precond.DENSE_SOLVE_MAX) == dense
-    assert (factor._lu is None) == dense
+    assert factor.path == ("inverse" if dense else "superlu")
     rng = np.random.default_rng(level)
     A = K0.toarray()
     b = rng.standard_normal(factor.n)
@@ -190,9 +269,15 @@ class TestMeanBased:
 
 
 class TestKroneckerProduct:
+    S_PATH = "inverse"
+
     def test_apply_inverse(self):
+        # The affine G is [[I, B], [B^T, I]] by |alpha| parity: its factor
+        # takes the parity path, and S that of the class.
         op, _, _ = tiny_affine()
         P = build_kron(op, k0_factor(op))
+        assert P._G_factor.path == "parity"
+        assert P._G_factor._data[-1].path == self.S_PATH
         K0 = op.terms[0][1].toarray()
         dense = np.kron(P.G.toarray(), K0)
         rng = np.random.default_rng(42)
@@ -228,11 +313,13 @@ class TestKroneckerProduct:
 
 
 class TestKroneckerProductSuperLU(TestKroneckerProduct):
-    """Reruns every case with G (and K_0) factorized by SuperLU."""
+    """Reruns every case with G's parity S (and K_0) factorized by SuperLU."""
+
+    S_PATH = "superlu"
 
     @pytest.fixture(autouse=True)
     def factor_path(self, monkeypatch):
-        monkeypatch.setattr(precond, "DENSE_SOLVE_MAX", 0)
+        superlu_only(monkeypatch)
 
 
 def table6_lognormal_k2():
@@ -396,9 +483,12 @@ class TestTruncExact:
         # Schur complement, which keeps the smaller colour: the star classes
         # (r >= 2, d = 1: a tail's lowest block and its r neighbours) keep
         # the even colour {0}, the Legendre chains (r = 1, d = 2, 3) the odd
-        # one.  DENSE_SOLVE_MAX 0 sends S to SuperLU.  The lognormal classes,
+        # one.  DENSE_SOLVE_MAX 0 sends S to SuperLU, else S keeps its
+        # Cholesky factor and forms no inverse.  The lognormal classes,
         # whose Hermite G have diagonals, keep their assembled factors.
         monkeypatch.setattr(precond, "DENSE_SOLVE_MAX", dense_solve_max)
+        if not dense_solve_max:
+            superlu_only(monkeypatch)
         op, _, _ = tiny_affine(M=4, k=3)
         kept = {}
         for r in (1, 2, 3):
@@ -407,7 +497,7 @@ class TestTruncExact:
             for idx, S in P._direct:
                 if isinstance(S, precond._SchurComplement):
                     kept[r, idx.shape[1]] = S.keep.tolist()
-                    assert (S._S_factor._lu is not None) == (dense_solve_max == 0)
+                    assert S._S_factor.path == ("cholesky" if dense_solve_max else "superlu")
             v = np.random.default_rng(r).standard_normal(op.dim)
             ref = np.linalg.solve(assemble_dense(op.leading(r)), v)
             assert np.linalg.norm(P.apply_inverse(v) - ref) <= 1e-10 * np.linalg.norm(ref)
@@ -509,11 +599,11 @@ def test_one_k0_factorization_per_cell(monkeypatch, cell, preconds, cut, inner):
     built, truncs = [], []
     init, trunc_init = CholeskyFactor.__init__, precond.TruncExactPreconditioner.__init__
 
-    def recorded(self, K):
+    def recorded(self, K, *args, **kwargs):
         K = sp.csr_matrix(K)
         if K.shape == K0.shape and not abs(K - K0).max():
             built.append(K)
-        init(self, K)
+        init(self, K, *args, **kwargs)
 
     def kept(self, *args):
         trunc_init(self, *args)
@@ -751,6 +841,8 @@ class TestReadOnlyInput:
         # so they take the dense or the SuperLU path by the cutoff; the
         # Laplacian path is checked in test_laplacian_k0_takes_the_sine_path.
         monkeypatch.setattr(precond, "DENSE_SOLVE_MAX", dense_solve_max)
+        if not dense_solve_max:
+            superlu_only(monkeypatch)
         aff, _, _ = tiny_affine()
         log, _, _ = tiny_lognormal()
         log_pairs = log.leading(4)

@@ -10,6 +10,7 @@ properties run once each.
 """
 
 import inspect
+import math
 from dataclasses import replace
 from unittest.mock import patch
 
@@ -136,9 +137,11 @@ def test_lognormal_factored_matvec_detects_truncated_envelope():
 @settings(max_examples=20, deadline=None, database=None)
 @given(cfg=configs(*BOTH))
 def test_precond_dense_formula_superlu(cfg):
-    # Every factor the preconditioners take (K_0, kron's G, the trunc_exact
-    # blocks, the lognormal SBGS diagonals) on SuperLU, not a dense inverse.
-    with patch.object(precond, "DENSE_SOLVE_MAX", 0):
+    # Every factor the preconditioners take (K_0, kron's G or its parity S,
+    # the trunc_exact blocks and Schur complements, the lognormal SBGS
+    # diagonals) on SuperLU, not LAPACK by order or by fill.
+    with patch.object(precond, "DENSE_SOLVE_MAX", 0), \
+            patch.object(precond, "DENSE_SOLVE_FILL", math.inf):
         CATALOGUE["precond_dense_formula"](cfg)
 
 
