@@ -37,8 +37,8 @@ of its 1-D factors, positive definite by its closed-form eigenvalues; a
 sparse unit-diagonal matrix whose off-diagonal pattern 2-colours (the
 affine G) by the factor of its smaller colour's S = I - B^T B; any
 other matrix by LAPACK up to order ``DENSE_SOLVE_MAX`` (mesh levels <= 4)
-or from ``DENSE_SOLVE_FILL`` nonzeros, and by SuperLU otherwise, at the
-measured crossovers of the two.  A LAPACK factor forms K^{-1} for its
+or where its Cholesky factor fills ``DENSE_SOLVE_FILL`` of it, and by
+SuperLU otherwise, at the measured crossovers of the two.  A LAPACK factor forms K^{-1} for its
 solves, except where its caller asks for none: the direct Schur
 complements, solved too few times to repay it, solve by ``dpotrs``.
 Builders take the caller's K_0 factor, and none factors K_0 again; each
@@ -69,9 +69,12 @@ from .pcg import pcg_solve as _inner_solve
 # table2 (level 4, M = 8, k <= 4, r = 0..6) took 0.77 / 0.77 / 0.77 / 0.75 s
 # at cutoff 0 / 500 / 1000 / 1600 and 0.98 / 1.03 / 3.1 s at 2400 / 3200 /
 # 6400, where Schur complements above DENSE_SOLVE_MAX go to SuperLU; rows
-# identical.  On the lognormal grid (level 4, M = 4, N = 20, k = 3), whose
-# blocks are factored whole, all-direct beat nested at r = 3, 4 (0.04 against
-# 0.08-0.10 s) and lost at r = 6, 8, 10 (0.19 / 1.2 / 1.2 against 0.14-0.21 s).
+# identical.  Those Schur complements are full and now take LAPACK up to
+# DENSE_SOLVE_ENTRIES, which this scan predates.  On the lognormal grid (level
+# 4, M = 4, N = 20, k = 3), whose blocks are factored whole (orders 675-1350
+# by SuperLU, as when this was scanned), all-direct beat nested at r = 3, 4
+# (0.04 against 0.08-0.10 s) and lost at r = 6, 8, 10 (0.19 / 1.2 / 1.2
+# against 0.14-0.21 s).
 TRUNC_DIRECT_GUARD = 1600
 INNER_TOL = 1e-13
 # Largest order CholeskyFactor factors by LAPACK whatever its fill.  Measured on
@@ -80,18 +83,23 @@ INNER_TOL = 1e-13
 # n = 441 (n = 225: 1 column 17 -> 9 us, 495 columns 4.0 -> 0.8 ms); from
 # n = 529 SuperLU wins below ~45 columns, and at n = 961 below ~165.
 DENSE_SOLVE_MAX = 500
-# Above DENSE_SOLVE_MAX, LAPACK still takes a matrix with at least this share
-# of nonzeros, up to DENSE_SOLVE_ENTRIES (n <= 5000, 200 MB a dense copy).
-# The Q1 Laplacian, with (3q - 2)^2 ~ 9n nonzeros, is 1.8% full at n = 500,
-# and its crossover is there (AMD EPYC, one BLAS thread, 45 / 165 columns,
-# inverse -> SuperLU, ms): n = 441 (1.9%) 0.23 -> 0.24 / 0.62 -> 0.87, 625
-# (1.4%) 0.45 -> 0.36 / 1.22 -> 1.33, 961 (0.9%, level 5's K_0, which keeps
-# SuperLU) 1.06 -> 0.61 / 2.89 -> 2.27.  A fuller matrix fills SuperLU's
-# factor more: a full one of order 924 factors in 3.7 against 42 ms and
-# solves 225 columns in 3.5 against 34 ms, and kron's parity S at table3
-# k = 6 (order 920, 3.6% full) factors in 15.6 against 17.0 ms and solves
-# them in 3.7 against 19.3 ms (inverse; by dpotrs 5.1).
-DENSE_SOLVE_FILL = 0.02
+# Above DENSE_SOLVE_MAX, LAPACK still takes a matrix whose Cholesky factor
+# fills at least this share of n^2, up to DENSE_SOLVE_ENTRIES (n <= 5000,
+# 200 MB a dense copy): read off its nonzeros where they reach it already,
+# else off the factor SuperLU makes, L and U together, which is then dropped.
+# The input's fill does not tell the paths apart, SuperLU's fill-in does.
+# Measured on one BLAS thread (AMD EPYC), best of 3, ms, LAPACK factor and
+# inverse -> SuperLU, and 45-column solves: the lognormal trunc_exact blocks
+# (G_c (x) K_0, level 4, M 4, k 3, orders 675-1350, 2.0-3.65% full, factors
+# 11-13% full) 5.4 -> 0.8 to 36 -> 6.2 and 0.54 -> 0.63 to 3.3 -> 2.5; kron's
+# parity S at level 1, M 3, k 28 (order 2135, 0.8%, factor 9.6%) 116 -> 9.3
+# and 8.2 -> 4.6; level 5's K_0 pattern (order 961, 0.9%, factor 3.9%) 13 ->
+# 0.8 and 1.1 -> 0.6.  Against them kron's parity S at table3 k = 6 (order
+# 920, 3.6%, factor 52%) 12.7 -> 12.0 and 1.0 -> 3.8, and on order 1000 with
+# random patterns the factor crosses over at 28% fill-in (14 -> 15 ms) and
+# the solve near 14% (1.2 -> 1.2 ms).  A full matrix of order 924 factors in
+# 3.7 against 42 ms and solves 225 columns in 3.5 against 34 ms.
+DENSE_SOLVE_FILL = 0.2
 DENSE_SOLVE_ENTRIES = 25 * 10**6
 # Smallest grid-Laplacian order solved by sine-basis GEMMs, not the dense path.
 # Same machine, 165 columns, dense -> GEMMs: q = 7 26 -> 93 us, 11 133 -> 196,
@@ -144,21 +152,23 @@ class CholeskyFactor:
       (the affine kron G, [[I, B], [B^T, I]] by |alpha| parity): Reid's
       reduction (SIAM J. Numer. Anal. 9, 1972) to S = I - B^T B on the
       smaller colour, factored once through this class (by LAPACK where
-      it is full enough, as at table3 k = 6), whose factor certifies K.
+      its factor fills, as at table3 k = 6), whose factor certifies K.
       A solve is y_o = S^{-1} (x_o - B^T x_e), then y_e = x_e - B y_o.
       An S that overflows, with K finite, is refused as not positive
       definite (only |B_ij| > 1 can overflow it).
-    * n <= ``DENSE_SOLVE_MAX``, or a K with at least ``DENSE_SOLVE_FILL``
-      n^2 nonzeros and n^2 <= ``DENSE_SOLVE_ENTRIES``: LAPACK Cholesky of the
-      dense matrix.  With ``inverse`` (the default, for the factors solved
+    * n <= ``DENSE_SOLVE_MAX``, or n^2 <= ``DENSE_SOLVE_ENTRIES`` and a
+      Cholesky factor with at least ``DENSE_SOLVE_FILL`` n^2 nonzeros, as K
+      has or as SuperLU's factor of K has: LAPACK Cholesky of the dense
+      matrix.  With ``form_inverse`` (the default, for the factors solved
       at every PCG step) K^{-1} is then formed once from the factor
       (dpotri), so that a solve is one matrix product over all right-hand
       sides; without it the factor is kept and a solve is dpotrs.  The
       Cholesky fails on a non-positive pivot, which certifies that K is not
       positive definite.
-    * otherwise SuperLU in symmetric mode with diagonal pivoting, which for
-      an SPD matrix is a Cholesky factorization up to diagonal scaling:
-      L * sqrt(diag U) reproduces the permuted input.  Positivity of all
+    * otherwise that SuperLU factor, in symmetric mode with diagonal
+      pivoting, which for an SPD matrix is a Cholesky factorization up to
+      diagonal scaling: L * sqrt(diag U) reproduces the permuted input.
+      Positivity of all
       pivots together with equality of the row and column permutations
       certifies positive definiteness.
 
@@ -170,7 +180,7 @@ class CholeskyFactor:
     ``path`` names the path taken: sine, parity, inverse, cholesky or superlu.
     """
 
-    def __init__(self, K: sp.spmatrix | np.ndarray, inverse: bool = True):
+    def __init__(self, K: sp.spmatrix | np.ndarray, form_inverse: bool = True):
         if K.shape[0] != K.shape[1]:
             raise ValueError("matrix must be square")
         dense = isinstance(K, np.ndarray)  # checked and factored as it is
@@ -193,11 +203,20 @@ class CholeskyFactor:
             if abs(K - c * L).max() <= 1e-12 * scale:
                 self.path, self._data = "sine", (S, 1.0 / (c * lam))
                 return
-        if not dense and np.all(d == 1.0) and (parity := _parity_reduction(K, inverse)):
+        if not dense and np.all(d == 1.0) and (parity := _parity_reduction(K, form_inverse)):
             self.path, self._data = "parity", parity
             return
-        full = nnz >= DENSE_SOLVE_FILL * n * n and n * n <= DENSE_SOLVE_ENTRIES
-        if n <= DENSE_SOLVE_MAX or full:
+        fits, lu = n * n <= DENSE_SOLVE_ENTRIES, None
+        if n > DENSE_SOLVE_MAX and not (fits and nnz >= DENSE_SOLVE_FILL * n * n):
+            lu = spla.splu(
+                sp.csc_matrix(K),
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options=dict(SymmetricMode=True),
+            )
+            if fits and lu.L.nnz + lu.U.nnz >= DENSE_SOLVE_FILL * n * n:
+                lu = None  # filled in: the dense factor costs no more
+        if lu is None:
             L, info = scipy.linalg.lapack.dpotrf(
                 np.array(K, order="F") if dense else K.toarray(order="F"),
                 lower=1, clean=1, overwrite_a=1,
@@ -206,20 +225,14 @@ class CholeskyFactor:
                 raise NotPositiveDefiniteError(
                     "matrix is not positive definite (non-positive pivot)"
                 )
-            if not inverse:
+            if not form_inverse:
                 self.path, self._data = "cholesky", L
                 return
             inv, _ = scipy.linalg.lapack.dpotri(L, lower=1, overwrite_c=1)
             inv += np.tril(inv, -1).T  # dpotri fills the lower triangle only
             self.path, self._data = "inverse", inv
             return
-        self.path = "superlu"
-        lu = self._data = spla.splu(
-            sp.csc_matrix(K),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options=dict(SymmetricMode=True),
-        )
+        self.path, self._data = "superlu", lu
         if not np.array_equal(lu.perm_r, lu.perm_c) or np.any(lu.U.diagonal() <= 0.0):
             raise NotPositiveDefiniteError(
                 "matrix is not positive definite (non-positive pivot)"
@@ -251,7 +264,7 @@ class CholeskyFactor:
         return data.solve(b)
 
 
-def _parity_reduction(K: sp.csc_matrix, inverse: bool):
+def _parity_reduction(K: sp.csc_matrix, form_inverse: bool):
     """(kept, eliminated indices, B, B^T, factor of S = I - B^T B) for a
     unit-diagonal K whose off-diagonal pattern 2-colours, B = K[elim, kept]
     with the smaller colour kept; None if the pattern does not 2-colour."""
@@ -268,7 +281,7 @@ def _parity_reduction(K: sp.csc_matrix, inverse: bool):
     S = sp.identity(len(keep), format="csc") - Bt @ B
     if not np.isfinite(S.data).all():
         raise NotPositiveDefiniteError("matrix is not positive definite (Schur overflow)")
-    return keep, elim, B, Bt, CholeskyFactor(S, inverse)
+    return keep, elim, B, Bt, CholeskyFactor(S, form_inverse)
 
 
 def _shape(pairs, K0_factor: CholeskyFactor) -> tuple[int, int]:
@@ -533,7 +546,7 @@ class _SchurComplement:
         if direct:
             if not np.isfinite(self._K_rows.data).all():
                 raise _BreakdownError("matrix has a non-finite entry")
-            self._S_factor = CholeskyFactor(self._assemble(), inverse=False)
+            self._S_factor = CholeskyFactor(self._assemble(), form_inverse=False)
 
     def _assemble(self) -> np.ndarray:
         """S = I (x) K_0 - sum_{l,m} (C_l C_m^T) (x) (K_l K_0^{-1} K_m), dense,

@@ -140,16 +140,16 @@ def two_cyclic(n_even, n_odd, scale, seed):
 
 class TestParityPath:
     @pytest.mark.parametrize("n_even, n_odd", [(7, 12), (12, 7)])
-    @pytest.mark.parametrize("inverse", [True, False])
-    def test_solve_equals_dense_solve(self, n_even, n_odd, inverse):
+    @pytest.mark.parametrize("form_inverse", [True, False])
+    def test_solve_equals_dense_solve(self, n_even, n_odd, form_inverse):
         # Either colour may be the smaller, kept one; its S is factored with
         # or without an inverse as the caller asks.
         G = two_cyclic(n_even, n_odd, 0.9, seed=n_even)
-        factor = CholeskyFactor(sp.csr_matrix(G), inverse)
+        factor = CholeskyFactor(sp.csr_matrix(G), form_inverse)
         keep, elim, *_, S = factor._data
         assert factor.path == "parity"
         assert len(keep) == min(n_even, n_odd) and (0 in keep) == (n_even < n_odd)
-        assert S.path == ("inverse" if inverse else "cholesky")
+        assert S.path == ("inverse" if form_inverse else "cholesky")
         rng = np.random.default_rng(1)
         for b in (rng.standard_normal(len(G)), rng.standard_normal((5, len(G))).T):
             x = factor.solve(b)
@@ -176,22 +176,60 @@ class TestParityPath:
                 CholeskyFactor(sp.csr_matrix(two_cyclic(5, 8, 1e200, seed=3)))
 
 
-@pytest.mark.parametrize("inverse", [True, False])
-def test_full_matrix_above_the_order_limit_takes_lapack(inverse):
+@pytest.mark.parametrize("form_inverse", [True, False])
+def test_full_matrix_above_the_order_limit_takes_lapack(form_inverse):
     # A full SPD matrix of order 600 > DENSE_SOLVE_MAX, sparse or dense,
-    # takes the LAPACK path by its fill; with inverse=False it keeps the
-    # Cholesky factor and forms no K^{-1}.
+    # takes the LAPACK path by its fill; with form_inverse=False it keeps
+    # the Cholesky factor and forms no K^{-1}.
     rng = np.random.default_rng(5)
     n = 600
     R = rng.standard_normal((n, n))
     A = R.T @ R / n + np.eye(n)
     b = rng.standard_normal((n, 3))
     for K in (A, sp.csc_matrix(A)):
-        factor = CholeskyFactor(K, inverse)
+        factor = CholeskyFactor(K, form_inverse)
         assert n > precond.DENSE_SOLVE_MAX
-        assert factor.path == ("inverse" if inverse else "cholesky")
+        assert factor.path == ("inverse" if form_inverse else "cholesky")
         x = factor.solve(b)
         assert np.linalg.norm(x - np.linalg.solve(A, b)) <= 1e-12 * np.linalg.norm(x)
+
+
+def test_sparse_kronecker_block_above_the_order_limit_keeps_superlu():
+    # A lognormal trunc_exact block, G_c (x) K_0 with a full 3 x 3 G_c at
+    # mesh level 4: order 675, 3.65% nonzeros, and SuperLU's factor of it
+    # stays under DENSE_SOLVE_FILL, so it keeps SuperLU, sparse or dense.
+    K0 = assemble_stiffness(build_mesh(4), fourier_coefficient(0, 2.0, 0.6))
+    G = np.array([[1.0, 0.3, 0.2], [0.3, 1.0, 0.3], [0.2, 0.3, 1.0]])
+    K = sp.kron(sp.csr_matrix(G), K0, format="csc")
+    n = K.shape[0]
+    assert n > precond.DENSE_SOLVE_MAX
+    b = np.random.default_rng(6).standard_normal((n, 3))
+    x_ref = np.linalg.solve(K.toarray(), b)
+    for A in (K, K.toarray()):
+        factor = CholeskyFactor(A)
+        assert factor.path == "superlu"
+        lu = factor._data
+        assert lu.L.nnz + lu.U.nnz < precond.DENSE_SOLVE_FILL * n * n
+        x = factor.solve(b)
+        assert np.linalg.norm(x - x_ref) <= 1e-11 * np.linalg.norm(x_ref)
+
+
+@pytest.mark.parametrize("form_inverse", [True, False])
+def test_sparse_matrix_whose_factor_fills_takes_lapack(form_inverse):
+    # A random pattern of order 600 with 2% nonzeros, below
+    # DENSE_SOLVE_FILL, fills SuperLU's factor past it, as kron's parity S
+    # at table3 k = 6 does: LAPACK factors it instead, sparse or dense.
+    n = 600
+    R = sp.random(n, n, density=0.01, random_state=np.random.default_rng(8))
+    K = sp.csc_matrix(R + R.T + sp.diags(abs(R + R.T).sum(axis=1).A1 + 1.0))
+    assert n > precond.DENSE_SOLVE_MAX and K.nnz < precond.DENSE_SOLVE_FILL * n * n
+    b = np.random.default_rng(9).standard_normal((n, 3))
+    x_ref = np.linalg.solve(K.toarray(), b)
+    for A in (K, K.toarray()):
+        factor = CholeskyFactor(A, form_inverse)
+        assert factor.path == ("inverse" if form_inverse else "cholesky")
+        x = factor.solve(b)
+        assert np.linalg.norm(x - x_ref) <= 1e-11 * np.linalg.norm(x_ref)
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
