@@ -171,10 +171,6 @@ def quadrature_points(mesh: UniformMesh) -> tuple[np.ndarray, np.ndarray]:
     return xq1, xq2
 
 
-# Scratch bytes of one slice of a batched assembly.
-_ASSEMBLY_SLICE_BYTES = 1 << 21
-
-
 @lru_cache(maxsize=None)
 def _assembly_map(mesh: UniformMesh) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
     """The linear map from quadrature values to stiffness values.
@@ -221,22 +217,18 @@ def gradient_map(mesh: UniformMesh) -> tuple[np.ndarray, np.ndarray]:
 
 
 def stiffness_values(mesh: UniformMesh, values: np.ndarray) -> np.ndarray:
-    """The stored values, shape (T, nnz), of the T stiffness matrices whose
-    coefficient values at the quadrature points are ``values``, shape
-    (T, n_elements, 9), on the mesh's one canonical CSR pattern: one pass
-    of sparse products over slices of T.  Each row is the same bits
-    whichever rows share its slice."""
+    """The stored values, shape (T, nnz), C-contiguous, of the T stiffness
+    matrices whose coefficient values at the quadrature points are
+    ``values``, shape (T, n_elements, 9), on the mesh's one canonical CSR
+    pattern: one sparse product, whose output elements each sum a row of B
+    in one order, so each row is the same bits whatever T is.  Callers
+    bound T (``HermiteTerms`` streams its chunks)."""
     B, _, _ = _assembly_map(mesh)
     nel = B.shape[1] // 9
     values = np.asarray(values, dtype=float)
     if values.ndim != 3 or values.shape[1:] != (nel, 9):
         raise ValueError(f"expected quadrature values of shape {(nel, 9)} or (T, {nel}, 9)")
-    flat = values.reshape(-1, nel * 9)
-    data = np.empty((len(flat), B.shape[0]))
-    step = max(1, _ASSEMBLY_SLICE_BYTES // (8 * flat.shape[1]))
-    for t in range(0, len(flat), step):
-        data[t : t + step] = (B @ flat[t : t + step].T).T
-    return data
+    return np.ascontiguousarray((B @ values.reshape(-1, nel * 9).T).T)
 
 
 def assemble_from_quad_values(

@@ -231,7 +231,7 @@ class KroneckerSumOperator:
         return self.terms[: r + 1]
 
     def parity_classes(self, r: int) -> np.ndarray | None:
-        """:func:`parity_classes` of P_r: the colouring it keeps, the tail flips."""
+        """:func:`_colouring` of P_r: the colouring it keeps, the tail flips."""
         return _colouring(self.terms.triples, self.ny, r)
 
     def kron_factor(self) -> sp.csr_matrix:
@@ -322,9 +322,10 @@ def assemble_sparse(terms) -> sp.csc_matrix:
     return A
 
 
-def parity_classes(terms, r: int) -> np.ndarray | None:
-    """One bool per block (row of the G), False at block 0, that the first r + 1
-    of ``terms`` keep and every other flips; None without a tail coupling or such colouring.
+def _colouring(triples, n: int, r: int) -> np.ndarray | None:
+    """One bool per block (of n, rows of the G), False at block 0, that the
+    terms <= r of the entries (term, row, column, value) of the G, by term,
+    keep and every other flips; None without a tail coupling or such colouring.
 
     Blocks the leading patterns connect share a colour, and each tail entry
     must join two components of unlike colour: a 2-colouring of the
@@ -333,13 +334,6 @@ def parity_classes(terms, r: int) -> np.ndarray | None:
     with a diagonal has, rules it out.  Affine r < M: the parity of
     alpha_{r+1} + ... + alpha_M.
     """
-    pairs = PairList(terms)
-    return _colouring(pairs.triples, pairs.ny, r)
-
-
-def _colouring(triples, n: int, r: int) -> np.ndarray | None:
-    """:func:`parity_classes` from the entries (term, row, column, value)
-    of the G, by term, on n blocks."""
     def graph(rows, cols, n):
         return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
 

@@ -42,7 +42,9 @@ SuperLU otherwise, at the measured crossovers of the two.  A LAPACK factor forms
 solves, except where its caller asks for none: the direct Schur
 complements, solved too few times to repay it, solve by ``dpotrs``.
 Builders take the caller's K_0 factor, and none factors K_0 again; each
-reads ny off its lead G (or ``classes``, or v) and nx off that factor.
+reads ny off its lead G (or ``classes``, or v) and nx off that factor.  The
+truncation builders (exact and SBGS, the nested SBGS-PCG too) take pairs
+led by I (x) K_0 only, which ``_shape`` checks once for all of them.
 """
 
 from __future__ import annotations
@@ -64,17 +66,14 @@ from .pcg import pcg_solve as _inner_solve
 # Largest tail block, in unknowns, that TruncExactPreconditioner solves directly
 # (an I (x) K_0 block takes the caller's K_0 factor at any size); larger blocks
 # go to its nested CG.  An affine direct block costs one dense Cholesky of its
-# Schur complement (order 225-450 at mesh level 4).  Scanned with the constant
-# monkeypatched, in process, one BLAS thread (AMD EPYC), medians of three:
-# table2 (level 4, M = 8, k <= 4, r = 0..6) took 0.77 / 0.77 / 0.77 / 0.75 s
-# at cutoff 0 / 500 / 1000 / 1600 and 0.98 / 1.03 / 3.1 s at 2400 / 3200 /
-# 6400, where Schur complements above DENSE_SOLVE_MAX go to SuperLU; rows
-# identical.  Those Schur complements are full and now take LAPACK up to
-# DENSE_SOLVE_ENTRIES, which this scan predates.  On the lognormal grid (level
-# 4, M = 4, N = 20, k = 3), whose blocks are factored whole (orders 675-1350
-# by SuperLU, as when this was scanned), all-direct beat nested at r = 3, 4
-# (0.04 against 0.08-0.10 s) and lost at r = 6, 8, 10 (0.19 / 1.2 / 1.2
-# against 0.14-0.21 s).
+# Schur complement (order 225-450 at mesh level 4, by LAPACK up to
+# DENSE_SOLVE_ENTRIES).  Scanned with the constant monkeypatched, in process,
+# one BLAS thread (AMD EPYC), medians of five, rows identical at every cutoff:
+# table2 (level 4, M = 8, k <= 4, r = 0..6) took 0.92 / 0.91 / 0.95 / 0.97 s
+# at cutoff 1000 / 1600 / 2400 / 3200, and at k <= 3 0.41 / 0.43 / 0.44 /
+# 0.43 s (0.37-0.45 s between runs at 1600).  On the lognormal grid (level 4,
+# M = 4, N = 20, k = 3, r = 3..10), whose blocks are factored whole (orders
+# 675-1350, by SuperLU), all-direct (1600) took 1.47 s, all-nested (0) 1.65 s.
 TRUNC_DIRECT_GUARD = 1600
 INNER_TOL = 1e-13
 # Largest order CholeskyFactor factors by LAPACK whatever its fill.  Measured on
@@ -285,10 +284,14 @@ def _parity_reduction(K: sp.csc_matrix, form_inverse: bool):
 
 
 def _shape(pairs, K0_factor: CholeskyFactor) -> tuple[int, int]:
-    """(ny, nx): the orders of the lead G and of K0_factor, the lead K's."""
+    """(ny, nx): the orders of the lead G and of K0_factor, the lead K's.
+    The truncation contract: the pairs are led by I (x) K_0, the mean term
+    that every P_r keeps and that anchors each SBGS diagonal block."""
     if not pairs:
         raise ValueError("truncation needs at least one term")
     (G, K), n = pairs[0], K0_factor.n
+    if not _is_identity(G):
+        raise ValueError("truncation must be led by I (x) K_0")
     if K.shape[0] != n:
         raise ValueError(f"K_0 factor of order {n} for a lead K of order {K.shape[0]}")
     return G.shape[0], n
@@ -325,12 +328,10 @@ class KroneckerProductPreconditioner:
     def __init__(self, G: sp.csr_matrix, K0_factor: CholeskyFactor):
         self.G = G
         self.K0 = K0_factor
-        self.ny = G.shape[0]
-        self.nx = K0_factor.n
         self._G_factor = CholeskyFactor(G)
 
     def apply_inverse(self, v: np.ndarray) -> np.ndarray:
-        W = self.K0.solve(v.reshape(self.ny, self.nx).T)  # (nx, ny)
+        W = self.K0.solve(v.reshape(-1, self.K0.n).T)  # (nx, ny)
         return self._G_factor.solve(W.T).ravel()
 
 
@@ -400,8 +401,8 @@ def _pairs(entries, Ks, n: int) -> tuple:
 
 class TruncExactPreconditioner:
     """Exact application of the truncation P_r = the sum of ``pairs``, the
-    leading pairs ``op.leading(r)``; ``K0_factor`` is the caller's factor of
-    the leading K (K_0).
+    leading pairs ``op.leading(r)``, led by I (x) K_0 (``_shape`` refuses
+    others); ``K0_factor`` is the caller's factor of the leading K (K_0).
 
     The leading terms couple parametric indices only within the connected
     components of their G patterns: for the affine expansion the
@@ -418,8 +419,8 @@ class TruncExactPreconditioner:
     ||b - P_r z|| <= ``INNER_TOL`` ||b||, 1e-13, i.e. to factorization-level
     accuracy.  How is read off the restricted G patterns:
 
-    * led by an identity G whose other terms 2-colour the blocks (every
-      affine truncation: D = I (x) K_0 on the diagonal, couplings between
+    * where the other terms 2-colour the blocks (every affine
+      truncation: D = I (x) K_0 on the diagonal, couplings between
       unlike parities of alpha_1 + ... + alpha_r), P_r = [[D, C], [C^T, D]]
       by colour (Reid, SIAM J. Numer. Anal. 9, 1972).  The larger colour is
       eliminated with ``K0_factor``, the Schur complement S = D - C D^{-1}
@@ -445,30 +446,29 @@ class TruncExactPreconditioner:
         self.ny, self.nx = _shape(used, K0_factor)
         self.classes = classes
         Ks, entries = [K for _, K in used], used.triples
-        lead = _is_identity(used[0][0])  # D = I (x) K_0 on every block
         self._direct = []  # (class indices, factor of its block)
         nested = [np.zeros(0, dtype=np.int64)]
         for idx, block in _tail_blocks(used):
             c = idx.shape[1]
-            if lead and not block[0].any():
+            if not block[0].any():
                 self._direct.append((idx, K0_factor))  # I (x) K_0 alone
             elif c * self.nx > TRUNC_DIRECT_GUARD:
                 nested.append(idx.ravel())
-            elif (colour := _colouring(block, c, 0) if lead else None) is None:
+            elif (colour := _colouring(block, c, 0)) is None:
                 self._direct.append((idx, CholeskyFactor(assemble_sparse(_pairs(block, Ks, c)))))
             else:
                 S = _SchurComplement(block, Ks, colour, K0_factor, direct=True)
                 self._direct.append((idx, S))
         self.distinct_factor_count = len(self._direct)
         # The nested blocks of each colour: (blocks, inner operator, inner
-        # preconditioner).  Led by I (x) K_0, with other terms that 2-colour
-        # the blocks, they take the reduced solve, else SBGS-PCG.
+        # preconditioner).  Where the tail terms 2-colour the blocks they take
+        # the reduced solve, else SBGS-PCG.
         rest = np.sort(np.concatenate(nested))
         parts = [rest] if classes is None else [rest[~classes[rest]], rest[classes[rest]]]
         self._nested = []
         for rest in filter(len, parts):
             block = _restrict(entries, rest, self.ny)
-            colour = _colouring(block, len(rest), 0) if lead else None
+            colour = _colouring(block, len(rest), 0)
             if colour is None:
                 block = _pairs(block, Ks, len(rest))
                 op = KroneckerSumOperator(block)
@@ -530,7 +530,7 @@ class _SchurComplement:
         self._K0, self.factor, self.nx = Ks[0], K0_factor, K0_factor.n
         # The C_l stacked by rows, cut from the entries (term, row, column,
         # value) of the G_l; the K_l by rows and by columns: one sparse call
-        # per product.  The empty K matrices stand in for no coupling.
+        # per product.  A colouring needs a tail coupling, so Ks[1:] is not empty.
         self._r, self._n, self._Ks = len(Ks) - 1, len(self.keep), Ks[1:]
         term, rows, cols, vals = entries
         pos = np.empty(len(keep), dtype=np.int64)
@@ -541,8 +541,8 @@ class _SchurComplement:
             shape=(self._r * self._n, len(self.elim)),
         )
         self._Ct = self._C.T.tocsr()
-        self._K_rows = sp.vstack(self._Ks + [sp.csr_matrix((0, self.nx))], "csr")
-        self._K_cols = sp.hstack(self._Ks + [sp.csr_matrix((self.nx, 0))], "csr")
+        self._K_rows = sp.vstack(self._Ks, "csr")
+        self._K_cols = sp.hstack(self._Ks, "csr")
         if direct:
             if not np.isfinite(self._K_rows.data).all():
                 raise _BreakdownError("matrix has a non-finite entry")
@@ -760,16 +760,10 @@ class PairBlockSbgs:
 
 
 def build_sbgs(K0_factor: CholeskyFactor, pairs) -> PairBlockSbgs:
-    """pairs: the leading pairs of P_r, ``op.leading(r)``.
-
-    The truncation must be led by I (x) K_0, so that the mean stiffness
-    anchors every diagonal block (the condition under which the splitting
-    is provably SPD).  K0_factor serves the K_0 blocks: every block of the
-    affine splitting, whose G_m are hollow.
-    """
-    pairs = list(pairs)
-    if not pairs or not _is_identity(pairs[0][0]):
-        raise ValueError("SBGS needs the truncation led by I (x) K_0")
+    """pairs: the leading pairs of P_r, ``op.leading(r)``, led by I (x) K_0
+    (``_shape`` refuses others), the condition under which the splitting is
+    provably SPD.  K0_factor serves the K_0 blocks: every block of the
+    affine splitting, whose G_m are hollow."""
     return PairBlockSbgs(pairs, K0_factor)
 
 

@@ -403,7 +403,8 @@ class TestPairsOnDemand:
        seed=st.integers(0, 2**32 - 1))
 def test_parity_classes_from_triples_match_pair_list(level, M, k, extra, seed):
     # The operator's colouring reads the Hermite triple list; the oracle is
-    # the pair-list colouring over the built terms, for every r.  The
+    # the pair-list colouring over the built terms (an operator on a tuple
+    # of the pairs, whose triples come from the G matrices), for every r.  The
     # expansion order leaves no colouring here (a tail G_alpha has a
     # diagonal), so the terms are also taken in a drawn order: zero, then
     # even |alpha|, then odd, which has one where the tail is odd |alpha|.
@@ -413,10 +414,11 @@ def test_parity_classes_from_triples_match_pair_list(level, M, k, extra, seed):
     order = np.r_[0, drawn[np.argsort([odd[i] for i in drawn], kind="stable")]]
     shuffled = [op.terms[i] for i in order]
     triples = gram.hermite_triples([op.terms.alphas[i] for i in order], build_index_set(M, k))
+    oracle, shuffled_oracle = (KroneckerSumOperator(tuple(t)) for t in (op.terms, shuffled))
     for r in range(len(op.terms) + 1):
         for got, want in (
-            (op.parity_classes(r), kronsys.parity_classes(op.terms, r)),
-            (kronsys._colouring(triples, op.ny, r), kronsys.parity_classes(shuffled, r)),
+            (op.parity_classes(r), oracle.parity_classes(r)),
+            (kronsys._colouring(triples, op.ny, r), shuffled_oracle.parity_classes(r)),
         ):
             assert (got is None) == (want is None), r
             if got is not None:

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from sgkron.pcg import (
     BreakdownError,
     SolverConfig,
+    SolveReport,
     UnavailableError,
     estimate_condition,
     pcg_solve,
@@ -146,6 +147,14 @@ class TestBreakdown:
         with pytest.raises(BreakdownError, match="not finite"):
             pcg_solve(NonFiniteOperator(), DensePreconditioner(np.eye(10)), f)
 
+    def test_vanished_curvature(self):
+        # The swap operator takes e_1 to e_2: p^T A p = 0 with A p != 0, so
+        # the curvature is zero on the scale of ||p|| ||Ap|| = 1.  (A zero
+        # operator has scale 0 and is refused as negative instead.)
+        A = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(BreakdownError, match="vanished"):
+            pcg_solve(DenseOperator(A), DensePreconditioner(np.eye(2)), np.array([1.0, 0.0]))
+
 
 class TestConditionEstimate:
     def test_exact_preconditioner_estimate_near_one(self):
@@ -157,6 +166,11 @@ class TestConditionEstimate:
         A, _ = spd_problem()
         _, report = pcg_solve(DenseOperator(A), DensePreconditioner(A), np.zeros(40))
         with pytest.raises(UnavailableError):
+            estimate_condition(report)
+
+    def test_unavailable_for_indefinite_lanczos_matrix(self):
+        report = SolveReport(1, [1.0, 0.5], False, cg_alphas=[-1.0])
+        with pytest.raises(UnavailableError, match="not positive definite"):
             estimate_condition(report)
 
 

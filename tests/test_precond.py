@@ -802,6 +802,13 @@ class TestSbgsLognormal:
         with pytest.raises(ValueError):
             build_sbgs(k0_factor(op), [])
 
+    def test_refuses_indefinite_diagonal_block(self):
+        # D_11 = K_0 - 2 K_0 = -K_0; blocks 0 and 2 are the caller's K_0.
+        K0 = assemble_stiffness(build_mesh(2), fourier_coefficient(0, 2.0, 0.547))
+        pairs = [(sp.identity(3, format="csr"), K0), (sp.diags([0.0, 1.0, 0.0]).tocsr(), -2.0 * K0)]
+        with pytest.raises(NotPositiveDefiniteError, match="diagonal block 1"):
+            PairBlockSbgs(pairs, CholeskyFactor(K0))
+
     def test_factor_cache_bounded(self):
         op, _, _ = tiny_lognormal()
         P = build_sbgs(k0_factor(op), op.leading(4))
@@ -839,13 +846,20 @@ class TestShapeFromPairs:
         with pytest.raises(ValueError, match="order"):
             make(CholeskyFactor(sp.identity(op.nx + 1)), op.leading(2))
 
+    @pytest.mark.parametrize("make", ENGINES, ids=IDS)
+    @pytest.mark.parametrize("problem", [tiny_affine, tiny_lognormal])
+    def test_refuses_pairs_not_led_by_identity(self, make, problem):
+        op, _, _ = problem()
+        with pytest.raises(ValueError, match=r"led by I \(x\) K_0"):
+            make(k0_factor(op), op.leading(2)[1:])
+
     def test_operator_refuses_no_terms(self):
         with pytest.raises(ValueError):
             KroneckerSumOperator(())
 
     def test_no_callable_takes_ny_or_nx(self):
         callables = [
-            KroneckerSumOperator, kronsys.parity_classes, precond._tail_blocks,
+            KroneckerSumOperator, precond._tail_blocks,
             precond.MeanBasedPreconditioner, build_mean_based,
             TruncExactPreconditioner, build_trunc_exact, PairBlockSbgs, build_sbgs,
         ]
