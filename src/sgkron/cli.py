@@ -66,10 +66,9 @@ _M_MMAP_THRESHOLD = -3
 MAX_FIELDS = 2000
 # Basis-term pairs |I_k^M| T (T = M + 1 affine, |I_2k^M| lognormal terms):
 # the Gram work of a read of the whole of `op.terms` (the dense oracles, the
-# benchmark's traced cost model), and the scale of kron's Hermite triple list
-# (3.6e6 entries at table6 k = 6).  The run path builds only P_r's r + 1
-# Gram factors.  table6 k = 6 has 924 x 18,564 = 1.7e7; with the whole
-# family built, its cell was measured at ~500 s and 2.4 GB.
+# benchmark's traced cost model; ~500 s and 2.4 GB at table6 k = 6, which has
+# 924 x 18,564 = 1.7e7), and the time of kron's Hermite G entries (3.6e6 at
+# table6 k = 6, enumerated by chunks of rows of ~4 MB).
 MAX_TERM_PAIRS = 2 * 10**7
 # Unknowns |I_k^M| (2^level - 1)^2: table3 k = 6 has 3003 x 225 = 675,675,
 # and its cells take minutes.
@@ -79,7 +78,7 @@ MAX_UNKNOWNS = 10**6
 # element.  table6 k = 6 has 18,564 x 1,849 + 20 x 9 x 256 = 3.4e7 (275 MB);
 # level 9, M = 2000, k = 0 would hold 2001 x 2,343,961 = 4.7e9 (37.5 GB).
 # The affine operator holds all T; the lognormal run path holds P_r's r + 1
-# and streams the rest in chunks for kron's weights, so the bound is what a
+# (kron's weights read the rest by chunks of ~4 MB), so the bound is what a
 # read of the whole of its `op.terms` holds.
 MAX_STORED_VALUES = 4 * 10**7
 # Hermite degree 2k of a lognormal expansion: a term of slot degree a is

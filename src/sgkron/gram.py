@@ -11,7 +11,7 @@ Three kinds appear in the Kronecker-structured systems:
   Hermite family (the lognormal expansion), a product of univariate triple
   products per slot.  Its linear Hermite terms are G_{e_m}, y_m = psi_1(y_m).
   ``hermite_triples`` lists the entries of a whole family of them at once,
-  without a matrix per alpha.
+  without a matrix per alpha, row chunk by row chunk (``hermite_row_chunks``).
 
 All matrices are returned in CSR form with sorted (canonical) indices so
 that identical inputs produce bit-identical structures across runs.
@@ -93,11 +93,11 @@ def gram_general(alpha, S: MultiIndexSet) -> sp.csr_matrix:
     return sp.csr_matrix((vals[keep], cols[keep].astype(np.int32), indptr), shape=(n, n))
 
 
-def hermite_triples(alphas, S: MultiIndexSet) -> tuple[np.ndarray, ...]:
-    """The entries of ``gram_general(alpha, S)`` for every alpha of ``alphas``
-    (in I_{2k}^M, S = I_k^M) as one list (term, row, column, value): by term
-    in the order of ``alphas``, each term's entries in CSR order and its
-    values gram_general's bit for bit.
+def hermite_triples(alphas, S: MultiIndexSet, rows: slice = slice(None)) -> tuple:
+    """The entries of ``gram_general(alpha, S)`` in ``rows`` (all by default)
+    for every alpha of ``alphas`` (in I_{2k}^M, S = I_k^M) as one list (term,
+    row, column, value): by term in the order of ``alphas``, each term's
+    entries in CSR order and its values gram_general's bit for bit.
 
     G_alpha[beta, gamma] != 0 exactly where every slot's triple product
     is, a = |b - c|, |b - c| + 2, ..., b + c for (a, b, c) = (alpha_m,
@@ -113,8 +113,9 @@ def hermite_triples(alphas, S: MultiIndexSet) -> tuple[np.ndarray, ...]:
     size = np.array([[math.comb(s + d, d) for d in range(2 * k + 1)] for s in range(M + 1)])
     # table[a, b, c] = <P_a P_b, P_c>; a = 0 only meets b = c, a factor of 1.
     table = np.stack([np.eye(k + 1)] + [_hermite_table(a, k) for a in range(1, 2 * k + 1)])
-    rows, cols = np.divmod(np.arange(n * n), n)
-    vals, rank, degree = np.ones(n * n), np.zeros(n * n, dtype=np.int64), np.full(n * n, 2 * k)
+    lo, hi, _ = rows.indices(n)
+    rows, cols = np.divmod(np.arange(lo * n, hi * n), n)
+    vals, rank, degree = np.ones(len(rows)), np.zeros_like(rows), np.full_like(rows, 2 * k)
     for m in range(M):
         b, c = idx[rows, m], idx[cols, m]
         choices = np.minimum(b, c) + 1
@@ -131,6 +132,21 @@ def hermite_triples(alphas, S: MultiIndexSet) -> tuple[np.ndarray, ...]:
     keep = (term >= 0) & (vals != 0.0)
     order = np.argsort(term[keep], kind="stable")  # pairs stay in CSR order
     return tuple(x[keep][order] for x in (term, rows, cols, vals))
+
+
+def hermite_row_chunks(S: MultiIndexSet, nbytes: int) -> list[slice]:
+    """Runs of rows of S that ``hermite_triples`` enumerates for all of
+    I_{2k}^M in at most ``nbytes`` (~145 bytes an entry at its peak) plus one
+    row.  Row beta has prod_m (min(beta_m, gamma_m) + 1) entries in column
+    gamma, one per delta <= beta, gamma: sum_{delta <= beta} |I_{k-|delta|}^M|."""
+    M, k, idx = S.M, S.k, np.asarray(S.indices)
+    ways = np.eye(1, k + 1)  # ways[beta, d]: the delta <= beta with |delta| = d
+    for m in range(M):
+        ways = sum(np.pad(ways[:, : k + 1 - j], ((0, 0), (j, 0))) * (idx[:, m, None] >= j)
+                   for j in range(k + 1))
+    count = ways @ [math.comb(M + k - d, M) for d in range(k + 1)]
+    edges = np.flatnonzero(np.diff(np.cumsum(count) // (nbytes // 160 or 1))) + 1
+    return [slice(a, b) for a, b in zip(np.r_[0, edges], np.r_[edges, len(S)])]
 
 
 def _lex_rank(alphas, size: np.ndarray) -> np.ndarray:

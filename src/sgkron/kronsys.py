@@ -21,8 +21,8 @@ for the dense oracles), for P_r's pairs ``op.leading(r)``, their parity
 classes and kron's G.  P_r is the expansion-order prefix: affine I (x) K_0
 and G_m (x) K_m, m <= min(r, M); lognormal the first r + 1 terms by
 magnitude, the only lognormal pairs a run builds.  The classes and G read
-one list of the G entries (term, row, column, value) and, for G, kron's
-weights, which both term families give without building a pair.
+the G entries (term, row, column, value) by chunks of whole rows, and G
+kron's weights, which both term families give without building a pair.
 
 Block layout, the one every operator and preconditioner uses: vectors are
 v = [v_1; ...; v_ny] with block j holding the nx spatial coefficients of
@@ -48,7 +48,7 @@ from . import fem2d, gram, multiindex
 from .fem2d import UniformMesh
 
 DENSE_GUARD = 2000  # largest dimension of a dense matrix or eigensolve
-# Quadrature values of one chunk of HermiteTerms' streamed K_alpha.
+# About what one chunk of HermiteTerms' streamed reads (kron's weights, the G entries) holds.
 _STREAM_BYTES = 1 << 22
 
 
@@ -72,18 +72,10 @@ class QuadratureFactorization:
     corners: np.ndarray  # fem2d.gradient_map
     table: np.ndarray
     E: np.ndarray  # E_q = exp(b_0 + 1/2 sum_{m<=N} b_m^2)
-    b: np.ndarray  # b_m(x_q), one row per m <= M
+    weights: np.ndarray  # [m, s - 1] = t^s / s! at t = b_m(x_q), m <= M, s <= k
     offsets: np.ndarray  # rows offsets[d]:offsets[d + 1] have degree d
     shifts: tuple  # per mode m: (d, s, rows of alpha + s e_m, |alpha| = d), by d, then s
     factorial: np.ndarray  # alpha! per row: D
-
-
-def _shift_weights(t: np.ndarray, k: int) -> list[np.ndarray]:
-    """t^s / s! for s = 1..k."""
-    weights = [t]
-    for s in range(2, k + 1):
-        weights.append(weights[-1] * (t / s))
-    return weights[:k]
 
 
 class PairList(tuple):
@@ -97,6 +89,10 @@ class PairList(tuple):
     @property
     def nx(self) -> int:
         return self[0][1].shape[0]
+
+    def triple_chunks(self) -> tuple:
+        """``triples`` as one chunk."""
+        return (self.triples,)
 
     @functools.cached_property
     def triples(self) -> tuple[np.ndarray, ...]:
@@ -120,17 +116,18 @@ class HermiteTerms(Sequence):
     each built on first access by ``gram_general`` and
     ``assemble_from_quad_values`` and then kept: ``leading(r)`` builds the
     first r + 1, and a read of the whole sequence (the dense oracles)
-    builds the rest.  The triple list of the G_alpha and kron's weights
-    build no pair: the one comes from ``gram.hermite_triples``, the other
-    from the K_alpha values, streamed in chunks of at most
-    ``_STREAM_BYTES`` of quadrature values."""
+    builds the rest.  The G_alpha entries (``gram.hermite_triples``, by rows)
+    and kron's weights (the K_alpha values, by terms) build no pair and
+    stream in chunks of about ``_STREAM_BYTES``."""
 
     def __init__(self, mesh: UniformMesh, S, alphas, E: np.ndarray, B: np.ndarray):
         self.mesh, self.S, self.alphas = mesh, S, alphas
-        self._E, self._B = E, B  # E(x) and the b_m at the quadrature points
+        # E(x) and the powers b_m^a, m <= M and a <= 2k, at the quadrature points
+        self._E, self._powers = E, np.array([[b**a for a in range(2 * S.k + 1)] for b in B[: S.M]])
         self.ny, self.nx = len(S), mesh.n_interior
         self._pairs: list = []
-        self._step = max(1, _STREAM_BYTES // E.nbytes)
+        # A chunk of kron's weights peaks at ~4.5 times its quadrature values.
+        self._step = max(1, _STREAM_BYTES // (4 * E.nbytes))
 
     def __len__(self) -> int:
         return len(self.alphas)
@@ -151,17 +148,19 @@ class HermiteTerms(Sequence):
         lo..hi - 1, chunk by chunk."""
         for start in range(lo, hi, self._step):
             alphas = self.alphas[start : min(start + self._step, hi)]
-            yield start, alphas, _expansion_quad_values(alphas, self._E, self._B)
+            yield start, alphas, _expansion_quad_values(alphas, self._E, self._powers)
 
     def _build(self, n: int) -> None:
         for _, alphas, quad in self._quad_chunks(len(self._pairs), n):
             Ks = fem2d.assemble_from_quad_values(self.mesh, quad)
             self._pairs.extend((gram.gram_general(a, self.S), K) for a, K in zip(alphas, Ks))
 
-    @functools.cached_property
-    def triples(self) -> tuple[np.ndarray, ...]:
-        """The entries (term, row, column, value) of every G_alpha, by term."""
-        return gram.hermite_triples(self.alphas, self.S)
+    def triple_chunks(self):
+        """The entries (term, row, column, value) of every G_alpha, a chunk of
+        whole rows at a time, each by term."""
+        alphas = np.array(self.alphas)  # converted once, not once a chunk
+        for rows in gram.hermite_row_chunks(self.S, _STREAM_BYTES):
+            yield gram.hermite_triples(alphas, self.S, rows)
 
     def kron_weights(self) -> np.ndarray:
         """<K_alpha, K_0> / <K_0, K_0>, the bits of PairList's sparse inner
@@ -232,22 +231,24 @@ class KroneckerSumOperator:
 
     def parity_classes(self, r: int) -> np.ndarray | None:
         """:func:`_colouring` of P_r: the colouring it keeps, the tail flips."""
-        return _colouring(self.terms.triples, self.ny, r)
+        return _colouring(self.terms.triple_chunks(), self.ny, r)
 
     def kron_factor(self) -> sp.csr_matrix:
         """kron's G = sum_i [tr(K_i^T K_0)/tr(K_0^T K_0)] G_i, minimizing the
         Frobenius distance of G (x) K_0 to the operator, the weighted G_i added
-        entry by entry in term order, as a sparse product sums them; the lead
-        must be I (x) K_0."""
-        term, rows, cols, vals = self.terms.triples
-        lead, eye = term == 0, np.arange(self.ny)
-        if not (np.array_equal(rows[lead], eye) and np.array_equal(cols[lead], eye)
-                and np.all(vals[lead] == 1.0)):
+        entry by entry in term order, as a sparse product sums them, a chunk
+        of rows at a time; the lead must be I (x) K_0."""
+        n, weights, lead, keys, sums = self.ny, self.terms.kron_weights(), [], [], []
+        for term, rows, cols, vals in self.terms.triple_chunks():
+            lead.append((rows[term == 0], cols[term == 0], vals[term == 0]))
+            key, at = np.unique(rows * n + cols, return_inverse=True)
+            keys.append(key)
+            sums.append(np.zeros(len(key)))
+            np.add.at(sums[-1], at, vals * weights[term])  # in term order
+        rows, cols, vals = map(np.concatenate, zip(*lead))
+        if not _is_identity(sp.csr_matrix((vals, (rows, cols)), shape=(n, n))):
             raise ValueError("leading term must have an identity parametric factor")
-        keys, at = np.unique(rows * self.ny + cols, return_inverse=True)
-        sums = np.zeros(len(keys))
-        np.add.at(sums, at, vals * self.terms.kron_weights()[term])  # in list order
-        G = sp.csr_matrix((sums, np.divmod(keys, self.ny)), shape=(self.ny, self.ny))
+        G = sp.csr_matrix((np.concatenate(sums), np.divmod(np.concatenate(keys), n)), shape=(n, n))
         G.eliminate_zeros()
         return G
 
@@ -272,16 +273,14 @@ class KroneckerSumOperator:
         padded[:, :nx] = v.reshape(ny, nx) * root
         forward = np.ascontiguousarray(f.table.transpose(0, 2, 1))  # BLAS takes it whole
         U = np.matmul(np.take(padded, f.corners, axis=1)[:, None], forward).reshape(ny, 2, -1)
-        for t, groups in zip(f.b, f.shifts):
-            weights = _shift_weights(t, len(off) - 2)
+        for weights, groups in zip(f.weights, f.shifts):
             for d, s, src in groups:
                 shifted = U[src]
                 shifted *= weights[s - 1]
                 U[off[d] : off[d + 1]] += shifted
         U *= f.E
         U /= f.factorial[:, None, None]
-        for t, groups in zip(f.b, f.shifts):
-            weights = _shift_weights(t, len(off) - 2)
+        for weights, groups in zip(f.weights, f.shifts):
             for d, s, src in reversed(groups):
                 U[src] += U[off[d] : off[d + 1]] * weights[s - 1]
         Z = np.matmul(U.reshape(ny, 2, -1, 9), f.table).sum(axis=1)  # (ny, elements, 4)
@@ -294,12 +293,8 @@ class KroneckerSumOperator:
 def _is_identity(G) -> bool:
     G = sp.csr_matrix(G)
     n = G.shape[0]
-    return (
-        G.nnz == n
-        and np.array_equal(G.indptr, np.arange(n + 1))
-        and np.array_equal(G.indices, np.arange(n))
-        and np.all(G.data == 1.0)
-    )
+    return (G.nnz == n and np.array_equal(G.indptr, np.arange(n + 1))
+            and np.array_equal(G.indices, np.arange(n)) and np.all(G.data == 1.0))
 
 
 def assemble_dense(terms) -> np.ndarray:
@@ -322,32 +317,32 @@ def assemble_sparse(terms) -> sp.csc_matrix:
     return A
 
 
-def _colouring(triples, n: int, r: int) -> np.ndarray | None:
-    """One bool per block (of n, rows of the G), False at block 0, that the
-    terms <= r of the entries (term, row, column, value) of the G, by term,
-    keep and every other flips; None without a tail coupling or such colouring.
+def _colouring(chunks, n: int, r: int) -> np.ndarray | None:
+    """One bool per block (of n, rows of the G), False at the lowest block
+    of each group the entries join, that the terms <= r of the entries
+    (term, row, column, value) of the G keep and every other flips; None
+    without a tail coupling or such colouring.  ``chunks`` of the entries
+    are read once, up to the first that rules the colouring out.
 
-    Blocks the leading patterns connect share a colour, and each tail entry
-    must join two components of unlike colour: a 2-colouring of the
-    components, read off the bipartite double cover (component c as nodes c
-    and c + n).  A tail entry inside one component, as a Hermite G_alpha
-    with a diagonal has, rules it out.  Affine r < M: the parity of
-    alpha_{r+1} + ... + alpha_M.
+    The double cover (block j as nodes j and j + n; a lead entry joins j to
+    l and j + n to l + n, a tail entry j to l + n and j + n to l) colours
+    the blocks while no j meets j + n, as a tail entry inside a lead
+    component (a Hermite G_alpha's diagonal) does.  Its components only
+    merge, so each chunk joins its entries to one tree per component so
+    far.  Affine r < M: the parity of alpha_{r+1} + ... + alpha_M.
     """
-    def graph(rows, cols, n):
-        return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-
-    term, rows, cols, _ = triples
-    lead = term <= r
-    n, comp = connected_components(graph(rows[lead], cols[lead], n), directed=False)
-    a, b = comp[rows[~lead]], comp[cols[~lead]]
-    if not len(a) or np.any(a == b):
-        return None
-    _, label = connected_components(graph(np.r_[a, a + n], np.r_[b + n, b], 2 * n), directed=False)
-    if np.any(label[:n] == label[n:]):
-        return None
-    colour = (label[:n] > label[n:])[comp]
-    return colour ^ colour[0]
+    nodes = np.arange(2 * n)
+    root, label, tail = nodes, nodes, False
+    for term, rows, cols, _ in chunks:
+        shift = np.where(term <= r, 0, n)
+        tail = tail or bool(shift.any())
+        src, dst = np.r_[root, rows, rows + n], np.r_[nodes, cols + shift, cols + n - shift]
+        graph = sp.csr_matrix((np.ones(len(src)), (src, dst)), shape=(2 * n, 2 * n))
+        _, label = connected_components(graph, directed=False)
+        if np.any(label[:n] == label[n:]):
+            return None
+        root = np.unique(label, return_index=True)[1][label]  # lowest node per component
+    return label[:n] > label[n:] if tail else None
 
 
 # ---------------------------------------------------------------------------
@@ -407,34 +402,25 @@ def build_affine_system(
 # lognormal system
 
 
-def _expansion_quad_values(alphas, E, B) -> np.ndarray:
+def _expansion_quad_values(alphas, E, powers) -> np.ndarray:
     """a_alpha at the quadrature points, shape (len(alphas), n_elements, 9).
 
-    E and B (one row per b_m) are E(x) and the b_m at those points; each
+    E and powers[m, a] are E(x) and b_m^a at those points; each
     a_alpha is formed by the pointwise products of
     :func:`fem2d.lognormal_expansion_coeff`, slot by slot, batched over
-    the alphas sharing a slot degree.
+    the alphas (a slot of degree 0 multiplies and divides by 1, exactly).
     """
-    powers = np.array(alphas, dtype=np.int64).reshape(len(alphas), -1)
+    degrees = np.array(alphas, dtype=np.int64).reshape(len(alphas), -1)
+    roots = np.array([math.sqrt(math.factorial(a)) for a in range(powers.shape[1])])
     vals = np.broadcast_to(E, (len(alphas),) + E.shape).copy()
-    for m in range(powers.shape[1]):
-        for a in map(int, np.unique(powers[:, m])):
-            if a:
-                rows = powers[:, m] == a
-                sub = vals[rows]
-                sub *= B[m] ** a
-                sub /= math.sqrt(math.factorial(a))
-                vals[rows] = sub
+    for m in range(degrees.shape[1]):
+        vals *= powers[m, degrees[:, m]]
+        vals /= roots[degrees[:, m], None, None]
     return vals
 
 
 def build_lognormal_system(
-    mesh: UniformMesh,
-    M: int,
-    k: int,
-    N: int,
-    sigma_tilde: float,
-    alpha_bar: float,
+    mesh: UniformMesh, M: int, k: int, N: int, sigma_tilde: float, alpha_bar: float
 ) -> tuple[KroneckerSumOperator, np.ndarray]:
     """Assemble the Hermite-Galerkin system of the lognormal problem.
 
@@ -455,9 +441,7 @@ def build_lognormal_system(
     S = multiindex.build_index_set(M, k)
     full = multiindex.build_index_set(M, 2 * k)
     b0 = fem2d.fourier_coefficient(0, sigma_tilde, alpha_bar)
-    b_fields = [
-        fem2d.fourier_coefficient(m, sigma_tilde, alpha_bar) for m in range(1, N + 1)
-    ]
+    b_fields = [fem2d.fourier_coefficient(m, sigma_tilde, alpha_bar) for m in range(1, N + 1)]
 
     ordered = fem2d.order_by_magnitude(full, b_fields, b0)
     # The mean term leads even when a large amplitude lets another outweigh
@@ -476,8 +460,9 @@ def build_lognormal_system(
         for m in range(M)
     )
     factorial = np.array([float(math.prod(map(math.factorial, alpha))) for alpha in S])
+    weights = np.cumprod(B[:M].reshape(M, 1, -1) / np.arange(1, k + 1)[:, None], axis=1)
     factorization = QuadratureFactorization(
-        *fem2d.gradient_map(mesh), E.ravel(), B[:M].reshape(M, -1), offsets, shifts, factorial
+        *fem2d.gradient_map(mesh), E.ravel(), weights, offsets, shifts, factorial
     )
     op = KroneckerSumOperator(terms, factorization)
     f = np.zeros(op.dim)

@@ -269,8 +269,8 @@ def _parity_reduction(K: sp.csc_matrix, form_inverse: bool):
     with the smaller colour kept; None if the pattern does not 2-colour."""
     C = K.tocoo()
     off = (C.row != C.col) & (C.data != 0.0)
-    colour = _colouring((np.ones(np.count_nonzero(off), dtype=np.int64),
-                         C.row[off], C.col[off], C.data[off]), K.shape[0], 0)
+    colour = _colouring([(np.ones(np.count_nonzero(off), dtype=np.int64),
+                          C.row[off], C.col[off], C.data[off])], K.shape[0], 0)
     if colour is None:
         return None
     keep = colour if 2 * np.count_nonzero(colour) <= len(colour) else ~colour
@@ -454,7 +454,7 @@ class TruncExactPreconditioner:
                 self._direct.append((idx, K0_factor))  # I (x) K_0 alone
             elif c * self.nx > TRUNC_DIRECT_GUARD:
                 nested.append(idx.ravel())
-            elif (colour := _colouring(block, c, 0)) is None:
+            elif (colour := _colouring([block], c, 0)) is None:
                 self._direct.append((idx, CholeskyFactor(assemble_sparse(_pairs(block, Ks, c)))))
             else:
                 S = _SchurComplement(block, Ks, colour, K0_factor, direct=True)
@@ -468,7 +468,7 @@ class TruncExactPreconditioner:
         self._nested = []
         for rest in filter(len, parts):
             block = _restrict(entries, rest, self.ny)
-            colour = _colouring(block, len(rest), 0)
+            colour = _colouring([block], len(rest), 0)
             if colour is None:
                 block = _pairs(block, Ks, len(rest))
                 op = KroneckerSumOperator(block)

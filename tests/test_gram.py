@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sgkron.gram import gram_general, gram_identity, gram_linear, hermite_triples
+from sgkron.gram import (
+    gram_general,
+    gram_identity,
+    gram_linear,
+    hermite_row_chunks,
+    hermite_triples,
+)
 from sgkron.multiindex import build_index_set
 from sgkron.orthopoly import HERMITE, LEGENDRE, evaluate, hermite_triple
 from sgkron.verify import linear_gram
@@ -178,6 +184,29 @@ class TestGramGeneral:
                 np.testing.assert_array_equal(rows[at], G_rows)
                 np.testing.assert_array_equal(cols[at], G.indices)
                 np.testing.assert_array_equal(vals[at], G.data)
+
+    @pytest.mark.parametrize("M,k", [(1, 0), (1, 5), (3, 4), (6, 3), (5, 5)])
+    def test_row_chunks_make_the_triple_list(self, M, k):
+        # The chunks are runs of rows that cover S in order, each holding at
+        # most nbytes / 160 entries or one row more; their lists, stably
+        # sorted by term, are the whole list bit for bit.
+        S = build_index_set(M, k)
+        alphas = list(build_index_set(M, 2 * k))
+        whole = hermite_triples(alphas, S)
+        per_row = [len(hermite_triples(alphas, S, slice(i, i + 1))[0]) for i in range(len(S))]
+        for nbytes in (1, 160 * 50, 160 * 1000, 1 << 22):
+            chunks = hermite_row_chunks(S, nbytes)
+            assert [c.start for c in chunks] == [0] + [c.stop for c in chunks[:-1]]
+            assert chunks[-1].stop == len(S) and all(c.stop > c.start for c in chunks)
+            parts = [hermite_triples(alphas, S, c) for c in chunks]
+            for c, part in zip(chunks, parts):
+                assert len(part[0]) == sum(per_row[c])
+                assert len(part[0]) <= max(1, nbytes // 160) + max(per_row[c])
+            joined = [np.concatenate(x) for x in zip(*parts)]
+            order = np.argsort(joined[0], kind="stable")
+            for got, want in zip(joined, whole):
+                np.testing.assert_array_equal(got[order], want)
+        assert len(hermite_row_chunks(S, 1)) == len(S)
 
     def test_rejects_bad_alpha(self):
         S = build_index_set(2, 2)

@@ -305,7 +305,8 @@ class TestRecompressedOperator:
         xq1, xq2 = fem2d.quadrature_points(mesh)
         Bq = [b(xq1, xq2) for b in b_fields]
         Eq = np.exp(b0(xq1, xq2) + 0.5 * sum(b * b for b in Bq))
-        vals = kronsys._expansion_quad_values(alphas, Eq, Bq)
+        powers = np.array([[b**a for a in range(9)] for b in Bq])
+        vals = kronsys._expansion_quad_values(alphas, Eq, powers)
         for alpha, got in zip(alphas, vals):
             ref = Eq
             for m, a in enumerate(alpha):
@@ -398,6 +399,58 @@ class TestPairsOnDemand:
         assert len(built["G"]) == built["K"] == 4
 
 
+def assert_csr_identical(got, want):
+    for attr in ("data", "indices", "indptr"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
+class TestStreamedKron:
+    """kron's weights and G, streamed by chunks of terms and of rows, are the
+    bits of the same reads of the stored pairs."""
+
+    @pytest.mark.parametrize("stream", ["default", "one term"])
+    @pytest.mark.parametrize("level,M,k", [(2, 3, 3), (3, 6, 2), (4, 6, 3), (4, 2, 1), (2, 3, 4)])
+    def test_equal_to_pair_list(self, monkeypatch, stream, level, M, k):
+        if stream == "one term":  # and one row of G entries per chunk
+            monkeypatch.setattr(kronsys, "_STREAM_BYTES", 1)
+        op, _, _ = tiny_lognormal(level, M, k, N=M + 4)
+        assert stream == "default" or op.terms._step == 1
+        oracle = KroneckerSumOperator(tuple(op.terms))
+        np.testing.assert_array_equal(op.terms.kron_weights(), oracle.terms.kron_weights())
+        assert_csr_identical(op.kron_factor(), oracle.kron_factor())
+
+    def test_one_row_chunk_at_a_time(self, monkeypatch):
+        # Every enumeration of the G entries is one planned chunk of rows,
+        # each at most the byte budget's entries plus one row.
+        monkeypatch.setattr(kronsys, "_STREAM_BYTES", 160 * 500)
+        op, _, _ = tiny_lognormal(2, M=3, k=4)
+        chunks = gram.hermite_row_chunks(op.terms.S, kronsys._STREAM_BYTES)
+        assert len(chunks) > 3
+        row_entries = [len(gram.hermite_triples(op.terms.alphas, op.terms.S, slice(i, i + 1))[0])
+                       for i in range(op.ny)]
+        calls, hermite_triples = [], gram.hermite_triples
+
+        def recorded(alphas, S, rows=slice(None)):
+            entries = hermite_triples(alphas, S, rows)
+            calls.append(rows)
+            assert len(entries[0]) <= 500 + max(row_entries[rows])
+            return entries
+
+        monkeypatch.setattr(gram, "hermite_triples", recorded)
+        G = op.kron_factor()
+        assert calls == chunks
+        for r in range(len(op.terms) + 1):
+            calls.clear()
+            classes = op.parity_classes(r)
+            assert all(rows in chunks for rows in calls)
+            if r == 0:  # G_{2e_M} has a diagonal in row e_M, which is row 1
+                assert classes is None and calls == chunks[:1]
+        monkeypatch.undo()  # the whole list in one chunk
+        assert_csr_identical(G, op.kron_factor())
+
+
 @settings(max_examples=25, deadline=None, database=None)
 @given(level=st.integers(1, 2), M=st.integers(1, 3), k=st.integers(0, 3), extra=st.integers(1, 3),
        seed=st.integers(0, 2**32 - 1))
@@ -418,7 +471,7 @@ def test_parity_classes_from_triples_match_pair_list(level, M, k, extra, seed):
     for r in range(len(op.terms) + 1):
         for got, want in (
             (op.parity_classes(r), oracle.parity_classes(r)),
-            (kronsys._colouring(triples, op.ny, r), shuffled_oracle.parity_classes(r)),
+            (kronsys._colouring([triples], op.ny, r), shuffled_oracle.parity_classes(r)),
         ):
             assert (got is None) == (want is None), r
             if got is not None:

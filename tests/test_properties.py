@@ -107,13 +107,15 @@ def test_lognormal_factored_matvec(level, M_N, k, alpha_bar, seed):
 
 def test_lognormal_factored_matvec_detects_shift_fault():
     # The weight of a shift by one, t / 1!, off by 1e-8 in every mode.
-    weights = kronsys._shift_weights
+    build = kronsys.build_lognormal_system
 
-    def planted(t, k):
-        w = weights(t, k)
-        return [w[0] * (1 + 1e-8)] + w[1:] if w else w
+    def planted(*args):
+        op, f = build(*args)
+        weights = op.factorization.weights.copy()
+        weights[:, 0] *= 1 + 1e-8
+        return replace(op, factorization=replace(op.factorization, weights=weights)), f
 
-    with patch.object(kronsys, "_shift_weights", planted):
+    with patch.object(kronsys, "build_lognormal_system", planted):
         with pytest.raises(AssertionError, match="relative error"):
             CATALOGUE["lognormal_factored_matvec"]()
 
@@ -126,7 +128,7 @@ def test_lognormal_factored_matvec_detects_truncated_envelope():
         op, f = build(mesh, M, k, N, sigma_tilde, alpha_bar)
         fac = op.factorization
         b0 = fem2d.fourier_coefficient(0, sigma_tilde, alpha_bar)(*fem2d.quadrature_points(mesh))
-        E = np.exp(b0.ravel() + 0.5 * sum(b * b for b in fac.b))
+        E = np.exp(b0.ravel() + 0.5 * sum(w[0] * w[0] for w in fac.weights))  # w[0] = b_m
         return replace(op, factorization=replace(fac, E=E)), f
 
     with patch.object(kronsys, "build_lognormal_system", planted):
