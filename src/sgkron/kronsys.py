@@ -5,16 +5,20 @@ A = sum_i G_i (x) K_i with small sparse parametric factors G and FE
 stiffness factors K.  The operator is kept matrix-free and never forms
 the ny*nx matrix.  A matvec costs, per term, one sparse K-product and
 one sparse G-product over the blocks G_i couples (its non-empty rows
-and columns; an identity G_i adds the K-product directly).  The lognormal
-operator holds its quadrature-point factorization instead
-(:class:`QuadratureFactorization`), A = sum_q E_q (T_q T_q^T) (x) k_q, and
-its matvec reads no G_alpha and no K_alpha: the gradient map to the Gauss
-points, M mode sweeps of T_q^T, the scaling by E_q, M sweeps of T_q and
-the transposed map.  ``terms`` stays the exact per-term sequence either
-way: the affine operator stores it (:class:`PairList`), the lognormal one
-builds each pair on first read (:class:`HermiteTerms`).  Dense
-materialization exists only as a small-scale test and spectral-study
-oracle behind a size guard.
+and columns; an identity G_i adds the K-product directly).  The masked
+product ``matvec(v, blocks)``, A[:, blocks] v[blocks] for a bool mask of
+the blocks, runs the same loop on the masked columns only: per term the
+K-products on its columns in the mask and the sub-CSR of G_i holding those
+columns' entries, without its empty rows, built once per mask and kept on
+the operator.  The lognormal operator holds its quadrature-point
+factorization instead (:class:`QuadratureFactorization`), A = sum_q E_q
+(T_q T_q^T) (x) k_q, takes no mask, and its matvec reads no G_alpha and
+no K_alpha: the gradient map to the Gauss points, M mode sweeps of T_q^T,
+the scaling by E_q, M sweeps of T_q and the transposed map.  ``terms``
+stays the exact per-term sequence either way: the affine operator stores
+it (:class:`PairList`), the lognormal one builds each pair on first read
+(:class:`HermiteTerms`).  Dense materialization exists only as a
+small-scale test and spectral-study oracle behind a size guard.
 
 Truncation map: the run path asks the operator, never ``terms`` (whole,
 for the dense oracles), for P_r's pairs ``op.leading(r)``, their parity
@@ -199,6 +203,9 @@ class KroneckerSumOperator:
     # support (a view, so that term copies nothing).  G is None for an
     # identity G, whose term adds the K-product directly.
     _loop: tuple = field(init=False, repr=False, compare=False)
+    # The term loops of A[:, blocks], by the bytes of the mask, each built
+    # on first use.
+    _masked: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.terms, HermiteTerms):
@@ -217,6 +224,7 @@ class KroneckerSumOperator:
                     rows = cols = slice(None)
                 loop.append((rows, cols, None if _is_identity(G) else G[rows][:, cols], K))
         object.__setattr__(self, "_loop", tuple(loop))
+        object.__setattr__(self, "_masked", {})
 
     @property
     def dim(self) -> int:
@@ -237,32 +245,41 @@ class KroneckerSumOperator:
         """kron's G = sum_i [tr(K_i^T K_0)/tr(K_0^T K_0)] G_i, minimizing the
         Frobenius distance of G (x) K_0 to the operator, the weighted G_i added
         entry by entry in term order, as a sparse product sums them, a chunk
-        of rows at a time; the lead must be I (x) K_0."""
-        n, weights, lead, keys, sums = self.ny, self.terms.kron_weights(), [], [], []
+        of rows at a time; the lead must be I (x) K_0.  The chunks are runs
+        of whole rows in order, so their sorted keys row * n + column are
+        already G's CSR order."""
+        n, weights, lead, indices, sums = self.ny, self.terms.kron_weights(), [], [], []
+        indptr = np.zeros(n + 1, dtype=np.int32)
         for term, rows, cols, vals in self.terms.triple_chunks():
             lead.append((rows[term == 0], cols[term == 0], vals[term == 0]))
             key, at = np.unique(rows * n + cols, return_inverse=True)
-            keys.append(key)
+            indptr[1:] += np.bincount(key // n, minlength=n).astype(np.int32)
+            indices.append((key % n).astype(np.int32))
             sums.append(np.zeros(len(key)))
             np.add.at(sums[-1], at, vals * weights[term])  # in term order
         rows, cols, vals = map(np.concatenate, zip(*lead))
         if not _is_identity(sp.csr_matrix((vals, (rows, cols)), shape=(n, n))):
             raise ValueError("leading term must have an identity parametric factor")
-        G = sp.csr_matrix((np.concatenate(sums), np.divmod(np.concatenate(keys), n)), shape=(n, n))
+        np.cumsum(indptr, out=indptr)
+        G = sp.csr_matrix((np.concatenate(sums), np.concatenate(indices), indptr), shape=(n, n))
         G.eliminate_zeros()
         return G
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
+    def matvec(self, v: np.ndarray, blocks: np.ndarray | None = None) -> np.ndarray:
+        """A v, or with a bool mask ``blocks`` of the ny blocks the product
+        A[:, blocks] v[blocks] over the columns of those blocks only: the
+        term loop of :meth:`_masked_loop`.  The factored lognormal operator
+        has no term loop and refuses a mask."""
         f = self.factorization
         if f is None:
             Vt = v.reshape(self.ny, self.nx).T  # block j = column j
             out = np.zeros((self.ny, self.nx))
-            for rows, cols, G, K in self._loop:
-                if G is None:
-                    out += (K @ Vt).T
-                else:
-                    out[rows] += G @ (K @ Vt[:, cols]).T
+            for rows, cols, G, K in self._loop if blocks is None else self._masked_loop(blocks):
+                W = (K @ Vt[:, cols]).T
+                out[rows] += W if G is None else G @ W
             return out.ravel()
+        if blocks is not None:
+            raise ValueError("the factored lognormal operator takes no block mask")
         # D^(1/2) G^T [E_q P_q D^(-1) P_q^T] G D^(1/2) V, one row of U per
         # multi-index and one column per direction and point.  The mode sweeps
         # work in place: P^T sets a row of degree d from rows of higher degree
@@ -288,6 +305,35 @@ class KroneckerSumOperator:
         for a in range(4):  # a node is corner a of one element; column nx is dropped
             out[:, f.corners[:, a]] += Z[:, :, a]
         return (out[:, :nx] * root).ravel()
+
+    def _masked_loop(self, blocks: np.ndarray) -> tuple:
+        """The term loop of A[:, blocks], built on the first call for a mask:
+        per term the K-products on its columns in ``blocks`` and the sub-CSR
+        of G[rows][:, cols] that holds those columns' entries, in their
+        order, with its empty rows dropped; a term left with no entry drops
+        out.  An identity G keeps the blocks themselves."""
+        key = blocks.tobytes()
+        if key in self._masked:
+            return self._masked[key]
+        span, loop = np.arange(self.ny), []
+        for rows, cols, G, K in self._loop:
+            if G is None:
+                loop.append((span[blocks], span[blocks], None, K))
+                continue
+            kept = blocks[cols]  # per column of G
+            keep = kept[G.indices]  # per entry
+            if not keep.any():
+                continue
+            count = np.add.reduceat(keep, G.indptr[:-1], dtype=np.intp)  # no row of G is empty
+            live = count > 0
+            indptr = np.zeros(np.count_nonzero(live) + 1, dtype=G.indptr.dtype)
+            np.cumsum(count[live], out=indptr[1:])
+            indices = (np.cumsum(kept) - 1)[G.indices[keep]].astype(G.indices.dtype)
+            shape = (len(indptr) - 1, np.count_nonzero(kept))
+            sub = sp.csr_matrix((G.data[keep], indices, indptr), shape=shape)
+            loop.append((span[rows][live], span[cols][kept], sub, K))
+        self._masked[key] = loop = tuple(loop)
+        return loop
 
 
 def _is_identity(G) -> bool:

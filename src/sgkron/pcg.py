@@ -13,7 +13,12 @@ always flip them has A = [[P_0, C], [C^T, P_1]] in class order ("Property
 A").  When f lies in one class c, the residual of step j lies in class
 c XOR (j mod 2) up to round-off, so step j applies P^{-1} to that class
 only.  Any other f, or a preconditioner without classes, takes the plain
-apply.
+apply.  ``apply_inverse(r, c)`` leaves exact zeros off class c, so z_j
+vanishes off c_j = c XOR (j mod 2), and p_j = z_j + beta_j p_{j-1} holds
+exactly beta_j p_{j-1} on the blocks of class c_{j-1}.  So A p_j = H_j +
+beta_j H_{j-1} with H_j = A[:, c_j] p_j, the operator's product over the
+columns of one class (``A.matvec(p, blocks)``): each step makes one such
+half product and keeps the last one, one vector.
 """
 
 from __future__ import annotations
@@ -84,6 +89,7 @@ def pcg_solve(A, P, f: np.ndarray, cfg: SolverConfig | None = None):
     if classes is not None:
         live = classes[f.reshape(len(classes), -1).any(axis=1)]
         cls = int(live[0]) if live.min() == live.max() else None
+        halves = (~classes, classes)  # the blocks of class 0 and of class 1
 
     def precondition(r, j):
         return P.apply_inverse(r) if cls is None else P.apply_inverse(r, cls ^ (j & 1))
@@ -100,9 +106,20 @@ def pcg_solve(A, P, f: np.ndarray, cfg: SolverConfig | None = None):
     betas: list[float] = []
     converged = False
     iterations = 0
+    H_prev = None  # A[:, c_{j-1}] p_{j-1}
 
     for it in range(1, cfg.max_iter + 1):
-        Ap = A.matvec(p)
+        if cls is None:
+            Ap = A.matvec(p)
+        else:  # A p_j = H_j + beta_j H_{j-1}, j = it - 1
+            H = A.matvec(p, halves[cls ^ ((it - 1) & 1)])
+            if H_prev is None:
+                Ap = H
+            else:  # summed in H_{j-1}'s storage
+                Ap = H_prev
+                Ap *= beta
+                Ap += H
+            H_prev = H
         pAp = float(p @ Ap)
         _check_positive(pAp, p, Ap, "p^T A p")
         alpha = rz / pAp

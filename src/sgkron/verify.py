@@ -512,9 +512,10 @@ def prop_parity_split(cfg: SmallConfig = AFFINE):
     # residual's off-class part below 1e-13 ||f||; the class-alternating run
     # of mean and trunc_exact r takes as many steps, with a history equal to
     # 1e-12 relative, or to 1e-13 (in units of ||f||) once the residual has
-    # fallen below the round-off the split drops; the classes are the parity
-    # of alpha_{r+1} + ... + alpha_M (none at r = M).  Lognormal: a tail
-    # G_alpha with even alpha has a diagonal, so no r has classes.
+    # fallen below the round-off the split drops, and makes its operator
+    # product over one class's columns at every step; the classes are the
+    # parity of alpha_{r+1} + ... + alpha_M (none at r = M).  Lognormal: a
+    # tail G_alpha with even alpha has a diagonal, so no r has classes.
     op, f, _ = cfg.build()
     if cfg.problem == "lognormal":
         assert all(op.parity_classes(r) is None for r in range(len(op.terms)))
@@ -533,8 +534,12 @@ def prop_parity_split(cfg: SmallConfig = AFFINE):
         for j, v in enumerate(seen):
             off = np.linalg.norm(v.reshape(op.ny, op.nx)[classes != bool(j % 2)])
             assert off <= 1e-13 * np.linalg.norm(f), f"{kind} r={r} step {j}: off-class {off:.3e}"
-        _, split = pcg.pcg_solve(op, P, f)
+        masks = []
+        halved = SimpleNamespace(matvec=lambda v, blocks=None: masks.append(blocks)
+                                 or op.matvec(v, blocks))
+        _, split = pcg.pcg_solve(halved, P, f)
         assert split.iterations == plain.iterations, (kind, r)
+        assert len(masks) == split.iterations and all(m is not None for m in masks), (kind, r)
         h_plain, h_split = np.array(plain.residual_history), np.array(split.residual_history)
         gap = np.abs(h_split - h_plain)
         assert np.all(gap <= 1e-12 * h_plain + 1e-13), f"{kind} r={r}: history off by {gap.max():.3e}"

@@ -80,6 +80,44 @@ class TestMatvecVsDense:
             assemble_dense(op.terms)
 
 
+class TestMaskedMatvec:
+    """matvec(v, blocks) is A[:, blocks] v[blocks], by the assembled matrix."""
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_equal_to_dense_columns(self, level):
+        op, _, _ = tiny_affine(level=level, M=3, k=3)
+        A = assemble_dense(op.terms)
+        rng = np.random.default_rng(level)
+        masks = [np.zeros(op.ny, bool), np.ones(op.ny, bool), *(rng.random((4, op.ny)) < 0.5)]
+        for r in range(3):
+            classes = op.parity_classes(r)
+            masks += [classes, ~classes]
+        for blocks in masks:
+            cols = np.repeat(blocks, op.nx)
+            for v in rng.standard_normal((2, op.dim)):
+                want = A[:, cols] @ v[cols]
+                np.testing.assert_allclose(op.matvec(v, blocks), want, rtol=0,
+                                           atol=1e-14 * np.abs(A).sum(axis=1).max() * np.abs(v).max())
+
+    def test_full_mask_is_the_plain_product(self):
+        op, _, _ = tiny_affine()
+        v = np.random.default_rng(0).standard_normal(op.dim)
+        np.testing.assert_array_equal(op.matvec(v, np.ones(op.ny, bool)), op.matvec(v))
+
+    def test_loop_built_once_per_mask(self):
+        # mean and trunc_exact 0 read the same classes: one loop for both.
+        op, _, _ = tiny_affine()
+        loop = op._masked_loop(op.parity_classes(0))
+        assert op._masked_loop(op.parity_classes(0)) is loop
+        assert op._masked_loop(~op.parity_classes(0)) is not loop
+
+    def test_factored_operator_refuses_a_mask(self):
+        op, _, _ = tiny_lognormal()
+        v = np.ones(op.dim)
+        with pytest.raises(ValueError, match="no block mask"):
+            op.matvec(v, np.ones(op.ny, bool))
+
+
 class TestAffineSystem:
     def test_shapes_and_term_count(self):
         op, f, _ = tiny_affine(M=4, k=3)
@@ -420,6 +458,22 @@ class TestStreamedKron:
         oracle = KroneckerSumOperator(tuple(op.terms))
         np.testing.assert_array_equal(op.terms.kron_weights(), oracle.terms.kron_weights())
         assert_csr_identical(op.kron_factor(), oracle.kron_factor())
+
+    @pytest.mark.parametrize("stream", ["default", "one term"])
+    @pytest.mark.parametrize("problem", ["affine", "lognormal"])
+    def test_equal_to_term_by_term_sum(self, monkeypatch, stream, problem):
+        # The oracle adds the weighted G_i as sparse matrices in term order
+        # (one COO matrix per term, from the same entries and weights).
+        if stream == "one term":
+            monkeypatch.setattr(kronsys, "_STREAM_BYTES", 1)
+        op, _, _ = SmallConfig(problem, 3, M=3, k=3, N=7).build()
+        term, rows, cols, vals = map(np.concatenate, zip(*op.terms.triple_chunks()))
+        weights, n = op.terms.kron_weights(), op.ny
+        want = sp.csr_matrix((n, n))
+        for t, w in enumerate(weights):
+            at = term == t
+            want = want + sp.coo_matrix((vals[at] * w, (rows[at], cols[at])), shape=(n, n)).tocsr()
+        assert_csr_identical(op.kron_factor(), want)
 
     def test_one_row_chunk_at_a_time(self, monkeypatch):
         # Every enumeration of the G entries is one planned chunk of rows,

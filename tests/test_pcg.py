@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from sgkron import precond
 from sgkron.pcg import (
     BreakdownError,
     SolverConfig,
@@ -111,6 +112,49 @@ class TestParitySplit:
         _, plain = pcg_solve(op, SimpleNamespace(apply_inverse=P.apply_inverse), f)
         assert split.residual_history == plain.residual_history
         assert split.converged
+
+    @pytest.mark.parametrize("kind", ["mean", "trunc direct", "trunc nested"])
+    def test_class_apply_is_zero_off_its_class(self, monkeypatch, kind):
+        # The half products rest on it: apply_inverse(v, cls) is exactly
+        # zero on the blocks of the other class.
+        if kind == "trunc nested":
+            monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", 0)
+        op, _, _ = SmallConfig(M=4, k=3).build()
+        K0_factor = CholeskyFactor(op.terms[0][1])
+        r = 0 if kind == "mean" else 2
+        classes = op.parity_classes(r)
+        if kind == "mean":
+            P = build_mean_based(K0_factor, classes)
+        else:
+            P = build_trunc_exact(K0_factor, op.leading(r), classes)
+            assert bool(P._nested) == (kind == "trunc nested")
+        v = np.random.default_rng(1).standard_normal(op.dim)
+        for cls in (0, 1):
+            Z = P.apply_inverse(v, cls).reshape(op.ny, op.nx)
+            assert not Z[classes != cls].any()
+            assert np.all(Z[classes == cls].any(axis=1))
+
+    @pytest.mark.parametrize("r", [0, 2])
+    def test_one_half_product_a_step(self, r):
+        # The class-alternating run makes one product over the columns of
+        # one class a step, the class of its direction, and takes the steps
+        # of plain PCG (full products and applies).
+        op, f, _ = SmallConfig(M=4, k=3).build()
+        classes = op.parity_classes(r)
+        P = build_trunc_exact(CholeskyFactor(op.terms[0][1]), op.leading(r), classes)
+        masks = []
+
+        def matvec(v, blocks=None):
+            masks.append(blocks)
+            return op.matvec(v, blocks)
+
+        _, split = pcg_solve(SimpleNamespace(matvec=matvec), P, f)
+        _, plain = pcg_solve(op, SimpleNamespace(apply_inverse=P.apply_inverse), f)
+        assert len(masks) == split.iterations == plain.iterations
+        for j, blocks in enumerate(masks):
+            np.testing.assert_array_equal(blocks, classes == bool(j % 2))
+        h_split, h_plain = np.array(split.residual_history), np.array(plain.residual_history)
+        assert np.all(np.abs(h_split - h_plain) <= 1e-12 * h_plain + 1e-13)
 
 
 class TestMaxIter:
