@@ -5,15 +5,18 @@ A = sum_i G_i (x) K_i with small sparse parametric factors G and FE
 stiffness factors K.  The operator is kept matrix-free and never forms
 the ny*nx matrix.  A matvec costs, per term, one sparse K-product and
 one sparse G-product over the blocks G_i couples (its non-empty rows
-and columns; an identity G_i adds the K-product directly).  The masked
-product ``matvec(v, blocks)``, A[:, blocks] v[blocks] for a bool mask of
-the blocks, runs the same loop on the masked columns only: per term the
+and columns; an identity G_i adds the K-product directly).  The tail
+product ``matvec(v, blocks, first)``, the sum over i >= first of (G_i (x)
+K_i)[:, blocks] v[blocks] for a bool mask of the blocks, runs the same
+loop from term ``first`` on the masked columns only: per term the
 K-products on its columns in the mask and the sub-CSR of G_i holding those
-columns' entries, without its empty rows, built once per mask and kept on
-the operator.  The lognormal operator holds its quadrature-point
-factorization instead (:class:`QuadratureFactorization`), A = sum_q E_q
-(T_q T_q^T) (x) k_q, takes no mask, and its matvec reads no G_alpha and
-no K_alpha: the gradient map to the Gauss points, M mode sweeps of T_q^T,
+columns' entries, without its empty rows, built once per (mask, first)
+and kept on the operator.  PCG asks for it where its preconditioner gives
+the product with the leading terms (``skips_leading_terms``).  The
+lognormal operator holds its quadrature-point factorization instead
+(:class:`QuadratureFactorization`), A = sum_q E_q (T_q T_q^T) (x) k_q,
+takes no mask and no first term, and its matvec reads no G_alpha and no
+K_alpha: the gradient map to the Gauss points, M mode sweeps of T_q^T,
 the scaling by E_q, M sweeps of T_q and the transposed map.  ``terms``
 stays the exact per-term sequence either way: the affine operator stores
 it (:class:`PairList`), the lognormal one builds each pair on first read
@@ -203,8 +206,8 @@ class KroneckerSumOperator:
     # support (a view, so that term copies nothing).  G is None for an
     # identity G, whose term adds the K-product directly.
     _loop: tuple = field(init=False, repr=False, compare=False)
-    # The term loops of A[:, blocks], by the bytes of the mask, each built
-    # on first use.
+    # The term loops of the tail products, by the bytes of the mask and the
+    # first term, each built on first use.
     _masked: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -229,6 +232,12 @@ class KroneckerSumOperator:
     @property
     def dim(self) -> int:
         return self.ny * self.nx
+
+    @property
+    def skips_leading_terms(self) -> bool:
+        """Whether ``matvec`` takes a ``first`` term past 0: the term loop
+        does, the factored lognormal operator keeps none to skip."""
+        return self.factorization is None
 
     def leading(self, r: int) -> tuple:
         """The pairs of P_r, the first r + 1 terms (all of them past the end
@@ -265,21 +274,20 @@ class KroneckerSumOperator:
         G.eliminate_zeros()
         return G
 
-    def matvec(self, v: np.ndarray, blocks: np.ndarray | None = None) -> np.ndarray:
-        """A v, or with a bool mask ``blocks`` of the ny blocks the product
-        A[:, blocks] v[blocks] over the columns of those blocks only: the
-        term loop of :meth:`_masked_loop`.  The factored lognormal operator
-        has no term loop and refuses a mask."""
+    def matvec(self, v: np.ndarray, blocks: np.ndarray | None = None, first: int = 0) -> np.ndarray:
+        """A v; with a bool mask ``blocks`` of the ny blocks, or a ``first``
+        term past 0, the tail product sum_{i >= first} (G_i (x) K_i)[:, blocks]
+        v[blocks], over the columns of those blocks only: the term loop of
+        :meth:`_masked_loop`.  The factored lognormal operator has no term
+        loop and refuses both."""
         f = self.factorization
         if f is None:
-            Vt = v.reshape(self.ny, self.nx).T  # block j = column j
-            out = np.zeros((self.ny, self.nx))
-            for rows, cols, G, K in self._loop if blocks is None else self._masked_loop(blocks):
-                W = (K @ Vt[:, cols]).T
-                out[rows] += W if G is None else G @ W
-            return out.ravel()
+            loop = self._loop[first:] if blocks is None else self._masked_loop(blocks, first)
+            return _loop_product(loop, v, np.zeros((self.ny, self.nx)))
         if blocks is not None:
             raise ValueError("the factored lognormal operator takes no block mask")
+        if first:
+            raise ValueError("the factored lognormal operator skips no leading term")
         # D^(1/2) G^T [E_q P_q D^(-1) P_q^T] G D^(1/2) V, one row of U per
         # multi-index and one column per direction and point.  The mode sweeps
         # work in place: P^T sets a row of degree d from rows of higher degree
@@ -306,17 +314,18 @@ class KroneckerSumOperator:
             out[:, f.corners[:, a]] += Z[:, :, a]
         return (out[:, :nx] * root).ravel()
 
-    def _masked_loop(self, blocks: np.ndarray) -> tuple:
-        """The term loop of A[:, blocks], built on the first call for a mask:
-        per term the K-products on its columns in ``blocks`` and the sub-CSR
-        of G[rows][:, cols] that holds those columns' entries, in their
-        order, with its empty rows dropped; a term left with no entry drops
-        out.  An identity G keeps the blocks themselves."""
-        key = blocks.tobytes()
+    def _masked_loop(self, blocks: np.ndarray, first: int = 0) -> tuple:
+        """The term loop of the terms from ``first`` on, over the columns of
+        ``blocks``, built on the first call for a (mask, first): per term the
+        K-products on its columns in ``blocks`` and the sub-CSR of
+        G[rows][:, cols] that holds those columns' entries, in their order,
+        with its empty rows dropped; a term left with no entry drops out.  An
+        identity G keeps the blocks themselves."""
+        key = blocks.tobytes(), first
         if key in self._masked:
             return self._masked[key]
         span, loop = np.arange(self.ny), []
-        for rows, cols, G, K in self._loop:
+        for rows, cols, G, K in self._loop[first:]:
             if G is None:
                 loop.append((span[blocks], span[blocks], None, K))
                 continue
@@ -334,6 +343,16 @@ class KroneckerSumOperator:
             loop.append((span[rows][live], span[cols][kept], sub, K))
         self._masked[key] = loop = tuple(loop)
         return loop
+
+
+def _loop_product(loop, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The products of a term loop with v added into ``out``, the blocks of
+    the result by rows; returned flat."""
+    Vt = v.reshape(out.shape).T  # block j = column j
+    for rows, cols, G, K in loop:
+        W = (K @ Vt[:, cols]).T
+        out[rows] += W if G is None else G @ W
+    return out.ravel()
 
 
 def _is_identity(G) -> bool:

@@ -11,14 +11,28 @@ Class-alternating apply: a preconditioner with parity ``classes`` (one
 bool per block) that it never couples while the operator's other terms
 always flip them has A = [[P_0, C], [C^T, P_1]] in class order ("Property
 A").  When f lies in one class c, the residual of step j lies in class
-c XOR (j mod 2) up to round-off, so step j applies P^{-1} to that class
-only.  Any other f, or a preconditioner without classes, takes the plain
-apply.  ``apply_inverse(r, c)`` leaves exact zeros off class c, so z_j
-vanishes off c_j = c XOR (j mod 2), and p_j = z_j + beta_j p_{j-1} holds
-exactly beta_j p_{j-1} on the blocks of class c_{j-1}.  So A p_j = H_j +
-beta_j H_{j-1} with H_j = A[:, c_j] p_j, the operator's product over the
-columns of one class (``A.matvec(p, blocks)``): each step makes one such
-half product and keeps the last one, one vector.
+c_j = c XOR (j mod 2) up to round-off, so step j applies P^{-1} to that
+class only, and ``apply_inverse(r, c_j)`` leaves exact zeros off it.  Any
+other f, or a preconditioner without classes, takes the plain apply.
+
+Products from the preconditioner's own solve: p_j = z_j + beta_j p_{j-1},
+so every row forms A p_j = A z_j + beta_j A p_{j-1} and keeps the last
+A p.  A P that holds the ``lead`` leading terms P_lead of A = sum_i G_i
+(x) K_i gives P_lead z_j with z_j (``apply_lead``), so
+
+    A z_j = P_lead z_j + (A - P_lead)[:, c_j] z_j,
+
+and the operator applies only its terms from ``lead`` on, over class c_j's
+columns where P has classes (``A.matvec(z, blocks, lead)``).  mean (lead
+1) and trunc_exact r (lead r + 1) are P_lead: P_lead z_j is r_j on class
+c_j, to round-off where a class is solved directly and to
+``precond.INNER_TOL`` (1e-13) of the nested rows' norm where the nested CG
+solves it, a drift of the recursive residual far below ``tol``.  SBGS,
+(D + L) D^{-1} (D + L^T), gives P_lead z = t + L z, t = D y the right-hand
+sides of its forward sweep, as its backward sweep solves (D + L^T) z =
+D y.  A P without ``lead`` (kron), the nested inner solves and an
+operator that cannot skip its leading terms (``skips_leading_terms``
+False: the factored lognormal one) take lead 0, the whole product.
 """
 
 from __future__ import annotations
@@ -90,13 +104,26 @@ def pcg_solve(A, P, f: np.ndarray, cfg: SolverConfig | None = None):
         live = classes[f.reshape(len(classes), -1).any(axis=1)]
         cls = int(live[0]) if live.min() == live.max() else None
         halves = (~classes, classes)  # the blocks of class 0 and of class 1
+    lead = getattr(P, "lead", 0) if getattr(A, "skips_leading_terms", False) else 0
 
     def precondition(r, j):
-        return P.apply_inverse(r) if cls is None else P.apply_inverse(r, cls ^ (j & 1))
+        """z_j = P^{-1} r_j and A z_j."""
+        c = None if cls is None else cls ^ (j & 1)
+        if lead:
+            z, Pz = P.apply_lead(r, c)
+            Az = A.matvec(z, None if c is None else halves[c], lead)
+            Az += Pz
+        elif c is None:
+            z = P.apply_inverse(r)
+            Az = A.matvec(z)
+        else:
+            z = P.apply_inverse(r, c)
+            Az = A.matvec(z, halves[c])
+        return z, Az
 
     u = np.zeros_like(f)
     r = f.copy()
-    z = precondition(r, 0)
+    z, Ap = precondition(r, 0)
     rz = float(r @ z)
     _check_positive(rz, r, z, "r^T P^{-1} r")
 
@@ -106,20 +133,8 @@ def pcg_solve(A, P, f: np.ndarray, cfg: SolverConfig | None = None):
     betas: list[float] = []
     converged = False
     iterations = 0
-    H_prev = None  # A[:, c_{j-1}] p_{j-1}
 
     for it in range(1, cfg.max_iter + 1):
-        if cls is None:
-            Ap = A.matvec(p)
-        else:  # A p_j = H_j + beta_j H_{j-1}, j = it - 1
-            H = A.matvec(p, halves[cls ^ ((it - 1) & 1)])
-            if H_prev is None:
-                Ap = H
-            else:  # summed in H_{j-1}'s storage
-                Ap = H_prev
-                Ap *= beta
-                Ap += H
-            H_prev = H
         pAp = float(p @ Ap)
         _check_positive(pAp, p, Ap, "p^T A p")
         alpha = rz / pAp
@@ -133,12 +148,14 @@ def pcg_solve(A, P, f: np.ndarray, cfg: SolverConfig | None = None):
         if relres <= cfg.tol:
             converged = True
             break
-        z = precondition(r, it)
+        z, Az = precondition(r, it)
         rz_new = float(r @ z)
         _check_positive(rz_new, r, z, "r^T P^{-1} r")
         beta = rz_new / rz
         betas.append(beta)
         p = z + beta * p
+        Ap *= beta  # A p_j = A z_j + beta_j A p_{j-1}
+        Ap += Az
         rz = rz_new
 
     report = SolveReport(

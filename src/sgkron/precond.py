@@ -26,6 +26,10 @@ the test suite checks both algebraically and spectrally.  The mean-based
 and exact-truncation preconditioners also take the parity ``classes`` of
 their truncation (``op.parity_classes(r)``), which P_r never couples:
 ``apply_inverse(v, cls)`` then solves only the blocks of class ``cls``.
+Those two and SBGS hold the ``lead`` leading terms of A, and
+``apply_lead(v, cls)`` returns z = P^{-1} v with P_lead z, which PCG takes
+in place of those terms' operator product: v on the class solved where P
+is P_lead, t + L z for SBGS (t its forward sweep's right-hand sides).
 
 Every factorization goes through :class:`CholeskyFactor`: the spatial
 solves, with K_0 or with a diagonal block of a splitting, the truncation's
@@ -59,6 +63,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from .kronsys import KroneckerSumOperator, PairList, _colouring, _is_identity, assemble_sparse
+from .kronsys import _loop_product
 from .pcg import BreakdownError as _BreakdownError
 from .pcg import SolverConfig as _InnerConfig
 from .pcg import pcg_solve as _inner_solve
@@ -297,11 +302,25 @@ def _shape(pairs, K0_factor: CholeskyFactor) -> tuple[int, int]:
     return G.shape[0], n
 
 
+class _LeadIsP:
+    """``apply_lead`` of a P that is P_lead, its ``lead`` leading terms, itself:
+    P z = v on the blocks of class cls, the ones P^{-1} solved (all of v
+    without a class), and zero off them."""
+
+    def apply_lead(self, v: np.ndarray, cls: int | None = None) -> tuple:
+        if cls is None:
+            return self.apply_inverse(v), v
+        solved = (self.classes == cls)[:, None]
+        return self.apply_inverse(v, cls), np.where(solved, v.reshape(len(solved), -1), 0.0).ravel()
+
+
 # ---------------------------------------------------------------------------
 # mean-based
 
 
-class MeanBasedPreconditioner:
+class MeanBasedPreconditioner(_LeadIsP):
+    lead = 1  # I (x) K_0
+
     def __init__(self, K0_factor: CholeskyFactor, classes=None):
         self.K0 = K0_factor
         self.classes = classes
@@ -399,7 +418,7 @@ def _pairs(entries, Ks, n: int) -> tuple:
     )
 
 
-class TruncExactPreconditioner:
+class TruncExactPreconditioner(_LeadIsP):
     """Exact application of the truncation P_r = the sum of ``pairs``, the
     leading pairs ``op.leading(r)``, led by I (x) K_0 (``_shape`` refuses
     others); ``K0_factor`` is the caller's factor of the leading K (K_0).
@@ -444,7 +463,7 @@ class TruncExactPreconditioner:
     def __init__(self, K0_factor: CholeskyFactor, pairs, classes=None):
         used = PairList(pairs)
         self.ny, self.nx = _shape(used, K0_factor)
-        self.classes = classes
+        self.classes, self.lead = classes, len(used)
         Ks, entries = [K for _, K in used], used.triples
         self._direct = []  # (class indices, factor of its block)
         nested = [np.zeros(0, dtype=np.int64)]
@@ -660,7 +679,7 @@ class PairBlockSbgs:
     couplings and the D_jj factored here.
     """
 
-    def __init__(self, pairs, K0_factor: CholeskyFactor):
+    def __init__(self, pairs, K0_factor: CholeskyFactor, lead: bool = False):
         pairs = list(pairs)
         ny, nx = self.ny, self.nx = _shape(pairs, K0_factor)
 
@@ -691,6 +710,17 @@ class PairBlockSbgs:
             C = G.tocoo()
             low = C.row > C.col
             lower.append((C.row[low], C.col[low], C.data[low]))
+        # With ``lead``, apply_lead gives P_r z = t + L z, L z by a term loop
+        # (kronsys._loop_product) of the strictly lower parts: per term the
+        # sub-CSR between its non-empty rows and columns, read off its
+        # entries, which come by rows.
+        self.lead, self._lower = (len(pairs) if lead else 0), []
+        for (t, s, v), (_, K) in zip(lower, pairs):
+            if lead and len(v):
+                rows, start = np.unique(t, return_index=True)
+                cols, j = np.unique(s, return_inverse=True)
+                L = sp.csr_matrix((v, j, np.r_[start, len(t)]), shape=(len(rows), len(cols)))
+                self._lower.append((rows, cols, L, K))
 
         # Longest-path levels: a source precedes its target, so its level is final.
         rows = np.concatenate([t for t, _, _ in lower])
@@ -739,15 +769,19 @@ class PairBlockSbgs:
                 (idx, by_diagonal(idx), fwd_d, back, by_diagonal(back), bwd_d)
             )
 
-    def apply_inverse(self, v: np.ndarray) -> np.ndarray:
+    def apply_inverse(self, v: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
+        """P^{-1} v; with ``rhs``, an (ny, nx) array, the forward sweep's
+        right-hand sides t = v - L y = D y land in it."""
         RHS = v.reshape(self.ny, self.nx)
         Z = np.empty((self.ny, self.nx))
         for idx, solves, fwd, *_ in self._levels:
-            rhs = RHS[idx]  # a copy: idx is an index array
+            t = RHS[idx]  # a copy: idx is an index array
             for loc, src, val, K in fwd:
-                rhs[loc] -= ((K @ Z[src].T) * val).T
+                t[loc] -= ((K @ Z[src].T) * val).T
+            if rhs is not None:
+                rhs[idx] = t
             for sel, factor in solves:
-                Z[idx[sel]] = factor.solve(rhs[sel].T).T
+                Z[idx[sel]] = factor.solve(t[sel].T).T
 
         # The backward sweep overwrites the forward result block by block.
         for *_, back, solves, bwd in reversed(self._levels):
@@ -758,13 +792,21 @@ class PairBlockSbgs:
                 Z[back[sel]] -= factor.solve(acc[sel].T).T
         return Z.ravel()
 
+    def apply_lead(self, v: np.ndarray, cls: None = None) -> tuple:
+        """(z, P_r z) for z = P^{-1} v: the backward sweep solves (D + L^T) z
+        = D y = t, so P_r z = (D + L + L^T) z = t + L z."""
+        T = np.empty((self.ny, self.nx))
+        z = self.apply_inverse(v, T)
+        return z, _loop_product(self._lower, z, T)
+
 
 def build_sbgs(K0_factor: CholeskyFactor, pairs) -> PairBlockSbgs:
     """pairs: the leading pairs of P_r, ``op.leading(r)``, led by I (x) K_0
     (``_shape`` refuses others), the condition under which the splitting is
     provably SPD.  K0_factor serves the K_0 blocks: every block of the
-    affine splitting, whose G_m are hollow."""
-    return PairBlockSbgs(pairs, K0_factor)
+    affine splitting, whose G_m are hollow.  The outer PCG takes P_r z from
+    its sweeps (``lead``); trunc_exact's nested SBGS-PCG does not."""
+    return PairBlockSbgs(pairs, K0_factor, lead=True)
 
 
 # These names exist only because perfbench's SETUP_SPANS["sbgs"] and

@@ -535,8 +535,8 @@ def prop_parity_split(cfg: SmallConfig = AFFINE):
             off = np.linalg.norm(v.reshape(op.ny, op.nx)[classes != bool(j % 2)])
             assert off <= 1e-13 * np.linalg.norm(f), f"{kind} r={r} step {j}: off-class {off:.3e}"
         masks = []
-        halved = SimpleNamespace(matvec=lambda v, blocks=None: masks.append(blocks)
-                                 or op.matvec(v, blocks))
+        halved = SimpleNamespace(matvec=lambda v, blocks=None, first=0: masks.append(blocks)
+                                 or op.matvec(v, blocks, first), skips_leading_terms=True)
         _, split = pcg.pcg_solve(halved, P, f)
         assert split.iterations == plain.iterations, (kind, r)
         assert len(masks) == split.iterations and all(m is not None for m in masks), (kind, r)
@@ -544,6 +544,34 @@ def prop_parity_split(cfg: SmallConfig = AFFINE):
         gap = np.abs(h_split - h_plain)
         assert np.all(gap <= 1e-12 * h_plain + 1e-13), f"{kind} r={r}: history off by {gap.max():.3e}"
         assert np.array_equal(classes, parity), f"r={r}: classes are not the tail parity"
+
+
+def prop_lead_identity(cfg: SmallConfig = AFFINE):
+    # Affine, all four families and every r <= M: PCG that forms A z_j from
+    # P's own solve, P_lead z_j plus the terms past P's lead, takes as many
+    # steps as with the same P without ``lead`` (the operator's whole
+    # product), with a history equal to 1e-12 relative or to 1e-13 (in
+    # units of ||f||), and its true final residual ||f - A u|| / ||f|| is
+    # within tol.  Lognormal: the factored operator skips no leading term.
+    op, f, _ = cfg.build()
+    if cfg.problem == "lognormal":
+        assert not op.skips_leading_terms
+        return
+    tol = pcg.SolverConfig().tol
+    rows = [("mean", 0), ("kron", None)] + [(kind, r) for kind in ("trunc_exact", "sbgs")
+                                            for r in range(cfg.M + 1)]
+    for kind, r in rows:
+        P = _preconditioner(kind, op, r)
+        assert getattr(P, "lead", 0) == (0 if r is None else len(op.leading(r))), (kind, r)
+        whole = SimpleNamespace(apply_inverse=P.apply_inverse, classes=getattr(P, "classes", None))
+        u, lead = pcg.pcg_solve(op, P, f)
+        _, ref = pcg.pcg_solve(op, whole, f)
+        assert lead.iterations == ref.iterations, (kind, r)
+        h_ref, h_lead = np.array(ref.residual_history), np.array(lead.residual_history)
+        gap = np.abs(h_lead - h_ref)
+        assert np.all(gap <= 1e-12 * h_ref + 1e-13), f"{kind} r={r}: history off by {gap.max():.3e}"
+        true = np.linalg.norm(f - op.matvec(u)) / np.linalg.norm(f)
+        assert true <= tol, f"{kind} r={r}: true residual {true:.3e} above tol"
 
 
 # (name, property) in definition order: every prop_* function above.

@@ -118,6 +118,53 @@ class TestMaskedMatvec:
             op.matvec(v, np.ones(op.ny, bool))
 
 
+class TestTailMatvec:
+    """matvec(v, blocks, first) is the product of the terms from ``first`` on,
+    over the masked columns: assemble_dense(terms[first:])[:, m] @ v[m]."""
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_equal_to_dense_tail_columns(self, level):
+        op, _, _ = tiny_affine(level=level, M=3, k=3)
+        rng = np.random.default_rng(level)
+        classes = op.parity_classes(1)
+        masks = [None, classes, ~classes, rng.random(op.ny) < 0.5]
+        assert op.skips_leading_terms
+        for first in range(len(op.terms) + 1):
+            A = assemble_dense(op.terms[first:]) if first < len(op.terms) else 0.0 * np.eye(op.dim)
+            for blocks in masks:
+                cols = np.ones(op.dim, bool) if blocks is None else np.repeat(blocks, op.nx)
+                v = rng.standard_normal(op.dim)
+                want = A[:, cols] @ v[cols]
+                scale = np.abs(A).sum(axis=1).max() * np.abs(v).max()
+                np.testing.assert_allclose(op.matvec(v, blocks, first), want, rtol=0,
+                                           atol=1e-14 * scale)
+
+    def test_first_zero_is_the_whole_product(self):
+        op, _, _ = tiny_affine()
+        v = np.random.default_rng(0).standard_normal(op.dim)
+        np.testing.assert_array_equal(op.matvec(v, None, 0), op.matvec(v))
+
+    def test_factored_operator_refuses_a_first_term(self):
+        op, _, _ = tiny_lognormal()
+        assert not op.skips_leading_terms
+        with pytest.raises(ValueError, match="skips no leading term"):
+            op.matvec(np.ones(op.dim), None, 1)
+
+    def test_loop_built_once_per_mask_and_first(self):
+        # One loop per (mask, first), of the terms from ``first`` on only.
+        op, _, _ = tiny_affine(M=3, k=2)
+        classes = op.parity_classes(0)
+        loops = {(c, first): op._masked_loop(mask, first)
+                 for c, mask in enumerate((~classes, classes)) for first in range(5)}
+        assert len(op._masked) == len(loops)
+        for (c, first), loop in loops.items():
+            assert op._masked_loop(classes if c else ~classes, first) is loop
+            Ks = [K for *_, K in loop]
+            assert len(Ks) == len(op.terms) - first
+            assert all(K is want for K, (_, want) in zip(Ks, op.terms[first:]))
+        assert len(op._masked) == len(loops)
+
+
 class TestAffineSystem:
     def test_shapes_and_term_count(self):
         op, f, _ = tiny_affine(M=4, k=3)

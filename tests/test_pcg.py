@@ -103,13 +103,16 @@ class TestDeterminism:
 class TestParitySplit:
     def test_random_rhs_takes_the_plain_path(self):
         # f outside one parity class: every apply solves both classes, as
-        # for a P without classes, so the runs agree bit for bit.
+        # for a P without classes (which keeps its lead), so the runs agree
+        # bit for bit.
         op, f, _ = SmallConfig().build()
         classes = op.parity_classes(0)
         P = build_mean_based(CholeskyFactor(op.terms[0][1]), classes)
         f = np.random.default_rng(42).standard_normal(op.dim)
         _, split = pcg_solve(op, P, f)
-        _, plain = pcg_solve(op, SimpleNamespace(apply_inverse=P.apply_inverse), f)
+        unclassed = SimpleNamespace(apply_inverse=P.apply_inverse, apply_lead=P.apply_lead,
+                                    lead=P.lead)
+        _, plain = pcg_solve(op, unclassed, f)
         assert split.residual_history == plain.residual_history
         assert split.converged
 
@@ -137,18 +140,19 @@ class TestParitySplit:
     @pytest.mark.parametrize("r", [0, 2])
     def test_one_half_product_a_step(self, r):
         # The class-alternating run makes one product over the columns of
-        # one class a step, the class of its direction, and takes the steps
-        # of plain PCG (full products and applies).
+        # one class a step, the class of its direction, of the terms past
+        # P_r's, and takes the steps of plain PCG (full products and applies).
         op, f, _ = SmallConfig(M=4, k=3).build()
         classes = op.parity_classes(r)
         P = build_trunc_exact(CholeskyFactor(op.terms[0][1]), op.leading(r), classes)
         masks = []
 
-        def matvec(v, blocks=None):
+        def matvec(v, blocks=None, first=0):
             masks.append(blocks)
-            return op.matvec(v, blocks)
+            assert first == r + 1
+            return op.matvec(v, blocks, first)
 
-        _, split = pcg_solve(SimpleNamespace(matvec=matvec), P, f)
+        _, split = pcg_solve(SimpleNamespace(matvec=matvec, skips_leading_terms=True), P, f)
         _, plain = pcg_solve(op, SimpleNamespace(apply_inverse=P.apply_inverse), f)
         assert len(masks) == split.iterations == plain.iterations
         for j, blocks in enumerate(masks):

@@ -660,6 +660,7 @@ class ContractOperator:
 
     def __init__(self, op):
         self.dim, self.matvec = op.dim, op.matvec  # no ny, nx: the pairs carry them
+        self.skips_leading_terms = op.skips_leading_terms
         self.leading = lambda r: op.leading(r)
         self.parity_classes = lambda r: op.parity_classes(r)
         self.kron_factor = lambda: op.kron_factor()
@@ -681,6 +682,51 @@ def test_run_path_reads_only_the_operator_contract(monkeypatch, cell, preconds):
     contract = list(grid.solve_cell(cell, preconds, SolverConfig()))
     untimed = [row._replace(setup_s=0.0, solve_s=0.0) for row in rows]
     assert [row._replace(setup_s=0.0, solve_s=0.0) for row in contract] == untimed
+
+
+class TestLeadProduct:
+    """apply_lead(v, cls) gives z = P^{-1} v, as apply_inverse does, and
+    P_lead z, the product of P's ``lead`` leading terms with it, which PCG
+    takes in place of those terms' operator product: by the assembled
+    op.leading(r), to 1e-12 relative, with and without a class."""
+
+    @pytest.mark.parametrize("problem, kind, r, cut, path", [
+        ("affine", "mean", 0, None, "mean"),
+        ("affine", "trunc_exact", 2, None, "schur direct"),
+        ("affine", "trunc_exact", 2, 0, "nested"),
+        ("affine", "trunc_exact", 4, None, "whole"),
+        ("affine", "sbgs", 3, None, "levels"),
+        ("lognormal", "trunc_exact", 3, None, "direct"),
+        ("lognormal", "trunc_exact", 3, 0, "nested"),
+        ("lognormal", "sbgs", 5, None, "levels"),
+    ])
+    def test_equals_dense_leading_product(self, monkeypatch, problem, kind, r, cut, path):
+        if cut is not None:
+            monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", cut)
+        op, _, _ = SmallConfig(problem, 2, 4, 3, N=6).build()
+        P = verify._preconditioner(kind, op, r)
+        assert P.lead == len(op.leading(r))
+        if path == "schur direct":
+            assert any(isinstance(S, precond._SchurComplement) for _, S in P._direct)
+        elif path == "nested":
+            assert P._nested
+        elif path == "levels":
+            assert len(P._levels) >= 3
+        classes = getattr(P, "classes", None)
+        A_lead = assemble_dense(op.leading(r))
+        v = np.random.default_rng(r).standard_normal(op.dim)
+        for cls in (None,) if classes is None else (None, 0, 1):
+            z, Pz = P.apply_lead(v, cls)
+            np.testing.assert_array_equal(z, P.apply_inverse(v, *(() if cls is None else (cls,))))
+            want = A_lead @ z
+            assert np.linalg.norm(Pz - want) <= 1e-12 * np.linalg.norm(want), (cls, path)
+
+    def test_nested_sbgs_takes_the_whole_product(self, monkeypatch):
+        # trunc_exact's nested SBGS-PCG solves to INNER_TOL with lead 0.
+        monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", 0)
+        op, _, _ = tiny_lognormal()
+        P = verify._preconditioner("trunc_exact", op, 3)
+        assert [inner.lead for _, _, inner in P._nested] == [0]
 
 
 class TestSbgsAffine:

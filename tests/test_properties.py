@@ -89,6 +89,7 @@ test_inclusions_tiny = drawn("inclusions_tiny", ("affine",), AFFINE, SmallConfig
 test_kappa_within_bound = drawn("kappa_within_bound", ("affine",))
 test_trunc_spectrum_symmetric = drawn("trunc_spectrum_symmetric", ("affine",), AFFINE)
 test_parity_split = drawn("parity_split", BOTH, AFFINE, LOGNORMAL, SmallConfig(level=1, k=0))
+test_lead_identity = drawn("lead_identity", ("affine",), AFFINE, SmallConfig(M=4, k=3))
 
 
 @settings(max_examples=20, deadline=None, database=None)
