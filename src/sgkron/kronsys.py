@@ -201,10 +201,8 @@ class KroneckerSumOperator:
     factorization: QuadratureFactorization | None = field(default=None, repr=False, compare=False)
     ny: int = field(init=False)
     nx: int = field(init=False)
-    # Term loop: (rows, cols, G[rows][:, cols], K) per term, rows and cols
-    # the non-empty rows and columns of G, or slice(None) where G has full
-    # support (a view, so that term copies nothing).  G is None for an
-    # identity G, whose term adds the K-product directly.
+    # The term loop of ``terms`` (:func:`_term_loop`), empty where the
+    # factorization takes its place.
     _loop: tuple = field(init=False, repr=False, compare=False)
     # The term loops of the tail products, by the bytes of the mask and the
     # first term, each built on first use.
@@ -217,16 +215,8 @@ class KroneckerSumOperator:
             raise ValueError("operator needs at least one term")
         object.__setattr__(self, "ny", self.terms.ny)
         object.__setattr__(self, "nx", self.terms.nx)
-        loop = []
-        if self.factorization is None:
-            for G, K in self.terms:
-                G = sp.csr_matrix(G)
-                rows = np.flatnonzero(np.diff(G.indptr))
-                cols = np.unique(G.indices)
-                if len(rows) == len(cols) == self.ny:
-                    rows = cols = slice(None)
-                loop.append((rows, cols, None if _is_identity(G) else G[rows][:, cols], K))
-        object.__setattr__(self, "_loop", tuple(loop))
+        loop = _term_loop(self.terms) if self.factorization is None else ()
+        object.__setattr__(self, "_loop", loop)
         object.__setattr__(self, "_masked", {})
 
     @property
@@ -343,6 +333,22 @@ class KroneckerSumOperator:
             loop.append((span[rows][live], span[cols][kept], sub, K))
         self._masked[key] = loop = tuple(loop)
         return loop
+
+
+def _term_loop(pairs) -> tuple:
+    """The term loop of (G, K) pairs: (rows, cols, G[rows][:, cols], K) per
+    term, rows and cols the non-empty rows and columns of G, or slice(None)
+    where G has full support (a view, so that term copies nothing).  G is
+    None for an identity G, whose term adds the K-product directly."""
+    loop = []
+    for G, K in pairs:
+        G = sp.csr_matrix(G)
+        rows = np.flatnonzero(np.diff(G.indptr))
+        cols = np.unique(G.indices)
+        if len(rows) == len(cols) == G.shape[0]:
+            rows = cols = slice(None)
+        loop.append((rows, cols, None if _is_identity(G) else G[rows][:, cols], K))
+    return tuple(loop)
 
 
 def _loop_product(loop, v: np.ndarray, out: np.ndarray) -> np.ndarray:

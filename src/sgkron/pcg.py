@@ -7,32 +7,34 @@ and direction-update coefficients so the Lanczos tridiagonal matrix, and
 from it a condition-number estimate of the preconditioned operator, can
 be recovered after the run.
 
-Class-alternating apply: a preconditioner with parity ``classes`` (one
-bool per block) that it never couples while the operator's other terms
-always flip them has A = [[P_0, C], [C^T, P_1]] in class order ("Property
-A").  When f lies in one class c, the residual of step j lies in class
-c_j = c XOR (j mod 2) up to round-off, so step j applies P^{-1} to that
-class only, and ``apply_inverse(r, c_j)`` leaves exact zeros off it.  Any
-other f, or a preconditioner without classes, takes the plain apply.
-
 Products from the preconditioner's own solve: p_j = z_j + beta_j p_{j-1},
 so every row forms A p_j = A z_j + beta_j A p_{j-1} and keeps the last
-A p.  A P that holds the ``lead`` leading terms P_lead of A = sum_i G_i
-(x) K_i gives P_lead z_j with z_j (``apply_lead``), so
+A p.  One rule makes A z_j.  Where P holds the ``lead`` leading terms
+P_lead of A = sum_i G_i (x) K_i and the operator ``skips_leading_terms``,
+P gives P_lead z_j with z_j (``apply_lead``) and
 
     A z_j = P_lead z_j + (A - P_lead)[:, c_j] z_j,
 
-and the operator applies only its terms from ``lead`` on, over class c_j's
-columns where P has classes (``A.matvec(z, blocks, lead)``).  mean (lead
-1) and trunc_exact r (lead r + 1) are P_lead: P_lead z_j is r_j on class
-c_j, to round-off where a class is solved directly and to
-``precond.INNER_TOL`` (1e-13) of the nested rows' norm where the nested CG
-solves it, a drift of the recursive residual far below ``tol``.  SBGS,
-(D + L) D^{-1} (D + L^T), gives P_lead z = t + L z, t = D y the right-hand
-sides of its forward sweep, as its backward sweep solves (D + L^T) z =
-D y.  A P without ``lead`` (kron), the nested inner solves and an
-operator that cannot skip its leading terms (``skips_leading_terms``
-False: the factored lognormal one) take lead 0, the whole product.
+the operator applying only its terms from ``lead`` on (``A.matvec(z,
+blocks, lead)``), over the columns of class c_j where P has classes.
+mean (lead 1) and trunc_exact r (lead r + 1) are P_lead: P_lead z_j is
+r_j on the class solved, to round-off where a class is solved directly
+and to ``precond.INNER_TOL`` (1e-13) of the nested rows' norm where the
+nested CG solves it, a drift of the recursive residual far below ``tol``.
+SBGS, (D + L) D^{-1} (D + L^T), outer or trunc_exact's nested one, gives
+P_lead z = t + L z, t = D y the right-hand sides of its forward sweep, as
+its backward sweep solves (D + L^T) z = D y; the nested one holds its
+whole operator, whose tail is empty.  Every other row takes the plain
+step, ``apply_inverse(r)`` then ``A.matvec(z)``: lead 0 is left only for
+kron, which holds no lead, and for the operators that cannot skip (the
+factored lognormal one, trunc_exact's ``_SchurComplement``).
+
+Parity ``classes`` (one bool per block) that P never couples while the
+operator's other terms always flip them give A = [[P_0, C], [C^T, P_1]]
+in class order ("Property A").  When f lies in one class c, the residual
+of step j lies in class c_j = c XOR (j mod 2) up to round-off, so step j
+solves that class only, ``apply_lead(r, c_j)`` leaving exact zeros off
+it; any other f takes the whole apply.
 """
 
 from __future__ import annotations
@@ -97,28 +99,24 @@ def pcg_solve(A, P, f: np.ndarray, cfg: SolverConfig | None = None):
         report.solve_seconds = time.perf_counter() - t0
         return np.zeros_like(f), report
 
-    # The class of f, when it lies in one: step j then applies to class
-    # cls ^ (j & 1) only.
-    classes, cls = getattr(P, "classes", None), None
+    lead = getattr(P, "lead", 0) if getattr(A, "skips_leading_terms", False) else 0
+    # With a lead, the class of f, when it lies in one: step j then applies
+    # to class cls ^ (j & 1) only.
+    classes, cls = getattr(P, "classes", None) if lead else None, None
     if classes is not None:
         live = classes[f.reshape(len(classes), -1).any(axis=1)]
         cls = int(live[0]) if live.min() == live.max() else None
         halves = (~classes, classes)  # the blocks of class 0 and of class 1
-    lead = getattr(P, "lead", 0) if getattr(A, "skips_leading_terms", False) else 0
 
     def precondition(r, j):
         """z_j = P^{-1} r_j and A z_j."""
-        c = None if cls is None else cls ^ (j & 1)
-        if lead:
-            z, Pz = P.apply_lead(r, c)
-            Az = A.matvec(z, None if c is None else halves[c], lead)
-            Az += Pz
-        elif c is None:
+        if not lead:
             z = P.apply_inverse(r)
-            Az = A.matvec(z)
-        else:
-            z = P.apply_inverse(r, c)
-            Az = A.matvec(z, halves[c])
+            return z, A.matvec(z)
+        c = None if cls is None else cls ^ (j & 1)
+        z, Pz = P.apply_lead(r, c)
+        Az = A.matvec(z, None if c is None else halves[c], lead)
+        Az += Pz
         return z, Az
 
     u = np.zeros_like(f)

@@ -26,10 +26,12 @@ the test suite checks both algebraically and spectrally.  The mean-based
 and exact-truncation preconditioners also take the parity ``classes`` of
 their truncation (``op.parity_classes(r)``), which P_r never couples:
 ``apply_inverse(v, cls)`` then solves only the blocks of class ``cls``.
-Those two and SBGS hold the ``lead`` leading terms of A, and
-``apply_lead(v, cls)`` returns z = P^{-1} v with P_lead z, which PCG takes
-in place of those terms' operator product: v on the class solved where P
-is P_lead, t + L z for SBGS (t its forward sweep's right-hand sides).
+Those two and every SBGS, outer or trunc_exact's nested one, hold the
+``lead`` leading terms of A, and ``apply_lead(v, cls)`` returns z = P^{-1}
+v with P_lead z, which PCG takes in place of those terms' operator
+product: v on the class solved where P is P_lead, t + L z for SBGS (t its
+forward sweep's right-hand sides).  PCG hands a class to
+``apply_inverse`` only through ``apply_lead``.
 
 Every factorization goes through :class:`CholeskyFactor`: the spatial
 solves, with K_0 or with a diagonal block of a splitting, the truncation's
@@ -63,7 +65,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from .kronsys import KroneckerSumOperator, PairList, _colouring, _is_identity, assemble_sparse
-from .kronsys import _loop_product
+from .kronsys import _loop_product, _term_loop
 from .pcg import BreakdownError as _BreakdownError
 from .pcg import SolverConfig as _InnerConfig
 from .pcg import pcg_solve as _inner_solve
@@ -676,10 +678,12 @@ class PairBlockSbgs:
     value.  The diagonal row (1, 0, ..., 0), whose D_jj is the leading K
     (K_0), takes ``K0_factor``, the caller's factor of it; every other
     distinct row is factored once.  A pair's K is read only for its
-    couplings and the D_jj factored here.
+    couplings and the D_jj factored here.  Its ``lead`` is all its pairs,
+    outer or nested: ``apply_lead`` gives P_r z = t + L z, L z by the
+    operator's term loop (``kronsys._term_loop``) of the tril(G_l, -1).
     """
 
-    def __init__(self, pairs, K0_factor: CholeskyFactor, lead: bool = False):
+    def __init__(self, pairs, K0_factor: CholeskyFactor):
         pairs = list(pairs)
         ny, nx = self.ny, self.nx = _shape(pairs, K0_factor)
 
@@ -710,17 +714,10 @@ class PairBlockSbgs:
             C = G.tocoo()
             low = C.row > C.col
             lower.append((C.row[low], C.col[low], C.data[low]))
-        # With ``lead``, apply_lead gives P_r z = t + L z, L z by a term loop
-        # (kronsys._loop_product) of the strictly lower parts: per term the
-        # sub-CSR between its non-empty rows and columns, read off its
-        # entries, which come by rows.
-        self.lead, self._lower = (len(pairs) if lead else 0), []
-        for (t, s, v), (_, K) in zip(lower, pairs):
-            if lead and len(v):
-                rows, start = np.unique(t, return_index=True)
-                cols, j = np.unique(s, return_inverse=True)
-                L = sp.csr_matrix((v, j, np.r_[start, len(t)]), shape=(len(rows), len(cols)))
-                self._lower.append((rows, cols, L, K))
+        # apply_lead's L z: the operator's term loop of the non-empty tril(G, -1).
+        self.lead = len(pairs)
+        self._lower = _term_loop((sp.csr_matrix((v, (t, s)), shape=(ny, ny)), K)
+                                 for (t, s, v), (_, K) in zip(lower, pairs) if len(v))
 
         # Longest-path levels: a source precedes its target, so its level is final.
         rows = np.concatenate([t for t, _, _ in lower])
@@ -769,9 +766,10 @@ class PairBlockSbgs:
                 (idx, by_diagonal(idx), fwd_d, back, by_diagonal(back), bwd_d)
             )
 
-    def apply_inverse(self, v: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
+    def apply_inverse(self, v: np.ndarray, *, rhs: np.ndarray | None = None) -> np.ndarray:
         """P^{-1} v; with ``rhs``, an (ny, nx) array, the forward sweep's
-        right-hand sides t = v - L y = D y land in it."""
+        right-hand sides t = v - L y = D y land in it.  It is keyword-only:
+        the second positional argument of the other families is a class."""
         RHS = v.reshape(self.ny, self.nx)
         Z = np.empty((self.ny, self.nx))
         for idx, solves, fwd, *_ in self._levels:
@@ -796,7 +794,7 @@ class PairBlockSbgs:
         """(z, P_r z) for z = P^{-1} v: the backward sweep solves (D + L^T) z
         = D y = t, so P_r z = (D + L + L^T) z = t + L z."""
         T = np.empty((self.ny, self.nx))
-        z = self.apply_inverse(v, T)
+        z = self.apply_inverse(v, rhs=T)
         return z, _loop_product(self._lower, z, T)
 
 
@@ -804,9 +802,9 @@ def build_sbgs(K0_factor: CholeskyFactor, pairs) -> PairBlockSbgs:
     """pairs: the leading pairs of P_r, ``op.leading(r)``, led by I (x) K_0
     (``_shape`` refuses others), the condition under which the splitting is
     provably SPD.  K0_factor serves the K_0 blocks: every block of the
-    affine splitting, whose G_m are hollow.  The outer PCG takes P_r z from
-    its sweeps (``lead``); trunc_exact's nested SBGS-PCG does not."""
-    return PairBlockSbgs(pairs, K0_factor, lead=True)
+    affine splitting, whose G_m are hollow.  PCG takes P_r z from its
+    sweeps (``lead``), as trunc_exact's nested SBGS-PCG does."""
+    return PairBlockSbgs(pairs, K0_factor)
 
 
 # These names exist only because perfbench's SETUP_SPANS["sbgs"] and

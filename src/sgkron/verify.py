@@ -507,71 +507,60 @@ def prop_trunc_spectrum_symmetric(cfg: SmallConfig = AFFINE):
         assert gap <= 1e-12, f"r={r}: spectrum off symmetric about 1 by {gap:.3e}"
 
 
-def prop_parity_split(cfg: SmallConfig = AFFINE):
-    # Affine, every r <= M: plain PCG (a P without classes) keeps each
-    # residual's off-class part below 1e-13 ||f||; the class-alternating run
-    # of mean and trunc_exact r takes as many steps, with a history equal to
-    # 1e-12 relative, or to 1e-13 (in units of ||f||) once the residual has
-    # fallen below the round-off the split drops, and makes its operator
-    # product over one class's columns at every step; the classes are the
-    # parity of alpha_{r+1} + ... + alpha_M (none at r = M).  Lognormal: a
-    # tail G_alpha with even alpha has a diagonal, so no r has classes.
+def prop_lead_identity(cfg: SmallConfig = AFFINE):
+    # All four families, r <= M: PCG as `run` makes it (P's lead and
+    # classes) takes the steps of plain PCG (P's apply_inverse alone and the
+    # whole product), with a history equal to 1e-12 relative or to 1e-13 (in
+    # units of ||f||) once the residual has fallen below the round-off the
+    # lead and the split drop, and a true final residual ||f - A u|| / ||f||
+    # within tol; its operator skips P's lead where it can, and no term
+    # where it cannot.  Where P has classes (affine mean and trunc_exact r <
+    # M: the parity of alpha_{r+1} + ... + alpha_M), every residual of the
+    # plain run keeps its off-class part below 1e-13 ||f||, and the run
+    # makes its product over one class's columns at every step.  Lognormal:
+    # a tail G_alpha with even alpha has a diagonal, so no r has classes,
+    # and the factored operator skips no leading term; a P_r that
+    # `spectrum` marks n/a is skipped.
     op, f, _ = cfg.build()
-    if cfg.problem == "lognormal":
+    affine, skips, tol = cfg.problem == "affine", op.skips_leading_terms, pcg.SolverConfig().tol
+    rs = range(cfg.M + 1)
+    if affine:
+        S, spd = multiindex.build_index_set(cfg.M, cfg.k), rs
+    else:
+        assert not skips
         assert all(op.parity_classes(r) is None for r in range(len(op.terms)))
-        return
-    S = multiindex.build_index_set(cfg.M, cfg.k)
-    for kind, r in [("mean", 0)] + [("trunc_exact", r) for r in range(cfg.M + 1)]:
-        classes = op.parity_classes(r)
-        parity = np.array([sum(alpha[r:]) % 2 == 1 for alpha in S])
-        if r == cfg.M or not parity.any():  # no tail term couples two blocks
-            assert classes is None, f"r={r}: classes without a tail"
-            continue
+        spd = [row.r for row in spectral.lognormal_spd_report(op, rs)
+               if row.claim == "trunc_spd" and row.applicable]
+    rows = [("mean", 0), ("kron", None)] + [("trunc_exact", r) for r in spd]
+    for kind, r in rows + [("sbgs", r) for r in rs]:
         P = _preconditioner(kind, op, r)
-        seen = []
+        lead = 0 if r is None else len(op.leading(r))
+        assert getattr(P, "lead", 0) == lead, (kind, r)
+        classes = getattr(P, "classes", None)
+        seen, calls = [], []
         plain_P = SimpleNamespace(apply_inverse=lambda v: seen.append(v.copy()) or P.apply_inverse(v))
         _, plain = pcg.pcg_solve(op, plain_P, f)
-        for j, v in enumerate(seen):
+        for j, v in enumerate(seen if classes is not None else ()):
             off = np.linalg.norm(v.reshape(op.ny, op.nx)[classes != bool(j % 2)])
             assert off <= 1e-13 * np.linalg.norm(f), f"{kind} r={r} step {j}: off-class {off:.3e}"
-        masks = []
-        halved = SimpleNamespace(matvec=lambda v, blocks=None, first=0: masks.append(blocks)
-                                 or op.matvec(v, blocks, first), skips_leading_terms=True)
-        _, split = pcg.pcg_solve(halved, P, f)
-        assert split.iterations == plain.iterations, (kind, r)
-        assert len(masks) == split.iterations and all(m is not None for m in masks), (kind, r)
-        h_plain, h_split = np.array(plain.residual_history), np.array(split.residual_history)
-        gap = np.abs(h_split - h_plain)
+        recorded = SimpleNamespace(matvec=lambda v, blocks=None, first=0: calls.append(
+            (blocks, first)) or op.matvec(v, blocks, first), skips_leading_terms=skips)
+        u, run = pcg.pcg_solve(recorded, P, f)
+        assert run.iterations == plain.iterations, (kind, r)
+        h_plain, h_run = np.array(plain.residual_history), np.array(run.residual_history)
+        gap = np.abs(h_run - h_plain)
         assert np.all(gap <= 1e-12 * h_plain + 1e-13), f"{kind} r={r}: history off by {gap.max():.3e}"
-        assert np.array_equal(classes, parity), f"r={r}: classes are not the tail parity"
-
-
-def prop_lead_identity(cfg: SmallConfig = AFFINE):
-    # Affine, all four families and every r <= M: PCG that forms A z_j from
-    # P's own solve, P_lead z_j plus the terms past P's lead, takes as many
-    # steps as with the same P without ``lead`` (the operator's whole
-    # product), with a history equal to 1e-12 relative or to 1e-13 (in
-    # units of ||f||), and its true final residual ||f - A u|| / ||f|| is
-    # within tol.  Lognormal: the factored operator skips no leading term.
-    op, f, _ = cfg.build()
-    if cfg.problem == "lognormal":
-        assert not op.skips_leading_terms
-        return
-    tol = pcg.SolverConfig().tol
-    rows = [("mean", 0), ("kron", None)] + [(kind, r) for kind in ("trunc_exact", "sbgs")
-                                            for r in range(cfg.M + 1)]
-    for kind, r in rows:
-        P = _preconditioner(kind, op, r)
-        assert getattr(P, "lead", 0) == (0 if r is None else len(op.leading(r))), (kind, r)
-        whole = SimpleNamespace(apply_inverse=P.apply_inverse, classes=getattr(P, "classes", None))
-        u, lead = pcg.pcg_solve(op, P, f)
-        _, ref = pcg.pcg_solve(op, whole, f)
-        assert lead.iterations == ref.iterations, (kind, r)
-        h_ref, h_lead = np.array(ref.residual_history), np.array(lead.residual_history)
-        gap = np.abs(h_lead - h_ref)
-        assert np.all(gap <= 1e-12 * h_ref + 1e-13), f"{kind} r={r}: history off by {gap.max():.3e}"
         true = np.linalg.norm(f - op.matvec(u)) / np.linalg.norm(f)
         assert true <= tol, f"{kind} r={r}: true residual {true:.3e} above tol"
+        assert all(first == (lead if skips else 0) for _, first in calls), (kind, r)
+        split = [blocks is not None for blocks, _ in calls]
+        assert split == [classes is not None] * run.iterations, (kind, r)
+        if kind in ("mean", "trunc_exact") and affine:
+            parity = np.array([sum(alpha[r:]) % 2 == 1 for alpha in S])
+            if r == cfg.M or not parity.any():  # no tail term couples two blocks
+                assert classes is None, f"r={r}: classes without a tail"
+            else:
+                assert np.array_equal(classes, parity), f"r={r}: classes are not the tail parity"
 
 
 # (name, property) in definition order: every prop_* function above.

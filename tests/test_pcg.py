@@ -160,6 +160,33 @@ class TestParitySplit:
         h_split, h_plain = np.array(split.residual_history), np.array(plain.residual_history)
         assert np.all(np.abs(h_split - h_plain) <= 1e-12 * h_plain + 1e-13)
 
+    @pytest.mark.parametrize("lead, skips", [(False, True), (True, False)],
+                             ids=["classes without lead", "lead without skip"])
+    def test_classes_split_only_with_the_lead_product(self, lead, skips):
+        # Without P_lead z (P has no lead, or its operator skips no leading
+        # term) PCG takes the plain step whatever P's classes: one-argument
+        # applies, unmasked products, and the history of the same P without
+        # classes, bit for bit.
+        op, f, _ = SmallConfig(M=4, k=3).build()
+        classes = op.parity_classes(2)
+        P = build_trunc_exact(CholeskyFactor(op.terms[0][1]), op.leading(2), classes)
+        applies, products = [], []
+
+        def apply_inverse(*args):
+            applies.append(len(args))
+            return P.apply_inverse(*args)
+
+        def matvec(*args):
+            products.append(len(args))
+            return op.matvec(*args)
+
+        held = dict(lead=P.lead, apply_lead=P.apply_lead) if lead else {}
+        classed = SimpleNamespace(apply_inverse=apply_inverse, classes=classes, **held)
+        _, run = pcg_solve(SimpleNamespace(matvec=matvec, skips_leading_terms=skips), classed, f)
+        _, plain = pcg_solve(op, SimpleNamespace(apply_inverse=P.apply_inverse), f)
+        assert applies == products == [1] * run.iterations
+        assert run.residual_history == plain.residual_history
+
 
 class TestMaxIter:
     def test_hits_cap_without_converging(self):

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from sgkron import grid, kronsys, precond, verify
+from sgkron import grid, kronsys, precond, spectral, verify
 from sgkron.fem2d import assemble_stiffness, auto_alpha_bar, build_mesh, fourier_coefficient
 from sgkron.kronsys import KroneckerSumOperator, assemble_dense
 from sgkron.multiindex import build_index_set
@@ -721,12 +721,40 @@ class TestLeadProduct:
             want = A_lead @ z
             assert np.linalg.norm(Pz - want) <= 1e-12 * np.linalg.norm(want), (cls, path)
 
-    def test_nested_sbgs_takes_the_whole_product(self, monkeypatch):
-        # trunc_exact's nested SBGS-PCG solves to INNER_TOL with lead 0.
+    @pytest.mark.parametrize("M, k", [(3, 2), (3, 3), (4, 2), (4, 3)])
+    def test_nested_sbgs_takes_the_lead_from_its_sweeps(self, monkeypatch, M, k):
+        # trunc_exact's nested SBGS holds every restricted pair, so its
+        # operator, that very truncation, is asked for the empty tail only,
+        # and the nested apply still solves P_r to 1e-12 (below 1e-13 seen).
+        # An r that `spectrum` marks n/a is skipped; at r = 1 the one coupling
+        # term 2-colours the blocks, which take the reduced solve instead.
         monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", 0)
-        op, _, _ = tiny_lognormal()
-        P = verify._preconditioner("trunc_exact", op, 3)
-        assert [inner.lead for _, _, inner in P._nested] == [0]
+        op, _, _ = tiny_lognormal(M=M, k=k)
+        calls, matvec = [], KroneckerSumOperator.matvec
+
+        def recorded(self, v, blocks=None, first=0):
+            calls.append((self, blocks, first))
+            return matvec(self, v, blocks, first)
+
+        monkeypatch.setattr(KroneckerSumOperator, "matvec", recorded)
+        rs = [row.r for row in spectral.lognormal_spd_report(op, range(1, 9))
+              if row.claim == "trunc_spd" and row.applicable]
+        sbgs_rows = 0
+        for r in rs:
+            P = verify._preconditioner("trunc_exact", op, r)
+            v = np.random.default_rng(r).standard_normal(op.dim)
+            calls.clear()
+            z = P.apply_inverse(v)
+            res = np.linalg.norm(v - kronsys.assemble_sparse(op.leading(r)) @ z)
+            assert res <= 1e-12 * np.linalg.norm(v), r
+            nested = [(inner_op, inner) for _, inner_op, inner in P._nested
+                      if isinstance(inner, PairBlockSbgs)]
+            for inner_op, inner in nested:
+                assert inner.lead == len(inner_op.terms), r
+            asked = {(id(A), blocks is None, first) for A, blocks, first in calls}
+            assert asked == {(id(A), True, inner.lead) for A, inner in nested}, r
+            sbgs_rows += bool(nested)
+        assert sbgs_rows >= len(rs) - 1
 
 
 class TestSbgsAffine:
@@ -744,6 +772,13 @@ class TestSbgsAffine:
         P = build_sbgs(K0_factor, op.terms)
         assert P.distinct_factor_count == 1
         assert built == []
+
+    def test_rhs_is_keyword_only(self):
+        # The second positional argument of the other families is a class.
+        op, _, _ = tiny_affine()
+        P = build_sbgs(k0_factor(op), op.leading(2))
+        with pytest.raises(TypeError):
+            P.apply_inverse(np.ones(op.dim), 0)
 
     def test_empty_terms_reduce_to_mean(self):
         op, _, _ = tiny_affine()
