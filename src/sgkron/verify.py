@@ -514,21 +514,18 @@ def prop_lead_identity(cfg: SmallConfig = AFFINE):
     # units of ||f||) once the residual has fallen below the round-off the
     # lead and the split drop, and a true final residual ||f - A u|| / ||f||
     # within tol; its operator skips P's lead where it can, and no term
-    # where it cannot.  Where P has classes (affine mean and trunc_exact r <
-    # M: the parity of alpha_{r+1} + ... + alpha_M), every residual of the
-    # plain run keeps its off-class part below 1e-13 ||f||, and the run
-    # makes its product over one class's columns at every step.  Lognormal:
-    # a tail G_alpha with even alpha has a diagonal, so no r has classes,
-    # and the factored operator skips no leading term; a P_r that
+    # where it cannot.  Where P has classes (prop_parity_split), every
+    # residual of the plain run keeps its off-class part below 1e-13 ||f||,
+    # and the run makes its product over one class's columns at every step.
+    # Lognormal: the factored operator skips no leading term; a P_r that
     # `spectrum` marks n/a is skipped.
     op, f, _ = cfg.build()
     affine, skips, tol = cfg.problem == "affine", op.skips_leading_terms, pcg.SolverConfig().tol
     rs = range(cfg.M + 1)
     if affine:
-        S, spd = multiindex.build_index_set(cfg.M, cfg.k), rs
+        spd = rs
     else:
         assert not skips
-        assert all(op.parity_classes(r) is None for r in range(len(op.terms)))
         spd = [row.r for row in spectral.lognormal_spd_report(op, rs)
                if row.claim == "trunc_spd" and row.applicable]
     rows = [("mean", 0), ("kron", None)] + [("trunc_exact", r) for r in spd]
@@ -555,12 +552,25 @@ def prop_lead_identity(cfg: SmallConfig = AFFINE):
         assert all(first == (lead if skips else 0) for _, first in calls), (kind, r)
         split = [blocks is not None for blocks, _ in calls]
         assert split == [classes is not None] * run.iterations, (kind, r)
-        if kind in ("mean", "trunc_exact") and affine:
-            parity = np.array([sum(alpha[r:]) % 2 == 1 for alpha in S])
-            if r == cfg.M or not parity.any():  # no tail term couples two blocks
-                assert classes is None, f"r={r}: classes without a tail"
-            else:
-                assert np.array_equal(classes, parity), f"r={r}: classes are not the tail parity"
+
+
+def prop_parity_split(cfg: SmallConfig = AFFINE):
+    # Affine, every r <= M: the classes of mean and trunc_exact r are the
+    # parity of alpha_{r+1} + ... + alpha_M, and none where no tail term
+    # couples two blocks (r = M, or every tail sum even).  Lognormal: a tail
+    # G_alpha with even alpha has a diagonal, so no r has classes.
+    op, _, _ = cfg.build()
+    if cfg.problem == "lognormal":
+        assert all(op.parity_classes(r) is None for r in range(len(op.terms)))
+        return
+    S = multiindex.build_index_set(cfg.M, cfg.k)
+    for kind, r in [("mean", 0)] + [("trunc_exact", r) for r in range(cfg.M + 1)]:
+        classes = getattr(_preconditioner(kind, op, r), "classes", None)
+        parity = np.array([sum(alpha[r:]) % 2 == 1 for alpha in S])
+        if r == cfg.M or not parity.any():
+            assert classes is None, f"r={r}: classes without a tail"
+        else:
+            assert np.array_equal(classes, parity), f"r={r}: classes are not the tail parity"
 
 
 # (name, property) in definition order: every prop_* function above.

@@ -88,6 +88,7 @@ test_condition_estimate = drawn("condition_estimate", BOTH, AFFINE)
 test_inclusions_tiny = drawn("inclusions_tiny", ("affine",), AFFINE, SmallConfig(sigma_tilde=4.0))
 test_kappa_within_bound = drawn("kappa_within_bound", ("affine",))
 test_trunc_spectrum_symmetric = drawn("trunc_spectrum_symmetric", ("affine",), AFFINE)
+test_parity_split = drawn("parity_split", BOTH, AFFINE, LOGNORMAL, SmallConfig(level=1, k=0))
 # Pinned: both defaults, one block (k = 0), and classes at every affine r < M.
 test_lead_identity = drawn("lead_identity", BOTH, AFFINE, LOGNORMAL, SmallConfig(level=1, k=0),
                            SmallConfig(M=4, k=3))
