@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import ctypes
 import json
 import math
 import os
@@ -43,20 +42,6 @@ SPECTRUM_HEADER = "claim,r,bound_lo,bound_hi,observed_lo,observed_hi,margin,pass
 THEOREM_CLAIMS = ("trunc_vs_system", "sbgs_vs_trunc", "sbgs_vs_system")
 
 DECAY_SIGMA = {"fast": 4.0, "slow": 2.0}
-
-# glibc allocator policy of the command-line process.  By default glibc
-# hands each ~1 MB solve-loop temporary back to the kernel when it is
-# freed, so every PCG iteration faults its temporaries in again (~5,700
-# minor faults, 22 MB of zeroed pages, per level-4 k = 4 affine matvec;
-# 163k faults in one pass of the table3 k <= 4 grid, 5.9k with the policy).
-# A fixed 4 MB mmap threshold keeps them on the heap and a 32 MB trim
-# threshold keeps the freed heap for reuse.  A 32 MB / 256 MB pair
-# fragmented the heap around the SuperLU factors and grew the peak RSS of
-# the table2 k <= 3 grid from ~155 to ~258 MB.
-MMAP_THRESHOLD_BYTES = 4 << 20
-TRIM_THRESHOLD_BYTES = 32 << 20
-_M_TRIM_THRESHOLD = -1  # mallopt parameter numbers of glibc's malloc.h
-_M_MMAP_THRESHOLD = -3
 
 
 # Size guards of one cell, checked at parse time from counts alone.
@@ -337,20 +322,6 @@ def _format_row(cell: grid.Cell, row: grid.Row) -> str:
     ))
 
 
-def _set_allocator_policy() -> None:
-    """Apply the allocator policy above; does nothing outside glibc."""
-    try:
-        libc = ctypes.CDLL(None)
-        libc.gnu_get_libc_version  # glibc only
-        mallopt = libc.mallopt
-    except (OSError, TypeError, AttributeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
-    mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
-
-
 def cmd_run(config_path, preset, out_path, max_k) -> int:
     if (config_path is None) == (preset is None):
         raise Refused("pass exactly one of <config.json> or --preset")
@@ -502,7 +473,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse's usage errors exit 2, here non-convergence
         raise SystemExit(1 if exc.code else 0) from None
-    _set_allocator_policy()
+    grid._set_allocator_policy()
     try:
         if args.command == "run":
             return cmd_run(args.config, args.preset, args.out, args.max_k)

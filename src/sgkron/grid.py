@@ -9,17 +9,48 @@ of one cell in the order of its preconditioner entries, each once its
 solve ends.  A set-up or solve failure that ``_FAILURE_LABELS`` maps
 becomes a row labelled ``kind!label`` and the next entry still runs; any
 other error ends the generator.  The build and the solves run under the
-numpy error state of whoever calls ``next()``, which the caller owns.
+numpy error state of whoever calls ``next()``, which the caller owns, and
+under the process-wide allocator policy that ``solve_cell`` applies.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import time
 from collections import namedtuple
 from dataclasses import dataclass
 
 from . import fem2d, kronsys, pcg, precond
+
+# glibc allocator policy of a process that solves cells, which solve_cell
+# and the command line apply.  By default glibc hands each ~1 MB
+# solve-loop temporary back to the kernel when it is freed, so every PCG
+# iteration faults its temporaries in again (~5,700
+# minor faults, 22 MB of zeroed pages, per level-4 k = 4 affine matvec;
+# 163k faults in one pass of the table3 k <= 4 grid, 5.9k with the policy).
+# A fixed 4 MB mmap threshold keeps them on the heap and a 32 MB trim
+# threshold keeps the freed heap for reuse.  A 32 MB / 256 MB pair
+# fragmented the heap around the SuperLU factors and grew the peak RSS of
+# the table2 k <= 3 grid from ~155 to ~258 MB.
+MMAP_THRESHOLD_BYTES = 4 << 20
+TRIM_THRESHOLD_BYTES = 32 << 20
+_M_TRIM_THRESHOLD = -1  # mallopt parameter numbers of glibc's malloc.h
+_M_MMAP_THRESHOLD = -3
+
+
+def _set_allocator_policy() -> None:
+    """Apply the allocator policy above; does nothing outside glibc."""
+    try:
+        libc = ctypes.CDLL(None)
+        libc.gnu_get_libc_version  # glibc only
+        mallopt = libc.mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
 
 
 @dataclass
@@ -77,6 +108,7 @@ def build_preconditioner(kind, r, op, K0_factor):
 def solve_cell(cell: Cell, preconds, solver_cfg: pcg.SolverConfig):
     """Build `cell`, then solve it once per (kind, r) of `preconds`,
     yielding a ``Row`` as each solve ends."""
+    _set_allocator_policy()
     op, f, _ = cell.build()
     # Built on first use, so that a K_0 it refuses ends as a labelled row of
     # each preconditioner, all of which take it.

@@ -33,20 +33,19 @@ product: v on the class solved where P is P_lead, t + L z for SBGS (t its
 forward sweep's right-hand sides).  PCG hands a class to
 ``apply_inverse`` only through ``apply_lead``.
 
-Every factorization goes through :class:`CholeskyFactor`: the spatial
-solves, with K_0 or with a diagonal block of a splitting, the truncation's
-block and Schur-complement factors and the Kronecker product's G.  It
-takes a sparse matrix or a dense array as it is, and reads one of four
-paths off the matrix: a grid Laplacian (the affine K_0) of order
-``SINE_SOLVE_MIN`` (mesh level 4) and up is solved in the sine eigenbasis
-of its 1-D factors, positive definite by its closed-form eigenvalues; a
-sparse unit-diagonal matrix whose off-diagonal pattern 2-colours (the
-affine G) by the factor of its smaller colour's S = I - B^T B; any
-other matrix by LAPACK up to order ``DENSE_SOLVE_MAX`` (mesh levels <= 4)
-or where its Cholesky factor fills ``DENSE_SOLVE_FILL`` of it, and by
-SuperLU otherwise, at the measured crossovers of the two.  A LAPACK factor forms K^{-1} for its
-solves, except where its caller asks for none: the direct Schur
-complements, solved too few times to repay it, solve by ``dpotrs``.
+Every factorization but one goes through :class:`CholeskyFactor`: the
+spatial solves, with K_0 or with a diagonal block of a splitting, the
+truncation's lognormal blocks and the Kronecker product's G.  It takes
+the matrix alone and reads one of four paths off it: a grid Laplacian
+(the affine K_0) of order ``SINE_SOLVE_MIN`` (mesh level 4) and up is
+solved in the sine eigenbasis of its 1-D factors, positive definite by
+its closed-form eigenvalues; a unit-diagonal matrix whose off-diagonal
+pattern 2-colours (the affine G) by the factor of its smaller colour's
+S = I - B^T B; any other matrix by LAPACK and K^{-1} up to order
+``DENSE_SOLVE_MAX`` (mesh levels <= 4) or where its Cholesky factor fills
+``DENSE_SOLVE_FILL`` of it, and by SuperLU otherwise, at the measured
+crossovers of the two.  The exception, the dense Schur complement of a
+direct affine truncation class, keeps its LAPACK factor for ``dpotrs``.
 Builders take the caller's K_0 factor, and none factors K_0 again; each
 reads ny off its lead G (or ``classes``, or v) and nx off that factor.  The
 truncation builders (exact and SBGS, the nested SBGS-PCG too) take pairs
@@ -73,8 +72,8 @@ from .pcg import pcg_solve as _inner_solve
 # Largest tail block, in unknowns, that TruncExactPreconditioner solves directly
 # (an I (x) K_0 block takes the caller's K_0 factor at any size); larger blocks
 # go to its nested CG.  An affine direct block costs one dense Cholesky of its
-# Schur complement (order 225-450 at mesh level 4, by LAPACK up to
-# DENSE_SOLVE_ENTRIES).  Scanned with the constant monkeypatched, in process,
+# Schur complement (order 225-450 at mesh level 4, at most half the guard, by
+# LAPACK).  Scanned with the constant monkeypatched, in process,
 # one BLAS thread (AMD EPYC), medians of five, rows identical at every cutoff:
 # table2 (level 4, M = 8, k <= 4, r = 0..6) took 0.92 / 0.91 / 0.95 / 0.97 s
 # at cutoff 1000 / 1600 / 2400 / 3200, and at k <= 3 0.41 / 0.43 / 0.44 /
@@ -154,7 +153,7 @@ class CholeskyFactor:
       orthogonal sine basis of A and M and Lambda = c (a_i m_j + m_i a_j)
       from their eigenvalues.  The closed-form Lambda > 0 (a, m > 0, c > 0)
       certifies positive definiteness, so nothing is factorized.
-    * a sparse K with unit diagonal whose off-diagonal pattern 2-colours
+    * a K with unit diagonal whose off-diagonal pattern 2-colours
       (the affine kron G, [[I, B], [B^T, I]] by |alpha| parity): Reid's
       reduction (SIAM J. Numer. Anal. 9, 1972) to S = I - B^T B on the
       smaller colour, factored once through this class (by LAPACK where
@@ -165,12 +164,10 @@ class CholeskyFactor:
     * n <= ``DENSE_SOLVE_MAX``, or n^2 <= ``DENSE_SOLVE_ENTRIES`` and a
       Cholesky factor with at least ``DENSE_SOLVE_FILL`` n^2 nonzeros, as K
       has or as SuperLU's factor of K has: LAPACK Cholesky of the dense
-      matrix.  With ``form_inverse`` (the default, for the factors solved
-      at every PCG step) K^{-1} is then formed once from the factor
-      (dpotri), so that a solve is one matrix product over all right-hand
-      sides; without it the factor is kept and a solve is dpotrs.  The
-      Cholesky fails on a non-positive pivot, which certifies that K is not
-      positive definite.
+      matrix, from which K^{-1} is formed once (dpotri), so that a solve is
+      one matrix product over all right-hand sides.  The Cholesky fails on
+      a non-positive pivot, which certifies that K is not positive
+      definite.
     * otherwise that SuperLU factor, in symmetric mode with diagonal
       pivoting, which for an SPD matrix is a Cholesky factorization up to
       diagonal scaling: L * sqrt(diag U) reproduces the permuted input.
@@ -180,19 +177,16 @@ class CholeskyFactor:
 
     Any certificate failing raises :class:`NotPositiveDefiniteError`; a NaN
     or inf entry is refused first, with the :class:`pcg.BreakdownError` PCG
-    raises on non-finite data.  A dense array is checked and factored as it
-    is, with no sparse copy before the SuperLU path, so that it solves and
-    refuses as its CSC form does (the parity path reads sparse input only).
-    ``path`` names the path taken: sine, parity, inverse, cholesky or superlu.
+    raises on non-finite data.  A dense array is converted to CSC first, so
+    it takes, solves and refuses as its CSC form does.  ``path`` names the
+    path taken: sine, parity, inverse or superlu.
     """
 
-    def __init__(self, K: sp.spmatrix | np.ndarray, form_inverse: bool = True):
+    def __init__(self, K: sp.spmatrix | np.ndarray):
         if K.shape[0] != K.shape[1]:
             raise ValueError("matrix must be square")
-        dense = isinstance(K, np.ndarray)  # checked and factored as it is
-        if not dense:
-            K = sp.csc_matrix(K)
-        if not np.isfinite(K if dense else K.data).all():
+        K = sp.csc_matrix(K)
+        if not np.isfinite(K.data).all():
             raise _BreakdownError("matrix has a non-finite entry")
         asym = abs(K - K.T).max()
         scale = abs(K).max() or 1.0
@@ -200,40 +194,24 @@ class CholeskyFactor:
             raise ValueError(f"matrix not symmetric (deviation {asym:.3e})")
         n = self.n = K.shape[0]
         # Rejection in O(n) before L is built.
-        q = math.isqrt(n)
-        nnz = np.count_nonzero(K) if dense else K.nnz
-        grid = n >= SINE_SOLVE_MIN and q * q == n and nnz == (3 * q - 2) ** 2
-        d = K.diagonal() if grid or not dense else None
+        q, d = math.isqrt(n), K.diagonal()
+        grid = n >= SINE_SOLVE_MIN and q * q == n and K.nnz == (3 * q - 2) ** 2
         if grid and (c := d[0] * 3.0 / 8.0) > 0.0 and np.all(d == d[0]):
             L, S, lam = _grid_laplacian(q)
             if abs(K - c * L).max() <= 1e-12 * scale:
                 self.path, self._data = "sine", (S, 1.0 / (c * lam))
                 return
-        if not dense and np.all(d == 1.0) and (parity := _parity_reduction(K, form_inverse)):
+        if np.all(d == 1.0) and (parity := _parity_reduction(K)):
             self.path, self._data = "parity", parity
             return
         fits, lu = n * n <= DENSE_SOLVE_ENTRIES, None
-        if n > DENSE_SOLVE_MAX and not (fits and nnz >= DENSE_SOLVE_FILL * n * n):
-            lu = spla.splu(
-                sp.csc_matrix(K),
-                permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0,
-                options=dict(SymmetricMode=True),
-            )
+        if n > DENSE_SOLVE_MAX and not (fits and K.nnz >= DENSE_SOLVE_FILL * n * n):
+            lu = spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                           options=dict(SymmetricMode=True))
             if fits and lu.L.nnz + lu.U.nnz >= DENSE_SOLVE_FILL * n * n:
                 lu = None  # filled in: the dense factor costs no more
         if lu is None:
-            L, info = scipy.linalg.lapack.dpotrf(
-                np.array(K, order="F") if dense else K.toarray(order="F"),
-                lower=1, clean=1, overwrite_a=1,
-            )
-            if info != 0:
-                raise NotPositiveDefiniteError(
-                    "matrix is not positive definite (non-positive pivot)"
-                )
-            if not form_inverse:
-                self.path, self._data = "cholesky", L
-                return
+            L = _dpotrf(K.toarray(order="F"))
             inv, _ = scipy.linalg.lapack.dpotri(L, lower=1, overwrite_c=1)
             inv += np.tril(inv, -1).T  # dpotri fills the lower triangle only
             self.path, self._data = "inverse", inv
@@ -258,8 +236,6 @@ class CholeskyFactor:
             return data @ b
         if path == "sine":
             return _sine_solve(*data, b)
-        if path == "cholesky":
-            return scipy.linalg.lapack.dpotrs(data, b, lower=1)[0]
         if path == "parity":
             keep, elim, B, Bt, S = data
             y = np.empty(b.shape)
@@ -270,7 +246,16 @@ class CholeskyFactor:
         return data.solve(b)
 
 
-def _parity_reduction(K: sp.csc_matrix, form_inverse: bool):
+def _dpotrf(A: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor of A, an F-ordered array it overwrites;
+    a non-positive pivot certifies that A is not positive definite."""
+    L, info = scipy.linalg.lapack.dpotrf(A, lower=1, clean=1, overwrite_a=1)
+    if info != 0:
+        raise NotPositiveDefiniteError("matrix is not positive definite (non-positive pivot)")
+    return L
+
+
+def _parity_reduction(K: sp.csc_matrix):
     """(kept, eliminated indices, B, B^T, factor of S = I - B^T B) for a
     unit-diagonal K whose off-diagonal pattern 2-colours, B = K[elim, kept]
     with the smaller colour kept; None if the pattern does not 2-colour."""
@@ -287,7 +272,7 @@ def _parity_reduction(K: sp.csc_matrix, form_inverse: bool):
     S = sp.identity(len(keep), format="csc") - Bt @ B
     if not np.isfinite(S.data).all():
         raise NotPositiveDefiniteError("matrix is not positive definite (Schur overflow)")
-    return keep, elim, B, Bt, CholeskyFactor(S, form_inverse)
+    return keep, elim, B, Bt, CholeskyFactor(S)
 
 
 def _shape(pairs, K0_factor: CholeskyFactor) -> tuple[int, int]:
@@ -446,9 +431,9 @@ class TruncExactPreconditioner(_LeadIsP):
       by colour (Reid, SIAM J. Numer. Anal. 9, 1972).  The larger colour is
       eliminated with ``K0_factor``, the Schur complement S = D - C D^{-1}
       C^T of the smaller one is solved, and the other colour is
-      back-substituted.  A direct class factors its S, formed from one
-      component, once through :class:`CholeskyFactor`; the nested blocks run
-      CG on S, preconditioned by D.  A direct S that overflows, with D and C
+      back-substituted.  A direct class factors its dense S, formed from one
+      component, once by LAPACK; the nested blocks run CG on S,
+      preconditioned by D.  A direct S that overflows, with D and C
       finite, is refused as not positive definite;
     * otherwise (lognormal: Hermite G with diagonals) a direct class
       factors its assembled block (mostly SuperLU above ``DENSE_SOLVE_MAX``), and
@@ -541,9 +526,10 @@ class _SchurComplement:
     """S = D - C D^{-1} C^T on the kept colour of a truncation that is
     [[D, C], [C^T, D]] in the order of a 2-colouring, D = I (x) K_0: the
     operator of the reduced inner CG, which D preconditions (Reid's method),
-    or, with ``direct``, factored once through :class:`CholeskyFactor` for
-    an exact solve, which keeps the Cholesky factor and forms no inverse.
-    The smaller colour is kept, and every K_l product acts on its blocks."""
+    or, with ``direct``, assembled and factored once by LAPACK for an exact
+    solve by ``dpotrs``, which forms no inverse for a class's few solves.
+    The smaller colour is kept (S's order is at most half the guard), and
+    every K_l product acts on its blocks."""
 
     def __init__(self, entries, Ks, colour: np.ndarray, K0_factor: CholeskyFactor, direct=False):
         keep = colour if 2 * np.count_nonzero(colour) <= len(colour) else ~colour
@@ -567,7 +553,7 @@ class _SchurComplement:
         if direct:
             if not np.isfinite(self._K_rows.data).all():
                 raise _BreakdownError("matrix has a non-finite entry")
-            self._S_factor = CholeskyFactor(self._assemble(), form_inverse=False)
+            self._S_L = _dpotrf(np.array(self._assemble(), order="F"))
 
     def _assemble(self) -> np.ndarray:
         """S = I (x) K_0 - sum_{l,m} (C_l C_m^T) (x) (K_l K_0^{-1} K_m), dense,
@@ -630,7 +616,7 @@ class _SchurComplement:
         B = X.T.reshape(m, -1, self.nx).swapaxes(0, 1)
 
         def exact(f):  # f, (kept blocks, m, nx), by S's (block, spatial) order
-            z = self._S_factor.solve(f.swapaxes(1, 2).reshape(N, m))
+            z = scipy.linalg.lapack.dpotrs(self._S_L, f.swapaxes(1, 2).reshape(N, m), lower=1)[0]
             return z.reshape(self._n, self.nx, m).swapaxes(1, 2)
 
         return self.eliminate(B, exact).swapaxes(0, 1).reshape(m, -1).T

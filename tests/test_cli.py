@@ -529,16 +529,16 @@ class TestRunCommand:
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator policy")
     def test_allocator_policy_keeps_matvec_temporaries(self):
-        # Under the CLI's allocator policy a warmed affine matvec reuses its
+        # Under the allocator policy a warmed affine matvec reuses its
         # temporaries instead of faulting fresh pages in: 0 faults a call
         # against 335 under glibc's default policy.  The bound leaves a wide
         # margin for allocator and kernel page-size differences.
         script = (
             "import resource\n"
             "import numpy as np\n"
-            "from sgkron import cli\n"
+            "from sgkron import grid\n"
             "from sgkron.verify import SmallConfig\n"
-            "cli._set_allocator_policy()\n"
+            "grid._set_allocator_policy()\n"
             "op, _, _ = SmallConfig(level=4, M=8, k=3).build()\n"
             "v = np.random.default_rng(0).standard_normal(op.dim)\n"
             "for _ in range(3):\n"
@@ -737,6 +737,17 @@ class TestSolveCell:
         assert len(calls) == 1
         assert [row.precond for row in rows] == ["trunc_exact", "sbgs"]
         assert len(calls) == 3
+
+    def test_solve_cell_applies_allocator_policy(self, monkeypatch):
+        # A library caller that runs a cell, not the command line, gets the
+        # allocator policy too, before the cell is built.
+        calls = []
+        monkeypatch.setattr(grid, "_set_allocator_policy", lambda: calls.append("policy"))
+        build = grid.Cell.build
+        monkeypatch.setattr(grid.Cell, "build", lambda cell: calls.append("build") or build(cell))
+        (cell,), preconds, solver_cfg, _ = cli._parse_run_config(self.CFG)
+        assert len(list(grid.solve_cell(cell, preconds, solver_cfg))) == 3
+        assert calls == ["policy", "build"]
 
     def test_rows_are_the_cli_rows(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", self.CFG)

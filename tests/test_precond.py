@@ -140,22 +140,22 @@ def two_cyclic(n_even, n_odd, scale, seed):
 
 class TestParityPath:
     @pytest.mark.parametrize("n_even, n_odd", [(7, 12), (12, 7)])
-    @pytest.mark.parametrize("form_inverse", [True, False])
-    def test_solve_equals_dense_solve(self, n_even, n_odd, form_inverse):
-        # Either colour may be the smaller, kept one; its S is factored with
-        # or without an inverse as the caller asks.
+    def test_solve_equals_dense_solve(self, n_even, n_odd):
+        # Either colour may be the smaller, kept one; its S takes the
+        # LAPACK inverse.  A dense array takes the parity path as its CSC
+        # form does.
         G = two_cyclic(n_even, n_odd, 0.9, seed=n_even)
-        factor = CholeskyFactor(sp.csr_matrix(G), form_inverse)
+        factor = CholeskyFactor(sp.csr_matrix(G))
         keep, elim, *_, S = factor._data
         assert factor.path == "parity"
         assert len(keep) == min(n_even, n_odd) and (0 in keep) == (n_even < n_odd)
-        assert S.path == ("inverse" if form_inverse else "cholesky")
+        assert S.path == "inverse"
         rng = np.random.default_rng(1)
         for b in (rng.standard_normal(len(G)), rng.standard_normal((5, len(G))).T):
             x = factor.solve(b)
             assert x.shape == b.shape
             assert np.linalg.norm(x - np.linalg.solve(G, b)) <= 1e-13 * np.linalg.norm(x)
-        assert CholeskyFactor(G).path == "inverse"  # a dense array is not read for parity
+        assert CholeskyFactor(G).path == "parity"
 
     def test_indefinite_refused(self):
         with pytest.raises(NotPositiveDefiniteError):
@@ -176,20 +176,18 @@ class TestParityPath:
                 CholeskyFactor(sp.csr_matrix(two_cyclic(5, 8, 1e200, seed=3)))
 
 
-@pytest.mark.parametrize("form_inverse", [True, False])
-def test_full_matrix_above_the_order_limit_takes_lapack(form_inverse):
+def test_full_matrix_above_the_order_limit_takes_lapack():
     # A full SPD matrix of order 600 > DENSE_SOLVE_MAX, sparse or dense,
-    # takes the LAPACK path by its fill; with form_inverse=False it keeps
-    # the Cholesky factor and forms no K^{-1}.
+    # takes the LAPACK path by its fill.
     rng = np.random.default_rng(5)
     n = 600
     R = rng.standard_normal((n, n))
     A = R.T @ R / n + np.eye(n)
     b = rng.standard_normal((n, 3))
     for K in (A, sp.csc_matrix(A)):
-        factor = CholeskyFactor(K, form_inverse)
+        factor = CholeskyFactor(K)
         assert n > precond.DENSE_SOLVE_MAX
-        assert factor.path == ("inverse" if form_inverse else "cholesky")
+        assert factor.path == "inverse"
         x = factor.solve(b)
         assert np.linalg.norm(x - np.linalg.solve(A, b)) <= 1e-12 * np.linalg.norm(x)
 
@@ -214,8 +212,7 @@ def test_sparse_kronecker_block_above_the_order_limit_keeps_superlu():
         assert np.linalg.norm(x - x_ref) <= 1e-11 * np.linalg.norm(x_ref)
 
 
-@pytest.mark.parametrize("form_inverse", [True, False])
-def test_sparse_matrix_whose_factor_fills_takes_lapack(form_inverse):
+def test_sparse_matrix_whose_factor_fills_takes_lapack():
     # A random pattern of order 600 with 2% nonzeros, below
     # DENSE_SOLVE_FILL, fills SuperLU's factor past it, as kron's parity S
     # at table3 k = 6 does: LAPACK factors it instead, sparse or dense.
@@ -226,8 +223,8 @@ def test_sparse_matrix_whose_factor_fills_takes_lapack(form_inverse):
     b = np.random.default_rng(9).standard_normal((n, 3))
     x_ref = np.linalg.solve(K.toarray(), b)
     for A in (K, K.toarray()):
-        factor = CholeskyFactor(A, form_inverse)
-        assert factor.path == ("inverse" if form_inverse else "cholesky")
+        factor = CholeskyFactor(A)
+        assert factor.path == "inverse"
         x = factor.solve(b)
         assert np.linalg.norm(x - x_ref) <= 1e-11 * np.linalg.norm(x_ref)
 
@@ -521,9 +518,10 @@ class TestTruncExact:
         # Schur complement, which keeps the smaller colour: the star classes
         # (r >= 2, d = 1: a tail's lowest block and its r neighbours) keep
         # the even colour {0}, the Legendre chains (r = 1, d = 2, 3) the odd
-        # one.  DENSE_SOLVE_MAX 0 sends S to SuperLU, else S keeps its
-        # Cholesky factor and forms no inverse.  The lognormal classes,
-        # whose Hermite G have diagonals, keep their assembled factors.
+        # one.  S keeps its LAPACK Cholesky factor and forms no inverse,
+        # also where DENSE_SOLVE_MAX 0 sends every CholeskyFactor that is
+        # not full to SuperLU.  The lognormal classes, whose Hermite G have
+        # diagonals, keep their assembled factors.
         monkeypatch.setattr(precond, "DENSE_SOLVE_MAX", dense_solve_max)
         if not dense_solve_max:
             superlu_only(monkeypatch)
@@ -535,7 +533,9 @@ class TestTruncExact:
             for idx, S in P._direct:
                 if isinstance(S, precond._SchurComplement):
                     kept[r, idx.shape[1]] = S.keep.tolist()
-                    assert S._S_factor.path == ("cholesky" if dense_solve_max else "superlu")
+                    L, S_dense = S._S_L, S._assemble()
+                    assert np.array_equal(L, np.tril(L)) and np.all(np.diag(L) > 0.0)
+                    assert np.linalg.norm(L @ L.T - S_dense) <= 1e-12 * np.linalg.norm(S_dense)
             v = np.random.default_rng(r).standard_normal(op.dim)
             ref = np.linalg.solve(assemble_dense(op.leading(r)), v)
             assert np.linalg.norm(P.apply_inverse(v) - ref) <= 1e-10 * np.linalg.norm(ref)
@@ -613,6 +613,23 @@ class TestTruncExact:
         with pytest.raises(NotPositiveDefiniteError):
             build_trunc_exact(k0_factor(op), pairs)
 
+    def test_indefinite_schur_direct_rejected(self):
+        # An affine class with its couplings scaled tenfold is indefinite,
+        # and the direct Schur complement of its kept colour meets a
+        # non-positive pivot: refused as not positive definite.
+        op, _, _ = tiny_affine(M=4, k=3)
+        pairs = kronsys.PairList(op.leading(2))
+        Ks = [K for _, K in pairs]
+        idx, (term, rows, cols, vals) = next(
+            (idx, block) for idx, block in precond._tail_blocks(pairs) if block[0].any()
+        )
+        block = (term, rows, cols, np.where(term > 0, 10.0 * vals, vals))
+        c = idx.shape[1]
+        assert np.linalg.eigvalsh(assemble_dense(precond._pairs(block, Ks, c)))[0] < 0.0
+        colour = kronsys._colouring([block], c, 0)
+        with pytest.raises(NotPositiveDefiniteError, match="non-positive pivot"):
+            precond._SchurComplement(block, Ks, colour, k0_factor(op), direct=True)
+
 
 AFFINE_CELL = grid.Cell("affine", "", 2.0, auto_alpha_bar(2.0), 3, 4, 3, 6)
 LOGNORMAL_CELL = grid.Cell("lognormal", "", 2.0, verify.LOGNORMAL_ALPHA_BAR, 2, 3, 3, 6)
@@ -638,6 +655,7 @@ def test_one_k0_factorization_per_cell(monkeypatch, cell, preconds, cut, inner):
     init, trunc_init = CholeskyFactor.__init__, precond.TruncExactPreconditioner.__init__
 
     def recorded(self, K, *args, **kwargs):
+        assert sp.issparse(K)  # the run path factors no dense array
         K = sp.csr_matrix(K)
         if K.shape == K0.shape and not abs(K - K0).max():
             built.append(K)
