@@ -140,12 +140,13 @@ def two_cyclic(n_even, n_odd, scale, seed):
 
 class TestParityPath:
     @pytest.mark.parametrize("n_even, n_odd", [(7, 12), (12, 7)])
-    def test_solve_equals_dense_solve(self, n_even, n_odd):
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_solve_equals_dense_solve(self, n_even, n_odd, dense):
         # Either colour may be the smaller, kept one; its S takes the
         # LAPACK inverse.  A dense array takes the parity path as its CSC
         # form does.
         G = two_cyclic(n_even, n_odd, 0.9, seed=n_even)
-        factor = CholeskyFactor(sp.csr_matrix(G))
+        factor = CholeskyFactor(G if dense else sp.csr_matrix(G))
         keep, elim, *_, S = factor._data
         assert factor.path == "parity"
         assert len(keep) == min(n_even, n_odd) and (0 in keep) == (n_even < n_odd)
@@ -155,7 +156,6 @@ class TestParityPath:
             x = factor.solve(b)
             assert x.shape == b.shape
             assert np.linalg.norm(x - np.linalg.solve(G, b)) <= 1e-13 * np.linalg.norm(x)
-        assert CholeskyFactor(G).path == "parity"
 
     def test_indefinite_refused(self):
         with pytest.raises(NotPositiveDefiniteError):
@@ -176,7 +176,8 @@ class TestParityPath:
                 CholeskyFactor(sp.csr_matrix(two_cyclic(5, 8, 1e200, seed=3)))
 
 
-def test_full_matrix_above_the_order_limit_takes_lapack():
+@pytest.mark.parametrize("dense", [True, False])
+def test_full_matrix_above_the_order_limit_takes_lapack(dense):
     # A full SPD matrix of order 600 > DENSE_SOLVE_MAX, sparse or dense,
     # takes the LAPACK path by its fill.
     rng = np.random.default_rng(5)
@@ -184,12 +185,11 @@ def test_full_matrix_above_the_order_limit_takes_lapack():
     R = rng.standard_normal((n, n))
     A = R.T @ R / n + np.eye(n)
     b = rng.standard_normal((n, 3))
-    for K in (A, sp.csc_matrix(A)):
-        factor = CholeskyFactor(K)
-        assert n > precond.DENSE_SOLVE_MAX
-        assert factor.path == "inverse"
-        x = factor.solve(b)
-        assert np.linalg.norm(x - np.linalg.solve(A, b)) <= 1e-12 * np.linalg.norm(x)
+    factor = CholeskyFactor(A if dense else sp.csc_matrix(A))
+    assert n > precond.DENSE_SOLVE_MAX
+    assert factor.path == "inverse"
+    x = factor.solve(b)
+    assert np.linalg.norm(x - np.linalg.solve(A, b)) <= 1e-12 * np.linalg.norm(x)
 
 
 def test_sparse_kronecker_block_above_the_order_limit_keeps_superlu():
@@ -212,7 +212,8 @@ def test_sparse_kronecker_block_above_the_order_limit_keeps_superlu():
         assert np.linalg.norm(x - x_ref) <= 1e-11 * np.linalg.norm(x_ref)
 
 
-def test_sparse_matrix_whose_factor_fills_takes_lapack():
+@pytest.mark.parametrize("dense", [True, False])
+def test_sparse_matrix_whose_factor_fills_takes_lapack(dense):
     # A random pattern of order 600 with 2% nonzeros, below
     # DENSE_SOLVE_FILL, fills SuperLU's factor past it, as kron's parity S
     # at table3 k = 6 does: LAPACK factors it instead, sparse or dense.
@@ -222,11 +223,10 @@ def test_sparse_matrix_whose_factor_fills_takes_lapack():
     assert n > precond.DENSE_SOLVE_MAX and K.nnz < precond.DENSE_SOLVE_FILL * n * n
     b = np.random.default_rng(9).standard_normal((n, 3))
     x_ref = np.linalg.solve(K.toarray(), b)
-    for A in (K, K.toarray()):
-        factor = CholeskyFactor(A)
-        assert factor.path == "inverse"
-        x = factor.solve(b)
-        assert np.linalg.norm(x - x_ref) <= 1e-11 * np.linalg.norm(x_ref)
+    factor = CholeskyFactor(K.toarray() if dense else K)
+    assert factor.path == "inverse"
+    x = factor.solve(b)
+    assert np.linalg.norm(x - x_ref) <= 1e-11 * np.linalg.norm(x_ref)
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
