@@ -122,6 +122,9 @@ def auto_alpha_bar(sigma_tilde: float) -> float:
 # assembly
 
 _GAUSS_1D = np.polynomial.legendre.leggauss(3)
+# Corner a of element (ex, ey) is the node (ex + dx, ey + dy): the order
+# of the reference basis below.
+_CORNER_OFFSETS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
 @lru_cache(maxsize=None)
@@ -155,8 +158,9 @@ def _element_geometry(mesh: UniformMesh):
     xq2 = (ey[:, None] + eta[None, :]) * mesh.h
 
     # Global interior-node index per element corner; -1 marks boundary nodes.
-    corners_x = np.stack([ex, ex + 1, ex, ex + 1], axis=1)  # (nel, 4)
-    corners_y = np.stack([ey, ey, ey + 1, ey + 1], axis=1)
+    dx, dy = np.array(_CORNER_OFFSETS).T
+    corners_x = ex[:, None] + dx  # (nel, 4)
+    corners_y = ey[:, None] + dy
     interior = (
         (corners_x >= 1) & (corners_x <= n - 1) & (corners_y >= 1) & (corners_y <= n - 1)
     )
@@ -214,6 +218,23 @@ def gradient_map(mesh: UniformMesh) -> tuple[np.ndarray, np.ndarray]:
     for arr in (corners, table):
         arr.flags.writeable = False
     return corners, table
+
+
+def corner_sums(values: np.ndarray) -> np.ndarray:
+    """The transpose of the corner gather of :func:`gradient_map`: per
+    interior node, the sum of ``values[..., e, a]`` over the elements e it
+    is corner a of, added in the order a = 0..3, shape (..., n_interior);
+    boundary corners drop out.  ``values`` has shape (..., n_elements, 4).
+    A node is corner a of at most one element, so each a is one slice-add
+    into the (n_side + 1)^2 node grid."""
+    n = math.isqrt(values.shape[-2])
+    lead = values.shape[:-2]
+    per_element = values.reshape(lead + (n, n, 4))  # element ex * n + ey
+    grid = np.zeros(lead + (n + 1, n + 1))  # node (x, y)
+    for a, (dx, dy) in enumerate(_CORNER_OFFSETS):
+        grid[..., dx : dx + n, dy : dy + n] += per_element[..., a]
+    # interior node (x, y) is dof (y - 1)(n - 1) + (x - 1)
+    return grid[..., 1:n, 1:n].swapaxes(-1, -2).reshape(lead + (-1,))
 
 
 def stiffness_values(mesh: UniformMesh, values: np.ndarray) -> np.ndarray:

@@ -17,7 +17,10 @@ lognormal operator holds its quadrature-point factorization instead
 (:class:`QuadratureFactorization`), A = sum_q E_q (T_q T_q^T) (x) k_q,
 takes no mask and no first term, and its matvec reads no G_alpha and no
 K_alpha: the gradient map to the Gauss points, M mode sweeps of T_q^T,
-the scaling by E_q, M sweeps of T_q and the transposed map.  ``terms``
+the scaling by E_q, M sweeps of T_q and the transposed map.  The sweeps
+add slices of rows into slices of rows, one per run of consecutive rows
+whose shifted rows are consecutive too, and the transposed map adds the
+element corners into the node grid by slices (``fem2d.corner_sums``).  ``terms``
 stays the exact per-term sequence either way: the affine operator stores
 it (:class:`PairList`), the lognormal one builds each pair on first read
 (:class:`HermiteTerms`).  Dense materialization exists only as a
@@ -73,15 +76,19 @@ class QuadratureFactorization:
     a_alpha(x_q) k_q.  T is lower triangular, so I_k^M restricts it
     exactly.  T(t) = D^(1/2) P(t) D^(-1/2) with D = diag(n!) and
     P(t)[n, j] = t^(n-j) / (n-j)!, so a shift by s in mode m weighs every
-    row by t^s / s!.
+    row by t^s / s!.  The matvec sweeps each shift over maximal runs of
+    consecutive rows whose shifted rows are consecutive too, so it reads
+    and writes slices of rows, never gathered copies.
     """
 
     corners: np.ndarray  # fem2d.gradient_map
     table: np.ndarray
     E: np.ndarray  # E_q = exp(b_0 + 1/2 sum_{m<=N} b_m^2)
     weights: np.ndarray  # [m, s - 1] = t^s / s! at t = b_m(x_q), m <= M, s <= k
-    offsets: np.ndarray  # rows offsets[d]:offsets[d + 1] have degree d
-    shifts: tuple  # per mode m: (d, s, rows of alpha + s e_m, |alpha| = d), by d, then s
+    # Per mode m, one group (s, runs) per degree d < k and shift s <= k - d,
+    # by d, then s; each run (t0, t1, s0, s1) pairs the rows t0:t1 of the
+    # alpha of degree d with the rows s0:s1 of their alpha + s e_m, in order.
+    shifts: tuple
     factorial: np.ndarray  # alpha! per row: D
 
 
@@ -280,29 +287,28 @@ class KroneckerSumOperator:
             raise ValueError("the factored lognormal operator skips no leading term")
         # D^(1/2) G^T [E_q P_q D^(-1) P_q^T] G D^(1/2) V, one row of U per
         # multi-index and one column per direction and point.  The mode sweeps
-        # work in place: P^T sets a row of degree d from rows of higher degree
-        # (d runs up), and P adds it into them (d runs down).
-        ny, nx, off = self.ny, self.nx, f.offsets
+        # work in place on runs of rows: P^T sets a row of degree d from rows
+        # of higher degree (d runs up), and P adds it into them (d runs down).
+        ny, nx = self.ny, self.nx
         root = np.sqrt(f.factorial)[:, None]
         padded = np.zeros((ny, nx + 1))  # column nx reads as zero
         padded[:, :nx] = v.reshape(ny, nx) * root
         forward = np.ascontiguousarray(f.table.transpose(0, 2, 1))  # BLAS takes it whole
         U = np.matmul(np.take(padded, f.corners, axis=1)[:, None], forward).reshape(ny, 2, -1)
         for weights, groups in zip(f.weights, f.shifts):
-            for d, s, src in groups:
-                shifted = U[src]
-                shifted *= weights[s - 1]
-                U[off[d] : off[d + 1]] += shifted
+            for s, runs in groups:
+                w = weights[s - 1]
+                for t0, t1, s0, s1 in runs:
+                    U[t0:t1] += U[s0:s1] * w
         U *= f.E
         U /= f.factorial[:, None, None]
         for weights, groups in zip(f.weights, f.shifts):
-            for d, s, src in reversed(groups):
-                U[src] += U[off[d] : off[d + 1]] * weights[s - 1]
+            for s, runs in reversed(groups):
+                w = weights[s - 1]
+                for t0, t1, s0, s1 in runs:
+                    U[s0:s1] += U[t0:t1] * w
         Z = np.matmul(U.reshape(ny, 2, -1, 9), f.table).sum(axis=1)  # (ny, elements, 4)
-        out = np.zeros((ny, nx + 1))
-        for a in range(4):  # a node is corner a of one element; column nx is dropped
-            out[:, f.corners[:, a]] += Z[:, :, a]
-        return (out[:, :nx] * root).ravel()
+        return (fem2d.corner_sums(Z) * root).ravel()
 
     def _masked_loop(self, blocks: np.ndarray, first: int = 0) -> tuple:
         """The term loop of the terms from ``first`` on, over the columns of
@@ -490,6 +496,14 @@ def _expansion_quad_values(alphas, E, powers) -> np.ndarray:
     return vals
 
 
+def _row_runs(first: int, src: list[int]) -> tuple:
+    """Rows first + i and src[i] as maximal runs (t0, t1, s0, s1) of
+    consecutive rows on both sides, python ints for slicing."""
+    cuts = [i for i in range(1, len(src)) if src[i] != src[i - 1] + 1]
+    return tuple((first + i, first + j, src[i], src[i] + j - i)
+                 for i, j in zip([0, *cuts], [*cuts, len(src)]))
+
+
 def build_lognormal_system(
     mesh: UniformMesh, M: int, k: int, N: int, sigma_tilde: float, alpha_bar: float
 ) -> tuple[KroneckerSumOperator, np.ndarray]:
@@ -523,17 +537,17 @@ def build_lognormal_system(
     B = np.array([b(xq1, xq2) for b in b_fields])
     E = np.exp(b0(xq1, xq2) + 0.5 * sum(b * b for b in B))
     terms = HermiteTerms(mesh, S, [alpha for alpha, _ in ordered], E, B)
-    offsets = np.searchsorted([sum(alpha) for alpha in S], np.arange(k + 2))
+    offsets = np.searchsorted([sum(alpha) for alpha in S], np.arange(k + 2)).tolist()
     shifts = tuple(
-        tuple((d, s, np.array([S.position(a[:m] + (a[m] + s,) + a[m + 1 :])
-                               for a in S.indices[offsets[d] : offsets[d + 1]]]))
+        tuple((s, _row_runs(offsets[d], [S.position(a[:m] + (a[m] + s,) + a[m + 1 :])
+                                         for a in S.indices[offsets[d] : offsets[d + 1]]]))
               for d in range(k) for s in range(1, k - d + 1))
         for m in range(M)
     )
     factorial = np.array([float(math.prod(map(math.factorial, alpha))) for alpha in S])
     weights = np.cumprod(B[:M].reshape(M, 1, -1) / np.arange(1, k + 1)[:, None], axis=1)
     factorization = QuadratureFactorization(
-        *fem2d.gradient_map(mesh), E.ravel(), weights, offsets, shifts, factorial
+        *fem2d.gradient_map(mesh), E.ravel(), weights, shifts, factorial
     )
     op = KroneckerSumOperator(terms, factorization)
     f = np.zeros(op.dim)

@@ -135,6 +135,20 @@ class TestStiffness:
         GtcG = (G.T @ sp.diags(np.tile(c.ravel(), 2)) @ G).toarray()
         assert np.linalg.norm(GtcG - K) <= 1e-14 * np.linalg.norm(K)
 
+    @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+    def test_corner_sums_transpose_the_corner_gather(self, level):
+        # The column scatter through gradient_map's corners, corner by corner
+        # (column n_interior takes the boundary corners and is dropped): the
+        # same bits, with and without leading axes.
+        mesh = build_mesh(level)
+        corners, _ = fem2d.gradient_map(mesh)
+        Z = np.random.default_rng(level).standard_normal((3, corners.shape[0], 4))
+        ref = np.zeros((3, mesh.n_interior + 1))
+        for a in range(4):
+            ref[:, corners[:, a]] += Z[:, :, a]
+        np.testing.assert_array_equal(fem2d.corner_sums(Z), ref[:, :-1])
+        np.testing.assert_array_equal(fem2d.corner_sums(Z[1]), ref[1, :-1])
+
     def test_load_vector(self):
         mesh = build_mesh(4)
         f = assemble_load(mesh)

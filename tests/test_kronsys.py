@@ -299,6 +299,82 @@ def assert_matches_term_sum(op):
         assert err <= 1e-13
 
 
+def gathered_shifts(M, k):
+    """The mode sweeps' rows as (d, s, rows of alpha + s e_m, |alpha| = d)
+    per mode m, by d, then s, with the row offsets of the degrees."""
+    S = build_index_set(M, k)
+    off = np.searchsorted([sum(alpha) for alpha in S], np.arange(k + 2))
+    shifts = tuple(
+        tuple((d, s, np.array([S.position(a[:m] + (a[m] + s,) + a[m + 1 :])
+                               for a in S.indices[off[d] : off[d + 1]]]))
+              for d in range(k) for s in range(1, k - d + 1))
+        for m in range(M)
+    )
+    return off, shifts
+
+
+def gathered_matvec(op, M, k, v):
+    # Reference: the factored matvec with each (d, s) group's shifted rows
+    # gathered and scattered by index arrays, and the transposed map as
+    # four column scatters through gradient_map's corners.
+    off, shifts = gathered_shifts(M, k)
+    f, ny, nx = op.factorization, op.ny, op.nx
+    root = np.sqrt(f.factorial)[:, None]
+    padded = np.zeros((ny, nx + 1))
+    padded[:, :nx] = v.reshape(ny, nx) * root
+    forward = np.ascontiguousarray(f.table.transpose(0, 2, 1))
+    U = np.matmul(np.take(padded, f.corners, axis=1)[:, None], forward).reshape(ny, 2, -1)
+    for weights, groups in zip(f.weights, shifts):
+        for d, s, src in groups:
+            shifted = U[src]
+            shifted *= weights[s - 1]
+            U[off[d] : off[d + 1]] += shifted
+    U *= f.E
+    U /= f.factorial[:, None, None]
+    for weights, groups in zip(f.weights, shifts):
+        for d, s, src in reversed(groups):
+            U[src] += U[off[d] : off[d + 1]] * weights[s - 1]
+    Z = np.matmul(U.reshape(ny, 2, -1, 9), f.table).sum(axis=1)
+    out = np.zeros((ny, nx + 1))
+    for a in range(4):
+        out[:, f.corners[:, a]] += Z[:, :, a]
+    return (out[:, :nx] * root).ravel()
+
+
+# (level, M, k): levels 2-5, M 1-6, k 0-5; k = 0 has no shift, and M = 1
+# one mode, whose every group is one run.
+ROW_RUN_CASES = list(itertools.product(range(2, 6), range(1, 7), range(6)))
+
+
+class TestRowRunSweeps:
+    """The mode sweeps over runs of rows and the transposed map by node-grid
+    slices against the gathered sweeps and corner scatters."""
+
+    @pytest.mark.parametrize("level, M, k", ROW_RUN_CASES)
+    def test_matvec_equals_gathered_sweeps(self, level, M, k):
+        op, _ = build_lognormal_system(build_mesh(level), M, k, M + 2, 2.0, LOGNORMAL_ALPHA_BAR)
+        v = np.random.default_rng(level * 100 + M * 10 + k).standard_normal(op.dim)
+        np.testing.assert_array_equal(op.matvec(v), gathered_matvec(op, M, k, v))
+
+    @pytest.mark.parametrize("M, k", [(M, k) for M in range(1, 7) for k in range(7)])
+    def test_runs_expand_to_the_gathered_rows(self, M, k):
+        # Each group's runs, expanded, are its rows of degree d and their
+        # shifted rows, in order, and no two neighbouring runs join.
+        op, _ = build_lognormal_system(build_mesh(1), M, k, M + 1, 2.0, LOGNORMAL_ALPHA_BAR)
+        off, shifts = gathered_shifts(M, k)
+        assert len(op.factorization.shifts) == M
+        for groups, gathered in zip(op.factorization.shifts, shifts):
+            assert [s for s, _ in groups] == [s for _, s, _ in gathered]
+            for (_, runs), (d, _, src) in zip(groups, gathered):
+                targets = np.concatenate([np.arange(t0, t1) for t0, t1, _, _ in runs])
+                sources = np.concatenate([np.arange(s0, s1) for _, _, s0, s1 in runs])
+                np.testing.assert_array_equal(targets, np.arange(off[d], off[d + 1]))
+                np.testing.assert_array_equal(sources, src)
+                assert all(t1 - t0 == s1 - s0 > 0 for t0, t1, s0, s1 in runs)
+                assert not any(a[1] == b[0] and a[3] == b[2] for a, b in zip(runs, runs[1:]))
+                assert all(type(i) is int for run in runs for i in run)
+
+
 class TestRecompressedOperator:
     """The lognormal factored matvec and the term loop against the term sum."""
 
