@@ -294,21 +294,34 @@ class KroneckerSumOperator:
         padded = np.zeros((ny, nx + 1))  # column nx reads as zero
         padded[:, :nx] = v.reshape(ny, nx) * root
         forward = np.ascontiguousarray(f.table.transpose(0, 2, 1))  # BLAS takes it whole
-        U = np.matmul(np.take(padded, f.corners, axis=1)[:, None], forward).reshape(ny, 2, -1)
+        U4, products, at_corners, scaled = (
+            b if isinstance(b, np.ndarray) else np.empty(b) for b in self._buffers)
+        np.take(padded, f.corners, axis=1, out=at_corners, mode="clip")  # "raise" buffers out
+        U = np.matmul(at_corners[:, None], forward, out=U4).reshape(ny, 2, -1)
         for weights, groups in zip(f.weights, f.shifts):
             for s, runs in groups:
                 w = weights[s - 1]
                 for t0, t1, s0, s1 in runs:
-                    U[t0:t1] += U[s0:s1] * w
+                    U[t0:t1] += np.multiply(U[s0:s1], w, out=scaled[: s1 - s0])
         U *= f.E
         U /= f.factorial[:, None, None]
         for weights, groups in zip(f.weights, f.shifts):
             for s, runs in reversed(groups):
                 w = weights[s - 1]
                 for t0, t1, s0, s1 in runs:
-                    U[s0:s1] += U[t0:t1] * w
-        Z = np.matmul(U.reshape(ny, 2, -1, 9), f.table).sum(axis=1)  # (ny, elements, 4)
+                    U[s0:s1] += np.multiply(U[t0:t1], w, out=scaled[: t1 - t0])
+        Z = np.sum(np.matmul(U4, f.table, out=products), axis=1, out=at_corners)  # (ny, elems, 4)
         return (fem2d.corner_sums(Z) * root).ravel()
+
+    @functools.cached_property
+    def _buffers(self) -> tuple:
+        """The factored matvec's U, corner products, corner values and scaled rows: each
+        kept where a fresh one is mmapped (7,131 faults a call at table6 k = 6), else its shape."""
+        from .grid import MMAP_THRESHOLD_BYTES  # grid imports this module
+        f, U = self.factorization, (self.ny, 2, len(self.factorization.corners))
+        run = max((t[3] - t[2] for shifts in f.shifts for _, ts in shifts for t in ts), default=0)
+        shapes = U + (9,), U + (4,), (self.ny, *f.corners.shape), (run, 2, 9 * U[2])
+        return tuple(np.empty(s) if 8 * math.prod(s) >= MMAP_THRESHOLD_BYTES else s for s in shapes)
 
     def _masked_loop(self, blocks: np.ndarray, first: int = 0) -> tuple:
         """The term loop of the terms from ``first`` on, over the columns of

@@ -227,6 +227,16 @@ class CholeskyFactor:
         """K^{-1}, dense, formed on first use."""
         return np.ascontiguousarray(self.solve(np.eye(self.n)))
 
+    def shared(self, key, Ks: tuple, make):
+        """make(), called on the first call for (key, the ids of the matrices
+        Ks) and kept as long as this factor: the spatial set-up of a cell, made
+        once for the builders of all its rows, which take it as their K_0
+        factor.  An entry keeps its Ks, so no id is reused while it stands."""
+        at = (key, *map(id, Ks))
+        if at not in (store := self.__dict__.setdefault("_store", {})):
+            store[at] = Ks, make()
+        return store[at][1]
+
     def solve(self, b: np.ndarray) -> np.ndarray:
         """K^{-1} b for b of shape (n,) or (n, m), one right-hand side per
         column, in either memory order; the result has b's shape.  Block
@@ -433,13 +443,14 @@ class TruncExactPreconditioner(_LeadIsP):
       C^T of the smaller one is solved, and the other colour is
       back-substituted.  A direct class factors its dense S, formed from one
       component, once by LAPACK; the nested blocks run CG on S,
-      preconditioned by D.  A direct S that overflows, with D and C
-      finite, is refused as not positive definite;
+      preconditioned by D.  S's products K_l K_0^{-1} K_m and the stacked
+      K_l are ``K0_factor``'s, made once per cell.  A direct S that
+      overflows, with D and C finite, is refused as not positive definite;
     * otherwise (lognormal: Hermite G with diagonals) a direct class
       factors its assembled block (mostly SuperLU above ``DENSE_SOLVE_MAX``), and
       the nested blocks run CG on the restricted truncation, preconditioned
       by its SBGS approximation, whose K_0 diagonal blocks are solved with
-      ``K0_factor`` too.
+      ``K0_factor`` too, and the others by factors the cell's rows share.
 
     ``classes``, from ``op.parity_classes(r)``, splits the blocks into
     two colours that P_r never couples: the nested blocks get one inner CG
@@ -454,13 +465,17 @@ class TruncExactPreconditioner(_LeadIsP):
         Ks, entries = [K for _, K in used], used.triples
         self._direct = []  # (class indices, factor of its block)
         nested = [np.zeros(0, dtype=np.int64)]
+        whole = _colouring([entries], self.ny, 0)  # where every block 2-colours (affine)
+        def colouring(block, idx):  # of the blocks idx, by the tail terms
+            return _colouring([block], len(idx), 0) if whole is None else whole[idx]
+
         for idx, block in _tail_blocks(used):
             c = idx.shape[1]
             if not block[0].any():
                 self._direct.append((idx, K0_factor))  # I (x) K_0 alone
             elif c * self.nx > TRUNC_DIRECT_GUARD:
                 nested.append(idx.ravel())
-            elif (colour := _colouring([block], c, 0)) is None:
+            elif (colour := colouring(block, idx[0])) is None:
                 self._direct.append((idx, CholeskyFactor(assemble_sparse(_pairs(block, Ks, c)))))
             else:
                 S = _SchurComplement(block, Ks, colour, K0_factor, direct=True)
@@ -474,7 +489,7 @@ class TruncExactPreconditioner(_LeadIsP):
         self._nested = []
         for rest in filter(len, parts):
             block = _restrict(entries, rest, self.ny)
-            colour = _colouring([block], len(rest), 0)
+            colour = colouring(block, rest)
             if colour is None:
                 block = _pairs(block, Ks, len(rest))
                 op = KroneckerSumOperator(block)
@@ -529,7 +544,7 @@ class _SchurComplement:
     or, with ``direct``, assembled and factored once by LAPACK for an exact
     solve by ``dpotrs``, which forms no inverse for a class's few solves.
     The smaller colour is kept (S's order is at most half the guard), and
-    every K_l product acts on its blocks."""
+    every K_l product acts on its blocks, stacked once per cell."""
 
     def __init__(self, entries, Ks, colour: np.ndarray, K0_factor: CholeskyFactor, direct=False):
         keep = colour if 2 * np.count_nonzero(colour) <= len(colour) else ~colour
@@ -538,7 +553,7 @@ class _SchurComplement:
         # The C_l stacked by rows, cut from the entries (term, row, column,
         # value) of the G_l; the K_l by rows and by columns: one sparse call
         # per product.  A colouring needs a tail coupling, so Ks[1:] is not empty.
-        self._r, self._n, self._Ks = len(Ks) - 1, len(self.keep), Ks[1:]
+        self._r, self._n, self._Ks = len(Ks) - 1, len(self.keep), tuple(Ks[1:])
         term, rows, cols, vals = entries
         pos = np.empty(len(keep), dtype=np.int64)
         pos[self.keep], pos[self.elim] = np.arange(self._n), np.arange(len(self.elim))
@@ -548,29 +563,29 @@ class _SchurComplement:
             shape=(self._r * self._n, len(self.elim)),
         )
         self._Ct = self._C.T.tocsr()
-        self._K_rows = sp.vstack(self._Ks, "csr")
-        self._K_cols = sp.hstack(self._Ks, "csr")
+        self._K_rows, self._K_cols = K0_factor.shared(
+            "stacks", self._Ks, lambda: (sp.vstack(self._Ks, "csr"), sp.hstack(self._Ks, "csr")))
         if direct:
             if not np.isfinite(self._K_rows.data).all():
                 raise _BreakdownError("matrix has a non-finite entry")
-            self._S_L = _dpotrf(np.array(self._assemble(), order="F"))
+            self._S_L = _dpotrf(self._assemble())
 
     def _assemble(self) -> np.ndarray:
         """S = I (x) K_0 - sum_{l,m} (C_l C_m^T) (x) (K_l K_0^{-1} K_m), dense,
-        by (kept block, spatial index); a pair (l, m) with C_l C_m^T = 0
-        forms no product."""
-        n, nx = self._n, self.nx
+        by (kept block, spatial index), and F-ordered for ``dpotrf``: its
+        transpose is filled block by block, by (l, m), with the products the
+        K_0 factor shares.  A pair with C_l C_m^T = 0 reads no product."""
+        n, nx, Ks = self._n, self.nx, self._Ks
         W = (self._C @ self._Ct).tocoo()  # block (l, m): C_l C_m^T
         (l, i), (m, j) = np.divmod(W.row, n), np.divmod(W.col, n)
-        K0_inv, Ks, Z = self.factor.inverse, self._Ks, {}
-        S = np.zeros((n, nx, n, nx))
-        S[np.arange(n), :, np.arange(n), :] = self._K0.toarray()
-        for a, b in np.unique(np.stack([l, m], axis=1), axis=0):
-            if b not in Z:
-                Z[b] = (Ks[b] @ K0_inv).T.copy()  # K_0^{-1} K_m
-            e = (l == a) & (m == b)
-            S[i[e], :, j[e], :] -= W.data[e, None, None] * (Ks[a] @ Z[b])
-        S = S.reshape(n * nx, n * nx)
+        St = np.zeros((n, nx, n, nx))  # S^T
+        St[np.arange(n), :, np.arange(n)] = self._K0.toarray().T
+        for q in np.lexsort((m, l)):
+            a, b = Ks[l[q]], Ks[m[q]]  # P^T for P = K_a K_0^{-1} K_b
+            Pt = self.factor.shared("schur", (a, b), lambda: np.ascontiguousarray(
+                (a @ (b @ self.factor.inverse).T.copy()).T))
+            St[j[q], :, i[q]] -= W.data[q] * Pt
+        S = St.reshape(n * nx, n * nx).T
         # With D and C finite, only C D^{-1} C^T can overflow, and first on
         # its diagonal, which S then has at -inf.
         if not np.isfinite(S).all():
@@ -663,10 +678,12 @@ class PairBlockSbgs:
     only the blocks a coupling lands on, the others keep their forward
     value.  The diagonal row (1, 0, ..., 0), whose D_jj is the leading K
     (K_0), takes ``K0_factor``, the caller's factor of it; every other
-    distinct row is factored once.  A pair's K is read only for its
-    couplings and the D_jj factored here.  Its ``lead`` is all its pairs,
-    outer or nested: ``apply_lead`` gives P_r z = t + L z, L z by the
-    operator's term loop (``kronsys._term_loop``) of the tril(G_l, -1).
+    distinct row is factored once per cell (outer SBGS or nested) and kept
+    by ``K0_factor`` under its signature, (K_l, G_l[j, j]) for the nonzero
+    l.  A pair's K is read only for its couplings and the D_jj factored
+    here.  Its ``lead`` is all its pairs, outer or nested: ``apply_lead``
+    gives P_r z = t + L z, L z by the operator's term loop
+    (``kronsys._term_loop``) of the tril(G_l, -1).
     """
 
     def __init__(self, pairs, K0_factor: CholeskyFactor):
@@ -683,11 +700,11 @@ class PairBlockSbgs:
             if d[0] == 1.0 and not d[1:].any():
                 factor.append(K0_factor)
                 continue
-            D_jj = sp.csr_matrix((nx, nx))
-            for ell in np.flatnonzero(d):
-                D_jj = D_jj + float(d[ell]) * pairs[ell][1]
-            try:
-                factor.append(CholeskyFactor(D_jj))
+            ells = np.flatnonzero(d)
+            Ks, coefs = tuple(pairs[ell][1] for ell in ells), tuple(map(float, d[ells]))
+            try:  # D_jj = sum_l d[l] K_l, added in order, once per cell
+                factor.append(K0_factor.shared(("D_jj", coefs), Ks, lambda: CholeskyFactor(
+                    sum((c * K for c, K in zip(coefs, Ks)), sp.csr_matrix((nx, nx))))))
             except NotPositiveDefiniteError as exc:
                 raise NotPositiveDefiniteError(
                     f"diagonal block {j} of the SBGS splitting is not SPD"

@@ -769,6 +769,26 @@ class TestSolveCell:
         assert list(map(untimed, rows)) == list(map(untimed, csv_rows))
 
 
+@pytest.mark.parametrize("cfg", [
+    {"problem": "affine", "decay": ["fast", "slow"], "mesh_level": 3, "M": 4, "k": [0, 1, 2],
+     "preconditioners": [f"trunc_exact {r}" for r in range(5)]},
+    {"problem": "lognormal", "sigma_tilde": 2.0, "alpha_bar_mode": 0.547, "mesh_level": 3,
+     "M": 3, "N": 6, "k": 2, "preconditioners": [f"sbgs {r}" for r in range(1, 5)]},
+], ids=["affine-trunc_exact", "lognormal-sbgs"])
+def test_rows_do_not_depend_on_preconditioner_order(tmp_path, cfg):
+    # A cell's rows share the set-up its K_0 factor stores, whichever row
+    # makes it first, so the rows are the same, final_relres included, in
+    # either preconditioner order (perfbench permutes it).
+    rows = []
+    for order in (cfg["preconditioners"], cfg["preconditioners"][::-1]):
+        out = tmp_path / "out.csv"
+        assert cli.main(["run", write_config(tmp_path / "cfg.json", {**cfg, "preconditioners": order}),
+                         "--out", str(out)]) == 0
+        rows.append(sorted(row[: COL["final_relres"] + 1] for row in read_rows(out)[1]))
+    assert rows[0] == rows[1]
+    assert len(rows[0]) == len(cfg["preconditioners"]) * (6 if cfg["problem"] == "affine" else 1)
+
+
 def spectrum_config(tmp_path, **overrides):
     cfg = {"problem": "affine", "decay": "slow", "mesh_level": 2, "M": 3, "k": 2}
     cfg.update(overrides)

@@ -1,5 +1,6 @@
 import inspect
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -673,6 +674,57 @@ def test_one_k0_factorization_per_cell(monkeypatch, cell, preconds, cut, inner):
     assert len(built) == 1
 
 
+def test_cell_store_makes_each_product_and_factor_once(monkeypatch):
+    # A cell's K_0 factor holds the spatial set-up its rows share: each
+    # K_a K_0^{-1} K_b of the Schur classes is made once, though rows and
+    # classes ask for it many times; the lognormal k = 2 cell (the lognormal
+    # workload's M 6, N 20) factors 2 SBGS diagonal blocks for sbgs 1..6,
+    # where the rows hold 10; and the store goes with its cell once
+    # solve_cell has moved on to the next cell.
+    lognormal = grid.Cell("lognormal", "", 2.0, verify.LOGNORMAL_ALPHA_BAR, 2, 6, 2, 20)
+    asked, made, entries, cells, distinct, factored = [], [], [], [], [], []
+    shared, build, init = CholeskyFactor.shared, grid.build_preconditioner, CholeskyFactor.__init__
+
+    def sharing(self, key, Ks, make):
+        at = (key, *map(id, Ks))
+        asked.append(at)
+        entry = shared(self, key, Ks, lambda: made.append(at) or make())
+        if key == "schur":
+            entries.append(weakref.ref(entry))
+        return entry
+
+    def building(kind, r, op, K0_factor):
+        cells.append(weakref.ref(K0_factor()))
+        assert len({id(cell()) for cell in cells if cell()}) == 1  # one per cell, and alive
+        P = build(kind, r, op, K0_factor)
+        distinct.append(P.distinct_factor_count)
+        return P
+
+    def factoring(self, K):
+        init(self, K)
+        factored.append(K.shape)
+
+    monkeypatch.setattr(CholeskyFactor, "shared", sharing)
+    monkeypatch.setattr(grid, "build_preconditioner", building)
+    rows = grid.solve_cell(AFFINE_CELL, [("trunc_exact", r) for r in range(5)], SolverConfig())
+    assert all(row.converged for row in rows)
+    products = [at for at in made if at[0] == "schur"]
+    assert len(set(products)) == len(products) > 0
+    assert sum(at[0] == "schur" for at in asked) > 2 * len(products)
+    assert len({at for at in made if at[0] == "stacks"}) == 4  # one per r = 1..4
+
+    made.clear()
+    distinct.clear()
+    monkeypatch.setattr(CholeskyFactor, "__init__", factoring)
+    rows = grid.solve_cell(lognormal, [("sbgs", r) for r in range(1, 7)], SolverConfig())
+    next(rows)
+    assert len(cells) == 6 and cells[0]() is None  # the affine cell's factor, and its store
+    assert entries and not any(entry() for entry in entries)
+    assert all(row.converged for row in rows)
+    assert len(distinct) == 6 and sum(n - 1 for n in distinct) == 10
+    assert len(made) == 2 and len(factored) == 1 + 2  # K_0, then the two distinct D_jj
+
+
 class ContractOperator:
     """What the run path may ask of an operator, and no ``terms``."""
 
@@ -828,11 +880,13 @@ class TestSbgsLognormal:
     def test_reuses_callers_k0_factor(self, monkeypatch):
         # The blocks whose diagonal comes from the zero multi-index term
         # alone (block 0 at least) are exactly K_0: the caller's factor
-        # serves them, and only the other signatures are factorized.
+        # serves them, and only the other signatures are factorized, each
+        # once per K_0 factor: a build given a fresh factor makes all of its
+        # own, one given the factor of the builds before only the new ones.
         op, _, _ = tiny_lognormal()
         K0 = op.terms[0][1]
-        K0_factor = CholeskyFactor(K0)
-        built = []
+        fresh, shared = {r: CholeskyFactor(K0) for r in (1, 3, 6)}, CholeskyFactor(K0)
+        built, seen = [], set()
         init = CholeskyFactor.__init__
 
         def counting_init(self, K):
@@ -842,9 +896,16 @@ class TestSbgsLognormal:
         monkeypatch.setattr(CholeskyFactor, "__init__", counting_init)
         for r in (1, 3, 6):
             built.clear()
-            P = build_sbgs(K0_factor, op.leading(r))
+            P = build_sbgs(fresh[r], op.leading(r))
             assert len(built) == P.distinct_factor_count - 1
             assert all(abs(D - K0).max() > 0 for D in built)
+            diagonals = np.array([G.diagonal() for G, _ in op.leading(r)]).T
+            signatures = {tuple((ell, d[ell]) for ell in np.flatnonzero(d)) for d in diagonals}
+            assert len(signatures) == P.distinct_factor_count
+            built.clear()
+            build_sbgs(shared, op.leading(r))
+            assert len(built) == len(signatures - seen - {((0, 1.0),)})
+            seen |= signatures
 
     def test_dense_identity(self):
         op, _, _ = tiny_lognormal()
