@@ -17,10 +17,11 @@ P gives P_lead z_j with z_j (``apply_lead``) and
 
 the operator applying only its terms from ``lead`` on (``A.matvec(z,
 blocks, lead)``), over the columns of class c_j where P has classes.
-mean (lead 1) and trunc_exact r (lead r + 1) are P_lead: P_lead z_j is
-r_j on the class solved, to round-off where a class is solved directly
-and to ``precond.INNER_TOL`` (1e-13) of the nested rows' norm where the
-nested CG solves it, a drift of the recursive residual far below ``tol``.
+trunc_exact r (lead r + 1), and mean, its r = 0, are P_lead: P_lead z_j
+is r_j on the class solved, to round-off where a truncation class is
+solved directly and to ``precond.INNER_TOL`` (1e-13) of the norm of its
+rows where its nested CG solves them, a drift of the recursive residual
+far below ``tol``.
 SBGS, (D + L) D^{-1} (D + L^T), outer or trunc_exact's nested one, gives
 P_lead z = t + L z, t = D y the right-hand sides of its forward sweep, as
 its backward sweep solves (D + L^T) z = D y; the nested one holds its

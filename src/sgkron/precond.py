@@ -3,17 +3,17 @@
 Four families share one duck-typed interface, ``apply_inverse`` on flat
 block vectors:
 
-* mean-based: block-diagonal solves with the mean stiffness factor;
+* exact truncation P_r: the leading r+1 terms, block diagonal over the
+  parametric tails they leave uncoupled.  One part per class of equal tail
+  blocks solves them: by K_0 where a block is I (x) K_0, directly up to a
+  per-block size, and by one nested CG above it.  Where a class is
+  2-cyclic (affine), it eliminates one colour with I (x) K_0 and solves
+  the Schur complement of the other: by its one Cholesky factor, or by CG
+  preconditioned by I (x) K_0 (Reid's method).  Otherwise (lognormal) a
+  class is factored whole, or solved by SBGS-preconditioned CG.  The
+  mean-based preconditioner is P_0 = I (x) K_0, every block a K_0 solve;
 * Kronecker product: a single G (x) K_0 with G the Frobenius-optimal
   parametric factor, a sparse matrix the operator forms (``op.kron_factor()``);
-* exact truncation: the leading r+1 terms, block diagonal over the
-  parametric tails they leave uncoupled; each distinct tail block up to a
-  per-block size solved directly, the larger ones by a nested CG.  Where
-  the truncation is 2-cyclic (affine), both eliminate one colour with
-  I (x) K_0 and solve the Schur complement of the other: by its one
-  Cholesky factor, or by CG preconditioned by I (x) K_0 (Reid's method).
-  Otherwise (lognormal) a block is factored whole, or solved by
-  SBGS-preconditioned CG;
 * symmetric block Gauss-Seidel (SBGS): (D + L) D^{-1} (D + L^T) built
   from the truncation's block splitting, applied by one forward and one
   backward block-triangular sweep.  One engine and one builder,
@@ -22,11 +22,11 @@ block vectors:
   of independent blocks, batched by their diagonal block.
 
 Every apply_inverse realizes a symmetric positive definite map, which
-the test suite checks both algebraically and spectrally.  The mean-based
-and exact-truncation preconditioners also take the parity ``classes`` of
+the test suite checks both algebraically and spectrally.  The truncation
+preconditioners, mean among them, also take the parity ``classes`` of
 their truncation (``op.parity_classes(r)``), which P_r never couples:
 ``apply_inverse(v, cls)`` then solves only the blocks of class ``cls``.
-Those two and every SBGS, outer or trunc_exact's nested one, hold the
+They and every SBGS, outer or trunc_exact's nested one, hold the
 ``lead`` leading terms of A, and ``apply_lead(v, cls)`` returns z = P^{-1}
 v with P_lead z, which PCG takes in place of those terms' operator
 product: v on the class solved where P is P_lead, t + L z for SBGS (t its
@@ -47,9 +47,9 @@ S = I - B^T B; any other matrix by LAPACK and K^{-1} up to order
 crossovers of the two.  The exception, the dense Schur complement of a
 direct affine truncation class, keeps its LAPACK factor for ``dpotrs``.
 Builders take the caller's K_0 factor, and none factors K_0 again; each
-reads ny off its lead G (or ``classes``, or v) and nx off that factor.  The
-truncation builders (exact and SBGS, the nested SBGS-PCG too) take pairs
-led by I (x) K_0 only, which ``_shape`` checks once for all of them.
+reads ny off its lead G (kron off v) and nx off that factor.  The
+truncation builders (exact, mean too, and SBGS, the nested SBGS-PCG too)
+take pairs led by I (x) K_0 only, which ``_shape`` checks once for all.
 """
 
 from __future__ import annotations
@@ -70,10 +70,10 @@ from .pcg import SolverConfig as _InnerConfig
 from .pcg import pcg_solve as _inner_solve
 
 # Largest tail block, in unknowns, that TruncExactPreconditioner solves directly
-# (an I (x) K_0 block takes the caller's K_0 factor at any size); larger blocks
-# go to its nested CG.  An affine direct block costs one dense Cholesky of its
-# Schur complement (order 225-450 at mesh level 4, at most half the guard, by
-# LAPACK).  Scanned with the constant monkeypatched, in process,
+# (an I (x) K_0 block takes the caller's K_0 factor at any size); a class of
+# larger blocks goes to a nested CG of its own.  An affine direct block costs
+# one dense Cholesky of its Schur complement (order 225-450 at mesh level 4, at
+# most half the guard, by LAPACK).  Scanned with the constant monkeypatched, in process,
 # one BLAS thread (AMD EPYC), medians of five, rows identical at every cutoff:
 # table2 (level 4, M = 8, k <= 4, r = 0..6) took 0.92 / 0.91 / 0.95 / 0.97 s
 # at cutoff 1000 / 1600 / 2400 / 3200, and at k <= 3 0.41 / 0.43 / 0.44 /
@@ -299,43 +299,6 @@ def _shape(pairs, K0_factor: CholeskyFactor) -> tuple[int, int]:
     return G.shape[0], n
 
 
-class _LeadIsP:
-    """``apply_lead`` of a P that is P_lead, its ``lead`` leading terms, itself:
-    P z = v on the blocks of class cls, the ones P^{-1} solved (all of v
-    without a class), and zero off them."""
-
-    def apply_lead(self, v: np.ndarray, cls: int | None = None) -> tuple:
-        if cls is None:
-            return self.apply_inverse(v), v
-        solved = (self.classes == cls)[:, None]
-        return self.apply_inverse(v, cls), np.where(solved, v.reshape(len(solved), -1), 0.0).ravel()
-
-
-# ---------------------------------------------------------------------------
-# mean-based
-
-
-class MeanBasedPreconditioner(_LeadIsP):
-    lead = 1  # I (x) K_0
-
-    def __init__(self, K0_factor: CholeskyFactor, classes=None):
-        self.K0 = K0_factor
-        self.classes = classes
-
-    def apply_inverse(self, v: np.ndarray, cls: int | None = None) -> np.ndarray:
-        V = v.reshape(-1, self.K0.n)
-        if cls is None:
-            return self.K0.solve(V.T).T.ravel()
-        blocks = self.classes == cls
-        Z = np.zeros(V.shape)
-        Z[blocks] = self.K0.solve(V[blocks].T).T
-        return Z.ravel()
-
-
-def build_mean_based(K0_factor: CholeskyFactor, classes=None) -> MeanBasedPreconditioner:
-    return MeanBasedPreconditioner(K0_factor, classes)
-
-
 # ---------------------------------------------------------------------------
 # Kronecker product
 
@@ -396,16 +359,6 @@ def _tail_blocks(pairs: PairList) -> list[tuple[np.ndarray, tuple]]:
     ]
 
 
-def _restrict(entries, idx: np.ndarray, n: int) -> tuple:
-    """The entries among the blocks idx (a union of components) of n,
-    renumbered in the order of idx."""
-    term, rows, cols, vals = entries
-    pos = np.full(n, -1)
-    pos[idx] = np.arange(len(idx))
-    sel = pos[rows] >= 0
-    return term[sel], pos[rows[sel]], pos[cols[sel]], vals[sel]
-
-
 def _pairs(entries, Ks, n: int) -> tuple:
     """The (G_l, K_l) pairs of the entries on n blocks."""
     term, rows, cols, vals = entries
@@ -415,10 +368,47 @@ def _pairs(entries, Ks, n: int) -> tuple:
     )
 
 
-class TruncExactPreconditioner(_LeadIsP):
+def _solve_rows(factor: CholeskyFactor, B: np.ndarray) -> np.ndarray:
+    """``factor``'s solve of block rows B, shape (n, c, nx): a column a row."""
+    return factor.solve(B.reshape(len(B), -1).T).T.reshape(B.shape)
+
+
+def _inner_cg(op, inner, f: np.ndarray, b_norm: float) -> np.ndarray:
+    """op^{-1} f by CG preconditioned by ``inner``, to ||b - P_r z|| <=
+    INNER_TOL ||b|| on the rows b of a nested class: f is b, or the reduced
+    right-hand side of its Schur complement, whose residual is the full one
+    on the kept colour (the other is eliminated exactly), so the tolerance is
+    scaled by ||b|| / ||f||."""
+    f_norm = np.linalg.norm(f)
+    scale = b_norm / f_norm if f_norm else 1.0
+    try:
+        z, rep = _inner_solve(op, inner, f.ravel(), _InnerConfig(INNER_TOL * scale, 400))
+    except _BreakdownError as exc:
+        raise NotPositiveDefiniteError(
+            "truncation is not positive definite (inner solve breakdown)"
+        ) from exc
+    if rep.final_relres / scale > 1e-10:
+        raise InnerStallError(
+            f"inner truncation solve stalled at relres {rep.final_relres / scale:.2e}"
+        )
+    return z.reshape(f.shape)
+
+
+def _sbgs_cg(op: KroneckerSumOperator, sbgs: PairBlockSbgs, B: np.ndarray) -> np.ndarray:
+    """P_r^{-1} on the block rows B of components of a lognormal class: CG on
+    op, the class's pairs (kron(I_n, G_l), K_l) over its n components,
+    preconditioned by their SBGS.  Rows of fewer components are padded with
+    zero ones, which the uncoupled solve keeps at zero."""
+    padded = np.zeros((op.ny // B.shape[1], *B.shape[1:]))
+    padded[: len(B)] = B
+    return _inner_cg(op, sbgs, padded, np.linalg.norm(B))[: len(B)]
+
+
+class TruncExactPreconditioner:
     """Exact application of the truncation P_r = the sum of ``pairs``, the
     leading pairs ``op.leading(r)``, led by I (x) K_0 (``_shape`` refuses
     others); ``K0_factor`` is the caller's factor of the leading K (K_0).
+    The mean-based preconditioner is P_0 = I (x) K_0.
 
     The leading terms couple parametric indices only within the connected
     components of their G patterns: for the affine expansion the
@@ -426,125 +416,90 @@ class TruncExactPreconditioner(_LeadIsP):
     lognormal one those sharing the coordinates outside the leading
     multi-indices' support.  P_r is block diagonal over these tail blocks,
     and blocks with equal restricted G_l are equal (affine: one per
-    remaining degree d = k - |tail|).  A class that is I (x) K_0 alone
-    (affine d = 0, every block at r = 0) takes ``K0_factor`` at any size,
-    any other with at most ``TRUNC_DIRECT_GUARD`` unknowns per block is
-    solved exactly, with factors made once per class, and a class is
-    applied as one multi-right-hand-side solve whose columns are its
-    blocks.  The larger blocks together are solved by an inner CG run until
-    ||b - P_r z|| <= ``INNER_TOL`` ||b||, 1e-13, i.e. to factorization-level
-    accuracy.  How is read off the restricted G patterns:
+    remaining degree d = k - |tail|), a class.  P_r holds one part per
+    class: its indices, (n, c) for n components of c blocks, and one solve
+    of their block rows, (n, c, nx), set up from one component:
 
-    * where the other terms 2-colour the blocks (every affine
-      truncation: D = I (x) K_0 on the diagonal, couplings between
-      unlike parities of alpha_1 + ... + alpha_r), P_r = [[D, C], [C^T, D]]
-      by colour (Reid, SIAM J. Numer. Anal. 9, 1972).  The larger colour is
-      eliminated with ``K0_factor``, the Schur complement S = D - C D^{-1}
-      C^T of the smaller one is solved, and the other colour is
-      back-substituted.  A direct class factors its dense S, formed from one
-      component, once by LAPACK; the nested blocks run CG on S,
-      preconditioned by D.  S's products K_l K_0^{-1} K_m and the stacked
-      K_l are ``K0_factor``'s, made once per cell.  A direct S that
-      overflows, with D and C finite, is refused as not positive definite;
-    * otherwise (lognormal: Hermite G with diagonals) a direct class
-      factors its assembled block (mostly SuperLU above ``DENSE_SOLVE_MAX``), and
-      the nested blocks run CG on the restricted truncation, preconditioned
-      by its SBGS approximation, whose K_0 diagonal blocks are solved with
-      ``K0_factor`` too, and the others by factors the cell's rows share.
+    * a class that is I (x) K_0 alone (affine d = 0, every block at r = 0)
+      takes ``K0_factor``, at any size;
+    * a class whose tail terms 2-colour its blocks (every affine class:
+      D = I (x) K_0 on the diagonal, couplings between unlike parities of
+      alpha_1 + ... + alpha_r) is P_r = [[D, C], [C^T, D]] by colour (Reid,
+      SIAM J. Numer. Anal. 9, 1972).  The larger colour is eliminated with
+      ``K0_factor``, the Schur complement S = D - C D^{-1} C^T of the
+      smaller one is solved, and the other colour is back-substituted.  S
+      is factored once by LAPACK up to ``TRUNC_DIRECT_GUARD`` unknowns a
+      component, and is solved by CG preconditioned by D above it.  S's
+      products K_l K_0^{-1} K_m and the stacked K_l are ``K0_factor``'s,
+      made once per cell.  A factored S that overflows, with D and C finite,
+      is refused as not positive definite;
+    * any other class (lognormal: Hermite G with diagonals) is assembled
+      and factored up to the guard (mostly SuperLU above
+      ``DENSE_SOLVE_MAX``), and above it solved by CG on the class,
+      preconditioned by its SBGS approximation, whose K_0 diagonal blocks
+      are solved with ``K0_factor`` too, and the others by factors the
+      cell's rows share.
 
-    ``classes``, from ``op.parity_classes(r)``, splits the blocks into
-    two colours that P_r never couples: the nested blocks get one inner CG
-    per colour, and ``apply_inverse(v, cls)`` solves the rows of colour
-    ``cls`` only, leaving zeros elsewhere.
+    A nested class is one CG over all its components, run until ||b - P_r
+    z|| <= ``INNER_TOL`` ||b||, 1e-13, on its rows b, i.e. to
+    factorization-level accuracy.  ``classes``, from ``op.parity_classes(r)``,
+    splits the blocks into two colours that P_r never couples, each
+    component within one: ``apply_inverse(v, cls)`` solves the components
+    of colour ``cls`` only, leaving zeros elsewhere.  The build reads no
+    ``classes``, and colours a class only where it has a tail coupling.
     """
 
     def __init__(self, K0_factor: CholeskyFactor, pairs, classes=None):
         used = PairList(pairs)
         self.ny, self.nx = _shape(used, K0_factor)
         self.classes, self.lead = classes, len(used)
-        Ks, entries = [K for _, K in used], used.triples
-        self._direct = []  # (class indices, factor of its block)
-        nested = [np.zeros(0, dtype=np.int64)]
-        whole = _colouring([entries], self.ny, 0)  # where every block 2-colours (affine)
-        def colouring(block, idx):  # of the blocks idx, by the tail terms
-            return _colouring([block], len(idx), 0) if whole is None else whole[idx]
-
+        Ks = [K for _, K in used]
+        self._parts = []  # (class indices, solve of their block rows)
         for idx, block in _tail_blocks(used):
-            c = idx.shape[1]
-            if not block[0].any():
-                self._direct.append((idx, K0_factor))  # I (x) K_0 alone
-            elif c * self.nx > TRUNC_DIRECT_GUARD:
-                nested.append(idx.ravel())
-            elif (colour := colouring(block, idx[0])) is None:
-                self._direct.append((idx, CholeskyFactor(assemble_sparse(_pairs(block, Ks, c)))))
+            n, c = idx.shape
+            direct = c * self.nx <= TRUNC_DIRECT_GUARD
+            if not block[0].any():  # I (x) K_0 alone
+                solve = functools.partial(_solve_rows, K0_factor)
+            elif (colour := _colouring([block], c, 0)) is not None:
+                solve = _SchurComplement(block, Ks, colour, K0_factor, direct).solve
+            elif direct:
+                factor = CholeskyFactor(assemble_sparse(_pairs(block, Ks, c)))
+                solve = functools.partial(_solve_rows, factor)
             else:
-                S = _SchurComplement(block, Ks, colour, K0_factor, direct=True)
-                self._direct.append((idx, S))
-        self.distinct_factor_count = len(self._direct)
-        # The nested blocks of each colour: (blocks, inner operator, inner
-        # preconditioner).  Where the tail terms 2-colour the blocks they take
-        # the reduced solve, else SBGS-PCG.
-        rest = np.sort(np.concatenate(nested))
-        parts = [rest] if classes is None else [rest[~classes[rest]], rest[classes[rest]]]
-        self._nested = []
-        for rest in filter(len, parts):
-            block = _restrict(entries, rest, self.ny)
-            colour = colouring(block, rest)
-            if colour is None:
-                block = _pairs(block, Ks, len(rest))
-                op = KroneckerSumOperator(block)
-                self._nested.append((rest, op, PairBlockSbgs(block, K0_factor)))
-            else:
-                S = _SchurComplement(block, Ks, colour, K0_factor)
-                self._nested.append((rest, S, MeanBasedPreconditioner(K0_factor)))
+                kron = [(sp.kron(sp.identity(n), G, "csr"), K) for G, K in _pairs(block, Ks, c)]
+                sbgs = PairBlockSbgs(kron, K0_factor)
+                solve = functools.partial(_sbgs_cg, KroneckerSumOperator(kron), sbgs)
+            self._parts.append((idx, solve))
 
     def apply_inverse(self, v: np.ndarray, cls: int | None = None) -> np.ndarray:
         V = v.reshape(self.ny, self.nx)
         Z = np.zeros((self.ny, self.nx))
-        for idx, factor in self._direct:
-            if cls is not None:  # the class's rows of colour cls
+        for idx, solve in self._parts:
+            if cls is not None:  # the class's components of colour cls
                 idx = idx[self.classes[idx[:, 0]] == cls]
-            n, c = idx.shape
-            if n:
-                X = factor.solve(V[idx].reshape(n, c * self.nx).T)
-                Z[idx] = X.T.reshape(n, c, self.nx)
-        for rest, op, inner in self._nested:
-            if cls is None or self.classes[rest[0]] == cls:
-                Z[rest] = self._solve_nested(op, inner, V[rest])
+            if len(idx):
+                Z[idx] = solve(V[idx])
         return Z.ravel()
 
-    def _solve_nested(self, op, inner, B: np.ndarray) -> np.ndarray:
-        """P_r^{-1} on the nested rows B, to ||B - P_r Z|| <= INNER_TOL ||B||.
-        The reduced solve's residual is the full one on the kept colour (the
-        other is eliminated exactly), so its tolerance is scaled by ||B|| / ||f||."""
-        B_norm = np.linalg.norm(B)
-
-        def cg(f):
-            f_norm = np.linalg.norm(f)
-            scale = B_norm / f_norm if f_norm else 1.0
-            try:
-                z, rep = _inner_solve(op, inner, f.ravel(), _InnerConfig(INNER_TOL * scale, 400))
-            except _BreakdownError as exc:
-                raise NotPositiveDefiniteError(
-                    "truncation is not positive definite (inner solve breakdown)"
-                ) from exc
-            if rep.final_relres / scale > 1e-10:
-                raise InnerStallError(
-                    f"inner truncation solve stalled at relres {rep.final_relres / scale:.2e}"
-                )
-            return z.reshape(f.shape)
-
-        return op.eliminate(B, cg) if isinstance(op, _SchurComplement) else cg(B)
+    def apply_lead(self, v: np.ndarray, cls: int | None = None) -> tuple:
+        """(z, P_r z) for z = P^{-1} v: P_r z is v on the blocks of class
+        ``cls``, the ones solved (all of v without a class), and zero off them."""
+        if cls is None:
+            return self.apply_inverse(v), v
+        solved = (self.classes == cls)[:, None]
+        return self.apply_inverse(v, cls), np.where(solved, v.reshape(len(solved), -1), 0.0).ravel()
 
 
 class _SchurComplement:
-    """S = D - C D^{-1} C^T on the kept colour of a truncation that is
-    [[D, C], [C^T, D]] in the order of a 2-colouring, D = I (x) K_0: the
-    operator of the reduced inner CG, which D preconditions (Reid's method),
-    or, with ``direct``, assembled and factored once by LAPACK for an exact
-    solve by ``dpotrs``, which forms no inverse for a class's few solves.
-    The smaller colour is kept (S's order is at most half the guard), and
-    every K_l product acts on its blocks, stacked once per cell."""
+    """S = D - C D^{-1} C^T on the kept colour of a truncation class that is
+    [[D, C], [C^T, D]] in the order of a 2-colouring of one component's
+    blocks, D = I (x) K_0.  With ``direct``, S is assembled and factored
+    once by LAPACK for exact solves by ``dpotrs``, which forms no inverse
+    for a class's few solves; else it is the operator of a reduced CG, which
+    D preconditions (Reid's method).  The smaller colour is kept (S's order
+    is at most half the guard), and every K_l product acts on its blocks,
+    stacked once per cell.  Block rows carry the class's components on
+    their second axis."""
 
     def __init__(self, entries, Ks, colour: np.ndarray, K0_factor: CholeskyFactor, direct=False):
         keep = colour if 2 * np.count_nonzero(colour) <= len(colour) else ~colour
@@ -565,6 +520,7 @@ class _SchurComplement:
         self._Ct = self._C.T.tocsr()
         self._K_rows, self._K_cols = K0_factor.shared(
             "stacks", self._Ks, lambda: (sp.vstack(self._Ks, "csr"), sp.hstack(self._Ks, "csr")))
+        self._S_L = None
         if direct:
             if not np.isfinite(self._K_rows.data).all():
                 raise _BreakdownError("matrix has a non-finite entry")
@@ -596,6 +552,8 @@ class _SchurComplement:
         """D^{-1} Y for block rows Y, shape (blocks, ..., nx)."""
         return self.factor.solve(Y.reshape(-1, self.nx).T).T.reshape(Y.shape)
 
+    apply_inverse = _solve_D  # the reduced CG's preconditioner, D^{-1}, on flat vectors
+
     def lift(self, Y: np.ndarray) -> np.ndarray:
         """C Y = sum_l (C_l (x) K_l) Y for rows Y of the eliminated blocks,
         shape (blocks, ..., nx): each Y[:, j] is one vector."""
@@ -611,8 +569,10 @@ class _SchurComplement:
         return (self._Ct @ W).reshape(len(self.elim), *X.shape[1:])
 
     def matvec(self, p: np.ndarray) -> np.ndarray:
-        X = p.reshape(-1, self.nx)
-        return (self._K0 @ X.T - self.lift(self._solve_D(self.drop(X))).T).T.ravel()
+        """S p for the kept rows p, shape (kept blocks, components, nx), flat."""
+        X = p.reshape(self._n, -1, self.nx)
+        CDC = self.lift(self._solve_D(self.drop(X))).reshape(-1, self.nx)
+        return (self._K0 @ X.reshape(-1, self.nx).T - CDC.T).T.ravel()
 
     def eliminate(self, B: np.ndarray, inner) -> np.ndarray:
         """P^{-1} B for block rows B, shape (blocks, ..., nx): the kept colour
@@ -624,17 +584,20 @@ class _SchurComplement:
         Z[self.elim] = self._solve_D(B[self.elim] - self.drop(Z[self.keep]))
         return Z
 
-    def solve(self, X: np.ndarray) -> np.ndarray:
-        """P^{-1} X through the factored S, in :meth:`CholeskyFactor.solve`'s
-        layout: one vector of the class's block per column of X."""
-        m, N = X.shape[1], self._n * self.nx
-        B = X.T.reshape(m, -1, self.nx).swapaxes(0, 1)
+    def solve(self, B: np.ndarray) -> np.ndarray:
+        """P^{-1} B for the block rows B, shape (n, c, nx), of n components:
+        S by its factor where direct, else by CG preconditioned by D."""
+        kept = self._exact
+        if self._S_L is None:
+            kept = functools.partial(_inner_cg, self, self, b_norm=np.linalg.norm(B))
+        return self.eliminate(B.swapaxes(0, 1), kept).swapaxes(0, 1)
 
-        def exact(f):  # f, (kept blocks, m, nx), by S's (block, spatial) order
-            z = scipy.linalg.lapack.dpotrs(self._S_L, f.swapaxes(1, 2).reshape(N, m), lower=1)[0]
-            return z.reshape(self._n, self.nx, m).swapaxes(1, 2)
-
-        return self.eliminate(B, exact).swapaxes(0, 1).reshape(m, -1).T
+    def _exact(self, f: np.ndarray) -> np.ndarray:
+        """S^{-1} f by dpotrs, f of shape (kept blocks, m, nx) by S's (block,
+        spatial) order."""
+        m = f.shape[1]
+        z = scipy.linalg.lapack.dpotrs(self._S_L, f.swapaxes(1, 2).reshape(-1, m), lower=1)[0]
+        return z.reshape(self._n, self.nx, m).swapaxes(1, 2)
 
 
 def build_trunc_exact(K0_factor: CholeskyFactor, pairs, classes=None):
@@ -810,6 +773,16 @@ def build_sbgs(K0_factor: CholeskyFactor, pairs) -> PairBlockSbgs:
     return PairBlockSbgs(pairs, K0_factor)
 
 
-# These names exist only because perfbench's SETUP_SPANS["sbgs"] and
+# These names exist only because perfbench's SETUP_SPANS and APPLY_SPANS and
 # tests/test_span_names.py resolve them; ROADMAP item 1's PR B deletes them.
 build_sbgs_affine = build_sbgs_lognormal = build_sbgs
+
+
+class MeanBasedPreconditioner(TruncExactPreconditioner):
+    """The mean-based preconditioner, P_0 = I (x) K_0: the truncation at r = 0."""
+
+    apply_inverse = TruncExactPreconditioner.apply_inverse  # its own span
+
+
+def build_mean_based(K0_factor: CholeskyFactor, pairs, classes=None):
+    return MeanBasedPreconditioner(K0_factor, pairs, classes)

@@ -1,3 +1,4 @@
+import functools
 import inspect
 import math
 import weakref
@@ -42,6 +43,21 @@ def superlu_only(monkeypatch):
     """Send every factor LAPACK would take, by order or by fill, to SuperLU."""
     monkeypatch.setattr(precond, "DENSE_SOLVE_MAX", 0)
     monkeypatch.setattr(precond, "DENSE_SOLVE_FILL", math.inf)
+
+
+def part_solvers(P):
+    """What solves each class of a trunc_exact P, part by part: a
+    CholeskyFactor (the caller's K_0 one or the class's own), a
+    _SchurComplement (factored, or the operator of a nested CG where it
+    holds no factor), or the (operator, SBGS) pair of a nested SBGS-PCG."""
+    return [(solve.args if solve.func is precond._sbgs_cg else solve.args[0])
+            if isinstance(solve, functools.partial) else solve.__self__ for _, solve in P._parts]
+
+
+def nested_operators(P):
+    """The operators of P's nested CGs, one per nested class."""
+    return [s[0] if isinstance(s, tuple) else s for s in part_solvers(P)
+            if isinstance(s, tuple) or isinstance(s, precond._SchurComplement) and s._S_L is None]
 
 
 def dense_apply_inverse(P, n):
@@ -282,7 +298,7 @@ class TestMeanBased:
     def test_blockwise_mean_solve(self):
         op, _, _ = tiny_affine()
         K0 = op.terms[0][1]
-        P = build_mean_based(CholeskyFactor(K0))
+        P = build_mean_based(CholeskyFactor(K0), op.leading(0))
         rng = np.random.default_rng(42)
         v = rng.standard_normal(op.dim)
         expected = np.linalg.solve(np.kron(np.eye(op.ny), K0.toarray()), v)
@@ -297,7 +313,7 @@ class TestMeanBased:
             op, _, _ = tiny_affine(level=level)
             K0 = k0_factor(op)
             classes = op.parity_classes(0)
-            P_mean = build_mean_based(K0, classes)
+            P_mean = build_mean_based(K0, op.leading(0), classes)
             P_trunc = build_trunc_exact(K0, op.terms[:1], classes)
             v = np.random.default_rng(42).standard_normal(op.dim)
             for cls in (None, 0, 1):
@@ -442,34 +458,41 @@ class TestTruncExact:
     def test_one_factor_per_remaining_degree(self):
         # Affine r < M: the blocks of P_r are the tails (alpha_{r+1}, ..,
         # alpha_M), and blocks of equal remaining degree d = k - |tail| are
-        # the same system, so P_r has one factor per distinct d.
+        # the same system, so P_r has one part per distinct d, each solved
+        # directly.
         op, _, _ = tiny_affine(M=4, k=3)
         for r in (1, 2, 3):
             P = build_trunc_exact(k0_factor(op), op.terms[: r + 1])
             degrees = {3 - sum(alpha[r:]) for alpha in build_index_set(4, 3)}
-            assert P.distinct_factor_count == len(degrees) == 4
+            assert len(P._parts) == len(degrees) == 4
+            assert not nested_operators(P)
 
     def test_equal_size_blocks_with_different_values(self):
         # Blocks {0, 1} and {2, 3} share size and pattern but not their
-        # coupling values, so they need two factors.
+        # coupling values, so they are two classes, with two factors.
         K0 = assemble_stiffness(build_mesh(2), fourier_coefficient(0, 2.0, 0.547))
         G1 = sp.csr_matrix(np.array(
             [[0, 0.2, 0, 0], [0.2, 0, 0, 0], [0, 0, 0, 0.4], [0, 0, 0.4, 0]]
         ))
         pairs = ((sp.identity(4, format="csr"), K0), (G1, K0))
         P = build_trunc_exact(CholeskyFactor(K0), pairs)
-        assert P.distinct_factor_count == 2
+        assert [idx.tolist() for idx, _ in P._parts] == [[[0, 1]], [[2, 3]]]
+        assert all(isinstance(s, precond._SchurComplement) and s._S_L is not None
+                   for s in part_solvers(P))
         P_dense = assemble_dense(pairs)
         v = np.random.default_rng(42).standard_normal(P_dense.shape[0])
         np.testing.assert_allclose(P.apply_inverse(v), np.linalg.solve(P_dense, v), rtol=1e-12)
 
     def test_cutoff_counts_unknowns_per_block(self, monkeypatch):
-        # A cutoff of one parametric index per block factors the d = 0
-        # blocks (a K_0 each) and solves the rest with the nested CG.
+        # A cutoff of one parametric index per block solves the d = 0
+        # blocks (a K_0 each) directly and the rest with nested CGs, one a class.
         op, _, _ = tiny_affine(M=4, k=3)
+        K0 = k0_factor(op)
         monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", op.nx)
-        P = build_trunc_exact(k0_factor(op), op.terms[:3])
-        assert P.distinct_factor_count == 1
+        P = build_trunc_exact(K0, op.terms[:3])
+        solvers = part_solvers(P)
+        assert [s is K0 for s in solvers].count(True) == 1
+        assert len(nested_operators(P)) == len(solvers) - 1 > 0
         rng = np.random.default_rng(42)
         v = rng.standard_normal(op.dim)
         P_dense = assemble_dense(op.terms[:3])
@@ -479,13 +502,14 @@ class TestTruncExact:
     def test_class_apply_is_the_full_apply_on_its_class(self, monkeypatch, cut):
         # P_r never couples the two parity classes, so the apply of class c
         # is the full apply on c's blocks and zero elsewhere, with the
-        # nested blocks (cut 0: all of them) solved per colour.
+        # nested classes (cut 0: all of them) solved on their components of
+        # colour c.
         op, _, _ = tiny_affine(M=4, k=3)
         monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", cut * op.nx)
         v = np.random.default_rng(42).standard_normal(op.dim)
         for r in (0, 2):
             classes = op.parity_classes(r)
-            mean = build_mean_based(k0_factor(op), classes)
+            mean = build_mean_based(k0_factor(op), op.leading(0), classes)
             P = build_trunc_exact(k0_factor(op), op.leading(r), classes)
             for prec in ((mean, P) if r == 0 else (P,)):
                 full = prec.apply_inverse(v).reshape(op.ny, op.nx)
@@ -493,6 +517,32 @@ class TestTruncExact:
                     part = prec.apply_inverse(v, c).reshape(op.ny, op.nx)
                     np.testing.assert_allclose(part[classes == c], full[classes == c], rtol=1e-10)
                     assert not part[classes != c].any()
+
+    @pytest.mark.parametrize("problem, r, shape, solver", [
+        (tiny_affine, 1, (3, 3), precond._SchurComplement),
+        (tiny_lognormal, 3, (3, 3), tuple),
+    ], ids=["affine", "lognormal"])
+    def test_colouring_that_splits_a_nested_class(self, monkeypatch, problem, r, shape, solver):
+        # Any colouring that keeps each component in one colour is one P_r
+        # never couples, also one that splits a class's components: here
+        # every class's components alternate between the colours.  A nested
+        # class, Schur CG (affine d = 2: three chains of three blocks) or
+        # SBGS-PCG (lognormal), then solves a subset of its components.
+        monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", 0)
+        op, _, _ = problem(M=4, k=3)
+        pairs = kronsys.PairList(op.leading(r))
+        classes = np.zeros(op.ny, dtype=bool)
+        for idx, _ in precond._tail_blocks(pairs):
+            classes[idx[1::2]] = True
+        P = build_trunc_exact(k0_factor(op), pairs, classes)
+        split = [S for (idx, _), S in zip(P._parts, part_solvers(P)) if idx.shape == shape]
+        assert len(split) == 1 and isinstance(split[0], solver)
+        v = np.random.default_rng(5).standard_normal(op.dim)
+        full = P.apply_inverse(v).reshape(op.ny, op.nx)
+        for c in (0, 1):
+            part = P.apply_inverse(v, c).reshape(op.ny, op.nx)
+            np.testing.assert_allclose(part[classes == c], full[classes == c], rtol=1e-10)
+            assert not part[classes != c].any()
 
     @pytest.mark.parametrize("cut", [0, 1])
     def test_reduced_nested_apply_equals_dense_solve(self, monkeypatch, cut):
@@ -504,8 +554,8 @@ class TestTruncExact:
             op, _, _ = tiny_affine(M=M, k=k)
             monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", cut * op.nx)
             P = build_trunc_exact(k0_factor(op), op.leading(r))
-            assert P._nested
-            for _, S, _ in P._nested:
+            assert nested_operators(P)
+            for S in nested_operators(P):
                 assert isinstance(S, precond._SchurComplement)
                 eliminated.add(0 in S.elim)
             v = np.random.default_rng(7).standard_normal(op.dim)
@@ -530,8 +580,8 @@ class TestTruncExact:
         kept = {}
         for r in (1, 2, 3):
             P = build_trunc_exact(k0_factor(op), op.leading(r))
-            assert not P._nested
-            for idx, S in P._direct:
+            assert not nested_operators(P)
+            for (idx, _), S in zip(P._parts, part_solvers(P)):
                 if isinstance(S, precond._SchurComplement):
                     kept[r, idx.shape[1]] = S.keep.tolist()
                     L, S_dense = S._S_L, S._assemble()
@@ -544,7 +594,7 @@ class TestTruncExact:
         assert kept[2, 3] == [0] and kept[3, 4] == [0]  # stars, d = 1
         log, _, _ = tiny_lognormal()
         P = build_trunc_exact(k0_factor(log), log.leading(4))
-        assert {type(factor) for _, factor in P._direct} == {CholeskyFactor}
+        assert {type(factor) for factor in part_solvers(P)} == {CholeskyFactor}
 
     def test_reduced_solve_true_residual(self, monkeypatch):
         # The reduced CG's residual is the full one on the kept colour, the
@@ -554,29 +604,37 @@ class TestTruncExact:
         # eliminated ones' coupling (C D^{-1} b_e plus 1e-4 of noise): its
         # reduced right-hand side f is over 1000 times shorter than b, which
         # moves the stopping step, and puts the scaled tolerance above the
-        # stall threshold 1e-10 on the reduced residual.
+        # stall threshold 1e-10 on the reduced residual.  b lies on the
+        # components of the nested class with the most of them, whose CG is
+        # then the only one that runs.
         op, _, _ = tiny_affine(M=4, k=3)
         monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", 0)
         pairs = op.leading(2)
         P = build_trunc_exact(k0_factor(op), pairs)
-        (rest, S, _), = P._nested  # every block but the I (x) K_0 ones
+        (idx, _), S = max(((part, S) for part, S in zip(P._parts, part_solvers(P))
+                           if isinstance(S, precond._SchurComplement)), key=lambda ps: len(ps[0][0]))
+        assert len(idx) > 1 and S._S_L is None
         calls = []
 
         def recorded(A, M, f, cfg):
             z, rep = pcg_solve(A, M, f, cfg)
-            calls.append((np.linalg.norm(f), rep.residual_history))
+            if f.any():
+                calls.append((np.linalg.norm(f), rep.residual_history))
             return z, rep
 
         monkeypatch.setattr(precond, "_inner_solve", recorded)
         rng = np.random.default_rng(3)
         P_dense = assemble_dense(pairs)
-        kept, elim = ((rest[b, None] * op.nx + np.arange(op.nx)).ravel() for b in (S.keep, S.elim))
+        kept, elim = ((idx[:, b, None] * op.nx + np.arange(op.nx)).ravel() for b in (S.keep, S.elim))
+        rows = np.union1d(kept, elim)
+        random = np.zeros(op.dim)
+        random[rows] = rng.standard_normal(len(rows))
         cancelled = np.zeros(op.dim)
         cancelled[elim] = rng.standard_normal(len(elim))
         x_elim = np.linalg.solve(P_dense[np.ix_(elim, elim)], cancelled[elim])
         cancelled[kept] = P_dense[np.ix_(kept, elim)] @ x_elim
         cancelled[kept] += 1e-4 * rng.standard_normal(len(kept))
-        for b in (rng.standard_normal(op.dim), cancelled):
+        for b in (random, cancelled):
             residual = b - P_dense @ P.apply_inverse(b)
             assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(b)
             f_norm, history = calls.pop()
@@ -670,8 +728,17 @@ def test_one_k0_factorization_per_cell(monkeypatch, cell, preconds, cut, inner):
     monkeypatch.setattr(precond.TruncExactPreconditioner, "__init__", kept)
     rows = list(grid.solve_cell(cell, preconds, SolverConfig()))
     assert [row.precond for row in rows] == [kind for kind, _ in preconds]
-    assert {type(S).__name__ for P in truncs for _, S, _ in P._nested} == {inner}
+    assert {type(A).__name__ for P in truncs for A in nested_operators(P)} == {inner}
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("cell", [AFFINE_CELL, LOGNORMAL_CELL], ids=["affine", "lognormal"])
+def test_mean_is_trunc_exact_zero(cell):
+    # mean is P_0: its rows and trunc_exact 0's run the same solve, bit for bit.
+    mean, trunc = grid.solve_cell(cell, [("mean", None), ("trunc_exact", 0)], SolverConfig())
+    assert mean.converged and mean.iterations > 1
+    assert (mean.iterations, mean.converged, mean.final_relres) == (
+        trunc.iterations, trunc.converged, trunc.final_relres)
 
 
 def test_cell_store_makes_each_product_and_factor_once(monkeypatch):
@@ -697,7 +764,8 @@ def test_cell_store_makes_each_product_and_factor_once(monkeypatch):
         cells.append(weakref.ref(K0_factor()))
         assert len({id(cell()) for cell in cells if cell()}) == 1  # one per cell, and alive
         P = build(kind, r, op, K0_factor)
-        distinct.append(P.distinct_factor_count)
+        if kind == "sbgs":
+            distinct.append(P.distinct_factor_count)
         return P
 
     def factoring(self, K):
@@ -777,9 +845,10 @@ class TestLeadProduct:
         P = verify._preconditioner(kind, op, r)
         assert P.lead == len(op.leading(r))
         if path == "schur direct":
-            assert any(isinstance(S, precond._SchurComplement) for _, S in P._direct)
+            assert any(isinstance(S, precond._SchurComplement) and S._S_L is not None
+                       for S in part_solvers(P))
         elif path == "nested":
-            assert P._nested
+            assert nested_operators(P)
         elif path == "levels":
             assert len(P._levels) >= 3
         classes = getattr(P, "classes", None)
@@ -817,8 +886,7 @@ class TestLeadProduct:
             z = P.apply_inverse(v)
             res = np.linalg.norm(v - kronsys.assemble_sparse(op.leading(r)) @ z)
             assert res <= 1e-12 * np.linalg.norm(v), r
-            nested = [(inner_op, inner) for _, inner_op, inner in P._nested
-                      if isinstance(inner, PairBlockSbgs)]
+            nested = [S for S in part_solvers(P) if isinstance(S, tuple)]
             for inner_op, inner in nested:
                 assert inner.lead == len(inner_op.terms), r
             asked = {(id(A), blocks is None, first) for A, blocks, first in calls}
@@ -854,7 +922,7 @@ class TestSbgsAffine:
         op, _, _ = tiny_affine()
         K0 = k0_factor(op)
         P_sbgs = build_sbgs(K0, op.terms[:1])
-        P_mean = build_mean_based(K0)
+        P_mean = build_mean_based(K0, op.leading(0))
         rng = np.random.default_rng(42)
         v = rng.standard_normal(op.dim)
         np.testing.assert_allclose(
@@ -1062,7 +1130,7 @@ class TestReadOnlyInput:
         cases = [
             (aff, aff.matvec),
             (log, log.matvec),
-            (aff, build_mean_based(aff_K0).apply_inverse),
+            (aff, build_mean_based(aff_K0, aff.leading(0)).apply_inverse),
             (aff, build_kron(aff, aff_K0).apply_inverse),
             (aff, build_trunc_exact(aff_K0, aff.terms[:3]).apply_inverse),
             (log, build_trunc_exact(log_K0, log_pairs).apply_inverse),
@@ -1072,8 +1140,8 @@ class TestReadOnlyInput:
         monkeypatch.setattr(precond, "TRUNC_DIRECT_GUARD", 1)  # the nested path
         for op, K0, pairs in ((aff, aff_K0, aff.terms[:3]), (log, log_K0, log_pairs)):
             P = build_trunc_exact(K0, pairs)
-            # Only the I (x) K_0 blocks, which take K0 at any size, stay direct.
-            assert P._nested and all(factor is K0 for _, factor in P._direct)
+            # Only the I (x) K_0 classes, which take K0 at any size, stay direct.
+            assert sum(s is not K0 for s in part_solvers(P)) == len(nested_operators(P)) > 0
             cases.append((op, P.apply_inverse))
         for op, apply in cases:
             v = np.random.default_rng(42).standard_normal(op.dim)
