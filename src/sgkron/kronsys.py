@@ -104,6 +104,17 @@ class PairList(tuple):
     def nx(self) -> int:
         return self[0][1].shape[0]
 
+    def __getitem__(self, key):
+        """A slice is a PairList; a leading slice cuts its ``triples`` from
+        this list's, once they are read."""
+        pairs = super().__getitem__(key)
+        if isinstance(key, slice):
+            pairs = PairList(pairs)
+            if key.start is key.step is None and "triples" in self.__dict__:
+                end = np.searchsorted(self.triples[0], len(pairs))  # the entries go by term
+                pairs.triples = tuple(x[:end] for x in self.triples)
+        return pairs
+
     def triple_chunks(self) -> tuple:
         """``triples`` as one chunk."""
         return (self.triples,)
@@ -358,15 +369,20 @@ def _term_loop(pairs) -> tuple:
     """The term loop of (G, K) pairs: (rows, cols, G[rows][:, cols], K) per
     term, rows and cols the non-empty rows and columns of G, or slice(None)
     where G has full support (a view, so that term copies nothing).  G is
-    None for an identity G, whose term adds the K-product directly."""
+    None for an identity G, whose term adds the K-product directly; the
+    others keep their entries in order, the columns renumbered."""
     loop = []
     for G, K in pairs:
         G = sp.csr_matrix(G)
-        rows = np.flatnonzero(np.diff(G.indptr))
-        cols = np.unique(G.indices)
-        if len(rows) == len(cols) == G.shape[0]:
+        rows, cols = np.flatnonzero(np.diff(G.indptr)), np.unique(G.indices)
+        sub = None if _is_identity(G) else G
+        if (len(rows), len(cols)) == G.shape:
             rows = cols = slice(None)
-        loop.append((rows, cols, None if _is_identity(G) else G[rows][:, cols], K))
+        elif sub is not None:
+            indptr = np.r_[G.indptr[rows], G.nnz]  # the empty rows dropped
+            sub = sp.csr_matrix((G.data, np.searchsorted(cols, G.indices), indptr),
+                                shape=(len(rows), len(cols)))
+        loop.append((rows, cols, sub, K))
     return tuple(loop)
 
 
@@ -407,6 +423,13 @@ def assemble_sparse(terms) -> sp.csc_matrix:
     return A
 
 
+def _graph(src: np.ndarray, dst: np.ndarray, n: int) -> sp.csr_array:
+    """The graph of the edges src -> dst on n nodes, CSR by a sort of src."""
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+    indices = dst[np.argsort(src, kind="stable")]
+    return sp.csr_array((np.ones(len(src)), indices, indptr), shape=(n, n))
+
+
 def _colouring(chunks, n: int, r: int) -> np.ndarray | None:
     """One bool per block (of n, rows of the G), False at the lowest block
     of each group the entries join, that the terms <= r of the entries
@@ -421,17 +444,18 @@ def _colouring(chunks, n: int, r: int) -> np.ndarray | None:
     merge, so each chunk joins its entries to one tree per component so
     far.  Affine r < M: the parity of alpha_{r+1} + ... + alpha_M.
     """
-    nodes = np.arange(2 * n)
-    root, label, tail = nodes, nodes, False
+    nodes, label, tail = np.arange(2 * n), None, False
     for term, rows, cols, _ in chunks:
         shift = np.where(term <= r, 0, n)
         tail = tail or bool(shift.any())
-        src, dst = np.r_[root, rows, rows + n], np.r_[nodes, cols + shift, cols + n - shift]
-        graph = sp.csr_matrix((np.ones(len(src)), (src, dst)), shape=(2 * n, 2 * n))
-        _, label = connected_components(graph, directed=False)
+        src = np.concatenate((rows, rows + n))
+        dst = np.concatenate((cols + shift, cols + n - shift))
+        if label is not None:  # each node joined to the lowest node of its component
+            root = np.unique(label, return_index=True)[1][label]
+            src, dst = np.concatenate((root, src)), np.concatenate((nodes, dst))
+        _, label = connected_components(_graph(src, dst, 2 * n), directed=False)
         if np.any(label[:n] == label[n:]):
             return None
-        root = np.unique(label, return_index=True)[1][label]  # lowest node per component
     return label[:n] > label[n:] if tail else None
 
 

@@ -64,7 +64,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from .kronsys import KroneckerSumOperator, PairList, _colouring, _is_identity, assemble_sparse
-from .kronsys import _loop_product, _term_loop
+from .kronsys import _graph, _loop_product, _term_loop
 from .pcg import BreakdownError as _BreakdownError
 from .pcg import SolverConfig as _InnerConfig
 from .pcg import pcg_solve as _inner_solve
@@ -324,39 +324,58 @@ def build_kron(op, K0_factor: CholeskyFactor) -> KroneckerProductPreconditioner:
 # exact truncation
 
 
-def _tail_blocks(pairs: PairList) -> list[tuple[np.ndarray, tuple]]:
-    """Parametric indices of the diagonal blocks of sum_l G_l (x) K_l, grouped,
-    read off the entries (term, row, column, value) of the G_l.
+def _tail_blocks(pairs: PairList) -> list[tuple]:
+    """The classes of equal diagonal blocks of sum_l G_l (x) K_l, led by I,
+    as (idx, entries, colour), in the order of their lowest blocks.
 
-    The blocks are the connected components of the union of the G_l
-    patterns.  Components whose restricted G_l are equal entry by entry
-    form one class; each class comes back as an (n, c) array of its n
-    components' indices, ascending within a row, so that every row
-    restricts the G_l to the same c x c matrices, and with those
-    matrices' entries, by term, then row, then column.
-    """
+    The blocks are the components of the union of the G_l patterns; a
+    class is the components whose restricted G_l are equal entry by entry.
+    idx is (n, c): n components, their c blocks ascending in a row, so that
+    each row restricts the G_l to the same c x c matrices, whose entries
+    (term, row, column, value) follow.  colour 2-colours a row's blocks,
+    False at the first, as term 0 keeps a colour and the tail terms flip
+    it; None without a tail entry or such a colouring.  One
+    ``connected_components`` call on the double cover finds both: block j
+    is nodes j and j + ny, and a tail entry (j, l) joins j to l + ny and
+    j + ny to l.  Labels go by lowest node, so a block's component is the
+    lower label of its nodes, and it 2-colours where they differ.  Key rows
+    are compared within groups of equal block and entry counts, once a
+    class.  P_0 (I alone) takes no graph pass."""
     (term, rows, cols, vals), n = pairs.triples, pairs.ny
-    union = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    n_comp, comp = connected_components(union, directed=False)
-    size = np.bincount(comp, minlength=n_comp)
-    slot = _occurrence(comp)
-    members = np.argsort(comp, kind="stable")  # component by component
+    if len(pairs) == 1:  # single blocks, each the entry (0, 0, 0, 1.0)
+        return [(np.arange(n)[:, None], (*np.zeros((3, 1), np.int64), vals[:1]), None)]
+    j, l = rows[term > 0], cols[term > 0]
+    cover = _graph(np.concatenate((j, j + n)), np.concatenate((l + n, l)), 2 * n)
+    label = connected_components(cover, directed=False)[1]
+    low = np.minimum(label[:n], label[n:])
+    comp = np.cumsum(np.bincount(low, minlength=2 * n) > 0)[low] - 1  # renumbered 0, 1, ...
+    members, size = np.argsort(comp, kind="stable"), np.bincount(comp)  # component by component
     first = np.cumsum(size) - size
+    slot = np.empty(n, dtype=np.int64)
+    slot[members] = np.arange(n) - np.repeat(first, size)
 
-    # Key rows (term, row slot, column slot, value) sorted within each
-    # component; equal components have equal sizes and key bytes.
+    # Key rows (term, row slot, column slot, value) by component, each in
+    # the entries' order (by term and row, as the G_l store them), as their
+    # slots ascend with their blocks.
     owner = comp[rows]
-    order = np.lexsort((slot[cols], slot[rows], term, owner))
-    keys = np.stack([term, slot[rows], slot[cols], vals], axis=1)[order]
-    count = np.bincount(owner, minlength=n_comp)
-    same: dict[tuple, tuple] = {}
-    for q, key in enumerate(np.split(keys, np.cumsum(count)[:-1])):
-        same.setdefault((size[q], key.tobytes()), (key, []))[1].append(q)
-    return [
-        (members[first[qs, None] + np.arange(size[qs[0]])],
-         (*key[:, :3].T.astype(np.int64), key[:, 3]))
-        for key, qs in same.values()
-    ]
+    keys = np.stack([term, slot[rows], slot[cols], vals], axis=1)[np.argsort(owner, kind="stable")]
+    count = np.bincount(owner)
+    start = np.cumsum(count) - count
+    by = np.lexsort((count, size))  # by (size, count), ascending within
+    cuts = (np.flatnonzero(np.diff(size[by]) | np.diff(count[by])) + 1).tolist()
+    # A component has a colour where it has a tail entry and 2-colours.
+    two = (np.bincount(owner, term > 0) > 0) & (label[:n] != label[n:])[members[first]]
+    colour, out = label[:n] > label[n:], []
+    for qs in (by[a:b] for a, b in zip([0, *cuts], [*cuts, len(by)])):
+        bits = keys[start[qs, None] + np.arange(count[qs[0]])].view(np.int64).reshape(len(qs), -1)
+        while len(qs):  # a class a round: the components with the first's key bytes
+            same, q = (bits == bits[0]).all(axis=1), qs[0]
+            idx = members[first[qs[same], None] + np.arange(size[q])]
+            key = keys[start[q] : start[q] + count[q]]
+            entries = (*key[:, :3].T.astype(np.int64), key[:, 3])
+            out.append((idx, entries, colour[idx[0]] if two[q] else None))
+            qs, bits = qs[~same], bits[~same]
+    return sorted(out, key=lambda part: part[0][0, 0])
 
 
 def _pairs(entries, Ks, n: int) -> tuple:
@@ -416,9 +435,11 @@ class TruncExactPreconditioner:
     lognormal one those sharing the coordinates outside the leading
     multi-indices' support.  P_r is block diagonal over these tail blocks,
     and blocks with equal restricted G_l are equal (affine: one per
-    remaining degree d = k - |tail|), a class.  P_r holds one part per
-    class: its indices, (n, c) for n components of c blocks, and one solve
-    of their block rows, (n, c, nx), set up from one component:
+    remaining degree d = k - |tail|), a class.  One graph pass
+    (``_tail_blocks``) finds the classes and the 2-colouring of each, and
+    P_r holds one part per class: its indices, (n, c) for n components of
+    c blocks, and one solve of their block rows, (n, c, nx), set up from
+    one component:
 
     * a class that is I (x) K_0 alone (affine d = 0, every block at r = 0)
       takes ``K0_factor``, at any size;
@@ -430,9 +451,9 @@ class TruncExactPreconditioner:
       smaller one is solved, and the other colour is back-substituted.  S
       is factored once by LAPACK up to ``TRUNC_DIRECT_GUARD`` unknowns a
       component, and is solved by CG preconditioned by D above it.  S's
-      products K_l K_0^{-1} K_m and the stacked K_l are ``K0_factor``'s,
-      made once per cell.  A factored S that overflows, with D and C finite,
-      is refused as not positive definite;
+      products K_l K_0^{-1} K_m, the stacked K_l and the dense K_0 are
+      ``K0_factor``'s, made once per cell.  A factored S that overflows,
+      with D and C finite, is refused as not positive definite;
     * any other class (lognormal: Hermite G with diagonals) is assembled
       and factored up to the guard (mostly SuperLU above
       ``DENSE_SOLVE_MAX``), and above it solved by CG on the class,
@@ -446,21 +467,21 @@ class TruncExactPreconditioner:
     splits the blocks into two colours that P_r never couples, each
     component within one: ``apply_inverse(v, cls)`` solves the components
     of colour ``cls`` only, leaving zeros elsewhere.  The build reads no
-    ``classes``, and colours a class only where it has a tail coupling.
+    ``classes``.
     """
 
     def __init__(self, K0_factor: CholeskyFactor, pairs, classes=None):
-        used = PairList(pairs)
+        used = pairs if isinstance(pairs, PairList) else PairList(pairs)
         self.ny, self.nx = _shape(used, K0_factor)
         self.classes, self.lead = classes, len(used)
         Ks = [K for _, K in used]
         self._parts = []  # (class indices, solve of their block rows)
-        for idx, block in _tail_blocks(used):
+        for idx, block, colour in _tail_blocks(used):
             n, c = idx.shape
             direct = c * self.nx <= TRUNC_DIRECT_GUARD
             if not block[0].any():  # I (x) K_0 alone
                 solve = functools.partial(_solve_rows, K0_factor)
-            elif (colour := _colouring([block], c, 0)) is not None:
+            elif colour is not None:
                 solve = _SchurComplement(block, Ks, colour, K0_factor, direct).solve
             elif direct:
                 factor = CholeskyFactor(assemble_sparse(_pairs(block, Ks, c)))
@@ -498,28 +519,29 @@ class _SchurComplement:
     for a class's few solves; else it is the operator of a reduced CG, which
     D preconditions (Reid's method).  The smaller colour is kept (S's order
     is at most half the guard), and every K_l product acts on its blocks,
-    stacked once per cell.  Block rows carry the class's components on
+    stacked once per cell; C is read off the class's entries in CSR order,
+    and C^T is its CSC view.  Block rows carry the class's components on
     their second axis."""
 
     def __init__(self, entries, Ks, colour: np.ndarray, K0_factor: CholeskyFactor, direct=False):
         keep = colour if 2 * np.count_nonzero(colour) <= len(colour) else ~colour
         self.keep, self.elim = np.flatnonzero(keep), np.flatnonzero(~keep)
         self._K0, self.factor, self.nx = Ks[0], K0_factor, K0_factor.n
-        # The C_l stacked by rows, cut from the entries (term, row, column,
-        # value) of the G_l; the K_l by rows and by columns: one sparse call
-        # per product.  A colouring needs a tail coupling, so Ks[1:] is not empty.
+        # The C_l stacked by rows, cut from the entries of the G_l in C's row
+        # order; the K_l by rows, and by columns as that stack's CSC view (they
+        # are symmetric): one sparse call per product.  A colouring needs a
+        # tail coupling, so Ks[1:] is not empty.
         self._r, self._n, self._Ks = len(Ks) - 1, len(self.keep), tuple(Ks[1:])
         term, rows, cols, vals = entries
-        pos = np.empty(len(keep), dtype=np.int64)
-        pos[self.keep], pos[self.elim] = np.arange(self._n), np.arange(len(self.elim))
+        pos = np.where(keep, np.cumsum(keep), np.cumsum(~keep)) - 1
         c = (term > 0) & keep[rows] & ~keep[cols]
-        self._C = sp.csr_matrix(
-            (vals[c], ((term[c] - 1) * self._n + pos[rows[c]], pos[cols[c]])),
-            shape=(self._r * self._n, len(self.elim)),
-        )
-        self._Ct = self._C.T.tocsr()
+        R = (term[c] - 1) * self._n + pos[rows[c]]
+        indptr = np.searchsorted(R, np.arange(self._r * self._n + 1))
+        self._C = sp.csr_array((vals[c], pos[cols[c]], indptr),
+                               shape=(len(indptr) - 1, len(self.elim)))
+        self._Ct = self._C.T
         self._K_rows, self._K_cols = K0_factor.shared(
-            "stacks", self._Ks, lambda: (sp.vstack(self._Ks, "csr"), sp.hstack(self._Ks, "csr")))
+            "stacks", self._Ks, lambda: ((K := sp.vstack(self._Ks, "csr")), K.T))
         self._S_L = None
         if direct:
             if not np.isfinite(self._K_rows.data).all():
@@ -529,18 +551,22 @@ class _SchurComplement:
     def _assemble(self) -> np.ndarray:
         """S = I (x) K_0 - sum_{l,m} (C_l C_m^T) (x) (K_l K_0^{-1} K_m), dense,
         by (kept block, spatial index), and F-ordered for ``dpotrf``: its
-        transpose is filled block by block, by (l, m), with the products the
-        K_0 factor shares.  A pair with C_l C_m^T = 0 reads no product."""
-        n, nx, Ks = self._n, self.nx, self._Ks
-        W = (self._C @ self._Ct).tocoo()  # block (l, m): C_l C_m^T
-        (l, i), (m, j) = np.divmod(W.row, n), np.divmod(W.col, n)
+        transpose is filled block by block, by (l, m), with the dense K_0 and
+        the products the K_0 factor shares.  A pair with C_l C_m^T = 0 reads
+        no product."""
+        n, nx, Ks, factor = self._n, self.nx, self._Ks, self.factor
         St = np.zeros((n, nx, n, nx))  # S^T
-        St[np.arange(n), :, np.arange(n)] = self._K0.toarray().T
-        for q in np.lexsort((m, l)):
-            a, b = Ks[l[q]], Ks[m[q]]  # P^T for P = K_a K_0^{-1} K_b
-            Pt = self.factor.shared("schur", (a, b), lambda: np.ascontiguousarray(
-                (a @ (b @ self.factor.inverse).T.copy()).T))
-            St[j[q], :, i[q]] -= W.data[q] * Pt
+        St[np.arange(n), :, np.arange(n)] = factor.shared(
+            "dense", (self._K0,), lambda: self._K0.toarray().T.copy())  # K_0^T, C-ordered
+        W = self._C @ self._Ct  # C_l C_m^T by block (l, m), exact zeros dropped
+        W.sort_indices()  # so that each entry of S takes its (l, m) in order
+        rows = np.repeat(np.arange(W.shape[0]), np.diff(W.indptr))
+        (l, i), (m, j) = np.divmod(rows, n), np.divmod(W.indices, n)
+        for l, i, m, j, w in zip(l.tolist(), i.tolist(), m.tolist(), j.tolist(), W.data.tolist()):
+            a, b = Ks[l], Ks[m]  # P^T for P = K_a K_0^{-1} K_b
+            Pt = factor.shared("schur", (a, b), lambda: np.ascontiguousarray(
+                (a @ (b @ factor.inverse).T.copy()).T))
+            St[j, :, i] -= w * Pt
         S = St.reshape(n * nx, n * nx).T
         # With D and C finite, only C D^{-1} C^T can overflow, and first on
         # its diagonal, which S then has at -inf.

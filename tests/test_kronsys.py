@@ -438,6 +438,25 @@ class TestRecompressedOperator:
         v = np.random.default_rng(42).standard_normal(12)
         np.testing.assert_allclose(op.matvec(v), A @ v, rtol=1e-14, atol=1e-14)
 
+    @pytest.mark.parametrize("dense", [
+        [[1.0, 0, 0], [0, 1.0, 0]],  # as many live columns as rows, one column dead
+        [[0, 0, 2.0], [3.0, 0, 0]],  # one entry a row
+        [[1.0, 0, 0.5], [0, 2.0, -1.0]],  # full support
+    ], ids=["identity-like", "one-entry-a-row", "full"])
+    def test_rectangular_g_term_loop(self, dense):
+        # The full-support shortcut compares the live rows with G's rows and
+        # the live columns with its columns: a 2 x 3 G whose two live columns
+        # match its two rows still reads only those columns.
+        G = sp.csr_matrix(np.array(dense))
+        K = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 3.0]]))
+        ((rows, cols, sub, _),) = kronsys._term_loop([(G, K)])
+        V = np.random.default_rng(3).standard_normal((3, 2))
+        out = np.zeros((2, 2))
+        W = (K @ V.T[:, cols]).T
+        out[rows] += W if sub is None else sub @ W
+        np.testing.assert_allclose(out.ravel(), np.kron(G.toarray(), K.toarray()) @ V.ravel(),
+                                   rtol=1e-14, atol=1e-14)
+
     def test_unsymmetric_terms_keep_term_loop(self):
         # Two terms with proportional but unsymmetric K values.
         K = sp.csr_matrix(np.array([[2.0, 1.0], [0.5, 3.0]]))

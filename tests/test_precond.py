@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from sgkron import grid, kronsys, precond, spectral, verify
 from sgkron.fem2d import assemble_stiffness, auto_alpha_bar, build_mesh, fourier_coefficient
@@ -320,6 +321,86 @@ class TestMeanBased:
                 assert np.array_equal(P_mean.apply_inverse(v, cls), P_trunc.apply_inverse(v, cls))
 
 
+def reference_tail_blocks(pairs):
+    """The per-component grouping that _tail_blocks replaced: one graph pass
+    on the union pattern, a dict over the key bytes of each component, and
+    one _colouring call per class."""
+    (term, rows, cols, vals), n = pairs.triples, pairs.ny
+    union = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    n_comp, comp = connected_components(union, directed=False)
+    size = np.bincount(comp, minlength=n_comp)
+    slot = precond._occurrence(comp)
+    members = np.argsort(comp, kind="stable")
+    first = np.cumsum(size) - size
+    owner = comp[rows]
+    order = np.lexsort((slot[cols], slot[rows], term, owner))
+    keys = np.stack([term, slot[rows], slot[cols], vals], axis=1)[order]
+    count = np.bincount(owner, minlength=n_comp)
+    same = {}
+    for q, key in enumerate(np.split(keys, np.cumsum(count)[:-1])):
+        same.setdefault((size[q], key.tobytes()), (key, []))[1].append(q)
+    out = []
+    for key, qs in same.values():
+        idx = members[first[qs, None] + np.arange(size[qs[0]])]
+        block = (*key[:, :3].T.astype(np.int64), key[:, 3])
+        out.append((idx, block, kronsys._colouring([block], idx.shape[1], 0)))
+    return out
+
+
+class TestTailBlocks:
+    @pytest.mark.parametrize("seed", [None, 1, 2])
+    @pytest.mark.parametrize("sigma", [2.0, 4.0], ids=["slow", "fast"])
+    @pytest.mark.parametrize("problem", ["affine", "lognormal"])
+    def test_one_pass_matches_per_component_reference(self, problem, sigma, seed):
+        # The one graph pass returns the classes of the per-component
+        # grouping, in its order: the same indices, the same key entries
+        # (dtypes too) and the colouring of the old per-class call, None
+        # where a class has no tail entry or does not 2-colour.  The tail
+        # terms are also taken in an order shuffled by the seed.
+        M, k = (4, 3) if problem == "affine" else (3, 3)
+        op, _, _ = SmallConfig(problem, 2, M, k, sigma_tilde=sigma).build()
+        terms = list(op.terms[: 2 * M + 2])
+        if seed is not None:
+            order = np.random.default_rng(seed).permutation(len(terms) - 1) + 1
+            terms = [terms[0]] + [terms[i] for i in order]
+        for r in range(M + 1) if problem == "affine" else (0, 1, 2, 3, 6, 9):
+            pairs = kronsys.PairList(terms[: r + 1])
+            got, want = precond._tail_blocks(pairs), reference_tail_blocks(pairs)
+            assert len(got) == len(want)
+            for (idx, entries, colour), (ref_idx, ref_entries, ref_colour) in zip(got, want):
+                assert np.array_equal(idx, ref_idx)
+                assert all(a.dtype == b.dtype and np.array_equal(a, b)
+                           for a, b in zip(entries, ref_entries))
+                assert (colour is None) == (ref_colour is None)
+                assert colour is None or np.array_equal(colour, ref_colour)
+
+    def test_equal_counts_with_different_values(self):
+        # Three components of equal block and entry counts, the first and
+        # last equal and the middle one not: one group, two classes, the
+        # first class holding two components apart.
+        G1 = sp.csr_matrix(np.kron(np.diag([0.2, 0.4, 0.2]), np.array([[0, 1.0], [1.0, 0]])))
+        pairs = kronsys.PairList(((sp.identity(6, format="csr"), sp.identity(2)), (G1, sp.identity(2))))
+        got, want = precond._tail_blocks(pairs), reference_tail_blocks(pairs)
+        assert [idx.tolist() for idx, *_ in got] == [[[0, 1], [4, 5]], [[2, 3]]]
+        for (idx, entries, colour), (ref_idx, ref_entries, ref_colour) in zip(got, want, strict=True):
+            assert np.array_equal(idx, ref_idx) and np.array_equal(colour, ref_colour)
+            assert all(np.array_equal(a, b) for a, b in zip(entries, ref_entries))
+
+    @pytest.mark.parametrize("problem", [tiny_affine, tiny_lognormal], ids=["affine", "lognormal"])
+    def test_identity_pairs_take_no_graph_pass(self, monkeypatch, problem):
+        # P_0 is one class of single blocks, read off no graph.
+        def refused(*args, **kwargs):
+            raise AssertionError("P_0 takes no connected_components call")
+
+        monkeypatch.setattr(precond, "connected_components", refused)
+        op, _, _ = problem()
+        ((idx, (term, rows, cols, vals), colour),) = precond._tail_blocks(
+            kronsys.PairList(op.leading(0)))
+        assert np.array_equal(idx, np.arange(op.ny)[:, None]) and colour is None
+        assert [term.tolist(), rows.tolist(), cols.tolist(), vals.tolist()] == [[0], [0], [0], [1.0]]
+        build_mean_based(k0_factor(op), op.leading(0)).apply_inverse(np.ones(op.dim))
+
+
 class TestKroneckerProduct:
     S_PATH = "inverse"
 
@@ -532,7 +613,7 @@ class TestTruncExact:
         op, _, _ = problem(M=4, k=3)
         pairs = kronsys.PairList(op.leading(r))
         classes = np.zeros(op.ny, dtype=bool)
-        for idx, _ in precond._tail_blocks(pairs):
+        for idx, *_ in precond._tail_blocks(pairs):
             classes[idx[1::2]] = True
         P = build_trunc_exact(k0_factor(op), pairs, classes)
         split = [S for (idx, _), S in zip(P._parts, part_solvers(P)) if idx.shape == shape]
@@ -679,13 +760,12 @@ class TestTruncExact:
         op, _, _ = tiny_affine(M=4, k=3)
         pairs = kronsys.PairList(op.leading(2))
         Ks = [K for _, K in pairs]
-        idx, (term, rows, cols, vals) = next(
-            (idx, block) for idx, block in precond._tail_blocks(pairs) if block[0].any()
+        idx, (term, rows, cols, vals), colour = next(
+            part for part in precond._tail_blocks(pairs) if part[1][0].any()
         )
         block = (term, rows, cols, np.where(term > 0, 10.0 * vals, vals))
         c = idx.shape[1]
         assert np.linalg.eigvalsh(assemble_dense(precond._pairs(block, Ks, c)))[0] < 0.0
-        colour = kronsys._colouring([block], c, 0)
         with pytest.raises(NotPositiveDefiniteError, match="non-positive pivot"):
             precond._SchurComplement(block, Ks, colour, k0_factor(op), direct=True)
 
